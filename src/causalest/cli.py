@@ -43,7 +43,7 @@ from .simulate import (
     read_reference_csv,
     run_monte_carlo,
 )
-from .variance import bootstrap_variance
+from .variance import bootstrap_variance, normal_interval
 
 _PS_METHODS = ("ipw", "psr", "strat", "match", "dr")
 _ESTIMATE_METHODS = ("dim", "or") + _PS_METHODS
@@ -150,7 +150,11 @@ def _cmd_estimate(args) -> int:
                 n_boot=args.bootstrap,
                 seed=args.seed,
             )
-            est = est.with_uncertainty(boot.variance, boot.ci)
+            # the percentile interval of the replicates need not bracket the
+            # full-sample point; the normal interval around it always does
+            est = est.with_uncertainty(
+                boot.variance, normal_interval(est.point, boot.variance)
+            )
     except CausalestError as exc:
         return _fail(3, str(exc))
 
@@ -280,7 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="B",
-        help="bootstrap replicates for variance/CI (0 = analytic only)",
+        help="bootstrap replicates for the variance and its normal 95%% interval "
+        "(0 = analytic only)",
     )
     est.add_argument(
         "--trim",

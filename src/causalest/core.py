@@ -210,22 +210,28 @@ class PanelDataset:
         """Rebuild a panel from whole units (used by the panel bootstrap).
 
         Repeated indices are allowed; each occurrence becomes a distinct new
-        unit so resampled panels remain valid.
+        unit, numbered 0..M-1 in draw order, so resampled panels remain
+        valid. The result equals `validate_panel` applied to the drawn rows
+        and is built without re-running it: every drawn unit's rows are
+        already contiguous and sorted by time.
         """
-        starts = np.concatenate([[0], np.cumsum(self.unit_counts)])
-        rows = []
-        new_unit = []
-        for j, u in enumerate(np.asarray(unit_index, dtype=int)):
-            block = np.arange(starts[u], starts[u + 1])
-            rows.append(block)
-            new_unit.append(np.full(block.shape[0], j))
-        idx = np.concatenate(rows)
-        return validate_panel(
-            unit=np.concatenate(new_unit),
-            time=self.time[idx],
-            y=self.y[idx],
-            d=self.d[idx],
-            x=self.x[idx] if self.x.shape[1] else None,
+        drawn = np.asarray(unit_index, dtype=int)
+        counts = self.unit_counts[drawn]
+        n = int(counts.sum())
+        if n < 2:
+            raise EmptyDatasetError(f"need at least 2 rows, got {n}")
+        source_start = (np.cumsum(self.unit_counts) - self.unit_counts)[drawn]
+        target_start = np.cumsum(counts) - counts
+        rows = np.arange(n) + np.repeat(source_start - target_start, counts)
+        codes = np.repeat(np.arange(drawn.shape[0], dtype=np.intp), counts)
+        return PanelDataset(
+            unit=_readonly(codes.astype(int)),
+            time=_readonly(self.time[rows]),
+            y=_readonly(self.y[rows]),
+            d=_readonly(self.d[rows]),
+            x=_readonly(self.x[rows]),
+            unit_codes=_readonly(codes),
+            unit_counts=_readonly(counts),
         )
 
 

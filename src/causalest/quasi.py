@@ -11,6 +11,7 @@ from scipy.optimize import minimize
 
 from .core import CausalEstimate, _as_column_vector, _as_matrix, _readonly
 from .errors import (
+    ConvergenceError,
     DegenerateProblemError,
     DimensionMismatchError,
     EmptyCellError,
@@ -25,8 +26,7 @@ from .variance import normal_interval
 
 _COV_TOL = 1e-12
 _FIRST_STAGE_JUMP_TOL = 0.05
-_SC_MAX_ITER = 5000
-_SC_GRAD_TOL = 1e-10
+_SC_KKT_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -314,20 +314,24 @@ class ScProblem:
         return self.x0.shape[1]
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {w : w >= 0, sum w = 1} via the sort method."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.flatnonzero(u - css / np.arange(1, v.shape[0] + 1) > 0)[-1]
-    return np.maximum(v - css[rho] / (rho + 1), 0.0)
-
-
 def sc_weights(x1, x0, v_diag) -> np.ndarray:
     """Simplex-constrained weights minimizing (x1 - x0 w)' V (x1 - x0 w).
 
-    Solved by projected gradient descent with a fixed step 1/L; a donor whose
-    column equals x1 exactly short-circuits to weight one (lowest index on
-    ties).
+    The minimum is found exactly by a primal active-set method on the KKT
+    conditions of min ||a w - b||^2 subject to w >= 0 and sum(w) = 1, with
+    a = V^(1/2) x0 and b = V^(1/2) x1. It starts at the best single donor;
+    each step frees the donor whose bound multiplier is most negative
+    (lowest index on ties), solves the equality-constrained least squares on
+    the free donors, and moves toward that solution as far as the bounds
+    allow, dropping a donor whose weight reaches zero. The objective falls
+    at every step, so no free set repeats and the method ends after finitely
+    many steps; if it has not ended after freeing 3J donors it raises
+    ConvergenceError instead of returning an unfinished iterate.
+
+    When the optimum is not unique (more than K + 1 donors in the optimal
+    face), the weights returned are a deterministic function of the inputs.
+    A single donor gets weight one, and a donor whose column equals x1
+    exactly short-circuits to weight one (lowest index on ties).
     """
     x1v = _as_column_vector("x1", x1)
     x0m = np.asarray(x0, dtype=float)
@@ -339,30 +343,69 @@ def sc_weights(x1, x0, v_diag) -> np.ndarray:
     if np.any(v < 0.0) or not np.any(v > 0.0):
         raise ValueError("v_diag entries must be >= 0 with at least one positive")
     j = x0m.shape[1]
-    if j == 1:
-        return np.ones(1)
-    for jj in range(j):
-        if np.array_equal(x0m[:, jj], x1v):
-            w = np.zeros(j)
-            w[jj] = 1.0
-            return w
+    w = np.zeros(j)
+    exact = np.flatnonzero(np.all(x0m == x1v[:, None], axis=0))
+    if j == 1 or exact.size:
+        w[exact[0] if exact.size else 0] = 1.0
+        return w
 
     sqrt_v = np.sqrt(v)
     a = x0m * sqrt_v[:, None]
     b = x1v * sqrt_v
-    lip = 2.0 * float(np.linalg.svd(a, compute_uv=False)[0]) ** 2
-    w = np.full(j, 1.0 / j)
-    if lip <= 0.0:
-        return w
-    step = 1.0 / lip
-    for _ in range(_SC_MAX_ITER):
-        grad = 2.0 * a.T @ (a @ w - b)
-        w_next = _project_simplex(w - step * grad)
-        if float(np.linalg.norm(w_next - w)) / step <= _SC_GRAD_TOL:
-            w = w_next
-            break
-        w = w_next
-    return w
+    vertex_resid = a - b[:, None]
+    best = int(np.argmin(np.einsum("kj,kj->j", vertex_resid, vertex_resid)))
+    w[best] = 1.0
+    free = np.zeros(j, dtype=bool)
+    free[best] = True
+    # A multiplier (a_i - a_r)'(a w - b) above -tol counts as zero. Its
+    # rounding is of order eps |a_i - a_r| (|a w - b| + |a_i - a_r|), far
+    # below tol, and neither it nor tol changes with a common level of x1
+    # and x0.
+    spread = float(np.linalg.norm(a - a[:, [best]]))
+    tol = _SC_KKT_TOL * spread * (float(np.linalg.norm(vertex_resid[:, best])) + spread)
+    for _ in range(3 * j):
+        ref = int(np.argmax(free))
+        diff = a - a[:, [ref]]
+        multipliers = diff.T @ (vertex_resid[:, ref] + diff @ w)
+        multipliers[free] = np.inf
+        enter = int(np.argmin(multipliers))
+        if multipliers[enter] >= -tol:
+            return w
+        free[enter] = True
+        while True:
+            target = _sc_face_optimum(vertex_resid, a, free)
+            blocking = free & (target <= 0.0)
+            if not blocking.any():
+                w = target
+                break
+            if blocking[enter] and w[enter] == 0.0:
+                # freeing `enter` gives no descent the arithmetic can resolve
+                return w
+            idx = np.flatnonzero(blocking)
+            ratios = w[idx] / (w[idx] - target[idx])
+            first = int(np.argmin(ratios))
+            w = w + ratios[first] * (target - w)
+            w[idx[first]] = 0.0
+            free &= w > 0.0
+            w[~free] = 0.0
+    raise ConvergenceError(
+        f"active-set solve for {j} donor weights did not finish in {3 * j} steps"
+    )
+
+
+def _sc_face_optimum(vertex_resid, a, free) -> np.ndarray:
+    """Minimizer of ||a w - b||^2 over sum(w) = 1 with w zero off `free`.
+
+    With r the first free index, w_r = 1 - sum(u) eliminates the equality:
+    u solves the least squares (a_F - a_r) u = -(a_r - b).
+    """
+    idx = np.flatnonzero(free)
+    ref, rest = idx[0], idx[1:]
+    target = np.zeros(free.shape[0])
+    u = np.linalg.lstsq(a[:, rest] - a[:, [ref]], -vertex_resid[:, ref], rcond=None)[0]
+    target[rest] = u
+    target[ref] = 1.0 - u.sum()
+    return target
 
 
 @dataclass
@@ -375,6 +418,9 @@ class ScFit:
         gap: per-post-period treated-minus-synthetic outcome differences.
         pre_rmse: root-mean-squared pre-period fit error.
         estimate: the post-period mean gap as a CausalEstimate.
+        outer_converged: whether Nelder-Mead reported success for the chosen
+            start (True when one donor leaves nothing to search).
+        outer_iterations: Nelder-Mead iterations of the chosen start.
     """
 
     weights: np.ndarray
@@ -382,15 +428,19 @@ class ScFit:
     gap: np.ndarray
     pre_rmse: float
     estimate: CausalEstimate = field(repr=False)
+    outer_converged: bool
+    outer_iterations: int
 
 
 def sc_fit(problem: ScProblem) -> ScFit:
     """Fit a synthetic control with a nested optimization.
 
-    Inner: simplex-constrained donor weights for a given diagonal V.
-    Outer: Nelder-Mead over softmax-parameterized V (multi-start from the
-    uniform V and each one-hot corner) minimizing the pre-period outcome
-    mismatch of the induced weights.
+    Inner: the exact simplex-constrained donor weights for a given diagonal
+    V (`sc_weights`). Outer: Nelder-Mead over softmax-parameterized V
+    (multi-start from the uniform V and each one-hot corner) minimizing the
+    pre-period outcome mismatch of the induced weights. The convergence flag
+    and iteration count of the start with the lowest mismatch are kept in
+    the fit and in its estimate's diagnostics.
     """
     k = problem.x1.shape[0]
     j = problem.n_donors
@@ -408,6 +458,7 @@ def sc_fit(problem: ScProblem) -> ScFit:
     if j == 1:
         weights = np.ones(1)
         v_best = np.full(k, 1.0 / k)
+        converged, iterations = True, 0
     else:
         starts = [np.zeros(k)]
         for corner in range(k):
@@ -422,10 +473,12 @@ def sc_fit(problem: ScProblem) -> ScFit:
         e = np.exp(best.x - best.x.max())
         v_best = e / e.sum()
         weights = sc_weights(problem.x1, problem.x0, v_best)
+        converged, iterations = bool(best.success), int(best.nit)
 
     pre_resid = problem.z1 - problem.z0 @ weights
     gap = problem.y1 - problem.y0 @ weights
     point = float(gap.mean())
+    pre_rmse = float(np.sqrt(np.mean(pre_resid**2)))
     estimate = CausalEstimate(
         estimand="ATE",
         method="synthetic_control",
@@ -433,14 +486,20 @@ def sc_fit(problem: ScProblem) -> ScFit:
         ref_dose=0.0,
         point=point,
         n_used=int(gap.shape[0]),
-        diagnostics={"pre_rmse": float(np.sqrt(np.mean(pre_resid**2)))},
+        diagnostics={
+            "pre_rmse": pre_rmse,
+            "outer_converged": converged,
+            "outer_iterations": iterations,
+        },
     )
     return ScFit(
         weights=weights,
         v=v_best,
         gap=gap,
-        pre_rmse=float(np.sqrt(np.mean(pre_resid**2))),
+        pre_rmse=pre_rmse,
         estimate=estimate,
+        outer_converged=converged,
+        outer_iterations=iterations,
     )
 
 

@@ -123,6 +123,35 @@ class TestEstimate:
         _, second, _ = _run(capsys, *args)
         assert second == first
 
+    def test_bootstrap_interval_brackets_point_when_replicates_do_not(
+        self, tmp_path, capsys
+    ):
+        # On this draw the two matching replicates both land below the
+        # full-sample point, so their percentile interval misses it; the
+        # report carries the normal interval from the bootstrap variance.
+        rng = philox(201)
+        n = 2000
+        x = rng.normal(size=(n, 3))
+        index = x @ np.array([0.6, -0.4, 0.3])
+        d = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(0.2 - index))).astype(float)
+        y = 1.0 + 2.0 * d + 1.5 * index + rng.normal(size=n)
+        path = _write_csv(
+            tmp_path / "match.csv",
+            {"y": y, "d": d, "x1": x[:, 0], "x2": x[:, 1], "x3": x[:, 2]},
+        )
+        code, out, err = _run(
+            capsys, "estimate", "--method", "match", "--data", path,
+            "--outcome", "y", "--treatment", "d", "--covariates", "x1,x2,x3",
+            "--bootstrap", "2", "--seed", "3",
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        lo, hi = report["ci"]
+        assert lo < report["point"] < hi
+        assert (lo + hi) / 2.0 == pytest.approx(report["point"], abs=1e-12)
+        half = 1.959963984540054 * np.sqrt(report["variance"])
+        assert hi - lo == pytest.approx(2.0 * half, rel=1e-12)
+
     def test_unknown_column_exits_2(self, linear_csv, capsys):
         # [TRIVIAL]
         code, _, err = _run(

@@ -129,6 +129,51 @@ class TestValidatePanel:
         assert boot.unit_counts.tolist() == [2, 2, 2]
 
 
+    @pytest.mark.parametrize("time_dtype", [np.int64, np.int32, np.uint16])
+    @pytest.mark.parametrize("n_cov", [0, 2])
+    def test_take_units_equals_validating_the_drawn_rows(self, time_dtype, n_cov):
+        # oracle: the explicit loop over drawn units, each occurrence renamed
+        # to its draw position, passed through validate_panel
+        g = philox(130)
+        periods = g.integers(1, 5, size=12)  # unbalanced
+        unit = np.repeat([f"u{i:02d}" for i in range(12)], periods)
+        time = np.concatenate([g.permutation(8)[:t] for t in periods])
+        shuffle = g.permutation(unit.shape[0])
+        x = g.normal(size=(unit.shape[0], n_cov)) if n_cov else None
+        pds = validate_panel(
+            unit=unit[shuffle],
+            time=time[shuffle].astype(time_dtype),
+            y=g.normal(size=unit.shape[0]),
+            d=g.normal(size=unit.shape[0]),
+            x=None if x is None else x[shuffle],
+        )
+        starts = np.concatenate([[0], np.cumsum(pds.unit_counts)])
+        for draw in (g.integers(0, 12, size=12), [5, 5, 5], [11, 0, 3, 0]):
+            rows, new_unit = [], []
+            for j, u in enumerate(draw):
+                rows.extend(range(starts[u], starts[u + 1]))
+                new_unit.extend([j] * (starts[u + 1] - starts[u]))
+            expected = validate_panel(
+                unit=np.array(new_unit),
+                time=pds.time[rows],
+                y=pds.y[rows],
+                d=pds.d[rows],
+                x=pds.x[rows] if n_cov else None,
+            )
+            boot = pds.take_units(draw)
+            for name in ("unit", "time", "y", "d", "x", "unit_codes", "unit_counts"):
+                got, want = getattr(boot, name), getattr(expected, name)
+                assert got.dtype == want.dtype, name
+                assert got.shape == want.shape, name
+                np.testing.assert_array_equal(got, want, err_msg=name)
+                assert not got.flags.writeable, name
+
+    def test_take_units_rejects_a_one_row_panel(self):
+        pds = validate_panel([0, 0, 1], [0, 1, 0], y=[1.0, 3.0, 5.0], d=[0, 0, 0])
+        with pytest.raises(EmptyDatasetError):
+            pds.take_units([1])
+
+
 class TestCausalEstimate:
     def test_ci_must_bracket_point(self):
         with pytest.raises(ValueError, match="bracket"):

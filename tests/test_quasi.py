@@ -19,7 +19,9 @@ from causalest import (
     sc_weights,
     validate_did,
 )
+from causalest import quasi
 from causalest.errors import (
+    ConvergenceError,
     DegenerateProblemError,
     DimensionMismatchError,
     EmptyCellError,
@@ -366,6 +368,60 @@ class TestScWeights:
         r = x1 - x0 @ w
         assert float(r @ (v * r)) <= grid_best + 1e-8
 
+    def test_kkt_residual_oracle(self):
+        # [DERIVED] oracle: the KKT conditions of min (x1 - x0 w)' V (x1 - x0 w)
+        # on the simplex. With gradient g, every donor in the support shares
+        # one value of g (the multiplier of sum w = 1) and no donor outside
+        # it has a smaller one; K = 1..4 against J = 2..6 covers faces of
+        # every size, including non-unique optima (K + 1 < J).
+        for j in range(2, 7):
+            for seed in range(5):
+                g = philox(1000 * j + seed)
+                k = 1 + seed % 4
+                x1 = g.normal(size=k)
+                x0 = g.normal(size=(k, j))
+                v = g.uniform(0.1, 1.0, size=k)
+                w = sc_weights(x1, x0, v)
+                assert np.all(w >= 0.0)
+                assert abs(w.sum() - 1.0) <= 1e-12
+                grad = -2.0 * x0.T @ (v * (x1 - x0 @ w))
+                support = w > 0.0
+                level = grad[support].mean()
+                scale = 1e-10 * (1.0 + np.abs(grad).max())
+                assert np.max(np.abs(grad[support] - level)) <= scale
+                assert np.all(grad[~support] >= level - scale)
+
+    def test_level_shift_invariance(self):
+        # [DERIVED] on the simplex (x1 + c) - (x0 + c) w = x1 - x0 w, so a
+        # common level c leaves the problem and its solution unchanged
+        for seed in range(20):
+            g = philox(2000 + seed)
+            k, j = 1 + seed % 3, 2 + seed % 5
+            x1 = g.normal(size=k)
+            x0 = g.normal(size=(k, j))
+            v = g.uniform(0.1, 1.0, size=k)
+            c = g.uniform(-5.0, 5.0)
+            np.testing.assert_allclose(
+                sc_weights(x1 + c, x0 + c, v), sc_weights(x1, x0, v), rtol=0, atol=1e-8
+            )
+
+    def test_step_cap_raises_instead_of_returning_an_iterate(self, monkeypatch):
+        # a face solver that keeps swapping between the two vertices makes
+        # the active set cycle; the step cap must end it with an error
+        pair_solves = []
+
+        def swapping_face(vertex_resid, a, free):
+            target = np.zeros(free.shape[0])
+            idx = np.flatnonzero(free)
+            if idx.size == 2:
+                pair_solves.append(idx)
+            target[idx[len(pair_solves) % 2] if idx.size == 2 else idx[0]] = 1.0
+            return target
+
+        monkeypatch.setattr(quasi, "_sc_face_optimum", swapping_face)
+        with pytest.raises(ConvergenceError, match="did not finish in 6 steps"):
+            sc_weights([2.0], [[1.0, 3.0]], [1.0])
+
     def test_dimension_and_v_validation(self):
         with pytest.raises(DimensionMismatchError, match="x0"):
             sc_weights([1.0, 2.0], [[1.0, 2.0]], [1.0, 1.0])
@@ -406,6 +462,30 @@ class TestScFit:
         fit = sc_fit(self._convex_problem(96, w_true))
         np.testing.assert_allclose(fit.weights, w_true, atol=1e-3)
         assert abs(fit.estimate.point) < 1e-2
+
+    def test_level_shift_invariance(self):
+        # [DERIVED] a common level added to every characteristic and outcome
+        # of the treated unit and the donors leaves the problem unchanged
+        w_true = np.array([0.2, 0.5, 0.3])
+        problem = self._convex_problem(96, w_true)
+        c = philox(99).uniform(-5.0, 5.0)
+        fields = ("x1", "x0", "z1", "z0", "y1", "y0")
+        shifted = ScProblem(**{name: getattr(problem, name) + c for name in fields})
+        fit, fit_s = sc_fit(problem), sc_fit(shifted)
+        np.testing.assert_allclose(fit_s.weights, fit.weights, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(fit_s.gap, fit.gap, rtol=0, atol=1e-8)
+
+    def test_outer_search_convergence_reported(self):
+        fit = sc_fit(self._convex_problem(96, np.array([0.2, 0.5, 0.3])))
+        assert fit.outer_converged is True
+        assert fit.outer_iterations > 0
+        assert fit.estimate.diagnostics["outer_converged"] is True
+        assert fit.estimate.diagnostics["outer_iterations"] == fit.outer_iterations
+        # one donor leaves nothing to search
+        single = sc_fit(
+            ScProblem(x1=[1.0], x0=[[9.0]], z1=[2.0], z0=[[1.0]], y1=[4.0], y0=[[1.0]])
+        )
+        assert (single.outer_converged, single.outer_iterations) == (True, 0)
 
     def test_donor_permutation_equivariance(self):
         w_true = np.array([0.2, 0.5, 0.3])
