@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import difference_in_means, validate
+from .core import difference_in_means, normal_interval, validate
 from .errors import CausalestError, MissingReferenceCellError
 from .estimators import (
     OrSpec,
@@ -43,7 +43,7 @@ from .simulate import (
     read_reference_csv,
     run_monte_carlo,
 )
-from .variance import bootstrap_variance, normal_interval
+from .variance import bootstrap_variance
 
 _PS_METHODS = ("ipw", "psr", "strat", "match", "dr")
 _ESTIMATE_METHODS = ("dim", "or") + _PS_METHODS
@@ -136,9 +136,7 @@ def _cmd_estimate(args) -> int:
     )
     try:
         ds = validate(columns[args.outcome], columns[args.treatment], x)
-    except CausalestError as exc:
-        raise _InputError(str(exc)) from exc
-    except ValueError as exc:
+    except (CausalestError, ValueError) as exc:
         raise _InputError(str(exc)) from exc
 
     try:

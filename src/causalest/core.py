@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import (
     EmptyDatasetError,
@@ -318,6 +319,59 @@ class CausalEstimate:
         return replace(self, variance=variance, ci=ci)
 
 
+def normal_interval(point: float, variance: float, level: float = 0.95):
+    """Symmetric normal-approximation interval around a point estimate."""
+    if not (0.0 < level < 1.0):
+        raise ValueError(f"level must lie in (0, 1), got {level}")
+    if variance < 0:
+        raise ValueError("variance must be non-negative")
+    half = float(ndtri(0.5 + level / 2.0)) * float(np.sqrt(variance))
+    return (point - half, point + half)
+
+
+def _estimate(
+    method: str,
+    point,
+    n_used,
+    variance=None,
+    diagnostics: dict | None = None,
+    *,
+    estimand: str = "ATE",
+    dose: float = 1.0,
+    ref_dose: float | None = 0.0,
+) -> CausalEstimate:
+    """Build the CausalEstimate every estimator returns.
+
+    This is the one place the interval rule lives: an estimate with a
+    variance carries its 95% normal interval, one without has neither.
+    APO estimates pass ``estimand="APO", ref_dose=None``.
+    """
+    point = float(point)
+    variance = None if variance is None else float(variance)
+    return CausalEstimate(
+        estimand=estimand,
+        method=method,
+        dose=float(dose),
+        ref_dose=None if ref_dose is None else float(ref_dose),
+        point=point,
+        variance=variance,
+        ci=None if variance is None else normal_interval(point, variance),
+        n_used=int(n_used),
+        diagnostics={} if diagnostics is None else diagnostics,
+    )
+
+
+def _select_columns(x: np.ndarray, selection: tuple[int, ...] | None) -> np.ndarray:
+    """The covariate columns named by `selection` (all of them for None)."""
+    if selection is None:
+        return x
+    sel = tuple(selection)
+    for j in sel:
+        if not (0 <= j < x.shape[1]):
+            raise ValueError(f"covariate column {j} does not exist (p={x.shape[1]})")
+    return x[:, sel]
+
+
 def difference_in_means(ds: ObservationalDataset) -> CausalEstimate:
     """Mean outcome of treated units minus mean outcome of controls.
 
@@ -339,13 +393,6 @@ def difference_in_means(ds: ObservationalDataset) -> CausalEstimate:
     var = None
     if n1 > 1 and n0 > 1:
         var = float(y1.var(ddof=1) / n1 + y0.var(ddof=1) / n0)
-    return CausalEstimate(
-        estimand="ATE",
-        method="difference_in_means",
-        dose=1.0,
-        ref_dose=0.0,
-        point=point,
-        variance=var,
-        n_used=ds.n,
-        diagnostics={"n_treated": n1, "n_control": n0},
+    return _estimate(
+        "difference_in_means", point, ds.n, var, {"n_treated": n1, "n_control": n0}
     )

@@ -11,7 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BINARY, CausalEstimate, ObservationalDataset
+from .core import (
+    BINARY,
+    CausalEstimate,
+    ObservationalDataset,
+    _estimate,
+    _select_columns,
+)
 from .errors import (
     EmptyDoseGroupError,
     InsufficientMatchesError,
@@ -20,7 +26,7 @@ from .errors import (
 )
 from .propensity import PropensityFit, quantile_strata
 from .regress import IDENTITY, LOGIT, LinearFit, fit_logistic, fit_ols, predict
-from .variance import delta_variance, normal_interval
+from .variance import delta_variance
 
 _WEIGHT_FLOOR = 1e-12
 
@@ -45,18 +51,9 @@ class OrSpec:
         if self.link not in (IDENTITY, LOGIT):
             raise ValueError(f"unknown link {self.link!r}")
 
-    def select(self, x: np.ndarray) -> np.ndarray:
-        if self.covariate_selection is None:
-            return x
-        sel = tuple(self.covariate_selection)
-        for j in sel:
-            if not (0 <= j < x.shape[1]):
-                raise ValueError(f"covariate column {j} does not exist (p={x.shape[1]})")
-        return x[:, sel]
-
 
 def _or_design(d: np.ndarray, x: np.ndarray, spec: OrSpec) -> np.ndarray:
-    xs = spec.select(x)
+    xs = _select_columns(x, spec.covariate_selection)
     cols = [np.ones(d.shape[0]), d]
     if xs.shape[1]:
         cols.append(xs)
@@ -94,15 +91,9 @@ def apo_or(
     fit = fit_outcome_model(ds, spec)
     point, grad = _apo_prediction(ds, fit, spec, dose)
     var = delta_variance(fit, grad)
-    return CausalEstimate(
-        estimand="APO",
-        method="or",
-        dose=float(dose),
-        point=point,
-        variance=var,
-        ci=normal_interval(point, var),
-        n_used=ds.n,
-        diagnostics={"link": spec.link, "interactions": spec.interactions_with_d},
+    diagnostics = {"link": spec.link, "interactions": spec.interactions_with_d}
+    return _estimate(
+        "or", point, ds.n, var, diagnostics, estimand="APO", dose=dose, ref_dose=None
     )
 
 
@@ -119,17 +110,8 @@ def ate_or(
     lo, g_lo = _apo_prediction(ds, fit, spec, ref_dose)
     point = hi - lo
     var = delta_variance(fit, g_hi - g_lo)
-    return CausalEstimate(
-        estimand="ATE",
-        method="or",
-        dose=float(dose),
-        ref_dose=float(ref_dose),
-        point=point,
-        variance=var,
-        ci=normal_interval(point, var),
-        n_used=ds.n,
-        diagnostics={"link": spec.link, "interactions": spec.interactions_with_d},
-    )
+    diagnostics = {"link": spec.link, "interactions": spec.interactions_with_d}
+    return _estimate("or", point, ds.n, var, diagnostics, dose=dose, ref_dose=ref_dose)
 
 
 def _dose_weights(ds, fit, dose):
@@ -154,15 +136,9 @@ def apo_ipw(
     contrib = ind * ds.y / p
     point = float(contrib.mean())
     var = float(contrib.var(ddof=1) / ds.n)
-    return CausalEstimate(
-        estimand="APO",
-        method="ipw",
-        dose=float(dose),
-        point=point,
-        variance=var,
-        ci=normal_interval(point, var),
-        n_used=ds.n,
-        diagnostics={"n_at_dose": int(ind.sum())},
+    diagnostics = {"n_at_dose": int(ind.sum())}
+    return _estimate(
+        "ipw", point, ds.n, var, diagnostics, estimand="APO", dose=dose, ref_dose=None
     )
 
 
@@ -178,17 +154,8 @@ def ate_ipw(
     contrib = ind1 * ds.y / p1 - ind0 * ds.y / p0
     point = float(contrib.mean())
     var = float(contrib.var(ddof=1) / ds.n)
-    return CausalEstimate(
-        estimand="ATE",
-        method="ipw",
-        dose=float(dose),
-        ref_dose=float(ref_dose),
-        point=point,
-        variance=var,
-        ci=normal_interval(point, var),
-        n_used=ds.n,
-        diagnostics={"n_at_dose": int(ind1.sum()), "n_at_ref": int(ind0.sum())},
-    )
+    diagnostics = {"n_at_dose": int(ind1.sum()), "n_at_ref": int(ind0.sum())}
+    return _estimate("ipw", point, ds.n, var, diagnostics, dose=dose, ref_dose=ref_dose)
 
 
 def ate_psr(
@@ -226,21 +193,12 @@ def ate_psr(
             grad[1 + poly_degree + k] = grad[1] * float((p1**k).mean())
     point = float(grad @ ols.coef)
     var = delta_variance(ols, grad)
-    return CausalEstimate(
-        estimand="ATE",
-        method="psr",
-        dose=float(dose),
-        ref_dose=float(ref_dose),
-        point=point,
-        variance=var,
-        ci=normal_interval(point, var),
-        n_used=ds.n,
-        diagnostics={
-            "poly_degree": poly_degree,
-            "interactions": interactions,
-            "degenerate_score": degenerate,
-        },
-    )
+    diagnostics = {
+        "poly_degree": poly_degree,
+        "interactions": interactions,
+        "degenerate_score": degenerate,
+    }
+    return _estimate("psr", point, ds.n, var, diagnostics, dose=dose, ref_dose=ref_dose)
 
 
 def ate_stratification(
@@ -276,25 +234,14 @@ def ate_stratification(
     w /= w.sum()
     point = float(w @ np.asarray(diffs))
     var = None
-    ci = None
     if all(v is not None for v in var_terms):
         var = float(np.sum(w**2 * np.asarray(var_terms, dtype=float)))
-        ci = normal_interval(point, var)
-    return CausalEstimate(
-        estimand="ATE",
-        method="stratification",
-        dose=1.0,
-        ref_dose=0.0,
-        point=point,
-        variance=var,
-        ci=ci,
-        n_used=int(sum(sizes)),
-        diagnostics={
-            "n_strata": n_strata,
-            "n_unusable_strata": n_unusable,
-            "n_excluded_units": int(ds.n - sum(sizes)),
-        },
-    )
+    diagnostics = {
+        "n_strata": n_strata,
+        "n_unusable_strata": n_unusable,
+        "n_excluded_units": int(ds.n - sum(sizes)),
+    }
+    return _estimate("stratification", point, sum(sizes), var, diagnostics)
 
 
 def ate_matching(
@@ -331,15 +278,7 @@ def ate_matching(
     effect_t = ds.y[idx_t] - imputed_from(idx_t, idx_c)
     effect_c = imputed_from(idx_c, idx_t) - ds.y[idx_c]
     point = float((effect_t.sum() + effect_c.sum()) / ds.n)
-    return CausalEstimate(
-        estimand="ATE",
-        method="matching",
-        dose=1.0,
-        ref_dose=0.0,
-        point=point,
-        n_used=ds.n,
-        diagnostics={"n_matches": n_matches},
-    )
+    return _estimate("matching", point, ds.n, diagnostics={"n_matches": n_matches})
 
 
 def ate_dr(
@@ -367,19 +306,10 @@ def ate_dr(
     contrib = hi - lo
     point = float(contrib.mean())
     var = float(contrib.var(ddof=1) / ds.n)
-    return CausalEstimate(
-        estimand="ATE",
-        method="dr",
-        dose=float(dose),
-        ref_dose=float(ref_dose),
-        point=point,
-        variance=var,
-        ci=normal_interval(point, var),
-        n_used=ds.n,
-        diagnostics={
-            "link": spec.link,
-            "interactions": spec.interactions_with_d,
-            "n_at_dose": int(ind1.sum()),
-            "n_at_ref": int(ind0.sum()),
-        },
-    )
+    diagnostics = {
+        "link": spec.link,
+        "interactions": spec.interactions_with_d,
+        "n_at_dose": int(ind1.sum()),
+        "n_at_ref": int(ind0.sum()),
+    }
+    return _estimate("dr", point, ds.n, var, diagnostics, dose=dose, ref_dose=ref_dose)

@@ -11,13 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CausalEstimate, PanelDataset
+from .core import CausalEstimate, PanelDataset, _estimate, _select_columns
 from .errors import (
     NoWithinVariationError,
     TooFewPeriodsError,
 )
 from .regress import fit_ols
-from .variance import normal_interval
 
 POLS = "pols"
 RE = "re"
@@ -48,15 +47,6 @@ class PanelSpec:
         if self.method not in _METHODS:
             raise ValueError(f"unknown panel method {self.method!r}")
 
-    def select(self, x: np.ndarray) -> np.ndarray:
-        if self.covariate_selection is None:
-            return x
-        sel = tuple(self.covariate_selection)
-        for j in sel:
-            if not (0 <= j < x.shape[1]):
-                raise ValueError(f"covariate column {j} does not exist (p={x.shape[1]})")
-        return x[:, sel]
-
 
 def fit_panel(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
     """Dispatch to the panel estimator named by `spec.method`."""
@@ -68,20 +58,6 @@ def fit_panel(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimat
         FD: fit_fd,
         CRE: fit_cre,
     }[spec.method](pds, spec)
-
-
-def _estimate(method, point, var, n_used, diagnostics):
-    return CausalEstimate(
-        estimand="ATE",
-        method=method,
-        dose=1.0,
-        ref_dose=0.0,
-        point=float(point),
-        variance=float(var) if var is not None else None,
-        ci=normal_interval(float(point), float(var)) if var is not None else None,
-        n_used=int(n_used),
-        diagnostics=diagnostics,
-    )
 
 
 def _require_two_periods(pds: PanelDataset, method: str):
@@ -96,13 +72,13 @@ def _no_variation(v: np.ndarray, scale: float) -> bool:
 def fit_pols(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
     """Pooled OLS of y on (1, d, x), ignoring the panel structure."""
     spec = spec or PanelSpec(method=POLS)
-    x = spec.select(pds.x)
+    x = _select_columns(pds.x, spec.covariate_selection)
     cols = ([np.ones(pds.n)] if spec.include_intercept else []) + [pds.d]
     if x.shape[1]:
         cols.append(x)
     fit = fit_ols(np.column_stack(cols), pds.y)
     i = 1 if spec.include_intercept else 0
-    return _estimate(POLS, fit.coef[i], fit.coef_cov[i, i], pds.n, {})
+    return _estimate(POLS, fit.coef[i], pds.n, fit.coef_cov[i, i])
 
 
 def fit_fe(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
@@ -113,7 +89,7 @@ def fit_fe(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
     """
     spec = spec or PanelSpec(method=FE)
     _require_two_periods(pds, "fixed effects")
-    x = spec.select(pds.x)
+    x = _select_columns(pds.x, spec.covariate_selection)
     dw = pds.d - pds.broadcast_units(pds.unit_means(pds.d))
     if _no_variation(dw, float(np.max(np.abs(pds.d)))):
         raise NoWithinVariationError("treatment is constant within every unit")
@@ -131,7 +107,7 @@ def fit_fe(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
     fit = fit_ols(design, yw)
     # fit_ols scales the covariance by RSS/(n-k); correct for the N absorbed means
     var = fit.coef_cov[0, 0] * (pds.n - k) / dof
-    return _estimate(FE, fit.coef[0], var, pds.n, {"dof": int(dof)})
+    return _estimate(FE, fit.coef[0], pds.n, var, {"dof": int(dof)})
 
 
 def _differences(pds: PanelDataset, x: np.ndarray):
@@ -146,7 +122,7 @@ def fit_fd(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
     """First-difference estimator: OLS of consecutive-period differences."""
     spec = spec or PanelSpec(method=FD)
     _require_two_periods(pds, "first differences")
-    x = spec.select(pds.x)
+    x = _select_columns(pds.x, spec.covariate_selection)
     dd, dy, dx = _differences(pds, x)
     if np.ptp(dd) == 0.0:
         if spec.include_intercept or _no_variation(dd, float(np.max(np.abs(pds.d)))):
@@ -159,7 +135,7 @@ def fit_fd(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
         cols.append(dx)
     fit = fit_ols(np.column_stack(cols), dy)
     i = 1 if spec.include_intercept else 0
-    return _estimate(FD, fit.coef[i], fit.coef_cov[i, i], dd.shape[0], {})
+    return _estimate(FD, fit.coef[i], dd.shape[0], fit.coef_cov[i, i])
 
 
 def fit_cre(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
@@ -171,7 +147,7 @@ def fit_cre(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
     """
     spec = spec or PanelSpec(method=CRE)
     _require_two_periods(pds, "correlated random effects")
-    x = spec.select(pds.x)
+    x = _select_columns(pds.x, spec.covariate_selection)
     dbar = pds.broadcast_units(pds.unit_means(pds.d))
     cols = ([np.ones(pds.n)] if spec.include_intercept else []) + [pds.d]
     if x.shape[1]:
@@ -179,7 +155,7 @@ def fit_cre(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
     cols.append(dbar)
     fit = fit_ols(np.column_stack(cols), pds.y)
     i = 1 if spec.include_intercept else 0
-    return _estimate(CRE, fit.coef[i], fit.coef_cov[i, i], pds.n, {})
+    return _estimate(CRE, fit.coef[i], pds.n, fit.coef_cov[i, i])
 
 
 def fit_re(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
@@ -193,7 +169,7 @@ def fit_re(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
     reason in the diagnostics.
     """
     spec = spec or PanelSpec(method=RE)
-    x = spec.select(pds.x)
+    x = _select_columns(pds.x, spec.covariate_selection)
     counts = pds.unit_counts.astype(float)
     N = pds.n_units
 
@@ -202,7 +178,7 @@ def fit_re(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
         diags = {"re_fallback": reason}
         if extra:
             diags.update(extra)
-        return _estimate(RE, est.point, est.variance, pds.n, diags)
+        return _estimate(RE, est.point, pds.n, est.variance, diags)
 
     # within step for the idiosyncratic variance
     dw = pds.d - pds.broadcast_units(pds.unit_means(pds.d))
@@ -249,8 +225,8 @@ def fit_re(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
     return _estimate(
         RE,
         fit.coef[i],
-        fit.coef_cov[i, i],
         pds.n,
+        fit.coef_cov[i, i],
         {
             "sigma2_e": s2e,
             "sigma2_u": float(s2u),

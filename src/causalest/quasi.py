@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import CausalEstimate, _as_column_vector, _as_matrix, _readonly
+from .core import CausalEstimate, _as_column_vector, _as_matrix, _estimate, _readonly
 from .errors import (
     ConvergenceError,
     DegenerateProblemError,
@@ -22,7 +22,6 @@ from .errors import (
     WeakInstrumentError,
 )
 from .regress import _svd_solve, fit_ols
-from .variance import normal_interval
 
 _COV_TOL = 1e-12
 _FIRST_STAGE_JUMP_TOL = 0.05
@@ -47,15 +46,8 @@ def iv_ratio(y, d, z) -> CausalEstimate:
             f"sample Cov(z, d) = {cov_zd:.2e} is numerically zero"
         )
     cov_zy = float(zc @ (yv - yv.mean())) / yv.shape[0]
-    return CausalEstimate(
-        estimand="ATE",
-        method="iv_ratio",
-        dose=1.0,
-        ref_dose=0.0,
-        point=cov_zy / cov_zd,
-        n_used=yv.shape[0],
-        diagnostics={"cov_zd": cov_zd},
-    )
+    diagnostics = {"cov_zd": cov_zd}
+    return _estimate("iv_ratio", cov_zy / cov_zd, yv.shape[0], diagnostics=diagnostics)
 
 
 def ate_2sls(y, d, z, x=None) -> CausalEstimate:
@@ -104,23 +96,12 @@ def ate_2sls(y, d, z, x=None) -> CausalEstimate:
     k2 = second.shape[1]
     sigma2 = float(resid @ resid) / max(n - k2, 1)
     coef_cov = sigma2 * xtx_inv
-    point = float(coef[1])
-    var = float(coef_cov[1, 1])
-    return CausalEstimate(
-        estimand="ATE",
-        method="2sls",
-        dose=1.0,
-        ref_dose=0.0,
-        point=point,
-        variance=var,
-        ci=normal_interval(point, var),
-        n_used=n,
-        diagnostics={
-            "n_instruments": int(zm.shape[1]),
-            "n_endogenous": int(n_endog),
-            "first_stage_f": f_stats if n_endog > 1 else f_stats[0],
-        },
-    )
+    diagnostics = {
+        "n_instruments": int(zm.shape[1]),
+        "n_endogenous": int(n_endog),
+        "first_stage_f": f_stats if n_endog > 1 else f_stats[0],
+    }
+    return _estimate("2sls", coef[1], n, coef_cov[1, 1], diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +178,7 @@ def _did_ols(dd: DidDataset, with_x: bool, method: str) -> CausalEstimate:
     if with_x:
         cols.append(dd.x)
     fit = fit_ols(np.column_stack(cols), dd.y)
-    point = float(fit.coef[3])
-    var = float(fit.coef_cov[3, 3])
-    return CausalEstimate(
-        estimand="ATE",
-        method=method,
-        dose=1.0,
-        ref_dose=0.0,
-        point=point,
-        variance=var,
-        ci=normal_interval(point, var),
-        n_used=dd.n,
-        diagnostics={},
-    )
+    return _estimate(method, fit.coef[3], dd.n, fit.coef_cov[3, 3])
 
 
 def ate_did(dd: DidDataset) -> CausalEstimate:
@@ -243,18 +212,12 @@ def ate_did_multiperiod(dd: DidDataset) -> CausalEstimate:
         cols.append((dd.period == t).astype(float))
     cols.append(treated)
     fit = fit_ols(np.column_stack(cols), dd.y)
-    point = float(fit.coef[-1])
-    var = float(fit.coef_cov[-1, -1])
-    return CausalEstimate(
-        estimand="ATE",
-        method="did_multiperiod",
-        dose=1.0,
-        ref_dose=0.0,
-        point=point,
-        variance=var,
-        ci=normal_interval(point, var),
-        n_used=dd.n,
-        diagnostics={"n_periods": int(periods.size)},
+    return _estimate(
+        "did_multiperiod",
+        fit.coef[-1],
+        dd.n,
+        fit.coef_cov[-1, -1],
+        {"n_periods": int(periods.size)},
     )
 
 
@@ -477,20 +440,14 @@ def sc_fit(problem: ScProblem) -> ScFit:
 
     pre_resid = problem.z1 - problem.z0 @ weights
     gap = problem.y1 - problem.y0 @ weights
-    point = float(gap.mean())
     pre_rmse = float(np.sqrt(np.mean(pre_resid**2)))
-    estimate = CausalEstimate(
-        estimand="ATE",
-        method="synthetic_control",
-        dose=1.0,
-        ref_dose=0.0,
-        point=point,
-        n_used=int(gap.shape[0]),
-        diagnostics={
-            "pre_rmse": pre_rmse,
-            "outer_converged": converged,
-            "outer_iterations": iterations,
-        },
+    diagnostics = {
+        "pre_rmse": pre_rmse,
+        "outer_converged": converged,
+        "outer_iterations": iterations,
+    }
+    estimate = _estimate(
+        "synthetic_control", gap.mean(), gap.shape[0], diagnostics=diagnostics
     )
     return ScFit(
         weights=weights,
@@ -534,23 +491,14 @@ def rdd_sharp(y, t, cutoff: float = 0.0, bandwidth: float | None = None) -> Caus
     """
     yv, tc, above, _ = _rdd_frame(y, t, cutoff, bandwidth)
     fit = fit_ols(np.column_stack([np.ones(yv.shape[0]), above, tc, above * tc]), yv)
-    point = float(fit.coef[1])
-    var = float(fit.coef_cov[1, 1])
-    return CausalEstimate(
-        estimand="ATE",
-        method="rdd_sharp",
-        dose=1.0,
-        ref_dose=0.0,
-        point=point,
-        variance=var,
-        ci=normal_interval(point, var),
-        n_used=yv.shape[0],
-        diagnostics={
-            "cutoff": float(cutoff),
-            "bandwidth": bandwidth,
-            "n_right": int(above.sum()),
-            "n_left": int(yv.shape[0] - above.sum()),
-        },
+    diagnostics = {
+        "cutoff": float(cutoff),
+        "bandwidth": bandwidth,
+        "n_right": int(above.sum()),
+        "n_left": int(yv.shape[0] - above.sum()),
+    }
+    return _estimate(
+        "rdd_sharp", fit.coef[1], yv.shape[0], fit.coef_cov[1, 1], diagnostics
     )
 
 
@@ -586,14 +534,4 @@ def rdd_fuzzy(
             "first_stage_jump": jump,
         }
     )
-    return CausalEstimate(
-        estimand="ATE",
-        method="rdd_fuzzy",
-        dose=1.0,
-        ref_dose=0.0,
-        point=est.point,
-        variance=est.variance,
-        ci=est.ci,
-        n_used=n,
-        diagnostics=diagnostics,
-    )
+    return _estimate("rdd_fuzzy", est.point, n, est.variance, diagnostics)

@@ -3,17 +3,14 @@
 The bootstrap resamples observations (or whole units, for panels) with
 replacement, re-runs an arbitrary estimator on each replicate, and reports
 the spread of the replicate estimates. Every replicate draws from its own
-seeded stream, so results are bit-identical for a given seed regardless of
-worker count or completion order.
+seeded stream, so results are bit-identical for a given seed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import CausalEstimate, PanelDataset
 from .errors import (
@@ -22,6 +19,9 @@ from .errors import (
     TooManyFailedReplicatesError,
 )
 from .regress import IDENTITY, LinearFit
+
+# a bootstrap aborts when more than this share of its replicates fail
+_MAX_FAILED_SHARE = 0.10
 
 
 def delta_variance(fit: LinearFit, gradient) -> float:
@@ -36,16 +36,6 @@ def delta_variance(fit: LinearFit, gradient) -> float:
             f"gradient has shape {g.shape}, expected ({fit.coef.shape[0]},)"
         )
     return float(g @ fit.coef_cov @ g)
-
-
-def normal_interval(point: float, variance: float, level: float = 0.95):
-    """Symmetric normal-approximation interval around a point estimate."""
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"level must lie in (0, 1), got {level}")
-    if variance < 0:
-        raise ValueError("variance must be non-negative")
-    half = float(ndtri(0.5 + level / 2.0)) * float(np.sqrt(variance))
-    return (point - half, point + half)
 
 
 def delta_variance_or(ds, m1: LinearFit, m0: LinearFit) -> float:
@@ -108,16 +98,14 @@ def bootstrap_variance(
     n_boot: int = 200,
     seed: int = 42,
     level: float = 0.95,
-    jobs: int = 1,
-    max_failure_share: float = 0.10,
 ) -> BootstrapResult:
     """Nonparametric bootstrap of an estimator over resampled data.
 
     `data` is an ObservationalDataset (rows resampled i.i.d.) or a
     PanelDataset (whole units resampled, keeping each unit's time series
     intact). `estimator` maps a dataset to a CausalEstimate or a float.
-    Replicates that raise an estimation error are skipped; the failed share
-    must stay below `max_failure_share` or the bootstrap aborts.
+    Replicates that raise an estimation error are skipped; when more than
+    10% of them fail the bootstrap aborts.
     """
     if n_boot < 2:
         raise ValueError("n_boot must be >= 2")
@@ -134,21 +122,14 @@ def bootstrap_variance(
             return np.nan
         return est.point if isinstance(est, CausalEstimate) else float(est)
 
-    points = np.empty(n_boot)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for b, value in enumerate(pool.map(one, range(n_boot))):
-                points[b] = value
-    else:
-        for b in range(n_boot):
-            points[b] = one(b)
+    points = np.array([one(b) for b in range(n_boot)])
 
     ok = points[np.isfinite(points)]
     n_failed = int(n_boot - ok.size)
-    if n_failed and n_failed >= max_failure_share * n_boot:
+    if n_failed > _MAX_FAILED_SHARE * n_boot:
         raise TooManyFailedReplicatesError(
             f"{n_failed}/{n_boot} bootstrap replicates failed "
-            f"(tolerance {max_failure_share:.0%})"
+            f"(tolerance {_MAX_FAILED_SHARE:.0%})"
         )
     alpha = 1.0 - level
     lo, hi = np.quantile(ok, [alpha / 2.0, 1.0 - alpha / 2.0])

@@ -62,7 +62,7 @@ class TestEstimate:
         assert report["estimand"] == "ATE"
         assert report["n_used"] == 4
         assert report["seed"] == 42
-        assert report["ci"] is None
+        assert report["ci"] == [3.0, 3.0]
         assert report["diagnostics"] == {"n_treated": 2, "n_control": 2}
 
     def test_regression_adjustment_recovers_effect(self, linear_csv, capsys):

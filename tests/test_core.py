@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
+import causalest
 from causalest import (
     BINARY,
     CONTINUOUS,
     MULTIVALUED,
     CausalEstimate,
     difference_in_means,
+    normal_interval,
     validate,
     validate_panel,
 )
@@ -21,7 +25,7 @@ from causalest.errors import (
     NonFiniteValueError,
 )
 
-from .conftest import philox
+from .conftest import philox, randomized_binary
 
 
 class TestValidate:
@@ -220,3 +224,108 @@ class TestDifferenceInMeans:
     def test_requires_binary(self):
         with pytest.raises(ValueError, match="binary"):
             difference_in_means(validate([1.0, 2.0], [0.5, 1.5]))
+
+
+def _binary_with_score():
+    ds = randomized_binary(31, 200)
+    return ds, causalest.estimate_propensity_binary(ds)
+
+
+def _panel():
+    g = philox(32)
+    n_units, t = 12, 4
+    unit = np.repeat(np.arange(n_units), t)
+    time = np.tile(np.arange(t), n_units)
+    alpha = np.repeat(g.normal(size=n_units), t)
+    d = g.normal(size=n_units * t) + alpha
+    x = g.normal(size=n_units * t)
+    y = 0.5 * d + x + alpha + g.normal(size=n_units * t)
+    return validate_panel(unit, time, y, d, x)
+
+
+def _iv():
+    g = philox(33)
+    z = g.normal(size=200)
+    u = g.normal(size=200)
+    d = z + u + g.normal(size=200)
+    return 2.0 * d + u + g.normal(size=200), d, z
+
+
+def _did():
+    g = philox(34)
+    group = np.repeat([0.0, 1.0], 50)
+    period = np.tile([0.0, 1.0], 50)
+    x = g.normal(size=100)
+    y = group + period + 2.0 * group * period + x + g.normal(size=100)
+    return causalest.validate_did(y, group, period, x)
+
+
+def _rdd():
+    g = philox(35)
+    t = g.uniform(-1.0, 1.0, 200)
+    d = (g.uniform(size=200) < np.where(t >= 0.0, 0.9, 0.1)).astype(float)
+    return 1.0 + 2.0 * d + t + g.normal(size=200), t, d
+
+
+def _sc_estimate():
+    g = philox(36)
+    x0, z0, y0 = g.normal(size=(2, 3)), g.normal(size=(3, 3)), g.normal(size=(2, 3))
+    w = np.array([0.5, 0.5, 0.0])
+    problem = causalest.ScProblem(
+        x1=x0 @ w, x0=x0, z1=z0 @ w, z0=z0, y1=y0 @ w + 1.0, y0=y0
+    )
+    return causalest.sc_fit(problem).estimate
+
+
+# one call per public function that returns a CausalEstimate, plus sc_fit,
+# whose estimate rides on its ScFit
+_ESTIMATES = {
+    "difference_in_means": lambda: difference_in_means(randomized_binary(31, 200)),
+    "apo_or": lambda: causalest.apo_or(randomized_binary(31, 200), 1.0),
+    "ate_or": lambda: causalest.ate_or(randomized_binary(31, 200)),
+    "apo_ipw": lambda: causalest.apo_ipw(*_binary_with_score(), 1.0),
+    "ate_ipw": lambda: causalest.ate_ipw(*_binary_with_score()),
+    "ate_psr": lambda: causalest.ate_psr(*_binary_with_score()),
+    "ate_stratification": lambda: causalest.ate_stratification(*_binary_with_score()),
+    "ate_matching": lambda: causalest.ate_matching(*_binary_with_score()),
+    "ate_dr": lambda: causalest.ate_dr(*_binary_with_score()),
+    "fit_panel": lambda: causalest.fit_panel(_panel()),
+    "fit_pols": lambda: causalest.fit_pols(_panel()),
+    "fit_re": lambda: causalest.fit_re(_panel()),
+    "fit_fe": lambda: causalest.fit_fe(_panel()),
+    "fit_fd": lambda: causalest.fit_fd(_panel()),
+    "fit_cre": lambda: causalest.fit_cre(_panel()),
+    "iv_ratio": lambda: causalest.iv_ratio(*_iv()),
+    "ate_2sls": lambda: causalest.ate_2sls(*_iv()),
+    "ate_did": lambda: causalest.ate_did(_did()),
+    "ate_did_covariates": lambda: causalest.ate_did_covariates(_did()),
+    "ate_did_multiperiod": lambda: causalest.ate_did_multiperiod(_did()),
+    "rdd_sharp": lambda: causalest.rdd_sharp(*_rdd()[:2]),
+    "rdd_fuzzy": lambda: causalest.rdd_fuzzy(*_rdd()),
+    "sc_fit": _sc_estimate,
+}
+
+
+class TestIntervalRule:
+    """Every estimate with a variance carries its normal interval, and only
+    those do."""
+
+    @pytest.mark.parametrize("name", sorted(_ESTIMATES))
+    def test_interval_follows_variance(self, name):
+        est = _ESTIMATES[name]()
+        assert (est.ci is None) == (est.variance is None)
+        if est.variance is not None:
+            assert est.ci == normal_interval(est.point, est.variance)
+            assert type(est.variance) is float
+        assert type(est.point) is float
+        assert type(est.n_used) is int
+
+    def test_covers_every_public_estimator(self):
+        returning = {
+            name
+            for name in causalest.__all__
+            if inspect.isfunction(getattr(causalest, name))
+            and inspect.signature(getattr(causalest, name)).return_annotation
+            == "CausalEstimate"
+        }
+        assert returning | {"sc_fit"} == set(_ESTIMATES)

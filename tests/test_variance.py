@@ -216,14 +216,12 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="n_boot"):
             bootstrap_variance(ds, _mean_estimator, n_boot=1)
 
-    def test_seed_determinism_across_jobs(self):
+    def test_seed_determinism(self):
         ds = confounded_binary(106, 120)
-        a = bootstrap_variance(ds, _mean_estimator, n_boot=80, seed=11, jobs=1)
-        b = bootstrap_variance(ds, _mean_estimator, n_boot=80, seed=11, jobs=4)
-        c = bootstrap_variance(ds, _mean_estimator, n_boot=80, seed=11, jobs=1)
-        np.testing.assert_array_equal(a.points, b.points)
+        a = bootstrap_variance(ds, _mean_estimator, n_boot=80, seed=11)
+        c = bootstrap_variance(ds, _mean_estimator, n_boot=80, seed=11)
         np.testing.assert_array_equal(a.points, c.points)
-        assert a.variance == b.variance == c.variance
+        assert a.variance == c.variance
 
     def test_scale_equivariance(self):
         # [DERIVED] y -> 3y multiplies the variance of any affine-equivariant
@@ -259,7 +257,7 @@ class TestBootstrap:
                 raise CausalestError("synthetic failure")
             return float(sample.y.mean())
 
-        result = bootstrap_variance(ds, flaky, n_boot=200, seed=9, jobs=1)
+        result = bootstrap_variance(ds, flaky, n_boot=200, seed=9)
         assert result.n_failed == 10
         assert result.n_ok == 190
         assert int(np.isnan(result.points).sum()) == 10
@@ -275,7 +273,22 @@ class TestBootstrap:
             return float(sample.y.mean())
 
         with pytest.raises(TooManyFailedReplicatesError):
-            bootstrap_variance(ds, very_flaky, n_boot=200, seed=9, jobs=1)
+            bootstrap_variance(ds, very_flaky, n_boot=200, seed=9)
+
+    def test_exactly_ten_percent_failed_is_tolerated(self):
+        # the budget is "more than 10% aborts", the rule the error states
+        ds = confounded_binary(111, 80)
+        calls = {"n": 0}
+
+        def tenth_fails(sample):
+            calls["n"] += 1
+            if calls["n"] % 10 == 0:
+                raise CausalestError("synthetic failure")
+            return float(sample.y.mean())
+
+        result = bootstrap_variance(ds, tenth_fails, n_boot=200, seed=9)
+        assert result.n_failed == 20
+        assert result.n_ok == 180
 
     def test_panel_bootstrap_resamples_units(self):
         g = philox(112)
@@ -289,7 +302,7 @@ class TestBootstrap:
         result = bootstrap_variance(pds, fit_fe, n_boot=100, seed=13)
         assert result.n_ok == 100
         assert result.variance > 0.0
-        again = bootstrap_variance(pds, fit_fe, n_boot=100, seed=13, jobs=3)
+        again = bootstrap_variance(pds, fit_fe, n_boot=100, seed=13)
         np.testing.assert_array_equal(result.points, again.points)
 
 
