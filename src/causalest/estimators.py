@@ -244,6 +244,60 @@ def ate_stratification(
     return _estimate("stratification", point, sum(sizes), var, diagnostics)
 
 
+def _nearest(targets: np.ndarray, pool: np.ndarray, k: int) -> np.ndarray:
+    """Positions in `pool` of each target's `k` nearest scores, nearest first.
+
+    Candidates are ordered by (|target - score|, position), so distance ties
+    go to the lowest position. In one dimension the k nearest scores lying
+    below a target are the k just below its insertion point in sorted order,
+    and likewise above, so only a (n_targets, 2k) block is ever compared:
+    O(n log n + n k log k) time and O(n k) memory. The result equals a
+    stable argsort of the full distance row, the float rounding of the
+    distances included.
+    """
+    m = pool.size
+    up = np.argsort(pool, kind="stable")  # (score, position) ascending
+    # (score ascending, position descending): read backwards from a target's
+    # insertion point, an equal-score group below it yields its lowest
+    # positions first
+    down = m - 1 - np.argsort(pool[::-1], kind="stable")
+    s = pool[up]
+    ins = np.searchsorted(s, targets)  # scores at [0, ins) lie below the target
+    steps = np.arange(k)
+    below = ins[:, None] - 1 - steps
+    above = ins[:, None] + steps
+    cand = np.concatenate(
+        [down[np.maximum(below, 0)], up[np.minimum(above, m - 1)]], axis=1
+    )
+    valid = np.concatenate([below >= 0, above < m], axis=1)
+    dist = np.where(valid, np.abs(targets[:, None] - pool[cand]), np.inf)
+    order = np.lexsort((np.where(valid, cand, m), dist), axis=1)[:, :k]
+    nearest = np.take_along_axis(cand, order, axis=1)
+
+    # Rounding in t - s can give distinct scores on one side of a target the
+    # same distance (only when the distance exceeds the nearer of t and s).
+    # When such a run reaches a side's k-th candidate, its lowest positions
+    # may lie outside the window, so those rare targets are redone in full.
+    tie_lo = np.searchsorted(s, s, side="left")  # bounds of each tie group
+    tie_hi = np.searchsorted(s, s, side="right")
+
+    def distance_shared_past(kth, first, stop):
+        inside = (kth >= first) & (kth < stop)
+        at = np.where(inside, kth, 0)
+        gap = np.abs(targets - s[at])
+        shared = np.zeros(targets.size, dtype=bool)
+        for nb in (tie_lo[at] - 1, tie_hi[at]):  # the distinct scores around it
+            ok = inside & (nb >= first) & (nb < stop)
+            shared |= ok & (np.abs(targets - s[np.where(ok, nb, 0)]) == gap)
+        return shared
+
+    redo = distance_shared_past(ins - k, 0, ins)  # the side below the target
+    redo |= distance_shared_past(ins + k - 1, ins, m)  # the side at or above it
+    for i in np.flatnonzero(redo):
+        nearest[i] = np.argsort(np.abs(targets[i] - pool), kind="stable")[:k]
+    return nearest
+
+
 def ate_matching(
     ds: ObservationalDataset, fit: PropensityFit, n_matches: int = 1
 ) -> CausalEstimate:
@@ -251,8 +305,9 @@ def ate_matching(
 
     Each unit's counterfactual outcome is the mean outcome of its `n_matches`
     closest opposite-arm units by absolute score distance; distance ties go
-    to the lowest-index candidate. No analytic variance is reported — use the
-    bootstrap.
+    to the lowest-index candidate. The search sorts each arm once, so it
+    costs O(n log n) time and O(n * n_matches) memory. No analytic variance
+    is reported — use the bootstrap.
     """
     if ds.treatment_kind != BINARY:
         raise ValueError("matching requires a binary treatment")
@@ -269,11 +324,9 @@ def ate_matching(
         )
 
     def imputed_from(targets, pool):
-        # candidates are in ascending index order, so a stable sort resolves
-        # distance ties toward the lowest index
-        dist = np.abs(p1[targets][:, None] - p1[pool][None, :])
-        order = np.argsort(dist, axis=1, kind="stable")[:, :n_matches]
-        return ds.y[pool][order].mean(axis=1)
+        # pool positions ascend with the unit index, so the lowest position
+        # is the lowest-index candidate
+        return ds.y[pool][_nearest(p1[targets], p1[pool], n_matches)].mean(axis=1)
 
     effect_t = ds.y[idx_t] - imputed_from(idx_t, idx_c)
     effect_c = imputed_from(idx_c, idx_t) - ds.y[idx_c]

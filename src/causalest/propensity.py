@@ -14,6 +14,7 @@ from .core import BINARY, CONTINUOUS, MULTIVALUED, ObservationalDataset
 from .errors import (
     AllUnitsTrimmedError,
     NoTreatmentVariationError,
+    NonFiniteValueError,
     SigmaFloorError,
 )
 from .regress import LinearFit, fit_logistic, fit_ols, predict
@@ -81,12 +82,15 @@ class PropensityFit:
         """Wrap externally supplied treated-probabilities as a binary fit.
 
         `p1` is P(D=1 | x) per unit and `d` the observed 0/1 treatment, so
-        the received-dose scores can be formed.
+        the received-dose scores can be formed. Non-finite entries raise
+        `NonFiniteValueError`; the range check is the constructor's.
         """
         p = np.asarray(p1, dtype=float)
         dv = np.asarray(d, dtype=float)
         if p.shape != dv.shape:
             raise ValueError("p1 and d must have the same length")
+        if not np.isfinite(p).all():
+            raise NonFiniteValueError("p1 contains non-finite values")
         return cls(
             kind=BINARY_LOGISTIC,
             scores=np.where(dv == 1.0, p, 1.0 - p),

@@ -3,6 +3,8 @@ matching and the augmented (doubly robust) combination."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -28,6 +30,7 @@ from causalest.errors import (
     NoUsableStratumError,
     ZeroPropensityError,
 )
+from causalest.estimators import _nearest
 
 from .conftest import confounded_binary, philox, randomized_binary
 
@@ -270,6 +273,24 @@ class TestStratification:
         assert abs(av - (-5.0)) < 0.25
 
 
+def dense_matching_point(ds, p1, n_matches):
+    """Oracle: the full n_t x n_c distance matrix with a stable row argsort.
+    Candidates sit in ascending index order, so distance ties go to the
+    lowest index."""
+    treated = ds.d == 1.0
+    idx_t = np.flatnonzero(treated)
+    idx_c = np.flatnonzero(~treated)
+
+    def imputed_from(targets, pool):
+        dist = np.abs(p1[targets][:, None] - p1[pool][None, :])
+        order = np.argsort(dist, axis=1, kind="stable")[:, :n_matches]
+        return ds.y[pool][order].mean(axis=1)
+
+    effect_t = ds.y[idx_t] - imputed_from(idx_t, idx_c)
+    effect_c = imputed_from(idx_c, idx_t) - ds.y[idx_c]
+    return float((effect_t.sum() + effect_c.sum()) / ds.n)
+
+
 class TestMatching:
     def test_hand_example(self):
         # [DERIVED] hand evaluation of the matched-set formula: every
@@ -307,6 +328,73 @@ class TestMatching:
         fit = PropensityFit.from_scores([0.5, 0.5], ds.d)
         with pytest.raises(ValueError, match="n_matches"):
             ate_matching(ds, fit, n_matches=0)
+
+    def test_equals_dense_oracle_exactly(self):
+        # [ORACLE] the windowed search returns the dense search's matches in
+        # the dense order, so the point is bit-identical; every other draw
+        # rounds the scores to one decimal, which puts large tie groups on
+        # both sides of most targets
+        g = philox(47)
+        for draw in range(200):
+            n = int(g.integers(5, 401))
+            k = int(g.integers(1, min(4, n // 2) + 1))
+            d = np.zeros(n)
+            d[g.permutation(n)[: int(g.integers(k, n - k + 1))]] = 1.0
+            p1 = g.uniform(0.02, 0.98, n)
+            if draw % 2:
+                p1 = np.clip(np.round(p1, 1), 0.1, 0.9)
+            ds = validate(g.normal(size=n), d)
+            est = ate_matching(ds, PropensityFit.from_scores(p1, d), n_matches=k)
+            assert est.point == dense_matching_point(ds, p1, k), (draw, n, k)
+
+    def test_ties_on_both_sides_go_to_lowest_index(self):
+        # [DERIVED] the treated units at 0.5 are equally far (0.1, exactly
+        # in floating point) from every control at 0.4 and 0.6, so each
+        # matches the three lowest-index controls, whichever side they lie on
+        p1 = np.array([0.5, 0.6, 0.4, 0.6, 0.5, 0.4, 0.6, 0.4, 0.5, 0.6, 0.4])
+        d = (p1 == 0.5).astype(float)
+        assert 0.5 - 0.4 == 0.6 - 0.5
+        y = np.where(d == 1.0, 0.0, 2.0 ** np.arange(11))  # distinct subset sums
+        ds = validate(y, d)
+        est = ate_matching(ds, PropensityFit.from_scores(p1, d), n_matches=3)
+        control_y = y[d == 0.0]
+        effect_t = -control_y[:3].mean()  # controls 1, 2 and 3
+        expected = (3 * effect_t - control_y.sum()) / ds.n
+        assert est.point == pytest.approx(expected, abs=1e-12)
+        assert est.point == dense_matching_point(ds, p1, 3)
+
+    def test_rounding_ties_between_distinct_scores(self):
+        # [ORACLE] 0.9 - 0.1 and 0.9 - nextafter(0.1) round to the same
+        # distance, so the farther, lower-index control wins the tie
+        p1 = np.array([0.1, np.nextafter(0.1, 1.0), 0.9])
+        d = np.array([0.0, 0.0, 1.0])
+        assert 0.9 - p1[0] == 0.9 - p1[1]
+        ds = validate([0.0, 1.0, 10.0], d)
+        est = ate_matching(ds, PropensityFit.from_scores(p1, d))
+        assert est.point == dense_matching_point(ds, p1, 1) == 29.0 / 3.0
+
+    def test_scales_to_1e5_rows(self):
+        # [SCALING] the dense search would need about 20 GB here; check the
+        # peak allocation and 200 targets against a brute-force search over
+        # the whole opposite arm
+        k = 2
+        ds = confounded_binary(48, 100_000)
+        p1 = expit(2.0 + 0.5 * ds.x[:, 0])
+        fit = PropensityFit.from_scores(p1, ds.d)
+        tracemalloc.start()
+        try:
+            ate_matching(ds, fit, n_matches=k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        treated = ds.d == 1.0
+        g = philox(49)
+        for targets, pool in ((p1[treated], p1[~treated]), (p1[~treated], p1[treated])):
+            found = _nearest(targets, pool, k)
+            for i in g.choice(targets.size, 100, replace=False):
+                brute = np.argsort(np.abs(targets[i] - pool), kind="stable")[:k]
+                np.testing.assert_array_equal(found[i], brute)
 
 
 class TestDoublyRobust:

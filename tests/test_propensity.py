@@ -19,6 +19,7 @@ from causalest import (
 from causalest.errors import (
     AllUnitsTrimmedError,
     NoTreatmentVariationError,
+    NonFiniteValueError,
     SigmaFloorError,
 )
 
@@ -69,6 +70,11 @@ class TestBinaryPropensity:
     def test_from_scores_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             PropensityFit.from_scores([0.5], [1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_scores_rejects_non_finite(self, bad):
+        with pytest.raises(NonFiniteValueError, match="non-finite"):
+            PropensityFit.from_scores([0.5, bad, 0.4], [1.0, 0.0, 1.0])
 
 
 class TestMultivaluedPropensity:
