@@ -8,9 +8,10 @@ Two subcommands:
   write report.csv / runs.csv / meta.json, optionally checking the report
   against a reference table.
 
-Exit codes: 0 success, 1 reference check failed, 2 input error,
-3 estimation error. All randomness flows from ``--seed`` (default 42);
-wall-clock time is never consulted.
+Exit codes: 0 success, 1 reference check failed, 2 input error (an
+``InvalidInputError``), 3 estimation error (any other ``CausalestError``);
+``main`` is the one place that maps errors to codes. All randomness flows
+from ``--seed`` (default 42); wall-clock time is never consulted.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import difference_in_means, normal_interval, validate
-from .errors import CausalestError, MissingReferenceCellError
+from .errors import CausalestError, InvalidInputError
 from .estimators import (
     OrSpec,
     ate_dr,
@@ -47,10 +48,6 @@ from .variance import bootstrap_variance
 
 _PS_METHODS = ("ipw", "psr", "strat", "match", "dr")
 _ESTIMATE_METHODS = ("dim", "or") + _PS_METHODS
-
-
-class _InputError(Exception):
-    """User input problem (bad file, column, or option value) -> exit 2."""
 
 
 def _fail(code: int, message: str) -> int:
@@ -77,31 +74,31 @@ def _read_columns(path: str, names: list[str]) -> dict[str, np.ndarray]:
             header = reader.fieldnames or []
             for name in names:
                 if name not in header:
-                    raise _InputError(f"unknown column {name!r} in {path}")
+                    raise InvalidInputError(f"unknown column {name!r} in {path}")
             rows = list(reader)
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     if not rows:
-        raise _InputError(f"{path} has no data rows")
+        raise InvalidInputError(f"{path} has no data rows")
     out = {}
     for name in names:
         try:
             out[name] = np.array([float(row[name]) for row in rows])
         except (TypeError, ValueError) as exc:
-            raise _InputError(f"column {name!r} has a non-numeric value") from exc
+            raise InvalidInputError(f"column {name!r} has a non-numeric value") from exc
     return out
 
 
 def _parse_trim(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise _InputError("--trim expects 'lo,hi'")
+        raise InvalidInputError("--trim expects 'lo,hi'")
     try:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
-        raise _InputError("--trim expects numeric bounds") from exc
+        raise InvalidInputError("--trim expects numeric bounds") from exc
     if not (0.0 <= lo < hi <= 1.0):
-        raise _InputError("--trim bounds must satisfy 0 <= lo < hi <= 1")
+        raise InvalidInputError("--trim bounds must satisfy 0 <= lo < hi <= 1")
     return lo, hi
 
 
@@ -134,27 +131,20 @@ def _cmd_estimate(args) -> int:
         if covariates
         else None
     )
-    try:
-        ds = validate(columns[args.outcome], columns[args.treatment], x)
-    except (CausalestError, ValueError) as exc:
-        raise _InputError(str(exc)) from exc
-
-    try:
-        est = _estimate_once(ds, args.method, trim)
-        if args.bootstrap:
-            boot = bootstrap_variance(
-                ds,
-                lambda sample: _estimate_once(sample, args.method, trim),
-                n_boot=args.bootstrap,
-                seed=args.seed,
-            )
-            # the percentile interval of the replicates need not bracket the
-            # full-sample point; the normal interval around it always does
-            est = est.with_uncertainty(
-                boot.variance, normal_interval(est.point, boot.variance)
-            )
-    except CausalestError as exc:
-        return _fail(3, str(exc))
+    ds = validate(columns[args.outcome], columns[args.treatment], x)
+    est = _estimate_once(ds, args.method, trim)
+    if args.bootstrap:
+        boot = bootstrap_variance(
+            ds,
+            lambda sample: _estimate_once(sample, args.method, trim),
+            n_boot=args.bootstrap,
+            seed=args.seed,
+        )
+        # the percentile interval of the replicates need not bracket the
+        # full-sample point; the normal interval around it always does
+        est = est.with_uncertainty(
+            boot.variance, normal_interval(est.point, boot.variance)
+        )
 
     report = {
         "method": est.method,
@@ -210,21 +200,18 @@ def _check_case(report, check: str | None, tol_path: str | None) -> bool:
     else:
         try:
             reference = read_reference_csv(Path(check).read_text())
-        except OSError as exc:
-            raise _InputError(f"cannot read {check}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidInputError(f"cannot read {check}: {exc}") from exc
     if tol_path is not None:
         try:
             tolerances = json.loads(Path(tol_path).read_text())
-        except OSError as exc:
-            raise _InputError(f"cannot read {tol_path}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidInputError(f"cannot read {tol_path}: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise _InputError(f"{tol_path} is not valid JSON: {exc}") from exc
+            raise InvalidInputError(f"{tol_path} is not valid JSON: {exc}") from exc
     else:
         tolerances = load_tolerances(report.case_id) or {}
-    try:
-        checks = compare_to_reference(report, reference, tolerances)
-    except (MissingReferenceCellError, ValueError) as exc:
-        raise _InputError(str(exc)) from exc
+    checks = compare_to_reference(report, reference, tolerances)
     ok = True
     for c in checks:
         status = "ok" if c.passed else "FAIL"
@@ -241,12 +228,9 @@ def _cmd_simulate(args) -> int:
     out_root = Path(args.out)
     all_ok = True
     for case in cases:
-        try:
-            report = run_monte_carlo(
-                case, runs=args.runs, n=args.n, seed=args.seed, jobs=args.jobs
-            )
-        except CausalestError as exc:
-            return _fail(3, f"{case}: {exc}")
+        report = run_monte_carlo(
+            case, runs=args.runs, n=args.n, seed=args.seed, jobs=args.jobs
+        )
         target = out_root / case if len(cases) > 1 else out_root
         _write_case_outputs(report, target)
         for j, m in enumerate(report.methods):
@@ -321,9 +305,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except _InputError as exc:
-        return _fail(2, str(exc))
-    except ValueError as exc:
+    except InvalidInputError as exc:
         return _fail(2, str(exc))
     except CausalestError as exc:
         return _fail(3, str(exc))

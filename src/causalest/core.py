@@ -15,6 +15,7 @@ from scipy.special import ndtri
 from .errors import (
     EmptyDatasetError,
     EmptyTreatmentArmError,
+    InvalidInputError,
     LengthMismatchError,
     NonFiniteValueError,
 )
@@ -30,17 +31,30 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_column_vector(name: str, v) -> np.ndarray:
+def _as_vector(name: str, v, n: int | None = None, *, finite: bool = True) -> np.ndarray:
+    """Coerce to a 1-D float vector, of length `n` when `n` is given.
+
+    With `_as_matrix` and `_check_length` it holds every shape, length and
+    finiteness check on array arguments. `finite=False` skips the finiteness
+    scan on the regression fit path, whose callers pass validated columns.
+    """
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         arr = arr.reshape(-1)
-    if not np.all(np.isfinite(arr)):
+    if finite and not np.all(np.isfinite(arr)):
         raise NonFiniteValueError(f"column '{name}' contains non-finite values")
+    return _check_length(name, arr, n)
+
+
+def _check_length(name: str, arr: np.ndarray, n: int | None) -> np.ndarray:
+    if n is not None and arr.shape[0] != n:
+        raise LengthMismatchError(f"{name} must have length {n}, got {arr.shape[0]}")
     return arr
 
 
-def _as_matrix(name: str, m, n: int) -> np.ndarray:
-    """Coerce to an (n, p) float matrix; None becomes a zero-width matrix."""
+def _as_matrix(name: str, m, n: int | None = None, *, finite: bool = True) -> np.ndarray:
+    """Coerce to an (n, p) float matrix; a vector is one column, and None a
+    zero-width matrix."""
     if m is None:
         return np.empty((n, 0), dtype=float)
     arr = np.asarray(m, dtype=float)
@@ -48,11 +62,8 @@ def _as_matrix(name: str, m, n: int) -> np.ndarray:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise LengthMismatchError(f"'{name}' must be a vector or 2-d matrix")
-    if arr.shape[0] != n:
-        raise LengthMismatchError(
-            f"'{name}' has {arr.shape[0]} rows, expected {n}"
-        )
-    if not np.all(np.isfinite(arr)):
+    _check_length(f"{name} rows", arr, n)
+    if finite and not np.all(np.isfinite(arr)):
         raise NonFiniteValueError(f"matrix '{name}' contains non-finite values")
     return arr
 
@@ -134,11 +145,9 @@ def validate(
         NonFiniteValueError: NaN/inf anywhere.
         EmptyDatasetError: fewer than 2 rows.
     """
-    yv = _as_column_vector("y", y)
-    dv = _as_column_vector("d", d)
+    yv = _as_vector("y", y)
     n = yv.shape[0]
-    if dv.shape[0] != n:
-        raise LengthMismatchError(f"y has length {n} but d has length {dv.shape[0]}")
+    dv = _as_vector("d", d, n)
     if n < 2:
         raise EmptyDatasetError(f"need at least 2 rows, got {n}")
     xm = _as_matrix("x", x, n)
@@ -150,16 +159,16 @@ def validate(
     else:
         kind = treatment_kind
         if kind not in _TREATMENT_KINDS:
-            raise ValueError(f"unknown treatment_kind {kind!r}")
+            raise InvalidInputError(f"unknown treatment_kind {kind!r}")
         if kind == BINARY and not is_01:
-            raise ValueError("treatment_kind='binary' but d has values outside {0, 1}")
+            raise InvalidInputError("treatment_kind='binary' but d has values outside {0, 1}")
     lv: tuple[float, ...] | None = None
     if kind == MULTIVALUED:
         if levels is None:
-            raise ValueError("multivalued treatment requires an explicit levels set")
+            raise InvalidInputError("multivalued treatment requires an explicit levels set")
         lv = tuple(float(v) for v in levels)
         if not np.all(np.isin(dv, lv)):
-            raise ValueError("d has values outside the declared level set")
+            raise InvalidInputError("d has values outside the declared level set")
     return ObservationalDataset(
         y=_readonly(yv),
         d=_readonly(dv),
@@ -249,12 +258,11 @@ def validate_panel(unit, time, y, d, x=None) -> PanelDataset:
         if not np.all(np.isfinite(as_int)) or not np.all(as_int == np.round(as_int)):
             raise NonFiniteValueError("time must be an integer vector")
         time_arr = as_int.astype(int)
-    yv = _as_column_vector("y", y)
-    dv = _as_column_vector("d", d)
+    yv = _as_vector("y", y)
     n = yv.shape[0]
-    for name, col in (("unit", unit_arr), ("time", time_arr), ("d", dv)):
-        if col.shape[0] != n:
-            raise LengthMismatchError(f"'{name}' has length {col.shape[0]}, expected {n}")
+    dv = _as_vector("d", d, n)
+    _check_length("unit", unit_arr, n)
+    _check_length("time", time_arr, n)
     if n < 2:
         raise EmptyDatasetError(f"need at least 2 rows, got {n}")
     xm = _as_matrix("x", x, n)
@@ -309,11 +317,11 @@ class CausalEstimate:
         if self.ci is not None:
             lo, hi = self.ci
             if not (lo <= self.point <= hi):
-                raise ValueError(
+                raise InvalidInputError(
                     f"ci ({lo}, {hi}) does not bracket point {self.point}"
                 )
         if self.variance is not None and self.variance < 0:
-            raise ValueError("variance must be non-negative")
+            raise InvalidInputError("variance must be non-negative")
 
     def with_uncertainty(self, variance: float, ci: tuple[float, float]) -> "CausalEstimate":
         return replace(self, variance=variance, ci=ci)
@@ -322,9 +330,9 @@ class CausalEstimate:
 def normal_interval(point: float, variance: float, level: float = 0.95):
     """Symmetric normal-approximation interval around a point estimate."""
     if not (0.0 < level < 1.0):
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+        raise InvalidInputError(f"level must lie in (0, 1), got {level}")
     if variance < 0:
-        raise ValueError("variance must be non-negative")
+        raise InvalidInputError("variance must be non-negative")
     half = float(ndtri(0.5 + level / 2.0)) * float(np.sqrt(variance))
     return (point - half, point + half)
 
@@ -368,7 +376,7 @@ def _select_columns(x: np.ndarray, selection: tuple[int, ...] | None) -> np.ndar
     sel = tuple(selection)
     for j in sel:
         if not (0 <= j < x.shape[1]):
-            raise ValueError(f"covariate column {j} does not exist (p={x.shape[1]})")
+            raise InvalidInputError(f"covariate column {j} does not exist (p={x.shape[1]})")
     return x[:, sel]
 
 
@@ -379,7 +387,7 @@ def difference_in_means(ds: ObservationalDataset) -> CausalEstimate:
     variance is the usual unpooled two-sample formula s1^2/n1 + s0^2/n0.
     """
     if ds.treatment_kind != BINARY:
-        raise ValueError("difference_in_means requires a binary treatment")
+        raise InvalidInputError("difference_in_means requires a binary treatment")
     treated = ds.d == 1.0
     n1 = int(treated.sum())
     n0 = ds.n - n1

@@ -1,31 +1,45 @@
 """Exception taxonomy for causalest.
 
-Every structured failure raised by the library derives from
-:class:`CausalestError`, so callers can catch one base class. Data-shape
-problems and estimation problems get distinct subclasses because the CLI maps
-them to different exit codes.
+Every failure the package raises derives from :class:`CausalestError`, so
+callers, the Monte Carlo harness and the bootstrap catch one base class. It
+has two branches:
+
+* :class:`InvalidInputError` (also a ``ValueError``): the caller passed
+  something the code cannot use, such as a bad shape, a non-finite value or
+  an out-of-range option. ``causalest`` exits with code 2.
+* every other subclass: the input was well-formed but the estimate could not
+  be formed, such as a rank-deficient design or a separated logistic fit.
+  ``causalest`` exits with code 3.
 """
 
 from __future__ import annotations
 
 
 class CausalestError(Exception):
-    """Base class for all structured errors raised by this package."""
+    """Base class for all errors raised by this package."""
+
+
+class InvalidInputError(CausalestError, ValueError):
+    """An argument or input value the package cannot use."""
 
 
 # ---------------------------------------------------------------------------
 # data / validation
 # ---------------------------------------------------------------------------
 
-class LengthMismatchError(CausalestError):
+class DimensionMismatchError(InvalidInputError):
+    """Matrix/vector dimensions are inconsistent."""
+
+
+class LengthMismatchError(DimensionMismatchError):
     """Input columns do not share a common length."""
 
 
-class NonFiniteValueError(CausalestError):
+class NonFiniteValueError(InvalidInputError):
     """An input column contains NaN or infinity."""
 
 
-class EmptyDatasetError(CausalestError):
+class EmptyDatasetError(InvalidInputError):
     """Dataset has too few rows to be usable."""
 
 
@@ -39,10 +53,6 @@ class EmptyTreatmentArmError(CausalestError):
 
 class RankDeficientError(CausalestError):
     """Design matrix is (numerically) rank deficient."""
-
-
-class DimensionMismatchError(CausalestError):
-    """Matrix/vector dimensions are inconsistent."""
 
 
 class SeparationError(CausalestError):
@@ -145,11 +155,11 @@ class MissingCoefCovarianceError(CausalestError):
 # simulation harness
 # ---------------------------------------------------------------------------
 
-class UnknownCaseError(CausalestError):
+class UnknownCaseError(InvalidInputError):
     """Requested simulation case id is not registered."""
 
 
-class MissingReferenceCellError(CausalestError):
+class MissingReferenceCellError(InvalidInputError):
     """Reference table lacks a method present in the report."""
 
 

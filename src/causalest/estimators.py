@@ -21,6 +21,7 @@ from .core import (
 from .errors import (
     EmptyDoseGroupError,
     InsufficientMatchesError,
+    InvalidInputError,
     NoUsableStratumError,
     ZeroPropensityError,
 )
@@ -49,7 +50,7 @@ class OrSpec:
 
     def __post_init__(self):
         if self.link not in (IDENTITY, LOGIT):
-            raise ValueError(f"unknown link {self.link!r}")
+            raise InvalidInputError(f"unknown link {self.link!r}")
 
 
 def _or_design(d: np.ndarray, x: np.ndarray, spec: OrSpec) -> np.ndarray:
@@ -175,9 +176,9 @@ def ate_psr(
     evaluated at the mean score powers).
     """
     if ds.treatment_kind != BINARY:
-        raise ValueError("propensity-score regression requires a binary treatment")
+        raise InvalidInputError("propensity-score regression requires a binary treatment")
     if poly_degree < 1:
-        raise ValueError("poly_degree must be >= 1")
+        raise InvalidInputError("poly_degree must be >= 1")
     p1 = fit.scores_treated
     degenerate = bool(np.ptp(p1) == 0.0)
     powers = [] if degenerate else [p1**k for k in range(1, poly_degree + 1)]
@@ -210,7 +211,7 @@ def ate_stratification(
     remaining strata; the excluded unit count is reported as a diagnostic.
     """
     if ds.treatment_kind != BINARY:
-        raise ValueError("stratification requires a binary treatment")
+        raise InvalidInputError("stratification requires a binary treatment")
     labels = quantile_strata(fit.scores_treated, n_strata)
     treated = ds.d == 1.0
     diffs, sizes, var_terms = [], [], []
@@ -310,9 +311,9 @@ def ate_matching(
     is reported — use the bootstrap.
     """
     if ds.treatment_kind != BINARY:
-        raise ValueError("matching requires a binary treatment")
+        raise InvalidInputError("matching requires a binary treatment")
     if n_matches < 1:
-        raise ValueError("n_matches must be >= 1")
+        raise InvalidInputError("n_matches must be >= 1")
     p1 = fit.scores_treated
     treated = ds.d == 1.0
     idx_t = np.flatnonzero(treated)

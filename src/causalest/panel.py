@@ -13,6 +13,7 @@ import numpy as np
 
 from .core import CausalEstimate, PanelDataset, _estimate, _select_columns
 from .errors import (
+    InvalidInputError,
     NoWithinVariationError,
     TooFewPeriodsError,
 )
@@ -45,7 +46,7 @@ class PanelSpec:
 
     def __post_init__(self):
         if self.method not in _METHODS:
-            raise ValueError(f"unknown panel method {self.method!r}")
+            raise InvalidInputError(f"unknown panel method {self.method!r}")
 
 
 def fit_panel(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:

@@ -10,11 +10,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import BINARY, CONTINUOUS, MULTIVALUED, ObservationalDataset
+from .core import BINARY, CONTINUOUS, MULTIVALUED, ObservationalDataset, _as_vector
 from .errors import (
     AllUnitsTrimmedError,
+    InvalidInputError,
     NoTreatmentVariationError,
-    NonFiniteValueError,
     SigmaFloorError,
 )
 from .regress import LinearFit, fit_logistic, fit_ols, predict
@@ -39,6 +39,9 @@ class PropensityFit:
         trim_bounds: (lo, hi) applied by trim_overlap, if any.
         level_scores: level -> P(D=level | x) vectors (binary/multivalued).
         diagnostics: extras such as the dropped-unit count after trimming.
+
+    Construction raises NonFiniteValueError for a non-finite entry of
+    `scores` or of any `level_scores` vector.
     """
 
     kind: str
@@ -50,12 +53,14 @@ class PropensityFit:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        s = np.asarray(self.scores, dtype=float)
+        s = _as_vector("scores", self.scores)
+        for level, v in (self.level_scores or {}).items():
+            _as_vector(f"level_scores[{level}]", v)
         if self.kind in (BINARY_LOGISTIC, MULTIVALUED_LOGISTIC):
             if np.any(s <= 0.0) or np.any(s >= 1.0):
-                raise ValueError(f"{self.kind} scores must lie strictly in (0, 1)")
+                raise InvalidInputError(f"{self.kind} scores must lie strictly in (0, 1)")
         elif np.any(s <= 0.0):
-            raise ValueError("density scores must be positive")
+            raise InvalidInputError("density scores must be positive")
 
     @property
     def n(self) -> int:
@@ -64,17 +69,17 @@ class PropensityFit:
     def score_at(self, d: float) -> np.ndarray:
         """P(D = d | x) for every unit (binary/multivalued fits only)."""
         if self.level_scores is None:
-            raise ValueError("per-dose scores are undefined for a density fit")
+            raise InvalidInputError("per-dose scores are undefined for a density fit")
         key = float(d)
         if key not in self.level_scores:
-            raise ValueError(f"no score model for level {d}")
+            raise InvalidInputError(f"no score model for level {d}")
         return self.level_scores[key]
 
     @property
     def scores_treated(self) -> np.ndarray:
         """For binary fits: P(D=1 | x) per unit."""
         if self.kind != BINARY_LOGISTIC or self.level_scores is None:
-            raise ValueError("scores_treated is defined for binary fits only")
+            raise InvalidInputError("scores_treated is defined for binary fits only")
         return self.level_scores[1.0]
 
     @classmethod
@@ -85,12 +90,8 @@ class PropensityFit:
         the received-dose scores can be formed. Non-finite entries raise
         `NonFiniteValueError`; the range check is the constructor's.
         """
-        p = np.asarray(p1, dtype=float)
-        dv = np.asarray(d, dtype=float)
-        if p.shape != dv.shape:
-            raise ValueError("p1 and d must have the same length")
-        if not np.isfinite(p).all():
-            raise NonFiniteValueError("p1 contains non-finite values")
+        p = _as_vector("p1", p1)
+        dv = _as_vector("d", d, p.shape[0])
         return cls(
             kind=BINARY_LOGISTIC,
             scores=np.where(dv == 1.0, p, 1.0 - p),
@@ -101,7 +102,7 @@ class PropensityFit:
 def estimate_propensity_binary(ds: ObservationalDataset) -> PropensityFit:
     """Logistic fit of d on (1, x); scores are fitted received-dose probabilities."""
     if ds.treatment_kind != BINARY:
-        raise ValueError("binary propensity model requires a binary treatment")
+        raise InvalidInputError("binary propensity model requires a binary treatment")
     if ds.d.min() == ds.d.max():
         raise NoTreatmentVariationError("both treatment arms must be non-empty")
     design = np.column_stack([np.ones(ds.n), ds.x])
@@ -118,7 +119,7 @@ def estimate_propensity_binary(ds: ObservationalDataset) -> PropensityFit:
 def estimate_propensity_multivalued(ds: ObservationalDataset) -> PropensityFit:
     """One-vs-rest logistic per declared level; stores P(D=level | x) for all levels."""
     if ds.treatment_kind != MULTIVALUED or ds.levels is None:
-        raise ValueError("multivalued propensity model requires declared levels")
+        raise InvalidInputError("multivalued propensity model requires declared levels")
     design = np.column_stack([np.ones(ds.n), ds.x])
     level_scores: dict[float, np.ndarray] = {}
     for level in ds.levels:
@@ -144,7 +145,7 @@ def estimate_gps_normal(ds: ObservationalDataset) -> PropensityFit:
     unit's score is the normal density of its dose at the fitted mean.
     """
     if ds.treatment_kind != CONTINUOUS:
-        raise ValueError("gps model requires a continuous treatment")
+        raise InvalidInputError("gps model requires a continuous treatment")
     design = np.column_stack([np.ones(ds.n), ds.x])
     model = fit_ols(design, ds.d)
     dof = max(ds.n - design.shape[1], 1)
@@ -163,9 +164,9 @@ def trim_overlap(fit: PropensityFit, lo: float = 0.01, hi: float = 0.99):
     `kept_indices`. The dropped count is recorded in the fit diagnostics.
     """
     if fit.kind != BINARY_LOGISTIC:
-        raise ValueError("trimming is defined for binary propensity fits")
+        raise InvalidInputError("trimming is defined for binary propensity fits")
     if not (0.0 <= lo < hi <= 1.0):
-        raise ValueError(f"require 0 <= lo < hi <= 1, got ({lo}, {hi})")
+        raise InvalidInputError(f"require 0 <= lo < hi <= 1, got ({lo}, {hi})")
     keep = (fit.scores >= lo) & (fit.scores <= hi)
     kept_indices = np.flatnonzero(keep)
     if kept_indices.size == 0:
@@ -189,7 +190,7 @@ def quantile_strata(scores: np.ndarray, n_strata: int) -> np.ndarray:
     to an edge joins the upper stratum, so tied scores always share a label.
     """
     if n_strata < 1:
-        raise ValueError("n_strata must be >= 1")
+        raise InvalidInputError("n_strata must be >= 1")
     if n_strata == 1:
         return np.zeros(np.asarray(scores).shape[0], dtype=int)
     edges = np.quantile(scores, np.arange(1, n_strata) / n_strata)
@@ -252,9 +253,9 @@ def balance_diagnostic(
     and excluded from the stratum-averaged SMD; this is diagnostic, not fatal.
     """
     if ds.treatment_kind != BINARY:
-        raise ValueError("balance diagnostic requires a binary treatment")
+        raise InvalidInputError("balance diagnostic requires a binary treatment")
     if n_strata < 2:
-        raise ValueError("n_strata must be >= 2")
+        raise InvalidInputError("n_strata must be >= 2")
     treated = ds.d == 1.0
     if treated.all() or not treated.any():
         raise NoTreatmentVariationError("both arms required for balance checks")

@@ -9,12 +9,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import CausalEstimate, _as_column_vector, _as_matrix, _estimate, _readonly
+from .core import CausalEstimate, _as_matrix, _as_vector, _estimate, _readonly
 from .errors import (
     ConvergenceError,
     DegenerateProblemError,
     DimensionMismatchError,
     EmptyCellError,
+    InvalidInputError,
     NoFirstStageJumpError,
     NoTreatmentVariationError,
     OneSidedDataError,
@@ -34,11 +35,9 @@ _SC_KKT_TOL = 1e-12
 
 def iv_ratio(y, d, z) -> CausalEstimate:
     """Single-instrument IV estimate: Cov(z, y) / Cov(z, d)."""
-    yv = _as_column_vector("y", y)
-    dv = _as_column_vector("d", d)
-    zv = _as_column_vector("z", z)
-    if not (yv.shape[0] == dv.shape[0] == zv.shape[0]):
-        raise DimensionMismatchError("y, d and z must have the same length")
+    yv = _as_vector("y", y)
+    dv = _as_vector("d", d, yv.shape[0])
+    zv = _as_vector("z", z, yv.shape[0])
     zc = zv - zv.mean()
     cov_zd = float(zc @ (dv - dv.mean())) / yv.shape[0]
     if abs(cov_zd) <= _COV_TOL:
@@ -58,7 +57,7 @@ def ate_2sls(y, d, z, x=None) -> CausalEstimate:
     the coefficient on the first endogenous column; the variance uses
     second-stage residuals recomputed with the original (not fitted) d.
     """
-    yv = _as_column_vector("y", y)
+    yv = _as_vector("y", y)
     n = yv.shape[0]
     dm = _as_matrix("d", d, n)
     zm = _as_matrix("z", z, n)
@@ -135,24 +134,20 @@ class DidDataset:
 
 def validate_did(y, group, period, x=None, treated=None) -> DidDataset:
     """Validate raw columns into a DidDataset."""
-    yv = _as_column_vector("y", y)
+    yv = _as_vector("y", y)
     n = yv.shape[0]
-    gv = _as_column_vector("group", group)
-    pv = _as_column_vector("period", period)
-    if gv.shape[0] != n or pv.shape[0] != n:
-        raise DimensionMismatchError("y, group and period must have the same length")
+    gv = _as_vector("group", group, n)
+    pv = _as_vector("period", period, n)
     if not np.isin(gv, (0.0, 1.0)).all():
-        raise ValueError("group must be a 0/1 indicator")
+        raise InvalidInputError("group must be a 0/1 indicator")
     if np.any(pv != np.round(pv)) or pv.min() < 0:
-        raise ValueError("period must contain non-negative integers")
+        raise InvalidInputError("period must contain non-negative integers")
     xm = _as_matrix("x", x, n)
     tv = None
     if treated is not None:
-        tv = _as_column_vector("treated", treated)
-        if tv.shape[0] != n:
-            raise DimensionMismatchError("treated must match the length of y")
+        tv = _as_vector("treated", treated, n)
         if not np.isin(tv, (0.0, 1.0)).all():
-            raise ValueError("treated must be a 0/1 indicator")
+            raise InvalidInputError("treated must be a 0/1 indicator")
         tv = _readonly(tv)
     return DidDataset(
         y=_readonly(yv),
@@ -165,7 +160,7 @@ def validate_did(y, group, period, x=None, treated=None) -> DidDataset:
 
 def _did_cells(dd: DidDataset):
     if not set(np.unique(dd.period)) <= {0.0, 1.0}:
-        raise ValueError("the basic design requires periods in {0, 1}")
+        raise InvalidInputError("the basic design requires periods in {0, 1}")
     for g in (0.0, 1.0):
         for p in (0.0, 1.0):
             if not np.any((dd.group == g) & (dd.period == p)):
@@ -191,7 +186,7 @@ def ate_did(dd: DidDataset) -> CausalEstimate:
 def ate_did_covariates(dd: DidDataset) -> CausalEstimate:
     """Two-period DID with covariate columns added to the regression."""
     if dd.x.shape[1] == 0:
-        raise ValueError("the dataset carries no covariates")
+        raise InvalidInputError("the dataset carries no covariates")
     return _did_ols(dd, with_x=True, method="did_covariates")
 
 
@@ -204,7 +199,7 @@ def ate_did_multiperiod(dd: DidDataset) -> CausalEstimate:
     elif set(periods) == {0.0, 1.0}:
         treated = dd.group * dd.period
     else:
-        raise ValueError("multi-period designs require an explicit treated indicator")
+        raise InvalidInputError("multi-period designs require an explicit treated indicator")
     if treated.min() == treated.max():
         raise NoTreatmentVariationError("the treatment indicator never varies")
     cols = [np.ones(dd.n), dd.group]
@@ -246,31 +241,21 @@ class ScProblem:
     y0: np.ndarray
 
     def __post_init__(self):
-        x1 = _readonly(_as_column_vector("x1", self.x1))
-        z1 = _readonly(_as_column_vector("z1", self.z1))
-        y1 = _readonly(_as_column_vector("y1", self.y1))
-        x0 = _readonly(np.asarray(self.x0, dtype=float))
-        z0 = _readonly(np.asarray(self.z0, dtype=float))
-        y0 = _readonly(np.asarray(self.y0, dtype=float))
-        if x0.ndim != 2 or z0.ndim != 2 or y0.ndim != 2:
-            raise DimensionMismatchError("x0, z0 and y0 must be matrices")
-        if not (np.isfinite(x0).all() and np.isfinite(z0).all() and np.isfinite(y0).all()):
-            raise ValueError("donor matrices must be finite")
+        x1 = _as_vector("x1", self.x1)
+        z1 = _as_vector("z1", self.z1)
+        y1 = _as_vector("y1", self.y1)
+        x0 = _as_matrix("x0", self.x0, x1.shape[0])
+        z0 = _as_matrix("z0", self.z0, z1.shape[0])
+        y0 = _as_matrix("y0", self.y0, y1.shape[0])
         j = x0.shape[1]
         if j < 1:
             raise DimensionMismatchError("at least one donor is required")
         if z0.shape[1] != j or y0.shape[1] != j:
             raise DimensionMismatchError("x0, z0 and y0 must share the donor count")
-        if x0.shape[0] != x1.shape[0]:
-            raise DimensionMismatchError("x0 rows must match the length of x1")
-        if z0.shape[0] != z1.shape[0]:
-            raise DimensionMismatchError("z0 rows must match the length of z1")
-        if y0.shape[0] != y1.shape[0]:
-            raise DimensionMismatchError("y0 rows must match the length of y1")
         if z1.shape[0] < 1:
             raise DimensionMismatchError("at least one pre period is required")
         for name, v in (("x1", x1), ("x0", x0), ("z1", z1), ("z0", z0), ("y1", y1), ("y0", y0)):
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _readonly(v))
 
     @property
     def n_donors(self) -> int:
@@ -296,15 +281,11 @@ def sc_weights(x1, x0, v_diag) -> np.ndarray:
     A single donor gets weight one, and a donor whose column equals x1
     exactly short-circuits to weight one (lowest index on ties).
     """
-    x1v = _as_column_vector("x1", x1)
-    x0m = np.asarray(x0, dtype=float)
-    if x0m.ndim != 2 or x0m.shape[0] != x1v.shape[0]:
-        raise DimensionMismatchError("x0 must be a (K, J) matrix matching x1")
-    v = np.asarray(v_diag, dtype=float)
-    if v.shape != (x1v.shape[0],):
-        raise DimensionMismatchError("v_diag must have one entry per characteristic")
+    x1v = _as_vector("x1", x1)
+    x0m = _as_matrix("x0", x0, x1v.shape[0])
+    v = _as_vector("v_diag", v_diag, x1v.shape[0])
     if np.any(v < 0.0) or not np.any(v > 0.0):
-        raise ValueError("v_diag entries must be >= 0 with at least one positive")
+        raise InvalidInputError("v_diag entries must be >= 0 with at least one positive")
     j = x0m.shape[1]
     w = np.zeros(j)
     exact = np.flatnonzero(np.all(x0m == x1v[:, None], axis=0))
@@ -464,22 +445,22 @@ def sc_fit(problem: ScProblem) -> ScFit:
 # Regression discontinuity
 # ---------------------------------------------------------------------------
 
-def _rdd_frame(y, t, cutoff, bandwidth):
-    yv = _as_column_vector("y", y)
-    tv = _as_column_vector("t", t)
-    if yv.shape[0] != tv.shape[0]:
-        raise DimensionMismatchError("y and t must have the same length")
+def _rdd_frame(y, t, cutoff, bandwidth, d=None):
+    yv = _as_vector("y", y)
+    tv = _as_vector("t", t, yv.shape[0])
+    dv = None if d is None else _as_vector("d", d, yv.shape[0])
     tc = tv - float(cutoff)
     if bandwidth is not None:
         if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+            raise InvalidInputError("bandwidth must be positive")
         keep = np.abs(tc) <= bandwidth
         yv, tc = yv[keep], tc[keep]
+        dv = None if dv is None else dv[keep]
     above = (tc >= 0.0).astype(float)
     n_right = int(above.sum())
     if n_right == 0 or n_right == above.shape[0]:
         raise OneSidedDataError("observations are required on both sides of the cutoff")
-    return yv, tc, above, keep if bandwidth is not None else None
+    return yv, tc, above, dv
 
 
 def rdd_sharp(y, t, cutoff: float = 0.0, bandwidth: float | None = None) -> CausalEstimate:
@@ -511,12 +492,7 @@ def rdd_fuzzy(
     assignment probability must jump at the cutoff; a first-stage jump of
     0.05 or less raises NoFirstStageJumpError.
     """
-    yv, tc, above, keep = _rdd_frame(y, t, cutoff, bandwidth)
-    dv = _as_column_vector("d", d)
-    if keep is not None:
-        dv = dv[keep]
-    if dv.shape[0] != yv.shape[0]:
-        raise DimensionMismatchError("d must have the same length as y")
+    yv, tc, above, dv = _rdd_frame(y, t, cutoff, bandwidth, d)
     n = yv.shape[0]
     first = fit_ols(np.column_stack([np.ones(n), above, tc, above * tc]), dv)
     jump = float(first.coef[1])

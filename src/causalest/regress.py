@@ -7,9 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .core import _as_matrix, _as_vector
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
+    InvalidInputError,
     NoTreatmentVariationError,
     RankDeficientError,
     SeparationError,
@@ -52,15 +54,8 @@ class LinearFit:
 
 
 def _check_design(design, y) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(design, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    r = np.asarray(y, dtype=float).reshape(-1)
-    if X.shape[0] != r.shape[0]:
-        raise DimensionMismatchError(
-            f"design has {X.shape[0]} rows but response has {r.shape[0]}"
-        )
-    return X, r
+    X = _as_matrix("design", design, finite=False)
+    return X, _as_vector("response", y, X.shape[0], finite=False)
 
 
 def _svd_solve(Xw: np.ndarray, yw: np.ndarray):
@@ -96,11 +91,9 @@ def fit_ols(design, y, weights=None) -> LinearFit:
     X, r = _check_design(design, y)
     n, k = X.shape
     if weights is not None:
-        w = np.asarray(weights, dtype=float).reshape(-1)
-        if w.shape[0] != n:
-            raise DimensionMismatchError("weights length does not match rows")
+        w = _as_vector("weights", weights, n, finite=False)
         if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
+            raise InvalidInputError("weights must be non-negative")
         sw = np.sqrt(w)
         Xw = X * sw[:, None]
         yw = r * sw
@@ -122,22 +115,6 @@ def fit_ols(design, y, weights=None) -> LinearFit:
     )
 
 
-def logistic_loglik(design, d, coef) -> float:
-    """Bernoulli log-likelihood at `coef` (numerically stable form)."""
-    X, dv = _check_design(design, d)
-    eta = X @ np.asarray(coef, dtype=float)
-    # log(1 + exp(eta)) without overflow
-    log1pexp = np.where(eta > 30, eta, np.log1p(np.exp(np.minimum(eta, 30))))
-    return float(dv @ eta - log1pexp.sum())
-
-
-def logistic_score(design, d, coef) -> np.ndarray:
-    """Gradient of the Bernoulli log-likelihood: X'(d - p)."""
-    X, dv = _check_design(design, d)
-    p = expit(X @ np.asarray(coef, dtype=float))
-    return X.T @ (dv - p)
-
-
 def fit_logistic(design, d, max_iter: int = 100, tol: float = 1e-8) -> LinearFit:
     """Logistic regression by iteratively reweighted least squares.
 
@@ -152,7 +129,7 @@ def fit_logistic(design, d, max_iter: int = 100, tol: float = 1e-8) -> LinearFit
     """
     X, dv = _check_design(design, d)
     if not np.all((dv == 0.0) | (dv == 1.0)):
-        raise ValueError("logistic response must be 0/1")
+        raise InvalidInputError("logistic response must be 0/1")
     if dv.min() == dv.max():
         raise NoTreatmentVariationError("response takes a single value")
 
@@ -197,9 +174,10 @@ def fit_logistic(design, d, max_iter: int = 100, tol: float = 1e-8) -> LinearFit
 def predict(fit: LinearFit, design_new) -> np.ndarray:
     """Evaluate a fit on new design rows (expit-transformed for logit)."""
     X = np.asarray(design_new, dtype=float)
-    if X.ndim == 1:
-        # a single design row, or a column of one-regressor rows
-        X = X.reshape(1, -1) if X.size == fit.design_width and fit.design_width > 1 else X.reshape(-1, 1)
+    # a 1-d input is a single design row, or else a column of one-regressor rows
+    if X.ndim == 1 and X.size == fit.design_width > 1:
+        X = X.reshape(1, -1)
+    X = _as_matrix("design_new", X, finite=False)
     if X.shape[1] != fit.design_width:
         raise DimensionMismatchError(
             f"design_new has width {X.shape[1]}, fit expects {fit.design_width}"

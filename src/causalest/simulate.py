@@ -25,6 +25,7 @@ from scipy.special import expit, ndtr, ndtri
 from .core import ObservationalDataset, validate, validate_panel
 from .errors import (
     CausalestError,
+    InvalidInputError,
     MissingReferenceCellError,
     TooManyFailedRunsError,
     UnknownCaseError,
@@ -191,16 +192,22 @@ class DgpSpec:
         if self.case_id not in CASE_IDS:
             raise UnknownCaseError(f"unknown case {self.case_id!r}")
         if self.n < 10:
-            raise ValueError("n must be >= 10")
+            raise InvalidInputError("n must be >= 10")
         defaults = _DEFAULT_PARAMS[self.case_id]
         unknown = set(self.params) - set(defaults)
         if unknown:
-            raise ValueError(f"unknown parameters for {self.case_id}: {sorted(unknown)}")
+            raise InvalidInputError(f"unknown parameters for {self.case_id}: {sorted(unknown)}")
         if self.variant not in _CASE_VARIANTS[self.case_id]:
-            raise ValueError(
+            raise InvalidInputError(
                 f"unknown variant {self.variant!r} for {self.case_id} "
                 f"(allowed: {_CASE_VARIANTS[self.case_id]})"
             )
+        if "n_periods" in defaults:
+            t_per = int(self.merged_params()["n_periods"])
+            if t_per < 2:
+                raise InvalidInputError("n_periods must be >= 2")
+            if self.n // t_per < 2:
+                raise InvalidInputError("n too small for the period count")
 
     @property
     def case_index(self) -> int:
@@ -262,11 +269,7 @@ def _draw_panel(spec: DgpSpec, run_index: int, seed: int):
     p = spec.merged_params()
     case = spec.case_index
     t_per = int(p["n_periods"])
-    if t_per < 2:
-        raise ValueError("n_periods must be >= 2")
     n_units = spec.n // t_per
-    if n_units < 2:
-        raise ValueError("n too small for the period count")
     n = n_units * t_per
     s = _VARIABLE_STREAMS[spec.case_id]
     w_unit = _stream(seed, case, run_index, s["unit_levels"]).uniform(
@@ -368,7 +371,7 @@ def generate(spec: DgpSpec, run_index: int, seed: int = 42):
     or sharp/fuzzy arm of the design.
     """
     if run_index < 0:
-        raise ValueError("run_index must be >= 0")
+        raise InvalidInputError("run_index must be >= 0")
     if spec.case_id == "cs1":
         return _draw_cs1(spec, run_index, seed)[0]
     if spec.case_id in ("cs2", "cs3"):
@@ -532,12 +535,12 @@ def run_monte_carlo(
 ) -> MonteCarloReport:
     """Run one case study's Monte Carlo experiment.
 
-    Per-run estimator failures are recorded as NaN; if any method fails on
-    more than 5% of runs the experiment aborts. Results are deterministic
+    A run that raises a CausalestError is recorded as NaN; if any method
+    fails on more than 5% of runs the experiment aborts. Results are deterministic
     for a fixed seed regardless of `jobs`.
     """
     if runs < 2:
-        raise ValueError("runs must be >= 2")
+        raise InvalidInputError("runs must be >= 2")
     spec = DgpSpec(case_id=case_id, n=n, params=params or {})
     available = CASE_METHODS[case_id]
     if methods is None:
@@ -546,7 +549,7 @@ def run_monte_carlo(
         methods = tuple(methods)
         unknown = set(methods) - set(available)
         if unknown:
-            raise ValueError(f"unknown methods for {case_id}: {sorted(unknown)}")
+            raise InvalidInputError(f"unknown methods for {case_id}: {sorted(unknown)}")
     runner = _RUNNERS[case_id]
 
     def one(r: int) -> np.ndarray:
@@ -569,7 +572,7 @@ def run_monte_carlo(
     for j, m in enumerate(methods):
         if n_failed[j] > _MAX_FAILED_SHARE * runs:
             raise TooManyFailedRunsError(
-                f"{m} failed on {n_failed[j]}/{runs} runs "
+                f"{case_id}: {m} failed on {n_failed[j]}/{runs} runs "
                 f"(tolerance {_MAX_FAILED_SHARE:.0%})"
             )
     tau = TRUE_TAU[case_id]
@@ -628,13 +631,21 @@ def _tolerance_band(tol, expected: float) -> float:
     if isinstance(tol, dict):
         unknown = set(tol) - {"abs", "rel"}
         if unknown:
-            raise ValueError(f"unknown tolerance keys {sorted(unknown)}")
+            raise InvalidInputError(f"unknown tolerance keys {sorted(unknown)}")
         if not tol:
-            raise ValueError("empty tolerance entry")
+            raise InvalidInputError("empty tolerance entry")
         return max(
-            float(tol.get("abs", 0.0)), float(tol.get("rel", 0.0)) * abs(expected)
+            _number(tol.get("abs", 0.0)), _number(tol.get("rel", 0.0)) * abs(expected)
         )
-    return float(tol)
+    return _number(tol)
+
+
+def _number(value) -> float:
+    """A tolerance or reference cell as a float; anything else is bad input."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{value!r} is not a number") from exc
 
 
 def compare_to_reference(
@@ -647,6 +658,10 @@ def compare_to_reference(
     appear in the reference. Each report row also gets an internal
     consistency check that MSE equals variance plus squared bias.
     """
+    if not isinstance(tolerances, dict) or not all(
+        isinstance(t, dict) for t in tolerances.values()
+    ):
+        raise InvalidInputError("tolerances must map each method to {quantity: tolerance}")
     checks: list[CellCheck] = []
     for j, m in enumerate(report.methods):
         if m not in reference:
@@ -658,7 +673,7 @@ def compare_to_reference(
         }
         for quantity, tol in tolerances.get(m, {}).items():
             if quantity not in _REPORT_FIELDS:
-                raise ValueError(f"unknown report quantity {quantity!r}")
+                raise InvalidInputError(f"unknown report quantity {quantity!r}")
             expected = reference[m][quantity]
             band = _tolerance_band(tol, expected)
             checks.append(
@@ -691,11 +706,11 @@ def read_reference_csv(text: str) -> dict:
     reader = csv.DictReader(io.StringIO(text))
     required = {"method", *_REPORT_FIELDS}
     if reader.fieldnames is None or not required <= set(reader.fieldnames):
-        raise ValueError("reference table must have columns method, av_est, emp_var, mse")
+        raise InvalidInputError("reference table must have columns method, av_est, emp_var, mse")
     for row in reader:
-        rows[row["method"]] = {f: float(row[f]) for f in _REPORT_FIELDS}
+        rows[row["method"]] = {f: _number(row[f]) for f in _REPORT_FIELDS}
     if not rows:
-        raise ValueError("reference table is empty")
+        raise InvalidInputError("reference table is empty")
     return rows
 
 

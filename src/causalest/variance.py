@@ -15,10 +15,11 @@ import numpy as np
 from .core import CausalEstimate, PanelDataset
 from .errors import (
     CausalestError,
+    InvalidInputError,
     MissingCoefCovarianceError,
     TooManyFailedReplicatesError,
 )
-from .regress import IDENTITY, LinearFit
+from .regress import LinearFit
 
 # a bootstrap aborts when more than this share of its replicates fail
 _MAX_FAILED_SHARE = 0.10
@@ -32,39 +33,10 @@ def delta_variance(fit: LinearFit, gradient) -> float:
         )
     g = np.asarray(gradient, dtype=float)
     if g.shape != (fit.coef.shape[0],):
-        raise ValueError(
+        raise InvalidInputError(
             f"gradient has shape {g.shape}, expected ({fit.coef.shape[0]},)"
         )
     return float(g @ fit.coef_cov @ g)
-
-
-def delta_variance_or(ds, m1: LinearFit, m0: LinearFit) -> float:
-    """Large-sample variance of the arm-regression ATE.
-
-    `m1` and `m0` are identity-link fits of the outcome on (1, x) within the
-    treated and control arms. The estimator is the mean over all units of
-    m1(x_i) - m0(x_i); its variance combines the spread of the centered
-    contrast with a delta-method term for each arm's coefficient noise:
-
-        Var = mean[(m1(x_i) - m0(x_i) - tau)^2] / n + g' V1 g + g' V0 g
-
-    where g is the average design row (1, mean x) and V1, V0 the coefficient
-    covariances.
-    """
-    for fit in (m1, m0):
-        if fit.link != IDENTITY:
-            raise ValueError("arm models must use the identity link")
-        if fit.coef_cov is None:
-            raise MissingCoefCovarianceError("arm model lacks a coefficient covariance")
-    design = np.column_stack([np.ones(ds.n), ds.x])
-    if design.shape[1] != m1.design_width or design.shape[1] != m0.design_width:
-        raise ValueError("arm models were not fitted on a (1, x) design of this dataset")
-    contrast = design @ m1.coef - design @ m0.coef
-    centered = contrast - contrast.mean()
-    g = design.mean(axis=0)
-    return float(
-        centered @ centered / ds.n**2 + g @ m1.coef_cov @ g + g @ m0.coef_cov @ g
-    )
 
 
 @dataclass
@@ -76,7 +48,7 @@ class BootstrapResult:
         ci: percentile interval of the replicate estimates.
         points: per-replicate estimates, NaN where the replicate failed.
         n_ok: successful replicates.
-        n_failed: replicates that raised an estimation error.
+        n_failed: replicates that raised a CausalestError.
     """
 
     variance: float
@@ -104,11 +76,12 @@ def bootstrap_variance(
     `data` is an ObservationalDataset (rows resampled i.i.d.) or a
     PanelDataset (whole units resampled, keeping each unit's time series
     intact). `estimator` maps a dataset to a CausalEstimate or a float.
-    Replicates that raise an estimation error are skipped; when more than
-    10% of them fail the bootstrap aborts.
+    Replicates that raise a CausalestError (invalid input or a failed
+    estimate) are skipped; when more than 10% of them fail the bootstrap
+    aborts.
     """
     if n_boot < 2:
-        raise ValueError("n_boot must be >= 2")
+        raise InvalidInputError("n_boot must be >= 2")
     is_panel = isinstance(data, PanelDataset)
     n_draw = data.n_units if is_panel else data.n
 

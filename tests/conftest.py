@@ -33,6 +33,19 @@ def confounded_binary(seed: int, n: int, tau: float = -5.0):
     return validate(y, d, x)
 
 
+def saturating_binary(seed: int, n: int = 500):
+    """Columns (y, d, x) with x ~ N(0, 20^2) and P(D=1 | x) = expit(0.5 x).
+
+    The fitted scores of units far out in x round to exactly 0 or 1, so
+    some resamples of such a draw give a score model PropensityFit rejects.
+    """
+    g = philox(seed)
+    x = g.normal(0.0, 20.0, n)
+    d = (g.uniform(size=n) < expit(0.5 * x)).astype(float)
+    y = 1.0 + 2.0 * d + x + g.normal(size=n)
+    return y, d, x
+
+
 def randomized_binary(seed: int, n: int, tau: float = 2.0):
     """A randomized draw (assignment independent of x) where outcome
     regression, weighting and the augmented estimator must all agree."""

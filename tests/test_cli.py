@@ -13,7 +13,7 @@ import pytest
 
 from causalest.cli import main
 
-from .conftest import philox
+from .conftest import philox, saturating_binary
 
 
 def _run(capsys, *argv):
@@ -194,6 +194,52 @@ class TestEstimate:
         assert code == 2
         assert "--trim bounds" in err
 
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        # [TRIVIAL] bytes that are not UTF-8 are an unreadable file
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"y,d\n\xff\xfe,1\n1.0,0\n")
+        code, _, err = _run(
+            capsys, "estimate", "--method", "dim", "--data", str(path),
+            "--outcome", "y", "--treatment", "d",
+        )
+        assert code == 2
+        assert "cannot read" in err
+
+    def test_oversized_field_exits_2(self, tmp_path, capsys):
+        # [TRIVIAL] a cell beyond the csv module's field limit
+        path = tmp_path / "big.csv"
+        path.write_text("y,d\n1.0," + "x" * 200_000 + "\n2.0,0\n")
+        code, _, err = _run(
+            capsys, "estimate", "--method", "dim", "--data", str(path),
+            "--outcome", "y", "--treatment", "d",
+        )
+        assert code == 2
+        assert "cannot read" in err
+
+    def test_too_few_bootstrap_replicates_exits_2(self, linear_csv, capsys):
+        # [TRIVIAL] a bad option value is an input error (exit 2), not an
+        # estimation error (exit 3)
+        code, _, err = _run(
+            capsys, "estimate", "--method", "or", "--data", linear_csv,
+            "--outcome", "y", "--treatment", "d", "--covariates", "x",
+            "--bootstrap", "1",
+        )
+        assert code == 2
+        assert "n_boot must be >= 2" in err
+
+    def test_saturated_bootstrap_replicates_are_tolerated(self, tmp_path, capsys):
+        # [DERIVED] 2 of the 50 replicates fit scores that round to exactly
+        # 1; they count as failed replicates, inside the 10% budget
+        y, d, x = saturating_binary(2)
+        path = _write_csv(tmp_path / "wide.csv", {"y": y, "d": d, "x": x})
+        code, out, err = _run(
+            capsys, "estimate", "--method", "ipw", "--data", path,
+            "--outcome", "y", "--treatment", "d", "--covariates", "x",
+            "--bootstrap", "50", "--seed", "3",
+        )
+        assert code == 0, err
+        assert json.loads(out)["variance"] > 0.0
+
     def test_estimation_failure_exits_3(self, tmp_path, capsys):
         # [DERIVED] treatment perfectly separated by the covariate makes
         # the score model diverge: an estimation error, not an input one.
@@ -319,6 +365,45 @@ class TestSimulate:
         assert code == 2
         assert "no row for DID2" in err
 
+    def test_non_numeric_reference_cell_exits_2(self, tmp_path, capsys):
+        # [TRIVIAL]
+        ref = tmp_path / "ref.csv"
+        ref.write_text(
+            "method,av_est,emp_var,mse\nDID1,abc,0.01,0.01\nDID2,-4.0,0.01,0.01\n"
+        )
+        code, _, err = _run(
+            capsys, "simulate", "--case", "cs5", "--runs", "5",
+            "--n", "200", "--out", str(tmp_path / "m"),
+            "--check", str(ref),
+        )
+        assert code == 2
+        assert "'abc' is not a number" in err
+
+    def test_non_numeric_tolerance_exits_2(self, tmp_path, capsys):
+        # [TRIVIAL]
+        tol = tmp_path / "tol.json"
+        tol.write_text(json.dumps({"DID1": {"av_est": "wide"}}))
+        code, _, err = _run(
+            capsys, "simulate", "--case", "cs5", "--runs", "5",
+            "--n", "200", "--out", str(tmp_path / "t"),
+            "--check", "--tol-file", str(tol),
+        )
+        assert code == 2
+        assert "'wide' is not a number" in err
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '{"DID1": 0.5}'])
+    def test_misshapen_tol_file_exits_2(self, tmp_path, capsys, content):
+        # [TRIVIAL] valid JSON that is not a method -> quantity map
+        tol = tmp_path / "tol.json"
+        tol.write_text(content)
+        code, _, err = _run(
+            capsys, "simulate", "--case", "cs5", "--runs", "5",
+            "--n", "200", "--out", str(tmp_path / "t"),
+            "--check", "--tol-file", str(tol),
+        )
+        assert code == 2
+        assert "tolerances must map" in err
+
     def test_invalid_tol_file_exits_2(self, tmp_path, capsys):
         # [TRIVIAL]
         tol = tmp_path / "tol.json"
@@ -330,6 +415,16 @@ class TestSimulate:
         )
         assert code == 2
         assert "not valid JSON" in err
+
+    def test_too_few_runs_exits_2(self, tmp_path, capsys):
+        # [TRIVIAL] a bad option value is an input error (exit 2), not an
+        # estimation error (exit 3)
+        code, _, err = _run(
+            capsys, "simulate", "--case", "cs5", "--runs", "1",
+            "--n", "200", "--out", str(tmp_path / "r"),
+        )
+        assert code == 2
+        assert "runs must be >= 2" in err
 
     def test_all_cases_write_per_case_directories(self, tmp_path, capsys):
         # [TRIVIAL] `--case all` fans out into one subdirectory per case.

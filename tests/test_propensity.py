@@ -76,6 +76,25 @@ class TestBinaryPropensity:
         with pytest.raises(NonFiniteValueError, match="non-finite"):
             PropensityFit.from_scores([0.5, bad, 0.4], [1.0, 0.0, 1.0])
 
+    def test_constructor_rejects_nan_scores(self):
+        # a NaN passes a (0, 1) range test, since every comparison with it
+        # is false
+        nan = np.nan
+        with pytest.raises(NonFiniteValueError, match="scores"):
+            PropensityFit(
+                kind="binary_logistic",
+                scores=[0.5, nan],
+                level_scores={1.0: [0.5, nan], 0.0: [0.5, nan]},
+            )
+
+    def test_constructor_rejects_nan_level_scores(self):
+        with pytest.raises(NonFiniteValueError, match="level_scores"):
+            PropensityFit(
+                kind="binary_logistic",
+                scores=[0.5, 0.5],
+                level_scores={1.0: [0.5, np.nan], 0.0: [0.5, 0.5]},
+            )
+
 
 class TestMultivaluedPropensity:
     def test_one_vs_rest_levels(self):

@@ -27,6 +27,7 @@ from causalest.errors import (
     EmptyCellError,
     NoFirstStageJumpError,
     NoTreatmentVariationError,
+    NonFiniteValueError,
     OneSidedDataError,
     OrderConditionError,
     RankDeficientError,
@@ -430,6 +431,10 @@ class TestScWeights:
         with pytest.raises(ValueError, match="v_diag"):
             sc_weights([1.0], [[1.0, 2.0]], [0.0])
 
+    def test_non_finite_donors_rejected(self):
+        with pytest.raises(NonFiniteValueError, match="x0"):
+            sc_weights([1.0, 0.0], [[np.nan, 2.0, 3.0], [1.0, 0.0, 2.0]], [1.0, 1.0])
+
 
 class TestScFit:
     @staticmethod
@@ -611,3 +616,9 @@ class TestRddFuzzy:
         t = np.linspace(-1.0, 1.0, 50)
         with pytest.raises(DimensionMismatchError, match="d must"):
             rdd_fuzzy(np.ones(50), t, np.ones(49))
+
+    def test_length_mismatch_with_bandwidth(self):
+        # d is checked against y before the bandwidth subsets the rows
+        t = np.linspace(-1.0, 1.0, 50)
+        with pytest.raises(DimensionMismatchError, match="d must"):
+            rdd_fuzzy(np.ones(50), t, np.ones(49), bandwidth=0.5)

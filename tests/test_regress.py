@@ -10,8 +10,6 @@ from causalest import (
     LOGIT,
     fit_logistic,
     fit_ols,
-    logistic_loglik,
-    logistic_score,
     predict,
 )
 from causalest.errors import (
@@ -23,6 +21,22 @@ from causalest.errors import (
 )
 
 from .conftest import philox
+
+
+def logistic_loglik(design, d, coef) -> float:
+    """Oracle: Bernoulli log-likelihood at `coef` (numerically stable form)."""
+    X = np.asarray(design, dtype=float)
+    eta = X @ np.asarray(coef, dtype=float)
+    # log(1 + exp(eta)) without overflow
+    log1pexp = np.where(eta > 30, eta, np.log1p(np.exp(np.minimum(eta, 30))))
+    return float(np.asarray(d, dtype=float) @ eta - log1pexp.sum())
+
+
+def logistic_score(design, d, coef) -> np.ndarray:
+    """Oracle: gradient of the Bernoulli log-likelihood, X'(d - p)."""
+    X = np.asarray(design, dtype=float)
+    p = expit(X @ np.asarray(coef, dtype=float))
+    return X.T @ (np.asarray(d, dtype=float) - p)
 
 
 class TestFitOls:

@@ -53,6 +53,16 @@ class TestDgpSpec:
         with pytest.raises(ValueError, match="n must be >= 10"):
             DgpSpec(case_id="cs1", n=5)
 
+    def test_period_count_checked_up_front(self):
+        # [TRIVIAL] a bad panel spec fails on construction, not once per run
+        with pytest.raises(ValueError, match="n_periods must be >= 2"):
+            DgpSpec(case_id="cs2", params={"n_periods": 1})
+
+    def test_unit_count_checked_up_front(self):
+        # [TRIVIAL] n = 10 rows over 6 periods leaves a single unit
+        with pytest.raises(ValueError, match="n too small for the period count"):
+            DgpSpec(case_id="cs3", n=10, params={"n_periods": 6})
+
     def test_merged_params_override_defaults(self):
         # [TRIVIAL]
         spec = DgpSpec(case_id="cs6", params={"noise_sd": 0.0})

@@ -9,25 +9,57 @@ from scipy.special import expit
 from causalest import (
     OrSpec,
     apo_or,
+    ate_ipw,
     ate_or,
     bootstrap_variance,
     delta_variance,
-    delta_variance_or,
+    estimate_propensity_binary,
     fit_fe,
     fit_ols,
     fit_outcome_model,
     normal_interval,
+    trim_overlap,
     validate,
     validate_panel,
 )
 from causalest.errors import (
     CausalestError,
+    InvalidInputError,
     MissingCoefCovarianceError,
     TooManyFailedReplicatesError,
 )
 from causalest.regress import IDENTITY, LinearFit
 
-from .conftest import confounded_binary, philox
+from .conftest import confounded_binary, philox, saturating_binary
+
+
+def delta_variance_or(ds, m1: LinearFit, m0: LinearFit) -> float:
+    """Oracle: large-sample variance of the arm-regression ATE.
+
+    `m1` and `m0` are identity-link fits of the outcome on (1, x) within the
+    treated and control arms. The estimator is the mean over all units of
+    m1(x_i) - m0(x_i); its variance combines the spread of the centered
+    contrast with a delta-method term for each arm's coefficient noise:
+
+        Var = mean[(m1(x_i) - m0(x_i) - tau)^2] / n + g' V1 g + g' V0 g
+
+    where g is the average design row (1, mean x) and V1, V0 the coefficient
+    covariances.
+    """
+    for fit in (m1, m0):
+        if fit.link != IDENTITY:
+            raise ValueError("arm models must use the identity link")
+        if fit.coef_cov is None:
+            raise MissingCoefCovarianceError("arm model lacks a coefficient covariance")
+    design = np.column_stack([np.ones(ds.n), ds.x])
+    if design.shape[1] != m1.design_width or design.shape[1] != m0.design_width:
+        raise ValueError("arm models were not fitted on a (1, x) design of this dataset")
+    contrast = design @ m1.coef - design @ m0.coef
+    centered = contrast - contrast.mean()
+    g = design.mean(axis=0)
+    return float(
+        centered @ centered / ds.n**2 + g @ m1.coef_cov @ g + g @ m0.coef_cov @ g
+    )
 
 
 def _fit_with_cov(coef_cov):
@@ -274,6 +306,29 @@ class TestBootstrap:
 
         with pytest.raises(TooManyFailedReplicatesError):
             bootstrap_variance(ds, very_flaky, n_boot=200, seed=9)
+
+    def test_saturated_score_replicates_are_counted(self):
+        # [DERIVED] in 2 of 50 resamples the fitted scores round to exactly
+        # 1, which PropensityFit rejects as invalid input; the bootstrap
+        # counts those replicates as failed instead of aborting
+        ds = validate(*saturating_binary(2))
+        raised = []
+
+        def ipw(sample):
+            try:
+                fit, kept = trim_overlap(estimate_propensity_binary(sample))
+                return ate_ipw(sample.take(kept), fit)
+            except CausalestError as exc:
+                raised.append(exc)
+                raise
+
+        result = bootstrap_variance(ds, ipw, n_boot=50, seed=3)
+        assert result.n_failed == len(raised) == 2
+        assert result.n_ok == 48
+        assert int(np.isnan(result.points).sum()) == 2
+        for exc in raised:
+            assert isinstance(exc, InvalidInputError)
+            assert "strictly in (0, 1)" in str(exc)
 
     def test_exactly_ten_percent_failed_is_tolerated(self):
         # the budget is "more than 10% aborts", the rule the error states
