@@ -228,9 +228,7 @@ def _cmd_simulate(args) -> int:
     out_root = Path(args.out)
     all_ok = True
     for case in cases:
-        report = run_monte_carlo(
-            case, runs=args.runs, n=args.n, seed=args.seed, jobs=args.jobs
-        )
+        report = run_monte_carlo(case, runs=args.runs, n=args.n, seed=args.seed)
         target = out_root / case if len(cases) > 1 else out_root
         _write_case_outputs(report, target)
         for j, m in enumerate(report.methods):
@@ -282,7 +280,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--runs", type=int, default=1000)
     sim.add_argument("--n", type=int, default=1000)
     sim.add_argument("--seed", type=int, default=42)
-    sim.add_argument("--jobs", type=int, default=1)
+    sim.add_argument(
+        "--jobs", type=int, default=1, help="ignored: runs always execute serially"
+    )
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument(
         "--check",

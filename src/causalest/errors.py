@@ -84,7 +84,7 @@ class AllUnitsTrimmedError(CausalestError):
 # ---------------------------------------------------------------------------
 
 class ZeroPropensityError(CausalestError):
-    """A propensity score used as a divisor is below the 1e-12 floor."""
+    """A fitted score is exactly 0 or 1, or a divisor score is below 1e-12."""
 
 
 class EmptyDoseGroupError(CausalestError):

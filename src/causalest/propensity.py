@@ -16,6 +16,7 @@ from .errors import (
     InvalidInputError,
     NoTreatmentVariationError,
     SigmaFloorError,
+    ZeroPropensityError,
 )
 from .regress import LinearFit, fit_logistic, fit_ols, predict
 
@@ -99,8 +100,18 @@ class PropensityFit:
         )
 
 
+def _unsaturated(scores: np.ndarray) -> np.ndarray:
+    """Fitted received-dose scores; one that rounds to exactly 0 or 1 fails the fit."""
+    if scores.min() <= 0.0 or scores.max() >= 1.0:
+        raise ZeroPropensityError("a fitted score rounds to exactly 0 or 1")
+    return scores
+
+
 def estimate_propensity_binary(ds: ObservationalDataset) -> PropensityFit:
-    """Logistic fit of d on (1, x); scores are fitted received-dose probabilities."""
+    """Logistic fit of d on (1, x); scores are fitted received-dose probabilities.
+
+    A score that rounds to exactly 0 or 1 raises ZeroPropensityError.
+    """
     if ds.treatment_kind != BINARY:
         raise InvalidInputError("binary propensity model requires a binary treatment")
     if ds.d.min() == ds.d.max():
@@ -110,7 +121,7 @@ def estimate_propensity_binary(ds: ObservationalDataset) -> PropensityFit:
     p1 = predict(model, design)
     return PropensityFit(
         kind=BINARY_LOGISTIC,
-        scores=np.where(ds.d == 1.0, p1, 1.0 - p1),
+        scores=_unsaturated(np.where(ds.d == 1.0, p1, 1.0 - p1)),
         model=model,
         level_scores={1.0: p1, 0.0: 1.0 - p1},
     )
@@ -133,7 +144,7 @@ def estimate_propensity_multivalued(ds: ObservationalDataset) -> PropensityFit:
         received[ds.d == level] = p[ds.d == level]
     return PropensityFit(
         kind=MULTIVALUED_LOGISTIC,
-        scores=received,
+        scores=_unsaturated(received),
         level_scores=level_scores,
     )
 

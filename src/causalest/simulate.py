@@ -6,23 +6,23 @@ variance, and mean squared error against the known truth.
 
 Randomness is counter-based and fully keyed: variable v of run r in case c
 draws from Philox seeded by SeedSequence(seed, spawn_key=(c, r, v)). Adding
-a method or skipping an unused variable never perturbs other draws, and
-reports are bit-identical regardless of worker count.
+a method or skipping an unused variable never perturbs other draws, and a
+fixed seed gives bit-identical reports. Runs execute one after another.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 from scipy.special import expit, ndtr, ndtri
 
-from .core import ObservationalDataset, validate, validate_panel
+from .core import validate, validate_panel
 from .errors import (
     CausalestError,
     InvalidInputError,
@@ -33,20 +33,9 @@ from .errors import (
 from .estimators import OrSpec, ate_dr, ate_ipw, ate_or
 from .panel import fit_cre, fit_fd, fit_fe, fit_pols, fit_re
 from .propensity import PropensityFit, estimate_propensity_binary
-from .quasi import DidDataset, ate_2sls, ate_did, rdd_fuzzy, rdd_sharp, validate_did
+from .quasi import ate_2sls, ate_did, rdd_fuzzy, rdd_sharp, validate_did
 
 CASE_IDS = ("cs1", "cs2", "cs3", "cs4", "cs5", "cs6")
-
-TRUE_TAU = {"cs1": -5.0, "cs2": 0.0, "cs3": 0.0, "cs4": -1.0, "cs5": -4.0, "cs6": 5.0}
-
-CASE_METHODS = {
-    "cs1": ("OR1", "OR2", "PS1", "PS2", "DR1", "DR2", "DR3"),
-    "cs2": ("POLS", "RE", "FD", "FE", "CRE"),
-    "cs3": ("POLS", "RE", "FD", "FE", "CRE"),
-    "cs4": ("OR1", "OR2", "IV1", "IV2"),
-    "cs5": ("DID1", "DID2"),
-    "cs6": ("RDD1", "RDD2", "RDD3"),
-}
 
 _CASE_VARIANTS = {
     "cs1": (None,),
@@ -147,6 +136,8 @@ _DEFAULT_PARAMS = {
         "flip_band": 0.25,
     },
 }
+
+TRUE_TAU = {case: params["tau"] for case, params in _DEFAULT_PARAMS.items()}
 
 # stream layout: variable index per case, keyed (seed, case, run, variable)
 _VARIABLE_STREAMS = {
@@ -372,17 +363,8 @@ def generate(spec: DgpSpec, run_index: int, seed: int = 42):
     """
     if run_index < 0:
         raise InvalidInputError("run_index must be >= 0")
-    if spec.case_id == "cs1":
-        return _draw_cs1(spec, run_index, seed)[0]
-    if spec.case_id in ("cs2", "cs3"):
-        return _draw_panel(spec, run_index, seed)
-    if spec.case_id == "cs4":
-        return _draw_cs4(spec, run_index, seed)
-    if spec.case_id == "cs5":
-        base, violated = _draw_cs5(spec, run_index, seed)
-        return violated if spec.variant == "violated" else base
-    sharp, fuzzy = _draw_cs6(spec, run_index, seed)
-    return fuzzy if spec.variant == "fuzzy" else sharp
+    inputs = _CASES[spec.case_id][0](spec, run_index, seed)
+    return inputs[1 if spec.variant in ("violated", "fuzzy") else 0]
 
 
 def misspecified_scores(spec: DgpSpec, run_index: int, seed: int = 42) -> np.ndarray:
@@ -396,68 +378,74 @@ def misspecified_scores(spec: DgpSpec, run_index: int, seed: int = 42) -> np.nda
 # Per-case method panels
 # ---------------------------------------------------------------------------
 
-def _run_cs1(spec, run_index, seed):
+def _cs1_inputs(spec, run_index, seed):
+    """A cs1 draw with its fitted and injected scores, each built on first use."""
     ds, fake = _draw_cs1(spec, run_index, seed)
-    no_x = OrSpec(covariate_selection=())
-    fitted = estimate_propensity_binary(ds)
-    injected = PropensityFit.from_scores(fake, ds.d)
-    return {
-        "OR1": ate_or(ds).point,
-        "OR2": ate_or(ds, spec=no_x).point,
-        "PS1": ate_ipw(ds, fitted).point,
-        "PS2": ate_ipw(ds, injected).point,
-        "DR1": ate_dr(ds, fitted, spec=no_x).point,
-        "DR2": ate_dr(ds, injected).point,
-        "DR3": ate_dr(ds, injected, spec=no_x).point,
-    }
+    return (
+        ds,
+        functools.cache(lambda: estimate_propensity_binary(ds)),
+        functools.cache(lambda: PropensityFit.from_scores(fake, ds.d)),
+    )
 
 
-def _run_panel(spec, run_index, seed):
-    pds = _draw_panel(spec, run_index, seed)
-    return {
-        "POLS": fit_pols(pds).point,
-        "RE": fit_re(pds).point,
-        "FD": fit_fd(pds).point,
-        "FE": fit_fe(pds).point,
-        "CRE": fit_cre(pds).point,
-    }
+_NO_X = OrSpec(covariate_selection=())
 
-
-def _run_cs4(spec, run_index, seed):
-    ds = _draw_cs4(spec, run_index, seed)
-    return {
-        "OR1": ate_or(ds).point,
-        "OR2": ate_or(ds, spec=OrSpec(covariate_selection=())).point,
-        "IV1": ate_2sls(ds.y, ds.d, ds.z[:, 0]).point,
-        "IV2": ate_2sls(ds.y, ds.d, ds.z[:, 1]).point,
-    }
-
-
-def _run_cs5(spec, run_index, seed):
-    base, violated = _draw_cs5(spec, run_index, seed)
-    return {"DID1": ate_did(base).point, "DID2": ate_did(violated).point}
-
-
-def _run_cs6(spec, run_index, seed):
-    p = spec.merged_params()
-    sharp, fuzzy = _draw_cs6(spec, run_index, seed)
-    t_sharp = sharp.x[:, 0]
-    t_fuzzy = fuzzy.x[:, 0]
-    return {
-        "RDD1": rdd_sharp(sharp.y, t_sharp, cutoff=p["cutoff"]).point,
-        "RDD2": rdd_sharp(fuzzy.y, t_fuzzy, cutoff=p["cutoff"]).point,
-        "RDD3": rdd_fuzzy(fuzzy.y, t_fuzzy, fuzzy.d, cutoff=p["cutoff"]).point,
-    }
-
-
-_RUNNERS = {
-    "cs1": _run_cs1,
-    "cs2": _run_panel,
-    "cs3": _run_panel,
-    "cs4": _run_cs4,
-    "cs5": _run_cs5,
-    "cs6": _run_cs6,
+_PANEL_METHODS = {
+    "POLS": lambda pds: fit_pols(pds),
+    "RE": lambda pds: fit_re(pds),
+    "FD": lambda pds: fit_fd(pds),
+    "FE": lambda pds: fit_fe(pds),
+    "CRE": lambda pds: fit_cre(pds),
 }
+
+# case -> (draw, methods). The draw maps (spec, run_index, seed) to the run's
+# inputs as a tuple; each method, in report order, maps those inputs to a
+# CausalEstimate. Every function is looked up by its module-global name when
+# called (hence the lambdas), so a wrapper set on a module attribute sees it.
+_CASES = {
+    "cs1": (
+        lambda spec, r, seed: _cs1_inputs(spec, r, seed),
+        {
+            "OR1": lambda ds, fitted, injected: ate_or(ds),
+            "OR2": lambda ds, fitted, injected: ate_or(ds, spec=_NO_X),
+            "PS1": lambda ds, fitted, injected: ate_ipw(ds, fitted()),
+            "PS2": lambda ds, fitted, injected: ate_ipw(ds, injected()),
+            "DR1": lambda ds, fitted, injected: ate_dr(ds, fitted(), spec=_NO_X),
+            "DR2": lambda ds, fitted, injected: ate_dr(ds, injected()),
+            "DR3": lambda ds, fitted, injected: ate_dr(ds, injected(), spec=_NO_X),
+        },
+    ),
+    "cs2": (lambda spec, r, seed: (_draw_panel(spec, r, seed),), _PANEL_METHODS),
+    "cs3": (lambda spec, r, seed: (_draw_panel(spec, r, seed),), _PANEL_METHODS),
+    "cs4": (
+        lambda spec, r, seed: (_draw_cs4(spec, r, seed),),
+        {
+            "OR1": lambda ds: ate_or(ds),
+            "OR2": lambda ds: ate_or(ds, spec=_NO_X),
+            "IV1": lambda ds: ate_2sls(ds.y, ds.d, ds.z[:, 0]),
+            "IV2": lambda ds: ate_2sls(ds.y, ds.d, ds.z[:, 1]),
+        },
+    ),
+    "cs5": (
+        lambda spec, r, seed: _draw_cs5(spec, r, seed),
+        {
+            "DID1": lambda base, violated: ate_did(base),
+            "DID2": lambda base, violated: ate_did(violated),
+        },
+    ),
+    "cs6": (
+        lambda spec, r, seed: (*_draw_cs6(spec, r, seed), spec.merged_params()["cutoff"]),
+        {
+            "RDD1": lambda sharp, fuzzy, c: rdd_sharp(sharp.y, sharp.x[:, 0], cutoff=c),
+            "RDD2": lambda sharp, fuzzy, c: rdd_sharp(fuzzy.y, fuzzy.x[:, 0], cutoff=c),
+            "RDD3": lambda sharp, fuzzy, c: rdd_fuzzy(
+                fuzzy.y, fuzzy.x[:, 0], fuzzy.d, cutoff=c
+            ),
+        },
+    ),
+}
+
+CASE_METHODS = {case: tuple(methods) for case, (_, methods) in _CASES.items()}
 
 _MAX_FAILED_SHARE = 0.05
 
@@ -475,8 +463,8 @@ class MonteCarloReport:
         emp_var: empirical variance (divisor R-1) per method.
         mse: emp_var + squared bias per method (so MSE = var + bias^2 holds
             exactly).
-        points: per-run estimates, shape (runs, len(methods)); NaN marks a
-            failed run.
+        points: per-run estimates, shape (runs, len(methods)); NaN marks
+            one method's failure in one run.
         n_failed: failed-run count per method.
         metadata: parameters and notation-reading records for meta.json.
     """
@@ -530,14 +518,14 @@ def run_monte_carlo(
     runs: int = 1000,
     n: int = 1000,
     seed: int = 42,
-    jobs: int = 1,
     params: dict | None = None,
 ) -> MonteCarloReport:
     """Run one case study's Monte Carlo experiment.
 
-    A run that raises a CausalestError is recorded as NaN; if any method
-    fails on more than 5% of runs the experiment aborts. Results are deterministic
-    for a fixed seed regardless of `jobs`.
+    Each run draws once and runs only the requested methods. A method that
+    raises a CausalestError gets NaN for that run alone (a failed draw fails
+    every method); if any method fails on more than 5% of runs the
+    experiment aborts. Results are deterministic for a fixed seed.
     """
     if runs < 2:
         raise InvalidInputError("runs must be >= 2")
@@ -550,32 +538,30 @@ def run_monte_carlo(
         unknown = set(methods) - set(available)
         if unknown:
             raise InvalidInputError(f"unknown methods for {case_id}: {sorted(unknown)}")
-    runner = _RUNNERS[case_id]
+    draw, estimators = _CASES[case_id]
+    chosen = [estimators[m] for m in methods]
 
-    def one(r: int) -> np.ndarray:
+    points = np.full((runs, len(methods)), np.nan)
+    for r in range(runs):
         try:
-            values = runner(spec, r, seed)
+            inputs = draw(spec, r, seed)
         except CausalestError:
-            return np.full(len(methods), np.nan)
-        return np.array([values[m] for m in methods])
+            continue
+        for j, estimate in enumerate(chosen):
+            try:
+                points[r, j] = estimate(*inputs).point
+            except CausalestError:
+                pass
 
-    points = np.empty((runs, len(methods)))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for r, row in enumerate(pool.map(one, range(runs))):
-                points[r] = row
-    else:
-        for r in range(runs):
-            points[r] = one(r)
-
-    n_failed = np.array([int(np.isnan(points[:, j]).sum()) for j in range(len(methods))])
+    n_failed = np.isnan(points).sum(axis=0)
     for j, m in enumerate(methods):
         if n_failed[j] > _MAX_FAILED_SHARE * runs:
             raise TooManyFailedRunsError(
                 f"{case_id}: {m} failed on {n_failed[j]}/{runs} runs "
                 f"(tolerance {_MAX_FAILED_SHARE:.0%})"
             )
-    tau = TRUE_TAU[case_id]
+    merged = spec.merged_params()
+    tau = float(merged["tau"])
     av = np.empty(len(methods))
     var = np.empty(len(methods))
     for j in range(len(methods)):
@@ -596,7 +582,7 @@ def run_monte_carlo(
         points=points,
         n_failed=n_failed,
         metadata={
-            "params": spec.merged_params(),
+            "params": merged,
             "notation_readings": _NOTATION_READINGS[case_id],
         },
     )

@@ -240,6 +240,19 @@ class TestEstimate:
         assert code == 0, err
         assert json.loads(out)["variance"] > 0.0
 
+    def test_saturated_score_fit_exits_3(self, tmp_path, capsys):
+        # [DERIVED] the full-sample score fit rounds some scores to exactly
+        # 0 or 1: an estimation error (exit 3), not an input error (exit 2)
+        y, d, x = saturating_binary(1)
+        path = _write_csv(tmp_path / "wide.csv", {"y": y, "d": d, "x": x})
+        code, out, err = _run(
+            capsys, "estimate", "--method", "ipw", "--data", path,
+            "--outcome", "y", "--treatment", "d", "--covariates", "x",
+        )
+        assert code == 3
+        assert out == ""
+        assert "exactly 0 or 1" in err
+
     def test_estimation_failure_exits_3(self, tmp_path, capsys):
         # [DERIVED] treatment perfectly separated by the covariate makes
         # the score model diverge: an estimation error, not an input one.

@@ -18,12 +18,14 @@ from causalest import (
 )
 from causalest.errors import (
     AllUnitsTrimmedError,
+    InvalidInputError,
     NoTreatmentVariationError,
     NonFiniteValueError,
     SigmaFloorError,
+    ZeroPropensityError,
 )
 
-from .conftest import confounded_binary, philox, randomized_binary
+from .conftest import confounded_binary, philox, randomized_binary, saturating_binary
 
 
 class TestBinaryPropensity:
@@ -47,6 +49,15 @@ class TestBinaryPropensity:
         ds = validate([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
         with pytest.raises(NoTreatmentVariationError):
             estimate_propensity_binary(ds)
+
+    @pytest.mark.parametrize("seed", [1, 7, 8])
+    def test_saturated_fit_is_an_estimation_error(self, seed):
+        # [DERIVED] far-out units get fitted scores of exactly 0 or 1: the
+        # input is well-formed, so the failure is the fit's, not the input's
+        ds = validate(*saturating_binary(seed))
+        with pytest.raises(ZeroPropensityError, match="exactly 0 or 1") as info:
+            estimate_propensity_binary(ds)
+        assert not isinstance(info.value, InvalidInputError)
 
     def test_affine_rescaling_invariance(self):
         # [DERIVED] P(D=1|x) is unchanged by x -> a + b x

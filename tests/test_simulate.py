@@ -25,8 +25,10 @@ from causalest import (
     rdd_sharp,
     run_monte_carlo,
 )
+from causalest import simulate
 from causalest.errors import (
     MissingReferenceCellError,
+    SeparationError,
     TooManyFailedRunsError,
     UnknownCaseError,
 )
@@ -237,12 +239,10 @@ class TestRunMonteCarlo:
         assert "notation_readings" in report.metadata
 
     def test_results_identical_across_thread_counts(self):
-        # [DERIVED] the per-run points must be bit-identical however the
-        # work is scheduled, and across repeat invocations.
-        a = run_monte_carlo("cs1", runs=6, n=200, seed=123, jobs=1)
-        b = run_monte_carlo("cs1", runs=6, n=200, seed=123, jobs=3)
-        c = run_monte_carlo("cs1", runs=6, n=200, seed=123, jobs=1)
-        assert np.array_equal(a.points, b.points)
+        # [DERIVED] the per-run points must be bit-identical across repeat
+        # invocations with the same seed.
+        a = run_monte_carlo("cs1", runs=6, n=200, seed=123)
+        c = run_monte_carlo("cs1", runs=6, n=200, seed=123)
         assert np.array_equal(a.points, c.points)
 
     def test_params_override_flows_into_runs(self):
@@ -265,6 +265,82 @@ class TestRunMonteCarlo:
                 "cs1", methods=("PS1",), runs=20, n=100, seed=125,
                 params={"alpha0": 12.0},
             )
+
+    def test_true_effect_follows_params_override(self):
+        # [DERIVED] the DGP's effect is the overridden tau, so the outcome
+        # regression's MSE is its small sampling error, not (2 - (-5))^2.
+        report = run_monte_carlo(
+            "cs1", runs=20, n=300, seed=1, params={"tau": 2.0}, methods=["OR1"]
+        )
+        assert report.true_tau == 2.0
+        assert report.av_est[0] == pytest.approx(2.0, abs=0.5)
+        assert report.mse[0] < 0.5
+
+    @pytest.mark.parametrize(
+        "methods", [("OR1",), ("OR1", "OR2", "PS2", "DR2", "DR3")]
+    )
+    def test_unused_failing_fit_does_not_sink_other_methods(self, methods):
+        # [DERIVED] with alpha1 = 20 the estimated score separates on every
+        # draw, but none of these methods uses it, and each succeeds.
+        report = run_monte_carlo(
+            "cs1", runs=20, n=200, seed=3, params={"alpha1": 20.0}, methods=methods
+        )
+        assert np.all(report.n_failed == 0)
+        assert np.all(np.isfinite(report.points))
+
+    def test_one_method_failure_marks_only_its_cell(self, monkeypatch):
+        # [DERIVED] PS1 fails on run 0 alone; every other cell is finite,
+        # and 1 failure in 20 runs stays inside the 5% budget.
+        real = simulate.ate_ipw
+        calls = {"n": 0}
+
+        def fail_first(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise SeparationError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "ate_ipw", fail_first)
+        report = run_monte_carlo("cs1", runs=20, n=200, seed=7)
+        ps1 = report.methods.index("PS1")
+        assert np.isnan(report.points[0, ps1])
+        assert np.isfinite(np.delete(report.points[0], ps1)).all()
+        assert np.isfinite(report.points[1:]).all()
+        assert report.n_failed.tolist() == [int(m == "PS1") for m in report.methods]
+
+    def test_score_fit_runs_once_per_run_and_only_when_used(self, monkeypatch):
+        # [DERIVED] PS1 and DR1 share one estimated score per run; a panel
+        # without them never fits it.
+        real = simulate.estimate_propensity_binary
+        calls = {"n": 0}
+
+        def counted(ds):
+            calls["n"] += 1
+            return real(ds)
+
+        monkeypatch.setattr(simulate, "estimate_propensity_binary", counted)
+        run_monte_carlo("cs1", runs=4, n=200, seed=8)
+        assert calls["n"] == 4
+        run_monte_carlo("cs1", methods=("OR1", "PS2", "DR2"), runs=4, n=200, seed=8)
+        assert calls["n"] == 4
+
+    def test_draws_and_estimators_found_by_name_at_call_time(self, monkeypatch):
+        # [DERIVED] wrappers set on the module's attributes (as a call
+        # tracer does) see every draw and estimator call.
+        counts = {"draw": 0, "fe": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(simulate, "_draw_panel", counting("draw", simulate._draw_panel))
+        monkeypatch.setattr(simulate, "fit_fe", counting("fe", simulate.fit_fe))
+        run_monte_carlo("cs2", runs=3, n=100, seed=9)
+        run_monte_carlo("cs3", methods=("POLS",), runs=2, n=100, seed=9)
+        assert counts == {"draw": 5, "fe": 3}
 
 
 def _report(methods, av, var, mse, tau=-5.0):

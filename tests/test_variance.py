@@ -24,9 +24,9 @@ from causalest import (
 )
 from causalest.errors import (
     CausalestError,
-    InvalidInputError,
     MissingCoefCovarianceError,
     TooManyFailedReplicatesError,
+    ZeroPropensityError,
 )
 from causalest.regress import IDENTITY, LinearFit
 
@@ -309,8 +309,8 @@ class TestBootstrap:
 
     def test_saturated_score_replicates_are_counted(self):
         # [DERIVED] in 2 of 50 resamples the fitted scores round to exactly
-        # 1, which PropensityFit rejects as invalid input; the bootstrap
-        # counts those replicates as failed instead of aborting
+        # 1, which fails the score fit; the bootstrap counts those
+        # replicates as failed instead of aborting
         ds = validate(*saturating_binary(2))
         raised = []
 
@@ -327,8 +327,8 @@ class TestBootstrap:
         assert result.n_ok == 48
         assert int(np.isnan(result.points).sum()) == 2
         for exc in raised:
-            assert isinstance(exc, InvalidInputError)
-            assert "strictly in (0, 1)" in str(exc)
+            assert isinstance(exc, ZeroPropensityError)
+            assert "rounds to exactly 0 or 1" in str(exc)
 
     def test_exactly_ten_percent_failed_is_tolerated(self):
         # the budget is "more than 10% aborts", the rule the error states
