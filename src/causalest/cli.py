@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -68,25 +69,60 @@ def _jsonable(value):
 
 
 def _read_columns(path: str, names: list[str]) -> dict[str, np.ndarray]:
+    """The named columns of a CSV file, one contiguous float vector each.
+
+    The header row is read with `csv`; only the named columns are parsed,
+    by `np.loadtxt`. Double quotes around a cell are optional and no line
+    is a comment. An empty or non-numeric cell is an input error.
+    """
     try:
         with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            header = reader.fieldnames or []
-            for name in names:
-                if name not in header:
-                    raise InvalidInputError(f"unknown column {name!r} in {path}")
-            rows = list(reader)
+            header = next(csv.reader(handle), [])
+            missing = [name for name in names if name not in header]
+            if not missing:
+                position = {name: i for i, name in enumerate(header)}  # last one wins
+                wanted = list(dict.fromkeys(names))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # an empty body
+                    table = np.loadtxt(
+                        handle,
+                        delimiter=",",
+                        usecols=[position[name] for name in wanted],
+                        quotechar='"',
+                        comments=None,
+                        ndmin=2,
+                    )
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    except ValueError as exc:
+        raise InvalidInputError(_unparsable(path, names, exc)) from exc
+    if missing:
+        raise InvalidInputError(f"unknown column {missing[0]!r} in {path}")
+    if table.shape[0] == 0:
         raise InvalidInputError(f"{path} has no data rows")
-    out = {}
+    return {name: table[:, j].copy() for j, name in enumerate(wanted)}
+
+
+def _unparsable(path: str, names: list[str], exc: ValueError) -> str:
+    """Why `np.loadtxt` rejected a file: the message names the first
+    requested column (in `names` order) holding a cell `float` rejects.
+
+    Only this error path reads the whole file as rows of text.
+    """
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            position = {name: i for i, name in enumerate(next(reader))}
+            rows = [row for row in reader if row]
+    except (OSError, csv.Error) as err:  # csv.Error: a cell beyond its field limit
+        return f"cannot read {path}: {err}"
     for name in names:
-        try:
-            out[name] = np.array([float(row[name]) for row in rows])
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"column {name!r} has a non-numeric value") from exc
-    return out
+        for row in rows:
+            try:
+                float(row[position[name]])
+            except (IndexError, ValueError):
+                return f"column {name!r} has a non-numeric value"
+    return f"cannot read {path}: {exc}"
 
 
 def _parse_trim(text: str) -> tuple[float, float]:
@@ -132,6 +168,7 @@ def _cmd_estimate(args) -> int:
         else None
     )
     ds = validate(columns[args.outcome], columns[args.treatment], x)
+    del columns, x  # the dataset holds what the estimators read
     est = _estimate_once(ds, args.method, trim)
     if args.bootstrap:
         boot = bootstrap_variance(

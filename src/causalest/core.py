@@ -114,13 +114,16 @@ class ObservationalDataset:
         )
 
     def take(self, indices) -> "ObservationalDataset":
-        """Return a new dataset restricted to (or resampled at) `indices`."""
+        """Return a new dataset restricted to (or resampled at) `indices`.
+
+        Integer-array indexing copies, so the new arrays own their data.
+        """
         idx = np.asarray(indices, dtype=int)
         return ObservationalDataset(
-            y=_readonly(self.y[idx].copy()),
-            d=_readonly(self.d[idx].copy()),
-            x=_readonly(self.x[idx].copy()),
-            z=None if self.z is None else _readonly(self.z[idx].copy()),
+            y=_readonly(self.y[idx]),
+            d=_readonly(self.d[idx]),
+            x=_readonly(self.x[idx]),
+            z=None if self.z is None else _readonly(self.z[idx]),
             treatment_kind=self.treatment_kind,
             levels=self.levels,
         )

@@ -349,10 +349,17 @@ def ate_dr(
     """
     spec = spec or OrSpec()
     or_fit = fit_outcome_model(ds, spec)
+    # one counterfactual design for both arms, apart from the fitted one;
+    # each arm overwrites only the columns that carry the dose
+    design_at = _or_design(np.zeros(ds.n), ds.x, spec)
+    xs = _select_columns(ds.x, spec.covariate_selection)
 
     def arm(d_val):
         ind, p = _dose_weights(ds, fit, d_val)
-        m = predict(or_fit, _or_design(np.full(ds.n, float(d_val)), ds.x, spec))
+        design_at[:, 1] = float(d_val)
+        if spec.interactions_with_d:
+            design_at[:, 2 + xs.shape[1]:] = float(d_val) * xs
+        m = predict(or_fit, design_at)
         return m + ind * (ds.y - m) / p, ind
 
     hi, ind1 = arm(dose)

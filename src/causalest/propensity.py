@@ -18,7 +18,7 @@ from .errors import (
     SigmaFloorError,
     ZeroPropensityError,
 )
-from .regress import LinearFit, fit_logistic, fit_ols, predict
+from .regress import LinearFit, fit_logistic, fit_ols
 
 BINARY_LOGISTIC = "binary_logistic"
 MULTIVALUED_LOGISTIC = "multivalued_logistic"
@@ -110,35 +110,44 @@ def _unsaturated(scores: np.ndarray) -> np.ndarray:
 def estimate_propensity_binary(ds: ObservationalDataset) -> PropensityFit:
     """Logistic fit of d on (1, x); scores are fitted received-dose probabilities.
 
-    A score that rounds to exactly 0 or 1 raises ZeroPropensityError.
+    A score that rounds to exactly 0 or 1 raises ZeroPropensityError. The
+    diagnostics record the IRLS `iterations` and `converged` flag.
     """
     if ds.treatment_kind != BINARY:
         raise InvalidInputError("binary propensity model requires a binary treatment")
     if ds.d.min() == ds.d.max():
         raise NoTreatmentVariationError("both treatment arms must be non-empty")
-    design = np.column_stack([np.ones(ds.n), ds.x])
-    model = fit_logistic(design, ds.d)
-    p1 = predict(model, design)
+    model = fit_logistic(np.column_stack([np.ones(ds.n), ds.x]), ds.d)
+    p1 = model.fitted
     return PropensityFit(
         kind=BINARY_LOGISTIC,
         scores=_unsaturated(np.where(ds.d == 1.0, p1, 1.0 - p1)),
         model=model,
         level_scores={1.0: p1, 0.0: 1.0 - p1},
+        diagnostics={"iterations": model.iterations, "converged": model.converged},
     )
 
 
 def estimate_propensity_multivalued(ds: ObservationalDataset) -> PropensityFit:
-    """One-vs-rest logistic per declared level; stores P(D=level | x) for all levels."""
+    """One-vs-rest logistic per declared level; stores P(D=level | x) for all levels.
+
+    The diagnostics map each level to its fit's IRLS `iterations` and
+    `converged` flag.
+    """
     if ds.treatment_kind != MULTIVALUED or ds.levels is None:
         raise InvalidInputError("multivalued propensity model requires declared levels")
     design = np.column_stack([np.ones(ds.n), ds.x])
     level_scores: dict[float, np.ndarray] = {}
+    iterations: dict[float, int] = {}
+    converged: dict[float, bool] = {}
     for level in ds.levels:
         indicator = (ds.d == level).astype(float)
         if indicator.min() == indicator.max():
             raise NoTreatmentVariationError(f"level {level} is empty or exhaustive")
         model = fit_logistic(design, indicator)
-        level_scores[float(level)] = predict(model, design)
+        level_scores[float(level)] = model.fitted
+        iterations[float(level)] = model.iterations
+        converged[float(level)] = model.converged
     received = np.empty(ds.n)
     for level, p in level_scores.items():
         received[ds.d == level] = p[ds.d == level]
@@ -146,6 +155,7 @@ def estimate_propensity_multivalued(ds: ObservationalDataset) -> PropensityFit:
         kind=MULTIVALUED_LOGISTIC,
         scores=_unsaturated(received),
         level_scores=level_scores,
+        diagnostics={"iterations": iterations, "converged": converged},
     )
 
 

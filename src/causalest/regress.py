@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -30,6 +31,25 @@ _SEP_COEF = 30.0
 _SEP_RESID = 1e-6
 
 
+class _OnFirstRead:
+    """Dataclass field descriptor: a zero-argument callable stored in the
+    field is called on the first read, and its result replaces it."""
+
+    def __set_name__(self, owner, name):
+        self._name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # class access: the dataclass field has no default
+            return MISSING
+        value = obj.__dict__[self._name]
+        if callable(value):
+            value = obj.__dict__[self._name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self._name] = value
+
+
 @dataclass
 class LinearFit:
     """A fitted linear or logistic model.
@@ -38,19 +58,23 @@ class LinearFit:
         coef: estimated coefficients, length k.
         link: "identity" (OLS) or "logit" (IRLS logistic).
         residuals: response-scale residuals (y - fitted), length n.
-        coef_cov: asymptotic covariance of coef, shape (k, k).
+        coef_cov: asymptotic covariance of coef, shape (k, k). May be given
+            as a zero-argument callable, which runs on the first read.
         design_width: k, for prediction-time shape checking.
         converged: True when the fit met its convergence criterion.
         iterations: IRLS iterations used (0 for OLS).
+        fitted: for logit, the fitted probabilities on the fit's own
+            design, length n; None for OLS.
     """
 
     coef: np.ndarray
     link: str
     residuals: np.ndarray
-    coef_cov: np.ndarray | None
+    coef_cov: np.ndarray | None = _OnFirstRead()
     design_width: int
     converged: bool = True
     iterations: int = 0
+    fitted: np.ndarray | None = None
 
 
 def _check_design(design, y) -> tuple[np.ndarray, np.ndarray]:
@@ -76,6 +100,11 @@ def _svd_solve(Xw: np.ndarray, yw: np.ndarray):
     coef = Vt.T @ (uty / (s[:, None] if uty.ndim == 2 else s))
     xtx_inv = (Vt.T / s**2) @ Vt
     return coef, xtx_inv
+
+
+def _weighted_xtx_inv(Xw: np.ndarray) -> np.ndarray:
+    """(Xw' Xw)^-1 by the same SVD solve a Newton step uses."""
+    return _svd_solve(Xw, np.zeros(Xw.shape[0]))[1]
 
 
 def fit_ols(design, y, weights=None) -> LinearFit:
@@ -119,7 +148,10 @@ def fit_logistic(design, d, max_iter: int = 100, tol: float = 1e-8) -> LinearFit
     """Logistic regression by iteratively reweighted least squares.
 
     Starts from coef = 0 and iterates Newton/IRLS steps until the score
-    vector satisfies max|score| < tol.
+    vector satisfies max|score| < tol. The inverse information (X'WX)^-1
+    at the converged coefficients is computed on the first read of
+    `coef_cov`, from a weighted design the fit owns; it raises
+    RankDeficientError then if the weights leave the design rank deficient.
 
     Raises:
         NoTreatmentVariationError: d has a single class.
@@ -133,7 +165,7 @@ def fit_logistic(design, d, max_iter: int = 100, tol: float = 1e-8) -> LinearFit
     if dv.min() == dv.max():
         raise NoTreatmentVariationError("response takes a single value")
 
-    n, k = X.shape
+    k = X.shape[1]
     coef = np.zeros(k)
     for it in range(1, max_iter + 1):
         eta = X @ coef
@@ -153,15 +185,15 @@ def fit_logistic(design, d, max_iter: int = 100, tol: float = 1e-8) -> LinearFit
         score = X.T @ (dv - p)
         if np.max(np.abs(score)) < tol:
             w = p * (1.0 - p)
-            _, xtwx_inv = _svd_solve(X * np.sqrt(w)[:, None], np.zeros(n))
             return LinearFit(
                 coef=coef,
                 link=LOGIT,
                 residuals=dv - p,
-                coef_cov=xtwx_inv,
+                coef_cov=functools.partial(_weighted_xtx_inv, X * np.sqrt(w)[:, None]),
                 design_width=k,
                 converged=True,
                 iterations=it - 1,
+                fitted=p,
             )
         w = np.maximum(p * (1.0 - p), 1e-12)
         sw = np.sqrt(w)

@@ -7,11 +7,12 @@ files against independently computed expectations.
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from causalest.cli import main
+from causalest.cli import _read_columns, main
 
 from .conftest import philox, saturating_binary
 
@@ -31,6 +32,37 @@ def _write_csv(path, columns):
         for i in range(length):
             writer.writerow([columns[name][i] for name in names])
     return str(path)
+
+
+def _dictreader_columns(path, names):
+    """Oracle: the row-dict reader, `csv.DictReader` and `float()` per cell."""
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    return {name: np.array([float(row[name]) for row in rows]) for name in names}
+
+
+def _assert_same_bits(got, expected):
+    assert list(got) == list(expected)
+    for name, column in expected.items():
+        assert got[name].shape == column.shape, name
+        # compares the sign of zero too, which array_equal does not
+        assert np.array_equal(got[name].view(np.int64), column.view(np.int64)), name
+
+
+def _adversarial_cell(g) -> str:
+    """A decimal with 1-17 significant digits and an exponent within +-300,
+    written in one of the spellings a CSV producer might use."""
+    digits = str(g.integers(1, 10)) + "".join(
+        str(v) for v in g.integers(0, 10, size=g.integers(0, 17))
+    )
+    sign = g.choice(["", "-", "+"])
+    exponent = int(g.integers(-300, 301))
+    form = int(g.integers(0, 3))
+    if form == 0:
+        return f"{sign}{digits[0]}.{digits[1:] or '0'}e{exponent}"
+    if form == 1:
+        return f"{sign}{digits}E{exponent:+d}"
+    return f"{sign}0.{digits}" if exponent < 0 else f"{sign}{digits}.5"
 
 
 @pytest.fixture
@@ -94,6 +126,15 @@ class TestEstimate:
             assert code == 0, method
             report = json.loads(out)
             assert report["point"] == pytest.approx(2.0, abs=0.8), method
+
+    def test_json_diagnostics_are_the_estimators(self, linear_csv, capsys):
+        # the score fit's IRLS diagnostics stay out of the estimate report
+        code, out, _ = _run(
+            capsys, "estimate", "--method", "ipw", "--data", linear_csv,
+            "--outcome", "y", "--treatment", "d", "--covariates", "x",
+        )
+        assert code == 0
+        assert set(json.loads(out)["diagnostics"]) == {"n_at_dose", "n_at_ref"}
 
     def test_explicit_default_trim_matches_default(self, linear_csv, capsys):
         # [TRIVIAL] passing the documented default bounds changes nothing.
@@ -267,6 +308,117 @@ class TestEstimate:
         )
         assert code == 3
         assert err.startswith("error:")
+
+
+class TestCsvReader:
+    NAMES = ["a", "b", "c", "d", "e"]
+
+    def test_adversarial_cells_match_the_row_dict_reader(self, tmp_path):
+        # [DERIVED] oracle: csv.DictReader + float() on every cell
+        g = philox(128)
+        rows = [[_adversarial_cell(g) for _ in self.NAMES] for _ in range(4000)]
+        rows.append([
+            "4.9406564584124654e-324",  # the smallest subnormal
+            "1.7976931348623157e308",  # the largest double
+            "-0",
+            "-0.0",
+            "2.2250738585072014e-308",  # the smallest normal
+        ])
+        path = tmp_path / "cells.csv"
+        path.write_text(
+            ",".join(self.NAMES) + "\n" + "".join(",".join(r) + "\n" for r in rows)
+        )
+        _assert_same_bits(
+            _read_columns(str(path), self.NAMES),
+            _dictreader_columns(str(path), self.NAMES),
+        )
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            'y,d\n"1.5","0"\n2.5,"1"\n',  # quoted numbers
+            "y,d\r\n1.5,0\r\n2.5,1\r\n",  # CRLF line endings
+            "y,d\n1.5,0\n2.5,1\n\n",  # a trailing blank line
+            "y,d\n1.5,0\n",  # a single data row
+            "y,x,d\n1.5,ignored,0\n2.5,,1\n",  # an unrequested column is not parsed
+        ],
+        ids=["quoted", "crlf", "trailing-blank", "one-row", "unrequested"],
+    )
+    def test_layouts_match_the_row_dict_reader(self, tmp_path, body):
+        path = tmp_path / "layout.csv"
+        path.write_bytes(body.encode())
+        _assert_same_bits(
+            _read_columns(str(path), ["y", "d"]),
+            _dictreader_columns(str(path), ["y", "d"]),
+        )
+
+    @pytest.mark.parametrize(
+        "body",
+        ["y,d\n1.0,\n2.0,1\n", "y,d\n#1.0,0\n2.0,1\n", "y,d\n1.0,0\n#2.0,1\n"],
+        ids=["empty-cell", "hash-cell", "hash-line"],
+    )
+    def test_empty_and_comment_like_cells_exit_2(self, tmp_path, capsys, body):
+        # no line is a comment: a cell starting with '#' is non-numeric
+        path = tmp_path / "cells.csv"
+        path.write_text(body)
+        code, out, err = _run(
+            capsys, "estimate", "--method", "dim", "--data", str(path),
+            "--outcome", "y", "--treatment", "d",
+        )
+        assert code == 2
+        assert out == ""
+        assert "non-numeric" in err
+
+    def test_non_numeric_names_first_requested_column(self, tmp_path, capsys):
+        # as the row-dict reader did: columns are checked in the order they
+        # are requested, not in file order
+        path = tmp_path / "bad.csv"
+        path.write_text("d,y\n0,1.0\nx,oops\n")
+        code, _, err = _run(
+            capsys, "estimate", "--method", "dim", "--data", str(path),
+            "--outcome", "y", "--treatment", "d",
+        )
+        assert code == 2
+        assert "column 'y' has a non-numeric value" in err
+
+    def test_header_only_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("y,d\n\n")
+        code, _, err = _run(
+            capsys, "estimate", "--method", "dim", "--data", str(path),
+            "--outcome", "y", "--treatment", "d",
+        )
+        assert code == 2
+        assert "no data rows" in err
+
+    def test_columns_are_contiguous_and_independent(self, tmp_path):
+        path = tmp_path / "cols.csv"
+        path.write_text("y,d,x\n1.0,0,5.0\n2.0,1,6.0\n")
+        columns = _read_columns(str(path), ["x", "y", "x"])
+        assert list(columns) == ["x", "y"]
+        for column in columns.values():
+            assert column.flags.c_contiguous and column.flags.owndata
+        assert not np.shares_memory(columns["x"], columns["y"])
+
+    def test_peak_memory_bounded_by_the_data_size(self, tmp_path):
+        # [DERIVED] the bound comes from the data size, not from a
+        # measurement: the parsed table and one owned vector per column are
+        # 2 x 8 bytes per cell, and 3 x 8 bytes leaves a third for the
+        # parser's buffers. A reader that builds a dict per row needs several
+        # times that.
+        rows, cols = 100_000, 5
+        data = philox(129).normal(size=(rows, cols))
+        path = tmp_path / "wide.csv"
+        np.savetxt(path, data, fmt="%.17g", delimiter=",", header="a,b,c,d,e", comments="")
+        tracemalloc.start()
+        try:
+            columns = _read_columns(str(path), self.NAMES)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * rows * cols
+        for j, name in enumerate(self.NAMES):
+            assert np.array_equal(columns[name], data[:, j])
 
 
 class TestSimulate:

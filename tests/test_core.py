@@ -89,6 +89,16 @@ class TestValidate:
         assert sub.x[:, 0].tolist() == [7.0, 5.0, 7.0]
         assert sub.treatment_kind == ds.treatment_kind
 
+    def test_take_arrays_are_read_only_and_own_their_data(self):
+        g = philox(31)
+        ds = validate(g.normal(size=50), (g.uniform(size=50) < 0.5).astype(float),
+                      g.normal(size=(50, 2)), z=g.normal(size=(50, 1)))
+        sub = ds.take(g.integers(0, 50, size=50))
+        for name in ("y", "d", "x", "z"):
+            got, parent = getattr(sub, name), getattr(ds, name)
+            assert not got.flags.writeable, name
+            assert not np.shares_memory(got, parent), name
+
     def test_equality_by_value(self):
         a = validate([1.0, 2.0], [0.0, 1.0])
         b = validate([1.0, 2.0], [0.0, 1.0])

@@ -10,6 +10,7 @@ import pytest
 from scipy.special import expit
 
 from causalest import (
+    LOGIT,
     OrSpec,
     PropensityFit,
     apo_ipw,
@@ -22,6 +23,8 @@ from causalest import (
     ate_stratification,
     difference_in_means,
     estimate_propensity_binary,
+    fit_outcome_model,
+    predict,
     validate,
 )
 from causalest.errors import (
@@ -397,7 +400,51 @@ class TestMatching:
                 np.testing.assert_array_equal(found[i], brute)
 
 
+def three_design_dr(ds, fit, spec):
+    """Oracle: the augmented estimator with a fresh design per arm, beside
+    the fitted one, each built column by column."""
+    or_fit = fit_outcome_model(ds, spec)
+    xs = ds.x if spec.covariate_selection is None else ds.x[:, spec.covariate_selection]
+    arms = []
+    for dose in (1.0, 0.0):
+        d = np.full(ds.n, dose)
+        cols = [np.ones(ds.n), d, xs]
+        if spec.interactions_with_d:
+            cols.append(d[:, None] * xs)
+        m = predict(or_fit, np.column_stack(cols))
+        ind = (ds.d == dose).astype(float)
+        arms.append(m + ind * (ds.y - m) / fit.score_at(dose))
+    contrib = arms[0] - arms[1]
+    return float(contrib.mean()), float(contrib.var(ddof=1) / ds.n)
+
+
 class TestDoublyRobust:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            OrSpec(interactions_with_d=True),
+            OrSpec(interactions_with_d=True, covariate_selection=(1,)),
+            OrSpec(link=LOGIT),
+            OrSpec(link=LOGIT, interactions_with_d=True),
+        ],
+        ids=["interactions", "selected-interactions", "logit", "logit-interactions"],
+    )
+    def test_matches_three_design_oracle(self, spec):
+        # [DERIVED] bit for bit: one counterfactual design overwritten per
+        # arm gives the same numbers as a new design per arm
+        g = philox(47)
+        x = g.normal(size=(3000, 2))
+        d = (g.uniform(size=3000) < expit(0.3 + x @ [0.5, -0.4])).astype(float)
+        index = 1.0 + 0.8 * d + x @ [0.6, 0.3] - 0.4 * d * x[:, 0]
+        if spec.link == LOGIT:
+            y = (g.uniform(size=3000) < expit(index)).astype(float)
+        else:
+            y = index + g.normal(size=3000)
+        ds = validate(y, d, x)
+        fit = estimate_propensity_binary(ds)
+        est = ate_dr(ds, fit, spec=spec)
+        assert (est.point, est.variance) == three_design_dr(ds, fit, spec)
+
     def test_augmented_formula_oracle(self):
         # [DERIVED] oracle: m(d,x) from normal equations plus the weighted
         # residual correction, composed independently of the implementation

@@ -12,6 +12,8 @@ from causalest import (
     estimate_gps_normal,
     estimate_propensity_binary,
     estimate_propensity_multivalued,
+    fit_logistic,
+    predict,
     quantile_strata,
     trim_overlap,
     validate,
@@ -105,6 +107,41 @@ class TestBinaryPropensity:
                 scores=[0.5, 0.5],
                 level_scores={1.0: [0.5, np.nan], 0.0: [0.5, 0.5]},
             )
+
+
+class TestIrlsDiagnostics:
+    def test_binary_fit_records_iterations_and_scores_of_the_last_iterate(self):
+        # [DERIVED] oracle: the scores a prediction on the design gives
+        ds = confounded_binary(26, 800)
+        fit = estimate_propensity_binary(ds)
+        design = np.column_stack([np.ones(ds.n), ds.x])
+        p1 = predict(fit.model, design)
+        assert np.array_equal(fit.scores_treated, p1)
+        assert np.array_equal(fit.scores, np.where(ds.d == 1.0, p1, 1.0 - p1))
+        assert fit.diagnostics == {
+            "iterations": fit_logistic(design, ds.d).iterations,
+            "converged": True,
+        }
+        assert fit.diagnostics["iterations"] > 0
+
+    def test_multivalued_fit_records_each_levels_iterations(self):
+        g = philox(27)
+        x = g.normal(size=600)
+        d = g.integers(0, 3, size=600).astype(float)
+        ds = validate(
+            g.normal(size=600), d, x, treatment_kind="multivalued", levels=(0, 1, 2)
+        )
+        fit = estimate_propensity_multivalued(ds)
+        design = np.column_stack([np.ones(ds.n), ds.x])
+        expected = {}
+        for level in (0.0, 1.0, 2.0):
+            model = fit_logistic(design, (d == level).astype(float))
+            assert np.array_equal(fit.score_at(level), predict(model, design))
+            expected[level] = model.iterations
+        assert fit.diagnostics == {
+            "iterations": expected,
+            "converged": {0.0: True, 1.0: True, 2.0: True},
+        }
 
 
 class TestMultivaluedPropensity:

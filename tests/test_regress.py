@@ -8,10 +8,12 @@ from scipy.special import expit
 
 from causalest import (
     LOGIT,
+    estimate_propensity_binary,
     fit_logistic,
     fit_ols,
     predict,
 )
+from causalest import regress
 from causalest.errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -20,7 +22,7 @@ from causalest.errors import (
     SeparationError,
 )
 
-from .conftest import philox
+from .conftest import confounded_binary, philox
 
 
 def logistic_loglik(design, d, coef) -> float:
@@ -191,6 +193,51 @@ class TestFitLogistic:
         X, d = _logistic_draw(12, 200)
         with pytest.raises(ConvergenceError):
             fit_logistic(X, d, max_iter=1)
+
+
+class TestIrlsWork:
+    @staticmethod
+    def _count_svd_solves(monkeypatch):
+        calls = []
+        solve = regress._svd_solve
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(regress, "_svd_solve", counted)
+        return calls
+
+    def test_score_fit_runs_one_svd_per_newton_step(self, monkeypatch):
+        # the covariance a score fit never reads is never computed
+        calls = self._count_svd_solves(monkeypatch)
+        fit = estimate_propensity_binary(confounded_binary(14, 2000))
+        assert fit.model.iterations > 0
+        assert len(calls) == fit.model.iterations
+        fit.model.coef_cov
+        fit.model.coef_cov
+        assert len(calls) == fit.model.iterations + 1
+
+    def test_coef_cov_matches_eager_oracle_after_design_overwritten(self):
+        # [DERIVED] oracle: (X'WX)^-1 from the SVD of the weighted design at
+        # the converged coefficients, formed the way a Newton step forms it
+        X, d = _logistic_draw(15, 500)
+        saved = X.copy()
+        fit = fit_logistic(X, d)
+        X[:] = philox(16).normal(size=X.shape)  # the caller reuses its buffer
+        p = expit(saved @ fit.coef)
+        _, s, Vt = np.linalg.svd(saved * np.sqrt(p * (1.0 - p))[:, None], full_matrices=False)
+        oracle = (Vt.T / s**2) @ Vt
+        assert np.array_equal(fit.coef_cov, oracle)
+        np.testing.assert_allclose(
+            fit.coef_cov, np.linalg.inv(saved.T @ (saved * (p * (1.0 - p))[:, None])), rtol=1e-8
+        )
+
+    def test_fitted_equals_prediction_on_the_design(self):
+        X, d = _logistic_draw(17, 400)
+        fit = fit_logistic(X, d)
+        assert np.array_equal(fit.fitted, predict(fit, X))
+        assert np.array_equal(fit.residuals, d - fit.fitted)
 
 
 class TestPredict:
