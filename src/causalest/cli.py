@@ -167,6 +167,11 @@ def _cmd_estimate(args) -> int:
         if covariates
         else None
     )
+    # validate copies a writeable array; these are handed over read-only
+    # instead, so the dataset holds them and no second copy is made
+    for column in (columns[args.outcome], columns[args.treatment], x):
+        if column is not None:
+            column.setflags(write=False)
     ds = validate(columns[args.outcome], columns[args.treatment], x)
     del columns, x  # the dataset holds what the estimators read
     est = _estimate_once(ds, args.method, trim)

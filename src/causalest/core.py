@@ -1,11 +1,15 @@
 """Shared data model and validation for all estimators.
 
-Datasets are immutable after validation (the backing arrays are marked
-read-only), so they can be shared freely across concurrent estimator calls.
+Datasets are immutable after validation: the backing arrays are marked
+read-only, and a writeable array the caller passed in is copied first, so
+the caller's array stays writeable and its later writes never reach the
+dataset. A read-only input array is kept as it is.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -31,6 +35,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _owned(a: np.ndarray, source) -> np.ndarray:
+    """`a`, coerced from the caller's `source`, as an array only the dataset
+    holds: copied when it may share memory with a writeable source array."""
+    if isinstance(source, np.ndarray) and source.flags.writeable and np.may_share_memory(a, source):
+        return a.copy(order="K")
+    return a
+
+
+def _is_01(v: np.ndarray) -> bool:
+    """Whether every entry is 0 or 1."""
+    return bool(((v == 0.0) | (v == 1.0)).all())
+
+
 def _as_vector(name: str, v, n: int | None = None, *, finite: bool = True) -> np.ndarray:
     """Coerce to a 1-D float vector, of length `n` when `n` is given.
 
@@ -41,7 +58,7 @@ def _as_vector(name: str, v, n: int | None = None, *, finite: bool = True) -> np
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         arr = arr.reshape(-1)
-    if finite and not np.all(np.isfinite(arr)):
+    if finite and not np.isfinite(arr).all():
         raise NonFiniteValueError(f"column '{name}' contains non-finite values")
     return _check_length(name, arr, n)
 
@@ -63,7 +80,7 @@ def _as_matrix(name: str, m, n: int | None = None, *, finite: bool = True) -> np
     if arr.ndim != 2:
         raise LengthMismatchError(f"'{name}' must be a vector or 2-d matrix")
     _check_length(f"{name} rows", arr, n)
-    if finite and not np.all(np.isfinite(arr)):
+    if finite and not np.isfinite(arr).all():
         raise NonFiniteValueError(f"matrix '{name}' contains non-finite values")
     return arr
 
@@ -156,7 +173,7 @@ def validate(
     xm = _as_matrix("x", x, n)
     zm = None if z is None else _as_matrix("z", z, n)
 
-    is_01 = bool(np.all((dv == 0.0) | (dv == 1.0)))
+    is_01 = _is_01(dv)
     if treatment_kind is None:
         kind = BINARY if is_01 else CONTINUOUS
     else:
@@ -170,13 +187,13 @@ def validate(
         if levels is None:
             raise InvalidInputError("multivalued treatment requires an explicit levels set")
         lv = tuple(float(v) for v in levels)
-        if not np.all(np.isin(dv, lv)):
+        if not np.isin(dv, lv).all():
             raise InvalidInputError("d has values outside the declared level set")
     return ObservationalDataset(
-        y=_readonly(yv),
-        d=_readonly(dv),
-        x=_readonly(xm),
-        z=None if zm is None else _readonly(zm),
+        y=_readonly(_owned(yv, y)),
+        d=_readonly(_owned(dv, d)),
+        x=_readonly(_owned(xm, x)),
+        z=None if zm is None else _readonly(_owned(zm, z)),
         treatment_kind=kind,
         levels=lv,
     )
@@ -252,13 +269,14 @@ def validate_panel(unit, time, y, d, x=None) -> PanelDataset:
     """Validate raw panel columns into a :class:`PanelDataset`.
 
     Rows are sorted by (unit, time); duplicate (unit, time) pairs are
-    rejected.
+    rejected. Rows that already come sorted, with numeric unit ids, skip the
+    sort: one O(n) pass checks the order and numbers the units.
     """
     unit_arr = np.asarray(unit)
     time_arr = np.asarray(time)
     if time_arr.dtype.kind not in "iu":
         as_int = np.asarray(time_arr, dtype=float)
-        if not np.all(np.isfinite(as_int)) or not np.all(as_int == np.round(as_int)):
+        if not np.isfinite(as_int).all() or not (as_int == np.round(as_int)).all():
             raise NonFiniteValueError("time must be an integer vector")
         time_arr = as_int.astype(int)
     yv = _as_vector("y", y)
@@ -270,24 +288,53 @@ def validate_panel(unit, time, y, d, x=None) -> PanelDataset:
         raise EmptyDatasetError(f"need at least 2 rows, got {n}")
     xm = _as_matrix("x", x, n)
 
+    sorted_codes = _codes_if_sorted(unit_arr, time_arr)
+    if sorted_codes is not None:
+        return PanelDataset(
+            unit=_readonly(_owned(unit_arr, unit)),
+            time=_readonly(_owned(time_arr, time)),
+            y=_readonly(_owned(yv, y)),
+            d=_readonly(_owned(dv, d)),
+            x=_readonly(_owned(xm, x)),
+            unit_codes=_readonly(sorted_codes),
+            unit_counts=_readonly(np.bincount(sorted_codes)),
+        )
     # Sort by (unit, time); unit ids may be non-numeric, so sort via codes.
     uniq, codes = np.unique(unit_arr, return_inverse=True)
     order = np.lexsort((time_arr, codes))
     codes = codes[order]
     time_arr = time_arr[order]
     key_dupes = (codes[1:] == codes[:-1]) & (time_arr[1:] == time_arr[:-1])
-    if np.any(key_dupes):
+    if key_dupes.any():
         raise LengthMismatchError("duplicate (unit, time) pairs in panel")
-    counts = np.bincount(codes, minlength=uniq.shape[0])
+    # integer-array indexing copies, so the panel shares no memory with the caller
     return PanelDataset(
-        unit=_readonly(unit_arr[order].copy()),
-        time=_readonly(time_arr.copy()),
-        y=_readonly(yv[order].copy()),
-        d=_readonly(dv[order].copy()),
-        x=_readonly(xm[order].copy()),
-        unit_codes=_readonly(codes.copy()),
-        unit_counts=_readonly(counts),
+        unit=_readonly(unit_arr[order]),
+        time=_readonly(time_arr),
+        y=_readonly(yv[order]),
+        d=_readonly(dv[order]),
+        x=_readonly(xm[order]),
+        unit_codes=_readonly(codes),
+        unit_counts=_readonly(np.bincount(codes, minlength=uniq.shape[0])),
     )
+
+
+def _codes_if_sorted(unit: np.ndarray, time: np.ndarray) -> np.ndarray | None:
+    """Unit codes 0..N-1 of numeric unit ids whose rows are strictly sorted by
+    (unit, time), or None when the general sort is needed.
+
+    The codes count the unit changes, so they equal the codes of the sorted
+    unique ids; NaN ids fail every comparison and take the general path.
+    """
+    if unit.dtype.kind not in "iuf" or unit.ndim != 1 or time.ndim != 1:
+        return None
+    same = unit[1:] == unit[:-1]
+    if not ((unit[1:] > unit[:-1]) | (same & (time[1:] > time[:-1]))).all():
+        return None
+    codes = np.empty(unit.shape[0], dtype=np.intp)
+    codes[0] = 0
+    np.cumsum(~same, out=codes[1:])
+    return codes
 
 
 @dataclass
@@ -336,8 +383,14 @@ def normal_interval(point: float, variance: float, level: float = 0.95):
         raise InvalidInputError(f"level must lie in (0, 1), got {level}")
     if variance < 0:
         raise InvalidInputError("variance must be non-negative")
-    half = float(ndtri(0.5 + level / 2.0)) * float(np.sqrt(variance))
+    half = _z_quantile(float(level)) * math.sqrt(variance)
     return (point - half, point + half)
+
+
+@functools.lru_cache(maxsize=8)
+def _z_quantile(level: float) -> float:
+    """The standard normal quantile at 0.5 + level / 2."""
+    return float(ndtri(0.5 + level / 2.0))
 
 
 def _estimate(

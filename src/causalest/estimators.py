@@ -19,9 +19,11 @@ from .core import (
     _select_columns,
 )
 from .errors import (
+    DimensionMismatchError,
     EmptyDoseGroupError,
     InsufficientMatchesError,
     InvalidInputError,
+    LengthMismatchError,
     NoUsableStratumError,
     ZeroPropensityError,
 )
@@ -72,10 +74,46 @@ def fit_outcome_model(ds: ObservationalDataset, spec: OrSpec | None = None) -> L
     return fit_ols(design, ds.y)
 
 
-def _apo_prediction(ds, fit, spec, dose):
-    """Mean predicted outcome with everyone's dose set to `dose`, plus the
+def _outcome_model(ds, spec, outcome_fit):
+    """`spec`'s outcome model on `ds`: the caller's fit when one is passed,
+    after checking that it has the spec's link, width and row count."""
+    if outcome_fit is None:
+        return fit_outcome_model(ds, spec)
+    p = ds.x.shape[1] if spec.covariate_selection is None else len(spec.covariate_selection)
+    width = 2 + p * (2 if spec.interactions_with_d else 1)
+    if outcome_fit.design_width != width:
+        raise DimensionMismatchError(
+            f"outcome fit has design width {outcome_fit.design_width}, the spec needs {width}"
+        )
+    if outcome_fit.link != spec.link:
+        raise InvalidInputError(
+            f"outcome fit has link {outcome_fit.link!r}, the spec has {spec.link!r}"
+        )
+    if outcome_fit.residuals.shape[0] != ds.n:
+        raise LengthMismatchError(
+            f"outcome fit has {outcome_fit.residuals.shape[0]} rows, the dataset {ds.n}"
+        )
+    return outcome_fit
+
+
+def _dose_designs(ds, spec):
+    """A function from a dose to the outcome design with every unit's dose set
+    to it. All calls share one buffer and overwrite only the dose columns."""
+    design = _or_design(np.zeros(ds.n), ds.x, spec)
+    xs = _select_columns(ds.x, spec.covariate_selection)
+
+    def at(dose):
+        design[:, 1] = float(dose)
+        if spec.interactions_with_d:
+            design[:, 2 + xs.shape[1]:] = float(dose) * xs
+        return design
+
+    return at
+
+
+def _apo_prediction(fit, design_at):
+    """Mean predicted outcome on a counterfactual design, plus the
     delta-method gradient of that mean in the coefficients."""
-    design_at = _or_design(np.full(ds.n, float(dose)), ds.x, spec)
     preds = predict(fit, design_at)
     if fit.link == LOGIT:
         grad = ((preds * (1.0 - preds))[:, None] * design_at).mean(axis=0)
@@ -90,7 +128,7 @@ def apo_or(
     """Average potential outcome at `dose` from the pooled outcome regression."""
     spec = spec or OrSpec()
     fit = fit_outcome_model(ds, spec)
-    point, grad = _apo_prediction(ds, fit, spec, dose)
+    point, grad = _apo_prediction(fit, _dose_designs(ds, spec)(dose))
     var = delta_variance(fit, grad)
     diagnostics = {"link": spec.link, "interactions": spec.interactions_with_d}
     return _estimate(
@@ -103,12 +141,19 @@ def ate_or(
     dose: float = 1.0,
     ref_dose: float = 0.0,
     spec: OrSpec | None = None,
+    outcome_fit: LinearFit | None = None,
 ) -> CausalEstimate:
-    """Average effect of `dose` vs `ref_dose` from the pooled outcome regression."""
+    """Average effect of `dose` vs `ref_dose` from the pooled outcome regression.
+
+    `outcome_fit`, when given, is `fit_outcome_model(ds, spec)` fitted
+    earlier, and is used in place of a new fit; one whose design width does
+    not match the spec raises DimensionMismatchError.
+    """
     spec = spec or OrSpec()
-    fit = fit_outcome_model(ds, spec)
-    hi, g_hi = _apo_prediction(ds, fit, spec, dose)
-    lo, g_lo = _apo_prediction(ds, fit, spec, ref_dose)
+    fit = _outcome_model(ds, spec, outcome_fit)
+    design_at = _dose_designs(ds, spec)
+    hi, g_hi = _apo_prediction(fit, design_at(dose))
+    lo, g_lo = _apo_prediction(fit, design_at(ref_dose))
     point = hi - lo
     var = delta_variance(fit, g_hi - g_lo)
     diagnostics = {"link": spec.link, "interactions": spec.interactions_with_d}
@@ -118,15 +163,15 @@ def ate_or(
 def _dose_weights(ds, fit, dose):
     """Indicator of receiving `dose` and the per-unit P(D=dose|x) scores,
     guarding the weight floor only where the indicator is on."""
-    ind = (ds.d == float(dose)).astype(float)
-    if ind.sum() == 0:
+    at_dose = ds.d == float(dose)
+    if not at_dose.any():
         raise EmptyDoseGroupError(f"no unit received dose {dose}")
     p = fit.score_at(dose)
-    if np.any(p[ind == 1.0] < _WEIGHT_FLOOR):
+    if (p[at_dose] < _WEIGHT_FLOOR).any():
         raise ZeroPropensityError(
             f"a unit at dose {dose} has an assignment score below {_WEIGHT_FLOOR}"
         )
-    return ind, p
+    return at_dose.astype(float), p
 
 
 def apo_ipw(
@@ -341,25 +386,24 @@ def ate_dr(
     dose: float = 1.0,
     ref_dose: float = 0.0,
     spec: OrSpec | None = None,
+    outcome_fit: LinearFit | None = None,
 ) -> CausalEstimate:
     """Augmented (doubly robust) estimator combining both nuisance models.
 
     Consistent if either the outcome regression or the assignment model is
-    correctly specified.
+    correctly specified. `outcome_fit`, when given, is
+    `fit_outcome_model(ds, spec)` fitted earlier, and is used in place of a
+    new fit; one whose design width does not match the spec raises
+    DimensionMismatchError.
     """
     spec = spec or OrSpec()
-    or_fit = fit_outcome_model(ds, spec)
-    # one counterfactual design for both arms, apart from the fitted one;
-    # each arm overwrites only the columns that carry the dose
-    design_at = _or_design(np.zeros(ds.n), ds.x, spec)
-    xs = _select_columns(ds.x, spec.covariate_selection)
+    or_fit = _outcome_model(ds, spec, outcome_fit)
+    # one counterfactual design for both arms, apart from the fitted one
+    design_at = _dose_designs(ds, spec)
 
     def arm(d_val):
         ind, p = _dose_weights(ds, fit, d_val)
-        design_at[:, 1] = float(d_val)
-        if spec.interactions_with_d:
-            design_at[:, 2 + xs.shape[1]:] = float(d_val) * xs
-        m = predict(or_fit, design_at)
+        m = predict(or_fit, design_at(d_val))
         return m + ind * (ds.y - m) / p, ind
 
     hi, ind1 = arm(dose)

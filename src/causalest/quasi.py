@@ -9,7 +9,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .core import CausalEstimate, _as_matrix, _as_vector, _estimate, _readonly
+from .core import (
+    CausalEstimate,
+    _as_matrix,
+    _as_vector,
+    _estimate,
+    _is_01,
+    _owned,
+    _readonly,
+)
 from .errors import (
     ConvergenceError,
     DegenerateProblemError,
@@ -138,32 +146,34 @@ def validate_did(y, group, period, x=None, treated=None) -> DidDataset:
     n = yv.shape[0]
     gv = _as_vector("group", group, n)
     pv = _as_vector("period", period, n)
-    if not np.isin(gv, (0.0, 1.0)).all():
+    if not _is_01(gv):
         raise InvalidInputError("group must be a 0/1 indicator")
-    if np.any(pv != np.round(pv)) or pv.min() < 0:
+    if not _is_01(pv) and ((pv != np.round(pv)).any() or pv.min() < 0):
         raise InvalidInputError("period must contain non-negative integers")
     xm = _as_matrix("x", x, n)
     tv = None
     if treated is not None:
         tv = _as_vector("treated", treated, n)
-        if not np.isin(tv, (0.0, 1.0)).all():
+        if not _is_01(tv):
             raise InvalidInputError("treated must be a 0/1 indicator")
-        tv = _readonly(tv)
+        tv = _readonly(_owned(tv, treated))
     return DidDataset(
-        y=_readonly(yv),
-        group=_readonly(gv),
-        period=_readonly(pv),
-        x=_readonly(xm),
+        y=_readonly(_owned(yv, y)),
+        group=_readonly(_owned(gv, group)),
+        period=_readonly(_owned(pv, period)),
+        x=_readonly(_owned(xm, x)),
         treated=tv,
     )
 
 
 def _did_cells(dd: DidDataset):
-    if not set(np.unique(dd.period)) <= {0.0, 1.0}:
+    if not _is_01(dd.period):
         raise InvalidInputError("the basic design requires periods in {0, 1}")
-    for g in (0.0, 1.0):
-        for p in (0.0, 1.0):
-            if not np.any((dd.group == g) & (dd.period == p)):
+    # cell 2 g + p holds the rows with group g and period p
+    counts = np.bincount(2 * (dd.group == 1.0) + (dd.period == 1.0), minlength=4)
+    for g in (0, 1):
+        for p in (0, 1):
+            if counts[2 * g + p] == 0:
                 raise EmptyCellError(f"no observations with group={g:g}, period={p:g}")
 
 
@@ -255,7 +265,7 @@ class ScProblem:
         if z1.shape[0] < 1:
             raise DimensionMismatchError("at least one pre period is required")
         for name, v in (("x1", x1), ("x0", x0), ("z1", z1), ("z0", z0), ("y1", y1), ("y0", y0)):
-            object.__setattr__(self, name, _readonly(v))
+            object.__setattr__(self, name, _readonly(_owned(v, getattr(self, name))))
 
     @property
     def n_donors(self) -> int:
@@ -284,7 +294,7 @@ def sc_weights(x1, x0, v_diag) -> np.ndarray:
     x1v = _as_vector("x1", x1)
     x0m = _as_matrix("x0", x0, x1v.shape[0])
     v = _as_vector("v_diag", v_diag, x1v.shape[0])
-    if np.any(v < 0.0) or not np.any(v > 0.0):
+    if (v < 0.0).any() or not (v > 0.0).any():
         raise InvalidInputError("v_diag entries must be >= 0 with at least one positive")
     j = x0m.shape[1]
     w = np.zeros(j)

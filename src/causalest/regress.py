@@ -8,7 +8,7 @@ from dataclasses import MISSING, dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import _as_matrix, _as_vector
+from .core import _as_matrix, _as_vector, _is_01
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -121,19 +121,19 @@ def fit_ols(design, y, weights=None) -> LinearFit:
     n, k = X.shape
     if weights is not None:
         w = _as_vector("weights", weights, n, finite=False)
-        if np.any(w < 0):
+        if (w < 0).any():
             raise InvalidInputError("weights must be non-negative")
         sw = np.sqrt(w)
         Xw = X * sw[:, None]
         yw = r * sw
     else:
-        w = None
+        sw = None
         Xw, yw = X, r
 
     coef, xtx_inv = _svd_solve(Xw, yw)
     fitted = X @ coef
     resid = r - fitted
-    wrss = float(((resid * np.sqrt(w)) ** 2).sum()) if w is not None else float(resid @ resid)
+    wrss = float(((resid * sw) ** 2).sum()) if sw is not None else float(resid @ resid)
     sigma2 = wrss / (n - k) if n > k else 0.0
     return LinearFit(
         coef=coef,
@@ -160,7 +160,7 @@ def fit_logistic(design, d, max_iter: int = 100, tol: float = 1e-8) -> LinearFit
         ConvergenceError: max_iter exhausted.
     """
     X, dv = _check_design(design, d)
-    if not np.all((dv == 0.0) | (dv == 1.0)):
+    if not _is_01(dv):
         raise InvalidInputError("logistic response must be 0/1")
     if dv.min() == dv.max():
         raise NoTreatmentVariationError("response takes a single value")
@@ -168,37 +168,37 @@ def fit_logistic(design, d, max_iter: int = 100, tol: float = 1e-8) -> LinearFit
     k = X.shape[1]
     coef = np.zeros(k)
     for it in range(1, max_iter + 1):
-        eta = X @ coef
-        p = expit(eta)
-        pinned = (p < _SEP_PROB) | (p > 1.0 - _SEP_PROB)
-        if np.any(pinned) and np.max(np.abs(coef)) > _SEP_COEF:
+        p = expit(X @ coef)
+        resid = dv - p
+        if np.abs(coef).max() > _SEP_COEF and ((p < _SEP_PROB) | (p > 1.0 - _SEP_PROB)).any():
             raise SeparationError(
                 "fitted probabilities pinned at 0/1 with diverging coefficients"
             )
         # Wide-margin separation saturates expit before the coefficients
         # look large: every response then fits essentially exactly and the
         # score underflows, which would masquerade as convergence.
-        if np.max(np.abs(dv - p)) < _SEP_RESID:
+        if np.abs(resid).max() < _SEP_RESID:
             raise SeparationError(
                 "every response fitted to machine precision; classes are separated"
             )
-        score = X.T @ (dv - p)
-        if np.max(np.abs(score)) < tol:
+        score = X.T @ resid
+        if np.abs(score).max() < tol:
             w = p * (1.0 - p)
             return LinearFit(
                 coef=coef,
                 link=LOGIT,
-                residuals=dv - p,
+                residuals=resid,
                 coef_cov=functools.partial(_weighted_xtx_inv, X * np.sqrt(w)[:, None]),
                 design_width=k,
                 converged=True,
                 iterations=it - 1,
                 fitted=p,
             )
-        w = np.maximum(p * (1.0 - p), 1e-12)
-        sw = np.sqrt(w)
-        # Newton step as a weighted least-squares solve on the working response
-        step, _ = _svd_solve(X * sw[:, None], (dv - p) / sw)
+        sw = np.sqrt(np.maximum(p * (1.0 - p), 1e-12))
+        # Newton step as a weighted least-squares solve on the working
+        # response, formed in the residuals' buffer
+        resid /= sw
+        step, _ = _svd_solve(X * sw[:, None], resid)
         coef = coef + step
     raise ConvergenceError(f"IRLS did not converge in {max_iter} iterations")
 

@@ -30,7 +30,7 @@ from .errors import (
     TooManyFailedRunsError,
     UnknownCaseError,
 )
-from .estimators import OrSpec, ate_dr, ate_ipw, ate_or
+from .estimators import OrSpec, ate_dr, ate_ipw, ate_or, fit_outcome_model
 from .panel import fit_cre, fit_fd, fit_fe, fit_pols, fit_re
 from .propensity import PropensityFit, estimate_propensity_binary
 from .quasi import ate_2sls, ate_did, rdd_fuzzy, rdd_sharp, validate_did
@@ -327,15 +327,16 @@ def _draw_cs5(spec: DgpSpec, run_index: int, seed: int):
     )
     x1 = _stream(seed, 5, run_index, s["x1"]).normal(p["x1_mean"], p["x1_sd"], n)
     y1_violated = y1 + p["violation_coef"] * x1 * (1.0 - d1)
-
-    def long(y_post):
-        return validate_did(
-            y=np.concatenate([y0, y_post]),
-            group=np.concatenate([d1, d1]),
-            period=np.concatenate([np.zeros(n), np.ones(n)]),
-        )
-
-    return long(y1), long(y1_violated)
+    base = validate_did(
+        y=np.concatenate([y0, y1]),
+        group=np.concatenate([d1, d1]),
+        period=np.concatenate([np.zeros(n), np.ones(n)]),
+    )
+    # the violated design shares the base design's read-only group and period
+    violated = validate_did(
+        y=np.concatenate([y0, y1_violated]), group=base.group, period=base.period
+    )
+    return base, violated
 
 
 def _draw_cs6(spec: DgpSpec, run_index: int, seed: int):
@@ -378,17 +379,22 @@ def misspecified_scores(spec: DgpSpec, run_index: int, seed: int = 42) -> np.nda
 # Per-case method panels
 # ---------------------------------------------------------------------------
 
+_NO_X = OrSpec(covariate_selection=())
+
+
 def _cs1_inputs(spec, run_index, seed):
-    """A cs1 draw with its fitted and injected scores, each built on first use."""
+    """A cs1 draw with its nuisance fits, each built on first use: the
+    estimated and injected scores, and the outcome regressions with and
+    without x."""
     ds, fake = _draw_cs1(spec, run_index, seed)
     return (
         ds,
         functools.cache(lambda: estimate_propensity_binary(ds)),
         functools.cache(lambda: PropensityFit.from_scores(fake, ds.d)),
+        functools.cache(lambda: fit_outcome_model(ds)),
+        functools.cache(lambda: fit_outcome_model(ds, _NO_X)),
     )
 
-
-_NO_X = OrSpec(covariate_selection=())
 
 _PANEL_METHODS = {
     "POLS": lambda pds: fit_pols(pds),
@@ -406,13 +412,21 @@ _CASES = {
     "cs1": (
         lambda spec, r, seed: _cs1_inputs(spec, r, seed),
         {
-            "OR1": lambda ds, fitted, injected: ate_or(ds),
-            "OR2": lambda ds, fitted, injected: ate_or(ds, spec=_NO_X),
-            "PS1": lambda ds, fitted, injected: ate_ipw(ds, fitted()),
-            "PS2": lambda ds, fitted, injected: ate_ipw(ds, injected()),
-            "DR1": lambda ds, fitted, injected: ate_dr(ds, fitted(), spec=_NO_X),
-            "DR2": lambda ds, fitted, injected: ate_dr(ds, injected()),
-            "DR3": lambda ds, fitted, injected: ate_dr(ds, injected(), spec=_NO_X),
+            "OR1": lambda ds, fitted, injected, full, no_x: ate_or(ds, outcome_fit=full()),
+            "OR2": lambda ds, fitted, injected, full, no_x: ate_or(
+                ds, spec=_NO_X, outcome_fit=no_x()
+            ),
+            "PS1": lambda ds, fitted, injected, full, no_x: ate_ipw(ds, fitted()),
+            "PS2": lambda ds, fitted, injected, full, no_x: ate_ipw(ds, injected()),
+            "DR1": lambda ds, fitted, injected, full, no_x: ate_dr(
+                ds, fitted(), spec=_NO_X, outcome_fit=no_x()
+            ),
+            "DR2": lambda ds, fitted, injected, full, no_x: ate_dr(
+                ds, injected(), outcome_fit=full()
+            ),
+            "DR3": lambda ds, fitted, injected, full, no_x: ate_dr(
+                ds, injected(), spec=_NO_X, outcome_fit=no_x()
+            ),
         },
     ),
     "cs2": (lambda spec, r, seed: (_draw_panel(spec, r, seed),), _PANEL_METHODS),

@@ -188,6 +188,142 @@ class TestValidatePanel:
             pds.take_units([1])
 
 
+class TestValidatePanelSortedRows:
+    """Rows that come sorted by (unit, time) with numeric ids skip the sort;
+    the panel must equal the one the general sort builds."""
+
+    FIELDS = ("unit", "time", "y", "d", "x", "unit_codes", "unit_counts")
+
+    @staticmethod
+    def _sorted_rows(unit_dtype):
+        g = philox(140)
+        periods = g.integers(2, 6, size=15)  # unbalanced
+        ids = np.sort(g.choice(250, size=15, replace=False))  # ids with gaps
+        unit = np.repeat(ids, periods).astype(unit_dtype)
+        if unit.dtype.kind == "f":
+            unit = unit / 4.0 - 20.0  # fractional and negative ids
+        time = np.concatenate([np.sort(g.permutation(9)[:t]) for t in periods])
+        n = unit.shape[0]
+        return unit, time, g.normal(size=n), g.normal(size=n), g.normal(size=(n, 2))
+
+    @staticmethod
+    def _count_sorts(monkeypatch):
+        calls = []
+        lexsort = np.lexsort
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lexsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", counted)
+        return calls
+
+    @pytest.mark.parametrize("unit_dtype", [np.int64, np.int32, np.uint8, np.float64])
+    def test_sorted_rows_equal_the_general_path(self, unit_dtype, monkeypatch):
+        unit, time, y, d, x = self._sorted_rows(unit_dtype)
+        shuffle = philox(141).permutation(unit.shape[0])
+        sorts = self._count_sorts(monkeypatch)
+        general = validate_panel(unit[shuffle], time[shuffle], y[shuffle], d[shuffle], x[shuffle])
+        assert len(sorts) == 1
+        fast = validate_panel(unit, time, y, d, x)
+        assert len(sorts) == 1  # the sorted rows were not sorted again
+        for name in self.FIELDS:
+            got, want = getattr(fast, name), getattr(general, name)
+            assert got.dtype == want.dtype, name
+            assert got.shape == want.shape, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+            assert not got.flags.writeable, name
+
+    def test_unsorted_rows_and_string_ids_are_sorted(self, monkeypatch):
+        sorts = self._count_sorts(monkeypatch)
+        # the units come sorted but the times within unit 0 do not
+        pds = validate_panel([0, 0, 1, 1], [1, 0, 0, 1], [2.0, 1.0, 3.0, 4.0], [0.0] * 4)
+        assert pds.y.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert pds.time.tolist() == [0, 1, 0, 1]
+        # numeric ids out of order
+        pds = validate_panel([7, 3, 7, 3], [0, 0, 1, 1], [3.0, 1.0, 4.0, 2.0], [0.0] * 4)
+        assert pds.unit.tolist() == [3, 3, 7, 7]
+        assert pds.y.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert pds.unit_codes.tolist() == [0, 0, 1, 1]
+        # string ids in sorted order still go through the general path
+        pds = validate_panel(["a", "a", "b"], [0, 1, 0], [1.0, 2.0, 3.0], [0.0] * 3)
+        assert pds.unit.tolist() == ["a", "a", "b"]
+        assert pds.unit_counts.tolist() == [2, 1]
+        assert len(sorts) == 3
+
+    @pytest.mark.parametrize(
+        "unit, time",
+        [([0, 0, 1, 1], [0, 0, 0, 1]), ([1, 0, 1, 0], [0, 1, 0, 1]), ([0.5, 0.5], [3, 3])],
+        ids=["sorted", "shuffled", "float-ids"],
+    )
+    def test_duplicate_pairs_rejected_on_both_paths(self, unit, time):
+        with pytest.raises(LengthMismatchError, match="duplicate"):
+            validate_panel(unit, time, np.ones(len(unit)), np.zeros(len(unit)))
+
+
+class TestCallerArraysStayTheirs:
+    """A dataset copies each writeable array the caller passed in, so the
+    caller's array stays writeable and writing to it leaves the dataset as
+    it was; a read-only input is taken as it is."""
+
+    @staticmethod
+    def _assert_detached(caller_arrays, dataset, fields):
+        saved = {name: getattr(dataset, name).copy() for name in fields}
+        for a in caller_arrays:
+            assert a.flags.writeable
+            a[...] = 7
+        for name in fields:
+            assert np.array_equal(getattr(dataset, name), saved[name]), name
+            assert not getattr(dataset, name).flags.writeable, name
+
+    def test_validate(self):
+        g = philox(142)
+        y, x, z = g.normal(size=20), g.normal(size=(20, 2)), g.normal(size=(20, 1))
+        d = (g.uniform(size=20) < 0.5).astype(float)
+        ds = validate(y, d, x, z=z)
+        self._assert_detached((y, d, x, z), ds, ("y", "d", "x", "z"))
+        # a vector covariate becomes a one-column view of the caller's array
+        x1 = g.normal(size=20)
+        ds = validate(g.normal(size=20), d, x1)
+        self._assert_detached((x1,), ds, ("x",))
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["sorted", "shuffled"])
+    def test_validate_panel(self, shuffled):
+        g = philox(143)
+        unit, time = np.repeat(np.arange(5), 3), np.tile(np.arange(3), 5)
+        y, d, x = g.normal(size=15), g.normal(size=15), g.normal(size=(15, 2))
+        if shuffled:
+            order = g.permutation(15)
+            unit, time, y, d, x = unit[order], time[order], y[order], d[order], x[order]
+        pds = validate_panel(unit, time, y, d, x)
+        self._assert_detached((unit, time, y, d, x), pds, ("unit", "time", "y", "d", "x"))
+
+    def test_validate_did(self):
+        g = philox(144)
+        group, period = np.repeat([0.0, 1.0], 10), np.tile([0.0, 1.0], 10)
+        y, x, treated = g.normal(size=20), g.normal(size=(20, 1)), group * period
+        dd = causalest.validate_did(y, group, period, x, treated=treated)
+        self._assert_detached(
+            (y, group, period, x, treated), dd, ("y", "group", "period", "x", "treated")
+        )
+
+    def test_sc_problem(self):
+        g = philox(145)
+        arrays = {
+            "x1": g.normal(size=3), "x0": g.normal(size=(3, 4)),
+            "z1": g.normal(size=2), "z0": g.normal(size=(2, 4)),
+            "y1": g.normal(size=2), "y0": g.normal(size=(2, 4)),
+        }
+        problem = causalest.ScProblem(**arrays)
+        self._assert_detached(arrays.values(), problem, tuple(arrays))
+
+    def test_read_only_inputs_are_shared(self):
+        ds = randomized_binary(146, 50)
+        again = validate(ds.y, ds.d, ds.x)
+        for name in ("y", "d", "x"):
+            assert np.shares_memory(getattr(again, name), getattr(ds, name)), name
+
+
 class TestCausalEstimate:
     def test_ci_must_bracket_point(self):
         with pytest.raises(ValueError, match="bracket"):

@@ -28,8 +28,11 @@ from causalest import (
     validate,
 )
 from causalest.errors import (
+    DimensionMismatchError,
     EmptyDoseGroupError,
     InsufficientMatchesError,
+    InvalidInputError,
+    LengthMismatchError,
     NoUsableStratumError,
     ZeroPropensityError,
 )
@@ -480,6 +483,68 @@ class TestDoublyRobust:
         for a in pts.values():
             for b in pts.values():
                 assert abs(a - b) < 0.1
+
+
+def _bits(est):
+    return np.array([est.point, est.variance, *est.ci]).view(np.int64)
+
+
+class TestSharedOutcomeFit:
+    SPECS = [
+        OrSpec(),
+        OrSpec(covariate_selection=()),
+        OrSpec(interactions_with_d=True, covariate_selection=(1,)),
+        OrSpec(link=LOGIT),
+    ]
+
+    @staticmethod
+    def _draw(spec):
+        g = philox(48)
+        x = g.normal(size=(800, 2))
+        d = (g.uniform(size=800) < expit(0.2 + x @ [0.5, -0.4])).astype(float)
+        index = 0.5 + 0.8 * d + x @ [0.6, 0.3]
+        if spec.link == LOGIT:
+            y = (g.uniform(size=800) < expit(index)).astype(float)
+        else:
+            y = index + g.normal(size=800)
+        return validate(y, d, x)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["full", "no-x", "selected-interactions", "logit"])
+    def test_passed_fit_is_bit_identical_to_self_fitted(self, spec):
+        # [DERIVED] a fit made beforehand gives the same bits as the fit the
+        # estimator makes itself, for both estimators that take one
+        ds = self._draw(spec)
+        score = estimate_propensity_binary(ds)
+        outcome = fit_outcome_model(ds, spec)
+        for dose, ref in ((1.0, 0.0), (0.0, 1.0)):
+            own = ate_or(ds, dose, ref, spec=spec)
+            shared = ate_or(ds, dose, ref, spec=spec, outcome_fit=outcome)
+            assert np.array_equal(_bits(shared), _bits(own))
+            assert shared.diagnostics == own.diagnostics
+            own = ate_dr(ds, score, dose, ref, spec=spec)
+            shared = ate_dr(ds, score, dose, ref, spec=spec, outcome_fit=outcome)
+            assert np.array_equal(_bits(shared), _bits(own))
+            assert shared.diagnostics == own.diagnostics
+
+    def test_fit_of_the_wrong_width_rejected(self):
+        ds = self._draw(OrSpec())
+        score = estimate_propensity_binary(ds)
+        no_x = fit_outcome_model(ds, OrSpec(covariate_selection=()))
+        full = fit_outcome_model(ds)
+        with pytest.raises(DimensionMismatchError, match="design width 2, the spec needs 4"):
+            ate_or(ds, outcome_fit=no_x)
+        with pytest.raises(DimensionMismatchError, match="design width 4, the spec needs 2"):
+            ate_dr(ds, score, spec=OrSpec(covariate_selection=()), outcome_fit=full)
+        with pytest.raises(DimensionMismatchError, match="the spec needs 6"):
+            ate_dr(ds, score, spec=OrSpec(interactions_with_d=True), outcome_fit=full)
+
+    def test_fit_of_another_link_or_row_count_rejected(self):
+        ds = self._draw(OrSpec())
+        full = fit_outcome_model(ds)
+        with pytest.raises(InvalidInputError, match="link 'identity', the spec has 'logit'"):
+            ate_or(ds, spec=OrSpec(link=LOGIT), outcome_fit=full)
+        with pytest.raises(LengthMismatchError, match="800 rows, the dataset 400"):
+            ate_or(ds.take(np.arange(400)), outcome_fit=full)
 
 
 class TestPermutationInvariance:

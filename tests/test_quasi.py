@@ -188,6 +188,14 @@ class TestDid:
         with pytest.raises(EmptyCellError, match="group=1, period=1"):
             ate_did(validate_did(y, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("empty", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_the_empty_cell_is_named(self, empty):
+        cells = [(g, p) for g in (0, 1) for p in (0, 1) if (g, p) != empty]
+        group, period = (np.array(c, dtype=float) for c in zip(*cells))
+        dd = validate_did(np.arange(3.0), group, period)
+        with pytest.raises(EmptyCellError, match=f"group={empty[0]}, period={empty[1]}$"):
+            ate_did(dd)
+
     def test_non_binary_period_rejected_in_basic_design(self):
         dd = validate_did(
             np.arange(8.0),

@@ -16,11 +16,25 @@ from causalest import (
     CellCheck,
     DgpSpec,
     MonteCarloReport,
+    OrSpec,
+    PropensityFit,
+    ate_2sls,
+    ate_did,
+    ate_dr,
+    ate_ipw,
+    ate_or,
     compare_to_reference,
+    estimate_propensity_binary,
+    fit_cre,
+    fit_fd,
+    fit_fe,
+    fit_pols,
+    fit_re,
     generate,
     load_reference,
     load_tolerances,
     misspecified_scores,
+    rdd_fuzzy,
     read_reference_csv,
     rdd_sharp,
     run_monte_carlo,
@@ -341,6 +355,60 @@ class TestRunMonteCarlo:
         run_monte_carlo("cs2", runs=3, n=100, seed=9)
         run_monte_carlo("cs3", methods=("POLS",), runs=2, n=100, seed=9)
         assert counts == {"draw": 5, "fe": 3}
+
+
+_NO_X = OrSpec(covariate_selection=())
+_PANEL_FITS = {"POLS": fit_pols, "RE": fit_re, "FD": fit_fd, "FE": fit_fe, "CRE": fit_cre}
+
+
+def _unshared(case, method, r, seed):
+    """The method's estimate on run r, from the public draw with every
+    nuisance fitted afresh for this one call."""
+    spec = DgpSpec(case_id=case, n=300)
+    ds = generate(spec, r, seed)
+    if case == "cs1":
+        injected = PropensityFit.from_scores(misspecified_scores(spec, r, seed), ds.d)
+        return {
+            "OR1": lambda: ate_or(ds),
+            "OR2": lambda: ate_or(ds, spec=_NO_X),
+            "PS1": lambda: ate_ipw(ds, estimate_propensity_binary(ds)),
+            "PS2": lambda: ate_ipw(ds, injected),
+            "DR1": lambda: ate_dr(ds, estimate_propensity_binary(ds), spec=_NO_X),
+            "DR2": lambda: ate_dr(ds, injected),
+            "DR3": lambda: ate_dr(ds, injected, spec=_NO_X),
+        }[method]()
+    if case in ("cs2", "cs3"):
+        return _PANEL_FITS[method](ds)
+    if case == "cs4":
+        return {
+            "OR1": lambda: ate_or(ds),
+            "OR2": lambda: ate_or(ds, spec=_NO_X),
+            "IV1": lambda: ate_2sls(ds.y, ds.d, ds.z[:, 0]),
+            "IV2": lambda: ate_2sls(ds.y, ds.d, ds.z[:, 1]),
+        }[method]()
+    if case == "cs5":
+        variant = {"DID1": None, "DID2": "violated"}[method]
+        return ate_did(generate(DgpSpec(case_id=case, n=300, variant=variant), r, seed))
+    variant = {"RDD1": "sharp", "RDD2": "fuzzy", "RDD3": "fuzzy"}[method]
+    spec = DgpSpec(case_id=case, n=300, variant=variant)
+    ds, cutoff = generate(spec, r, seed), spec.merged_params()["cutoff"]
+    if method == "RDD3":
+        return rdd_fuzzy(ds.y, ds.x[:, 0], ds.d, cutoff=cutoff)
+    return rdd_sharp(ds.y, ds.x[:, 0], cutoff=cutoff)
+
+
+class TestHarnessBitOracle:
+    @pytest.mark.parametrize("case", CASE_IDS)
+    def test_points_equal_unshared_estimators_bit_for_bit(self, case):
+        # [DERIVED] oracle: whatever the harness shares or skips inside a
+        # run, each cell carries the bits of the estimator called alone on
+        # the public draw of that run
+        report = run_monte_carlo(case, runs=4, n=300, seed=126)
+        assert report.methods == CASE_METHODS[case]
+        expected = np.array(
+            [[_unshared(case, m, r, 126).point for m in report.methods] for r in range(4)]
+        )
+        assert np.array_equal(report.points.view(np.int64), expected.view(np.int64))
 
 
 def _report(methods, av, var, mse, tau=-5.0):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, ndtri
 
 from causalest import (
     OrSpec,
@@ -99,6 +99,14 @@ class TestNormalInterval:
     def test_level_validated(self):
         with pytest.raises(ValueError, match="level"):
             normal_interval(0.0, 1.0, level=1.0)
+
+    @pytest.mark.parametrize("level", [0.95, 0.9, 0.5, np.float64(0.99), np.array(0.8)])
+    def test_quantile_per_level_is_exact(self, level):
+        # [DERIVED] the same bits as the quantile formed afresh, on first
+        # and repeated calls, whatever the type of the level
+        half = float(ndtri(0.5 + float(level) / 2.0)) * 3.0
+        for _ in range(2):
+            assert normal_interval(2.0, 9.0, level) == (2.0 - half, 2.0 + half)
 
     def test_variance_validated(self):
         with pytest.raises(ValueError, match="non-negative"):
