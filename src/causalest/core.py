@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import (
+    DimensionMismatchError,
     EmptyDatasetError,
     EmptyTreatmentArmError,
     InvalidInputError,
@@ -269,15 +270,29 @@ def validate_panel(unit, time, y, d, x=None) -> PanelDataset:
     """Validate raw panel columns into a :class:`PanelDataset`.
 
     Rows are sorted by (unit, time); duplicate (unit, time) pairs are
-    rejected. Rows that already come sorted, with numeric unit ids, skip the
-    sort: one O(n) pass checks the order and numbers the units.
+    rejected. `unit` and `time` must be 1-d; unit ids must be mutually
+    comparable, with no NaN, infinity or None; times must be integers that
+    fit in int64. Rows that already come sorted, with numeric unit ids, skip
+    the sort: one O(n) pass checks the order and numbers the units.
     """
     unit_arr = np.asarray(unit)
     time_arr = np.asarray(time)
+    for name, ids in (("unit", unit_arr), ("time", time_arr)):
+        if ids.ndim != 1:
+            raise DimensionMismatchError(f"{name} must be a 1-d vector, got shape {ids.shape}")
+    if unit_arr.dtype.kind in "fc" and not np.isfinite(unit_arr).all():
+        raise NonFiniteValueError("unit ids must be finite")
+    if unit_arr.dtype == object and any(u is None or u != u for u in unit_arr.tolist()):
+        raise NonFiniteValueError("unit ids must not contain None or NaN")
     if time_arr.dtype.kind not in "iu":
-        as_int = np.asarray(time_arr, dtype=float)
-        if not np.isfinite(as_int).all() or not (as_int == np.round(as_int)).all():
-            raise NonFiniteValueError("time must be an integer vector")
+        try:
+            as_int = np.asarray(time_arr, dtype=float)
+        except (TypeError, ValueError):  # times NumPy cannot read as numbers
+            valid = False
+        else:
+            valid = ((as_int >= -(2.0**63)) & (as_int < 2.0**63) & (as_int == np.round(as_int))).all()
+        if not valid:
+            raise NonFiniteValueError("time must be an integer vector within the int64 range")
         time_arr = as_int.astype(int)
     yv = _as_vector("y", y)
     n = yv.shape[0]
@@ -300,7 +315,10 @@ def validate_panel(unit, time, y, d, x=None) -> PanelDataset:
             unit_counts=_readonly(np.bincount(sorted_codes)),
         )
     # Sort by (unit, time); unit ids may be non-numeric, so sort via codes.
-    uniq, codes = np.unique(unit_arr, return_inverse=True)
+    try:
+        uniq, codes = np.unique(unit_arr, return_inverse=True)
+    except TypeError:
+        raise InvalidInputError("unit ids must be mutually comparable") from None
     order = np.lexsort((time_arr, codes))
     codes = codes[order]
     time_arr = time_arr[order]
@@ -324,9 +342,9 @@ def _codes_if_sorted(unit: np.ndarray, time: np.ndarray) -> np.ndarray | None:
     (unit, time), or None when the general sort is needed.
 
     The codes count the unit changes, so they equal the codes of the sorted
-    unique ids; NaN ids fail every comparison and take the general path.
+    unique ids (`validate_panel` has already rejected NaN ids).
     """
-    if unit.dtype.kind not in "iuf" or unit.ndim != 1 or time.ndim != 1:
+    if unit.dtype.kind not in "iuf":
         return None
     same = unit[1:] == unit[:-1]
     if not ((unit[1:] > unit[:-1]) | (same & (time[1:] > time[:-1]))).all():

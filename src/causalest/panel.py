@@ -12,11 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CausalEstimate, PanelDataset, _estimate, _select_columns
-from .errors import (
-    InvalidInputError,
-    NoWithinVariationError,
-    TooFewPeriodsError,
-)
+from .errors import InvalidInputError, NoWithinVariationError, TooFewPeriodsError
 from .regress import fit_ols
 
 POLS = "pols"
@@ -70,16 +66,53 @@ def _no_variation(v: np.ndarray, scale: float) -> bool:
     return float(np.max(np.abs(v), initial=0.0)) <= _ZERO_RTOL * max(1.0, scale)
 
 
+def _demeaned(pds: PanelDataset, columns, means, theta=1.0) -> np.ndarray:
+    """One (n, k) design whose column j is `columns[j] - theta * means[j]`,
+    with the per-unit `means[j]` broadcast to the rows.
+
+    theta = 1 is the within transform; a per-row theta is RE's quasi-demeaning.
+    """
+    design = np.empty((pds.n, len(columns)))
+    for j, (v, m) in enumerate(zip(columns, means)):
+        shift = pds.broadcast_units(m)  # a fresh array: fancy indexing copies
+        shift *= theta
+        np.subtract(v, shift, out=design[:, j])
+    return design
+
+
+def _within_fit(pds: PanelDataset, design: np.ndarray, y_means: np.ndarray):
+    """OLS of the unit-demeaned y on a within design; returns (fit, dof), where
+    dof also subtracts the N absorbed unit means."""
+    k = design.shape[1]
+    dof = pds.n - pds.n_units - k
+    if dof < 1:
+        raise TooFewPeriodsError(
+            f"no residual degrees of freedom (n={pds.n}, units={pds.n_units}, k={k})"
+        )
+    return fit_ols(design, pds.y - pds.broadcast_units(y_means)), dof
+
+
+def _coef_on_d(method, spec, intercept, d, x, y, diagnostics=None) -> CausalEstimate:
+    """OLS of y on [intercept,] d, x; d's coefficient is the estimate.
+
+    `intercept` is the constant column (a scalar broadcasts), used when
+    `spec.include_intercept` is set.
+    """
+    i = 1 if spec.include_intercept else 0
+    design = np.empty((d.shape[0], i + 1 + x.shape[1]))
+    if i:
+        design[:, 0] = intercept
+    design[:, i] = d
+    design[:, i + 1 :] = x
+    fit = fit_ols(design, y)
+    return _estimate(method, fit.coef[i], d.shape[0], fit.coef_cov[i, i], diagnostics)
+
+
 def fit_pols(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
     """Pooled OLS of y on (1, d, x), ignoring the panel structure."""
     spec = spec or PanelSpec(method=POLS)
     x = _select_columns(pds.x, spec.covariate_selection)
-    cols = ([np.ones(pds.n)] if spec.include_intercept else []) + [pds.d]
-    if x.shape[1]:
-        cols.append(x)
-    fit = fit_ols(np.column_stack(cols), pds.y)
-    i = 1 if spec.include_intercept else 0
-    return _estimate(POLS, fit.coef[i], pds.n, fit.coef_cov[i, i])
+    return _coef_on_d(POLS, spec, 1.0, pds.d, x, pds.y)
 
 
 def fit_fe(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
@@ -91,32 +124,14 @@ def fit_fe(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
     spec = spec or PanelSpec(method=FE)
     _require_two_periods(pds, "fixed effects")
     x = _select_columns(pds.x, spec.covariate_selection)
-    dw = pds.d - pds.broadcast_units(pds.unit_means(pds.d))
-    if _no_variation(dw, float(np.max(np.abs(pds.d)))):
+    columns = [pds.d, *x.T]
+    design = _demeaned(pds, columns, [pds.unit_means(v) for v in columns])
+    if _no_variation(design[:, 0], float(np.max(np.abs(pds.d)))):
         raise NoWithinVariationError("treatment is constant within every unit")
-    yw = pds.y - pds.broadcast_units(pds.unit_means(pds.y))
-    cols = [dw]
-    for j in range(x.shape[1]):
-        cols.append(x[:, j] - pds.broadcast_units(pds.unit_means(x[:, j])))
-    design = np.column_stack(cols)
-    k = design.shape[1]
-    dof = pds.n - pds.n_units - k
-    if dof < 1:
-        raise TooFewPeriodsError(
-            f"no residual degrees of freedom (n={pds.n}, units={pds.n_units}, k={k})"
-        )
-    fit = fit_ols(design, yw)
+    fit, dof = _within_fit(pds, design, pds.unit_means(pds.y))
     # fit_ols scales the covariance by RSS/(n-k); correct for the N absorbed means
-    var = fit.coef_cov[0, 0] * (pds.n - k) / dof
+    var = fit.coef_cov[0, 0] * (pds.n - design.shape[1]) / dof
     return _estimate(FE, fit.coef[0], pds.n, var, {"dof": int(dof)})
-
-
-def _differences(pds: PanelDataset, x: np.ndarray):
-    same_unit = pds.unit_codes[1:] == pds.unit_codes[:-1]
-    dd = (pds.d[1:] - pds.d[:-1])[same_unit]
-    dy = (pds.y[1:] - pds.y[:-1])[same_unit]
-    dx = (x[1:] - x[:-1])[same_unit]
-    return dd, dy, dx
 
 
 def fit_fd(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
@@ -124,19 +139,15 @@ def fit_fd(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
     spec = spec or PanelSpec(method=FD)
     _require_two_periods(pds, "first differences")
     x = _select_columns(pds.x, spec.covariate_selection)
-    dd, dy, dx = _differences(pds, x)
+    same_unit = pds.unit_codes[1:] == pds.unit_codes[:-1]
+    dd, dy, dx = ((v[1:] - v[:-1])[same_unit] for v in (pds.d, pds.y, x))
     if np.ptp(dd) == 0.0:
         if spec.include_intercept or _no_variation(dd, float(np.max(np.abs(pds.d)))):
             raise NoWithinVariationError(
                 "differenced treatment has no variation"
                 + (" beyond the intercept" if spec.include_intercept else "")
             )
-    cols = ([np.ones(dd.shape[0])] if spec.include_intercept else []) + [dd]
-    if dx.shape[1]:
-        cols.append(dx)
-    fit = fit_ols(np.column_stack(cols), dy)
-    i = 1 if spec.include_intercept else 0
-    return _estimate(FD, fit.coef[i], dd.shape[0], fit.coef_cov[i, i])
+    return _coef_on_d(FD, spec, 1.0, dd, dx, dy)
 
 
 def fit_cre(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
@@ -150,13 +161,7 @@ def fit_cre(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
     _require_two_periods(pds, "correlated random effects")
     x = _select_columns(pds.x, spec.covariate_selection)
     dbar = pds.broadcast_units(pds.unit_means(pds.d))
-    cols = ([np.ones(pds.n)] if spec.include_intercept else []) + [pds.d]
-    if x.shape[1]:
-        cols.append(x)
-    cols.append(dbar)
-    fit = fit_ols(np.column_stack(cols), pds.y)
-    i = 1 if spec.include_intercept else 0
-    return _estimate(CRE, fit.coef[i], pds.n, fit.coef_cov[i, i])
+    return _coef_on_d(CRE, spec, 1.0, pds.d, np.column_stack([x, dbar]), pds.y)
 
 
 def fit_re(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
@@ -173,65 +178,37 @@ def fit_re(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
     x = _select_columns(pds.x, spec.covariate_selection)
     counts = pds.unit_counts.astype(float)
     N = pds.n_units
+    columns = [pds.d, *x.T]
+    means = [pds.unit_means(v) for v in columns]
+    y_means = pds.unit_means(pds.y)
 
-    def pols_fallback(reason, extra=None):
-        est = fit_pols(pds, PanelSpec(POLS, spec.include_intercept, spec.covariate_selection))
-        diags = {"re_fallback": reason}
-        if extra:
-            diags.update(extra)
-        return _estimate(RE, est.point, pds.n, est.variance, diags)
+    def pols_fallback(**diagnostics):
+        return _coef_on_d(RE, spec, 1.0, pds.d, x, pds.y, diagnostics)
 
     # within step for the idiosyncratic variance
-    dw = pds.d - pds.broadcast_units(pds.unit_means(pds.d))
-    yw = pds.y - pds.broadcast_units(pds.unit_means(pds.y))
-    w_cols = [dw]
-    for j in range(x.shape[1]):
-        w_cols.append(x[:, j] - pds.broadcast_units(pds.unit_means(x[:, j])))
-    w_design = np.column_stack(w_cols)
-    k_w = w_design.shape[1]
-    dof_w = pds.n - N - k_w
-    if dof_w < 1:
-        raise TooFewPeriodsError(
-            f"no within degrees of freedom (n={pds.n}, units={N}, k={k_w})"
-        )
-    w_fit = fit_ols(w_design, yw)
+    w_fit, dof_w = _within_fit(pds, _demeaned(pds, columns, means), y_means)
     s2e = float(w_fit.residuals @ w_fit.residuals) / dof_w
 
     # between step for the unit-effect variance
-    b_cols = [np.ones(N), pds.unit_means(pds.d)]
-    for j in range(x.shape[1]):
-        b_cols.append(pds.unit_means(x[:, j]))
-    b_design = np.column_stack(b_cols)
+    b_design = np.column_stack([np.ones(N), *means])
     k_b = b_design.shape[1]
     if N <= k_b:
-        return pols_fallback("too-few-units-for-between-step")
-    b_fit = fit_ols(b_design, pds.unit_means(pds.y))
+        return pols_fallback(re_fallback="too-few-units-for-between-step")
+    b_fit = fit_ols(b_design, y_means)
     s2b = float(b_fit.residuals @ b_fit.residuals) / (N - k_b)
     t_harmonic = N / float(np.sum(1.0 / counts))
     s2u = s2b - s2e / t_harmonic
     if s2u <= 0.0:
-        return pols_fallback(
-            "nonpositive-unit-variance", {"sigma2_e": s2e, "sigma2_u": s2u}
-        )
+        return pols_fallback(re_fallback="nonpositive-unit-variance", sigma2_e=s2e, sigma2_u=s2u)
 
     theta = 1.0 - np.sqrt(s2e / (counts * s2u + s2e))
     theta_row = pds.broadcast_units(theta)
-    yt = pds.y - theta_row * pds.broadcast_units(pds.unit_means(pds.y))
-    dt = pds.d - theta_row * pds.broadcast_units(pds.unit_means(pds.d))
-    cols = ([1.0 - theta_row] if spec.include_intercept else []) + [dt]
-    for j in range(x.shape[1]):
-        cols.append(x[:, j] - theta_row * pds.broadcast_units(pds.unit_means(x[:, j])))
-    fit = fit_ols(np.column_stack(cols), yt)
-    i = 1 if spec.include_intercept else 0
-    return _estimate(
-        RE,
-        fit.coef[i],
-        pds.n,
-        fit.coef_cov[i, i],
-        {
-            "sigma2_e": s2e,
-            "sigma2_u": float(s2u),
-            "theta_min": float(theta.min()),
-            "theta_max": float(theta.max()),
-        },
-    )
+    quasi = _demeaned(pds, columns, means, theta_row)
+    yt = pds.y - pds.broadcast_units(y_means) * theta_row
+    diagnostics = {
+        "sigma2_e": s2e,
+        "sigma2_u": float(s2u),
+        "theta_min": float(theta.min()),
+        "theta_max": float(theta.max()),
+    }
+    return _coef_on_d(RE, spec, 1.0 - theta_row, quasi[:, 0], quasi[:, 1:], yt, diagnostics)

@@ -19,8 +19,10 @@ from causalest import (
     validate_panel,
 )
 from causalest.errors import (
+    DimensionMismatchError,
     EmptyDatasetError,
     EmptyTreatmentArmError,
+    InvalidInputError,
     LengthMismatchError,
     NonFiniteValueError,
 )
@@ -125,6 +127,32 @@ class TestValidatePanel:
     def test_non_integer_time_rejected(self):
         with pytest.raises(NonFiniteValueError):
             validate_panel([1, 1], [0.0, 0.5], [1.0, 2.0], [0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "unit, time, error",
+        [
+            (np.zeros((4, 1)), [0, 1, 0, 1], DimensionMismatchError),
+            ([0, 0, 1, 1], np.zeros((4, 1)), DimensionMismatchError),
+            (3, [0, 1, 0, 1], DimensionMismatchError),
+            ([0, 0, 1, 1], 1, DimensionMismatchError),
+            ([0, 0, 1, 1], ["a", "b", "a", "b"], NonFiniteValueError),
+            (np.array(["a", None, "b", "b"], dtype=object), [0, 1, 0, 1], NonFiniteValueError),
+            ([None, None, "b", "b"], [0, 1, 0, 1], NonFiniteValueError),
+            (np.array(["a", "a", np.nan, np.nan], dtype=object), [0, 1, 0, 1], NonFiniteValueError),
+            ([0, 0, 1, 1], [0.0, 1e300, 0.0, 1.0], NonFiniteValueError),
+            ([np.nan, np.nan, 1.0, 1.0], [0, 1, 0, 1], NonFiniteValueError),
+            ([0.0, 0.0, np.inf, np.inf], [0, 1, 0, 1], NonFiniteValueError),
+            (np.array(["a", "a", 1, 1], dtype=object), [0, 1, 0, 1], InvalidInputError),
+        ],
+        ids=[
+            "2d-unit", "2d-time", "scalar-unit", "scalar-time", "string-time",
+            "none-among-strings", "none-ids", "object-nan-id", "time-out-of-int64",
+            "nan-unit", "inf-unit", "mixed-type-ids",
+        ],
+    )
+    def test_malformed_ids_rejected(self, unit, time, error):
+        with pytest.raises(error):
+            validate_panel(unit, time, [1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0])
 
     def test_unit_means_and_broadcast(self):
         # [TRIVIAL] hand means: unit 0 -> (1+3)/2 = 2, unit 1 -> 5

@@ -43,6 +43,28 @@ def _random_panel(seed, n_units=50, t=4, unit_sd=1.5, slope=0.5):
     return validate_panel(unit, time, y, d)
 
 
+def _covariate_columns(seed):
+    """Raw columns of an unbalanced panel of 40 units with two covariates;
+    the unit effect correlates with d and x, and periods have gaps."""
+    g = philox(seed)
+    counts = np.tile([2, 3, 4, 2, 5, 3, 4, 2, 6, 3], 4)
+    unit = np.repeat(np.arange(counts.size), counts)
+    time = np.concatenate([np.sort(g.choice(8, c, replace=False)) for c in counts])
+    alpha = np.repeat(g.normal(0.0, 2.0, counts.size), counts)
+    x = g.normal(size=(unit.size, 2)) + 0.4 * alpha[:, None]
+    d = 0.5 * alpha + x @ np.array([0.3, -0.2]) + g.normal(size=unit.size)
+    y = 1.0 + 0.5 * d + x @ np.array([1.0, -0.5]) + alpha + g.normal(size=unit.size)
+    return unit, time, y, d, x
+
+
+def _lstsq_fit(design, y):
+    """Coefficients and the iid OLS covariance diagonal, from lstsq."""
+    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ beta
+    sigma2 = resid @ resid / (design.shape[0] - design.shape[1])
+    return beta, sigma2 * np.diag(np.linalg.inv(design.T @ design)), resid
+
+
 class TestHandExamples:
     def test_fe_removes_unit_confounding(self):
         # [DERIVED] hand within-transform: both units have slope exactly 1
@@ -105,8 +127,9 @@ class TestFixedEffects:
     def test_saturated_within_fit_rejected(self):
         # one unit, two periods: demeaning leaves no residual dof
         pds = validate_panel([0, 0], [0, 1], [1.0, 2.0], [0.0, 1.0])
-        with pytest.raises(TooFewPeriodsError, match="degrees of freedom"):
-            fit_fe(pds)
+        for fn in (fit_fe, fit_re):
+            with pytest.raises(TooFewPeriodsError, match="degrees of freedom"):
+                fn(pds)
 
     def test_unbalanced_panels_supported(self):
         g = philox(53)
@@ -122,6 +145,47 @@ class TestFixedEffects:
         dummies = np.equal.outer(pds.unit_codes, np.arange(pds.n_units)).astype(float)
         beta, *_ = np.linalg.lstsq(np.column_stack([dummies, pds.d]), pds.y, rcond=None)
         assert est.point == pytest.approx(beta[-1], abs=1e-10)
+
+
+class TestCovariateOracles:
+    """FE, FD and CRE with two covariates on an unbalanced panel, each
+    against an lstsq fit of the textbook design."""
+
+    def test_fe_equals_unit_dummy_regression(self):
+        pds = validate_panel(*_covariate_columns(70))
+        dummies = np.equal.outer(pds.unit_codes, np.arange(pds.n_units)).astype(float)
+        beta, var, _ = _lstsq_fit(np.column_stack([dummies, pds.d, pds.x]), pds.y)
+        est = fit_fe(pds)
+        assert est.point == pytest.approx(beta[pds.n_units], abs=1e-10)
+        assert est.variance == pytest.approx(var[pds.n_units], rel=1e-8)
+        assert est.diagnostics["dof"] == pds.n - pds.n_units - 3
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_fd_equals_differenced_regression(self, intercept):
+        pds = validate_panel(*_covariate_columns(71))
+        rows = [
+            np.diff(np.column_stack([pds.y, pds.d, pds.x])[pds.unit_codes == u], axis=0)
+            for u in range(pds.n_units)
+        ]
+        diffs = np.concatenate(rows)
+        design = diffs[:, 1:]
+        if intercept:
+            design = np.column_stack([np.ones(diffs.shape[0]), design])
+        beta, var, _ = _lstsq_fit(design, diffs[:, 0])
+        i = int(intercept)
+        est = fit_fd(pds, PanelSpec(FD, include_intercept=intercept))
+        assert est.point == pytest.approx(beta[i], abs=1e-10)
+        assert est.variance == pytest.approx(var[i], rel=1e-8)
+        assert est.n_used == pds.n - pds.n_units
+
+    def test_cre_equals_mundlak_regression(self):
+        pds = validate_panel(*_covariate_columns(72))
+        dbar = np.array([pds.d[pds.unit_codes == u].mean() for u in range(pds.n_units)])
+        design = np.column_stack([np.ones(pds.n), pds.d, pds.x, dbar[pds.unit_codes]])
+        beta, var, _ = _lstsq_fit(design, pds.y)
+        est = fit_cre(pds)
+        assert est.point == pytest.approx(beta[1], abs=1e-10)
+        assert est.variance == pytest.approx(var[1], rel=1e-8)
 
 
 class TestFirstDifferences:
@@ -187,6 +251,37 @@ class TestRandomEffects:
         assert est.diagnostics["sigma2_e"] == pytest.approx(s2e, rel=1e-10)
         assert est.diagnostics["sigma2_u"] == pytest.approx(s2u, rel=1e-10)
         assert 0.0 < est.diagnostics["theta_min"] <= est.diagnostics["theta_max"] < 1.0
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_unbalanced_oracle_with_covariates(self, intercept):
+        # [DERIVED] per-unit theta_i from T_i, and the harmonic-mean T in the
+        # unit-effect variance, recomputed with lstsq from the raw columns
+        pds = validate_panel(*_covariate_columns(73))
+        codes, N, n = pds.unit_codes, pds.n_units, pds.n
+        t_i = np.bincount(codes).astype(float)
+        block = np.column_stack([pds.y, pds.d, pds.x])
+        means = np.array([block[codes == u].mean(axis=0) for u in range(N)])
+        within = block - means[codes]
+        _, _, resid_w = _lstsq_fit(within[:, 1:], within[:, 0])
+        s2e = resid_w @ resid_w / (n - N - 3)
+        _, _, resid_b = _lstsq_fit(np.column_stack([np.ones(N), means[:, 1:]]), means[:, 0])
+        s2u = resid_b @ resid_b / (N - 4) - s2e / (N / np.sum(1.0 / t_i))
+        theta = 1.0 - np.sqrt(s2e / (t_i * s2u + s2e))
+        quasi = block - theta[codes, None] * means[codes]
+        design = quasi[:, 1:]
+        if intercept:
+            design = np.column_stack([1.0 - theta[codes], design])
+        beta, var, _ = _lstsq_fit(design, quasi[:, 0])
+        i = int(intercept)
+        est = fit_re(pds, PanelSpec(RE, include_intercept=intercept))
+        assert "re_fallback" not in est.diagnostics
+        assert est.point == pytest.approx(beta[i], abs=1e-10)
+        assert est.variance == pytest.approx(var[i], rel=1e-8)
+        assert est.diagnostics["sigma2_e"] == pytest.approx(s2e, rel=1e-10)
+        assert est.diagnostics["sigma2_u"] == pytest.approx(s2u, rel=1e-10)
+        assert est.diagnostics["theta_min"] == pytest.approx(theta.min(), rel=1e-12)
+        assert est.diagnostics["theta_max"] == pytest.approx(theta.max(), rel=1e-12)
+        assert theta.min() < theta.max()  # the panel is unbalanced
 
     def test_recovers_exogenous_slope(self):
         pds = _random_panel(60, n_units=300, t=5, unit_sd=2.0)
@@ -257,3 +352,38 @@ class TestSpecAndDispatch:
         est = fit_pols(pds, PanelSpec(POLS, include_intercept=False))
         beta, *_ = np.linalg.lstsq(pds.d[:, None], pds.y, rcond=None)
         assert est.point == pytest.approx(beta[0], abs=1e-10)
+
+
+def _bits(value):
+    return np.float64(value).view(np.int64)
+
+
+@pytest.mark.parametrize("method", [POLS, RE, FE, FD, CRE])
+class TestInvarianceSweep:
+    """Each estimator on an unbalanced panel with two covariates."""
+
+    def test_row_order_leaves_the_bits_unchanged(self, method):
+        columns = _covariate_columns(80)
+        reference = fit_panel(validate_panel(*columns), PanelSpec(method))
+        for seed in (81, 82, 83):
+            perm = philox(seed).permutation(columns[0].size)
+            est = fit_panel(validate_panel(*(c[perm] for c in columns)), PanelSpec(method))
+            assert _bits(est.point) == _bits(reference.point)
+            assert _bits(est.variance) == _bits(reference.variance)
+
+    def test_order_preserving_unit_relabelling(self, method):
+        unit, time, y, d, x = _covariate_columns(84)
+        reference = fit_panel(validate_panel(unit, time, y, d, x), PanelSpec(method))
+        for relabelled in (1000 + 7 * unit, np.char.add("unit-", np.char.zfill(unit.astype(str), 3))):
+            est = fit_panel(validate_panel(relabelled, time, y, d, x), PanelSpec(method))
+            assert est.point == reference.point
+            assert est.variance == reference.variance
+
+    @pytest.mark.parametrize("a, b", [(3.0, 7.0), (-0.25, -40.0)])
+    def test_affine_outcome_scales_point_and_variance(self, method, a, b):
+        unit, time, y, d, x = _covariate_columns(85)
+        reference = fit_panel(validate_panel(unit, time, y, d, x), PanelSpec(method))
+        est = fit_panel(validate_panel(unit, time, a * y + b, d, x), PanelSpec(method))
+        assert est.point == pytest.approx(a * reference.point, rel=1e-9, abs=1e-12)
+        assert est.variance == pytest.approx(a * a * reference.variance, rel=1e-8)
+        assert est.diagnostics.keys() == reference.diagnostics.keys()
