@@ -50,7 +50,7 @@ def _is_01(v: np.ndarray) -> bool:
 
 
 def _as_vector(name: str, v, n: int | None = None, *, finite: bool = True) -> np.ndarray:
-    """Coerce to a 1-D float vector, of length `n` when `n` is given.
+    """Coerce a 1-D input to a float vector, of length `n` when `n` is given.
 
     With `_as_matrix` and `_check_length` it holds every shape, length and
     finiteness check on array arguments. `finite=False` skips the finiteness
@@ -58,7 +58,7 @@ def _as_vector(name: str, v, n: int | None = None, *, finite: bool = True) -> np
     """
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
-        arr = arr.reshape(-1)
+        raise DimensionMismatchError(f"'{name}' must be a 1-d vector, got shape {arr.shape}")
     if finite and not np.isfinite(arr).all():
         raise NonFiniteValueError(f"column '{name}' contains non-finite values")
     return _check_length(name, arr, n)
@@ -109,10 +109,6 @@ class ObservationalDataset:
     @property
     def n(self) -> int:
         return self.y.shape[0]
-
-    @property
-    def n_covariates(self) -> int:
-        return self.x.shape[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ObservationalDataset):

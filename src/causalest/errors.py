@@ -144,7 +144,7 @@ class NoFirstStageJumpError(CausalestError):
 # ---------------------------------------------------------------------------
 
 class TooManyFailedReplicatesError(CausalestError):
-    """More than 10% of bootstrap replicates raised errors."""
+    """An estimator failed on over 5% of Monte Carlo runs or 10% of bootstrap replicates."""
 
 
 class MissingCoefCovarianceError(CausalestError):
@@ -163,5 +163,5 @@ class MissingReferenceCellError(InvalidInputError):
     """Reference table lacks a method present in the report."""
 
 
-class TooManyFailedRunsError(CausalestError):
-    """More than 5% of Monte Carlo runs failed for some method."""
+# the Monte Carlo harness's name for TooManyFailedReplicatesError
+TooManyFailedRunsError = TooManyFailedReplicatesError

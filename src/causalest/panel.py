@@ -81,14 +81,16 @@ def _demeaned(pds: PanelDataset, columns, means, theta=1.0) -> np.ndarray:
 
 
 def _within_fit(pds: PanelDataset, design: np.ndarray, y_means: np.ndarray):
-    """OLS of the unit-demeaned y on a within design; returns (fit, dof), where
-    dof also subtracts the N absorbed unit means."""
+    """OLS of the unit-demeaned y on a within design led by the demeaned d;
+    returns (fit, dof), where dof also subtracts the N absorbed unit means."""
     k = design.shape[1]
     dof = pds.n - pds.n_units - k
     if dof < 1:
         raise TooFewPeriodsError(
             f"no residual degrees of freedom (n={pds.n}, units={pds.n_units}, k={k})"
         )
+    if _no_variation(design[:, 0], float(np.max(np.abs(pds.d)))):
+        raise NoWithinVariationError("treatment is constant within every unit")
     return fit_ols(design, pds.y - pds.broadcast_units(y_means)), dof
 
 
@@ -126,8 +128,6 @@ def fit_fe(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
     x = _select_columns(pds.x, spec.covariate_selection)
     columns = [pds.d, *x.T]
     design = _demeaned(pds, columns, [pds.unit_means(v) for v in columns])
-    if _no_variation(design[:, 0], float(np.max(np.abs(pds.d)))):
-        raise NoWithinVariationError("treatment is constant within every unit")
     fit, dof = _within_fit(pds, design, pds.unit_means(pds.y))
     # fit_ols scales the covariance by RSS/(n-k); correct for the N absorbed means
     var = fit.coef_cov[0, 0] * (pds.n - design.shape[1]) / dof

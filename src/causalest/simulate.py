@@ -23,17 +23,12 @@ import numpy as np
 from scipy.special import expit, ndtr, ndtri
 
 from .core import validate, validate_panel
-from .errors import (
-    CausalestError,
-    InvalidInputError,
-    MissingReferenceCellError,
-    TooManyFailedRunsError,
-    UnknownCaseError,
-)
+from .errors import InvalidInputError, MissingReferenceCellError, UnknownCaseError
 from .estimators import OrSpec, ate_dr, ate_ipw, ate_or, fit_outcome_model
 from .panel import fit_cre, fit_fd, fit_fe, fit_pols, fit_re
 from .propensity import PropensityFit, estimate_propensity_binary
 from .quasi import ate_2sls, ate_did, rdd_fuzzy, rdd_sharp, validate_did
+from .variance import _MAX_FAILED_RUNS, _keyed_stream, _replicate
 
 CASE_IDS = ("cs1", "cs2", "cs3", "cs4", "cs5", "cs6")
 
@@ -210,14 +205,6 @@ class DgpSpec:
         return merged
 
 
-def _stream(seed: int, case_index: int, run_index: int, variable: int):
-    return np.random.Generator(
-        np.random.Philox(
-            np.random.SeedSequence(seed, spawn_key=(case_index, run_index, variable))
-        )
-    )
-
-
 def _truncated_normal(rng, mu, sigma, lo, hi, size):
     """Exact truncated-normal draws via the inverse-CDF transform."""
     a = ndtr((lo - mu) / sigma)
@@ -234,19 +221,19 @@ def _draw_cs1(spec: DgpSpec, run_index: int, seed: int):
     p = spec.merged_params()
     n = spec.n
     s = _VARIABLE_STREAMS["cs1"]
-    x = _stream(seed, 1, run_index, s["x"]).normal(0.0, np.sqrt(p["x_variance"]), n)
+    x = _keyed_stream(seed, 1, run_index, s["x"]).normal(0.0, np.sqrt(p["x_variance"]), n)
     score = expit(p["alpha0"] + p["alpha1"] * x)
-    d = (_stream(seed, 1, run_index, s["assignment"]).uniform(size=n) < score).astype(float)
+    d = (_keyed_stream(seed, 1, run_index, s["assignment"]).uniform(size=n) < score).astype(float)
     y = (
         p["beta0"]
         + p["tau"] * d
         + p["beta1"] * x
-        + _stream(seed, 1, run_index, s["outcome_noise"]).normal(
+        + _keyed_stream(seed, 1, run_index, s["outcome_noise"]).normal(
             0.0, np.sqrt(p["noise_variance"]), n
         )
     )
     fake = _truncated_normal(
-        _stream(seed, 1, run_index, s["misspecified_score"]),
+        _keyed_stream(seed, 1, run_index, s["misspecified_score"]),
         float(score.mean()),
         p["misspecified_score_sd"],
         p["trunc_lo"],
@@ -263,22 +250,22 @@ def _draw_panel(spec: DgpSpec, run_index: int, seed: int):
     n_units = spec.n // t_per
     n = n_units * t_per
     s = _VARIABLE_STREAMS[spec.case_id]
-    w_unit = _stream(seed, case, run_index, s["unit_levels"]).uniform(
+    w_unit = _keyed_stream(seed, case, run_index, s["unit_levels"]).uniform(
         p["w_lo"], p["w_hi"], n_units
     )
     w = np.repeat(w_unit, t_per)
     if spec.case_id == "cs3":
-        w = w + _stream(seed, case, run_index, s["measurement_noise"]).normal(
+        w = w + _keyed_stream(seed, case, run_index, s["measurement_noise"]).normal(
             0.0, p["sigma_w"], n
         )
-    d = p["delta"] * w + _stream(seed, case, run_index, s["treatment_noise"]).normal(
+    d = p["delta"] * w + _keyed_stream(seed, case, run_index, s["treatment_noise"]).normal(
         0.0, p["sigma_d"], n
     )
     y = (
         p["alpha"]
         + p["tau"] * d
         + p["gamma"] * w
-        + _stream(seed, case, run_index, s["outcome_noise"]).normal(0.0, p["sigma_e"], n)
+        + _keyed_stream(seed, case, run_index, s["outcome_noise"]).normal(0.0, p["sigma_e"], n)
     )
     unit = np.repeat(np.arange(n_units), t_per)
     time = np.tile(np.arange(t_per), n_units)
@@ -289,18 +276,18 @@ def _draw_cs4(spec: DgpSpec, run_index: int, seed: int):
     p = spec.merged_params()
     n = spec.n
     s = _VARIABLE_STREAMS["cs4"]
-    x = _stream(seed, 4, run_index, s["x"]).normal(p["x_mean"], p["x_sd"], n)
-    z = _stream(seed, 4, run_index, s["instrument"]).normal(0.0, 1.0, n)
+    x = _keyed_stream(seed, 4, run_index, s["x"]).normal(p["x_mean"], p["x_sd"], n)
+    z = _keyed_stream(seed, 4, run_index, s["instrument"]).normal(0.0, 1.0, n)
     d = p["alpha0"] + p["alpha1"] * x + p["alpha2"] * z
     if p["sigma_d"] > 0.0:
-        d = d + _stream(seed, 4, run_index, s["treatment_noise"]).normal(
+        d = d + _keyed_stream(seed, 4, run_index, s["treatment_noise"]).normal(
             0.0, p["sigma_d"], n
         )
     y = (
         p["beta0"]
         + p["tau"] * d
         + p["beta1"] * x
-        + _stream(seed, 4, run_index, s["outcome_noise"]).normal(0.0, p["sigma_e"], n)
+        + _keyed_stream(seed, 4, run_index, s["outcome_noise"]).normal(0.0, p["sigma_e"], n)
     )
     z_bad = z + p["bad_coef"] * (x - p["x_mean"])
     return validate(y, d, x, z=np.column_stack([z, z_bad]))
@@ -310,13 +297,13 @@ def _draw_cs5(spec: DgpSpec, run_index: int, seed: int):
     p = spec.merged_params()
     n = spec.n
     s = _VARIABLE_STREAMS["cs5"]
-    x0 = _stream(seed, 5, run_index, s["x0"]).normal(0.0, 1.0, n)
+    x0 = _keyed_stream(seed, 5, run_index, s["x0"]).normal(0.0, 1.0, n)
     d1 = (
-        _stream(seed, 5, run_index, s["assignment"]).uniform(size=n)
+        _keyed_stream(seed, 5, run_index, s["assignment"]).uniform(size=n)
         < expit(p["selection_strength"] * x0)
     ).astype(float)
-    e0 = _stream(seed, 5, run_index, s["noise_pre"]).normal(0.0, p["sigma_e"], n)
-    e1 = _stream(seed, 5, run_index, s["noise_post"]).normal(0.0, p["sigma_e"], n)
+    e0 = _keyed_stream(seed, 5, run_index, s["noise_pre"]).normal(0.0, p["sigma_e"], n)
+    e1 = _keyed_stream(seed, 5, run_index, s["noise_post"]).normal(0.0, p["sigma_e"], n)
     y0 = p["intercept_pre"] + p["selection_level"] * d1 + p["beta_x"] * x0 + e0
     y1 = (
         p["intercept_post"]
@@ -325,7 +312,7 @@ def _draw_cs5(spec: DgpSpec, run_index: int, seed: int):
         + p["beta_x"] * x0
         + e1
     )
-    x1 = _stream(seed, 5, run_index, s["x1"]).normal(p["x1_mean"], p["x1_sd"], n)
+    x1 = _keyed_stream(seed, 5, run_index, s["x1"]).normal(p["x1_mean"], p["x1_sd"], n)
     y1_violated = y1 + p["violation_coef"] * x1 * (1.0 - d1)
     base = validate_did(
         y=np.concatenate([y0, y1]),
@@ -343,11 +330,11 @@ def _draw_cs6(spec: DgpSpec, run_index: int, seed: int):
     p = spec.merged_params()
     n = spec.n
     s = _VARIABLE_STREAMS["cs6"]
-    t = _stream(seed, 6, run_index, s["forcing"]).uniform(p["t_lo"], p["t_hi"], n)
-    eps = _stream(seed, 6, run_index, s["outcome_noise"]).normal(0.0, p["noise_sd"], n)
+    t = _keyed_stream(seed, 6, run_index, s["forcing"]).uniform(p["t_lo"], p["t_hi"], n)
+    eps = _keyed_stream(seed, 6, run_index, s["outcome_noise"]).normal(0.0, p["noise_sd"], n)
     d_sharp = (t >= p["cutoff"]).astype(float)
     flip = (
-        _stream(seed, 6, run_index, s["compliance"]).uniform(size=n) < p["flip_share"]
+        _keyed_stream(seed, 6, run_index, s["compliance"]).uniform(size=n) < p["flip_share"]
     ) & (np.abs(t - p["cutoff"]) < p["flip_band"])
     d_fuzzy = np.where(flip, 1.0 - d_sharp, d_sharp)
     y_sharp = p["intercept"] + p["slope"] * t + p["tau"] * d_sharp + eps
@@ -461,8 +448,6 @@ _CASES = {
 
 CASE_METHODS = {case: tuple(methods) for case, (_, methods) in _CASES.items()}
 
-_MAX_FAILED_SHARE = 0.05
-
 
 @dataclass
 class MonteCarloReport:
@@ -477,8 +462,8 @@ class MonteCarloReport:
         emp_var: empirical variance (divisor R-1) per method.
         mse: emp_var + squared bias per method (so MSE = var + bias^2 holds
             exactly).
-        points: per-run estimates, shape (runs, len(methods)); NaN marks
-            one method's failure in one run.
+        points: per-run estimates, shape (runs, len(methods)); a NaN or
+            infinite cell marks one method's failure in one run.
         n_failed: failed-run count per method.
         metadata: parameters and notation-reading records for meta.json.
     """
@@ -538,8 +523,9 @@ def run_monte_carlo(
 
     Each run draws once and runs only the requested methods. A method that
     raises a CausalestError gets NaN for that run alone (a failed draw fails
-    every method); if any method fails on more than 5% of runs the
-    experiment aborts. Results are deterministic for a fixed seed.
+    every method), and a non-finite point counts as a failure too; if any
+    method fails on more than 5% of runs the experiment aborts with
+    TooManyFailedRunsError. Results are deterministic for a fixed seed.
     """
     if runs < 2:
         raise InvalidInputError("runs must be >= 2")
@@ -553,27 +539,10 @@ def run_monte_carlo(
         if unknown:
             raise InvalidInputError(f"unknown methods for {case_id}: {sorted(unknown)}")
     draw, estimators = _CASES[case_id]
-    chosen = [estimators[m] for m in methods]
-
-    points = np.full((runs, len(methods)), np.nan)
-    for r in range(runs):
-        try:
-            inputs = draw(spec, r, seed)
-        except CausalestError:
-            continue
-        for j, estimate in enumerate(chosen):
-            try:
-                points[r, j] = estimate(*inputs).point
-            except CausalestError:
-                pass
-
-    n_failed = np.isnan(points).sum(axis=0)
-    for j, m in enumerate(methods):
-        if n_failed[j] > _MAX_FAILED_SHARE * runs:
-            raise TooManyFailedRunsError(
-                f"{case_id}: {m} failed on {n_failed[j]}/{runs} runs "
-                f"(tolerance {_MAX_FAILED_SHARE:.0%})"
-            )
+    chosen = [(m, estimators[m]) for m in methods]
+    points, n_failed = _replicate(
+        lambda r: draw(spec, r, seed), chosen, runs, _MAX_FAILED_RUNS, case_id
+    )
     merged = spec.merged_params()
     tau = float(merged["tau"])
     av = np.empty(len(methods))

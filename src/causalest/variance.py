@@ -3,7 +3,8 @@
 The bootstrap resamples observations (or whole units, for panels) with
 replacement, re-runs an arbitrary estimator on each replicate, and reports
 the spread of the replicate estimates. Every replicate draws from its own
-seeded stream, so results are bit-identical for a given seed.
+seeded stream, so results are bit-identical for a given seed. The Monte
+Carlo harness runs its experiments through the same replicate loop.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ from .errors import (
     TooManyFailedReplicatesError,
 )
 from .regress import LinearFit
-
-# a bootstrap aborts when more than this share of its replicates fail
-_MAX_FAILED_SHARE = 0.10
 
 
 def delta_variance(fit: LinearFit, gradient) -> float:
@@ -46,9 +44,9 @@ class BootstrapResult:
     Attributes:
         variance: sample variance of the successful replicate estimates.
         ci: percentile interval of the replicate estimates.
-        points: per-replicate estimates, NaN where the replicate failed.
+        points: per-replicate estimates, NaN or infinite where it failed.
         n_ok: successful replicates.
-        n_failed: replicates that raised a CausalestError.
+        n_failed: replicates that raised a CausalestError or were non-finite.
     """
 
     variance: float
@@ -58,10 +56,49 @@ class BootstrapResult:
     n_failed: int
 
 
-def _replicate_stream(seed: int, b: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(b,)))
-    )
+def _keyed_stream(seed: int, *key: int) -> np.random.Generator:
+    """The Philox stream of SeedSequence(seed, spawn_key=key): Monte Carlo
+    variables are keyed (case, run, variable), bootstrap replicates (b,)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+# an estimator fails a replicate loop when it fails on more than this share
+# of the Monte Carlo runs or of the bootstrap replicates
+_MAX_FAILED_RUNS = 0.05
+_MAX_FAILED_REPLICATES = 0.10
+
+
+def _replicate(sample, estimators: list, count: int, max_failed_share: float, label: str):
+    """Run every estimator on `count` seeded replicates; (points, n_failed).
+
+    `sample(r)` builds replicate r's inputs as a tuple, and `estimators`
+    holds (name, estimator) pairs, each estimator mapping those inputs to a
+    CausalEstimate or a float; `points[r, j]` is estimator j's point on
+    replicate r. A CausalestError from `sample` fails every estimator on
+    that replicate and one from an estimator fails its cell only, leaving
+    NaN; a non-finite point counts as failed too. An estimator that fails on
+    more than `max_failed_share` of the replicates aborts the loop with an
+    error that starts with `label`.
+    """
+    points = np.full((count, len(estimators)), np.nan)
+    for r in range(count):
+        try:
+            inputs = sample(r)
+        except CausalestError:
+            continue
+        for j, (_, estimate) in enumerate(estimators):
+            try:
+                est = estimate(*inputs)
+            except CausalestError:
+                continue
+            points[r, j] = est.point if isinstance(est, CausalEstimate) else float(est)
+    n_failed = np.count_nonzero(~np.isfinite(points), axis=0)
+    for (name, _), failed in zip(estimators, n_failed):
+        if failed > max_failed_share * count:
+            raise TooManyFailedReplicatesError(
+                f"{label}: {name} failed on {failed}/{count} runs (tolerance {max_failed_share:.0%})"
+            )
+    return points, n_failed
 
 
 def bootstrap_variance(
@@ -77,33 +114,23 @@ def bootstrap_variance(
     PanelDataset (whole units resampled, keeping each unit's time series
     intact). `estimator` maps a dataset to a CausalEstimate or a float.
     Replicates that raise a CausalestError (invalid input or a failed
-    estimate) are skipped; when more than 10% of them fail the bootstrap
-    aborts.
+    estimate) or give a non-finite point are skipped; when more than 10% of
+    them fail the bootstrap aborts.
     """
     if n_boot < 2:
         raise InvalidInputError("n_boot must be >= 2")
     is_panel = isinstance(data, PanelDataset)
     n_draw = data.n_units if is_panel else data.n
 
-    def one(b: int) -> float:
-        rng = _replicate_stream(seed, b)
-        idx = rng.integers(0, n_draw, size=n_draw)
-        sample = data.take_units(idx) if is_panel else data.take(idx)
-        try:
-            est = estimator(sample)
-        except CausalestError:
-            return np.nan
-        return est.point if isinstance(est, CausalEstimate) else float(est)
+    def resample(b: int) -> tuple:
+        idx = _keyed_stream(seed, b).integers(0, n_draw, size=n_draw)
+        return (data.take_units(idx) if is_panel else data.take(idx),)
 
-    points = np.array([one(b) for b in range(n_boot)])
-
+    points, n_failed = _replicate(
+        resample, [("estimator", estimator)], n_boot, _MAX_FAILED_REPLICATES, "bootstrap"
+    )
+    points = points[:, 0]
     ok = points[np.isfinite(points)]
-    n_failed = int(n_boot - ok.size)
-    if n_failed > _MAX_FAILED_SHARE * n_boot:
-        raise TooManyFailedReplicatesError(
-            f"{n_failed}/{n_boot} bootstrap replicates failed "
-            f"(tolerance {_MAX_FAILED_SHARE:.0%})"
-        )
     alpha = 1.0 - level
     lo, hi = np.quantile(ok, [alpha / 2.0, 1.0 - alpha / 2.0])
     return BootstrapResult(
@@ -111,5 +138,5 @@ def bootstrap_variance(
         ci=(float(lo), float(hi)),
         points=points,
         n_ok=int(ok.size),
-        n_failed=n_failed,
+        n_failed=int(n_failed[0]),
     )

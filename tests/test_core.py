@@ -35,7 +35,6 @@ class TestValidate:
         ds = validate([1.0, 2.0], [0.0, 1.0])
         assert ds.treatment_kind == BINARY
         assert ds.n == 2
-        assert ds.n_covariates == 0
         assert ds.x.shape == (2, 0)
 
     def test_continuous_detection(self):
@@ -71,6 +70,23 @@ class TestValidate:
             validate([1.0, np.nan], [0.0, 1.0])
         with pytest.raises(NonFiniteValueError):
             validate([1.0, 2.0], [0.0, 1.0], x=[np.inf, 0.0])
+
+    @pytest.mark.parametrize("column", ["y", "d"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda y, d: validate(y, d),
+            lambda y, d: validate_panel([0, 0, 1, 1], [0, 1, 0, 1], y, d),
+            lambda y, d: causalest.validate_did(y, d, [0.0, 0.0, 1.0, 1.0]),
+        ],
+        ids=["validate", "validate_panel", "validate_did"],
+    )
+    def test_two_dimensional_column_rejected(self, build, column):
+        # a 2 x 2 outcome or treatment is not read as four rows
+        columns = {"y": np.arange(4.0), "d": np.array([0.0, 1.0, 0.0, 1.0])}
+        columns[column] = columns[column].reshape(2, 2)
+        with pytest.raises(DimensionMismatchError, match="must be a 1-d vector"):
+            build(**columns)
 
     def test_too_few_rows(self):
         with pytest.raises(EmptyDatasetError):

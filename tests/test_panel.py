@@ -113,8 +113,9 @@ class TestFixedEffects:
         unit = np.repeat([0, 1], 2)
         d = np.array([1.0, 1.0, 3.0, 3.0])  # constant inside each unit
         pds = validate_panel(unit, np.tile([0, 1], 2), np.arange(4.0), d)
-        with pytest.raises(NoWithinVariationError):
-            fit_fe(pds)
+        for fit in (fit_fe, fit_re):
+            with pytest.raises(NoWithinVariationError):
+                fit(pds)
         with pytest.raises(NoWithinVariationError):
             fit_fd(pds, PanelSpec(FD, include_intercept=False))
 

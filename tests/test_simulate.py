@@ -13,6 +13,7 @@ from causalest import (
     CASE_IDS,
     CASE_METHODS,
     TRUE_TAU,
+    CausalEstimate,
     CellCheck,
     DgpSpec,
     MonteCarloReport,
@@ -42,7 +43,9 @@ from causalest import (
 from causalest import simulate
 from causalest.errors import (
     MissingReferenceCellError,
+    OneSidedDataError,
     SeparationError,
+    TooManyFailedReplicatesError,
     TooManyFailedRunsError,
     UnknownCaseError,
 )
@@ -321,6 +324,67 @@ class TestRunMonteCarlo:
         assert np.isfinite(np.delete(report.points[0], ps1)).all()
         assert np.isfinite(report.points[1:]).all()
         assert report.n_failed.tolist() == [int(m == "PS1") for m in report.methods]
+
+    @staticmethod
+    def _rdd1_failing_on(monkeypatch, runs, failure):
+        """cs6 with RDD1 alone, 20 runs, where rdd_sharp calls `failure` on
+        the given run indices (one rdd_sharp call per run) instead of fitting."""
+        real = simulate.rdd_sharp
+        calls = {"n": 0}
+
+        def sharp(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] - 1 in runs:
+                return failure()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "rdd_sharp", sharp)
+        return run_monte_carlo("cs6", methods=("RDD1",), runs=20, n=200, seed=10)
+
+    @staticmethod
+    def _raise():
+        raise OneSidedDataError("injected")
+
+    @staticmethod
+    def _infinite():
+        return CausalEstimate(estimand="ATE", method="rdd_sharp", dose=1.0, point=np.inf, n_used=200)
+
+    def test_exactly_five_percent_failed_is_tolerated(self, monkeypatch):
+        # the budget is "more than 5% aborts": 1 failed run in 20 is tolerated
+        report = self._rdd1_failing_on(monkeypatch, {4}, self._raise)
+        assert report.n_failed.tolist() == [1]
+        assert np.isnan(report.points[4, 0])
+        assert np.isfinite(np.delete(report.points[:, 0], 4)).all()
+
+    def test_more_than_five_percent_failed_aborts(self, monkeypatch):
+        # [TRIVIAL] the harness and the bootstrap raise the same class
+        with pytest.raises(TooManyFailedReplicatesError, match="cs6: RDD1 failed on 2/20 runs"):
+            self._rdd1_failing_on(monkeypatch, {4, 11}, self._raise)
+
+    def test_non_finite_point_counts_as_failed(self, monkeypatch):
+        # [DERIVED] an infinite point is a failed run: counted against the
+        # budget and left out of the mean
+        report = self._rdd1_failing_on(monkeypatch, {7}, self._infinite)
+        assert report.n_failed.tolist() == [1]
+        assert report.av_est[0] == np.delete(report.points[:, 0], 7).mean()
+        with pytest.raises(TooManyFailedRunsError, match="failed on 2/20 runs"):
+            self._rdd1_failing_on(monkeypatch, {7, 8}, self._infinite)
+
+    def test_failed_draw_fails_every_method_in_its_run(self, monkeypatch):
+        # [DERIVED] a draw that raises leaves its whole row NaN and counts
+        # one failure against every method
+        real = simulate._draw_cs6
+
+        def draw(spec, run_index, seed):
+            if run_index == 3:
+                raise OneSidedDataError("injected")
+            return real(spec, run_index, seed)
+
+        monkeypatch.setattr(simulate, "_draw_cs6", draw)
+        report = run_monte_carlo("cs6", runs=20, n=200, seed=10)
+        assert np.isnan(report.points[3]).all()
+        assert np.isfinite(np.delete(report.points, 3, axis=0)).all()
+        assert report.n_failed.tolist() == [1, 1, 1]
 
     def test_score_fit_runs_once_per_run_and_only_when_used(self, monkeypatch):
         # [DERIVED] PS1 and DR1 share one estimated score per run; a panel

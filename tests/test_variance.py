@@ -353,6 +353,55 @@ class TestBootstrap:
         assert result.n_failed == 20
         assert result.n_ok == 180
 
+    def test_non_finite_points_count_as_failed(self):
+        # [DERIVED] an infinite replicate point is a failed replicate: counted
+        # against the 10% budget and left out of the variance
+        ds = confounded_binary(111, 80)
+
+        def inf_every(k):
+            calls = {"n": 0}
+
+            def estimator(sample):
+                calls["n"] += 1
+                return np.inf if calls["n"] % k == 0 else float(sample.y.mean())
+
+            return estimator
+
+        result = bootstrap_variance(ds, inf_every(10), n_boot=200, seed=9)
+        assert result.n_failed == 20
+        assert result.n_ok == 180
+        finite = result.points[np.isfinite(result.points)]
+        assert result.variance == finite.var(ddof=1)
+        with pytest.raises(
+            TooManyFailedReplicatesError, match="bootstrap: estimator failed on 40/200 runs"
+        ):
+            bootstrap_variance(ds, inf_every(5), n_boot=200, seed=9)
+
+    @pytest.mark.parametrize("panel", [False, True], ids=["rows", "units"])
+    def test_points_equal_the_estimator_on_each_keyed_resample(self, panel):
+        # [DERIVED] oracle: replicate b is the estimator on the resample drawn
+        # from Philox(SeedSequence(seed, spawn_key=(b,))), bit for bit
+        if panel:
+            g = philox(113)
+            data = validate_panel(
+                np.repeat(np.arange(20), 3), np.tile(np.arange(3), 20),
+                g.normal(size=60), g.normal(size=60),
+            )
+            estimator, n_draw, take = fit_fe, data.n_units, data.take_units
+        else:
+            data = confounded_binary(113, 150)
+            estimator, n_draw, take = ate_or, data.n, data.take
+        result = bootstrap_variance(data, estimator, n_boot=12, seed=21)
+        expected = np.array([
+            estimator(take(
+                np.random.Generator(
+                    np.random.Philox(np.random.SeedSequence(21, spawn_key=(b,)))
+                ).integers(0, n_draw, size=n_draw)
+            )).point
+            for b in range(12)
+        ])
+        assert np.array_equal(result.points.view(np.int64), expected.view(np.int64))
+
     def test_panel_bootstrap_resamples_units(self):
         g = philox(112)
         n_units, t = 30, 3
