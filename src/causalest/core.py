@@ -393,12 +393,17 @@ class CausalEstimate:
 
 def normal_interval(point: float, variance: float, level: float = 0.95):
     """Symmetric normal-approximation interval around a point estimate."""
-    if not (0.0 < level < 1.0):
-        raise InvalidInputError(f"level must lie in (0, 1), got {level}")
+    _check_level(level)
     if variance < 0:
         raise InvalidInputError("variance must be non-negative")
     half = _z_quantile(float(level)) * math.sqrt(variance)
     return (point - half, point + half)
+
+
+def _check_level(level: float) -> None:
+    """Reject an interval level outside (0, 1)."""
+    if not (0.0 < level < 1.0):
+        raise InvalidInputError(f"level must lie in (0, 1), got {level}")
 
 
 @functools.lru_cache(maxsize=8)

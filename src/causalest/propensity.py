@@ -54,9 +54,12 @@ class PropensityFit:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        s = _as_vector("scores", self.scores)
-        for level, v in (self.level_scores or {}).items():
-            _as_vector(f"level_scores[{level}]", v)
+        self.scores = s = _as_vector("scores", self.scores)
+        if self.level_scores is not None:
+            self.level_scores = {
+                level: _as_vector(f"level_scores[{level}]", v)
+                for level, v in self.level_scores.items()
+            }
         if self.kind in (BINARY_LOGISTIC, MULTIVALUED_LOGISTIC):
             if np.any(s <= 0.0) or np.any(s >= 1.0):
                 raise InvalidInputError(f"{self.kind} scores must lie strictly in (0, 1)")

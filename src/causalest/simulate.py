@@ -28,17 +28,19 @@ from .estimators import OrSpec, ate_dr, ate_ipw, ate_or, fit_outcome_model
 from .panel import fit_cre, fit_fd, fit_fe, fit_pols, fit_re
 from .propensity import PropensityFit, estimate_propensity_binary
 from .quasi import ate_2sls, ate_did, rdd_fuzzy, rdd_sharp, validate_did
-from .variance import _MAX_FAILED_RUNS, _keyed_stream, _replicate
+from .variance import _MAX_FAILED_RUNS, _check_key, _keyed_stream, _replicate
 
 CASE_IDS = ("cs1", "cs2", "cs3", "cs4", "cs5", "cs6")
 
-_CASE_VARIANTS = {
-    "cs1": (None,),
-    "cs2": (None,),
-    "cs3": (None,),
-    "cs4": (None,),
-    "cs5": (None, "violated"),
-    "cs6": (None, "sharp", "fuzzy"),
+# variant -> index of its dataset in the case draw's output; None selects
+# the case's primary variant
+_VARIANT_ARMS = {
+    "cs1": {None: 0},
+    "cs2": {None: 0},
+    "cs3": {None: 0},
+    "cs4": {None: 0},
+    "cs5": {None: 0, "violated": 1},
+    "cs6": {None: 0, "sharp": 0, "fuzzy": 1},
 }
 
 _DEFAULT_PARAMS = {
@@ -183,10 +185,10 @@ class DgpSpec:
         unknown = set(self.params) - set(defaults)
         if unknown:
             raise InvalidInputError(f"unknown parameters for {self.case_id}: {sorted(unknown)}")
-        if self.variant not in _CASE_VARIANTS[self.case_id]:
+        if self.variant not in _VARIANT_ARMS[self.case_id]:
             raise InvalidInputError(
                 f"unknown variant {self.variant!r} for {self.case_id} "
-                f"(allowed: {_CASE_VARIANTS[self.case_id]})"
+                f"(allowed: {tuple(_VARIANT_ARMS[self.case_id])})"
             )
         if "n_periods" in defaults:
             t_per = int(self.merged_params()["n_periods"])
@@ -214,26 +216,18 @@ def _truncated_normal(rng, mu, sigma, lo, hi, size):
 
 
 # ---------------------------------------------------------------------------
-# Case draws
+# Case draws: each maps the merged parameters p, the size n and stream(name),
+# the generator of one named variable of the run, to the run's datasets
 # ---------------------------------------------------------------------------
 
-def _draw_cs1(spec: DgpSpec, run_index: int, seed: int):
-    p = spec.merged_params()
-    n = spec.n
-    s = _VARIABLE_STREAMS["cs1"]
-    x = _keyed_stream(seed, 1, run_index, s["x"]).normal(0.0, np.sqrt(p["x_variance"]), n)
+def _draw_cs1(p: dict, n: int, stream):
+    x = stream("x").normal(0.0, np.sqrt(p["x_variance"]), n)
     score = expit(p["alpha0"] + p["alpha1"] * x)
-    d = (_keyed_stream(seed, 1, run_index, s["assignment"]).uniform(size=n) < score).astype(float)
-    y = (
-        p["beta0"]
-        + p["tau"] * d
-        + p["beta1"] * x
-        + _keyed_stream(seed, 1, run_index, s["outcome_noise"]).normal(
-            0.0, np.sqrt(p["noise_variance"]), n
-        )
-    )
+    d = (stream("assignment").uniform(size=n) < score).astype(float)
+    noise = stream("outcome_noise").normal(0.0, np.sqrt(p["noise_variance"]), n)
+    y = p["beta0"] + p["tau"] * d + p["beta1"] * x + noise
     fake = _truncated_normal(
-        _keyed_stream(seed, 1, run_index, s["misspecified_score"]),
+        stream("misspecified_score"),
         float(score.mean()),
         p["misspecified_score_sd"],
         p["trunc_lo"],
@@ -243,76 +237,43 @@ def _draw_cs1(spec: DgpSpec, run_index: int, seed: int):
     return validate(y, d, x), fake
 
 
-def _draw_panel(spec: DgpSpec, run_index: int, seed: int):
-    p = spec.merged_params()
-    case = spec.case_index
+def _draw_panel(p: dict, n: int, stream):
     t_per = int(p["n_periods"])
-    n_units = spec.n // t_per
+    n_units = n // t_per
     n = n_units * t_per
-    s = _VARIABLE_STREAMS[spec.case_id]
-    w_unit = _keyed_stream(seed, case, run_index, s["unit_levels"]).uniform(
-        p["w_lo"], p["w_hi"], n_units
-    )
-    w = np.repeat(w_unit, t_per)
-    if spec.case_id == "cs3":
-        w = w + _keyed_stream(seed, case, run_index, s["measurement_noise"]).normal(
-            0.0, p["sigma_w"], n
-        )
-    d = p["delta"] * w + _keyed_stream(seed, case, run_index, s["treatment_noise"]).normal(
-        0.0, p["sigma_d"], n
-    )
-    y = (
-        p["alpha"]
-        + p["tau"] * d
-        + p["gamma"] * w
-        + _keyed_stream(seed, case, run_index, s["outcome_noise"]).normal(0.0, p["sigma_e"], n)
-    )
+    w = np.repeat(stream("unit_levels").uniform(p["w_lo"], p["w_hi"], n_units), t_per)
+    if "sigma_w" in p:  # cs3: the confounder drifts over time
+        w = w + stream("measurement_noise").normal(0.0, p["sigma_w"], n)
+    d = p["delta"] * w + stream("treatment_noise").normal(0.0, p["sigma_d"], n)
+    noise = stream("outcome_noise").normal(0.0, p["sigma_e"], n)
+    y = p["alpha"] + p["tau"] * d + p["gamma"] * w + noise
     unit = np.repeat(np.arange(n_units), t_per)
     time = np.tile(np.arange(t_per), n_units)
     return validate_panel(unit, time, y, d)
 
 
-def _draw_cs4(spec: DgpSpec, run_index: int, seed: int):
-    p = spec.merged_params()
-    n = spec.n
-    s = _VARIABLE_STREAMS["cs4"]
-    x = _keyed_stream(seed, 4, run_index, s["x"]).normal(p["x_mean"], p["x_sd"], n)
-    z = _keyed_stream(seed, 4, run_index, s["instrument"]).normal(0.0, 1.0, n)
+def _draw_cs4(p: dict, n: int, stream):
+    x = stream("x").normal(p["x_mean"], p["x_sd"], n)
+    z = stream("instrument").normal(0.0, 1.0, n)
     d = p["alpha0"] + p["alpha1"] * x + p["alpha2"] * z
     if p["sigma_d"] > 0.0:
-        d = d + _keyed_stream(seed, 4, run_index, s["treatment_noise"]).normal(
-            0.0, p["sigma_d"], n
-        )
-    y = (
-        p["beta0"]
-        + p["tau"] * d
-        + p["beta1"] * x
-        + _keyed_stream(seed, 4, run_index, s["outcome_noise"]).normal(0.0, p["sigma_e"], n)
-    )
+        d = d + stream("treatment_noise").normal(0.0, p["sigma_d"], n)
+    noise = stream("outcome_noise").normal(0.0, p["sigma_e"], n)
+    y = p["beta0"] + p["tau"] * d + p["beta1"] * x + noise
     z_bad = z + p["bad_coef"] * (x - p["x_mean"])
     return validate(y, d, x, z=np.column_stack([z, z_bad]))
 
 
-def _draw_cs5(spec: DgpSpec, run_index: int, seed: int):
-    p = spec.merged_params()
-    n = spec.n
-    s = _VARIABLE_STREAMS["cs5"]
-    x0 = _keyed_stream(seed, 5, run_index, s["x0"]).normal(0.0, 1.0, n)
+def _draw_cs5(p: dict, n: int, stream):
+    x0 = stream("x0").normal(0.0, 1.0, n)
     d1 = (
-        _keyed_stream(seed, 5, run_index, s["assignment"]).uniform(size=n)
-        < expit(p["selection_strength"] * x0)
+        stream("assignment").uniform(size=n) < expit(p["selection_strength"] * x0)
     ).astype(float)
-    e0 = _keyed_stream(seed, 5, run_index, s["noise_pre"]).normal(0.0, p["sigma_e"], n)
-    e1 = _keyed_stream(seed, 5, run_index, s["noise_post"]).normal(0.0, p["sigma_e"], n)
+    e0 = stream("noise_pre").normal(0.0, p["sigma_e"], n)
+    e1 = stream("noise_post").normal(0.0, p["sigma_e"], n)
     y0 = p["intercept_pre"] + p["selection_level"] * d1 + p["beta_x"] * x0 + e0
-    y1 = (
-        p["intercept_post"]
-        + p["selection_level"] * d1
-        + p["tau"] * d1
-        + p["beta_x"] * x0
-        + e1
-    )
-    x1 = _keyed_stream(seed, 5, run_index, s["x1"]).normal(p["x1_mean"], p["x1_sd"], n)
+    y1 = p["intercept_post"] + p["selection_level"] * d1 + p["tau"] * d1 + p["beta_x"] * x0 + e1
+    x1 = stream("x1").normal(p["x1_mean"], p["x1_sd"], n)
     y1_violated = y1 + p["violation_coef"] * x1 * (1.0 - d1)
     base = validate_did(
         y=np.concatenate([y0, y1]),
@@ -326,20 +287,31 @@ def _draw_cs5(spec: DgpSpec, run_index: int, seed: int):
     return base, violated
 
 
-def _draw_cs6(spec: DgpSpec, run_index: int, seed: int):
-    p = spec.merged_params()
-    n = spec.n
-    s = _VARIABLE_STREAMS["cs6"]
-    t = _keyed_stream(seed, 6, run_index, s["forcing"]).uniform(p["t_lo"], p["t_hi"], n)
-    eps = _keyed_stream(seed, 6, run_index, s["outcome_noise"]).normal(0.0, p["noise_sd"], n)
+def _draw_cs6(p: dict, n: int, stream):
+    t = stream("forcing").uniform(p["t_lo"], p["t_hi"], n)
+    eps = stream("outcome_noise").normal(0.0, p["noise_sd"], n)
     d_sharp = (t >= p["cutoff"]).astype(float)
-    flip = (
-        _keyed_stream(seed, 6, run_index, s["compliance"]).uniform(size=n) < p["flip_share"]
-    ) & (np.abs(t - p["cutoff"]) < p["flip_band"])
+    flip = (stream("compliance").uniform(size=n) < p["flip_share"]) & (
+        np.abs(t - p["cutoff"]) < p["flip_band"]
+    )
     d_fuzzy = np.where(flip, 1.0 - d_sharp, d_sharp)
     y_sharp = p["intercept"] + p["slope"] * t + p["tau"] * d_sharp + eps
     y_fuzzy = p["intercept"] + p["slope"] * t + p["tau"] * d_fuzzy + eps
     return validate(y_sharp, d_sharp, t), validate(y_fuzzy, d_fuzzy, t)
+
+
+def _run_stream(spec: DgpSpec, run_index: int, seed: int):
+    """stream(v), the Philox generator of run `run_index`'s variable v:
+    keyed (seed, case, run_index, v), with v from `_VARIABLE_STREAMS`."""
+    variables = _VARIABLE_STREAMS[spec.case_id]
+    key = (seed, spec.case_index, run_index)
+    return lambda name: _keyed_stream(*key, variables[name])
+
+
+def _case_inputs(spec: DgpSpec, p: dict, run_index: int, seed: int) -> tuple:
+    """Run `run_index`'s inputs from the case's `_CASES` draw, given the
+    spec's merged parameters `p`."""
+    return _CASES[spec.case_id][0](p, spec.n, _run_stream(spec, run_index, seed))
 
 
 def generate(spec: DgpSpec, run_index: int, seed: int = 42):
@@ -349,17 +321,17 @@ def generate(spec: DgpSpec, run_index: int, seed: int = 42):
     (cs2, cs3), or a DidDataset (cs5); cs5/cs6 variants select the violated
     or sharp/fuzzy arm of the design.
     """
-    if run_index < 0:
-        raise InvalidInputError("run_index must be >= 0")
-    inputs = _CASES[spec.case_id][0](spec, run_index, seed)
-    return inputs[1 if spec.variant in ("violated", "fuzzy") else 0]
+    _check_key(run_index=run_index, seed=seed)
+    inputs = _case_inputs(spec, spec.merged_params(), run_index, seed)
+    return inputs[_VARIANT_ARMS[spec.case_id][spec.variant]]
 
 
 def misspecified_scores(spec: DgpSpec, run_index: int, seed: int = 42) -> np.ndarray:
     """The deliberately wrong assignment scores paired with a cs1 draw."""
     if spec.case_id != "cs1":
         raise UnknownCaseError("misspecified scores are defined for cs1 only")
-    return _draw_cs1(spec, run_index, seed)[1]
+    _check_key(run_index=run_index, seed=seed)
+    return _draw_cs1(spec.merged_params(), spec.n, _run_stream(spec, run_index, seed))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +341,11 @@ def misspecified_scores(spec: DgpSpec, run_index: int, seed: int = 42) -> np.nda
 _NO_X = OrSpec(covariate_selection=())
 
 
-def _cs1_inputs(spec, run_index, seed):
+def _cs1_inputs(p, n, stream):
     """A cs1 draw with its nuisance fits, each built on first use: the
     estimated and injected scores, and the outcome regressions with and
     without x."""
-    ds, fake = _draw_cs1(spec, run_index, seed)
+    ds, fake = _draw_cs1(p, n, stream)
     return (
         ds,
         functools.cache(lambda: estimate_propensity_binary(ds)),
@@ -391,13 +363,14 @@ _PANEL_METHODS = {
     "CRE": lambda pds: fit_cre(pds),
 }
 
-# case -> (draw, methods). The draw maps (spec, run_index, seed) to the run's
-# inputs as a tuple; each method, in report order, maps those inputs to a
-# CausalEstimate. Every function is looked up by its module-global name when
-# called (hence the lambdas), so a wrapper set on a module attribute sees it.
+# case -> (draw, methods). The draw maps (p, n, stream), as `_case_inputs`
+# passes them, to the run's inputs as a tuple; each method, in report
+# order, maps those inputs to a CausalEstimate. Every function is looked up
+# by its module-global name when called (hence the lambdas), so a wrapper
+# set on a module attribute sees it.
 _CASES = {
     "cs1": (
-        lambda spec, r, seed: _cs1_inputs(spec, r, seed),
+        lambda p, n, stream: _cs1_inputs(p, n, stream),
         {
             "OR1": lambda ds, fitted, injected, full, no_x: ate_or(ds, outcome_fit=full()),
             "OR2": lambda ds, fitted, injected, full, no_x: ate_or(
@@ -416,10 +389,10 @@ _CASES = {
             ),
         },
     ),
-    "cs2": (lambda spec, r, seed: (_draw_panel(spec, r, seed),), _PANEL_METHODS),
-    "cs3": (lambda spec, r, seed: (_draw_panel(spec, r, seed),), _PANEL_METHODS),
+    "cs2": (lambda p, n, stream: (_draw_panel(p, n, stream),), _PANEL_METHODS),
+    "cs3": (lambda p, n, stream: (_draw_panel(p, n, stream),), _PANEL_METHODS),
     "cs4": (
-        lambda spec, r, seed: (_draw_cs4(spec, r, seed),),
+        lambda p, n, stream: (_draw_cs4(p, n, stream),),
         {
             "OR1": lambda ds: ate_or(ds),
             "OR2": lambda ds: ate_or(ds, spec=_NO_X),
@@ -428,14 +401,14 @@ _CASES = {
         },
     ),
     "cs5": (
-        lambda spec, r, seed: _draw_cs5(spec, r, seed),
+        lambda p, n, stream: _draw_cs5(p, n, stream),
         {
             "DID1": lambda base, violated: ate_did(base),
             "DID2": lambda base, violated: ate_did(violated),
         },
     ),
     "cs6": (
-        lambda spec, r, seed: (*_draw_cs6(spec, r, seed), spec.merged_params()["cutoff"]),
+        lambda p, n, stream: (*_draw_cs6(p, n, stream), p["cutoff"]),
         {
             "RDD1": lambda sharp, fuzzy, c: rdd_sharp(sharp.y, sharp.x[:, 0], cutoff=c),
             "RDD2": lambda sharp, fuzzy, c: rdd_sharp(fuzzy.y, fuzzy.x[:, 0], cutoff=c),
@@ -529,7 +502,9 @@ def run_monte_carlo(
     """
     if runs < 2:
         raise InvalidInputError("runs must be >= 2")
+    _check_key(seed=seed)
     spec = DgpSpec(case_id=case_id, n=n, params=params or {})
+    merged = spec.merged_params()
     available = CASE_METHODS[case_id]
     if methods is None:
         methods = available
@@ -538,12 +513,10 @@ def run_monte_carlo(
         unknown = set(methods) - set(available)
         if unknown:
             raise InvalidInputError(f"unknown methods for {case_id}: {sorted(unknown)}")
-    draw, estimators = _CASES[case_id]
-    chosen = [(m, estimators[m]) for m in methods]
+    chosen = [(m, _CASES[case_id][1][m]) for m in methods]
     points, n_failed = _replicate(
-        lambda r: draw(spec, r, seed), chosen, runs, _MAX_FAILED_RUNS, case_id
+        lambda r: _case_inputs(spec, merged, r, seed), chosen, runs, _MAX_FAILED_RUNS, case_id
     )
-    merged = spec.merged_params()
     tau = float(merged["tau"])
     av = np.empty(len(methods))
     var = np.empty(len(methods))

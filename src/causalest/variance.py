@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CausalEstimate, PanelDataset
+from .core import CausalEstimate, PanelDataset, _check_level
 from .errors import (
     CausalestError,
     InvalidInputError,
@@ -60,6 +60,14 @@ def _keyed_stream(seed: int, *key: int) -> np.random.Generator:
     """The Philox stream of SeedSequence(seed, spawn_key=key): Monte Carlo
     variables are keyed (case, run, variable), bootstrap replicates (b,)."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def _check_key(**parts) -> None:
+    """Reject a `_keyed_stream` seed or key part that is not an integer >= 0,
+    before a replicate loop would count the error as failed replicates."""
+    for name, value in parts.items():
+        if not isinstance(value, (int, np.integer)) or value < 0:
+            raise InvalidInputError(f"{name} must be >= 0 and an integer, got {value!r}")
 
 
 # an estimator fails a replicate loop when it fails on more than this share
@@ -119,6 +127,8 @@ def bootstrap_variance(
     """
     if n_boot < 2:
         raise InvalidInputError("n_boot must be >= 2")
+    _check_level(level)
+    _check_key(seed=seed)
     is_panel = isinstance(data, PanelDataset)
     n_draw = data.n_units if is_panel else data.n
 

@@ -268,6 +268,17 @@ class TestEstimate:
         assert code == 2
         assert "n_boot must be >= 2" in err
 
+    def test_negative_bootstrap_seed_exits_2(self, linear_csv, capsys):
+        # [TRIVIAL] a seed that cannot key a stream is bad input (exit 2)
+        code, out, err = _run(
+            capsys, "estimate", "--method", "or", "--data", linear_csv,
+            "--outcome", "y", "--treatment", "d", "--covariates", "x",
+            "--bootstrap", "5", "--seed", "-3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed must be >= 0 and an integer, got -3" in err
+
     def test_saturated_bootstrap_replicates_are_tolerated(self, tmp_path, capsys):
         # [DERIVED] 2 of the 50 replicates fit scores that round to exactly
         # 1; they count as failed replicates, inside the 10% budget
@@ -590,6 +601,18 @@ class TestSimulate:
         )
         assert code == 2
         assert "runs must be >= 2" in err
+
+    def test_negative_seed_exits_2_before_any_output(self, tmp_path, capsys):
+        # [TRIVIAL] a seed that cannot key a stream is bad input (exit 2)
+        out = tmp_path / "neg"
+        code, stdout, err = _run(
+            capsys, "simulate", "--case", "cs5", "--runs", "5",
+            "--n", "200", "--seed", "-1", "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "seed must be >= 0 and an integer, got -1" in err
+        assert not out.exists()
 
     def test_all_cases_write_per_case_directories(self, tmp_path, capsys):
         # [TRIVIAL] `--case all` fans out into one subdirectory per case.

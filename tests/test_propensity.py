@@ -8,6 +8,7 @@ from scipy.special import expit
 
 from causalest import (
     PropensityFit,
+    ate_ipw,
     balance_diagnostic,
     estimate_gps_normal,
     estimate_propensity_binary,
@@ -107,6 +108,24 @@ class TestBinaryPropensity:
                 scores=[0.5, 0.5],
                 level_scores={1.0: [0.5, np.nan], 0.0: [0.5, 0.5]},
             )
+
+    def test_constructor_keeps_the_float_vectors_it_coerces(self):
+        # [DERIVED] oracle: the same fit built from arrays
+        ds = validate([1.0, 3.0, 2.0, 5.0], [1.0, 0.0, 0.0, 1.0])
+        arrays = PropensityFit.from_scores([0.2, 0.5, 0.4, 0.7], ds.d)
+        lists = PropensityFit(
+            kind="binary_logistic",
+            scores=arrays.scores.tolist(),
+            level_scores={k: v.tolist() for k, v in arrays.level_scores.items()},
+        )
+        assert lists.scores.dtype == np.float64
+        assert all(v.dtype == np.float64 for v in lists.level_scores.values())
+        assert lists.n == 4
+        trimmed, kept = trim_overlap(lists, 0.25, 0.75)
+        assert kept.tolist() == [1, 2, 3]
+        assert trimmed.scores.tolist() == arrays.scores[1:].tolist()
+        assert trimmed.score_at(0.0).tolist() == arrays.score_at(0.0)[1:].tolist()
+        assert ate_ipw(ds, lists).point == ate_ipw(ds, arrays).point
 
 
 class TestIrlsDiagnostics:

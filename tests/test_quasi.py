@@ -630,3 +630,76 @@ class TestRddFuzzy:
         t = np.linspace(-1.0, 1.0, 50)
         with pytest.raises(DimensionMismatchError, match="d must"):
             rdd_fuzzy(np.ones(50), t, np.ones(49), bandwidth=0.5)
+
+
+def _quasi_draw(name, seed=91, n=400):
+    """A seeded draw for the named estimator: its outcome column, and the
+    call that estimates from an outcome column and a row order applied to
+    every column."""
+    g = philox(seed)
+    if name in ("ate_2sls", "iv_ratio"):
+        z, u, x = g.normal(size=n), g.normal(size=n), g.normal(size=n)
+        d = 0.3 + 0.8 * z + u + 0.5 * x
+        y = 1.0 - d + 0.9 * u + 0.7 * x + 0.3 * g.normal(size=n)
+        if name == "iv_ratio":
+            return y, lambda y, rows: iv_ratio(y[rows], d[rows], z[rows])
+        return y, lambda y, rows: ate_2sls(y[rows], d[rows], z[rows], x=x[rows])
+    if name.startswith("ate_did"):
+        group = (g.uniform(size=n) < 0.5).astype(float)
+        n_periods = 3 if name == "ate_did_multiperiod" else 2
+        period = g.integers(0, n_periods, size=n).astype(float)
+        treated = group * (period > 0.0)
+        x = g.normal(size=n)
+        y = 1.0 + group + period + 2.0 * treated + 1.5 * x + g.normal(size=n)
+        estimator = {
+            "ate_did": ate_did,
+            "ate_did_covariates": ate_did_covariates,
+            "ate_did_multiperiod": ate_did_multiperiod,
+        }[name]
+        return y, lambda y, rows: estimator(
+            validate_did(y[rows], group[rows], period[rows], x=x[rows], treated=treated[rows])
+        )
+    t = g.uniform(-1.0, 1.0, n)
+    d = (t >= 0.1).astype(float)
+    d = np.where((g.uniform(size=n) < 0.25) & (np.abs(t - 0.1) < 0.3), 1.0 - d, d)
+    y = 1.0 + 2.0 * t + 5.0 * d + g.normal(size=n)
+    if name == "rdd_sharp":
+        return y, lambda y, rows: rdd_sharp(y[rows], t[rows], cutoff=0.1, bandwidth=0.8)
+    return y, lambda y, rows: rdd_fuzzy(y[rows], t[rows], d[rows], cutoff=0.1, bandwidth=0.8)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "ate_2sls",
+        "iv_ratio",
+        "ate_did",
+        "ate_did_covariates",
+        "ate_did_multiperiod",
+        "rdd_sharp",
+        "rdd_fuzzy",
+    ],
+)
+class TestInvarianceSweep:
+    def test_row_shuffle_leaves_point_and_variance(self, name):
+        y, estimate = _quasi_draw(name)
+        reference = estimate(y, np.arange(y.size))
+        for seed in (92, 93, 94):
+            est = estimate(y, philox(seed).permutation(y.size))
+            assert est.point == pytest.approx(reference.point, rel=1e-10)
+            if reference.variance is None:  # iv_ratio reports a point only
+                assert est.variance is None
+            else:
+                assert est.variance == pytest.approx(reference.variance, rel=1e-10)
+
+    @pytest.mark.parametrize("a, b", [(3.0, 7.0), (-0.25, -40.0)])
+    def test_affine_outcome_scales_point_and_variance(self, name, a, b):
+        y, estimate = _quasi_draw(name)
+        rows = np.arange(y.size)
+        reference = estimate(y, rows)
+        est = estimate(a * y + b, rows)
+        assert est.point == pytest.approx(a * reference.point, rel=1e-9)
+        if reference.variance is None:
+            assert est.variance is None
+        else:
+            assert est.variance == pytest.approx(a * a * reference.variance, rel=1e-8)

@@ -42,6 +42,7 @@ from causalest import (
 )
 from causalest import simulate
 from causalest.errors import (
+    InvalidInputError,
     MissingReferenceCellError,
     OneSidedDataError,
     SeparationError,
@@ -215,6 +216,40 @@ class TestMisspecifiedScores:
             misspecified_scores(DgpSpec(case_id="cs2"), run_index=0)
 
 
+@pytest.mark.parametrize("bad", [-1, 1.5])
+class TestStreamKeyChecked:
+    """A seed or run index that cannot key a stream is an input error,
+    raised before any draw."""
+
+    @staticmethod
+    def _count_draws(monkeypatch):
+        calls = []
+        real = simulate._draw_cs1
+
+        def draw(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(simulate, "_draw_cs1", draw)
+        return calls
+
+    def test_run_monte_carlo_seed(self, monkeypatch, bad):
+        calls = self._count_draws(monkeypatch)
+        with pytest.raises(InvalidInputError, match="seed must be >= 0 and an integer"):
+            run_monte_carlo("cs1", runs=3, n=100, seed=bad)
+        assert calls == []
+
+    @pytest.mark.parametrize("entry", [generate, misspecified_scores])
+    def test_single_draw_entry_points(self, monkeypatch, bad, entry):
+        calls = self._count_draws(monkeypatch)
+        spec = DgpSpec(case_id="cs1", n=100)
+        with pytest.raises(InvalidInputError, match="seed must be >= 0 and an integer"):
+            entry(spec, 0, seed=bad)
+        with pytest.raises(InvalidInputError, match="run_index must be >= 0 and an integer"):
+            entry(spec, bad, seed=1)
+        assert calls == []
+
+
 class TestRunMonteCarlo:
     def test_requires_at_least_two_runs(self):
         # [TRIVIAL]
@@ -374,11 +409,13 @@ class TestRunMonteCarlo:
         # [DERIVED] a draw that raises leaves its whole row NaN and counts
         # one failure against every method
         real = simulate._draw_cs6
+        calls = []
 
-        def draw(spec, run_index, seed):
-            if run_index == 3:
+        def draw(p, n, stream):
+            calls.append(None)
+            if len(calls) == 4:  # run 3's draw
                 raise OneSidedDataError("injected")
-            return real(spec, run_index, seed)
+            return real(p, n, stream)
 
         monkeypatch.setattr(simulate, "_draw_cs6", draw)
         report = run_monte_carlo("cs6", runs=20, n=200, seed=10)

@@ -24,6 +24,7 @@ from causalest import (
 )
 from causalest.errors import (
     CausalestError,
+    InvalidInputError,
     MissingCoefCovarianceError,
     TooManyFailedReplicatesError,
     ZeroPropensityError,
@@ -255,6 +256,32 @@ class TestBootstrap:
         ds = validate([1.0, 2.0], [1.0, 0.0])
         with pytest.raises(ValueError, match="n_boot"):
             bootstrap_variance(ds, _mean_estimator, n_boot=1)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5])
+    def test_level_checked_before_any_replicate(self, level):
+        calls = []
+
+        def estimator(sample):
+            calls.append(None)
+            return float(sample.y.mean())
+
+        ds = validate([1.0, 2.0, 4.0], [1.0, 0.0, 1.0])
+        with pytest.raises(InvalidInputError, match=r"level must lie in \(0, 1\), got"):
+            bootstrap_variance(ds, estimator, n_boot=20, level=level)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", [-3, 1.5])
+    def test_seed_checked_before_any_replicate(self, seed):
+        calls = []
+
+        def estimator(sample):
+            calls.append(None)
+            return float(sample.y.mean())
+
+        ds = validate([1.0, 2.0, 4.0], [1.0, 0.0, 1.0])
+        with pytest.raises(InvalidInputError, match="seed must be >= 0 and an integer"):
+            bootstrap_variance(ds, estimator, n_boot=20, seed=seed)
+        assert calls == []
 
     def test_seed_determinism(self):
         ds = confounded_binary(106, 120)
