@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import warnings
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import difference_in_means, normal_interval, validate
+from .core import difference_in_means, validate
 from .errors import CausalestError, InvalidInputError
 from .estimators import (
     OrSpec,
@@ -184,9 +185,7 @@ def _cmd_estimate(args) -> int:
         )
         # the percentile interval of the replicates need not bracket the
         # full-sample point; the normal interval around it always does
-        est = est.with_uncertainty(
-            boot.variance, normal_interval(est.point, boot.variance)
-        )
+        est = dataclasses.replace(est, variance=boot.variance)
 
     report = {
         "method": est.method,

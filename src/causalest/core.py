@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -362,9 +362,11 @@ class CausalEstimate:
         ref_dose: reference level (ATE only).
         point: the estimate.
         variance: estimated sampling variance, when available.
-        ci: (lo, hi) interval, when available.
         n_used: rows that actually entered the estimate.
         diagnostics: method-specific extras (JSON-serializable values).
+
+    `ci` is derived from `variance` and cannot be set; attach another
+    variance (say, a bootstrap one) with `dataclasses.replace`.
     """
 
     estimand: str
@@ -374,21 +376,16 @@ class CausalEstimate:
     n_used: int
     ref_dose: float | None = None
     variance: float | None = None
-    ci: tuple[float, float] | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.ci is not None:
-            lo, hi = self.ci
-            if not (lo <= self.point <= hi):
-                raise InvalidInputError(
-                    f"ci ({lo}, {hi}) does not bracket point {self.point}"
-                )
         if self.variance is not None and self.variance < 0:
             raise InvalidInputError("variance must be non-negative")
 
-    def with_uncertainty(self, variance: float, ci: tuple[float, float]) -> "CausalEstimate":
-        return replace(self, variance=variance, ci=ci)
+    @property
+    def ci(self) -> tuple[float, float] | None:
+        """The 95% normal interval around `point`; None without a variance."""
+        return None if self.variance is None else normal_interval(self.point, self.variance)
 
 
 def normal_interval(point: float, variance: float, level: float = 0.95):
@@ -425,20 +422,16 @@ def _estimate(
 ) -> CausalEstimate:
     """Build the CausalEstimate every estimator returns.
 
-    This is the one place the interval rule lives: an estimate with a
-    variance carries its 95% normal interval, one without has neither.
-    APO estimates pass ``estimand="APO", ref_dose=None``.
+    It casts the numbers to float and `n_used` to int. APO estimates pass
+    ``estimand="APO", ref_dose=None``.
     """
-    point = float(point)
-    variance = None if variance is None else float(variance)
     return CausalEstimate(
         estimand=estimand,
         method=method,
         dose=float(dose),
         ref_dose=None if ref_dose is None else float(ref_dose),
-        point=point,
-        variance=variance,
-        ci=None if variance is None else normal_interval(point, variance),
+        point=float(point),
+        variance=None if variance is None else float(variance),
         n_used=int(n_used),
         diagnostics={} if diagnostics is None else diagnostics,
     )

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import CausalEstimate, PanelDataset, _estimate, _select_columns
 from .errors import InvalidInputError, NoWithinVariationError, TooFewPeriodsError
-from .regress import fit_ols
+from .regress import _coef_estimate, fit_ols
 
 POLS = "pols"
 RE = "re"
@@ -106,8 +106,7 @@ def _coef_on_d(method, spec, intercept, d, x, y, diagnostics=None) -> CausalEsti
         design[:, 0] = intercept
     design[:, i] = d
     design[:, i + 1 :] = x
-    fit = fit_ols(design, y)
-    return _estimate(method, fit.coef[i], d.shape[0], fit.coef_cov[i, i], diagnostics)
+    return _coef_estimate(method, design, y, i, diagnostics)
 
 
 def fit_pols(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:

@@ -30,7 +30,7 @@ from .errors import (
     OrderConditionError,
     WeakInstrumentError,
 )
-from .regress import _svd_solve, fit_ols
+from .regress import _coef_estimate, _svd_solve, fit_ols
 
 _COV_TOL = 1e-12
 _FIRST_STAGE_JUMP_TOL = 0.05
@@ -177,27 +177,30 @@ def _did_cells(dd: DidDataset):
                 raise EmptyCellError(f"no observations with group={g:g}, period={p:g}")
 
 
-def _did_ols(dd: DidDataset, with_x: bool, method: str) -> CausalEstimate:
-    _did_cells(dd)
-    cols = [np.ones(dd.n), dd.group, dd.period, dd.group * dd.period]
-    if with_x:
-        cols.append(dd.x)
-    fit = fit_ols(np.column_stack(cols), dd.y)
-    return _estimate(method, fit.coef[3], dd.n, fit.coef_cov[3, 3])
+def _did_fit(dd: DidDataset, method, periods, treated, x=None, diagnostics=None) -> CausalEstimate:
+    """OLS of y on (1, group, one dummy per period after the first, treated[, x]);
+    the coefficient on `treated` is the effect estimate."""
+    dummies = [(dd.period == t).astype(float) for t in periods[1:]]
+    cols = [np.ones(dd.n), dd.group, *dummies, treated]
+    if x is not None:
+        cols.append(x)
+    return _coef_estimate(method, np.column_stack(cols), dd.y, len(periods) + 1, diagnostics)
 
 
 def ate_did(dd: DidDataset) -> CausalEstimate:
     """Two-period difference-in-differences: the interaction coefficient of
     OLS on (1, group, period, group x period), equal to the double difference
     of cell means in the saturated 2x2 design."""
-    return _did_ols(dd, with_x=False, method="did")
+    _did_cells(dd)
+    return _did_fit(dd, "did", (0.0, 1.0), dd.group * dd.period)
 
 
 def ate_did_covariates(dd: DidDataset) -> CausalEstimate:
     """Two-period DID with covariate columns added to the regression."""
     if dd.x.shape[1] == 0:
         raise InvalidInputError("the dataset carries no covariates")
-    return _did_ols(dd, with_x=True, method="did_covariates")
+    _did_cells(dd)
+    return _did_fit(dd, "did_covariates", (0.0, 1.0), dd.group * dd.period, dd.x)
 
 
 def ate_did_multiperiod(dd: DidDataset) -> CausalEstimate:
@@ -212,17 +215,8 @@ def ate_did_multiperiod(dd: DidDataset) -> CausalEstimate:
         raise InvalidInputError("multi-period designs require an explicit treated indicator")
     if treated.min() == treated.max():
         raise NoTreatmentVariationError("the treatment indicator never varies")
-    cols = [np.ones(dd.n), dd.group]
-    for t in periods[1:]:
-        cols.append((dd.period == t).astype(float))
-    cols.append(treated)
-    fit = fit_ols(np.column_stack(cols), dd.y)
-    return _estimate(
-        "did_multiperiod",
-        fit.coef[-1],
-        dd.n,
-        fit.coef_cov[-1, -1],
-        {"n_periods": int(periods.size)},
+    return _did_fit(
+        dd, "did_multiperiod", periods, treated, diagnostics={"n_periods": int(periods.size)}
     )
 
 
@@ -481,16 +475,14 @@ def rdd_sharp(y, t, cutoff: float = 0.0, bandwidth: float | None = None) -> Caus
     |t - c| <= bandwidth.
     """
     yv, tc, above, _ = _rdd_frame(y, t, cutoff, bandwidth)
-    fit = fit_ols(np.column_stack([np.ones(yv.shape[0]), above, tc, above * tc]), yv)
     diagnostics = {
         "cutoff": float(cutoff),
         "bandwidth": bandwidth,
         "n_right": int(above.sum()),
         "n_left": int(yv.shape[0] - above.sum()),
     }
-    return _estimate(
-        "rdd_sharp", fit.coef[1], yv.shape[0], fit.coef_cov[1, 1], diagnostics
-    )
+    design = np.column_stack([np.ones(yv.shape[0]), above, tc, above * tc])
+    return _coef_estimate("rdd_sharp", design, yv, 1, diagnostics)
 
 
 def rdd_fuzzy(

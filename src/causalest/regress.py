@@ -8,7 +8,7 @@ from dataclasses import MISSING, dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import _as_matrix, _as_vector, _is_01
+from .core import CausalEstimate, _as_matrix, _as_vector, _estimate, _is_01
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -142,6 +142,13 @@ def fit_ols(design, y, weights=None) -> LinearFit:
         coef_cov=sigma2 * xtx_inv,
         design_width=k,
     )
+
+
+def _coef_estimate(method: str, design, y, at: int, diagnostics=None) -> CausalEstimate:
+    """OLS of y on `design`; coefficient `at` is the estimate, and its
+    diagonal entry of the coefficient covariance the variance."""
+    fit = fit_ols(design, y)
+    return _estimate(method, fit.coef[at], len(y), fit.coef_cov[at, at], diagnostics)
 
 
 def fit_logistic(design, d, max_iter: int = 100, tol: float = 1e-8) -> LinearFit:

@@ -28,7 +28,7 @@ from .estimators import OrSpec, ate_dr, ate_ipw, ate_or, fit_outcome_model
 from .panel import fit_cre, fit_fd, fit_fe, fit_pols, fit_re
 from .propensity import PropensityFit, estimate_propensity_binary
 from .quasi import ate_2sls, ate_did, rdd_fuzzy, rdd_sharp, validate_did
-from .variance import _MAX_FAILED_RUNS, _check_key, _keyed_stream, _replicate
+from .variance import _MAX_FAILED_RUNS, _check_int, _keyed_stream, _replicate
 
 CASE_IDS = ("cs1", "cs2", "cs3", "cs4", "cs5", "cs6")
 
@@ -179,8 +179,7 @@ class DgpSpec:
     def __post_init__(self):
         if self.case_id not in CASE_IDS:
             raise UnknownCaseError(f"unknown case {self.case_id!r}")
-        if self.n < 10:
-            raise InvalidInputError("n must be >= 10")
+        _check_int(10, n=self.n)
         defaults = _DEFAULT_PARAMS[self.case_id]
         unknown = set(self.params) - set(defaults)
         if unknown:
@@ -321,7 +320,7 @@ def generate(spec: DgpSpec, run_index: int, seed: int = 42):
     (cs2, cs3), or a DidDataset (cs5); cs5/cs6 variants select the violated
     or sharp/fuzzy arm of the design.
     """
-    _check_key(run_index=run_index, seed=seed)
+    _check_int(0, run_index=run_index, seed=seed)
     inputs = _case_inputs(spec, spec.merged_params(), run_index, seed)
     return inputs[_VARIANT_ARMS[spec.case_id][spec.variant]]
 
@@ -330,7 +329,7 @@ def misspecified_scores(spec: DgpSpec, run_index: int, seed: int = 42) -> np.nda
     """The deliberately wrong assignment scores paired with a cs1 draw."""
     if spec.case_id != "cs1":
         raise UnknownCaseError("misspecified scores are defined for cs1 only")
-    _check_key(run_index=run_index, seed=seed)
+    _check_int(0, run_index=run_index, seed=seed)
     return _draw_cs1(spec.merged_params(), spec.n, _run_stream(spec, run_index, seed))[1]
 
 
@@ -500,9 +499,8 @@ def run_monte_carlo(
     method fails on more than 5% of runs the experiment aborts with
     TooManyFailedRunsError. Results are deterministic for a fixed seed.
     """
-    if runs < 2:
-        raise InvalidInputError("runs must be >= 2")
-    _check_key(seed=seed)
+    _check_int(2, runs=runs)
+    _check_int(0, seed=seed)
     spec = DgpSpec(case_id=case_id, n=n, params=params or {})
     merged = spec.merged_params()
     available = CASE_METHODS[case_id]

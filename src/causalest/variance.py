@@ -62,12 +62,12 @@ def _keyed_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _check_key(**parts) -> None:
-    """Reject a `_keyed_stream` seed or key part that is not an integer >= 0,
-    before a replicate loop would count the error as failed replicates."""
+def _check_int(minimum: int, **parts) -> None:
+    """Reject a count, seed or `_keyed_stream` key part that is not an integer
+    >= `minimum`, before NumPy, `range` or a replicate loop would meet it."""
     for name, value in parts.items():
-        if not isinstance(value, (int, np.integer)) or value < 0:
-            raise InvalidInputError(f"{name} must be >= 0 and an integer, got {value!r}")
+        if not isinstance(value, (int, np.integer)) or value < minimum:
+            raise InvalidInputError(f"{name} must be >= {minimum} and an integer, got {value!r}")
 
 
 # an estimator fails a replicate loop when it fails on more than this share
@@ -125,10 +125,9 @@ def bootstrap_variance(
     estimate) or give a non-finite point are skipped; when more than 10% of
     them fail the bootstrap aborts.
     """
-    if n_boot < 2:
-        raise InvalidInputError("n_boot must be >= 2")
+    _check_int(2, n_boot=n_boot)
     _check_level(level)
-    _check_key(seed=seed)
+    _check_int(0, seed=seed)
     is_panel = isinstance(data, PanelDataset)
     n_draw = data.n_units if is_panel else data.n
 

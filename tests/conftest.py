@@ -6,6 +6,8 @@ generator so failures reproduce exactly.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -15,6 +17,23 @@ from causalest import validate
 
 def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
+
+
+#: full-length float64 copies of each input column an estimator may hold at
+#: its peak: the row copies, the design columns built from them, an SVD
+#: factor, fitted values and residuals. A search quadratic in n, or a Python
+#: object per row, needs far more than this at n = 10^5.
+COPIES_PER_COLUMN = 10
+
+
+def traced_peak(call):
+    """(result, peak bytes that `tracemalloc` saw) of `call()`."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -369,11 +370,17 @@ class TestCallerArraysStayTheirs:
 
 
 class TestCausalEstimate:
-    def test_ci_must_bracket_point(self):
-        with pytest.raises(ValueError, match="bracket"):
+    def test_ci_is_derived_not_set(self):
+        with pytest.raises(TypeError, match="ci"):
             CausalEstimate(
                 estimand="ATE", method="m", dose=1.0, point=5.0, n_used=10, ci=(1.0, 2.0)
             )
+        est = CausalEstimate(
+            estimand="ATE", method="m", dose=1.0, point=5.0, n_used=10, variance=1.0
+        )
+        with pytest.raises(AttributeError):
+            est.ci = (1.0, 2.0)
+        assert est.ci == normal_interval(5.0, 1.0)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -381,12 +388,12 @@ class TestCausalEstimate:
                 estimand="ATE", method="m", dose=1.0, point=0.0, n_used=10, variance=-1.0
             )
 
-    def test_with_uncertainty(self):
+    def test_replaced_variance_derives_ci(self):
         est = CausalEstimate(estimand="ATE", method="m", dose=1.0, point=0.5, n_used=3)
-        out = est.with_uncertainty(0.04, (0.1, 0.9))
+        out = replace(est, variance=0.04)
         assert out.variance == 0.04
-        assert out.ci == (0.1, 0.9)
-        assert est.variance is None  # original untouched
+        assert out.ci == normal_interval(0.5, 0.04)
+        assert est.variance is None and est.ci is None  # original untouched
 
 
 class TestDifferenceInMeans:

@@ -38,7 +38,13 @@ from causalest.errors import (
 )
 from causalest.estimators import _nearest
 
-from .conftest import confounded_binary, philox, randomized_binary
+from .conftest import (
+    COPIES_PER_COLUMN,
+    confounded_binary,
+    philox,
+    randomized_binary,
+    traced_peak,
+)
 
 
 @pytest.fixture(scope="module")
@@ -571,3 +577,73 @@ class TestPermutationInvariance:
         ]
         for original, permuted in pairs:
             assert original == pytest.approx(permuted, abs=1e-10)
+
+
+
+# each cross-sectional estimator, on a dataset and a fixed score fit
+_CROSS_SECTIONAL = {
+    "difference_in_means": lambda ds, fit: difference_in_means(ds),
+    "ate_or": lambda ds, fit: ate_or(ds),
+    "ate_ipw": ate_ipw,
+    "ate_psr": lambda ds, fit: ate_psr(ds, fit, poly_degree=2),
+    "ate_stratification": lambda ds, fit: ate_stratification(ds, fit, 5),
+    "ate_matching": ate_matching,
+    "ate_dr": ate_dr,
+}
+
+
+class TestAffineOutcome:
+    """y -> a y + b, on TestPermutationInvariance's draw and score."""
+
+    @staticmethod
+    def _draw():
+        ds = confounded_binary(45, 300)
+        p1 = expit(2.0 + 0.5 * ds.x[:, 0])
+        treated = ds.d == 1.0
+        for targets, pool in ((p1[treated], p1[~treated]), (p1[~treated], p1[treated])):
+            # no distance ties, so no match is decided by the lowest index
+            dist = np.sort(np.abs(targets[:, None] - pool[None, :]), axis=1)
+            assert (dist[:, 0] < dist[:, 1]).all()
+        return ds, PropensityFit.from_scores(p1, ds.d)
+
+    @pytest.mark.parametrize("a, b", [(3.0, 7.0), (-0.25, -40.0)])
+    @pytest.mark.parametrize("name", sorted(set(_CROSS_SECTIONAL) - {"ate_ipw"}))
+    def test_point_scales_by_a_and_variance_by_a_squared(self, name, a, b):
+        # [DERIVED] the scores do not see y and both arms shift by b, so an
+        # effect scales by a and its variance by a^2
+        ds, fit = self._draw()
+        estimate = _CROSS_SECTIONAL[name]
+        reference = estimate(ds, fit)
+        est = estimate(validate(a * ds.y + b, ds.d, ds.x), fit)
+        assert est.point == pytest.approx(a * reference.point, rel=1e-9, abs=1e-12)
+        if reference.variance is None:  # matching reports a point only
+            assert est.variance is None
+        else:
+            assert est.variance == pytest.approx(a * a * reference.variance, rel=1e-8)
+
+    @pytest.mark.parametrize("a, b", [(3.0, 7.0), (-0.25, -40.0)])
+    def test_ipw_is_linear_but_moves_with_a_shift(self, a, b):
+        # [DERIVED] Horvitz-Thompson weights 1/p need not average to one in
+        # an arm, so ipw(a y + b) = a ipw(y) + b ipw(1), with ipw(1) != 0
+        ds, fit = self._draw()
+        reference = ate_ipw(ds, fit)
+        of_one = ate_ipw(validate(np.ones(ds.n), ds.d, ds.x), fit).point
+        assert of_one != 0.0
+        est = ate_ipw(validate(a * ds.y + b, ds.d, ds.x), fit)
+        assert est.point == pytest.approx(a * reference.point + b * of_one, rel=1e-9)
+        scaled = ate_ipw(validate(a * ds.y, ds.d, ds.x), fit)
+        assert scaled.point == pytest.approx(a * reference.point, rel=1e-9)
+        assert scaled.variance == pytest.approx(a * a * reference.variance, rel=1e-8)
+
+
+class TestScaling:
+    @pytest.mark.parametrize("name", sorted(_CROSS_SECTIONAL))
+    def test_scales_to_1e5_rows(self, name):
+        # [DERIVED] the bound grows with the data: COPIES_PER_COLUMN float64
+        # copies of each of the four columns y, d, x and the score
+        n = 100_000
+        ds = confounded_binary(48, n)
+        fit = PropensityFit.from_scores(expit(2.0 + 0.5 * ds.x[:, 0]), ds.d)
+        est, peak = traced_peak(lambda: _CROSS_SECTIONAL[name](ds, fit))
+        assert peak < COPIES_PER_COLUMN * 8 * n * 4
+        assert np.isfinite(est.point)

@@ -34,7 +34,7 @@ from causalest.errors import (
     WeakInstrumentError,
 )
 
-from .conftest import philox
+from .conftest import COPIES_PER_COLUMN, philox, traced_peak
 
 
 def _endogenous_draw(seed, n, tau=-1.0):
@@ -703,3 +703,28 @@ class TestInvarianceSweep:
             assert est.variance is None
         else:
             assert est.variance == pytest.approx(a * a * reference.variance, rel=1e-8)
+
+
+# the columns each estimator's `_quasi_draw` call is handed
+_DRAW_COLUMNS = {
+    "ate_2sls": 4,  # y, d, z, x
+    "iv_ratio": 3,  # y, d, z
+    "ate_did": 5,  # y, group, period, x, treated
+    "ate_did_covariates": 5,
+    "ate_did_multiperiod": 5,
+    "rdd_sharp": 2,  # y, t
+    "rdd_fuzzy": 3,  # y, t, d
+}
+
+
+class TestScaling:
+    @pytest.mark.parametrize("name", sorted(_DRAW_COLUMNS))
+    def test_scales_to_1e5_rows(self, name):
+        # [DERIVED] the bound grows with the data: COPIES_PER_COLUMN float64
+        # copies of each column the call is handed, its row take included
+        n = 100_000
+        y, estimate = _quasi_draw(name, n=n)
+        rows = np.arange(n)
+        est, peak = traced_peak(lambda: estimate(y, rows))
+        assert peak < COPIES_PER_COLUMN * 8 * n * _DRAW_COLUMNS[name]
+        assert np.isfinite(est.point)

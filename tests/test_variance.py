@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import expit, ndtri
 
 from causalest import (
+    DgpSpec,
     OrSpec,
     apo_or,
     ate_ipw,
@@ -17,7 +20,9 @@ from causalest import (
     fit_fe,
     fit_ols,
     fit_outcome_model,
+    generate,
     normal_interval,
+    run_monte_carlo,
     trim_overlap,
     validate,
     validate_panel,
@@ -443,6 +448,27 @@ class TestBootstrap:
         assert result.variance > 0.0
         again = bootstrap_variance(pds, fit_fe, n_boot=100, seed=13)
         np.testing.assert_array_equal(result.points, again.points)
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: run_monte_carlo("cs1", runs=3.5, n=100), "runs must be >= 2 and an integer, got 3.5"),
+            (lambda: generate(DgpSpec("cs1", n=100.5), 0), "n must be >= 10 and an integer, got 100.5"),
+            (
+                lambda: bootstrap_variance(
+                    validate([1.0, 2.0, 4.0], [1.0, 0.0, 1.0]), _mean_estimator, n_boot=5.5
+                ),
+                "n_boot must be >= 2 and an integer, got 5.5",
+            ),
+        ],
+        ids=["runs", "n", "n_boot"],
+    )
+    def test_float_count_is_an_input_error(self, call, message):
+        # a float count used to reach NumPy or range and escape as a bare TypeError
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            call()
 
 
 class TestBootstrapDeltaAgreement:
