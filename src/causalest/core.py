@@ -8,7 +8,6 @@ dataset. A read-only input array is kept as it is.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -109,23 +108,6 @@ class ObservationalDataset:
     @property
     def n(self) -> int:
         return self.y.shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ObservationalDataset):
-            return NotImplemented
-        same_z = (
-            (self.z is None and other.z is None)
-            or (self.z is not None and other.z is not None
-                and np.array_equal(self.z, other.z))
-        )
-        return (
-            np.array_equal(self.y, other.y)
-            and np.array_equal(self.d, other.d)
-            and np.array_equal(self.x, other.x)
-            and same_z
-            and self.treatment_kind == other.treatment_kind
-            and self.levels == other.levels
-        )
 
     def take(self, indices) -> "ObservationalDataset":
         """Return a new dataset restricted to (or resampled at) `indices`.
@@ -299,37 +281,28 @@ def validate_panel(unit, time, y, d, x=None) -> PanelDataset:
         raise EmptyDatasetError(f"need at least 2 rows, got {n}")
     xm = _as_matrix("x", x, n)
 
-    sorted_codes = _codes_if_sorted(unit_arr, time_arr)
-    if sorted_codes is not None:
-        return PanelDataset(
-            unit=_readonly(_owned(unit_arr, unit)),
-            time=_readonly(_owned(time_arr, time)),
-            y=_readonly(_owned(yv, y)),
-            d=_readonly(_owned(dv, d)),
-            x=_readonly(_owned(xm, x)),
-            unit_codes=_readonly(sorted_codes),
-            unit_counts=_readonly(np.bincount(sorted_codes)),
+    codes = _codes_if_sorted(unit_arr, time_arr)
+    if codes is None:
+        # Sort by (unit, time); unit ids may be non-numeric, so sort via codes.
+        try:
+            codes = np.unique(unit_arr, return_inverse=True)[1]
+        except TypeError:
+            raise InvalidInputError("unit ids must be mutually comparable") from None
+        order = np.lexsort((time_arr, codes))
+        # integer-array indexing copies, so `_owned` keeps the sorted columns
+        unit_arr, time_arr, yv, dv, xm, codes = (
+            v[order] for v in (unit_arr, time_arr, yv, dv, xm, codes)
         )
-    # Sort by (unit, time); unit ids may be non-numeric, so sort via codes.
-    try:
-        uniq, codes = np.unique(unit_arr, return_inverse=True)
-    except TypeError:
-        raise InvalidInputError("unit ids must be mutually comparable") from None
-    order = np.lexsort((time_arr, codes))
-    codes = codes[order]
-    time_arr = time_arr[order]
-    key_dupes = (codes[1:] == codes[:-1]) & (time_arr[1:] == time_arr[:-1])
-    if key_dupes.any():
-        raise LengthMismatchError("duplicate (unit, time) pairs in panel")
-    # integer-array indexing copies, so the panel shares no memory with the caller
+        if ((codes[1:] == codes[:-1]) & (time_arr[1:] == time_arr[:-1])).any():
+            raise LengthMismatchError("duplicate (unit, time) pairs in panel")
     return PanelDataset(
-        unit=_readonly(unit_arr[order]),
-        time=_readonly(time_arr),
-        y=_readonly(yv[order]),
-        d=_readonly(dv[order]),
-        x=_readonly(xm[order]),
+        unit=_readonly(_owned(unit_arr, unit)),
+        time=_readonly(_owned(time_arr, time)),
+        y=_readonly(_owned(yv, y)),
+        d=_readonly(_owned(dv, d)),
+        x=_readonly(_owned(xm, x)),
         unit_codes=_readonly(codes),
-        unit_counts=_readonly(np.bincount(codes, minlength=uniq.shape[0])),
+        unit_counts=_readonly(np.bincount(codes)),
     )
 
 
@@ -393,7 +366,7 @@ def normal_interval(point: float, variance: float, level: float = 0.95):
     _check_level(level)
     if variance < 0:
         raise InvalidInputError("variance must be non-negative")
-    half = _z_quantile(float(level)) * math.sqrt(variance)
+    half = float(ndtri(0.5 + float(level) / 2.0)) * math.sqrt(variance)
     return (point - half, point + half)
 
 
@@ -403,10 +376,18 @@ def _check_level(level: float) -> None:
         raise InvalidInputError(f"level must lie in (0, 1), got {level}")
 
 
-@functools.lru_cache(maxsize=8)
-def _z_quantile(level: float) -> float:
-    """The standard normal quantile at 0.5 + level / 2."""
-    return float(ndtri(0.5 + level / 2.0))
+def _check_int(minimum: int, **parts) -> None:
+    """Reject a count, seed or stream key part that is not an integer
+    >= `minimum`, before NumPy, `range` or a loop would meet it."""
+    for name, value in parts.items():
+        if not isinstance(value, (int, np.integer)) or value < minimum:
+            raise InvalidInputError(f"{name} must be >= {minimum} and an integer, got {value!r}")
+
+
+def _check_rows(what: str, rows: int, n: int) -> None:
+    """Reject a fit made on another number of rows than the dataset's."""
+    if rows != n:
+        raise LengthMismatchError(f"{what} has {rows} rows, the dataset {n}")
 
 
 def _estimate(

@@ -15,6 +15,8 @@ from .core import (
     BINARY,
     CausalEstimate,
     ObservationalDataset,
+    _check_int,
+    _check_rows,
     _estimate,
     _select_columns,
 )
@@ -23,7 +25,6 @@ from .errors import (
     EmptyDoseGroupError,
     InsufficientMatchesError,
     InvalidInputError,
-    LengthMismatchError,
     NoUsableStratumError,
     ZeroPropensityError,
 )
@@ -89,10 +90,7 @@ def _outcome_model(ds, spec, outcome_fit):
         raise InvalidInputError(
             f"outcome fit has link {outcome_fit.link!r}, the spec has {spec.link!r}"
         )
-    if outcome_fit.residuals.shape[0] != ds.n:
-        raise LengthMismatchError(
-            f"outcome fit has {outcome_fit.residuals.shape[0]} rows, the dataset {ds.n}"
-        )
+    _check_rows("outcome fit", outcome_fit.residuals.shape[0], ds.n)
     return outcome_fit
 
 
@@ -163,6 +161,7 @@ def ate_or(
 def _dose_weights(ds, fit, dose):
     """Indicator of receiving `dose` and the per-unit P(D=dose|x) scores,
     guarding the weight floor only where the indicator is on."""
+    _check_rows("score fit", fit.n, ds.n)
     at_dose = ds.d == float(dose)
     if not at_dose.any():
         raise EmptyDoseGroupError(f"no unit received dose {dose}")
@@ -222,8 +221,8 @@ def ate_psr(
     """
     if ds.treatment_kind != BINARY:
         raise InvalidInputError("propensity-score regression requires a binary treatment")
-    if poly_degree < 1:
-        raise InvalidInputError("poly_degree must be >= 1")
+    _check_int(1, poly_degree=poly_degree)
+    _check_rows("score fit", fit.n, ds.n)
     p1 = fit.scores_treated
     degenerate = bool(np.ptp(p1) == 0.0)
     powers = [] if degenerate else [p1**k for k in range(1, poly_degree + 1)]
@@ -257,6 +256,7 @@ def ate_stratification(
     """
     if ds.treatment_kind != BINARY:
         raise InvalidInputError("stratification requires a binary treatment")
+    _check_rows("score fit", fit.n, ds.n)
     labels = quantile_strata(fit.scores_treated, n_strata)
     treated = ds.d == 1.0
     diffs, sizes, var_terms = [], [], []
@@ -357,8 +357,8 @@ def ate_matching(
     """
     if ds.treatment_kind != BINARY:
         raise InvalidInputError("matching requires a binary treatment")
-    if n_matches < 1:
-        raise InvalidInputError("n_matches must be >= 1")
+    _check_int(1, n_matches=n_matches)
+    _check_rows("score fit", fit.n, ds.n)
     p1 = fit.scores_treated
     treated = ds.d == 1.0
     idx_t = np.flatnonzero(treated)

@@ -10,7 +10,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import BINARY, CONTINUOUS, MULTIVALUED, ObservationalDataset, _as_vector
+from .core import (
+    BINARY,
+    CONTINUOUS,
+    MULTIVALUED,
+    ObservationalDataset,
+    _as_vector,
+    _check_int,
+    _check_rows,
+)
 from .errors import (
     AllUnitsTrimmedError,
     InvalidInputError,
@@ -213,10 +221,7 @@ def quantile_strata(scores: np.ndarray, n_strata: int) -> np.ndarray:
     Edges are the j/J sample quantiles (linear interpolation); a score equal
     to an edge joins the upper stratum, so tied scores always share a label.
     """
-    if n_strata < 1:
-        raise InvalidInputError("n_strata must be >= 1")
-    if n_strata == 1:
-        return np.zeros(np.asarray(scores).shape[0], dtype=int)
+    _check_int(1, n_strata=n_strata)
     edges = np.quantile(scores, np.arange(1, n_strata) / n_strata)
     return np.searchsorted(edges, scores, side="right")
 
@@ -248,9 +253,7 @@ def _pooled_sd(x: np.ndarray, treated: np.ndarray) -> np.ndarray:
     return np.sqrt((xt.var(ddof=0, axis=0) + xc.var(ddof=0, axis=0)) / 2.0)
 
 
-def _smd(
-    x: np.ndarray, treated: np.ndarray, scale: np.ndarray | None = None
-) -> np.ndarray:
+def _smd(x: np.ndarray, treated: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Column-wise standardized mean difference; 0 for zero-variance columns.
 
     Within-stratum differences are standardized by the full-sample pooled sd
@@ -259,8 +262,6 @@ def _smd(
     """
     xt = x[treated]
     xc = x[~treated]
-    if scale is None:
-        scale = _pooled_sd(x, treated)
     diff = np.abs(xt.mean(axis=0) - xc.mean(axis=0))
     out = np.zeros(x.shape[1])
     nz = scale > 0
@@ -278,8 +279,8 @@ def balance_diagnostic(
     """
     if ds.treatment_kind != BINARY:
         raise InvalidInputError("balance diagnostic requires a binary treatment")
-    if n_strata < 2:
-        raise InvalidInputError("n_strata must be >= 2")
+    _check_int(2, n_strata=n_strata)
+    _check_rows("score fit", fit.n, ds.n)
     treated = ds.d == 1.0
     if treated.all() or not treated.any():
         raise NoTreatmentVariationError("both arms required for balance checks")

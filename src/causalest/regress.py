@@ -8,7 +8,7 @@ from dataclasses import MISSING, dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import CausalEstimate, _as_matrix, _as_vector, _estimate, _is_01
+from .core import CausalEstimate, _as_matrix, _as_vector, _check_int, _estimate, _is_01
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -107,11 +107,11 @@ def _weighted_xtx_inv(Xw: np.ndarray) -> np.ndarray:
     return _svd_solve(Xw, np.zeros(Xw.shape[0]))[1]
 
 
-def fit_ols(design, y, weights=None) -> LinearFit:
-    """Ordinary (or weighted) least squares via orthogonal decomposition.
+def fit_ols(design, y) -> LinearFit:
+    """Ordinary least squares via orthogonal decomposition.
 
-    Minimizes the (weighted) residual sum of squares; the coefficient
-    covariance is sigma^2 (X' W X)^-1 with sigma^2 = RSS / (n - k).
+    Minimizes the residual sum of squares; the coefficient covariance is
+    sigma^2 (X'X)^-1 with sigma^2 = RSS / (n - k).
 
     Raises:
         RankDeficientError: collinear or under-determined design.
@@ -119,22 +119,9 @@ def fit_ols(design, y, weights=None) -> LinearFit:
     """
     X, r = _check_design(design, y)
     n, k = X.shape
-    if weights is not None:
-        w = _as_vector("weights", weights, n, finite=False)
-        if (w < 0).any():
-            raise InvalidInputError("weights must be non-negative")
-        sw = np.sqrt(w)
-        Xw = X * sw[:, None]
-        yw = r * sw
-    else:
-        sw = None
-        Xw, yw = X, r
-
-    coef, xtx_inv = _svd_solve(Xw, yw)
-    fitted = X @ coef
-    resid = r - fitted
-    wrss = float(((resid * sw) ** 2).sum()) if sw is not None else float(resid @ resid)
-    sigma2 = wrss / (n - k) if n > k else 0.0
+    coef, xtx_inv = _svd_solve(X, r)
+    resid = r - X @ coef
+    sigma2 = float(resid @ resid) / (n - k) if n > k else 0.0
     return LinearFit(
         coef=coef,
         link=IDENTITY,
@@ -166,6 +153,7 @@ def fit_logistic(design, d, max_iter: int = 100, tol: float = 1e-8) -> LinearFit
             every response fitted to within 1e-6 (wide-margin separation).
         ConvergenceError: max_iter exhausted.
     """
+    _check_int(1, max_iter=max_iter)
     X, dv = _check_design(design, d)
     if not _is_01(dv):
         raise InvalidInputError("logistic response must be 0/1")

@@ -22,13 +22,13 @@ from importlib import resources
 import numpy as np
 from scipy.special import expit, ndtr, ndtri
 
-from .core import validate, validate_panel
+from .core import _check_int, validate, validate_panel
 from .errors import InvalidInputError, MissingReferenceCellError, UnknownCaseError
 from .estimators import OrSpec, ate_dr, ate_ipw, ate_or, fit_outcome_model
 from .panel import fit_cre, fit_fd, fit_fe, fit_pols, fit_re
 from .propensity import PropensityFit, estimate_propensity_binary
 from .quasi import ate_2sls, ate_did, rdd_fuzzy, rdd_sharp, validate_did
-from .variance import _MAX_FAILED_RUNS, _check_int, _keyed_stream, _replicate
+from .variance import _MAX_FAILED_RUNS, _keyed_stream, _replicate
 
 CASE_IDS = ("cs1", "cs2", "cs3", "cs4", "cs5", "cs6")
 

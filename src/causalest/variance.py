@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CausalEstimate, PanelDataset, _check_level
+from .core import CausalEstimate, PanelDataset, _check_int, _check_level
 from .errors import (
     CausalestError,
     InvalidInputError,
@@ -60,14 +60,6 @@ def _keyed_stream(seed: int, *key: int) -> np.random.Generator:
     """The Philox stream of SeedSequence(seed, spawn_key=key): Monte Carlo
     variables are keyed (case, run, variable), bootstrap replicates (b,)."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
-
-
-def _check_int(minimum: int, **parts) -> None:
-    """Reject a count, seed or `_keyed_stream` key part that is not an integer
-    >= `minimum`, before NumPy, `range` or a replicate loop would meet it."""
-    for name, value in parts.items():
-        if not isinstance(value, (int, np.integer)) or value < minimum:
-            raise InvalidInputError(f"{name} must be >= {minimum} and an integer, got {value!r}")
 
 
 # an estimator fails a replicate loop when it fails on more than this share

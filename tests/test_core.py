@@ -118,12 +118,6 @@ class TestValidate:
             assert not got.flags.writeable, name
             assert not np.shares_memory(got, parent), name
 
-    def test_equality_by_value(self):
-        a = validate([1.0, 2.0], [0.0, 1.0])
-        b = validate([1.0, 2.0], [0.0, 1.0])
-        assert a == b
-        assert a != validate([1.0, 3.0], [0.0, 1.0])
-
 
 class TestValidatePanel:
     def test_rows_sorted_by_unit_time(self):

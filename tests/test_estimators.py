@@ -21,6 +21,7 @@ from causalest import (
     ate_or,
     ate_psr,
     ate_stratification,
+    balance_diagnostic,
     difference_in_means,
     estimate_propensity_binary,
     fit_outcome_model,
@@ -551,6 +552,21 @@ class TestSharedOutcomeFit:
             ate_or(ds, spec=OrSpec(link=LOGIT), outcome_fit=full)
         with pytest.raises(LengthMismatchError, match="800 rows, the dataset 400"):
             ate_or(ds.take(np.arange(400)), outcome_fit=full)
+
+    @pytest.mark.parametrize(
+        "estimator",
+        [ate_ipw, lambda ds, fit: apo_ipw(ds, fit, 1.0), ate_dr, balance_diagnostic,
+         ate_psr, ate_stratification, ate_matching],
+        ids=["ate_ipw", "apo_ipw", "ate_dr", "balance_diagnostic",
+             "ate_psr", "ate_stratification", "ate_matching"],
+    )
+    def test_score_fit_of_another_row_count_rejected(self, estimator):
+        # a score fit on other rows would pair the dataset's units with other
+        # units' scores, or fail inside NumPy
+        ds = confounded_binary(45, 200)
+        fit = estimate_propensity_binary(ds)
+        with pytest.raises(LengthMismatchError, match="score fit has 200 rows, the dataset 150"):
+            estimator(ds.take(np.arange(150)), fit)
 
 
 class TestPermutationInvariance:

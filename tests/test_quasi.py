@@ -668,19 +668,46 @@ def _quasi_draw(name, seed=91, n=400):
     return y, lambda y, rows: rdd_fuzzy(y[rows], t[rows], d[rows], cutoff=0.1, bandwidth=0.8)
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "ate_2sls",
-        "iv_ratio",
-        "ate_did",
-        "ate_did_covariates",
-        "ate_did_multiperiod",
-        "rdd_sharp",
-        "rdd_fuzzy",
-    ],
-)
+_SWEPT = [
+    "ate_2sls",
+    "iv_ratio",
+    "ate_did",
+    "ate_did_covariates",
+    "ate_did_multiperiod",
+    "rdd_sharp",
+    "rdd_fuzzy",
+]
+
+
+def _sc_problems():
+    """Synthetic-control problems whose optimal donor weights are the same
+    for every predictor weighting V, so they do not depend on where the
+    outer search over V stops: `inside` has x1 in the donors' hull, fitted
+    exactly by w_true; `outside` has x1 beyond donors 0 and 1 in the last
+    two characteristics, where those donors tie, and between them in the
+    first, so every V gives the edge weights (0.75, 0.25, 0, 0)."""
+    g = philox(121)
+    w_true = np.array([0.2, 0.5, 0.3, 0.0])
+    x0, z0, y0 = g.normal(size=(4, 4)), g.normal(size=(3, 4)), g.normal(size=(2, 4))
+    inside = ScProblem(
+        x1=x0 @ w_true, x0=x0, z1=z0 @ w_true, z0=z0, y1=y0 @ w_true + 1.0, y0=y0
+    )
+    g = philox(120)
+    edge = np.array([0.75, 0.25, 0.0, 0.0])
+    z0, y0 = g.normal(size=(3, 4)), g.normal(size=(2, 4))
+    outside = ScProblem(
+        x1=[0.25, 2.0, 3.0],
+        x0=[[0.0, 1.0, 0.3, 0.6], [1.0, 1.0, -0.5, 0.2], [1.0, 1.0, 0.4, -1.0]],
+        z1=z0 @ edge + 0.1 * g.normal(size=3),
+        z0=z0,
+        y1=y0 @ edge + 1.0,
+        y0=y0,
+    )
+    return {"inside": inside, "outside": outside}
+
+
 class TestInvarianceSweep:
+    @pytest.mark.parametrize("name", _SWEPT)
     def test_row_shuffle_leaves_point_and_variance(self, name):
         y, estimate = _quasi_draw(name)
         reference = estimate(y, np.arange(y.size))
@@ -692,6 +719,7 @@ class TestInvarianceSweep:
             else:
                 assert est.variance == pytest.approx(reference.variance, rel=1e-10)
 
+    @pytest.mark.parametrize("name", _SWEPT)
     @pytest.mark.parametrize("a, b", [(3.0, 7.0), (-0.25, -40.0)])
     def test_affine_outcome_scales_point_and_variance(self, name, a, b):
         y, estimate = _quasi_draw(name)
@@ -703,6 +731,31 @@ class TestInvarianceSweep:
             assert est.variance is None
         else:
             assert est.variance == pytest.approx(a * a * reference.variance, rel=1e-8)
+
+    @pytest.mark.parametrize("where", ["inside", "outside"])
+    @pytest.mark.parametrize("a, b", [(3.0, 7.0), (-2.0, 1.5), (1e3, -5.0), (1e-3, 2.0)])
+    def test_affine_outcome_scales_synthetic_control(self, where, a, b):
+        # [DERIVED] x1 and x0 are unchanged, so the inner weights are too, and
+        # the pre-period mismatch only scales by a^2; the weights sum to one,
+        # so the shift cancels and the post-period gap scales by a
+        problem = _sc_problems()[where]
+        moved = ScProblem(
+            x1=problem.x1,
+            x0=problem.x0,
+            **{name: a * getattr(problem, name) + b for name in ("z1", "z0", "y1", "y0")},
+        )
+        reference, fit = sc_fit(problem), sc_fit(moved)
+        j = problem.n_donors
+        eps = np.finfo(float).eps
+        # the weights come from a least-squares solve on at most j O(1),
+        # well-conditioned donor columns: a few ulps per donor
+        np.testing.assert_allclose(fit.weights, reference.weights, rtol=0, atol=16 * j * eps)
+        # rounding of a y + b, of the j-term weighted sum of the donors and
+        # of the mean, each relative to the magnitude |a| max|y| + |b|
+        size = abs(a) * max(np.abs(problem.y1).max(), np.abs(problem.y0).max()) + abs(b)
+        assert fit.estimate.point == pytest.approx(
+            a * reference.estimate.point, rel=0, abs=4 * (j + 4) * eps * size
+        )
 
 
 # the columns each estimator's `_quasi_draw` call is handed

@@ -75,17 +75,6 @@ class TestFitOls:
             fit.coef_cov, sigma2 * np.linalg.inv(X.T @ X), rtol=1e-8
         )
 
-    def test_weighted_equals_prescaled(self):
-        # [DERIVED] WLS(w) == OLS on rows scaled by sqrt(w)
-        g = philox(5)
-        X = np.column_stack([np.ones(20), g.normal(size=20)])
-        y = g.normal(size=20)
-        w = g.uniform(0.5, 2.0, 20)
-        wls = fit_ols(X, y, weights=w)
-        sw = np.sqrt(w)
-        scaled = fit_ols(X * sw[:, None], y * sw)
-        np.testing.assert_allclose(wls.coef, scaled.coef, atol=1e-12)
-
     def test_reparameterization_invariance(self):
         # [DERIVED] fitted values are unchanged by any invertible column mix
         g = philox(6)

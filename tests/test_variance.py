@@ -13,11 +13,16 @@ from causalest import (
     OrSpec,
     apo_or,
     ate_ipw,
+    ate_matching,
     ate_or,
+    ate_psr,
+    ate_stratification,
+    balance_diagnostic,
     bootstrap_variance,
     delta_variance,
     estimate_propensity_binary,
     fit_fe,
+    fit_logistic,
     fit_ols,
     fit_outcome_model,
     generate,
@@ -450,6 +455,12 @@ class TestBootstrap:
         np.testing.assert_array_equal(result.points, again.points)
 
 
+def _scored():
+    """A binary dataset and its fitted score."""
+    ds = confounded_binary(45, 200)
+    return ds, estimate_propensity_binary(ds)
+
+
 class TestIntegerArguments:
     @pytest.mark.parametrize(
         "call, message",
@@ -462,8 +473,32 @@ class TestIntegerArguments:
                 ),
                 "n_boot must be >= 2 and an integer, got 5.5",
             ),
+            (
+                lambda: ate_stratification(*_scored(), n_strata=2.5),
+                "n_strata must be >= 1 and an integer, got 2.5",
+            ),
+            (
+                lambda: ate_matching(*_scored(), n_matches=1.5),
+                "n_matches must be >= 1 and an integer, got 1.5",
+            ),
+            (
+                lambda: ate_psr(*_scored(), poly_degree=1.5),
+                "poly_degree must be >= 1 and an integer, got 1.5",
+            ),
+            (
+                lambda: balance_diagnostic(*_scored(), n_strata=2.5),
+                "n_strata must be >= 2 and an integer, got 2.5",
+            ),
+            (
+                lambda: fit_logistic(
+                    np.column_stack([np.ones(4), [0.0, 1.0, 2.0, 3.0]]), [0.0, 1.0, 0.0, 1.0],
+                    max_iter=2.5,
+                ),
+                "max_iter must be >= 1 and an integer, got 2.5",
+            ),
         ],
-        ids=["runs", "n", "n_boot"],
+        ids=["runs", "n", "n_boot", "n_strata", "n_matches", "poly_degree",
+             "balance_n_strata", "max_iter"],
     )
     def test_float_count_is_an_input_error(self, call, message):
         # a float count used to reach NumPy or range and escape as a bare TypeError
