@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, nnls
 
 from .core import (
     CausalEstimate,
@@ -34,7 +34,6 @@ from .regress import _coef_estimate, _svd_solve, fit_ols
 
 _COV_TOL = 1e-12
 _FIRST_STAGE_JUMP_TOL = 0.05
-_SC_KKT_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -269,76 +268,54 @@ class ScProblem:
 def sc_weights(x1, x0, v_diag) -> np.ndarray:
     """Simplex-constrained weights minimizing (x1 - x0 w)' V (x1 - x0 w).
 
-    The minimum is found exactly by a primal active-set method on the KKT
-    conditions of min ||a w - b||^2 subject to w >= 0 and sum(w) = 1, with
-    a = V^(1/2) x0 and b = V^(1/2) x1. It starts at the best single donor;
-    each step frees the donor whose bound multiplier is most negative
-    (lowest index on ties), solves the equality-constrained least squares on
-    the free donors, and moves toward that solution as far as the bounds
-    allow, dropping a donor whose weight reaches zero. The objective falls
-    at every step, so no free set repeats and the method ends after finitely
-    many steps; if it has not ended after freeing 3J donors it raises
-    ConvergenceError instead of returning an unfinished iterate.
+    On the simplex x1 - x0 w = -C w, where column j of C is
+    V^(1/2) (x0_j - x1). Writing u >= 0 as t w with t = sum(u) and w on the
+    simplex, ||C u||^2 + (sum(u) - 1)^2 = t^2 ||C w||^2 + (t - 1)^2, whose
+    minimum over t is q / (1 + q) with q = ||C w||^2; it grows with q. So
+    the non-negative least squares solution u of [C / ||C||; 1'] u = [0; 1]
+    has as its support an optimal face of the simplex problem. That support
+    comes from one Lawson-Hanson solve (`scipy.optimize.nnls`), and the
+    weights from the exact least squares on that face (`_sc_face_optimum`).
+    The solve raises ConvergenceError if it has not finished after 3J steps,
+    instead of returning an unfinished iterate.
 
     When the optimum is not unique (more than K + 1 donors in the optimal
-    face), the weights returned are a deterministic function of the inputs.
-    A single donor gets weight one, and a donor whose column equals x1
-    exactly short-circuits to weight one (lowest index on ties).
+    face), the weights are one optimal point, a deterministic function of
+    the inputs with at most K + 1 positive weights. A single donor gets
+    weight one; a donor whose column equals x1 exactly, or every donor when
+    V weights no row where the donors differ from x1, short-circuits to
+    weight one on the lowest such index.
     """
     x1v = _as_vector("x1", x1)
     x0m = _as_matrix("x0", x0, x1v.shape[0])
     v = _as_vector("v_diag", v_diag, x1v.shape[0])
     if (v < 0.0).any() or not (v > 0.0).any():
         raise InvalidInputError("v_diag entries must be >= 0 with at least one positive")
-    j = x0m.shape[1]
-    w = np.zeros(j)
-    exact = np.flatnonzero(np.all(x0m == x1v[:, None], axis=0))
-    if j == 1 or exact.size:
-        w[exact[0] if exact.size else 0] = 1.0
-        return w
-
+    k, j = x0m.shape
     sqrt_v = np.sqrt(v)
     a = x0m * sqrt_v[:, None]
     b = x1v * sqrt_v
     vertex_resid = a - b[:, None]
-    best = int(np.argmin(np.einsum("kj,kj->j", vertex_resid, vertex_resid)))
-    w[best] = 1.0
-    free = np.zeros(j, dtype=bool)
-    free[best] = True
-    # A multiplier (a_i - a_r)'(a w - b) above -tol counts as zero. Its
-    # rounding is of order eps |a_i - a_r| (|a w - b| + |a_i - a_r|), far
-    # below tol, and neither it nor tol changes with a common level of x1
-    # and x0.
-    spread = float(np.linalg.norm(a - a[:, [best]]))
-    tol = _SC_KKT_TOL * spread * (float(np.linalg.norm(vertex_resid[:, best])) + spread)
-    for _ in range(3 * j):
-        ref = int(np.argmax(free))
-        diff = a - a[:, [ref]]
-        multipliers = diff.T @ (vertex_resid[:, ref] + diff @ w)
-        multipliers[free] = np.inf
-        enter = int(np.argmin(multipliers))
-        if multipliers[enter] >= -tol:
-            return w
-        free[enter] = True
-        while True:
-            target = _sc_face_optimum(vertex_resid, a, free)
-            blocking = free & (target <= 0.0)
-            if not blocking.any():
-                w = target
-                break
-            if blocking[enter] and w[enter] == 0.0:
-                # freeing `enter` gives no descent the arithmetic can resolve
-                return w
-            idx = np.flatnonzero(blocking)
-            ratios = w[idx] / (w[idx] - target[idx])
-            first = int(np.argmin(ratios))
-            w = w + ratios[first] * (target - w)
-            w[idx[first]] = 0.0
-            free &= w > 0.0
-            w[~free] = 0.0
-    raise ConvergenceError(
-        f"active-set solve for {j} donor weights did not finish in {3 * j} steps"
-    )
+    spread = float(np.linalg.norm(vertex_resid))
+    w = np.zeros(j)
+    exact = np.flatnonzero(np.all(x0m == x1v[:, None], axis=0))
+    if j == 1 or exact.size or spread == 0.0:
+        w[exact[0] if exact.size else 0] = 1.0
+        return w
+
+    try:
+        u = nnls(np.vstack([vertex_resid / spread, np.ones(j)]), np.append(np.zeros(k), 1.0))[0]
+    except RuntimeError:
+        raise ConvergenceError(
+            f"non-negative least squares for {j} donor weights did not finish in {3 * j} steps"
+        ) from None
+    free = u > 0.0
+    w = _sc_face_optimum(vertex_resid, a, free)
+    # on a degenerate face a donor's exact weight can round to zero or below
+    while (w[free] <= 0.0).any():
+        free &= w > 0.0
+        w = _sc_face_optimum(vertex_resid, a, free)
+    return w
 
 
 def _sc_face_optimum(vertex_resid, a, free) -> np.ndarray:

@@ -414,20 +414,54 @@ class TestScWeights:
                 sc_weights(x1 + c, x0 + c, v), sc_weights(x1, x0, v), rtol=0, atol=1e-8
             )
 
+    def test_non_unique_optimum_is_sparse_deterministic_and_optimal(self):
+        # [DERIVED] with J > K + 1 donors the optimum need not be unique; the
+        # solver must still return one optimal point, the same one on every
+        # call, with at most K + 1 donors in its support (a vertex of the
+        # optimal face), and no simplex vertex may beat it
+        for j in range(4, 9):
+            for seed in range(6):
+                g = philox(3000 + 10 * j + seed)
+                k = 1 + seed % (j - 2)
+                x0 = g.normal(size=(k, j))
+                # every third problem puts x1 inside the donors' hull, where
+                # a whole face of weights reaches a zero objective
+                x1 = x0 @ g.dirichlet(np.ones(j)) if seed % 3 == 0 else g.normal(size=k)
+                v = g.uniform(0.1, 1.0, size=k)
+                w = sc_weights(x1, x0, v)
+                np.testing.assert_array_equal(sc_weights(x1, x0, v), w)
+                assert np.all(w >= 0.0)
+                assert np.count_nonzero(w) <= k + 1
+                resid = x1[:, None] - x0
+                vertex_best = float(np.min(np.sum(v[:, None] * resid**2, axis=0)))
+                r = x1 - x0 @ w
+                assert float(r @ (v * r)) <= vertex_best + 1e-12 * (1.0 + x1 @ (v * x1))
+
+    def test_weight_rounding_below_zero_on_a_degenerate_face_is_dropped(self):
+        # on these integer problems the non-negative least squares support
+        # holds a donor whose exact weight on that face is 0; its face solve
+        # rounds it to about -3e-16, and such a donor must leave the support
+        w = sc_weights([-1.0, 2.0, -2.0], [[1.0, 2.0, 1.0], [-2.0, -1.0, -2.0], [0.0, -2.0, -2.0]],
+                       [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(w, [0.0, 1.0, 0.0])
+        x0 = [[0.0, 1.0, -1.0, -1.0], [-1.0, -2.0, -2.0, -1.0], [1.0, 1.0, -2.0, 2.0]]
+        w = sc_weights([1.0, 0.0, -1.0], x0, [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(w[[1, 3]], [0.0, 0.0])
+        np.testing.assert_allclose(w, [7.0 / 11.0, 0.0, 4.0 / 11.0, 0.0], rtol=1e-14)
+
+    def test_zero_spread_takes_lowest_index(self):
+        # V weights only the first row, where every donor equals x1, so
+        # every point of the simplex is optimal
+        w = sc_weights([1.0, 5.0], [[1.0, 1.0, 1.0], [2.0, 3.0, 9.0]], [1.0, 0.0])
+        np.testing.assert_array_equal(w, [1.0, 0.0, 0.0])
+
     def test_step_cap_raises_instead_of_returning_an_iterate(self, monkeypatch):
-        # a face solver that keeps swapping between the two vertices makes
-        # the active set cycle; the step cap must end it with an error
-        pair_solves = []
+        # SciPy's nnls raises RuntimeError at its cap of 3J iterations; that
+        # must surface as the package's ConvergenceError
+        def capped_nnls(a, b):
+            raise RuntimeError("Maximum number of iterations reached.")
 
-        def swapping_face(vertex_resid, a, free):
-            target = np.zeros(free.shape[0])
-            idx = np.flatnonzero(free)
-            if idx.size == 2:
-                pair_solves.append(idx)
-            target[idx[len(pair_solves) % 2] if idx.size == 2 else idx[0]] = 1.0
-            return target
-
-        monkeypatch.setattr(quasi, "_sc_face_optimum", swapping_face)
+        monkeypatch.setattr(quasi, "nnls", capped_nnls)
         with pytest.raises(ConvergenceError, match="did not finish in 6 steps"):
             sc_weights([2.0], [[1.0, 3.0]], [1.0])
 
