@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -25,9 +24,8 @@ from .errors import (
 )
 
 BINARY = "binary"
-MULTIVALUED = "multivalued"
 CONTINUOUS = "continuous"
-_TREATMENT_KINDS = (BINARY, MULTIVALUED, CONTINUOUS)
+_TREATMENT_KINDS = (BINARY, CONTINUOUS)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -94,8 +92,7 @@ class ObservationalDataset:
         d: treatment vector, length n.
         x: covariate matrix, shape (n, p); p may be 0.
         z: instrument matrix, shape (n, L), or None.
-        treatment_kind: one of "binary", "multivalued", "continuous".
-        levels: declared treatment levels (multivalued only).
+        treatment_kind: "binary" or "continuous".
     """
 
     y: np.ndarray
@@ -103,7 +100,6 @@ class ObservationalDataset:
     x: np.ndarray
     z: np.ndarray | None = None
     treatment_kind: str = BINARY
-    levels: tuple[float, ...] | None = None
 
     @property
     def n(self) -> int:
@@ -121,7 +117,6 @@ class ObservationalDataset:
             x=_readonly(self.x[idx]),
             z=None if self.z is None else _readonly(self.z[idx]),
             treatment_kind=self.treatment_kind,
-            levels=self.levels,
         )
 
 
@@ -131,13 +126,11 @@ def validate(
     x=None,
     z=None,
     treatment_kind: str | None = None,
-    levels: Sequence[float] | None = None,
 ) -> ObservationalDataset:
     """Validate raw columns into an :class:`ObservationalDataset`.
 
     Treatment kind is detected automatically — binary when all values lie in
     {0, 1}, continuous otherwise — unless `treatment_kind` overrides it.
-    Multivalued treatments require an explicit `levels` set.
 
     Raises:
         LengthMismatchError: columns of differing length.
@@ -161,20 +154,12 @@ def validate(
             raise InvalidInputError(f"unknown treatment_kind {kind!r}")
         if kind == BINARY and not is_01:
             raise InvalidInputError("treatment_kind='binary' but d has values outside {0, 1}")
-    lv: tuple[float, ...] | None = None
-    if kind == MULTIVALUED:
-        if levels is None:
-            raise InvalidInputError("multivalued treatment requires an explicit levels set")
-        lv = tuple(float(v) for v in levels)
-        if not np.isin(dv, lv).all():
-            raise InvalidInputError("d has values outside the declared level set")
     return ObservationalDataset(
         y=_readonly(_owned(yv, y)),
         d=_readonly(_owned(dv, d)),
         x=_readonly(_owned(xm, x)),
         z=None if zm is None else _readonly(_owned(zm, z)),
         treatment_kind=kind,
-        levels=lv,
     )
 
 
@@ -326,13 +311,13 @@ def _codes_if_sorted(unit: np.ndarray, time: np.ndarray) -> np.ndarray | None:
 
 @dataclass
 class CausalEstimate:
-    """A point estimate of an average-potential-outcome or treatment effect.
+    """A point estimate of an average treatment effect.
 
     Attributes:
-        estimand: "ATE" or "APO".
+        estimand: "ATE".
         method: identifier of the producing estimator.
         dose: treatment level the estimand refers to.
-        ref_dose: reference level (ATE only).
+        ref_dose: reference level.
         point: the estimate.
         variance: estimated sampling variance, when available.
         n_used: rows that actually entered the estimate.
@@ -397,20 +382,18 @@ def _estimate(
     variance=None,
     diagnostics: dict | None = None,
     *,
-    estimand: str = "ATE",
     dose: float = 1.0,
-    ref_dose: float | None = 0.0,
+    ref_dose: float = 0.0,
 ) -> CausalEstimate:
     """Build the CausalEstimate every estimator returns.
 
-    It casts the numbers to float and `n_used` to int. APO estimates pass
-    ``estimand="APO", ref_dose=None``.
+    It casts the numbers to float and `n_used` to int.
     """
     return CausalEstimate(
-        estimand=estimand,
+        estimand="ATE",
         method=method,
         dose=float(dose),
-        ref_dose=None if ref_dose is None else float(ref_dose),
+        ref_dose=float(ref_dose),
         point=float(point),
         variance=None if variance is None else float(variance),
         n_used=int(n_used),

@@ -71,10 +71,6 @@ class ConvergenceError(CausalestError):
 # propensity
 # ---------------------------------------------------------------------------
 
-class SigmaFloorError(CausalestError):
-    """Residual scale of a density model fell below the numerical floor."""
-
-
 class AllUnitsTrimmedError(CausalestError):
     """Overlap trimming removed every unit."""
 
@@ -114,10 +110,6 @@ class TooFewPeriodsError(CausalestError):
 # ---------------------------------------------------------------------------
 # quasi-experimental
 # ---------------------------------------------------------------------------
-
-class WeakInstrumentError(CausalestError):
-    """Instrument-treatment covariance is (numerically) zero."""
-
 
 class OrderConditionError(CausalestError):
     """Fewer instruments than endogenous regressors."""
@@ -161,7 +153,3 @@ class UnknownCaseError(InvalidInputError):
 
 class MissingReferenceCellError(InvalidInputError):
     """Reference table lacks a method present in the report."""
-
-
-# the Monte Carlo harness's name for TooManyFailedReplicatesError
-TooManyFailedRunsError = TooManyFailedReplicatesError

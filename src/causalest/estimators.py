@@ -120,20 +120,6 @@ def _apo_prediction(fit, design_at):
     return float(preds.mean()), grad
 
 
-def apo_or(
-    ds: ObservationalDataset, dose: float, spec: OrSpec | None = None
-) -> CausalEstimate:
-    """Average potential outcome at `dose` from the pooled outcome regression."""
-    spec = spec or OrSpec()
-    fit = fit_outcome_model(ds, spec)
-    point, grad = _apo_prediction(fit, _dose_designs(ds, spec)(dose))
-    var = delta_variance(fit, grad)
-    diagnostics = {"link": spec.link, "interactions": spec.interactions_with_d}
-    return _estimate(
-        "or", point, ds.n, var, diagnostics, estimand="APO", dose=dose, ref_dose=None
-    )
-
-
 def ate_or(
     ds: ObservationalDataset,
     dose: float = 1.0,
@@ -171,20 +157,6 @@ def _dose_weights(ds, fit, dose):
             f"a unit at dose {dose} has an assignment score below {_WEIGHT_FLOOR}"
         )
     return at_dose.astype(float), p
-
-
-def apo_ipw(
-    ds: ObservationalDataset, fit: PropensityFit, dose: float
-) -> CausalEstimate:
-    """Horvitz-Thompson average potential outcome: mean of 1[D=d] y / score."""
-    ind, p = _dose_weights(ds, fit, dose)
-    contrib = ind * ds.y / p
-    point = float(contrib.mean())
-    var = float(contrib.var(ddof=1) / ds.n)
-    diagnostics = {"n_at_dose": int(ind.sum())}
-    return _estimate(
-        "ipw", point, ds.n, var, diagnostics, estimand="APO", dose=dose, ref_dose=None
-    )
 
 
 def ate_ipw(

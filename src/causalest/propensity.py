@@ -1,4 +1,4 @@
-"""Assignment models: binary/multivalued propensity scores and a normal GPS.
+"""Assignment models: the binary propensity score.
 
 Also provides overlap trimming and the stratified balance diagnostic that
 verifies the balancing property of the estimated score.
@@ -12,8 +12,6 @@ import numpy as np
 
 from .core import (
     BINARY,
-    CONTINUOUS,
-    MULTIVALUED,
     ObservationalDataset,
     _as_vector,
     _check_int,
@@ -23,40 +21,28 @@ from .errors import (
     AllUnitsTrimmedError,
     InvalidInputError,
     NoTreatmentVariationError,
-    SigmaFloorError,
     ZeroPropensityError,
 )
-from .regress import LinearFit, fit_logistic, fit_ols
-
-BINARY_LOGISTIC = "binary_logistic"
-MULTIVALUED_LOGISTIC = "multivalued_logistic"
-GPS_NORMAL = "gps_normal"
-
-_SIGMA_FLOOR = 1e-12
+from .regress import LinearFit, fit_logistic
 
 
 @dataclass
 class PropensityFit:
-    """A fitted assignment model with per-unit scores.
+    """A fitted binary assignment model with per-unit scores.
 
     Attributes:
-        kind: "binary_logistic", "multivalued_logistic" or "gps_normal".
-        scores: score of the *received* treatment per unit — a probability
-            for binary/multivalued, a conditional density for continuous.
+        scores: probability of the *received* treatment per unit.
         model: the underlying regression fit (None for injected scores).
-        sigma: residual scale (gps_normal only).
         trim_bounds: (lo, hi) applied by trim_overlap, if any.
-        level_scores: level -> P(D=level | x) vectors (binary/multivalued).
+        level_scores: level -> P(D=level | x) vectors, for levels 0 and 1.
         diagnostics: extras such as the dropped-unit count after trimming.
 
     Construction raises NonFiniteValueError for a non-finite entry of
     `scores` or of any `level_scores` vector.
     """
 
-    kind: str
     scores: np.ndarray
     model: LinearFit | None = None
-    sigma: float | None = None
     trim_bounds: tuple[float, float] | None = None
     level_scores: dict[float, np.ndarray] | None = None
     diagnostics: dict = field(default_factory=dict)
@@ -68,31 +54,24 @@ class PropensityFit:
                 level: _as_vector(f"level_scores[{level}]", v)
                 for level, v in self.level_scores.items()
             }
-        if self.kind in (BINARY_LOGISTIC, MULTIVALUED_LOGISTIC):
-            if np.any(s <= 0.0) or np.any(s >= 1.0):
-                raise InvalidInputError(f"{self.kind} scores must lie strictly in (0, 1)")
-        elif np.any(s <= 0.0):
-            raise InvalidInputError("density scores must be positive")
+        if np.any(s <= 0.0) or np.any(s >= 1.0):
+            raise InvalidInputError("scores must lie strictly in (0, 1)")
 
     @property
     def n(self) -> int:
         return self.scores.shape[0]
 
     def score_at(self, d: float) -> np.ndarray:
-        """P(D = d | x) for every unit (binary/multivalued fits only)."""
-        if self.level_scores is None:
-            raise InvalidInputError("per-dose scores are undefined for a density fit")
+        """P(D = d | x) for every unit."""
         key = float(d)
-        if key not in self.level_scores:
+        if self.level_scores is None or key not in self.level_scores:
             raise InvalidInputError(f"no score model for level {d}")
         return self.level_scores[key]
 
     @property
     def scores_treated(self) -> np.ndarray:
-        """For binary fits: P(D=1 | x) per unit."""
-        if self.kind != BINARY_LOGISTIC or self.level_scores is None:
-            raise InvalidInputError("scores_treated is defined for binary fits only")
-        return self.level_scores[1.0]
+        """P(D=1 | x) per unit."""
+        return self.score_at(1.0)
 
     @classmethod
     def from_scores(cls, p1, d) -> "PropensityFit":
@@ -105,7 +84,6 @@ class PropensityFit:
         p = _as_vector("p1", p1)
         dv = _as_vector("d", d, p.shape[0])
         return cls(
-            kind=BINARY_LOGISTIC,
             scores=np.where(dv == 1.0, p, 1.0 - p),
             level_scores={1.0: p, 0.0: 1.0 - p},
         )
@@ -131,62 +109,11 @@ def estimate_propensity_binary(ds: ObservationalDataset) -> PropensityFit:
     model = fit_logistic(np.column_stack([np.ones(ds.n), ds.x]), ds.d)
     p1 = model.fitted
     return PropensityFit(
-        kind=BINARY_LOGISTIC,
         scores=_unsaturated(np.where(ds.d == 1.0, p1, 1.0 - p1)),
         model=model,
         level_scores={1.0: p1, 0.0: 1.0 - p1},
         diagnostics={"iterations": model.iterations, "converged": model.converged},
     )
-
-
-def estimate_propensity_multivalued(ds: ObservationalDataset) -> PropensityFit:
-    """One-vs-rest logistic per declared level; stores P(D=level | x) for all levels.
-
-    The diagnostics map each level to its fit's IRLS `iterations` and
-    `converged` flag.
-    """
-    if ds.treatment_kind != MULTIVALUED or ds.levels is None:
-        raise InvalidInputError("multivalued propensity model requires declared levels")
-    design = np.column_stack([np.ones(ds.n), ds.x])
-    level_scores: dict[float, np.ndarray] = {}
-    iterations: dict[float, int] = {}
-    converged: dict[float, bool] = {}
-    for level in ds.levels:
-        indicator = (ds.d == level).astype(float)
-        if indicator.min() == indicator.max():
-            raise NoTreatmentVariationError(f"level {level} is empty or exhaustive")
-        model = fit_logistic(design, indicator)
-        level_scores[float(level)] = model.fitted
-        iterations[float(level)] = model.iterations
-        converged[float(level)] = model.converged
-    received = np.empty(ds.n)
-    for level, p in level_scores.items():
-        received[ds.d == level] = p[ds.d == level]
-    return PropensityFit(
-        kind=MULTIVALUED_LOGISTIC,
-        scores=_unsaturated(received),
-        level_scores=level_scores,
-        diagnostics={"iterations": iterations, "converged": converged},
-    )
-
-
-def estimate_gps_normal(ds: ObservationalDataset) -> PropensityFit:
-    """Homoscedastic normal generalized propensity score for continuous doses.
-
-    Fits OLS of d on (1, x); sigma is the residual standard deviation; each
-    unit's score is the normal density of its dose at the fitted mean.
-    """
-    if ds.treatment_kind != CONTINUOUS:
-        raise InvalidInputError("gps model requires a continuous treatment")
-    design = np.column_stack([np.ones(ds.n), ds.x])
-    model = fit_ols(design, ds.d)
-    dof = max(ds.n - design.shape[1], 1)
-    sigma = float(np.sqrt(model.residuals @ model.residuals / dof))
-    if sigma < _SIGMA_FLOOR:
-        raise SigmaFloorError(f"residual scale {sigma:.2e} below floor {_SIGMA_FLOOR}")
-    z = model.residuals / sigma
-    dens = np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
-    return PropensityFit(kind=GPS_NORMAL, scores=dens, model=model, sigma=sigma)
 
 
 def trim_overlap(fit: PropensityFit, lo: float = 0.01, hi: float = 0.99):
@@ -195,8 +122,6 @@ def trim_overlap(fit: PropensityFit, lo: float = 0.01, hi: float = 0.99):
     Returns (trimmed_fit, kept_indices); the caller subsets its dataset with
     `kept_indices`. The dropped count is recorded in the fit diagnostics.
     """
-    if fit.kind != BINARY_LOGISTIC:
-        raise InvalidInputError("trimming is defined for binary propensity fits")
     if not (0.0 <= lo < hi <= 1.0):
         raise InvalidInputError(f"require 0 <= lo < hi <= 1, got ({lo}, {hi})")
     keep = (fit.scores >= lo) & (fit.scores <= hi)

@@ -28,33 +28,15 @@ from .errors import (
     NoTreatmentVariationError,
     OneSidedDataError,
     OrderConditionError,
-    WeakInstrumentError,
 )
 from .regress import _coef_estimate, _svd_solve, fit_ols
 
-_COV_TOL = 1e-12
 _FIRST_STAGE_JUMP_TOL = 0.05
 
 
 # ---------------------------------------------------------------------------
 # Instrumental variables
 # ---------------------------------------------------------------------------
-
-def iv_ratio(y, d, z) -> CausalEstimate:
-    """Single-instrument IV estimate: Cov(z, y) / Cov(z, d)."""
-    yv = _as_vector("y", y)
-    dv = _as_vector("d", d, yv.shape[0])
-    zv = _as_vector("z", z, yv.shape[0])
-    zc = zv - zv.mean()
-    cov_zd = float(zc @ (dv - dv.mean())) / yv.shape[0]
-    if abs(cov_zd) <= _COV_TOL:
-        raise WeakInstrumentError(
-            f"sample Cov(z, d) = {cov_zd:.2e} is numerically zero"
-        )
-    cov_zy = float(zc @ (yv - yv.mean())) / yv.shape[0]
-    diagnostics = {"cov_zd": cov_zd}
-    return _estimate("iv_ratio", cov_zy / cov_zd, yv.shape[0], diagnostics=diagnostics)
-
 
 def ate_2sls(y, d, z, x=None) -> CausalEstimate:
     """Two-stage least squares with endogenous d and excluded instruments z.
@@ -123,8 +105,8 @@ class DidDataset:
         group: 0/1 ever-treated indicator per row.
         period: integer period per row (0/1 basic; 0..T multi-period).
         x: optional covariate matrix (n, p).
-        treated: optional explicit row-level treatment indicator for
-            multi-period designs; defaults to group x period in the basic
+        treated: optional explicit row-level treatment indicator, needed
+            beyond two periods; defaults to group x period in the basic
             two-period design.
     """
 
@@ -165,58 +147,40 @@ def validate_did(y, group, period, x=None, treated=None) -> DidDataset:
     )
 
 
-def _did_cells(dd: DidDataset):
-    if not _is_01(dd.period):
-        raise InvalidInputError("the basic design requires periods in {0, 1}")
-    # cell 2 g + p holds the rows with group g and period p
-    counts = np.bincount(2 * (dd.group == 1.0) + (dd.period == 1.0), minlength=4)
-    for g in (0, 1):
-        for p in (0, 1):
-            if counts[2 * g + p] == 0:
-                raise EmptyCellError(f"no observations with group={g:g}, period={p:g}")
+def ate_did(dd: DidDataset) -> CausalEstimate:
+    """Difference in differences: the coefficient on the treated indicator in
+    OLS of y on (1, group, one dummy per period after the first, treated),
+    with the covariate columns of `dd.x` appended when it has any.
 
-
-def _did_fit(dd: DidDataset, method, periods, treated, x=None, diagnostics=None) -> CausalEstimate:
-    """OLS of y on (1, group, one dummy per period after the first, treated[, x]);
-    the coefficient on `treated` is the effect estimate."""
+    Without `dd.treated` the periods must be 0 and 1 and treated is
+    group x period, so without covariates the estimate is the double
+    difference of the 2x2 cell means; an empty cell raises EmptyCellError.
+    An explicit `dd.treated` is used as given, for any number of periods,
+    and one that never varies raises NoTreatmentVariationError. The
+    diagnostics give `n_periods`.
+    """
+    if dd.treated is None:
+        if not _is_01(dd.period):
+            raise InvalidInputError(
+                "without an explicit treated indicator the design requires periods in {0, 1}"
+            )
+        # cell 2 g + p holds the rows with group g and period p
+        counts = np.bincount(2 * (dd.group == 1.0) + (dd.period == 1.0), minlength=4)
+        for g in (0, 1):
+            for p in (0, 1):
+                if counts[2 * g + p] == 0:
+                    raise EmptyCellError(f"no observations with group={g:g}, period={p:g}")
+        periods, treated = (0.0, 1.0), dd.group * dd.period
+    else:
+        periods, treated = np.unique(dd.period), dd.treated
+        if treated.min() == treated.max():
+            raise NoTreatmentVariationError("the treatment indicator never varies")
     dummies = [(dd.period == t).astype(float) for t in periods[1:]]
     cols = [np.ones(dd.n), dd.group, *dummies, treated]
-    if x is not None:
-        cols.append(x)
-    return _coef_estimate(method, np.column_stack(cols), dd.y, len(periods) + 1, diagnostics)
-
-
-def ate_did(dd: DidDataset) -> CausalEstimate:
-    """Two-period difference-in-differences: the interaction coefficient of
-    OLS on (1, group, period, group x period), equal to the double difference
-    of cell means in the saturated 2x2 design."""
-    _did_cells(dd)
-    return _did_fit(dd, "did", (0.0, 1.0), dd.group * dd.period)
-
-
-def ate_did_covariates(dd: DidDataset) -> CausalEstimate:
-    """Two-period DID with covariate columns added to the regression."""
-    if dd.x.shape[1] == 0:
-        raise InvalidInputError("the dataset carries no covariates")
-    _did_cells(dd)
-    return _did_fit(dd, "did_covariates", (0.0, 1.0), dd.group * dd.period, dd.x)
-
-
-def ate_did_multiperiod(dd: DidDataset) -> CausalEstimate:
-    """Multi-period DID: group indicator, time dummies, and a row-level
-    treatment indicator whose coefficient is the effect estimate."""
-    periods = np.unique(dd.period)
-    if dd.treated is not None:
-        treated = dd.treated
-    elif set(periods) == {0.0, 1.0}:
-        treated = dd.group * dd.period
-    else:
-        raise InvalidInputError("multi-period designs require an explicit treated indicator")
-    if treated.min() == treated.max():
-        raise NoTreatmentVariationError("the treatment indicator never varies")
-    return _did_fit(
-        dd, "did_multiperiod", periods, treated, diagnostics={"n_periods": int(periods.size)}
-    )
+    if dd.x.shape[1]:
+        cols.append(dd.x)
+    diagnostics = {"n_periods": len(periods)}
+    return _coef_estimate("did", np.column_stack(cols), dd.y, len(periods) + 1, diagnostics)
 
 
 # ---------------------------------------------------------------------------

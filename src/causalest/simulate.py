@@ -325,14 +325,6 @@ def generate(spec: DgpSpec, run_index: int, seed: int = 42):
     return inputs[_VARIANT_ARMS[spec.case_id][spec.variant]]
 
 
-def misspecified_scores(spec: DgpSpec, run_index: int, seed: int = 42) -> np.ndarray:
-    """The deliberately wrong assignment scores paired with a cs1 draw."""
-    if spec.case_id != "cs1":
-        raise UnknownCaseError("misspecified scores are defined for cs1 only")
-    _check_int(0, run_index=run_index, seed=seed)
-    return _draw_cs1(spec.merged_params(), spec.n, _run_stream(spec, run_index, seed))[1]
-
-
 # ---------------------------------------------------------------------------
 # Per-case method panels
 # ---------------------------------------------------------------------------
@@ -497,7 +489,7 @@ def run_monte_carlo(
     raises a CausalestError gets NaN for that run alone (a failed draw fails
     every method), and a non-finite point counts as a failure too; if any
     method fails on more than 5% of runs the experiment aborts with
-    TooManyFailedRunsError. Results are deterministic for a fixed seed.
+    TooManyFailedReplicatesError. Results are deterministic for a fixed seed.
     """
     _check_int(2, runs=runs)
     _check_int(0, seed=seed)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import inspect
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,6 @@ import causalest
 from causalest import (
     BINARY,
     CONTINUOUS,
-    MULTIVALUED,
     CausalEstimate,
     difference_in_means,
     normal_interval,
@@ -45,16 +47,6 @@ class TestValidate:
     def test_vector_covariate_becomes_matrix(self):
         ds = validate([1.0, 2.0], [0.0, 1.0], [3.0, 4.0])
         assert ds.x.shape == (2, 1)
-
-    def test_multivalued_requires_levels(self):
-        with pytest.raises(ValueError, match="levels"):
-            validate([1.0, 2.0], [0.0, 2.0], treatment_kind=MULTIVALUED)
-
-    def test_multivalued_value_outside_levels(self):
-        with pytest.raises(ValueError, match="outside"):
-            validate(
-                [1.0, 2.0], [0.0, 3.0], treatment_kind=MULTIVALUED, levels=(0, 1, 2)
-            )
 
     def test_binary_override_rejects_other_values(self):
         with pytest.raises(ValueError, match="binary"):
@@ -472,9 +464,7 @@ def _sc_estimate():
 # whose estimate rides on its ScFit
 _ESTIMATES = {
     "difference_in_means": lambda: difference_in_means(randomized_binary(31, 200)),
-    "apo_or": lambda: causalest.apo_or(randomized_binary(31, 200), 1.0),
     "ate_or": lambda: causalest.ate_or(randomized_binary(31, 200)),
-    "apo_ipw": lambda: causalest.apo_ipw(*_binary_with_score(), 1.0),
     "ate_ipw": lambda: causalest.ate_ipw(*_binary_with_score()),
     "ate_psr": lambda: causalest.ate_psr(*_binary_with_score()),
     "ate_stratification": lambda: causalest.ate_stratification(*_binary_with_score()),
@@ -486,11 +476,8 @@ _ESTIMATES = {
     "fit_fe": lambda: causalest.fit_fe(_panel()),
     "fit_fd": lambda: causalest.fit_fd(_panel()),
     "fit_cre": lambda: causalest.fit_cre(_panel()),
-    "iv_ratio": lambda: causalest.iv_ratio(*_iv()),
     "ate_2sls": lambda: causalest.ate_2sls(*_iv()),
     "ate_did": lambda: causalest.ate_did(_did()),
-    "ate_did_covariates": lambda: causalest.ate_did_covariates(_did()),
-    "ate_did_multiperiod": lambda: causalest.ate_did_multiperiod(_did()),
     "rdd_sharp": lambda: causalest.rdd_sharp(*_rdd()[:2]),
     "rdd_fuzzy": lambda: causalest.rdd_fuzzy(*_rdd()),
     "sc_fit": _sc_estimate,
@@ -520,3 +507,43 @@ class TestIntervalRule:
             == "CausalEstimate"
         }
         assert returning | {"sc_fit"} == set(_ESTIMATES)
+
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Every name a module reads, as a bare name or as an attribute, except a
+    top-level definition's reads of its own name. Import statements bind
+    names; they do not read them."""
+    found = set()
+    for statement in tree.body:
+        own = set()
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = {statement.name}
+        elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+            targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+            own = {t.id for t in targets if isinstance(t, ast.Name)}
+        reads = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+        found |= reads - own
+    return found
+
+
+class TestEveryPublicNameHasACaller:
+    """A public name is read by the package itself or by a README example,
+    so no code in `src/` is there only for the tests."""
+
+    def test_public_names_are_read_by_the_package_or_the_readme(self):
+        modules = sorted((_ROOT / "src" / "causalest").glob("*.py"))
+        trees = [ast.parse(m.read_text()) for m in modules if m.name != "__init__.py"]
+        readme = (_ROOT / "README.md").read_text()
+        trees += [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+        read = set().union(*(_names_read(tree) for tree in trees))
+        unread = set(causalest.__all__) - {"__version__", "errors"} - read
+        assert sorted(unread) == []

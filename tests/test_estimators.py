@@ -13,8 +13,6 @@ from causalest import (
     LOGIT,
     OrSpec,
     PropensityFit,
-    apo_ipw,
-    apo_or,
     ate_dr,
     ate_ipw,
     ate_matching,
@@ -80,10 +78,11 @@ class TestOrSpec:
 
 class TestOutcomeRegression:
     def test_exact_linear_dgp(self):
-        # [TRIVIAL] y = 3 + 2d with no noise: prediction at dose 5 is 13
+        # [TRIVIAL] y = 3 + 2d with no noise: predictions at doses 5 and 0
+        # are 13 and 3
         d = np.array([0.0, 1.0, 2.0, 3.0])
         ds = validate(3.0 + 2.0 * d, d)
-        assert apo_or(ds, 5.0).point == pytest.approx(13.0, abs=1e-10)
+        assert ate_or(ds, 5.0, 0.0).point == pytest.approx(10.0, abs=1e-10)
 
     def test_no_covariates_equals_difference_in_means(self):
         # [TRIVIAL] saturated-in-d model reproduces the two arm means
@@ -91,9 +90,6 @@ class TestOutcomeRegression:
         est = ate_or(ds, spec=OrSpec(covariate_selection=()))
         dim = difference_in_means(ds)
         assert est.point == pytest.approx(dim.point, abs=1e-12)
-        assert apo_or(ds, 1.0, OrSpec(covariate_selection=())).point - apo_or(
-            ds, 0.0, OrSpec(covariate_selection=())
-        ).point == pytest.approx(dim.point, abs=1e-12)
 
     def test_identical_doses_give_zero(self):
         ds = randomized_binary(33, 100)
@@ -130,20 +126,23 @@ class TestOutcomeRegression:
         y = (g.uniform(size=n) < expit(0.3 + 0.8 * d + x)).astype(float)
         ds = validate(y, d, x, treatment_kind="binary")
         spec = OrSpec(link="logit")
-        est = apo_or(ds, 1.0, spec)
+        est = ate_or(ds, spec=spec)
         from causalest import fit_outcome_model
 
         fit = fit_outcome_model(ds, spec)
         design1 = np.column_stack([np.ones(n), np.ones(n), x])
-        assert est.point == pytest.approx(expit(design1 @ fit.coef).mean(), abs=1e-12)
+        design0 = np.column_stack([np.ones(n), np.zeros(n), x])
+        oracle = expit(design1 @ fit.coef).mean() - expit(design0 @ fit.coef).mean()
+        assert est.point == pytest.approx(oracle, abs=1e-12)
 
 
 class TestIpw:
     def test_apo_hand_example(self):
-        # [DERIVED] hand evaluation: (1/4)(3/0.5 + 5/0.5) = 4
-        ds = validate([3.0, 5.0, 2.0, 4.0], [1.0, 1.0, 0.0, 0.0])
+        # [DERIVED] hand evaluation of the treated arm's weighted mean:
+        # (1/4)(3/0.5 + 5/0.5) = 4, less a control arm of zero outcomes
+        ds = validate([3.0, 5.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0])
         fit = PropensityFit.from_scores([0.5] * 4, ds.d)
-        assert apo_ipw(ds, fit, 1.0).point == pytest.approx(4.0, abs=1e-12)
+        assert ate_ipw(ds, fit).point == pytest.approx(4.0, abs=1e-12)
 
     def test_ate_hand_example(self):
         # [DERIVED] hand evaluation: (1/4)(6 + 10 - 4 - 8) = 1
@@ -154,22 +153,23 @@ class TestIpw:
         assert est.diagnostics == {"n_at_dose": 2, "n_at_ref": 2}
 
     def test_constant_share_reduces_to_arm_mean(self):
-        # [TRIVIAL] Horvitz-Thompson with the empirical share as weight
+        # [TRIVIAL] Horvitz-Thompson with the empirical shares as weights:
+        # arm means 6 and 5
         ds = validate([3.0, 6.0, 9.0, 5.0], [1.0, 1.0, 1.0, 0.0])
         fit = PropensityFit.from_scores([0.75] * 4, ds.d)
-        assert apo_ipw(ds, fit, 1.0).point == pytest.approx(6.0, abs=1e-12)
+        assert ate_ipw(ds, fit).point == pytest.approx(6.0 - 5.0, abs=1e-12)
 
     def test_empty_dose_group(self):
         ds = validate([1.0, 2.0], [1.0, 0.0])
         fit = PropensityFit.from_scores([0.5, 0.5], ds.d)
         with pytest.raises(EmptyDoseGroupError):
-            apo_ipw(ds, fit, 2.0)
+            ate_ipw(ds, fit, 2.0)
 
     def test_zero_propensity_floor(self):
         ds = validate([1.0, 2.0], [1.0, 0.0])
         fit = PropensityFit.from_scores([1e-15, 0.5], ds.d)
         with pytest.raises(ZeroPropensityError):
-            apo_ipw(ds, fit, 1.0)
+            ate_ipw(ds, fit)
 
     def test_floor_ignores_off_indicator_units(self):
         # a vanishing treated-probability on a CONTROL unit never divides
@@ -555,9 +555,8 @@ class TestSharedOutcomeFit:
 
     @pytest.mark.parametrize(
         "estimator",
-        [ate_ipw, lambda ds, fit: apo_ipw(ds, fit, 1.0), ate_dr, balance_diagnostic,
-         ate_psr, ate_stratification, ate_matching],
-        ids=["ate_ipw", "apo_ipw", "ate_dr", "balance_diagnostic",
+        [ate_ipw, ate_dr, balance_diagnostic, ate_psr, ate_stratification, ate_matching],
+        ids=["ate_ipw", "ate_dr", "balance_diagnostic",
              "ate_psr", "ate_stratification", "ate_matching"],
     )
     def test_score_fit_of_another_row_count_rejected(self, estimator):

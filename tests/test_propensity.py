@@ -10,9 +10,7 @@ from causalest import (
     PropensityFit,
     ate_ipw,
     balance_diagnostic,
-    estimate_gps_normal,
     estimate_propensity_binary,
-    estimate_propensity_multivalued,
     fit_logistic,
     predict,
     quantile_strata,
@@ -24,11 +22,10 @@ from causalest.errors import (
     InvalidInputError,
     NoTreatmentVariationError,
     NonFiniteValueError,
-    SigmaFloorError,
     ZeroPropensityError,
 )
 
-from .conftest import confounded_binary, philox, randomized_binary, saturating_binary
+from .conftest import confounded_binary, randomized_binary, saturating_binary
 
 
 class TestBinaryPropensity:
@@ -96,7 +93,6 @@ class TestBinaryPropensity:
         nan = np.nan
         with pytest.raises(NonFiniteValueError, match="scores"):
             PropensityFit(
-                kind="binary_logistic",
                 scores=[0.5, nan],
                 level_scores={1.0: [0.5, nan], 0.0: [0.5, nan]},
             )
@@ -104,7 +100,6 @@ class TestBinaryPropensity:
     def test_constructor_rejects_nan_level_scores(self):
         with pytest.raises(NonFiniteValueError, match="level_scores"):
             PropensityFit(
-                kind="binary_logistic",
                 scores=[0.5, 0.5],
                 level_scores={1.0: [0.5, np.nan], 0.0: [0.5, 0.5]},
             )
@@ -114,7 +109,6 @@ class TestBinaryPropensity:
         ds = validate([1.0, 3.0, 2.0, 5.0], [1.0, 0.0, 0.0, 1.0])
         arrays = PropensityFit.from_scores([0.2, 0.5, 0.4, 0.7], ds.d)
         lists = PropensityFit(
-            kind="binary_logistic",
             scores=arrays.scores.tolist(),
             level_scores={k: v.tolist() for k, v in arrays.level_scores.items()},
         )
@@ -142,90 +136,6 @@ class TestIrlsDiagnostics:
             "converged": True,
         }
         assert fit.diagnostics["iterations"] > 0
-
-    def test_multivalued_fit_records_each_levels_iterations(self):
-        g = philox(27)
-        x = g.normal(size=600)
-        d = g.integers(0, 3, size=600).astype(float)
-        ds = validate(
-            g.normal(size=600), d, x, treatment_kind="multivalued", levels=(0, 1, 2)
-        )
-        fit = estimate_propensity_multivalued(ds)
-        design = np.column_stack([np.ones(ds.n), ds.x])
-        expected = {}
-        for level in (0.0, 1.0, 2.0):
-            model = fit_logistic(design, (d == level).astype(float))
-            assert np.array_equal(fit.score_at(level), predict(model, design))
-            expected[level] = model.iterations
-        assert fit.diagnostics == {
-            "iterations": expected,
-            "converged": {0.0: True, 1.0: True, 2.0: True},
-        }
-
-
-class TestMultivaluedPropensity:
-    def test_one_vs_rest_levels(self):
-        g = philox(24)
-        x = g.normal(size=600)
-        d = g.integers(0, 3, size=600).astype(float)
-        ds = validate(
-            g.normal(size=600), d, x, treatment_kind="multivalued", levels=(0, 1, 2)
-        )
-        fit = estimate_propensity_multivalued(ds)
-        for level in (0.0, 1.0, 2.0):
-            p = fit.score_at(level)
-            assert np.all((p > 0) & (p < 1))
-        received = fit.scores
-        for level in (0.0, 1.0, 2.0):
-            np.testing.assert_allclose(
-                received[d == level], fit.score_at(level)[d == level]
-            )
-
-    def test_empty_level_rejected(self):
-        g = philox(25)
-        d = np.repeat([0.0, 1.0], 10)
-        ds = validate(
-            g.normal(size=20), d, treatment_kind="multivalued", levels=(0, 1, 2)
-        )
-        with pytest.raises(NoTreatmentVariationError):
-            estimate_propensity_multivalued(ds)
-
-
-class TestGpsNormal:
-    def test_density_oracle(self):
-        # [DERIVED] oracle: normal density of the OLS residuals computed
-        # from explicit normal equations
-        g = philox(26)
-        x = g.normal(size=50)
-        d = 2.0 + x + g.normal(0.0, 0.5, 50)
-        ds = validate(g.normal(size=50), d, x)
-        fit = estimate_gps_normal(ds)
-        X = np.column_stack([np.ones(50), x])
-        resid = d - X @ np.linalg.inv(X.T @ X) @ X.T @ d
-        sigma = np.sqrt(resid @ resid / (50 - 2))
-        dens = np.exp(-0.5 * (resid / sigma) ** 2) / (sigma * np.sqrt(2 * np.pi))
-        assert fit.sigma == pytest.approx(sigma, rel=1e-12)
-        np.testing.assert_allclose(fit.scores, dens, rtol=1e-12)
-
-    def test_zero_residual_dose_hits_density_peak(self):
-        # [DERIVED] a unit whose dose equals the fitted mean has density
-        # 1 / (sigma sqrt(2 pi))
-        x = np.array([-1.0, -1.0, 1.0, 1.0, 0.0])
-        d = np.array([0.0, 2.0, 2.0, 4.0, 2.0])  # fit: d = 2 + x, residual 0 at x=0
-        ds = validate(np.zeros(5), d, x)
-        fit = estimate_gps_normal(ds)
-        assert fit.scores[4] == pytest.approx(1.0 / (fit.sigma * np.sqrt(2 * np.pi)))
-
-    def test_exact_fit_rejected(self):
-        x = np.linspace(0, 1, 10)
-        ds = validate(np.zeros(10), 2.0 + x, x)
-        with pytest.raises(SigmaFloorError):
-            estimate_gps_normal(ds)
-
-    def test_requires_continuous(self):
-        ds = validate([1.0, 2.0], [0.0, 1.0], [0.1, 0.2])
-        with pytest.raises(ValueError, match="continuous"):
-            estimate_gps_normal(ds)
 
 
 class TestTrimOverlap:

@@ -10,16 +10,13 @@ from causalest import (
     ScProblem,
     ate_2sls,
     ate_did,
-    ate_did_covariates,
-    ate_did_multiperiod,
-    iv_ratio,
     rdd_fuzzy,
     rdd_sharp,
     sc_fit,
     sc_weights,
     validate_did,
 )
-from causalest import quasi
+from causalest import quasi, regress
 from causalest.errors import (
     ConvergenceError,
     DegenerateProblemError,
@@ -31,7 +28,6 @@ from causalest.errors import (
     OneSidedDataError,
     OrderConditionError,
     RankDeficientError,
-    WeakInstrumentError,
 )
 
 from .conftest import COPIES_PER_COLUMN, philox, traced_peak
@@ -49,11 +45,12 @@ def _endogenous_draw(seed, n, tau=-1.0):
 
 
 class TestIvRatio:
+    """`ate_2sls` with one instrument and no covariates: the covariance ratio."""
+
     def test_hand_covariance_ratio(self):
         # [DERIVED] hand evaluation: Cov(z,y)/Cov(z,d) = 1.5/0.5 = 3
-        est = iv_ratio([0.0, 6.0], [0.0, 2.0], [0.0, 1.0])
+        est = ate_2sls([0.0, 6.0], [0.0, 2.0], [0.0, 1.0])
         assert est.point == pytest.approx(3.0, abs=1e-12)
-        assert est.variance is None
 
     def test_self_instrument_equals_ols_slope(self):
         # [TRIVIAL] z = d makes the ratio the OLS slope of y on d
@@ -62,15 +59,22 @@ class TestIvRatio:
         y = 2.0 + 1.7 * d + g.normal(size=200)
         dc = d - d.mean()
         slope = (dc @ (y - y.mean())) / (dc @ dc)
-        assert iv_ratio(y, d, d).point == pytest.approx(slope, abs=1e-12)
+        assert ate_2sls(y, d, d).point == pytest.approx(slope, abs=1e-12)
 
     def test_constant_instrument_rejected(self):
-        with pytest.raises(WeakInstrumentError):
-            iv_ratio([1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [5.0, 5.0, 5.0])
+        with pytest.raises(RankDeficientError):
+            ate_2sls([1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [5.0, 5.0, 5.0])
+
+    def test_zero_first_stage_rejected(self):
+        # [DERIVED] z has mean 0 and z @ (d - 0.5) = 0, so Cov(z, d) is
+        # exactly 0: the fitted d is constant, and the second stage cannot
+        # separate it from the intercept
+        with pytest.raises(RankDeficientError):
+            ate_2sls([1.0, 2.0, 3.0, 5.0], [0.0, 1.0, 0.0, 1.0], [1.0, 1.0, -1.0, -1.0])
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            iv_ratio([1.0, 2.0], [0.0, 1.0], [0.0])
+            ate_2sls([1.0, 2.0], [0.0, 1.0], [0.0])
 
 
 class Test2sls:
@@ -84,10 +88,11 @@ class Test2sls:
         assert est.point == pytest.approx(beta[1], abs=1e-10)
 
     def test_just_identified_equals_iv_ratio(self):
+        # [DERIVED] oracle: the covariance ratio Cov(z, y) / Cov(z, d)
         y, d, z = _endogenous_draw(72, 150)
-        assert ate_2sls(y, d, z).point == pytest.approx(
-            iv_ratio(y, d, z).point, abs=1e-10
-        )
+        zc = z - z.mean()
+        ratio = (zc @ (y - y.mean())) / (zc @ (d - d.mean()))
+        assert ate_2sls(y, d, z).point == pytest.approx(ratio, abs=1e-10)
 
     def test_recovers_effect_under_endogeneity(self):
         # [DERIVED] the naive slope is contaminated by u; the instrumented
@@ -183,6 +188,36 @@ class TestDid:
             base, abs=1e-9
         )
 
+    def test_basic_design_is_the_two_by_two_interaction(self):
+        # [DERIVED] oracle: OLS on the explicit (1, group, period, group x
+        # period) design gives the same bits, point and variance
+        g = philox(84)
+        n = 300
+        group = (g.uniform(size=n) < 0.5).astype(float)
+        period = (g.uniform(size=n) < 0.5).astype(float)
+        y = 1 + group - period + 3 * group * period + g.normal(size=n)
+        est = ate_did(validate_did(y, group, period))
+        design = np.column_stack([np.ones(n), group, period, group * period])
+        oracle = regress._coef_estimate("did", design, y, 3)
+        assert (est.point, est.variance) == (oracle.point, oracle.variance)
+        assert est.method == "did"
+        assert est.diagnostics == {"n_periods": 2}
+
+    def test_explicit_treated_used_as_given_on_two_periods(self):
+        # [DERIVED] oracle: lstsq on (1, group, period, treated) with a
+        # treated indicator that is not group x period
+        g = philox(85)
+        n = 300
+        group = (g.uniform(size=n) < 0.5).astype(float)
+        period = (g.uniform(size=n) < 0.5).astype(float)
+        treated = group * period * (g.uniform(size=n) < 0.6)
+        y = 1 + group + period + 2 * treated + g.normal(size=n)
+        est = ate_did(validate_did(y, group, period, treated=treated))
+        design = np.column_stack([np.ones(n), group, period, treated])
+        beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+        assert est.point == pytest.approx(beta[3], abs=1e-10)
+        assert est.point != pytest.approx(ate_did(validate_did(y, group, period)).point, abs=1e-3)
+
     def test_empty_cell(self):
         y = np.array([1.0, 2.0, 3.0])
         with pytest.raises(EmptyCellError, match="group=1, period=1"):
@@ -219,6 +254,8 @@ class TestDid:
 
 
 class TestDidCovariates:
+    """`ate_did` on a dataset that carries covariates."""
+
     @staticmethod
     def _draw(seed, n=300, beta_x=3.0):
         g = philox(seed)
@@ -235,12 +272,6 @@ class TestDidCovariates:
         )
         return y, group, period, x
 
-    def test_requires_covariates(self):
-        with pytest.raises(ValueError, match="no covariates"):
-            ate_did_covariates(
-                validate_did([1.0, 2.0, 3.0, 4.0], [1, 1, 0, 0], [0, 1, 0, 1])
-            )
-
     def test_orthogonal_covariate_leaves_estimate(self):
         # [TRIVIAL] a regressor orthogonal to the design changes nothing
         y, group, period, x = self._draw(80)
@@ -248,14 +279,14 @@ class TestDidCovariates:
             [np.ones(y.size), group, period, group * period]
         )
         x_orth = x - base @ np.linalg.lstsq(base, x, rcond=None)[0]
-        with_x = ate_did_covariates(validate_did(y, group, period, x=x_orth))
+        with_x = ate_did(validate_did(y, group, period, x=x_orth))
         without = ate_did(validate_did(y, group, period))
         assert with_x.point == pytest.approx(without.point, abs=1e-8)
 
     def test_collinear_covariate_rejected(self):
         y, group, period, _ = self._draw(81)
         with pytest.raises(RankDeficientError):
-            ate_did_covariates(validate_did(y, group, period, x=group))
+            ate_did(validate_did(y, group, period, x=group))
 
     def test_covariate_cuts_monte_carlo_variance(self):
         # [DERIVED] precision gain: the x-term absorbs outcome noise
@@ -264,22 +295,23 @@ class TestDidCovariates:
             y, group, period, x = self._draw(2000 + i, n=200)
             dd_x = validate_did(y, group, period, x=x)
             dd = validate_did(y, group, period)
-            with_x.append(ate_did_covariates(dd_x).point)
+            with_x.append(ate_did(dd_x).point)
             without.append(ate_did(dd).point)
         assert np.var(with_x, ddof=1) < np.var(without, ddof=1)
 
 
 class TestDidMultiperiod:
+    """`ate_did` given an explicit treated indicator, on any number of periods."""
+
     def test_two_periods_collapse_to_basic(self):
         g = philox(82)
         n = 200
         group = (g.uniform(size=n) < 0.5).astype(float)
         period = (g.uniform(size=n) < 0.5).astype(float)
         y = 1 + group + period - 4 * group * period + g.normal(size=n)
-        dd = validate_did(y, group, period)
-        assert ate_did_multiperiod(dd).point == pytest.approx(
-            ate_did(dd).point, abs=1e-10
-        )
+        explicit = ate_did(validate_did(y, group, period, treated=group * period))
+        basic = ate_did(validate_did(y, group, period))
+        assert (explicit.point, explicit.variance) == (basic.point, basic.variance)
 
     def test_noiseless_constant_effect_recovered(self):
         # [DERIVED] constructed noiseless three-period panel
@@ -288,7 +320,7 @@ class TestDidMultiperiod:
         treated = group * (period >= 1.0)
         y = 10.0 + 3.0 * group + 2.0 * (period == 1) + 5.0 * (period == 2) + 4.0 * treated
         dd = validate_did(y, group, period, treated=treated)
-        est = ate_did_multiperiod(dd)
+        est = ate_did(dd)
         assert est.point == pytest.approx(4.0, abs=1e-10)
         assert est.diagnostics["n_periods"] == 3
 
@@ -300,17 +332,34 @@ class TestDidMultiperiod:
         treated = group * (period == 2.0)
         y = g.normal(size=n) + 2.0 * treated
         dd = validate_did(y, group, period, treated=treated)
-        base = ate_did_multiperiod(dd).point
+        base = ate_did(dd).point
         shocked = y + 9.0 * (period == 1.0)
         dd2 = validate_did(shocked, group, period, treated=treated)
-        assert ate_did_multiperiod(dd2).point == pytest.approx(base, abs=1e-9)
+        assert ate_did(dd2).point == pytest.approx(base, abs=1e-9)
+
+    def test_covariates_join_the_design(self):
+        # [DERIVED] oracle: lstsq on (1, group, period dummies, treated, x)
+        g = philox(86)
+        n = 240
+        group = (g.uniform(size=n) < 0.5).astype(float)
+        period = g.integers(0, 3, size=n).astype(float)
+        treated = group * (period >= 1.0)
+        x = g.normal(size=(n, 2))
+        y = 1 + group + period + 2 * treated + x @ [1.5, -0.5] + g.normal(size=n)
+        est = ate_did(validate_did(y, group, period, x=x, treated=treated))
+        design = np.column_stack(
+            [np.ones(n), group, period == 1.0, period == 2.0, treated, x]
+        ).astype(float)
+        beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+        assert est.point == pytest.approx(beta[4], abs=1e-10)
+        assert est.diagnostics == {"n_periods": 3}
 
     def test_requires_explicit_treated_beyond_two_periods(self):
         dd = validate_did(
             np.arange(6.0), [1, 1, 1, 0, 0, 0], [0, 1, 2, 0, 1, 2]
         )
         with pytest.raises(ValueError, match="explicit treated indicator"):
-            ate_did_multiperiod(dd)
+            ate_did(dd)
 
     def test_constant_treatment_rejected(self):
         dd = validate_did(
@@ -320,7 +369,7 @@ class TestDidMultiperiod:
             treated=[0.0, 0.0, 0.0, 0.0],
         )
         with pytest.raises(NoTreatmentVariationError):
-            ate_did_multiperiod(dd)
+            ate_did(dd)
 
 
 class TestScWeights:
@@ -667,16 +716,20 @@ class TestRddFuzzy:
 
 
 def _quasi_draw(name, seed=91, n=400):
-    """A seeded draw for the named estimator: its outcome column, and the
-    call that estimates from an outcome column and a row order applied to
-    every column."""
+    """A seeded draw for the named row: its outcome column, and the call that
+    estimates from an outcome column and a row order applied to every column.
+
+    "iv_ratio" is `ate_2sls` with one instrument and no covariates;
+    "ate_did_covariates" is `ate_did` on two periods with a covariate, and
+    "ate_did_multiperiod" `ate_did` on three periods with a treated indicator.
+    """
     g = philox(seed)
     if name in ("ate_2sls", "iv_ratio"):
         z, u, x = g.normal(size=n), g.normal(size=n), g.normal(size=n)
         d = 0.3 + 0.8 * z + u + 0.5 * x
         y = 1.0 - d + 0.9 * u + 0.7 * x + 0.3 * g.normal(size=n)
         if name == "iv_ratio":
-            return y, lambda y, rows: iv_ratio(y[rows], d[rows], z[rows])
+            return y, lambda y, rows: ate_2sls(y[rows], d[rows], z[rows])
         return y, lambda y, rows: ate_2sls(y[rows], d[rows], z[rows], x=x[rows])
     if name.startswith("ate_did"):
         group = (g.uniform(size=n) < 0.5).astype(float)
@@ -685,13 +738,15 @@ def _quasi_draw(name, seed=91, n=400):
         treated = group * (period > 0.0)
         x = g.normal(size=n)
         y = 1.0 + group + period + 2.0 * treated + 1.5 * x + g.normal(size=n)
-        estimator = {
-            "ate_did": ate_did,
-            "ate_did_covariates": ate_did_covariates,
-            "ate_did_multiperiod": ate_did_multiperiod,
+        columns = {
+            "ate_did": {},
+            "ate_did_covariates": {"x": x},
+            "ate_did_multiperiod": {"treated": treated},
         }[name]
-        return y, lambda y, rows: estimator(
-            validate_did(y[rows], group[rows], period[rows], x=x[rows], treated=treated[rows])
+        return y, lambda y, rows: ate_did(
+            validate_did(
+                y[rows], group[rows], period[rows], **{k: v[rows] for k, v in columns.items()}
+            )
         )
     t = g.uniform(-1.0, 1.0, n)
     d = (t >= 0.1).astype(float)
@@ -748,10 +803,7 @@ class TestInvarianceSweep:
         for seed in (92, 93, 94):
             est = estimate(y, philox(seed).permutation(y.size))
             assert est.point == pytest.approx(reference.point, rel=1e-10)
-            if reference.variance is None:  # iv_ratio reports a point only
-                assert est.variance is None
-            else:
-                assert est.variance == pytest.approx(reference.variance, rel=1e-10)
+            assert est.variance == pytest.approx(reference.variance, rel=1e-10)
 
     @pytest.mark.parametrize("name", _SWEPT)
     @pytest.mark.parametrize("a, b", [(3.0, 7.0), (-0.25, -40.0)])
@@ -761,10 +813,7 @@ class TestInvarianceSweep:
         reference = estimate(y, rows)
         est = estimate(a * y + b, rows)
         assert est.point == pytest.approx(a * reference.point, rel=1e-9)
-        if reference.variance is None:
-            assert est.variance is None
-        else:
-            assert est.variance == pytest.approx(a * a * reference.variance, rel=1e-8)
+        assert est.variance == pytest.approx(a * a * reference.variance, rel=1e-8)
 
     @pytest.mark.parametrize("where", ["inside", "outside"])
     @pytest.mark.parametrize("a, b", [(3.0, 7.0), (-2.0, 1.5), (1e3, -5.0), (1e-3, 2.0)])
@@ -796,9 +845,9 @@ class TestInvarianceSweep:
 _DRAW_COLUMNS = {
     "ate_2sls": 4,  # y, d, z, x
     "iv_ratio": 3,  # y, d, z
-    "ate_did": 5,  # y, group, period, x, treated
-    "ate_did_covariates": 5,
-    "ate_did_multiperiod": 5,
+    "ate_did": 3,  # y, group, period
+    "ate_did_covariates": 4,  # y, group, period, x
+    "ate_did_multiperiod": 4,  # y, group, period, treated
     "rdd_sharp": 2,  # y, t
     "rdd_fuzzy": 3,  # y, t, d
 }

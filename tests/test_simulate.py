@@ -34,7 +34,6 @@ from causalest import (
     generate,
     load_reference,
     load_tolerances,
-    misspecified_scores,
     rdd_fuzzy,
     read_reference_csv,
     rdd_sharp,
@@ -47,7 +46,6 @@ from causalest.errors import (
     OneSidedDataError,
     SeparationError,
     TooManyFailedReplicatesError,
-    TooManyFailedRunsError,
     UnknownCaseError,
 )
 
@@ -197,23 +195,25 @@ class TestGenerate:
         assert est.point == pytest.approx(5.0, abs=1e-9)
 
 
+def _misspecified_scores(spec, run_index, seed):
+    """The deliberately wrong assignment scores that cs1's draw pairs with
+    its dataset, from the run's keyed streams."""
+    stream = simulate._run_stream(spec, run_index, seed)
+    return simulate._draw_cs1(spec.merged_params(), spec.n, stream)[1]
+
+
 class TestMisspecifiedScores:
     def test_scores_are_deterministic_and_interior(self):
         # [TRIVIAL] scores reproduce exactly and live strictly inside the
         # truncation bounds.
         spec = DgpSpec(case_id="cs1", n=2000)
-        a = misspecified_scores(spec, run_index=0, seed=120)
-        b = misspecified_scores(spec, run_index=0, seed=120)
+        a = _misspecified_scores(spec, run_index=0, seed=120)
+        b = _misspecified_scores(spec, run_index=0, seed=120)
         assert np.array_equal(a, b)
         p = spec.merged_params()
         assert a.min() > p["trunc_lo"]
         assert a.max() < p["trunc_hi"]
         assert a.std() > 0.05  # genuinely dispersed, not a constant
-
-    def test_only_defined_for_the_confounded_case(self):
-        # [TRIVIAL]
-        with pytest.raises(UnknownCaseError, match="cs1 only"):
-            misspecified_scores(DgpSpec(case_id="cs2"), run_index=0)
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5])
@@ -239,7 +239,7 @@ class TestStreamKeyChecked:
             run_monte_carlo("cs1", runs=3, n=100, seed=bad)
         assert calls == []
 
-    @pytest.mark.parametrize("entry", [generate, misspecified_scores])
+    @pytest.mark.parametrize("entry", [generate])
     def test_single_draw_entry_points(self, monkeypatch, bad, entry):
         calls = self._count_draws(monkeypatch)
         spec = DgpSpec(case_id="cs1", n=100)
@@ -312,7 +312,7 @@ class TestRunMonteCarlo:
         # [DERIVED] a pathological offset makes almost every unit treated,
         # so propensity estimation fails on most runs and the experiment
         # must abort rather than report on a sliver of survivors.
-        with pytest.raises(TooManyFailedRunsError, match="failed on"):
+        with pytest.raises(TooManyFailedReplicatesError, match="failed on"):
             run_monte_carlo(
                 "cs1", methods=("PS1",), runs=20, n=100, seed=125,
                 params={"alpha0": 12.0},
@@ -402,7 +402,7 @@ class TestRunMonteCarlo:
         report = self._rdd1_failing_on(monkeypatch, {7}, self._infinite)
         assert report.n_failed.tolist() == [1]
         assert report.av_est[0] == np.delete(report.points[:, 0], 7).mean()
-        with pytest.raises(TooManyFailedRunsError, match="failed on 2/20 runs"):
+        with pytest.raises(TooManyFailedReplicatesError, match="failed on 2/20 runs"):
             self._rdd1_failing_on(monkeypatch, {7, 8}, self._infinite)
 
     def test_failed_draw_fails_every_method_in_its_run(self, monkeypatch):
@@ -468,7 +468,7 @@ def _unshared(case, method, r, seed):
     spec = DgpSpec(case_id=case, n=300)
     ds = generate(spec, r, seed)
     if case == "cs1":
-        injected = PropensityFit.from_scores(misspecified_scores(spec, r, seed), ds.d)
+        injected = PropensityFit.from_scores(_misspecified_scores(spec, r, seed), ds.d)
         return {
             "OR1": lambda: ate_or(ds),
             "OR2": lambda: ate_or(ds, spec=_NO_X),

@@ -11,7 +11,6 @@ from scipy.special import expit, ndtri
 from causalest import (
     DgpSpec,
     OrSpec,
-    apo_or,
     ate_ipw,
     ate_matching,
     ate_or,
@@ -126,15 +125,22 @@ class TestNormalInterval:
 
 class TestDeltaFiniteDifferenceAgreement:
     @staticmethod
-    def _fd_variance(ds, spec, dose, response):
-        """Gradient of coef -> mean prediction by central differences,
-        pushed through the coefficient covariance."""
+    def _fd_variance(ds, spec, response):
+        """Gradient of coef -> mean predicted contrast of dose 1 against
+        dose 0 by central differences, pushed through the coefficient
+        covariance."""
         fit = fit_outcome_model(ds, spec)
-        design_at = np.column_stack([np.ones(ds.n), np.full(ds.n, dose), ds.x])
+
+        def design_at(dose):
+            cols = [np.ones(ds.n), np.full(ds.n, dose), ds.x]
+            if spec.interactions_with_d:
+                cols.append(dose * ds.x)
+            return np.column_stack(cols)
+
+        treated, control = design_at(1.0), design_at(0.0)
 
         def f(coef):
-            eta = design_at @ coef
-            return float(response(eta).mean())
+            return float(response(treated @ coef).mean() - response(control @ coef).mean())
 
         h = 1e-6
         grad = np.empty(fit.coef.shape[0])
@@ -148,9 +154,9 @@ class TestDeltaFiniteDifferenceAgreement:
     def test_identity_link(self):
         # [DERIVED] oracle: numerical gradient reproduces the delta variance
         ds = confounded_binary(100, 400)
-        spec = OrSpec()
-        est = apo_or(ds, 1.0, spec)
-        fd = self._fd_variance(ds, spec, 1.0, lambda eta: eta)
+        spec = OrSpec(interactions_with_d=True)
+        est = ate_or(ds, spec=spec)
+        fd = self._fd_variance(ds, spec, lambda eta: eta)
         assert est.variance == pytest.approx(fd, rel=1e-5)
 
     def test_logit_link(self):
@@ -161,8 +167,8 @@ class TestDeltaFiniteDifferenceAgreement:
         y = (g.uniform(size=n) < expit(0.2 + 0.7 * d + x)).astype(float)
         ds = validate(y, d, x, treatment_kind="binary")
         spec = OrSpec(link="logit")
-        est = apo_or(ds, 1.0, spec)
-        fd = self._fd_variance(ds, spec, 1.0, expit)
+        est = ate_or(ds, spec=spec)
+        fd = self._fd_variance(ds, spec, expit)
         assert est.variance == pytest.approx(fd, rel=1e-5)
 
 
