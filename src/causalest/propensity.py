@@ -34,11 +34,14 @@ class PropensityFit:
         scores: probability of the *received* treatment per unit.
         model: the underlying regression fit (None for injected scores).
         trim_bounds: (lo, hi) applied by trim_overlap, if any.
-        level_scores: level -> P(D=level | x) vectors, for levels 0 and 1.
+        level_scores: level -> P(D=level | x) vectors, for levels 0 and 1;
+            required.
         diagnostics: extras such as the dropped-unit count after trimming.
 
-    Construction raises NonFiniteValueError for a non-finite entry of
-    `scores` or of any `level_scores` vector.
+    Construction raises InvalidInputError when `level_scores` is missing or
+    does not hold exactly the levels 0 and 1, LengthMismatchError when one
+    of its vectors differs in length from `scores`, and NonFiniteValueError
+    for a non-finite entry of `scores` or of any `level_scores` vector.
     """
 
     scores: np.ndarray
@@ -49,11 +52,12 @@ class PropensityFit:
 
     def __post_init__(self):
         self.scores = s = _as_vector("scores", self.scores)
-        if self.level_scores is not None:
-            self.level_scores = {
-                level: _as_vector(f"level_scores[{level}]", v)
-                for level, v in self.level_scores.items()
-            }
+        if self.level_scores is None or set(self.level_scores) != {0.0, 1.0}:
+            raise InvalidInputError("level_scores must give P(D=level | x) for levels 0 and 1")
+        self.level_scores = {
+            level: _as_vector(f"level_scores[{level}]", v, s.shape[0])
+            for level, v in self.level_scores.items()
+        }
         if np.any(s <= 0.0) or np.any(s >= 1.0):
             raise InvalidInputError("scores must lie strictly in (0, 1)")
 
@@ -64,7 +68,7 @@ class PropensityFit:
     def score_at(self, d: float) -> np.ndarray:
         """P(D = d | x) for every unit."""
         key = float(d)
-        if self.level_scores is None or key not in self.level_scores:
+        if key not in self.level_scores:
             raise InvalidInputError(f"no score model for level {d}")
         return self.level_scores[key]
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, nnls
 
 from .core import (
     CausalEstimate,
@@ -29,7 +28,7 @@ from .errors import (
     OneSidedDataError,
     OrderConditionError,
 )
-from .regress import _coef_estimate, _svd_solve, fit_ols
+from .regress import _coef_estimate, _svd_solve
 
 _FIRST_STAGE_JUMP_TOL = 0.05
 
@@ -58,10 +57,22 @@ def ate_2sls(y, d, z, x=None) -> CausalEstimate:
         raise OrderConditionError(
             f"{zm.shape[1]} instruments cannot identify {n_endog} endogenous columns"
         )
+    return _second_stage(yv, dm, zm, xm, _first_stage(dm, zm, xm))
 
+
+def _first_stage(dm, zm, xm):
+    """(exog, instruments, coef): the exogenous columns (1, x), the
+    instruments (1, x, z) and the coefficients of d on the instruments."""
+    n = dm.shape[0]
     exog = np.column_stack([np.ones(n), xm]) if xm.shape[1] else np.ones((n, 1))
     instruments = np.column_stack([exog, zm])
-    first_coef, _ = _svd_solve(instruments, dm)
+    return exog, instruments, _svd_solve(instruments, dm)[0]
+
+
+def _second_stage(yv, dm, zm, xm, first) -> CausalEstimate:
+    """The 2SLS estimate of `ate_2sls` from its `_first_stage`."""
+    exog, instruments, first_coef = first
+    n, n_endog = dm.shape
     d_hat = instruments @ first_coef
 
     # first-stage strength diagnostic, one F-style statistic per endogenous column
@@ -79,7 +90,7 @@ def ate_2sls(y, d, z, x=None) -> CausalEstimate:
             f_stats.append(((rss_r - rss_f) / zm.shape[1]) / (rss_f / dof_full))
 
     second = np.column_stack([np.ones(n), d_hat, xm])
-    coef, xtx_inv = _svd_solve(second, yv)
+    coef, xtx_inv = _svd_solve(second, yv, inverse=True)
     resid = yv - np.column_stack([np.ones(n), dm, xm]) @ coef
     k2 = second.shape[1]
     sigma2 = float(resid @ resid) / max(n - k2, 1)
@@ -250,6 +261,8 @@ def sc_weights(x1, x0, v_diag) -> np.ndarray:
     V weights no row where the donors differ from x1, short-circuits to
     weight one on the lowest such index.
     """
+    from scipy.optimize import nnls  # loaded here: no other path needs the optimizer
+
     x1v = _as_vector("x1", x1)
     x0m = _as_matrix("x0", x0, x1v.shape[0])
     v = _as_vector("v_diag", v_diag, x1v.shape[0])
@@ -331,6 +344,8 @@ def sc_fit(problem: ScProblem) -> ScFit:
     and iteration count of the start with the lowest mismatch are kept in
     the fit and in its estimate's diagnostics.
     """
+    from scipy.optimize import minimize  # loaded here: no other path needs the optimizer
+
     k = problem.x1.shape[0]
     j = problem.n_donors
     if j >= 2:
@@ -437,14 +452,16 @@ def rdd_fuzzy(
     """
     yv, tc, above, dv = _rdd_frame(y, t, cutoff, bandwidth, d)
     n = yv.shape[0]
-    first = fit_ols(np.column_stack([np.ones(n), above, tc, above * tc]), dv)
-    jump = float(first.coef[1])
+    dm, zm, xm = dv.reshape(-1, 1), above.reshape(-1, 1), np.column_stack([tc, above * tc])
+    # the jump is the first stage's coefficient on `above`, its last instrument
+    first = _first_stage(dm, zm, xm)
+    jump = float(first[2][-1, 0])
     if abs(jump) <= _FIRST_STAGE_JUMP_TOL:
         raise NoFirstStageJumpError(
             f"assignment probability jump {jump:.4f} is within the "
             f"{_FIRST_STAGE_JUMP_TOL} tolerance"
         )
-    est = ate_2sls(yv, dv, z=above, x=np.column_stack([tc, above * tc]))
+    est = _second_stage(yv, dm, zm, xm, first)
     diagnostics = dict(est.diagnostics)
     diagnostics.update(
         {

@@ -82,11 +82,13 @@ def _check_design(design, y) -> tuple[np.ndarray, np.ndarray]:
     return X, _as_vector("response", y, X.shape[0], finite=False)
 
 
-def _svd_solve(Xw: np.ndarray, yw: np.ndarray):
+def _svd_solve(Xw: np.ndarray, yw: np.ndarray | None, *, inverse: bool = False):
     """Least-squares solve via SVD; returns (coef, xtx_inv).
 
-    Raises RankDeficientError when the singular-value ratio falls below
-    RANK_RTOL (or the system is under-determined).
+    coef is None when `yw` is None, and (X'X)^-1 is formed only with
+    `inverse`, else None. Raises RankDeficientError when the
+    singular-value ratio falls below RANK_RTOL (or the system is
+    under-determined).
     """
     n, k = Xw.shape
     if n < k:
@@ -96,15 +98,18 @@ def _svd_solve(Xw: np.ndarray, yw: np.ndarray):
         raise RankDeficientError(
             f"design is rank deficient (singular-value ratio {0.0 if s[0] == 0 else s[-1] / s[0]:.2e})"
         )
-    uty = U.T @ yw
-    coef = Vt.T @ (uty / (s[:, None] if uty.ndim == 2 else s))
-    xtx_inv = (Vt.T / s**2) @ Vt
+    coef = xtx_inv = None
+    if yw is not None:
+        uty = U.T @ yw
+        coef = Vt.T @ (uty / (s[:, None] if uty.ndim == 2 else s))
+    if inverse:
+        xtx_inv = (Vt.T / s**2) @ Vt
     return coef, xtx_inv
 
 
 def _weighted_xtx_inv(Xw: np.ndarray) -> np.ndarray:
-    """(Xw' Xw)^-1 by the same SVD solve a Newton step uses."""
-    return _svd_solve(Xw, np.zeros(Xw.shape[0]))[1]
+    """(Xw' Xw)^-1 from the same SVD a Newton step uses."""
+    return _svd_solve(Xw, None, inverse=True)[1]
 
 
 def fit_ols(design, y) -> LinearFit:
@@ -119,7 +124,7 @@ def fit_ols(design, y) -> LinearFit:
     """
     X, r = _check_design(design, y)
     n, k = X.shape
-    coef, xtx_inv = _svd_solve(X, r)
+    coef, xtx_inv = _svd_solve(X, r, inverse=True)
     resid = r - X @ coef
     sigma2 = float(resid @ resid) / (n - k) if n > k else 0.0
     return LinearFit(

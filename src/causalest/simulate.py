@@ -22,7 +22,7 @@ from importlib import resources
 import numpy as np
 from scipy.special import expit, ndtr, ndtri
 
-from .core import _check_int, validate, validate_panel
+from .core import _check_int, _readonly, validate, validate_panel
 from .errors import InvalidInputError, MissingReferenceCellError, UnknownCaseError
 from .estimators import OrSpec, ate_dr, ate_ipw, ate_or, fit_outcome_model
 from .panel import fit_cre, fit_fd, fit_fe, fit_pols, fit_re
@@ -216,7 +216,9 @@ def _truncated_normal(rng, mu, sigma, lo, hi, size):
 
 # ---------------------------------------------------------------------------
 # Case draws: each maps the merged parameters p, the size n and stream(name),
-# the generator of one named variable of the run, to the run's datasets
+# the generator of one named variable of the run, to the run's datasets. A
+# draw marks its own fresh arrays read-only, so the validators keep them
+# without a copy.
 # ---------------------------------------------------------------------------
 
 def _draw_cs1(p: dict, n: int, stream):
@@ -233,7 +235,7 @@ def _draw_cs1(p: dict, n: int, stream):
         p["trunc_hi"],
         n,
     )
-    return validate(y, d, x), fake
+    return validate(*map(_readonly, (y, d, x))), fake
 
 
 def _draw_panel(p: dict, n: int, stream):
@@ -248,7 +250,7 @@ def _draw_panel(p: dict, n: int, stream):
     y = p["alpha"] + p["tau"] * d + p["gamma"] * w + noise
     unit = np.repeat(np.arange(n_units), t_per)
     time = np.tile(np.arange(t_per), n_units)
-    return validate_panel(unit, time, y, d)
+    return validate_panel(*map(_readonly, (unit, time, y, d)))
 
 
 def _draw_cs4(p: dict, n: int, stream):
@@ -260,7 +262,7 @@ def _draw_cs4(p: dict, n: int, stream):
     noise = stream("outcome_noise").normal(0.0, p["sigma_e"], n)
     y = p["beta0"] + p["tau"] * d + p["beta1"] * x + noise
     z_bad = z + p["bad_coef"] * (x - p["x_mean"])
-    return validate(y, d, x, z=np.column_stack([z, z_bad]))
+    return validate(*map(_readonly, (y, d, x, np.column_stack([z, z_bad]))))
 
 
 def _draw_cs5(p: dict, n: int, stream):
@@ -275,19 +277,19 @@ def _draw_cs5(p: dict, n: int, stream):
     x1 = stream("x1").normal(p["x1_mean"], p["x1_sd"], n)
     y1_violated = y1 + p["violation_coef"] * x1 * (1.0 - d1)
     base = validate_did(
-        y=np.concatenate([y0, y1]),
-        group=np.concatenate([d1, d1]),
-        period=np.concatenate([np.zeros(n), np.ones(n)]),
+        y=_readonly(np.concatenate([y0, y1])),
+        group=_readonly(np.concatenate([d1, d1])),
+        period=_readonly(np.concatenate([np.zeros(n), np.ones(n)])),
     )
     # the violated design shares the base design's read-only group and period
     violated = validate_did(
-        y=np.concatenate([y0, y1_violated]), group=base.group, period=base.period
+        y=_readonly(np.concatenate([y0, y1_violated])), group=base.group, period=base.period
     )
     return base, violated
 
 
 def _draw_cs6(p: dict, n: int, stream):
-    t = stream("forcing").uniform(p["t_lo"], p["t_hi"], n)
+    t = _readonly(stream("forcing").uniform(p["t_lo"], p["t_hi"], n))
     eps = stream("outcome_noise").normal(0.0, p["noise_sd"], n)
     d_sharp = (t >= p["cutoff"]).astype(float)
     flip = (stream("compliance").uniform(size=n) < p["flip_share"]) & (
@@ -296,7 +298,10 @@ def _draw_cs6(p: dict, n: int, stream):
     d_fuzzy = np.where(flip, 1.0 - d_sharp, d_sharp)
     y_sharp = p["intercept"] + p["slope"] * t + p["tau"] * d_sharp + eps
     y_fuzzy = p["intercept"] + p["slope"] * t + p["tau"] * d_fuzzy + eps
-    return validate(y_sharp, d_sharp, t), validate(y_fuzzy, d_fuzzy, t)
+    return (
+        validate(*map(_readonly, (y_sharp, d_sharp)), t),
+        validate(*map(_readonly, (y_fuzzy, d_fuzzy)), t),
+    )
 
 
 def _run_stream(spec: DgpSpec, run_index: int, seed: int):

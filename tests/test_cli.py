@@ -2,16 +2,22 @@
 
 Each test drives ``causalest.cli.main`` with an argv list, captures the
 streams, and checks exit codes, JSON reports, and the simulate output
-files against independently computed expectations.
+files against independently computed expectations. The one exception runs
+the CLI in a fresh interpreter, to see which modules a command loads.
 """
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causalest
 from causalest.cli import _read_columns, main
 
 from .conftest import philox, saturating_binary
@@ -430,6 +436,46 @@ class TestCsvReader:
         assert peak < 3 * 8 * rows * cols
         for j, name in enumerate(self.NAMES):
             assert np.array_equal(columns[name], data[:, j])
+
+
+_OPTIMIZER_GUARD = """
+import json
+import sys
+
+loaded = {}
+import causalest
+loaded["import"] = "scipy.optimize" in sys.modules
+from causalest.cli import main
+main(["simulate", "--case", "all", "--runs", "3", "--n", "100", "--seed", "1",
+      "--out", sys.argv[1]])
+loaded["simulate"] = "scipy.optimize" in sys.modules
+main(["estimate", "--method", "dr", "--data", sys.argv[2], "--outcome", "y",
+      "--treatment", "d", "--covariates", "x", "--bootstrap", "5", "--seed", "1"])
+loaded["estimate"] = "scipy.optimize" in sys.modules
+fit = causalest.sc_fit(causalest.ScProblem(
+    x1=[2.0], x0=[[1.0, 3.0]], z1=[2.0], z0=[[1.0, 3.0]], y1=[5.0], y0=[[4.0, 4.0]]))
+loaded["sc_fit"] = "scipy.optimize" in sys.modules
+print(json.dumps({"loaded": loaded, "weights": fit.weights.tolist()}))
+"""
+
+
+class TestOptimizerImport:
+    def test_only_synthetic_control_loads_scipy_optimize(self, tmp_path, linear_csv):
+        # a fresh interpreter, since this one may have loaded the optimizer
+        src = Path(causalest.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", _OPTIMIZER_GUARD, str(tmp_path / "sim"), linear_csv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["loaded"] == {
+            "import": False, "simulate": False, "estimate": False, "sc_fit": True,
+        }
+        np.testing.assert_allclose(result["weights"], [0.5, 0.5], atol=1e-6)
 
 
 class TestSimulate:

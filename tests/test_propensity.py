@@ -20,6 +20,7 @@ from causalest import (
 from causalest.errors import (
     AllUnitsTrimmedError,
     InvalidInputError,
+    LengthMismatchError,
     NoTreatmentVariationError,
     NonFiniteValueError,
     ZeroPropensityError,
@@ -170,6 +171,19 @@ class TestTrimOverlap:
         fit = PropensityFit.from_scores([0.5, 0.5], [1.0, 0.0])
         with pytest.raises(ValueError):
             trim_overlap(fit, 0.9, 0.1)
+
+    def test_fit_without_level_scores_is_a_package_error(self):
+        # trim_overlap subsets every level's vector, so a fit needs both
+        with pytest.raises(InvalidInputError, match="level_scores"):
+            trim_overlap(PropensityFit(scores=[0.2, 0.5, 0.9]), 0.1, 0.8)
+        with pytest.raises(InvalidInputError, match="level_scores"):
+            PropensityFit(scores=[0.2, 0.5], level_scores={1.0: [0.2, 0.5]})
+
+    def test_level_scores_must_match_the_scores_in_length(self):
+        with pytest.raises(LengthMismatchError, match="level_scores"):
+            PropensityFit(
+                scores=[0.2, 0.5], level_scores={1.0: [0.2, 0.5, 0.9], 0.0: [0.8, 0.5, 0.1]}
+            )
 
 
 class TestQuantileStrata:

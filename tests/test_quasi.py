@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from causalest import (
     ScProblem,
@@ -510,7 +511,7 @@ class TestScWeights:
         def capped_nnls(a, b):
             raise RuntimeError("Maximum number of iterations reached.")
 
-        monkeypatch.setattr(quasi, "nnls", capped_nnls)
+        monkeypatch.setattr(scipy.optimize, "nnls", capped_nnls)
         with pytest.raises(ConvergenceError, match="did not finish in 6 steps"):
             sc_weights([2.0], [[1.0, 3.0]], [1.0])
 
@@ -702,6 +703,38 @@ class TestRddFuzzy:
         t = np.linspace(-1.0, 1.0, 50)
         with pytest.raises(NoFirstStageJumpError):
             rdd_fuzzy(np.ones(50), t, np.ones(50))
+
+    def test_first_stage_jump_matches_a_least_squares_first_stage(self):
+        # [DERIVED] oracle: the coefficient on 1[t >= c] in least squares of
+        # d on (1, 1[t >= c], t - c, 1[t >= c](t - c)) over the bandwidth
+        g = philox(98)
+        t = g.uniform(-1.0, 1.0, 600)
+        d = (t >= 0.1).astype(float)
+        flip = (g.uniform(size=600) < 0.3) & (np.abs(t - 0.1) < 0.4)
+        d[flip] = 1.0 - d[flip]
+        y = 1.0 + 2.0 * t + 5.0 * d + g.normal(0.0, 0.5, 600)
+        est = rdd_fuzzy(y, t, d, cutoff=0.1, bandwidth=0.8)
+        keep = np.abs(t - 0.1) <= 0.8
+        tc = t[keep] - 0.1
+        above = (tc >= 0.0).astype(float)
+        design = np.column_stack([np.ones(tc.size), above, tc, above * tc])
+        oracle = np.linalg.lstsq(design, d[keep], rcond=None)[0][1]
+        assert abs(est.diagnostics["first_stage_jump"] - oracle) <= 1e-12
+
+    @pytest.mark.parametrize("jump", [0.0, 0.04, -0.049])
+    def test_first_stage_jump_at_or_below_the_tolerance_raises(self, jump):
+        # d is exactly linear on each side with the given jump at the cutoff
+        t = np.linspace(-1.0, 1.0, 201)
+        above = (t >= 0.0).astype(float)
+        d = 0.3 + 0.1 * t + jump * above
+        with pytest.raises(NoFirstStageJumpError, match="jump"):
+            rdd_fuzzy(1.0 + t + 2.0 * d, t, d)
+
+    def test_first_stage_jump_above_the_tolerance_is_kept(self):
+        t = np.linspace(-1.0, 1.0, 201)
+        d = 0.3 + 0.1 * t + 0.06 * (t >= 0.0)
+        est = rdd_fuzzy(1.0 + t + 2.0 * d, t, d)
+        assert est.diagnostics["first_stage_jump"] == pytest.approx(0.06, abs=1e-12)
 
     def test_length_mismatch(self):
         t = np.linspace(-1.0, 1.0, 50)

@@ -190,9 +190,9 @@ class TestIrlsWork:
         calls = []
         solve = regress._svd_solve
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return solve(*args)
+            return solve(*args, **kwargs)
 
         monkeypatch.setattr(regress, "_svd_solve", counted)
         return calls

@@ -39,7 +39,7 @@ from causalest import (
     rdd_sharp,
     run_monte_carlo,
 )
-from causalest import simulate
+from causalest import core, quasi, simulate
 from causalest.errors import (
     InvalidInputError,
     MissingReferenceCellError,
@@ -193,6 +193,28 @@ class TestGenerate:
         ds = generate(spec, run_index=0, seed=119)
         est = rdd_sharp(ds.y, ds.x[:, 0])
         assert est.point == pytest.approx(5.0, abs=1e-9)
+
+
+class TestDrawsAreKeptWithoutCopies:
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_validators_copy_no_array_of_a_draw(self, case_id, monkeypatch):
+        # each draw marks its fresh arrays read-only, so `_owned` keeps them
+        owned = core._owned
+        calls, copies = [], []
+
+        def counted(a, source):
+            kept = owned(a, source)
+            calls.append(1)
+            if kept is not a:
+                copies.append(a.shape)
+            return kept
+
+        monkeypatch.setattr(core, "_owned", counted)
+        monkeypatch.setattr(quasi, "_owned", counted)
+        spec = DgpSpec(case_id=case_id, n=200)
+        simulate._case_inputs(spec, spec.merged_params(), 0, 42)
+        assert calls
+        assert copies == []
 
 
 def _misspecified_scores(spec, run_index, seed):
