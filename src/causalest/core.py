@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -183,6 +184,8 @@ class PanelDataset:
     x: np.ndarray
     unit_codes: np.ndarray
     unit_counts: np.ndarray
+    # (source panel, its drawn rows) for a panel built by `take_units`
+    _drawn_from: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -200,6 +203,27 @@ class PanelDataset:
         """Expand a length-N per-unit vector back to row alignment."""
         return per_unit[self.unit_codes]
 
+    @cached_property
+    def _within(self) -> tuple[np.ndarray, np.ndarray]:
+        """The within transform, computed on first read: a read-only,
+        C-contiguous (n, 1 + p) block of the unit-demeaned [d, x], and the
+        unit-demeaned y.
+
+        A panel built by `take_units` gathers its source's transform at the
+        drawn rows. That is bit-identical to demeaning it afresh: a drawn
+        unit keeps its rows in order, so `unit_means` adds the same values
+        in the same order.
+        """
+        if self._drawn_from is not None:
+            source, rows = self._drawn_from
+            block, y = source._within
+            # np.take copies whole rows; `block[rows]` took 9x as long on 50,000 x 2
+            return _readonly(np.take(block, rows, axis=0)), _readonly(y[rows])
+        block = np.empty((self.n, 1 + self.x.shape[1]))
+        for j, v in enumerate((self.d, *self.x.T)):
+            np.subtract(v, self.broadcast_units(self.unit_means(v)), out=block[:, j])
+        return _readonly(block), _readonly(self.y - self.broadcast_units(self.unit_means(self.y)))
+
     def take_units(self, unit_index) -> "PanelDataset":
         """Rebuild a panel from whole units (used by the panel bootstrap).
 
@@ -207,7 +231,8 @@ class PanelDataset:
         unit, numbered 0..M-1 in draw order, so resampled panels remain
         valid. The result equals `validate_panel` applied to the drawn rows
         and is built without re-running it: every drawn unit's rows are
-        already contiguous and sorted by time.
+        already contiguous and sorted by time. Its within transform is
+        gathered from this panel's on first read (see `_within`).
         """
         drawn = np.asarray(unit_index, dtype=int)
         counts = self.unit_counts[drawn]
@@ -217,16 +242,18 @@ class PanelDataset:
         source_start = (np.cumsum(self.unit_counts) - self.unit_counts)[drawn]
         target_start = np.cumsum(counts) - counts
         rows = np.arange(n) + np.repeat(source_start - target_start, counts)
-        codes = np.repeat(np.arange(drawn.shape[0], dtype=np.intp), counts)
-        return PanelDataset(
-            unit=_readonly(codes.astype(int)),
+        codes = _readonly(np.repeat(np.arange(drawn.shape[0], dtype=np.intp), counts))
+        taken = PanelDataset(
+            unit=codes,
             time=_readonly(self.time[rows]),
             y=_readonly(self.y[rows]),
             d=_readonly(self.d[rows]),
             x=_readonly(self.x[rows]),
-            unit_codes=_readonly(codes),
+            unit_codes=codes,
             unit_counts=_readonly(counts),
         )
+        object.__setattr__(taken, "_drawn_from", (self, rows))
+        return taken
 
 
 def validate_panel(unit, time, y, d, x=None) -> PanelDataset:

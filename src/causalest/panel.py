@@ -66,12 +66,10 @@ def _no_variation(v: np.ndarray, scale: float) -> bool:
     return float(np.max(np.abs(v), initial=0.0)) <= _ZERO_RTOL * max(1.0, scale)
 
 
-def _demeaned(pds: PanelDataset, columns, means, theta=1.0) -> np.ndarray:
-    """One (n, k) design whose column j is `columns[j] - theta * means[j]`,
-    with the per-unit `means[j]` broadcast to the rows.
-
-    theta = 1 is the within transform; a per-row theta is RE's quasi-demeaning.
-    """
+def _demeaned(pds: PanelDataset, columns, means, theta: np.ndarray) -> np.ndarray:
+    """RE's quasi-demeaned design: one (n, k) array whose column j is
+    `columns[j] - theta * means[j]`, with the per-unit `means[j]` broadcast
+    to the rows and `theta` given per row."""
     design = np.empty((pds.n, len(columns)))
     for j, (v, m) in enumerate(zip(columns, means)):
         shift = pds.broadcast_units(m)  # a fresh array: fancy indexing copies
@@ -80,9 +78,14 @@ def _demeaned(pds: PanelDataset, columns, means, theta=1.0) -> np.ndarray:
     return design
 
 
-def _within_fit(pds: PanelDataset, design: np.ndarray, y_means: np.ndarray):
-    """OLS of the unit-demeaned y on a within design led by the demeaned d;
+def _within_fit(pds: PanelDataset, selection: tuple[int, ...] | None):
+    """OLS of the unit-demeaned y on the panel's within design: the demeaned
+    d, then the demeaned x columns named by `selection` (all for None);
     returns (fit, dof), where dof also subtracts the N absorbed unit means."""
+    design, y = pds._within
+    if selection is not None:  # C order, as the block's: the SVD's bits depend on it
+        x = _select_columns(design[:, 1:], selection)
+        design = np.ascontiguousarray(np.column_stack([design[:, 0], x]))
     k = design.shape[1]
     dof = pds.n - pds.n_units - k
     if dof < 1:
@@ -91,7 +94,7 @@ def _within_fit(pds: PanelDataset, design: np.ndarray, y_means: np.ndarray):
         )
     if _no_variation(design[:, 0], float(np.max(np.abs(pds.d)))):
         raise NoWithinVariationError("treatment is constant within every unit")
-    return fit_ols(design, pds.y - pds.broadcast_units(y_means)), dof
+    return fit_ols(design, y), dof
 
 
 def _coef_on_d(method, spec, intercept, d, x, y, diagnostics=None) -> CausalEstimate:
@@ -124,12 +127,9 @@ def fit_fe(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
     """
     spec = spec or PanelSpec(method=FE)
     _require_two_periods(pds, "fixed effects")
-    x = _select_columns(pds.x, spec.covariate_selection)
-    columns = [pds.d, *x.T]
-    design = _demeaned(pds, columns, [pds.unit_means(v) for v in columns])
-    fit, dof = _within_fit(pds, design, pds.unit_means(pds.y))
+    fit, dof = _within_fit(pds, spec.covariate_selection)
     # fit_ols scales the covariance by RSS/(n-k); correct for the N absorbed means
-    var = fit.coef_cov[0, 0] * (pds.n - design.shape[1]) / dof
+    var = fit.coef_cov[0, 0] * (pds.n - fit.design_width) / dof
     return _estimate(FE, fit.coef[0], pds.n, var, {"dof": int(dof)})
 
 
@@ -185,7 +185,7 @@ def fit_re(pds: PanelDataset, spec: PanelSpec | None = None) -> CausalEstimate:
         return _coef_on_d(RE, spec, 1.0, pds.d, x, pds.y, diagnostics)
 
     # within step for the idiosyncratic variance
-    w_fit, dof_w = _within_fit(pds, _demeaned(pds, columns, means), y_means)
+    w_fit, dof_w = _within_fit(pds, spec.covariate_selection)
     s2e = float(w_fit.residuals @ w_fit.residuals) / dof_w
 
     # between step for the unit-effect variance

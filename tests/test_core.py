@@ -212,6 +212,18 @@ class TestValidatePanel:
                 assert got.shape == want.shape, name
                 np.testing.assert_array_equal(got, want, err_msg=name)
                 assert not got.flags.writeable, name
+            # the within transform is gathered from the source panel's; it
+            # must hold the bits of the one demeaned afresh from the rows
+            for name, got, want in zip(("block", "y"), boot._within, expected._within):
+                assert got.shape == want.shape, name
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=name)
+                assert got.flags.c_contiguous and not got.flags.writeable, name
+        # and the source's own is [d, x] and y, each demeaned unit by unit
+        block, y = pds._within
+        assert block.shape == (pds.n, 1 + n_cov)
+        for v, got in zip([pds.d, *pds.x.T, pds.y], [*block.T, y]):
+            want = np.concatenate([u - u.mean() for u in np.split(v, starts[1:-1])])
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_take_units_rejects_a_one_row_panel(self):
         pds = validate_panel([0, 0, 1], [0, 1, 0], y=[1.0, 3.0, 5.0], d=[0, 0, 0])

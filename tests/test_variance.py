@@ -38,6 +38,7 @@ from causalest.errors import (
     TooManyFailedReplicatesError,
     ZeroPropensityError,
 )
+from causalest.core import PanelDataset
 from causalest.regress import IDENTITY, LinearFit
 
 from .conftest import confounded_binary, philox, saturating_binary
@@ -444,6 +445,29 @@ class TestBootstrap:
             for b in range(12)
         ])
         assert np.array_equal(result.points.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("n_cov", [0, 2])
+    def test_panel_bootstrap_demeans_only_the_source_panel(self, monkeypatch, n_cov):
+        # each replicate gathers the source panel's within transform at its
+        # drawn rows, so unit means are taken once per column of [d, x, y]
+        # on the source, not once per replicate
+        g = philox(114)
+        data = validate_panel(
+            np.repeat(np.arange(20), 3), np.tile(np.arange(3), 20),
+            g.normal(size=60), g.normal(size=60), g.normal(size=(60, n_cov)) if n_cov else None,
+        )
+        callers = []
+        unit_means = PanelDataset.unit_means
+
+        def counted(pds, v):
+            callers.append(pds)
+            return unit_means(pds, v)
+
+        monkeypatch.setattr(PanelDataset, "unit_means", counted)
+        result = bootstrap_variance(data, fit_fe, n_boot=15, seed=4)
+        assert result.n_ok == 15
+        assert len(callers) == 2 + n_cov
+        assert all(pds is data for pds in callers)
 
     def test_panel_bootstrap_resamples_units(self):
         g = philox(112)
