@@ -26,7 +26,6 @@ from .errors import (
 
 BINARY = "binary"
 CONTINUOUS = "continuous"
-_TREATMENT_KINDS = (BINARY, CONTINUOUS)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -115,8 +114,8 @@ class ObservationalDataset:
         return ObservationalDataset(
             y=_readonly(self.y[idx]),
             d=_readonly(self.d[idx]),
-            x=_readonly(self.x[idx]),
-            z=None if self.z is None else _readonly(self.z[idx]),
+            x=_readonly(np.take(self.x, idx, axis=0)),
+            z=None if self.z is None else _readonly(np.take(self.z, idx, axis=0)),
             treatment_kind=self.treatment_kind,
         )
 
@@ -126,12 +125,11 @@ def validate(
     d,
     x=None,
     z=None,
-    treatment_kind: str | None = None,
 ) -> ObservationalDataset:
     """Validate raw columns into an :class:`ObservationalDataset`.
 
-    Treatment kind is detected automatically — binary when all values lie in
-    {0, 1}, continuous otherwise — unless `treatment_kind` overrides it.
+    Treatment kind is detected from `d`: binary when all values lie in
+    {0, 1}, continuous otherwise.
 
     Raises:
         LengthMismatchError: columns of differing length.
@@ -146,21 +144,12 @@ def validate(
     xm = _as_matrix("x", x, n)
     zm = None if z is None else _as_matrix("z", z, n)
 
-    is_01 = _is_01(dv)
-    if treatment_kind is None:
-        kind = BINARY if is_01 else CONTINUOUS
-    else:
-        kind = treatment_kind
-        if kind not in _TREATMENT_KINDS:
-            raise InvalidInputError(f"unknown treatment_kind {kind!r}")
-        if kind == BINARY and not is_01:
-            raise InvalidInputError("treatment_kind='binary' but d has values outside {0, 1}")
     return ObservationalDataset(
         y=_readonly(_owned(yv, y)),
         d=_readonly(_owned(dv, d)),
         x=_readonly(_owned(xm, x)),
         z=None if zm is None else _readonly(_owned(zm, z)),
-        treatment_kind=kind,
+        treatment_kind=BINARY if _is_01(dv) else CONTINUOUS,
     )
 
 
@@ -248,7 +237,7 @@ class PanelDataset:
             time=_readonly(self.time[rows]),
             y=_readonly(self.y[rows]),
             d=_readonly(self.d[rows]),
-            x=_readonly(self.x[rows]),
+            x=_readonly(np.take(self.x, rows, axis=0)),
             unit_codes=codes,
             unit_counts=_readonly(counts),
         )

@@ -104,7 +104,7 @@ def estimate_propensity_binary(ds: ObservationalDataset) -> PropensityFit:
     """Logistic fit of d on (1, x); scores are fitted received-dose probabilities.
 
     A score that rounds to exactly 0 or 1 raises ZeroPropensityError. The
-    diagnostics record the IRLS `iterations` and `converged` flag.
+    diagnostics record the IRLS `iterations`.
     """
     if ds.treatment_kind != BINARY:
         raise InvalidInputError("binary propensity model requires a binary treatment")
@@ -116,7 +116,7 @@ def estimate_propensity_binary(ds: ObservationalDataset) -> PropensityFit:
         scores=_unsaturated(np.where(ds.d == 1.0, p1, 1.0 - p1)),
         model=model,
         level_scores={1.0: p1, 0.0: 1.0 - p1},
-        diagnostics={"iterations": model.iterations, "converged": model.converged},
+        diagnostics={"iterations": model.iterations},
     )
 
 

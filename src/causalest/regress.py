@@ -61,7 +61,6 @@ class LinearFit:
         coef_cov: asymptotic covariance of coef, shape (k, k). May be given
             as a zero-argument callable, which runs on the first read.
         design_width: k, for prediction-time shape checking.
-        converged: True when the fit met its convergence criterion.
         iterations: IRLS iterations used (0 for OLS).
         fitted: for logit, the fitted probabilities on the fit's own
             design, length n; None for OLS.
@@ -72,7 +71,6 @@ class LinearFit:
     residuals: np.ndarray
     coef_cov: np.ndarray | None = _OnFirstRead()
     design_width: int
-    converged: bool = True
     iterations: int = 0
     fitted: np.ndarray | None = None
 
@@ -190,7 +188,6 @@ def fit_logistic(design, d, max_iter: int = 100, tol: float = 1e-8) -> LinearFit
                 residuals=resid,
                 coef_cov=functools.partial(_weighted_xtx_inv, X * np.sqrt(w)[:, None]),
                 design_width=k,
-                converged=True,
                 iterations=it - 1,
                 fitted=p,
             )

@@ -48,10 +48,6 @@ class TestValidate:
         ds = validate([1.0, 2.0], [0.0, 1.0], [3.0, 4.0])
         assert ds.x.shape == (2, 1)
 
-    def test_binary_override_rejects_other_values(self):
-        with pytest.raises(ValueError, match="binary"):
-            validate([1.0, 2.0], [0.0, 2.0], treatment_kind=BINARY)
-
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             validate([1.0, 2.0, 3.0], [0.0, 1.0])
@@ -482,7 +478,6 @@ _ESTIMATES = {
     "ate_stratification": lambda: causalest.ate_stratification(*_binary_with_score()),
     "ate_matching": lambda: causalest.ate_matching(*_binary_with_score()),
     "ate_dr": lambda: causalest.ate_dr(*_binary_with_score()),
-    "fit_panel": lambda: causalest.fit_panel(_panel()),
     "fit_pols": lambda: causalest.fit_pols(_panel()),
     "fit_re": lambda: causalest.fit_re(_panel()),
     "fit_fe": lambda: causalest.fit_fe(_panel()),

@@ -124,7 +124,7 @@ class TestOutcomeRegression:
         x = g.normal(size=n)
         d = (g.uniform(size=n) < 0.5).astype(float)
         y = (g.uniform(size=n) < expit(0.3 + 0.8 * d + x)).astype(float)
-        ds = validate(y, d, x, treatment_kind="binary")
+        ds = validate(y, d, x)
         spec = OrSpec(link="logit")
         est = ate_or(ds, spec=spec)
         from causalest import fit_outcome_model

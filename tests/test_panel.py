@@ -7,17 +7,14 @@ import numpy as np
 import pytest
 
 from causalest import (
-    PanelSpec,
     fit_cre,
     fit_fd,
     fit_fe,
-    fit_panel,
     fit_pols,
     fit_re,
     validate_panel,
 )
 from causalest.errors import NoWithinVariationError, TooFewPeriodsError
-from causalest.panel import CRE, FD, FE, POLS, RE
 
 from .conftest import philox
 
@@ -65,6 +62,12 @@ def _lstsq_fit(design, y):
     return beta, sigma2 * np.diag(np.linalg.inv(design.T @ design)), resid
 
 
+def _unit_differences(pds):
+    """Consecutive-period differences of [y, d, x], taken within each unit."""
+    block = np.column_stack([pds.y, pds.d, pds.x])
+    return np.concatenate([np.diff(block[pds.unit_codes == u], axis=0) for u in range(pds.n_units)])
+
+
 class TestHandExamples:
     def test_fe_removes_unit_confounding(self):
         # [DERIVED] hand within-transform: both units have slope exactly 1
@@ -76,13 +79,9 @@ class TestHandExamples:
 
     def test_fd_constant_differences(self):
         # [DERIVED] hand difference: delta-d=(1,1), delta-y=(1,1); a constant
-        # regressor clashes with the intercept, without it the slope is 1
-        pds = _hand_panel()
-        with pytest.raises(NoWithinVariationError):
-            fit_fd(pds)
-        est = fit_fd(pds, PanelSpec(FD, include_intercept=False))
-        assert est.point == pytest.approx(1.0, abs=1e-12)
-        assert est.n_used == 2  # one difference per unit
+        # regressor clashes with the intercept
+        with pytest.raises(NoWithinVariationError, match="beyond the intercept"):
+            fit_fd(_hand_panel())
 
 
 class TestFixedEffects:
@@ -113,11 +112,9 @@ class TestFixedEffects:
         unit = np.repeat([0, 1], 2)
         d = np.array([1.0, 1.0, 3.0, 3.0])  # constant inside each unit
         pds = validate_panel(unit, np.tile([0, 1], 2), np.arange(4.0), d)
-        for fit in (fit_fe, fit_re):
+        for fit in (fit_fe, fit_re, fit_fd):
             with pytest.raises(NoWithinVariationError):
                 fit(pds)
-        with pytest.raises(NoWithinVariationError):
-            fit_fd(pds, PanelSpec(FD, include_intercept=False))
 
     def test_single_period_unit_rejected(self):
         pds = validate_panel([0, 0, 1], [0, 1, 0], [1.0, 2.0, 3.0], [0.0, 1.0, 0.5])
@@ -161,22 +158,14 @@ class TestCovariateOracles:
         assert est.variance == pytest.approx(var[pds.n_units], rel=1e-8)
         assert est.diagnostics["dof"] == pds.n - pds.n_units - 3
 
-    @pytest.mark.parametrize("intercept", [True, False])
-    def test_fd_equals_differenced_regression(self, intercept):
+    def test_fd_equals_differenced_regression(self):
         pds = validate_panel(*_covariate_columns(71))
-        rows = [
-            np.diff(np.column_stack([pds.y, pds.d, pds.x])[pds.unit_codes == u], axis=0)
-            for u in range(pds.n_units)
-        ]
-        diffs = np.concatenate(rows)
-        design = diffs[:, 1:]
-        if intercept:
-            design = np.column_stack([np.ones(diffs.shape[0]), design])
+        diffs = _unit_differences(pds)
+        design = np.column_stack([np.ones(diffs.shape[0]), diffs[:, 1:]])
         beta, var, _ = _lstsq_fit(design, diffs[:, 0])
-        i = int(intercept)
-        est = fit_fd(pds, PanelSpec(FD, include_intercept=intercept))
-        assert est.point == pytest.approx(beta[i], abs=1e-10)
-        assert est.variance == pytest.approx(var[i], rel=1e-8)
+        est = fit_fd(pds)
+        assert est.point == pytest.approx(beta[1], abs=1e-10)
+        assert est.variance == pytest.approx(var[1], rel=1e-8)
         assert est.n_used == pds.n - pds.n_units
 
     def test_cre_equals_mundlak_regression(self):
@@ -191,22 +180,35 @@ class TestCovariateOracles:
 
 class TestFirstDifferences:
     def test_equals_fe_with_two_periods(self):
-        # [DERIVED] algebraic identity at T=2: differencing and demeaning
-        # use the same within contrast
+        # [DERIVED] algebraic identity at T=2 on a balanced panel: the
+        # intercept of the differenced regression absorbs the period effect,
+        # so FD equals the two-way within estimate, which is FE on y and d
+        # with each period's cross-unit mean removed
         pds = _random_panel(54, n_units=40, t=2)
-        fd = fit_fd(pds, PanelSpec(FD, include_intercept=False))
-        assert fd.point == pytest.approx(fit_fe(pds).point, abs=1e-10)
+        per_period = np.bincount(pds.time)
+
+        def period_demeaned(v):
+            return v - (np.bincount(pds.time, weights=v) / per_period)[pds.time]
+
+        two_way = validate_panel(pds.unit, pds.time, period_demeaned(pds.y), period_demeaned(pds.d))
+        assert fit_fd(pds).point == pytest.approx(fit_fe(two_way).point, abs=1e-10)
 
     def test_differences_skip_unit_boundaries(self):
-        # consecutive rows of different units must not be differenced
-        unit = np.array([0, 0, 1, 1])
-        time = np.array([0, 1, 0, 1])
-        d = np.array([0.0, 1.0, 5.0, 6.0])
-        y = np.array([0.0, 2.0, 100.0, 102.0])
+        # consecutive rows of different units must not be differenced: the
+        # unit levels are far apart, so a difference across a boundary
+        # would move the slope
+        unit = np.repeat([0, 1, 2], 3)
+        time = np.tile([0, 1, 2], 3)
+        d = np.array([0.0, 1.0, 3.0, 50.0, 50.5, 52.5, -20.0, -17.0, -16.0])
+        noise = np.array([0.0, 0.3, -0.1, 0.2, 0.0, 0.4, -0.3, 0.1, 0.0])
+        y = 2.0 * d + np.repeat([0.0, 300.0, -150.0], 3) + noise
         pds = validate_panel(unit, time, y, d)
-        est = fit_fd(pds, PanelSpec(FD, include_intercept=False))
-        assert est.point == pytest.approx(2.0, abs=1e-12)
-        assert est.n_used == 2
+        diffs = _unit_differences(pds)
+        beta, var, _ = _lstsq_fit(np.column_stack([np.ones(6), diffs[:, 1]]), diffs[:, 0])
+        est = fit_fd(pds)
+        assert est.point == pytest.approx(beta[1], abs=1e-10)
+        assert est.variance == pytest.approx(var[1], rel=1e-8)
+        assert est.n_used == 6
 
 
 class TestCorrelatedRandomEffects:
@@ -253,8 +255,7 @@ class TestRandomEffects:
         assert est.diagnostics["sigma2_u"] == pytest.approx(s2u, rel=1e-10)
         assert 0.0 < est.diagnostics["theta_min"] <= est.diagnostics["theta_max"] < 1.0
 
-    @pytest.mark.parametrize("intercept", [True, False])
-    def test_unbalanced_oracle_with_covariates(self, intercept):
+    def test_unbalanced_oracle_with_covariates(self):
         # [DERIVED] per-unit theta_i from T_i, and the harmonic-mean T in the
         # unit-effect variance, recomputed with lstsq from the raw columns
         pds = validate_panel(*_covariate_columns(73))
@@ -269,15 +270,12 @@ class TestRandomEffects:
         s2u = resid_b @ resid_b / (N - 4) - s2e / (N / np.sum(1.0 / t_i))
         theta = 1.0 - np.sqrt(s2e / (t_i * s2u + s2e))
         quasi = block - theta[codes, None] * means[codes]
-        design = quasi[:, 1:]
-        if intercept:
-            design = np.column_stack([1.0 - theta[codes], design])
+        design = np.column_stack([1.0 - theta[codes], quasi[:, 1:]])
         beta, var, _ = _lstsq_fit(design, quasi[:, 0])
-        i = int(intercept)
-        est = fit_re(pds, PanelSpec(RE, include_intercept=intercept))
+        est = fit_re(pds)
         assert "re_fallback" not in est.diagnostics
-        assert est.point == pytest.approx(beta[i], abs=1e-10)
-        assert est.variance == pytest.approx(var[i], rel=1e-8)
+        assert est.point == pytest.approx(beta[1], abs=1e-10)
+        assert est.variance == pytest.approx(var[1], rel=1e-8)
         assert est.diagnostics["sigma2_e"] == pytest.approx(s2e, rel=1e-10)
         assert est.diagnostics["sigma2_u"] == pytest.approx(s2u, rel=1e-10)
         assert est.diagnostics["theta_min"] == pytest.approx(theta.min(), rel=1e-12)
@@ -315,93 +313,38 @@ class TestRandomEffects:
         assert fit_re(pds).diagnostics["theta_min"] > 0.5
 
 
-class TestSpecAndDispatch:
-    def test_dispatcher_matches_direct_calls(self):
-        pds = _random_panel(62)
-        direct = {
-            POLS: fit_pols,
-            RE: fit_re,
-            FE: fit_fe,
-            FD: fit_fd,
-            CRE: fit_cre,
-        }
-        for method, fn in direct.items():
-            assert fit_panel(pds, PanelSpec(method)).point == fn(pds).point
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown panel method"):
-            PanelSpec(method="gmm")
-
-    def test_covariate_selection(self):
-        g = philox(63)
-        n_units, t = 40, 3
-        n = n_units * t
-        unit = np.repeat(np.arange(n_units), t)
-        time = np.tile(np.arange(t), n_units)
-        x = g.normal(size=(n, 2))
-        d = g.normal(size=n)
-        y = 1.0 + 0.5 * d + x @ np.array([1.0, -2.0]) + g.normal(size=n)
-        both = validate_panel(unit, time, y, d, x)
-        first_only = validate_panel(unit, time, y, d, x[:, 0])
-        est = fit_pols(both, PanelSpec(POLS, covariate_selection=(0,)))
-        assert est.point == pytest.approx(fit_pols(first_only).point, abs=1e-12)
-        with pytest.raises(ValueError, match="does not exist"):
-            fit_pols(both, PanelSpec(POLS, covariate_selection=(5,)))
-
-    @pytest.mark.parametrize("method", [FE, RE])
-    @pytest.mark.parametrize("selection", [(1, 0), (1,), ()])
-    def test_selection_fits_the_bits_of_a_panel_holding_those_columns(self, method, selection):
-        # the within step picks the selected columns out of the panel's
-        # within transform; in any order they must fit as the panel
-        # validated with only those columns does, bit for bit (the bits of
-        # the SVD depend on the design's memory order on some seeds)
-        for seed in range(86, 96):
-            unit, time, y, d, x = _covariate_columns(seed)
-            full = validate_panel(unit, time, y, d, x)
-            est = fit_panel(full, PanelSpec(method, covariate_selection=selection))
-            reference = fit_panel(
-                validate_panel(unit, time, y, d, x[:, list(selection)]), PanelSpec(method)
-            )
-            assert _bits(est.point) == _bits(reference.point), seed
-            assert _bits(est.variance) == _bits(reference.variance), seed
-
-    def test_intercept_suppression(self):
-        pds = _random_panel(64)
-        est = fit_pols(pds, PanelSpec(POLS, include_intercept=False))
-        beta, *_ = np.linalg.lstsq(pds.d[:, None], pds.y, rcond=None)
-        assert est.point == pytest.approx(beta[0], abs=1e-10)
-
-
 def _bits(value):
     return np.float64(value).view(np.int64)
 
 
-@pytest.mark.parametrize("method", [POLS, RE, FE, FD, CRE])
+@pytest.mark.parametrize(
+    "fit", [fit_pols, fit_re, fit_fe, fit_fd, fit_cre], ids=["pols", "re", "fe", "fd", "cre"]
+)
 class TestInvarianceSweep:
     """Each estimator on an unbalanced panel with two covariates."""
 
-    def test_row_order_leaves_the_bits_unchanged(self, method):
+    def test_row_order_leaves_the_bits_unchanged(self, fit):
         columns = _covariate_columns(80)
-        reference = fit_panel(validate_panel(*columns), PanelSpec(method))
+        reference = fit(validate_panel(*columns))
         for seed in (81, 82, 83):
             perm = philox(seed).permutation(columns[0].size)
-            est = fit_panel(validate_panel(*(c[perm] for c in columns)), PanelSpec(method))
+            est = fit(validate_panel(*(c[perm] for c in columns)))
             assert _bits(est.point) == _bits(reference.point)
             assert _bits(est.variance) == _bits(reference.variance)
 
-    def test_order_preserving_unit_relabelling(self, method):
+    def test_order_preserving_unit_relabelling(self, fit):
         unit, time, y, d, x = _covariate_columns(84)
-        reference = fit_panel(validate_panel(unit, time, y, d, x), PanelSpec(method))
+        reference = fit(validate_panel(unit, time, y, d, x))
         for relabelled in (1000 + 7 * unit, np.char.add("unit-", np.char.zfill(unit.astype(str), 3))):
-            est = fit_panel(validate_panel(relabelled, time, y, d, x), PanelSpec(method))
+            est = fit(validate_panel(relabelled, time, y, d, x))
             assert est.point == reference.point
             assert est.variance == reference.variance
 
     @pytest.mark.parametrize("a, b", [(3.0, 7.0), (-0.25, -40.0)])
-    def test_affine_outcome_scales_point_and_variance(self, method, a, b):
+    def test_affine_outcome_scales_point_and_variance(self, fit, a, b):
         unit, time, y, d, x = _covariate_columns(85)
-        reference = fit_panel(validate_panel(unit, time, y, d, x), PanelSpec(method))
-        est = fit_panel(validate_panel(unit, time, a * y + b, d, x), PanelSpec(method))
+        reference = fit(validate_panel(unit, time, y, d, x))
+        est = fit(validate_panel(unit, time, a * y + b, d, x))
         assert est.point == pytest.approx(a * reference.point, rel=1e-9, abs=1e-12)
         assert est.variance == pytest.approx(a * a * reference.variance, rel=1e-8)
         assert est.diagnostics.keys() == reference.diagnostics.keys()

@@ -130,7 +130,6 @@ class TestFitLogistic:
         X, d = _logistic_draw(8, 300)
         fit = fit_logistic(X, d)
         assert np.max(np.abs(logistic_score(X, d, fit.coef))) < 1e-6
-        assert fit.converged
         assert fit.link == LOGIT
 
     def test_loglik_gradient_matches_finite_differences(self):

@@ -166,7 +166,7 @@ class TestDeltaFiniteDifferenceAgreement:
         x = g.normal(size=n)
         d = (g.uniform(size=n) < 0.5).astype(float)
         y = (g.uniform(size=n) < expit(0.2 + 0.7 * d + x)).astype(float)
-        ds = validate(y, d, x, treatment_kind="binary")
+        ds = validate(y, d, x)
         spec = OrSpec(link="logit")
         est = ate_or(ds, spec=spec)
         fd = self._fd_variance(ds, spec, expit)
