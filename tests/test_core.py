@@ -33,6 +33,21 @@ from causalest.errors import (
 from .conftest import philox, randomized_binary
 
 
+def _laid_out(a, layout):
+    """`a` in C order, in Fortran order, or as a read-only strided view (a
+    view of a writeable array is copied by validation, so it would not stay
+    strided)."""
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "strided":
+        wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+        wide[:, ::2] = a
+        view = wide[:, ::2]
+        view.flags.writeable = False
+        return view
+    return np.ascontiguousarray(a)
+
+
 class TestValidate:
     def test_binary_detection(self):
         ds = validate([1.0, 2.0], [0.0, 1.0])
@@ -105,6 +120,22 @@ class TestValidate:
             got, parent = getattr(sub, name), getattr(ds, name)
             assert not got.flags.writeable, name
             assert not np.shares_memory(got, parent), name
+
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_take_gathers_rows_of_any_layout_into_c_order(self, layout):
+        g = philox(32)
+        ds = validate(
+            g.normal(size=40), (g.uniform(size=40) < 0.5).astype(float),
+            _laid_out(g.normal(size=(40, 3)), layout), z=_laid_out(g.normal(size=(40, 2)), layout),
+        )
+        assert ds.x.flags.c_contiguous == (layout == "C")  # validation kept the layout
+        idx = g.integers(0, 40, size=40)
+        sub = ds.take(idx)
+        for name in ("x", "z"):
+            got = getattr(sub, name)
+            np.testing.assert_array_equal(got, getattr(ds, name)[idx], err_msg=name)
+            assert got.flags.c_contiguous, name
 
 
 class TestValidatePanel:
@@ -220,6 +251,21 @@ class TestValidatePanel:
         for v, got in zip([pds.d, *pds.x.T, pds.y], [*block.T, y]):
             want = np.concatenate([u - u.mean() for u in np.split(v, starts[1:-1])])
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_take_units_gathers_x_of_any_layout_into_c_order(self, layout):
+        g = philox(131)
+        unit = np.repeat(np.arange(10), 4)
+        pds = validate_panel(
+            unit, np.tile(np.arange(4), 10), g.normal(size=40), g.normal(size=40),
+            _laid_out(g.normal(size=(40, 3)), layout),
+        )
+        assert pds.x.flags.c_contiguous == (layout == "C")  # sorted rows keep the layout
+        draw = g.integers(0, 10, size=10)
+        boot = pds.take_units(draw)
+        want = np.concatenate([pds.x[pds.unit_codes == u] for u in draw])
+        np.testing.assert_array_equal(boot.x, want)
+        assert boot.x.flags.c_contiguous
 
     def test_take_units_rejects_a_one_row_panel(self):
         pds = validate_panel([0, 0, 1], [0, 1, 0], y=[1.0, 3.0, 5.0], d=[0, 0, 0])

@@ -3,6 +3,8 @@ first differences, and correlated random effects."""
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -40,17 +42,18 @@ def _random_panel(seed, n_units=50, t=4, unit_sd=1.5, slope=0.5):
     return validate_panel(unit, time, y, d)
 
 
-def _covariate_columns(seed):
-    """Raw columns of an unbalanced panel of 40 units with two covariates;
-    the unit effect correlates with d and x, and periods have gaps."""
+def _covariate_columns(seed, n_cov=2):
+    """Raw columns of an unbalanced panel of 40 units with `n_cov` (at most
+    three) covariates; the unit effect correlates with d and x, and periods
+    have gaps."""
     g = philox(seed)
     counts = np.tile([2, 3, 4, 2, 5, 3, 4, 2, 6, 3], 4)
     unit = np.repeat(np.arange(counts.size), counts)
     time = np.concatenate([np.sort(g.choice(8, c, replace=False)) for c in counts])
     alpha = np.repeat(g.normal(0.0, 2.0, counts.size), counts)
-    x = g.normal(size=(unit.size, 2)) + 0.4 * alpha[:, None]
-    d = 0.5 * alpha + x @ np.array([0.3, -0.2]) + g.normal(size=unit.size)
-    y = 1.0 + 0.5 * d + x @ np.array([1.0, -0.5]) + alpha + g.normal(size=unit.size)
+    x = g.normal(size=(unit.size, n_cov)) + 0.4 * alpha[:, None]
+    d = 0.5 * alpha + x @ np.array([0.3, -0.2, 0.1])[:n_cov] + g.normal(size=unit.size)
+    y = 1.0 + 0.5 * d + x @ np.array([1.0, -0.5, 0.25])[:n_cov] + alpha + g.normal(size=unit.size)
     return unit, time, y, d, x
 
 
@@ -66,6 +69,12 @@ def _unit_differences(pds):
     """Consecutive-period differences of [y, d, x], taken within each unit."""
     block = np.column_stack([pds.y, pds.d, pds.x])
     return np.concatenate([np.diff(block[pds.unit_codes == u], axis=0) for u in range(pds.n_units)])
+
+
+def test_each_estimator_takes_only_the_panel():
+    # every estimator uses all of x; the design is not configurable
+    for fit in (fit_pols, fit_re, fit_fe, fit_fd, fit_cre):
+        assert list(inspect.signature(fit).parameters) == ["pds"], fit.__name__
 
 
 class TestHandExamples:
@@ -145,21 +154,30 @@ class TestFixedEffects:
         assert est.point == pytest.approx(beta[-1], abs=1e-10)
 
 
+@pytest.mark.parametrize("n_cov", [0, 2, 3])
 class TestCovariateOracles:
-    """FE, FD and CRE with two covariates on an unbalanced panel, each
-    against an lstsq fit of the textbook design."""
+    """Each estimator with no, two or three covariates on an unbalanced
+    panel, against an lstsq fit of the textbook design."""
 
-    def test_fe_equals_unit_dummy_regression(self):
-        pds = validate_panel(*_covariate_columns(70))
+    def test_pols_equals_pooled_regression(self, n_cov):
+        pds = validate_panel(*_covariate_columns(69, n_cov))
+        beta, var, _ = _lstsq_fit(np.column_stack([np.ones(pds.n), pds.d, pds.x]), pds.y)
+        est = fit_pols(pds)
+        assert est.point == pytest.approx(beta[1], abs=1e-10)
+        assert est.variance == pytest.approx(var[1], rel=1e-8)
+        assert est.n_used == pds.n
+
+    def test_fe_equals_unit_dummy_regression(self, n_cov):
+        pds = validate_panel(*_covariate_columns(70, n_cov))
         dummies = np.equal.outer(pds.unit_codes, np.arange(pds.n_units)).astype(float)
         beta, var, _ = _lstsq_fit(np.column_stack([dummies, pds.d, pds.x]), pds.y)
         est = fit_fe(pds)
         assert est.point == pytest.approx(beta[pds.n_units], abs=1e-10)
         assert est.variance == pytest.approx(var[pds.n_units], rel=1e-8)
-        assert est.diagnostics["dof"] == pds.n - pds.n_units - 3
+        assert est.diagnostics["dof"] == pds.n - pds.n_units - 1 - n_cov
 
-    def test_fd_equals_differenced_regression(self):
-        pds = validate_panel(*_covariate_columns(71))
+    def test_fd_equals_differenced_regression(self, n_cov):
+        pds = validate_panel(*_covariate_columns(71, n_cov))
         diffs = _unit_differences(pds)
         design = np.column_stack([np.ones(diffs.shape[0]), diffs[:, 1:]])
         beta, var, _ = _lstsq_fit(design, diffs[:, 0])
@@ -168,8 +186,8 @@ class TestCovariateOracles:
         assert est.variance == pytest.approx(var[1], rel=1e-8)
         assert est.n_used == pds.n - pds.n_units
 
-    def test_cre_equals_mundlak_regression(self):
-        pds = validate_panel(*_covariate_columns(72))
+    def test_cre_equals_mundlak_regression(self, n_cov):
+        pds = validate_panel(*_covariate_columns(72, n_cov))
         dbar = np.array([pds.d[pds.unit_codes == u].mean() for u in range(pds.n_units)])
         design = np.column_stack([np.ones(pds.n), pds.d, pds.x, dbar[pds.unit_codes]])
         beta, var, _ = _lstsq_fit(design, pds.y)
@@ -255,19 +273,20 @@ class TestRandomEffects:
         assert est.diagnostics["sigma2_u"] == pytest.approx(s2u, rel=1e-10)
         assert 0.0 < est.diagnostics["theta_min"] <= est.diagnostics["theta_max"] < 1.0
 
-    def test_unbalanced_oracle_with_covariates(self):
+    @pytest.mark.parametrize("n_cov", [0, 2, 3])
+    def test_unbalanced_oracle_with_covariates(self, n_cov):
         # [DERIVED] per-unit theta_i from T_i, and the harmonic-mean T in the
         # unit-effect variance, recomputed with lstsq from the raw columns
-        pds = validate_panel(*_covariate_columns(73))
+        pds = validate_panel(*_covariate_columns(73, n_cov))
         codes, N, n = pds.unit_codes, pds.n_units, pds.n
         t_i = np.bincount(codes).astype(float)
         block = np.column_stack([pds.y, pds.d, pds.x])
         means = np.array([block[codes == u].mean(axis=0) for u in range(N)])
         within = block - means[codes]
         _, _, resid_w = _lstsq_fit(within[:, 1:], within[:, 0])
-        s2e = resid_w @ resid_w / (n - N - 3)
+        s2e = resid_w @ resid_w / (n - N - 1 - n_cov)
         _, _, resid_b = _lstsq_fit(np.column_stack([np.ones(N), means[:, 1:]]), means[:, 0])
-        s2u = resid_b @ resid_b / (N - 4) - s2e / (N / np.sum(1.0 / t_i))
+        s2u = resid_b @ resid_b / (N - 2 - n_cov) - s2e / (N / np.sum(1.0 / t_i))
         theta = 1.0 - np.sqrt(s2e / (t_i * s2u + s2e))
         quasi = block - theta[codes, None] * means[codes]
         design = np.column_stack([1.0 - theta[codes], quasi[:, 1:]])
