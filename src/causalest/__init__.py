@@ -20,7 +20,6 @@ from .core import (
     validate_panel,
 )
 from .estimators import (
-    OrSpec,
     ate_dr,
     ate_ipw,
     ate_matching,
@@ -108,7 +107,6 @@ __all__ = [
     "quantile_strata",
     "BalanceTable",
     "balance_diagnostic",
-    "OrSpec",
     "fit_outcome_model",
     "ate_or",
     "ate_ipw",

@@ -29,7 +29,6 @@ import numpy as np
 from .core import difference_in_means, validate
 from .errors import CausalestError, InvalidInputError
 from .estimators import (
-    OrSpec,
     ate_dr,
     ate_ipw,
     ate_matching,

@@ -332,8 +332,6 @@ class CausalEstimate:
     Attributes:
         estimand: "ATE".
         method: identifier of the producing estimator.
-        dose: treatment level the estimand refers to.
-        ref_dose: reference level.
         point: the estimate.
         variance: estimated sampling variance, when available.
         n_used: rows that actually entered the estimate.
@@ -345,10 +343,8 @@ class CausalEstimate:
 
     estimand: str
     method: str
-    dose: float
     point: float
     n_used: int
-    ref_dose: float | None = None
     variance: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -397,9 +393,6 @@ def _estimate(
     n_used,
     variance=None,
     diagnostics: dict | None = None,
-    *,
-    dose: float = 1.0,
-    ref_dose: float = 0.0,
 ) -> CausalEstimate:
     """Build the CausalEstimate every estimator returns.
 
@@ -408,24 +401,11 @@ def _estimate(
     return CausalEstimate(
         estimand="ATE",
         method=method,
-        dose=float(dose),
-        ref_dose=float(ref_dose),
         point=float(point),
         variance=None if variance is None else float(variance),
         n_used=int(n_used),
         diagnostics={} if diagnostics is None else diagnostics,
     )
-
-
-def _select_columns(x: np.ndarray, selection: tuple[int, ...] | None) -> np.ndarray:
-    """The covariate columns named by `selection` (all of them for None)."""
-    if selection is None:
-        return x
-    sel = tuple(selection)
-    for j in sel:
-        if not (0 <= j < x.shape[1]):
-            raise InvalidInputError(f"covariate column {j} does not exist (p={x.shape[1]})")
-    return x[:, sel]
 
 
 def difference_in_means(ds: ObservationalDataset) -> CausalEstimate:

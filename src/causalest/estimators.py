@@ -7,8 +7,6 @@ augmented (doubly robust) combination of outcome and assignment models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -18,7 +16,6 @@ from .core import (
     _check_int,
     _check_rows,
     _estimate,
-    _select_columns,
 )
 from .errors import (
     DimensionMismatchError,
@@ -29,126 +26,68 @@ from .errors import (
     ZeroPropensityError,
 )
 from .propensity import PropensityFit, quantile_strata
-from .regress import IDENTITY, LOGIT, LinearFit, fit_logistic, fit_ols, predict
+from .regress import IDENTITY, LinearFit, _coef_estimate, fit_ols, predict
 from .variance import delta_variance
 
 _WEIGHT_FLOOR = 1e-12
+# the outcome model is OLS of y on (1, d, all of x); its estimates report so
+_OR_DIAGNOSTICS = {"link": IDENTITY, "interactions": False}
 
 
-@dataclass(frozen=True)
-class OrSpec:
-    """Outcome-regression specification.
+def fit_outcome_model(ds: ObservationalDataset) -> LinearFit:
+    """Pooled OLS of y on (1, d, x).
 
-    Attributes:
-        link: "identity" (linear model) or "logit" (binary outcomes).
-        interactions_with_d: also include treatment-by-covariate products,
-            letting covariate slopes differ by treatment level.
-        covariate_selection: indices of x columns to include (None = all;
-            an empty tuple fits the treatment-only model).
+    To leave the covariates out, fit it on a dataset without them,
+    `validate(ds.y, ds.d)`.
     """
-
-    link: str = IDENTITY
-    interactions_with_d: bool = False
-    covariate_selection: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.link not in (IDENTITY, LOGIT):
-            raise InvalidInputError(f"unknown link {self.link!r}")
+    return fit_ols(np.column_stack([np.ones(ds.n), ds.d, ds.x]), ds.y)
 
 
-def _or_design(d: np.ndarray, x: np.ndarray, spec: OrSpec) -> np.ndarray:
-    xs = _select_columns(x, spec.covariate_selection)
-    cols = [np.ones(d.shape[0]), d]
-    if xs.shape[1]:
-        cols.append(xs)
-        if spec.interactions_with_d:
-            cols.append(d[:, None] * xs)
-    return np.column_stack(cols)
-
-
-def fit_outcome_model(ds: ObservationalDataset, spec: OrSpec | None = None) -> LinearFit:
-    """Pooled regression of y on (1, d, x[, d*x]) with the requested link."""
-    spec = spec or OrSpec()
-    design = _or_design(ds.d, ds.x, spec)
-    if spec.link == LOGIT:
-        return fit_logistic(design, ds.y)
-    return fit_ols(design, ds.y)
-
-
-def _outcome_model(ds, spec, outcome_fit):
-    """`spec`'s outcome model on `ds`: the caller's fit when one is passed,
-    after checking that it has the spec's link, width and row count."""
+def _outcome_model(ds, outcome_fit):
+    """`fit_outcome_model(ds)`: the caller's fit when one is passed, after
+    checking its width and row count."""
     if outcome_fit is None:
-        return fit_outcome_model(ds, spec)
-    p = ds.x.shape[1] if spec.covariate_selection is None else len(spec.covariate_selection)
-    width = 2 + p * (2 if spec.interactions_with_d else 1)
+        return fit_outcome_model(ds)
+    width = 2 + ds.x.shape[1]
     if outcome_fit.design_width != width:
         raise DimensionMismatchError(
-            f"outcome fit has design width {outcome_fit.design_width}, the spec needs {width}"
-        )
-    if outcome_fit.link != spec.link:
-        raise InvalidInputError(
-            f"outcome fit has link {outcome_fit.link!r}, the spec has {spec.link!r}"
+            f"outcome fit has design width {outcome_fit.design_width}, the dataset needs {width}"
         )
     _check_rows("outcome fit", outcome_fit.residuals.shape[0], ds.n)
     return outcome_fit
 
 
-def _dose_designs(ds, spec):
-    """A function from a dose to the outcome design with every unit's dose set
-    to it. All calls share one buffer and overwrite only the dose columns."""
-    design = _or_design(np.zeros(ds.n), ds.x, spec)
-    xs = _select_columns(ds.x, spec.covariate_selection)
-
-    def at(dose):
-        design[:, 1] = float(dose)
-        if spec.interactions_with_d:
-            design[:, 2 + xs.shape[1]:] = float(dose) * xs
-        return design
-
-    return at
+def _control_design(ds):
+    """The outcome design with every unit's d set to 0; callers overwrite
+    column 1 to set it to 1."""
+    return np.column_stack([np.ones(ds.n), np.zeros(ds.n), ds.x])
 
 
-def _apo_prediction(fit, design_at):
-    """Mean predicted outcome on a counterfactual design, plus the
-    delta-method gradient of that mean in the coefficients."""
-    preds = predict(fit, design_at)
-    if fit.link == LOGIT:
-        grad = ((preds * (1.0 - preds))[:, None] * design_at).mean(axis=0)
-    else:
-        grad = design_at.mean(axis=0)
-    return float(preds.mean()), grad
+def ate_or(ds: ObservationalDataset, outcome_fit: LinearFit | None = None) -> CausalEstimate:
+    """Average effect of d = 1 against d = 0 from the pooled outcome
+    regression: the mean prediction with every d set to 1, less that with
+    every d set to 0.
 
-
-def ate_or(
-    ds: ObservationalDataset,
-    dose: float = 1.0,
-    ref_dose: float = 0.0,
-    spec: OrSpec | None = None,
-    outcome_fit: LinearFit | None = None,
-) -> CausalEstimate:
-    """Average effect of `dose` vs `ref_dose` from the pooled outcome regression.
-
-    `outcome_fit`, when given, is `fit_outcome_model(ds, spec)` fitted
-    earlier, and is used in place of a new fit; one whose design width does
-    not match the spec raises DimensionMismatchError.
+    `outcome_fit`, when given, is `fit_outcome_model(ds)` fitted earlier,
+    and is used in place of a new fit; one whose design width does not
+    match the dataset raises DimensionMismatchError.
     """
-    spec = spec or OrSpec()
-    fit = _outcome_model(ds, spec, outcome_fit)
-    design_at = _dose_designs(ds, spec)
-    hi, g_hi = _apo_prediction(fit, design_at(dose))
-    lo, g_lo = _apo_prediction(fit, design_at(ref_dose))
-    point = hi - lo
-    var = delta_variance(fit, g_hi - g_lo)
-    diagnostics = {"link": spec.link, "interactions": spec.interactions_with_d}
-    return _estimate("or", point, ds.n, var, diagnostics, dose=dose, ref_dose=ref_dose)
+    fit = _outcome_model(ds, outcome_fit)
+    design = _control_design(ds)
+    lo = float(predict(fit, design).mean())
+    design[:, 1] = 1.0
+    hi = float(predict(fit, design).mean())
+    # the two designs differ only in d's column, so the contrast's gradient
+    # in the coefficients is the unit vector at d
+    var = delta_variance(fit, np.eye(fit.design_width)[1])
+    return _estimate("or", hi - lo, ds.n, var, dict(_OR_DIAGNOSTICS))
 
 
 def _dose_weights(ds, fit, dose):
-    """Indicator of receiving `dose` and the per-unit P(D=dose|x) scores,
-    guarding the weight floor only where the indicator is on."""
+    """Indicator of receiving `dose` (0 or 1) and the per-unit P(D=dose|x)
+    scores, guarding the weight floor only where the indicator is on."""
     _check_rows("score fit", fit.n, ds.n)
-    at_dose = ds.d == float(dose)
+    at_dose = ds.d == dose
     if not at_dose.any():
         raise EmptyDoseGroupError(f"no unit received dose {dose}")
     p = fit.score_at(dose)
@@ -159,63 +98,29 @@ def _dose_weights(ds, fit, dose):
     return at_dose.astype(float), p
 
 
-def ate_ipw(
-    ds: ObservationalDataset,
-    fit: PropensityFit,
-    dose: float = 1.0,
-    ref_dose: float = 0.0,
-) -> CausalEstimate:
-    """Difference of Horvitz-Thompson weighted means at `dose` vs `ref_dose`."""
-    ind1, p1 = _dose_weights(ds, fit, dose)
-    ind0, p0 = _dose_weights(ds, fit, ref_dose)
+def ate_ipw(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate:
+    """Difference of Horvitz-Thompson weighted means at d = 1 and d = 0."""
+    ind1, p1 = _dose_weights(ds, fit, 1.0)
+    ind0, p0 = _dose_weights(ds, fit, 0.0)
     contrib = ind1 * ds.y / p1 - ind0 * ds.y / p0
     point = float(contrib.mean())
     var = float(contrib.var(ddof=1) / ds.n)
     diagnostics = {"n_at_dose": int(ind1.sum()), "n_at_ref": int(ind0.sum())}
-    return _estimate("ipw", point, ds.n, var, diagnostics, dose=dose, ref_dose=ref_dose)
+    return _estimate("ipw", point, ds.n, var, diagnostics)
 
 
-def ate_psr(
-    ds: ObservationalDataset,
-    fit: PropensityFit,
-    dose: float = 1.0,
-    ref_dose: float = 0.0,
-    poly_degree: int = 1,
-    interactions: bool = False,
-) -> CausalEstimate:
-    """Regression of y on treatment and a polynomial in the treated-probability.
-
-    The additive form (default) reads the effect off the treatment
-    coefficient. With `interactions=True`, treatment-by-score products are
-    added and the averaged predicted contrast at `dose` vs `ref_dose` is
-    returned (the treatment coefficient plus the interaction coefficients
-    evaluated at the mean score powers).
-    """
+def ate_psr(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate:
+    """Regression of y on (1, d, p), with p the treated-probability; the
+    effect is d's coefficient. A constant score carries no information and
+    is left out, which gives the difference in means."""
     if ds.treatment_kind != BINARY:
         raise InvalidInputError("propensity-score regression requires a binary treatment")
-    _check_int(1, poly_degree=poly_degree)
     _check_rows("score fit", fit.n, ds.n)
     p1 = fit.scores_treated
     degenerate = bool(np.ptp(p1) == 0.0)
-    powers = [] if degenerate else [p1**k for k in range(1, poly_degree + 1)]
-    cols = [np.ones(ds.n), ds.d, *powers]
-    if interactions and not degenerate:
-        cols.extend(ds.d * pk for pk in powers)
-    design = np.column_stack(cols)
-    ols = fit_ols(design, ds.y)
-    grad = np.zeros(design.shape[1])
-    grad[1] = float(dose) - float(ref_dose)
-    if interactions and not degenerate:
-        for k in range(1, poly_degree + 1):
-            grad[1 + poly_degree + k] = grad[1] * float((p1**k).mean())
-    point = float(grad @ ols.coef)
-    var = delta_variance(ols, grad)
-    diagnostics = {
-        "poly_degree": poly_degree,
-        "interactions": interactions,
-        "degenerate_score": degenerate,
-    }
-    return _estimate("psr", point, ds.n, var, diagnostics, dose=dose, ref_dose=ref_dose)
+    design = np.column_stack([np.ones(ds.n), ds.d, *([] if degenerate else [p1])])
+    diagnostics = {"poly_degree": 1, "interactions": False, "degenerate_score": degenerate}
+    return _coef_estimate("psr", design, ds.y, 1, diagnostics)
 
 
 def ate_stratification(
@@ -353,40 +258,30 @@ def ate_matching(
 
 
 def ate_dr(
-    ds: ObservationalDataset,
-    fit: PropensityFit,
-    dose: float = 1.0,
-    ref_dose: float = 0.0,
-    spec: OrSpec | None = None,
-    outcome_fit: LinearFit | None = None,
+    ds: ObservationalDataset, fit: PropensityFit, outcome_fit: LinearFit | None = None
 ) -> CausalEstimate:
     """Augmented (doubly robust) estimator combining both nuisance models.
 
     Consistent if either the outcome regression or the assignment model is
     correctly specified. `outcome_fit`, when given, is
-    `fit_outcome_model(ds, spec)` fitted earlier, and is used in place of a
-    new fit; one whose design width does not match the spec raises
+    `fit_outcome_model(ds)` fitted earlier, and is used in place of a new
+    fit; one whose design width does not match the dataset raises
     DimensionMismatchError.
     """
-    spec = spec or OrSpec()
-    or_fit = _outcome_model(ds, spec, outcome_fit)
+    or_fit = _outcome_model(ds, outcome_fit)
     # one counterfactual design for both arms, apart from the fitted one
-    design_at = _dose_designs(ds, spec)
+    design = _control_design(ds)
 
-    def arm(d_val):
-        ind, p = _dose_weights(ds, fit, d_val)
-        m = predict(or_fit, design_at(d_val))
+    def arm(dose):
+        ind, p = _dose_weights(ds, fit, dose)
+        design[:, 1] = dose
+        m = predict(or_fit, design)
         return m + ind * (ds.y - m) / p, ind
 
-    hi, ind1 = arm(dose)
-    lo, ind0 = arm(ref_dose)
+    hi, ind1 = arm(1.0)
+    lo, ind0 = arm(0.0)
     contrib = hi - lo
     point = float(contrib.mean())
     var = float(contrib.var(ddof=1) / ds.n)
-    diagnostics = {
-        "link": spec.link,
-        "interactions": spec.interactions_with_d,
-        "n_at_dose": int(ind1.sum()),
-        "n_at_ref": int(ind0.sum()),
-    }
-    return _estimate("dr", point, ds.n, var, diagnostics, dose=dose, ref_dose=ref_dose)
+    diagnostics = {**_OR_DIAGNOSTICS, "n_at_dose": int(ind1.sum()), "n_at_ref": int(ind0.sum())}
+    return _estimate("dr", point, ds.n, var, diagnostics)

@@ -102,6 +102,9 @@ def fit_cre(pds: PanelDataset) -> CausalEstimate:
     """
     _require_two_periods(pds, "correlated random effects")
     dbar = pds.broadcast_units(pds.unit_means(pds.d))
+    # the unit means would otherwise duplicate d and fail as a rank deficiency
+    if _no_variation(pds.d - dbar, float(np.max(np.abs(pds.d)))):
+        raise NoWithinVariationError("treatment is constant within every unit")
     return _coef_on_d("cre", 1.0, pds.d, np.column_stack([pds.x, dbar]), pds.y)
 
 

@@ -24,7 +24,7 @@ from scipy.special import expit, ndtr, ndtri
 
 from .core import _check_int, _readonly, validate, validate_panel
 from .errors import InvalidInputError, MissingReferenceCellError, UnknownCaseError
-from .estimators import OrSpec, ate_dr, ate_ipw, ate_or, fit_outcome_model
+from .estimators import ate_dr, ate_ipw, ate_or, fit_outcome_model
 from .panel import fit_cre, fit_fd, fit_fe, fit_pols, fit_re
 from .propensity import PropensityFit, estimate_propensity_binary
 from .quasi import ate_2sls, ate_did, rdd_fuzzy, rdd_sharp, validate_did
@@ -334,20 +334,19 @@ def generate(spec: DgpSpec, run_index: int, seed: int = 42):
 # Per-case method panels
 # ---------------------------------------------------------------------------
 
-_NO_X = OrSpec(covariate_selection=())
-
-
 def _cs1_inputs(p, n, stream):
-    """A cs1 draw with its nuisance fits, each built on first use: the
-    estimated and injected scores, and the outcome regressions with and
-    without x."""
+    """A cs1 draw, the same draw without x, and the nuisance fits, each
+    built on first use: the estimated and injected scores, and the outcome
+    regressions with and without x."""
     ds, fake = _draw_cs1(p, n, stream)
+    ds_no_x = validate(ds.y, ds.d)
     return (
         ds,
+        ds_no_x,
         functools.cache(lambda: estimate_propensity_binary(ds)),
         functools.cache(lambda: PropensityFit.from_scores(fake, ds.d)),
         functools.cache(lambda: fit_outcome_model(ds)),
-        functools.cache(lambda: fit_outcome_model(ds, _NO_X)),
+        functools.cache(lambda: fit_outcome_model(ds_no_x)),
     )
 
 
@@ -368,20 +367,18 @@ _CASES = {
     "cs1": (
         lambda p, n, stream: _cs1_inputs(p, n, stream),
         {
-            "OR1": lambda ds, fitted, injected, full, no_x: ate_or(ds, outcome_fit=full()),
-            "OR2": lambda ds, fitted, injected, full, no_x: ate_or(
-                ds, spec=_NO_X, outcome_fit=no_x()
+            "OR1": lambda ds, ds_no_x, fitted, injected, full, no_x: ate_or(ds, full()),
+            "OR2": lambda ds, ds_no_x, fitted, injected, full, no_x: ate_or(ds_no_x, no_x()),
+            "PS1": lambda ds, ds_no_x, fitted, injected, full, no_x: ate_ipw(ds, fitted()),
+            "PS2": lambda ds, ds_no_x, fitted, injected, full, no_x: ate_ipw(ds, injected()),
+            "DR1": lambda ds, ds_no_x, fitted, injected, full, no_x: ate_dr(
+                ds_no_x, fitted(), no_x()
             ),
-            "PS1": lambda ds, fitted, injected, full, no_x: ate_ipw(ds, fitted()),
-            "PS2": lambda ds, fitted, injected, full, no_x: ate_ipw(ds, injected()),
-            "DR1": lambda ds, fitted, injected, full, no_x: ate_dr(
-                ds, fitted(), spec=_NO_X, outcome_fit=no_x()
+            "DR2": lambda ds, ds_no_x, fitted, injected, full, no_x: ate_dr(
+                ds, injected(), full()
             ),
-            "DR2": lambda ds, fitted, injected, full, no_x: ate_dr(
-                ds, injected(), outcome_fit=full()
-            ),
-            "DR3": lambda ds, fitted, injected, full, no_x: ate_dr(
-                ds, injected(), spec=_NO_X, outcome_fit=no_x()
+            "DR3": lambda ds, ds_no_x, fitted, injected, full, no_x: ate_dr(
+                ds_no_x, injected(), no_x()
             ),
         },
     ),
@@ -391,7 +388,7 @@ _CASES = {
         lambda p, n, stream: (_draw_cs4(p, n, stream),),
         {
             "OR1": lambda ds: ate_or(ds),
-            "OR2": lambda ds: ate_or(ds, spec=_NO_X),
+            "OR2": lambda ds: ate_or(validate(ds.y, ds.d)),
             "IV1": lambda ds: ate_2sls(ds.y, ds.d, ds.z[:, 0]),
             "IV2": lambda ds: ate_2sls(ds.y, ds.d, ds.z[:, 1]),
         },

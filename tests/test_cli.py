@@ -142,6 +142,26 @@ class TestEstimate:
         assert code == 0
         assert set(json.loads(out)["diagnostics"]) == {"n_at_dose", "n_at_ref"}
 
+    @pytest.mark.parametrize(
+        "method, model",
+        [
+            ("or", {"link": "identity", "interactions": False}),
+            ("psr", {"poly_degree": 1, "interactions": False, "degenerate_score": False}),
+            ("dr", {"link": "identity", "interactions": False}),
+        ],
+        ids=["or", "psr", "dr"],
+    )
+    def test_json_diagnostics_describe_the_model_fitted(self, linear_csv, capsys, method, model):
+        # the outcome model is always linear in (1, d, x) without d-by-x
+        # terms, and the score regression linear in (1, d, p)
+        code, out, _ = _run(
+            capsys, "estimate", "--method", method, "--data", linear_csv,
+            "--outcome", "y", "--treatment", "d", "--covariates", "x",
+        )
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert {key: diagnostics[key] for key in model} == model
+
     def test_explicit_default_trim_matches_default(self, linear_csv, capsys):
         # [TRIVIAL] passing the documented default bounds changes nothing.
         args = (

@@ -413,10 +413,10 @@ class TestCausalEstimate:
     def test_ci_is_derived_not_set(self):
         with pytest.raises(TypeError, match="ci"):
             CausalEstimate(
-                estimand="ATE", method="m", dose=1.0, point=5.0, n_used=10, ci=(1.0, 2.0)
+                estimand="ATE", method="m", point=5.0, n_used=10, ci=(1.0, 2.0)
             )
         est = CausalEstimate(
-            estimand="ATE", method="m", dose=1.0, point=5.0, n_used=10, variance=1.0
+            estimand="ATE", method="m", point=5.0, n_used=10, variance=1.0
         )
         with pytest.raises(AttributeError):
             est.ci = (1.0, 2.0)
@@ -425,11 +425,11 @@ class TestCausalEstimate:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             CausalEstimate(
-                estimand="ATE", method="m", dose=1.0, point=0.0, n_used=10, variance=-1.0
+                estimand="ATE", method="m", point=0.0, n_used=10, variance=-1.0
             )
 
     def test_replaced_variance_derives_ci(self):
-        est = CausalEstimate(estimand="ATE", method="m", dose=1.0, point=0.5, n_used=3)
+        est = CausalEstimate(estimand="ATE", method="m", point=0.5, n_used=3)
         out = replace(est, variance=0.04)
         assert out.variance == 0.04
         assert out.ci == normal_interval(0.5, 0.04)

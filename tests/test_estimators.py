@@ -3,6 +3,7 @@ matching and the augmented (doubly robust) combination."""
 
 from __future__ import annotations
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,6 @@ import pytest
 from scipy.special import expit
 
 from causalest import (
-    LOGIT,
-    OrSpec,
     PropensityFit,
     ate_dr,
     ate_ipw,
@@ -30,7 +29,6 @@ from causalest.errors import (
     DimensionMismatchError,
     EmptyDoseGroupError,
     InsufficientMatchesError,
-    InvalidInputError,
     LengthMismatchError,
     NoUsableStratumError,
     ZeroPropensityError,
@@ -54,46 +52,57 @@ def cs1_mc_points():
     for i in range(1000):
         ds = confounded_binary(3000 + i, 1000)
         fit = estimate_propensity_binary(ds)
-        psr_points.append(ate_psr(ds, fit, poly_degree=2).point)
+        psr_points.append(ate_psr(ds, fit).point)
         strat_points.append(ate_stratification(ds, fit, n_strata=5).point)
     return {"psr": np.array(psr_points), "strat": np.array(strat_points)}
 
 
-class TestOrSpec:
-    def test_unknown_link(self):
-        with pytest.raises(ValueError, match="unknown link"):
-            OrSpec(link="probit")
-
-    def test_bad_column_index(self):
-        ds = confounded_binary(30, 50)
-        with pytest.raises(ValueError, match="does not exist"):
-            ate_or(ds, spec=OrSpec(covariate_selection=(3,)))
-
-    def test_empty_selection_drops_covariates(self):
-        # [TRIVIAL] selecting no columns reduces to the treatment-only model
-        ds = confounded_binary(31, 200)
-        est = ate_or(ds, spec=OrSpec(covariate_selection=()))
-        assert est.point == pytest.approx(difference_in_means(ds).point, abs=1e-12)
+def test_each_estimator_takes_only_the_dataset_and_its_fits():
+    # the outcome model uses all of the dataset's x, the score regression
+    # (1, d, p), and every contrast is d = 1 against d = 0
+    signatures = {
+        fit_outcome_model: ["ds"],
+        ate_or: ["ds", "outcome_fit"],
+        ate_ipw: ["ds", "fit"],
+        ate_psr: ["ds", "fit"],
+        ate_dr: ["ds", "fit", "outcome_fit"],
+    }
+    for estimator, parameters in signatures.items():
+        assert list(inspect.signature(estimator).parameters) == parameters, estimator.__name__
 
 
 class TestOutcomeRegression:
     def test_exact_linear_dgp(self):
-        # [TRIVIAL] y = 3 + 2d with no noise: predictions at doses 5 and 0
-        # are 13 and 3
+        # [TRIVIAL] y = 3 + 2d with no noise on a continuous d: predictions
+        # at d = 1 and d = 0 are 5 and 3
         d = np.array([0.0, 1.0, 2.0, 3.0])
         ds = validate(3.0 + 2.0 * d, d)
-        assert ate_or(ds, 5.0, 0.0).point == pytest.approx(10.0, abs=1e-10)
+        assert ate_or(ds).point == pytest.approx(2.0, abs=1e-10)
 
     def test_no_covariates_equals_difference_in_means(self):
-        # [TRIVIAL] saturated-in-d model reproduces the two arm means
+        # [TRIVIAL] saturated-in-d model reproduces the two arm means; the
+        # covariates are left out by leaving them out of the dataset
         ds = randomized_binary(32, 150)
-        est = ate_or(ds, spec=OrSpec(covariate_selection=()))
+        est = ate_or(validate(ds.y, ds.d))
         dim = difference_in_means(ds)
         assert est.point == pytest.approx(dim.point, abs=1e-12)
 
-    def test_identical_doses_give_zero(self):
-        ds = randomized_binary(33, 100)
-        assert ate_or(ds, 1.0, 1.0).point == 0.0
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    def test_point_and_variance_match_lstsq_oracle(self, p):
+        # [DERIVED] oracle: one linear model serves both arms, so the
+        # contrast is d's coefficient of y ~ (1, d, x) and its variance that
+        # coefficient's entry of sigma^2 (X'X)^-1
+        g = philox(50 + p)
+        n = 400
+        x = g.normal(size=(n, p))
+        d = (g.uniform(size=n) < expit(0.3 + 0.4 * x.sum(axis=1))).astype(float)
+        y = 1.0 - 1.5 * d + x @ np.linspace(0.5, -0.5, p) + g.normal(size=n)
+        est = ate_or(validate(y, d, x))
+        design = np.column_stack([np.ones(n), d, x])
+        beta, rss, *_ = np.linalg.lstsq(design, y, rcond=None)
+        cov = rss[0] / (n - design.shape[1]) * np.linalg.inv(design.T @ design)
+        assert est.point == pytest.approx(beta[1], abs=1e-10)
+        assert est.variance == pytest.approx(cov[1, 1], rel=1e-9)
 
     def test_randomized_linear_recovery(self):
         # [DERIVED] direct simulation with known coefficients
@@ -104,36 +113,6 @@ class TestOutcomeRegression:
         y = 1.0 + 2.0 * d + 0.5 * x + g.normal(size=n)
         est = ate_or(validate(y, d, x))
         assert est.point == pytest.approx(2.0, abs=0.05)
-
-    def test_interactions_equal_per_arm_fits(self):
-        # [DERIVED] oracle: a fully interacted pooled fit predicts exactly
-        # like two separate per-arm regressions
-        ds = confounded_binary(35, 400)
-        est = ate_or(ds, spec=OrSpec(interactions_with_d=True))
-        treated = ds.d == 1.0
-        design = np.column_stack([np.ones(ds.n), ds.x])
-        bt, *_ = np.linalg.lstsq(design[treated], ds.y[treated], rcond=None)
-        bc, *_ = np.linalg.lstsq(design[~treated], ds.y[~treated], rcond=None)
-        oracle = (design @ bt - design @ bc).mean()
-        assert est.point == pytest.approx(oracle, abs=1e-10)
-
-    def test_logit_link_averages_response_scale(self):
-        # predictions are inverted through the link before averaging
-        g = philox(36)
-        n = 500
-        x = g.normal(size=n)
-        d = (g.uniform(size=n) < 0.5).astype(float)
-        y = (g.uniform(size=n) < expit(0.3 + 0.8 * d + x)).astype(float)
-        ds = validate(y, d, x)
-        spec = OrSpec(link="logit")
-        est = ate_or(ds, spec=spec)
-        from causalest import fit_outcome_model
-
-        fit = fit_outcome_model(ds, spec)
-        design1 = np.column_stack([np.ones(n), np.ones(n), x])
-        design0 = np.column_stack([np.ones(n), np.zeros(n), x])
-        oracle = expit(design1 @ fit.coef).mean() - expit(design0 @ fit.coef).mean()
-        assert est.point == pytest.approx(oracle, abs=1e-12)
 
 
 class TestIpw:
@@ -160,10 +139,10 @@ class TestIpw:
         assert ate_ipw(ds, fit).point == pytest.approx(6.0 - 5.0, abs=1e-12)
 
     def test_empty_dose_group(self):
-        ds = validate([1.0, 2.0], [1.0, 0.0])
+        ds = validate([1.0, 2.0], [0.0, 0.0])  # no unit has d = 1
         fit = PropensityFit.from_scores([0.5, 0.5], ds.d)
-        with pytest.raises(EmptyDoseGroupError):
-            ate_ipw(ds, fit, 2.0)
+        with pytest.raises(EmptyDoseGroupError, match="no unit received dose 1.0"):
+            ate_ipw(ds, fit)
 
     def test_zero_propensity_floor(self):
         ds = validate([1.0, 2.0], [1.0, 0.0])
@@ -181,45 +160,28 @@ class TestIpw:
 
 class TestPsr:
     def test_additive_polynomial_oracle(self):
-        # [DERIVED] oracle: effect reads off the treatment coefficient of
-        # y ~ (1, d, p, p^2) solved by normal equations
+        # [DERIVED] oracle: effect and variance read off the treatment
+        # coefficient of y ~ (1, d, p), solved by normal equations
         ds = confounded_binary(37, 300)
         p1 = expit(2.0 + 0.5 * ds.x[:, 0])
         fit = PropensityFit.from_scores(p1, ds.d)
-        est = ate_psr(ds, fit, poly_degree=2)
-        design = np.column_stack([np.ones(ds.n), ds.d, p1, p1**2])
-        beta, *_ = np.linalg.lstsq(design, ds.y, rcond=None)
+        est = ate_psr(ds, fit)
+        design = np.column_stack([np.ones(ds.n), ds.d, p1])
+        beta, rss, *_ = np.linalg.lstsq(design, ds.y, rcond=None)
+        cov = rss[0] / (ds.n - 3) * np.linalg.inv(design.T @ design)
         assert est.point == pytest.approx(beta[1], abs=1e-10)
-
-    def test_interaction_contrast_oracle(self):
-        # [DERIVED] with d-by-score interactions the averaged contrast is
-        # beta_d + beta_{dp} * mean(p)
-        ds = confounded_binary(38, 300)
-        p1 = expit(2.0 + 0.5 * ds.x[:, 0])
-        fit = PropensityFit.from_scores(p1, ds.d)
-        est = ate_psr(ds, fit, poly_degree=1, interactions=True)
-        design = np.column_stack([np.ones(ds.n), ds.d, p1, ds.d * p1])
-        beta, *_ = np.linalg.lstsq(design, ds.y, rcond=None)
-        assert est.point == pytest.approx(beta[1] + beta[3] * p1.mean(), abs=1e-10)
+        assert est.variance == pytest.approx(cov[1, 1], rel=1e-9)
+        assert est.diagnostics == {
+            "poly_degree": 1, "interactions": False, "degenerate_score": False,
+        }
 
     def test_degenerate_constant_score(self):
         # [TRIVIAL] constant score carries no information: difference in means
         ds = randomized_binary(39, 120)
         fit = PropensityFit.from_scores([0.5] * ds.n, ds.d)
-        est = ate_psr(ds, fit, poly_degree=3)
+        est = ate_psr(ds, fit)
         assert est.diagnostics["degenerate_score"] is True
         assert est.point == pytest.approx(difference_in_means(ds).point, abs=1e-12)
-
-    def test_identical_doses_give_zero(self):
-        ds = randomized_binary(40, 100)
-        fit = estimate_propensity_binary(ds)
-        assert ate_psr(ds, fit, dose=1.0, ref_dose=1.0).point == 0.0
-
-    def test_poly_degree_validated(self):
-        ds = randomized_binary(41, 50)
-        fit = estimate_propensity_binary(ds)
-        with pytest.raises(ValueError, match="poly_degree"):
-            ate_psr(ds, fit, poly_degree=0)
 
     def test_requires_binary(self):
         d = np.linspace(0.0, 3.0, 30)
@@ -228,7 +190,7 @@ class TestPsr:
         with pytest.raises(ValueError, match="binary"):
             ate_psr(ds, fit)
 
-    def test_monte_carlo_recovery_degree2(self, cs1_mc_points):
+    def test_monte_carlo_recovery(self, cs1_mc_points):
         # [DERIVED] Monte Carlo against the known effect -5
         av = cs1_mc_points["psr"].mean()
         assert abs(av - (-5.0)) < 0.15
@@ -410,50 +372,43 @@ class TestMatching:
                 np.testing.assert_array_equal(found[i], brute)
 
 
-def three_design_dr(ds, fit, spec):
+def three_design_dr(ds, fit):
     """Oracle: the augmented estimator with a fresh design per arm, beside
     the fitted one, each built column by column."""
-    or_fit = fit_outcome_model(ds, spec)
-    xs = ds.x if spec.covariate_selection is None else ds.x[:, spec.covariate_selection]
+    or_fit = fit_outcome_model(ds)
     arms = []
     for dose in (1.0, 0.0):
-        d = np.full(ds.n, dose)
-        cols = [np.ones(ds.n), d, xs]
-        if spec.interactions_with_d:
-            cols.append(d[:, None] * xs)
-        m = predict(or_fit, np.column_stack(cols))
+        m = predict(or_fit, np.column_stack([np.ones(ds.n), np.full(ds.n, dose), ds.x]))
         ind = (ds.d == dose).astype(float)
         arms.append(m + ind * (ds.y - m) / fit.score_at(dose))
     contrib = arms[0] - arms[1]
     return float(contrib.mean()), float(contrib.var(ddof=1) / ds.n)
 
 
+def _drop_x(ds):
+    """The same draw without its covariates."""
+    return validate(ds.y, ds.d)
+
+
+# the dataset shapes an outcome fit sees: x with 2 columns, and none
+SHAPES = pytest.mark.parametrize("shape", [lambda ds: ds, _drop_x], ids=["full", "no-x"])
+
+
 class TestDoublyRobust:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            OrSpec(interactions_with_d=True),
-            OrSpec(interactions_with_d=True, covariate_selection=(1,)),
-            OrSpec(link=LOGIT),
-            OrSpec(link=LOGIT, interactions_with_d=True),
-        ],
-        ids=["interactions", "selected-interactions", "logit", "logit-interactions"],
-    )
-    def test_matches_three_design_oracle(self, spec):
+    @SHAPES
+    def test_matches_three_design_oracle(self, shape):
         # [DERIVED] bit for bit: one counterfactual design overwritten per
-        # arm gives the same numbers as a new design per arm
+        # arm gives the same numbers as a new design per arm; the score is
+        # fitted on x either way, and y carries a d-by-x interaction that
+        # the outcome model leaves out
         g = philox(47)
         x = g.normal(size=(3000, 2))
         d = (g.uniform(size=3000) < expit(0.3 + x @ [0.5, -0.4])).astype(float)
-        index = 1.0 + 0.8 * d + x @ [0.6, 0.3] - 0.4 * d * x[:, 0]
-        if spec.link == LOGIT:
-            y = (g.uniform(size=3000) < expit(index)).astype(float)
-        else:
-            y = index + g.normal(size=3000)
+        y = 1.0 + 0.8 * d + x @ [0.6, 0.3] - 0.4 * d * x[:, 0] + g.normal(size=3000)
         ds = validate(y, d, x)
         fit = estimate_propensity_binary(ds)
-        est = ate_dr(ds, fit, spec=spec)
-        assert (est.point, est.variance) == three_design_dr(ds, fit, spec)
+        est = ate_dr(shape(ds), fit)
+        assert (est.point, est.variance) == three_design_dr(shape(ds), fit)
 
     def test_augmented_formula_oracle(self):
         # [DERIVED] oracle: m(d,x) from normal equations plus the weighted
@@ -497,61 +452,49 @@ def _bits(est):
 
 
 class TestSharedOutcomeFit:
-    SPECS = [
-        OrSpec(),
-        OrSpec(covariate_selection=()),
-        OrSpec(interactions_with_d=True, covariate_selection=(1,)),
-        OrSpec(link=LOGIT),
-    ]
-
     @staticmethod
-    def _draw(spec):
+    def _draw():
         g = philox(48)
         x = g.normal(size=(800, 2))
         d = (g.uniform(size=800) < expit(0.2 + x @ [0.5, -0.4])).astype(float)
-        index = 0.5 + 0.8 * d + x @ [0.6, 0.3]
-        if spec.link == LOGIT:
-            y = (g.uniform(size=800) < expit(index)).astype(float)
-        else:
-            y = index + g.normal(size=800)
+        y = 0.5 + 0.8 * d + x @ [0.6, 0.3] + g.normal(size=800)
         return validate(y, d, x)
 
-    @pytest.mark.parametrize("spec", SPECS, ids=["full", "no-x", "selected-interactions", "logit"])
-    def test_passed_fit_is_bit_identical_to_self_fitted(self, spec):
+    @SHAPES
+    def test_passed_fit_is_bit_identical_to_self_fitted(self, shape):
         # [DERIVED] a fit made beforehand gives the same bits as the fit the
         # estimator makes itself, for both estimators that take one
-        ds = self._draw(spec)
-        score = estimate_propensity_binary(ds)
-        outcome = fit_outcome_model(ds, spec)
-        for dose, ref in ((1.0, 0.0), (0.0, 1.0)):
-            own = ate_or(ds, dose, ref, spec=spec)
-            shared = ate_or(ds, dose, ref, spec=spec, outcome_fit=outcome)
-            assert np.array_equal(_bits(shared), _bits(own))
-            assert shared.diagnostics == own.diagnostics
-            own = ate_dr(ds, score, dose, ref, spec=spec)
-            shared = ate_dr(ds, score, dose, ref, spec=spec, outcome_fit=outcome)
-            assert np.array_equal(_bits(shared), _bits(own))
-            assert shared.diagnostics == own.diagnostics
+        full = self._draw()
+        score = estimate_propensity_binary(full)
+        ds = shape(full)
+        outcome = fit_outcome_model(ds)
+        own = ate_or(ds)
+        shared = ate_or(ds, outcome)
+        assert np.array_equal(_bits(shared), _bits(own))
+        assert shared.diagnostics == own.diagnostics
+        own = ate_dr(ds, score)
+        shared = ate_dr(ds, score, outcome)
+        assert np.array_equal(_bits(shared), _bits(own))
+        assert shared.diagnostics == own.diagnostics
 
     def test_fit_of_the_wrong_width_rejected(self):
-        ds = self._draw(OrSpec())
+        ds = self._draw()
         score = estimate_propensity_binary(ds)
-        no_x = fit_outcome_model(ds, OrSpec(covariate_selection=()))
+        no_x = fit_outcome_model(_drop_x(ds))
         full = fit_outcome_model(ds)
-        with pytest.raises(DimensionMismatchError, match="design width 2, the spec needs 4"):
-            ate_or(ds, outcome_fit=no_x)
-        with pytest.raises(DimensionMismatchError, match="design width 4, the spec needs 2"):
-            ate_dr(ds, score, spec=OrSpec(covariate_selection=()), outcome_fit=full)
-        with pytest.raises(DimensionMismatchError, match="the spec needs 6"):
-            ate_dr(ds, score, spec=OrSpec(interactions_with_d=True), outcome_fit=full)
+        with pytest.raises(DimensionMismatchError, match="design width 2, the dataset needs 4"):
+            ate_or(ds, no_x)
+        with pytest.raises(DimensionMismatchError, match="design width 4, the dataset needs 2"):
+            ate_dr(_drop_x(ds), score, full)
 
-    def test_fit_of_another_link_or_row_count_rejected(self):
-        ds = self._draw(OrSpec())
+    def test_fit_of_another_row_count_rejected(self):
+        ds = self._draw()
         full = fit_outcome_model(ds)
-        with pytest.raises(InvalidInputError, match="link 'identity', the spec has 'logit'"):
-            ate_or(ds, spec=OrSpec(link=LOGIT), outcome_fit=full)
+        half = ds.take(np.arange(400))
         with pytest.raises(LengthMismatchError, match="800 rows, the dataset 400"):
-            ate_or(ds.take(np.arange(400)), outcome_fit=full)
+            ate_or(half, full)
+        with pytest.raises(LengthMismatchError, match="800 rows, the dataset 400"):
+            ate_dr(half, estimate_propensity_binary(half), full)
 
     @pytest.mark.parametrize(
         "estimator",
@@ -579,10 +522,7 @@ class TestPermutationInvariance:
         pairs = [
             (ate_or(ds).point, ate_or(ds_p).point),
             (ate_ipw(ds, fit).point, ate_ipw(ds_p, fit_p).point),
-            (
-                ate_psr(ds, fit, poly_degree=2).point,
-                ate_psr(ds_p, fit_p, poly_degree=2).point,
-            ),
+            (ate_psr(ds, fit).point, ate_psr(ds_p, fit_p).point),
             (
                 ate_stratification(ds, fit, 5).point,
                 ate_stratification(ds_p, fit_p, 5).point,
@@ -600,7 +540,7 @@ _CROSS_SECTIONAL = {
     "difference_in_means": lambda ds, fit: difference_in_means(ds),
     "ate_or": lambda ds, fit: ate_or(ds),
     "ate_ipw": ate_ipw,
-    "ate_psr": lambda ds, fit: ate_psr(ds, fit, poly_degree=2),
+    "ate_psr": ate_psr,
     "ate_stratification": lambda ds, fit: ate_stratification(ds, fit, 5),
     "ate_matching": ate_matching,
     "ate_dr": ate_dr,

@@ -121,7 +121,7 @@ class TestFixedEffects:
         unit = np.repeat([0, 1], 2)
         d = np.array([1.0, 1.0, 3.0, 3.0])  # constant inside each unit
         pds = validate_panel(unit, np.tile([0, 1], 2), np.arange(4.0), d)
-        for fit in (fit_fe, fit_re, fit_fd):
+        for fit in (fit_fe, fit_re, fit_fd, fit_cre):
             with pytest.raises(NoWithinVariationError):
                 fit(pds)
 

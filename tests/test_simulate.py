@@ -17,7 +17,6 @@ from causalest import (
     CellCheck,
     DgpSpec,
     MonteCarloReport,
-    OrSpec,
     PropensityFit,
     ate_2sls,
     ate_did,
@@ -38,6 +37,7 @@ from causalest import (
     read_reference_csv,
     rdd_sharp,
     run_monte_carlo,
+    validate,
 )
 from causalest import core, quasi, simulate
 from causalest.errors import (
@@ -404,7 +404,7 @@ class TestRunMonteCarlo:
 
     @staticmethod
     def _infinite():
-        return CausalEstimate(estimand="ATE", method="rdd_sharp", dose=1.0, point=np.inf, n_used=200)
+        return CausalEstimate(estimand="ATE", method="rdd_sharp", point=np.inf, n_used=200)
 
     def test_exactly_five_percent_failed_is_tolerated(self, monkeypatch):
         # the budget is "more than 5% aborts": 1 failed run in 20 is tolerated
@@ -480,7 +480,6 @@ class TestRunMonteCarlo:
         assert counts == {"draw": 5, "fe": 3}
 
 
-_NO_X = OrSpec(covariate_selection=())
 _PANEL_FITS = {"POLS": fit_pols, "RE": fit_re, "FD": fit_fd, "FE": fit_fe, "CRE": fit_cre}
 
 
@@ -493,19 +492,19 @@ def _unshared(case, method, r, seed):
         injected = PropensityFit.from_scores(_misspecified_scores(spec, r, seed), ds.d)
         return {
             "OR1": lambda: ate_or(ds),
-            "OR2": lambda: ate_or(ds, spec=_NO_X),
+            "OR2": lambda: ate_or(validate(ds.y, ds.d)),
             "PS1": lambda: ate_ipw(ds, estimate_propensity_binary(ds)),
             "PS2": lambda: ate_ipw(ds, injected),
-            "DR1": lambda: ate_dr(ds, estimate_propensity_binary(ds), spec=_NO_X),
+            "DR1": lambda: ate_dr(validate(ds.y, ds.d), estimate_propensity_binary(ds)),
             "DR2": lambda: ate_dr(ds, injected),
-            "DR3": lambda: ate_dr(ds, injected, spec=_NO_X),
+            "DR3": lambda: ate_dr(validate(ds.y, ds.d), injected),
         }[method]()
     if case in ("cs2", "cs3"):
         return _PANEL_FITS[method](ds)
     if case == "cs4":
         return {
             "OR1": lambda: ate_or(ds),
-            "OR2": lambda: ate_or(ds, spec=_NO_X),
+            "OR2": lambda: ate_or(validate(ds.y, ds.d)),
             "IV1": lambda: ate_2sls(ds.y, ds.d, ds.z[:, 0]),
             "IV2": lambda: ate_2sls(ds.y, ds.d, ds.z[:, 1]),
         }[method]()
