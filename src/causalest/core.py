@@ -91,14 +91,12 @@ class ObservationalDataset:
         y: outcome vector, length n.
         d: treatment vector, length n.
         x: covariate matrix, shape (n, p); p may be 0.
-        z: instrument matrix, shape (n, L), or None.
         treatment_kind: "binary" or "continuous".
     """
 
     y: np.ndarray
     d: np.ndarray
     x: np.ndarray
-    z: np.ndarray | None = None
     treatment_kind: str = BINARY
 
     @property
@@ -115,17 +113,11 @@ class ObservationalDataset:
             y=_readonly(self.y[idx]),
             d=_readonly(self.d[idx]),
             x=_readonly(np.take(self.x, idx, axis=0)),
-            z=None if self.z is None else _readonly(np.take(self.z, idx, axis=0)),
             treatment_kind=self.treatment_kind,
         )
 
 
-def validate(
-    y,
-    d,
-    x=None,
-    z=None,
-) -> ObservationalDataset:
+def validate(y, d, x=None) -> ObservationalDataset:
     """Validate raw columns into an :class:`ObservationalDataset`.
 
     Treatment kind is detected from `d`: binary when all values lie in
@@ -142,13 +134,10 @@ def validate(
     if n < 2:
         raise EmptyDatasetError(f"need at least 2 rows, got {n}")
     xm = _as_matrix("x", x, n)
-    zm = None if z is None else _as_matrix("z", z, n)
-
     return ObservationalDataset(
         y=_readonly(_owned(yv, y)),
         d=_readonly(_owned(dv, d)),
         x=_readonly(_owned(xm, x)),
-        z=None if zm is None else _readonly(_owned(zm, z)),
         treatment_kind=BINARY if _is_01(dv) else CONTINUOUS,
     )
 
@@ -358,19 +347,16 @@ class CausalEstimate:
         return None if self.variance is None else normal_interval(self.point, self.variance)
 
 
-def normal_interval(point: float, variance: float, level: float = 0.95):
-    """Symmetric normal-approximation interval around a point estimate."""
-    _check_level(level)
+# the 97.5% standard normal quantile, the half-width of a 95% interval in SEs
+_Z_95 = float(ndtri(0.975))
+
+
+def normal_interval(point: float, variance: float):
+    """The symmetric 95% normal-approximation interval around a point estimate."""
     if variance < 0:
         raise InvalidInputError("variance must be non-negative")
-    half = float(ndtri(0.5 + float(level) / 2.0)) * math.sqrt(variance)
+    half = _Z_95 * math.sqrt(variance)
     return (point - half, point + half)
-
-
-def _check_level(level: float) -> None:
-    """Reject an interval level outside (0, 1)."""
-    if not (0.0 < level < 1.0):
-        raise InvalidInputError(f"level must lie in (0, 1), got {level}")
 
 
 def _check_int(minimum: int, **parts) -> None:

@@ -111,10 +111,6 @@ class TooFewPeriodsError(CausalestError):
 # quasi-experimental
 # ---------------------------------------------------------------------------
 
-class OrderConditionError(CausalestError):
-    """Fewer instruments than endogenous regressors."""
-
-
 class EmptyCellError(CausalestError):
     """A group-by-period cell of the 2x2 design is empty."""
 

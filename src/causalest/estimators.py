@@ -45,9 +45,13 @@ def fit_outcome_model(ds: ObservationalDataset) -> LinearFit:
 
 def _outcome_model(ds, outcome_fit):
     """`fit_outcome_model(ds)`: the caller's fit when one is passed, after
-    checking its width and row count."""
+    checking its link, width and row count."""
     if outcome_fit is None:
         return fit_outcome_model(ds)
+    if outcome_fit.link != IDENTITY:
+        raise InvalidInputError(
+            f"outcome fit has link {outcome_fit.link!r}; the outcome model is OLS ({IDENTITY!r})"
+        )
     width = 2 + ds.x.shape[1]
     if outcome_fit.design_width != width:
         raise DimensionMismatchError(
@@ -69,8 +73,9 @@ def ate_or(ds: ObservationalDataset, outcome_fit: LinearFit | None = None) -> Ca
     every d set to 0.
 
     `outcome_fit`, when given, is `fit_outcome_model(ds)` fitted earlier,
-    and is used in place of a new fit; one whose design width does not
-    match the dataset raises DimensionMismatchError.
+    and is used in place of a new fit; one that is not an OLS fit raises
+    InvalidInputError, and one whose design width does not match the
+    dataset DimensionMismatchError.
     """
     fit = _outcome_model(ds, outcome_fit)
     design = _control_design(ds)
@@ -265,8 +270,8 @@ def ate_dr(
     Consistent if either the outcome regression or the assignment model is
     correctly specified. `outcome_fit`, when given, is
     `fit_outcome_model(ds)` fitted earlier, and is used in place of a new
-    fit; one whose design width does not match the dataset raises
-    DimensionMismatchError.
+    fit; one that is not an OLS fit raises InvalidInputError, and one whose
+    design width does not match the dataset DimensionMismatchError.
     """
     or_fit = _outcome_model(ds, outcome_fit)
     # one counterfactual design for both arms, apart from the fitted one

@@ -23,7 +23,7 @@ from .errors import (
     NoTreatmentVariationError,
     ZeroPropensityError,
 )
-from .regress import LinearFit, fit_logistic
+from .regress import fit_logistic
 
 
 @dataclass
@@ -32,8 +32,6 @@ class PropensityFit:
 
     Attributes:
         scores: probability of the *received* treatment per unit.
-        model: the underlying regression fit (None for injected scores).
-        trim_bounds: (lo, hi) applied by trim_overlap, if any.
         level_scores: level -> P(D=level | x) vectors, for levels 0 and 1;
             required.
         diagnostics: extras such as the dropped-unit count after trimming.
@@ -45,8 +43,6 @@ class PropensityFit:
     """
 
     scores: np.ndarray
-    model: LinearFit | None = None
-    trim_bounds: tuple[float, float] | None = None
     level_scores: dict[float, np.ndarray] | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -114,7 +110,6 @@ def estimate_propensity_binary(ds: ObservationalDataset) -> PropensityFit:
     p1 = model.fitted
     return PropensityFit(
         scores=_unsaturated(np.where(ds.d == 1.0, p1, 1.0 - p1)),
-        model=model,
         level_scores={1.0: p1, 0.0: 1.0 - p1},
         diagnostics={"iterations": model.iterations},
     )
@@ -138,7 +133,6 @@ def trim_overlap(fit: PropensityFit, lo: float = 0.01, hi: float = 0.99):
         fit,
         scores=fit.scores[keep],
         level_scores={k: v[keep] for k, v in fit.level_scores.items()},
-        trim_bounds=(lo, hi),
         diagnostics=diagnostics,
     )
     return trimmed, kept_indices

@@ -4,6 +4,8 @@ difference-in-differences, synthetic control, and regression discontinuity.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +28,6 @@ from .errors import (
     NoFirstStageJumpError,
     NoTreatmentVariationError,
     OneSidedDataError,
-    OrderConditionError,
 )
 from .regress import _coef_estimate, _svd_solve
 
@@ -37,57 +38,50 @@ _FIRST_STAGE_JUMP_TOL = 0.05
 # Instrumental variables
 # ---------------------------------------------------------------------------
 
-def ate_2sls(y, d, z, x=None) -> CausalEstimate:
-    """Two-stage least squares with endogenous d and excluded instruments z.
+def ate_2sls(y, d, z) -> CausalEstimate:
+    """Two-stage least squares of y on one endogenous treatment d, with one
+    excluded instrument z and an intercept.
 
-    Exogenous covariates x (plus an intercept) are appended to the
-    instrument set and to the second-stage regression. The point estimate is
-    the coefficient on the first endogenous column; the variance uses
-    second-stage residuals recomputed with the original (not fitted) d.
+    The point estimate is the coefficient on d; the variance uses
+    second-stage residuals recomputed with the original (not fitted) d. A d
+    or z of more than one column raises DimensionMismatchError.
     """
     yv = _as_vector("y", y)
     n = yv.shape[0]
-    dm = _as_matrix("d", d, n)
-    zm = _as_matrix("z", z, n)
-    xm = _as_matrix("x", x, n)
-    n_endog = dm.shape[1]
-    if n_endog < 1:
-        raise DimensionMismatchError("at least one endogenous column is required")
-    if zm.shape[1] < n_endog:
-        raise OrderConditionError(
-            f"{zm.shape[1]} instruments cannot identify {n_endog} endogenous columns"
-        )
-    return _second_stage(yv, dm, zm, xm, _first_stage(dm, zm, xm))
+    dm, zm = _as_matrix("d", d, n), _as_matrix("z", z, n)
+    for name, m in (("d", dm), ("z", zm)):
+        if m.shape[1] != 1:
+            raise DimensionMismatchError(f"{name} must be one column, got {m.shape[1]}")
+    xm = np.empty((n, 0))
+    return _second_stage(yv, dm, xm, _first_stage(dm, zm, xm))
 
 
 def _first_stage(dm, zm, xm):
     """(exog, instruments, coef): the exogenous columns (1, x), the
     instruments (1, x, z) and the coefficients of d on the instruments."""
     n = dm.shape[0]
-    exog = np.column_stack([np.ones(n), xm]) if xm.shape[1] else np.ones((n, 1))
+    exog = np.column_stack([np.ones(n), xm])
     instruments = np.column_stack([exog, zm])
     return exog, instruments, _svd_solve(instruments, dm)[0]
 
 
-def _second_stage(yv, dm, zm, xm, first) -> CausalEstimate:
-    """The 2SLS estimate of `ate_2sls` from its `_first_stage`."""
+def _second_stage(yv, dm, xm, first) -> CausalEstimate:
+    """The 2SLS estimate from `_first_stage`, for one column each of d and z."""
     exog, instruments, first_coef = first
-    n, n_endog = dm.shape
+    n = dm.shape[0]
     d_hat = instruments @ first_coef
 
-    # first-stage strength diagnostic, one F-style statistic per endogenous column
-    f_stats = []
+    # first-stage strength diagnostic: the F statistic of the instrument
     dof_full = n - instruments.shape[1]
     restricted_coef, _ = _svd_solve(exog, dm)
     restricted_resid = dm - exog @ restricted_coef
     full_resid = dm - d_hat
-    for m in range(n_endog):
-        rss_f = float(full_resid[:, m] @ full_resid[:, m])
-        rss_r = float(restricted_resid[:, m] @ restricted_resid[:, m])
-        if rss_f <= 0.0 or dof_full < 1:
-            f_stats.append(float("inf"))
-        else:
-            f_stats.append(((rss_r - rss_f) / zm.shape[1]) / (rss_f / dof_full))
+    rss_f = float(full_resid[:, 0] @ full_resid[:, 0])
+    rss_r = float(restricted_resid[:, 0] @ restricted_resid[:, 0])
+    if rss_f <= 0.0 or dof_full < 1:
+        f_stat = float("inf")
+    else:
+        f_stat = (rss_r - rss_f) / (rss_f / dof_full)
 
     second = np.column_stack([np.ones(n), d_hat, xm])
     coef, xtx_inv = _svd_solve(second, yv, inverse=True)
@@ -95,11 +89,7 @@ def _second_stage(yv, dm, zm, xm, first) -> CausalEstimate:
     k2 = second.shape[1]
     sigma2 = float(resid @ resid) / max(n - k2, 1)
     coef_cov = sigma2 * xtx_inv
-    diagnostics = {
-        "n_instruments": int(zm.shape[1]),
-        "n_endogenous": int(n_endog),
-        "first_stage_f": f_stats if n_endog > 1 else f_stats[0],
-    }
+    diagnostics = {"n_instruments": 1, "n_endogenous": 1, "first_stage_f": f_stat}
     return _estimate("2sls", coef[1], n, coef_cov[1, 1], diagnostics)
 
 
@@ -405,17 +395,13 @@ def sc_fit(problem: ScProblem) -> ScFit:
 # Regression discontinuity
 # ---------------------------------------------------------------------------
 
-def _rdd_frame(y, t, cutoff, bandwidth, d=None):
+def _rdd_frame(y, t, cutoff, d=None):
+    if not isinstance(cutoff, numbers.Real) or not math.isfinite(cutoff):
+        raise InvalidInputError(f"cutoff must be a finite real number, got {cutoff!r}")
     yv = _as_vector("y", y)
     tv = _as_vector("t", t, yv.shape[0])
     dv = None if d is None else _as_vector("d", d, yv.shape[0])
     tc = tv - float(cutoff)
-    if bandwidth is not None:
-        if bandwidth <= 0:
-            raise InvalidInputError("bandwidth must be positive")
-        keep = np.abs(tc) <= bandwidth
-        yv, tc = yv[keep], tc[keep]
-        dv = None if dv is None else dv[keep]
     above = (tc >= 0.0).astype(float)
     n_right = int(above.sum())
     if n_right == 0 or n_right == above.shape[0]:
@@ -423,17 +409,18 @@ def _rdd_frame(y, t, cutoff, bandwidth, d=None):
     return yv, tc, above, dv
 
 
-def rdd_sharp(y, t, cutoff: float = 0.0, bandwidth: float | None = None) -> CausalEstimate:
-    """Sharp RDD: OLS of y on (1, D, t-c, D(t-c)) with D = 1[t >= c].
+def rdd_sharp(y, t, cutoff: float = 0.0) -> CausalEstimate:
+    """Sharp RDD: OLS of y on (1, D, t-c, D(t-c)) with D = 1[t >= c], over
+    the whole support of t.
 
     The point estimate is the coefficient on D — the jump in the conditional
-    expectation at the cutoff. An optional bandwidth restricts the fit to
-    |t - c| <= bandwidth.
+    expectation at the cutoff. A cutoff that is not a finite real number
+    raises InvalidInputError.
     """
-    yv, tc, above, _ = _rdd_frame(y, t, cutoff, bandwidth)
+    yv, tc, above, _ = _rdd_frame(y, t, cutoff)
     diagnostics = {
         "cutoff": float(cutoff),
-        "bandwidth": bandwidth,
+        "bandwidth": None,
         "n_right": int(above.sum()),
         "n_left": int(yv.shape[0] - above.sum()),
     }
@@ -441,16 +428,16 @@ def rdd_sharp(y, t, cutoff: float = 0.0, bandwidth: float | None = None) -> Caus
     return _coef_estimate("rdd_sharp", design, yv, 1, diagnostics)
 
 
-def rdd_fuzzy(
-    y, t, d, cutoff: float = 0.0, bandwidth: float | None = None
-) -> CausalEstimate:
-    """Fuzzy RDD: 2SLS with observed treatment instrumented by 1[t >= c].
+def rdd_fuzzy(y, t, d, cutoff: float = 0.0) -> CausalEstimate:
+    """Fuzzy RDD: 2SLS with observed treatment instrumented by 1[t >= c],
+    over the whole support of t.
 
     The slope terms (t-c) and 1[t>=c](t-c) enter as exogenous controls. The
     assignment probability must jump at the cutoff; a first-stage jump of
-    0.05 or less raises NoFirstStageJumpError.
+    0.05 or less raises NoFirstStageJumpError. A cutoff that is not a
+    finite real number raises InvalidInputError.
     """
-    yv, tc, above, dv = _rdd_frame(y, t, cutoff, bandwidth, d)
+    yv, tc, above, dv = _rdd_frame(y, t, cutoff, d)
     n = yv.shape[0]
     dm, zm, xm = dv.reshape(-1, 1), above.reshape(-1, 1), np.column_stack([tc, above * tc])
     # the jump is the first stage's coefficient on `above`, its last instrument
@@ -461,12 +448,12 @@ def rdd_fuzzy(
             f"assignment probability jump {jump:.4f} is within the "
             f"{_FIRST_STAGE_JUMP_TOL} tolerance"
         )
-    est = _second_stage(yv, dm, zm, xm, first)
+    est = _second_stage(yv, dm, xm, first)
     diagnostics = dict(est.diagnostics)
     diagnostics.update(
         {
             "cutoff": float(cutoff),
-            "bandwidth": bandwidth,
+            "bandwidth": None,
             "first_stage_jump": jump,
         }
     )

@@ -216,9 +216,10 @@ def _truncated_normal(rng, mu, sigma, lo, hi, size):
 
 # ---------------------------------------------------------------------------
 # Case draws: each maps the merged parameters p, the size n and stream(name),
-# the generator of one named variable of the run, to the run's datasets. A
-# draw marks its own fresh arrays read-only, so the validators keep them
-# without a copy.
+# the generator of one named variable of the run, to the run's datasets and
+# the arrays its methods take beside them (cs1's injected scores, cs4's two
+# instruments). A draw marks its own fresh arrays read-only, so the
+# validators keep them without a copy.
 # ---------------------------------------------------------------------------
 
 def _draw_cs1(p: dict, n: int, stream):
@@ -262,7 +263,7 @@ def _draw_cs4(p: dict, n: int, stream):
     noise = stream("outcome_noise").normal(0.0, p["sigma_e"], n)
     y = p["beta0"] + p["tau"] * d + p["beta1"] * x + noise
     z_bad = z + p["bad_coef"] * (x - p["x_mean"])
-    return validate(*map(_readonly, (y, d, x, np.column_stack([z, z_bad]))))
+    return validate(*map(_readonly, (y, d, x))), _readonly(z), _readonly(z_bad)
 
 
 def _draw_cs5(p: dict, n: int, stream):
@@ -385,12 +386,12 @@ _CASES = {
     "cs2": (lambda p, n, stream: (_draw_panel(p, n, stream),), _PANEL_METHODS),
     "cs3": (lambda p, n, stream: (_draw_panel(p, n, stream),), _PANEL_METHODS),
     "cs4": (
-        lambda p, n, stream: (_draw_cs4(p, n, stream),),
+        lambda p, n, stream: _draw_cs4(p, n, stream),
         {
-            "OR1": lambda ds: ate_or(ds),
-            "OR2": lambda ds: ate_or(validate(ds.y, ds.d)),
-            "IV1": lambda ds: ate_2sls(ds.y, ds.d, ds.z[:, 0]),
-            "IV2": lambda ds: ate_2sls(ds.y, ds.d, ds.z[:, 1]),
+            "OR1": lambda ds, z, z_bad: ate_or(ds),
+            "OR2": lambda ds, z, z_bad: ate_or(validate(ds.y, ds.d)),
+            "IV1": lambda ds, z, z_bad: ate_2sls(ds.y, ds.d, z),
+            "IV2": lambda ds, z, z_bad: ate_2sls(ds.y, ds.d, z_bad),
         },
     ),
     "cs5": (

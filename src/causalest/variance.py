@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CausalEstimate, PanelDataset, _check_int, _check_level
+from .core import CausalEstimate, PanelDataset, _check_int
 from .errors import (
     CausalestError,
     InvalidInputError,
@@ -43,7 +43,7 @@ class BootstrapResult:
 
     Attributes:
         variance: sample variance of the successful replicate estimates.
-        ci: percentile interval of the replicate estimates.
+        ci: 95% percentile interval of the replicate estimates.
         points: per-replicate estimates, NaN or infinite where it failed.
         n_ok: successful replicates.
         n_failed: replicates that raised a CausalestError or were non-finite.
@@ -106,7 +106,6 @@ def bootstrap_variance(
     estimator,
     n_boot: int = 200,
     seed: int = 42,
-    level: float = 0.95,
 ) -> BootstrapResult:
     """Nonparametric bootstrap of an estimator over resampled data.
 
@@ -118,7 +117,6 @@ def bootstrap_variance(
     them fail the bootstrap aborts.
     """
     _check_int(2, n_boot=n_boot)
-    _check_level(level)
     _check_int(0, seed=seed)
     is_panel = isinstance(data, PanelDataset)
     n_draw = data.n_units if is_panel else data.n
@@ -132,7 +130,7 @@ def bootstrap_variance(
     )
     points = points[:, 0]
     ok = points[np.isfinite(points)]
-    alpha = 1.0 - level
+    alpha = 1.0 - 0.95  # the 95% percentile interval
     lo, hi = np.quantile(ok, [alpha / 2.0, 1.0 - alpha / 2.0])
     return BootstrapResult(
         variance=float(ok.var(ddof=1)),

@@ -29,6 +29,7 @@ from causalest import (
     sc_weights,
     validate,
 )
+from causalest import simulate
 
 from .conftest import confounded_binary, philox
 
@@ -331,13 +332,14 @@ class TestDoubleRobustnessProperty:
 
 @pytest.fixture(scope="module")
 def endogenous():
-    return generate(DgpSpec(case_id="cs4", n=N), run_index=0, seed=SEED)
+    """cs4's run 0 and its valid and invalid instruments, as the harness draws them."""
+    spec = DgpSpec(case_id="cs4", n=N)
+    return simulate._draw_cs4(spec.merged_params(), N, simulate._run_stream(spec, 0, SEED))
 
 
 class TestInstrumentIdentities:
     def test_just_identified_equals_instrument_ratio(self, endogenous):
-        ds = endogenous
-        z = ds.z[:, 0]
+        ds, z, _ = endogenous
         two_stage = ate_2sls(ds.y, ds.d, z).point
         zc = z - z.mean()
         ratio = float(zc @ (ds.y - ds.y.mean())) / float(zc @ (ds.d - ds.d.mean()))
@@ -345,7 +347,7 @@ class TestInstrumentIdentities:
         _check("2SLS == IV ratio", gap <= 1e-10, f"gap {gap:.2e} <= 1e-10")
 
     def test_self_instrument_equals_least_squares(self, endogenous):
-        ds = endogenous
+        ds = endogenous[0]
         two_stage = ate_2sls(ds.y, ds.d, ds.d).point
         design = np.column_stack([np.ones(ds.n), ds.d])
         slope = np.linalg.lstsq(design, ds.y, rcond=None)[0][1]

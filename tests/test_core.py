@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
 import re
 from dataclasses import replace
@@ -16,6 +17,7 @@ from causalest import (
     BINARY,
     CONTINUOUS,
     CausalEstimate,
+    ObservationalDataset,
     difference_in_means,
     normal_interval,
     validate,
@@ -46,6 +48,14 @@ def _laid_out(a, layout):
         view.flags.writeable = False
         return view
     return np.ascontiguousarray(a)
+
+
+def test_dataset_and_interval_take_only_what_a_caller_sets():
+    # a dataset holds (y, d, x) and its treatment kind; instruments are passed
+    # to `ate_2sls` directly, and every interval is the 95% one
+    assert [f.name for f in dataclasses.fields(ObservationalDataset)] == ["y", "d", "x", "treatment_kind"]
+    assert list(inspect.signature(validate).parameters) == ["y", "d", "x"]
+    assert list(inspect.signature(normal_interval).parameters) == ["point", "variance"]
 
 
 class TestValidate:
@@ -114,9 +124,9 @@ class TestValidate:
     def test_take_arrays_are_read_only_and_own_their_data(self):
         g = philox(31)
         ds = validate(g.normal(size=50), (g.uniform(size=50) < 0.5).astype(float),
-                      g.normal(size=(50, 2)), z=g.normal(size=(50, 1)))
+                      g.normal(size=(50, 2)))
         sub = ds.take(g.integers(0, 50, size=50))
-        for name in ("y", "d", "x", "z"):
+        for name in ("y", "d", "x"):
             got, parent = getattr(sub, name), getattr(ds, name)
             assert not got.flags.writeable, name
             assert not np.shares_memory(got, parent), name
@@ -127,15 +137,13 @@ class TestValidate:
         g = philox(32)
         ds = validate(
             g.normal(size=40), (g.uniform(size=40) < 0.5).astype(float),
-            _laid_out(g.normal(size=(40, 3)), layout), z=_laid_out(g.normal(size=(40, 2)), layout),
+            _laid_out(g.normal(size=(40, 3)), layout),
         )
         assert ds.x.flags.c_contiguous == (layout == "C")  # validation kept the layout
         idx = g.integers(0, 40, size=40)
         sub = ds.take(idx)
-        for name in ("x", "z"):
-            got = getattr(sub, name)
-            np.testing.assert_array_equal(got, getattr(ds, name)[idx], err_msg=name)
-            assert got.flags.c_contiguous, name
+        np.testing.assert_array_equal(sub.x, ds.x[idx])
+        assert sub.x.flags.c_contiguous
 
 
 class TestValidatePanel:
@@ -363,10 +371,10 @@ class TestCallerArraysStayTheirs:
 
     def test_validate(self):
         g = philox(142)
-        y, x, z = g.normal(size=20), g.normal(size=(20, 2)), g.normal(size=(20, 1))
+        y, x = g.normal(size=20), g.normal(size=(20, 2))
         d = (g.uniform(size=20) < 0.5).astype(float)
-        ds = validate(y, d, x, z=z)
-        self._assert_detached((y, d, x, z), ds, ("y", "d", "x", "z"))
+        ds = validate(y, d, x)
+        self._assert_detached((y, d, x), ds, ("y", "d", "x"))
         # a vector covariate becomes a one-column view of the caller's array
         x1 = g.normal(size=20)
         ds = validate(g.normal(size=20), d, x1)

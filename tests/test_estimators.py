@@ -21,6 +21,7 @@ from causalest import (
     balance_diagnostic,
     difference_in_means,
     estimate_propensity_binary,
+    fit_logistic,
     fit_outcome_model,
     predict,
     validate,
@@ -29,6 +30,7 @@ from causalest.errors import (
     DimensionMismatchError,
     EmptyDoseGroupError,
     InsufficientMatchesError,
+    InvalidInputError,
     LengthMismatchError,
     NoUsableStratumError,
     ZeroPropensityError,
@@ -486,6 +488,22 @@ class TestSharedOutcomeFit:
             ate_or(ds, no_x)
         with pytest.raises(DimensionMismatchError, match="design width 4, the dataset needs 2"):
             ate_dr(_drop_x(ds), score, full)
+
+    def test_logit_fit_rejected(self):
+        # a logistic fit of a binary outcome has the outcome model's width,
+        # but log-odds coefficients: the identity-link contrast and its
+        # variance would not describe it
+        g = philox(3)
+        x = g.normal(size=(400, 1))
+        d = (g.uniform(size=400) < 0.5).astype(float)
+        y = (g.uniform(size=400) < expit(-0.3 + 0.8 * d + x[:, 0])).astype(float)
+        ds = validate(y, d, x)
+        logit = fit_logistic(np.column_stack([np.ones(400), d, x]), y)
+        assert logit.design_width == 3
+        with pytest.raises(InvalidInputError, match="outcome fit has link 'logit'"):
+            ate_or(ds, logit)
+        with pytest.raises(InvalidInputError, match="outcome fit has link 'logit'"):
+            ate_dr(ds, estimate_propensity_binary(ds), logit)
 
     def test_fit_of_another_row_count_rejected(self):
         ds = self._draw()

@@ -3,6 +3,8 @@ control, and regression discontinuity."""
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -23,11 +25,11 @@ from causalest.errors import (
     DegenerateProblemError,
     DimensionMismatchError,
     EmptyCellError,
+    InvalidInputError,
     NoFirstStageJumpError,
     NoTreatmentVariationError,
     NonFiniteValueError,
     OneSidedDataError,
-    OrderConditionError,
     RankDeficientError,
 )
 
@@ -43,6 +45,18 @@ def _endogenous_draw(seed, n, tau=-1.0):
     d = 0.3 + 0.8 * z + u
     y = 1.0 + tau * d + 0.9 * u + 0.3 * g.normal(size=n)
     return y, d, z
+
+
+def test_each_estimator_takes_only_what_a_caller_sets():
+    # one treatment and one instrument with an intercept; the discontinuity
+    # estimators fit the whole support of t
+    signatures = {
+        ate_2sls: ["y", "d", "z"],
+        rdd_sharp: ["y", "t", "cutoff"],
+        rdd_fuzzy: ["y", "t", "d", "cutoff"],
+    }
+    for estimator, parameters in signatures.items():
+        assert list(inspect.signature(estimator).parameters) == parameters, estimator.__name__
 
 
 class TestIvRatio:
@@ -84,7 +98,7 @@ class Test2sls:
         g = philox(71)
         d = g.normal(size=200)
         y = 1.0 - 2.0 * d + g.normal(size=200)
-        est = ate_2sls(y, d, z=d)
+        est = ate_2sls(y, d, d)
         beta, *_ = np.linalg.lstsq(np.column_stack([np.ones(200), d]), y, rcond=None)
         assert est.point == pytest.approx(beta[1], abs=1e-10)
 
@@ -105,33 +119,44 @@ class Test2sls:
         assert abs(naive[1] - (-1.0)) > 0.2
         assert ate_2sls(y, d, z).point == pytest.approx(-1.0, abs=0.05)
 
-    def test_exogenous_covariates_oracle(self):
-        # [DERIVED] oracle: both stages written out with lstsq
-        g = philox(74)
-        n = 300
-        x = g.normal(size=n)
-        z = g.normal(size=n)
-        u = g.normal(size=n)
-        d = 0.5 * x + z + u
-        y = 2.0 - d + x + 0.5 * u + g.normal(size=n)
-        est = ate_2sls(y, d, z, x=x)
-        instruments = np.column_stack([np.ones(n), x, z])
-        pi, *_ = np.linalg.lstsq(instruments, d, rcond=None)
-        d_hat = instruments @ pi
-        second = np.column_stack([np.ones(n), d_hat, x])
-        beta, *_ = np.linalg.lstsq(second, y, rcond=None)
-        assert est.point == pytest.approx(beta[1], abs=1e-10)
-
-    def test_order_condition(self):
+    def test_two_column_treatment_or_instrument_rejected(self):
+        # one endogenous column and one instrument, each as a vector or an
+        # (n, 1) column; a second column of either is an input error
         g = philox(75)
-        d2 = g.normal(size=(50, 2))
-        with pytest.raises(OrderConditionError, match="cannot identify"):
-            ate_2sls(g.normal(size=50), d2, z=g.normal(size=50))
+        y, one, two = g.normal(size=50), g.normal(size=(50, 1)), g.normal(size=(50, 2))
+        assert ate_2sls(y, one, one[:, 0]).point == ate_2sls(y, one[:, 0], one).point
+        for d, z in ((two, one), (one, two), (two, two)):
+            with pytest.raises(DimensionMismatchError, match="must be one column, got 2"):
+                ate_2sls(y, d, z)
+
+    def test_variance_and_first_stage_f_match_lstsq_oracle(self):
+        # [DERIVED] oracle: the 2SLS variance is sigma^2 [(X_hat' X_hat)^-1]_dd
+        # with residuals from the observed d, and the first-stage F of one
+        # instrument compares d's fits on (1, z) and on 1
+        y, d, z = _endogenous_draw(74, 300)
+        n = y.size
+        instruments = np.column_stack([np.ones(n), z])
+        pi, *_ = np.linalg.lstsq(instruments, d, rcond=None)
+        second = np.column_stack([np.ones(n), instruments @ pi])
+        beta, *_ = np.linalg.lstsq(second, y, rcond=None)
+        resid = y - np.column_stack([np.ones(n), d]) @ beta
+        variance = (resid @ resid) / (n - 2) * np.linalg.inv(second.T @ second)[1, 1]
+        rss_full = np.sum((d - instruments @ pi) ** 2)
+        rss_restricted = np.sum((d - d.mean()) ** 2)
+        f_stat = (rss_restricted - rss_full) / (rss_full / (n - 2))
+        est = ate_2sls(y, d, z)
+        assert est.point == pytest.approx(beta[1], abs=1e-10)
+        assert est.variance == pytest.approx(variance, rel=1e-10)
+        assert est.diagnostics == {
+            "n_instruments": 1,
+            "n_endogenous": 1,
+            "first_stage_f": pytest.approx(f_stat, rel=1e-10),
+        }
 
     def test_first_stage_f_explodes_on_exact_fit(self):
         g = philox(76)
         z = g.normal(size=80)
-        est = ate_2sls(g.normal(size=80), z, z=z)
+        est = ate_2sls(g.normal(size=80), z, z)
         assert est.diagnostics["first_stage_f"] > 1e6
 
     def test_irrelevant_instrument_flagged_weak(self):
@@ -662,15 +687,6 @@ class TestRddSharp:
         y = -1.0 + 0.5 * (t - 2.0) + 3.0 * (t >= 2.0)
         assert rdd_sharp(y, t, cutoff=2.0).point == pytest.approx(3.0, abs=1e-10)
 
-    def test_bandwidth_restricts_sample(self):
-        t = np.linspace(-1.0, 1.0, 41)
-        y = 1.0 + 2.0 * t + 5.0 * (t >= 0.0)
-        est = rdd_sharp(y, t, bandwidth=0.5)
-        assert est.n_used == int(np.sum(np.abs(t) <= 0.5))
-        assert est.point == pytest.approx(5.0, abs=1e-10)
-        with pytest.raises(ValueError, match="bandwidth"):
-            rdd_sharp(y, t, bandwidth=0.0)
-
     def test_one_sided_data_rejected(self):
         t = np.linspace(-2.0, -1.0, 10)
         with pytest.raises(OneSidedDataError):
@@ -706,19 +722,18 @@ class TestRddFuzzy:
 
     def test_first_stage_jump_matches_a_least_squares_first_stage(self):
         # [DERIVED] oracle: the coefficient on 1[t >= c] in least squares of
-        # d on (1, 1[t >= c], t - c, 1[t >= c](t - c)) over the bandwidth
+        # d on (1, 1[t >= c], t - c, 1[t >= c](t - c)) over the whole support
         g = philox(98)
         t = g.uniform(-1.0, 1.0, 600)
         d = (t >= 0.1).astype(float)
         flip = (g.uniform(size=600) < 0.3) & (np.abs(t - 0.1) < 0.4)
         d[flip] = 1.0 - d[flip]
         y = 1.0 + 2.0 * t + 5.0 * d + g.normal(0.0, 0.5, 600)
-        est = rdd_fuzzy(y, t, d, cutoff=0.1, bandwidth=0.8)
-        keep = np.abs(t - 0.1) <= 0.8
-        tc = t[keep] - 0.1
+        est = rdd_fuzzy(y, t, d, cutoff=0.1)
+        tc = t - 0.1
         above = (tc >= 0.0).astype(float)
         design = np.column_stack([np.ones(tc.size), above, tc, above * tc])
-        oracle = np.linalg.lstsq(design, d[keep], rcond=None)[0][1]
+        oracle = np.linalg.lstsq(design, d, rcond=None)[0][1]
         assert abs(est.diagnostics["first_stage_jump"] - oracle) <= 1e-12
 
     @pytest.mark.parametrize("jump", [0.0, 0.04, -0.049])
@@ -741,29 +756,46 @@ class TestRddFuzzy:
         with pytest.raises(DimensionMismatchError, match="d must"):
             rdd_fuzzy(np.ones(50), t, np.ones(49))
 
-    def test_length_mismatch_with_bandwidth(self):
-        # d is checked against y before the bandwidth subsets the rows
-        t = np.linspace(-1.0, 1.0, 50)
-        with pytest.raises(DimensionMismatchError, match="d must"):
-            rdd_fuzzy(np.ones(50), t, np.ones(49), bandwidth=0.5)
+
+
+@pytest.mark.parametrize("estimator", ["rdd_sharp", "rdd_fuzzy"])
+@pytest.mark.parametrize("cutoff", ["a", "0.5", None, [0.0, 1.0], np.array(0.0), np.nan, np.inf])
+def test_cutoff_that_is_not_a_finite_real_number_is_an_input_error(estimator, cutoff, monkeypatch):
+    # rejected before any fit: a fit here would fail the test
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted")
+
+    monkeypatch.setattr(quasi, "_coef_estimate", no_fit)
+    monkeypatch.setattr(quasi, "_first_stage", no_fit)
+    t = np.linspace(-1.0, 1.0, 41)
+    d = (t >= 0.0).astype(float)
+    columns = (1.0 + t, t) if estimator == "rdd_sharp" else (1.0 + t, t, d)
+    with pytest.raises(InvalidInputError, match="cutoff must be a finite real number"):
+        getattr(quasi, estimator)(*columns, cutoff=cutoff)
+
+
+@pytest.mark.parametrize("cutoff", [0, np.float64(0.0), np.int64(0), 0.0])
+def test_cutoff_of_any_real_number_type_gives_the_same_fit(cutoff):
+    t = np.linspace(-1.0, 1.0, 41)
+    y = 1.0 + 2.0 * t + 5.0 * (t >= 0.0)
+    est = rdd_sharp(y, t, cutoff=cutoff)
+    assert est.diagnostics["cutoff"] == 0.0
+    assert est.point == rdd_sharp(y, t).point
 
 
 def _quasi_draw(name, seed=91, n=400):
     """A seeded draw for the named row: its outcome column, and the call that
     estimates from an outcome column and a row order applied to every column.
 
-    "iv_ratio" is `ate_2sls` with one instrument and no covariates;
     "ate_did_covariates" is `ate_did` on two periods with a covariate, and
     "ate_did_multiperiod" `ate_did` on three periods with a treated indicator.
     """
     g = philox(seed)
-    if name in ("ate_2sls", "iv_ratio"):
+    if name == "ate_2sls":
         z, u, x = g.normal(size=n), g.normal(size=n), g.normal(size=n)
         d = 0.3 + 0.8 * z + u + 0.5 * x
         y = 1.0 - d + 0.9 * u + 0.7 * x + 0.3 * g.normal(size=n)
-        if name == "iv_ratio":
-            return y, lambda y, rows: ate_2sls(y[rows], d[rows], z[rows])
-        return y, lambda y, rows: ate_2sls(y[rows], d[rows], z[rows], x=x[rows])
+        return y, lambda y, rows: ate_2sls(y[rows], d[rows], z[rows])
     if name.startswith("ate_did"):
         group = (g.uniform(size=n) < 0.5).astype(float)
         n_periods = 3 if name == "ate_did_multiperiod" else 2
@@ -786,13 +818,12 @@ def _quasi_draw(name, seed=91, n=400):
     d = np.where((g.uniform(size=n) < 0.25) & (np.abs(t - 0.1) < 0.3), 1.0 - d, d)
     y = 1.0 + 2.0 * t + 5.0 * d + g.normal(size=n)
     if name == "rdd_sharp":
-        return y, lambda y, rows: rdd_sharp(y[rows], t[rows], cutoff=0.1, bandwidth=0.8)
-    return y, lambda y, rows: rdd_fuzzy(y[rows], t[rows], d[rows], cutoff=0.1, bandwidth=0.8)
+        return y, lambda y, rows: rdd_sharp(y[rows], t[rows], cutoff=0.1)
+    return y, lambda y, rows: rdd_fuzzy(y[rows], t[rows], d[rows], cutoff=0.1)
 
 
 _SWEPT = [
     "ate_2sls",
-    "iv_ratio",
     "ate_did",
     "ate_did_covariates",
     "ate_did_multiperiod",
@@ -876,8 +907,7 @@ class TestInvarianceSweep:
 
 # the columns each estimator's `_quasi_draw` call is handed
 _DRAW_COLUMNS = {
-    "ate_2sls": 4,  # y, d, z, x
-    "iv_ratio": 3,  # y, d, z
+    "ate_2sls": 3,  # y, d, z
     "ate_did": 3,  # y, group, period
     "ate_did_covariates": 4,  # y, group, period, x
     "ate_did_multiperiod": 4,  # y, group, period, treated

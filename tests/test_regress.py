@@ -199,12 +199,17 @@ class TestIrlsWork:
     def test_score_fit_runs_one_svd_per_newton_step(self, monkeypatch):
         # the covariance a score fit never reads is never computed
         calls = self._count_svd_solves(monkeypatch)
-        fit = estimate_propensity_binary(confounded_binary(14, 2000))
-        assert fit.model.iterations > 0
-        assert len(calls) == fit.model.iterations
-        fit.model.coef_cov
-        fit.model.coef_cov
-        assert len(calls) == fit.model.iterations + 1
+        ds = confounded_binary(14, 2000)
+        iterations = estimate_propensity_binary(ds).diagnostics["iterations"]
+        assert iterations > 0
+        assert len(calls) == iterations
+        # the same logistic fit, made directly, forms it on its first read only
+        model = fit_logistic(np.column_stack([np.ones(ds.n), ds.x]), ds.d)
+        assert model.iterations == iterations
+        assert len(calls) == 2 * iterations
+        model.coef_cov
+        model.coef_cov
+        assert len(calls) == 2 * iterations + 1
 
     def test_coef_cov_matches_eager_oracle_after_design_overwritten(self):
         # [DERIVED] oracle: (X'WX)^-1 from the SVD of the weighted design at

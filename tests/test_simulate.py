@@ -146,7 +146,7 @@ class TestGenerate:
         ds = generate(spec, run_index=2, seed=116)
         p = spec.merged_params()
         x = ds.x[:, 0]
-        z, z_bad = ds.z[:, 0], ds.z[:, 1]
+        z, z_bad = _instruments(spec, run_index=2, seed=116)
         np.testing.assert_allclose(
             ds.d, p["alpha0"] + p["alpha1"] * x + p["alpha2"] * z, atol=1e-10
         )
@@ -222,6 +222,13 @@ def _misspecified_scores(spec, run_index, seed):
     its dataset, from the run's keyed streams."""
     stream = simulate._run_stream(spec, run_index, seed)
     return simulate._draw_cs1(spec.merged_params(), spec.n, stream)[1]
+
+
+def _instruments(spec, run_index, seed):
+    """The valid and the invalid instrument that cs4's draw pairs with its
+    dataset, from the run's keyed streams."""
+    stream = simulate._run_stream(spec, run_index, seed)
+    return simulate._draw_cs4(spec.merged_params(), spec.n, stream)[1:]
 
 
 class TestMisspecifiedScores:
@@ -312,7 +319,7 @@ class TestRunMonteCarlo:
         assert "params" in report.metadata
         assert "notation_readings" in report.metadata
 
-    def test_results_identical_across_thread_counts(self):
+    def test_results_identical_across_invocations(self):
         # [DERIVED] the per-run points must be bit-identical across repeat
         # invocations with the same seed.
         a = run_monte_carlo("cs1", runs=6, n=200, seed=123)
@@ -502,11 +509,12 @@ def _unshared(case, method, r, seed):
     if case in ("cs2", "cs3"):
         return _PANEL_FITS[method](ds)
     if case == "cs4":
+        z, z_bad = _instruments(spec, r, seed)
         return {
             "OR1": lambda: ate_or(ds),
             "OR2": lambda: ate_or(validate(ds.y, ds.d)),
-            "IV1": lambda: ate_2sls(ds.y, ds.d, ds.z[:, 0]),
-            "IV2": lambda: ate_2sls(ds.y, ds.d, ds.z[:, 1]),
+            "IV1": lambda: ate_2sls(ds.y, ds.d, z),
+            "IV2": lambda: ate_2sls(ds.y, ds.d, z_bad),
         }[method]()
     if case == "cs5":
         variant = {"DID1": None, "DID2": "violated"}[method]

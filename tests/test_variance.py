@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import re
 
 import numpy as np
@@ -104,17 +105,12 @@ class TestNormalInterval:
         assert lo == pytest.approx(1.0 - 1.9599639845400545 * 2.0, abs=1e-9)
         assert hi == pytest.approx(1.0 + 1.9599639845400545 * 2.0, abs=1e-9)
 
-    def test_level_validated(self):
-        with pytest.raises(ValueError, match="level"):
-            normal_interval(0.0, 1.0, level=1.0)
-
-    @pytest.mark.parametrize("level", [0.95, 0.9, 0.5, np.float64(0.99), np.array(0.8)])
-    def test_quantile_per_level_is_exact(self, level):
-        # [DERIVED] the same bits as the quantile formed afresh, on first
-        # and repeated calls, whatever the type of the level
-        half = float(ndtri(0.5 + float(level) / 2.0)) * 3.0
+    def test_quantile_is_exact(self):
+        # [DERIVED] the same bits as the 97.5% quantile formed afresh, on
+        # first and repeated calls
+        half = float(ndtri(0.975)) * 3.0
         for _ in range(2):
-            assert normal_interval(2.0, 9.0, level) == (2.0 - half, 2.0 + half)
+            assert normal_interval(2.0, 9.0) == (2.0 - half, 2.0 + half)
 
     def test_variance_validated(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -251,19 +247,6 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="n_boot"):
             bootstrap_variance(ds, _mean_estimator, n_boot=1)
 
-    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5])
-    def test_level_checked_before_any_replicate(self, level):
-        calls = []
-
-        def estimator(sample):
-            calls.append(None)
-            return float(sample.y.mean())
-
-        ds = validate([1.0, 2.0, 4.0], [1.0, 0.0, 1.0])
-        with pytest.raises(InvalidInputError, match=r"level must lie in \(0, 1\), got"):
-            bootstrap_variance(ds, estimator, n_boot=20, level=level)
-        assert calls == []
-
     @pytest.mark.parametrize("seed", [-3, 1.5])
     def test_seed_checked_before_any_replicate(self, seed):
         calls = []
@@ -301,6 +284,12 @@ class TestBootstrap:
         result = bootstrap_variance(ds, _mean_estimator, n_boot=120, seed=5)
         lo, hi = np.quantile(result.points, [0.025, 0.975])
         assert result.ci == (pytest.approx(lo), pytest.approx(hi))
+
+    def test_takes_only_what_a_caller_sets(self):
+        # every interval is the 95% one
+        assert list(inspect.signature(bootstrap_variance).parameters) == [
+            "data", "estimator", "n_boot", "seed"
+        ]
 
     def test_estimator_may_return_causal_estimate(self):
         ds = confounded_binary(109, 150)
