@@ -8,9 +8,9 @@ dataset. A read-only input array is kept as it is.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -39,6 +39,48 @@ def _owned(a: np.ndarray, source) -> np.ndarray:
     if isinstance(source, np.ndarray) and source.flags.writeable and np.may_share_memory(a, source):
         return a.copy(order="K")
     return a
+
+
+class _OnFirstRead:
+    """Dataclass field descriptor: a zero-argument callable stored in the
+    field is called on the first read, and its result replaces it."""
+
+    def __set_name__(self, owner, name):
+        self._name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # class access: the dataclass field has no default
+            return MISSING
+        value = obj.__dict__[self._name]
+        if callable(value):
+            value = obj.__dict__[self._name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self._name] = value
+
+
+def _gather(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows of `a` at `rows`, as a read-only C-ordered copy."""
+    # np.take copies whole rows; `a[rows]` took 9x as long on a 50,000 x 2 block
+    return _readonly(np.take(a, rows, axis=0))
+
+
+def _indices(indices, n: int) -> np.ndarray:
+    """`indices` as a 1-d integer vector with every entry in [0, n).
+
+    A boolean mask, a non-integer dtype or an entry out of range is an input
+    error: a cast would read a mask as 0/1 indices, and NumPy would wrap a
+    negative entry or raise a bare IndexError.
+    """
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise InvalidInputError(
+            f"indices must be a 1-d integer vector, got dtype {idx.dtype} and shape {idx.shape}"
+        )
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise InvalidInputError(f"indices must lie in [0, {n})")
+    return idx
 
 
 def _is_01(v: np.ndarray) -> bool:
@@ -76,7 +118,7 @@ def _as_matrix(name: str, m, n: int | None = None, *, finite: bool = True) -> np
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
-        raise LengthMismatchError(f"'{name}' must be a vector or 2-d matrix")
+        raise DimensionMismatchError(f"'{name}' must be a vector or 2-d matrix, got shape {arr.shape}")
     _check_length(f"{name} rows", arr, n)
     if finite and not np.isfinite(arr).all():
         raise NonFiniteValueError(f"matrix '{name}' contains non-finite values")
@@ -106,13 +148,17 @@ class ObservationalDataset:
     def take(self, indices) -> "ObservationalDataset":
         """Return a new dataset restricted to (or resampled at) `indices`.
 
-        Integer-array indexing copies, so the new arrays own their data.
+        The gathers copy, so the new arrays own their data.
+
+        Raises:
+            InvalidInputError: `indices` is not a 1-d integer vector with
+                every entry in [0, n).
         """
-        idx = np.asarray(indices, dtype=int)
+        idx = _indices(indices, self.n)
         return ObservationalDataset(
-            y=_readonly(self.y[idx]),
-            d=_readonly(self.d[idx]),
-            x=_readonly(np.take(self.x, idx, axis=0)),
+            y=_gather(self.y, idx),
+            d=_gather(self.d, idx),
+            x=_gather(self.x, idx),
             treatment_kind=self.treatment_kind,
         )
 
@@ -153,13 +199,16 @@ class PanelDataset:
         x: covariate matrix (n, p).
         unit_codes: 0..N-1 integer codes aligned with rows.
         unit_counts: periods per unit, length N.
+
+    `time`, `y` and `x` may be given as zero-argument callables, which run on
+    the first read: a panel built by `take_units` gathers them only then.
     """
 
     unit: np.ndarray
-    time: np.ndarray
-    y: np.ndarray
+    time: np.ndarray = _OnFirstRead()
+    y: np.ndarray = _OnFirstRead()
     d: np.ndarray
-    x: np.ndarray
+    x: np.ndarray = _OnFirstRead()
     unit_codes: np.ndarray
     unit_counts: np.ndarray
     # (source panel, its drawn rows) for a panel built by `take_units`
@@ -167,7 +216,7 @@ class PanelDataset:
 
     @property
     def n(self) -> int:
-        return self.y.shape[0]
+        return self.unit_codes.shape[0]
 
     @property
     def n_units(self) -> int:
@@ -181,7 +230,7 @@ class PanelDataset:
         """Expand a length-N per-unit vector back to row alignment."""
         return per_unit[self.unit_codes]
 
-    @cached_property
+    @functools.cached_property
     def _within(self) -> tuple[np.ndarray, np.ndarray]:
         """The within transform, computed on first read: a read-only,
         C-contiguous (n, 1 + p) block of the unit-demeaned [d, x], and the
@@ -195,8 +244,7 @@ class PanelDataset:
         if self._drawn_from is not None:
             source, rows = self._drawn_from
             block, y = source._within
-            # np.take copies whole rows; `block[rows]` took 9x as long on 50,000 x 2
-            return _readonly(np.take(block, rows, axis=0)), _readonly(y[rows])
+            return _gather(block, rows), _gather(y, rows)
         block = np.empty((self.n, 1 + self.x.shape[1]))
         for j, v in enumerate((self.d, *self.x.T)):
             np.subtract(v, self.broadcast_units(self.unit_means(v)), out=block[:, j])
@@ -209,10 +257,17 @@ class PanelDataset:
         unit, numbered 0..M-1 in draw order, so resampled panels remain
         valid. The result equals `validate_panel` applied to the drawn rows
         and is built without re-running it: every drawn unit's rows are
-        already contiguous and sorted by time. Its within transform is
-        gathered from this panel's on first read (see `_within`).
+        already contiguous and sorted by time. Its `time`, `y` and `x` are
+        gathered on their first read, and its within transform from this
+        panel's (see `_within`), so a fixed-effects replicate gathers none
+        of the three.
+
+        Raises:
+            InvalidInputError: `unit_index` is not a 1-d integer vector with
+                every entry in [0, n_units).
+            EmptyDatasetError: the drawn units hold fewer than 2 rows.
         """
-        drawn = np.asarray(unit_index, dtype=int)
+        drawn = _indices(unit_index, self.n_units)
         counts = self.unit_counts[drawn]
         n = int(counts.sum())
         if n < 2:
@@ -223,10 +278,10 @@ class PanelDataset:
         codes = _readonly(np.repeat(np.arange(drawn.shape[0], dtype=np.intp), counts))
         taken = PanelDataset(
             unit=codes,
-            time=_readonly(self.time[rows]),
-            y=_readonly(self.y[rows]),
-            d=_readonly(self.d[rows]),
-            x=_readonly(np.take(self.x, rows, axis=0)),
+            time=functools.partial(_gather, self.time, rows),
+            y=functools.partial(_gather, self.y, rows),
+            d=_gather(self.d, rows),
+            x=functools.partial(_gather, self.x, rows),
             unit_codes=codes,
             unit_counts=_readonly(counts),
         )

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import MISSING, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .core import CausalEstimate, _as_matrix, _as_vector, _check_int, _estimate, _is_01
+from .core import CausalEstimate, _as_matrix, _as_vector, _check_int, _estimate, _is_01, _OnFirstRead
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -29,25 +29,6 @@ _SEP_PROB = 1e-10
 _SEP_COEF = 30.0
 #: max |response - probability| below which the classes are perfectly fitted
 _SEP_RESID = 1e-6
-
-
-class _OnFirstRead:
-    """Dataclass field descriptor: a zero-argument callable stored in the
-    field is called on the first read, and its result replaces it."""
-
-    def __set_name__(self, owner, name):
-        self._name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:  # class access: the dataclass field has no default
-            return MISSING
-        value = obj.__dict__[self._name]
-        if callable(value):
-            value = obj.__dict__[self._name] = value()
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self._name] = value
 
 
 @dataclass

@@ -294,6 +294,19 @@ class TestEstimate:
         assert code == 2
         assert "n_boot must be >= 2" in err
 
+    def test_covariates_of_more_than_two_dimensions_exit_2(self, linear_csv, capsys, monkeypatch):
+        # no CSV holds a 3-d block, so one is handed to the real validation;
+        # its shape error is an input error (exit 2)
+        real = causalest.cli.validate
+        monkeypatch.setattr(causalest.cli, "validate", lambda y, d, x: real(y, d, x[:, :, None]))
+        code, out, err = _run(
+            capsys, "estimate", "--method", "or", "--data", linear_csv,
+            "--outcome", "y", "--treatment", "d", "--covariates", "x",
+        )
+        assert code == 2
+        assert out == ""
+        assert "must be a vector or 2-d matrix" in err
+
     def test_negative_bootstrap_seed_exits_2(self, linear_csv, capsys):
         # [TRIVIAL] a seed that cannot key a stream is bad input (exit 2)
         code, out, err = _run(

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import inspect
+import pickle
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +21,11 @@ from causalest import (
     CausalEstimate,
     ObservationalDataset,
     difference_in_means,
+    fit_cre,
+    fit_fd,
+    fit_fe,
+    fit_pols,
+    fit_re,
     normal_interval,
     validate,
     validate_panel,
@@ -50,6 +57,23 @@ def _laid_out(a, layout):
     return np.ascontiguousarray(a)
 
 
+def _validated_draw(pds, draw):
+    """Oracle for `take_units`: the explicit loop over drawn units, each
+    occurrence renamed to its draw position, passed through validate_panel."""
+    starts = np.concatenate([[0], np.cumsum(pds.unit_counts)])
+    rows, new_unit = [], []
+    for j, u in enumerate(draw):
+        rows.extend(range(starts[u], starts[u + 1]))
+        new_unit.extend([j] * (starts[u + 1] - starts[u]))
+    return validate_panel(
+        unit=np.array(new_unit),
+        time=pds.time[rows],
+        y=pds.y[rows],
+        d=pds.d[rows],
+        x=pds.x[rows] if pds.x.shape[1] else None,
+    )
+
+
 def test_dataset_and_interval_take_only_what_a_caller_sets():
     # a dataset holds (y, d, x) and its treatment kind; instruments are passed
     # to `ate_2sls` directly, and every interval is the 95% one
@@ -78,6 +102,14 @@ class TestValidate:
             validate([1.0, 2.0, 3.0], [0.0, 1.0])
         with pytest.raises(LengthMismatchError):
             validate([1.0, 2.0], [0.0, 1.0], x=[[1.0], [2.0], [3.0]])
+
+    def test_covariates_of_more_than_two_dimensions_are_a_shape_error(self):
+        # a shape error, as for a 2-d outcome, not the length error
+        g = philox(33)
+        y, d = g.normal(size=50), (g.uniform(size=50) < 0.5).astype(float)
+        with pytest.raises(DimensionMismatchError, match="'x' must be a vector or 2-d matrix") as raised:
+            validate(y, d, np.zeros((50, 2, 1)))
+        assert not isinstance(raised.value, LengthMismatchError)
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteValueError):
@@ -146,6 +178,31 @@ class TestValidate:
         assert sub.x.flags.c_contiguous
 
 
+@pytest.mark.parametrize(
+    "indices",
+    [[True, False, True], np.array([0.0, 2.0]), [0, -1], [0, 3], np.array([[0, 1]]), 1],
+    ids=["mask", "float", "negative", "past-the-end", "2-d", "scalar"],
+)
+@pytest.mark.parametrize("take", ["take", "take_units"])
+def test_indices_that_would_be_misread_are_rejected(take, indices):
+    # a cast would read a mask as 0/1 indices, NumPy would wrap a negative
+    # entry and raise a bare IndexError past the end; three rows, three units
+    data = {
+        "take": validate([10.0, 20.0, 30.0], [0.0, 1.0, 0.0]),
+        "take_units": validate_panel([0, 0, 1, 1, 2, 2], [0, 1] * 3, np.arange(6.0), np.zeros(6)),
+    }[take]
+    with pytest.raises(InvalidInputError, match="indices must"):
+        getattr(data, take)(indices)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_indices_of_any_integer_dtype_take_the_same_rows(dtype):
+    ds = validate([10.0, 20.0, 30.0], [0.0, 1.0, 0.0])
+    assert ds.take(np.array([2, 0, 2], dtype=dtype)).y.tolist() == [30.0, 10.0, 30.0]
+    pds = validate_panel([0, 0, 1, 1, 2, 2], [0, 1] * 3, np.arange(6.0), np.zeros(6))
+    assert pds.take_units(np.array([2, 0], dtype=dtype)).y.tolist() == [4.0, 5.0, 0.0, 1.0]
+
+
 class TestValidatePanel:
     def test_rows_sorted_by_unit_time(self):
         pds = validate_panel(
@@ -212,8 +269,6 @@ class TestValidatePanel:
     @pytest.mark.parametrize("time_dtype", [np.int64, np.int32, np.uint16])
     @pytest.mark.parametrize("n_cov", [0, 2])
     def test_take_units_equals_validating_the_drawn_rows(self, time_dtype, n_cov):
-        # oracle: the explicit loop over drawn units, each occurrence renamed
-        # to its draw position, passed through validate_panel
         g = philox(130)
         periods = g.integers(1, 5, size=12)  # unbalanced
         unit = np.repeat([f"u{i:02d}" for i in range(12)], periods)
@@ -227,20 +282,15 @@ class TestValidatePanel:
             d=g.normal(size=unit.shape[0]),
             x=None if x is None else x[shuffle],
         )
-        starts = np.concatenate([[0], np.cumsum(pds.unit_counts)])
         for draw in (g.integers(0, 12, size=12), [5, 5, 5], [11, 0, 3, 0]):
-            rows, new_unit = [], []
-            for j, u in enumerate(draw):
-                rows.extend(range(starts[u], starts[u + 1]))
-                new_unit.extend([j] * (starts[u + 1] - starts[u]))
-            expected = validate_panel(
-                unit=np.array(new_unit),
-                time=pds.time[rows],
-                y=pds.y[rows],
-                d=pds.d[rows],
-                x=pds.x[rows] if n_cov else None,
-            )
+            expected = _validated_draw(pds, draw)
             boot = pds.take_units(draw)
+            # read first: the sizes come from the codes and counts, and
+            # reading them gathers none of the lazy row columns
+            for name in ("n", "n_units"):
+                got, want = getattr(boot, name), getattr(expected, name)
+                assert type(got) is int and got == want, name
+            assert all(callable(vars(boot)[name]) for name in ("time", "y", "x"))
             for name in ("unit", "time", "y", "d", "x", "unit_codes", "unit_counts"):
                 got, want = getattr(boot, name), getattr(expected, name)
                 assert got.dtype == want.dtype, name
@@ -254,6 +304,7 @@ class TestValidatePanel:
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=name)
                 assert got.flags.c_contiguous and not got.flags.writeable, name
         # and the source's own is [d, x] and y, each demeaned unit by unit
+        starts = np.concatenate([[0], np.cumsum(pds.unit_counts)])
         block, y = pds._within
         assert block.shape == (pds.n, 1 + n_cov)
         for v, got in zip([pds.d, *pds.x.T, pds.y], [*block.T, y]):
@@ -274,6 +325,57 @@ class TestValidatePanel:
         want = np.concatenate([pds.x[pds.unit_codes == u] for u in draw])
         np.testing.assert_array_equal(boot.x, want)
         assert boot.x.flags.c_contiguous
+
+    @staticmethod
+    def _effects_panel():
+        """30 units of 5 periods, with unit effects and two covariates."""
+        g = philox(132)
+        a = np.repeat(g.normal(size=30), 5)
+        x = g.normal(size=(150, 2)) + a[:, None]
+        d = 0.5 * a + g.normal(size=150)
+        y = 1.0 - 1.5 * d + x @ np.array([0.8, -0.3]) + a + g.normal(size=150)
+        pds = validate_panel(np.repeat(np.arange(30), 5), np.tile(np.arange(5), 30), y, d, x)
+        return pds, g.integers(0, 30, size=30)
+
+    @pytest.mark.parametrize("estimator", [fit_pols, fit_re, fit_fd, fit_fe, fit_cre],
+                             ids=lambda f: f.__name__)
+    def test_each_estimator_reads_a_drawn_panel_as_its_validated_rows(self, estimator):
+        pds, draw = self._effects_panel()
+        boot = pds.take_units(draw)
+        got, want = estimator(boot), estimator(_validated_draw(pds, draw))
+        assert (got.point, got.variance, got.n_used) == (want.point, want.variance, want.n_used)
+        assert got.diagnostics == want.diagnostics
+        # fixed effects reads the within block gathered from the source's,
+        # so a bootstrap replicate never gathers the row columns
+        lazy = [name for name in ("time", "y", "x") if isinstance(vars(boot)[name], functools.partial)]
+        assert lazy == (["time", "y", "x"] if estimator is fit_fe else ["time"])
+
+    def test_lazy_row_column_is_gathered_once(self):
+        pds, draw = self._effects_panel()
+        boot = pds.take_units(draw)
+        first = boot.y
+        assert boot.y is first
+        assert vars(boot)["y"] is first
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["lazy", "gathered"])
+    def test_drawn_panel_round_trips_through_pickle(self, read_first):
+        pds, draw = self._effects_panel()
+        boot = pds.take_units(draw)
+        fit_fe(boot)
+        if read_first:
+            for name in ("time", "y", "x"):
+                getattr(boot, name)
+        copy = pickle.loads(pickle.dumps(boot))
+        # the copy holds the gathers themselves until its own first read
+        assert all(callable(vars(copy)[name]) != read_first for name in ("time", "y", "x"))
+        for name in ("unit", "time", "y", "d", "x", "unit_codes", "unit_counts"):
+            got, want = getattr(copy, name), getattr(boot, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        assert (copy.n, copy.n_units) == (boot.n, boot.n_units)
+        for got, want in zip(copy._within, boot._within):
+            np.testing.assert_array_equal(got, want)
+        assert fit_fe(copy).point == fit_fe(boot).point
 
     def test_take_units_rejects_a_one_row_panel(self):
         pds = validate_panel([0, 0, 1], [0, 1, 0], y=[1.0, 3.0, 5.0], d=[0, 0, 0])

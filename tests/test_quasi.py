@@ -26,6 +26,7 @@ from causalest.errors import (
     DimensionMismatchError,
     EmptyCellError,
     InvalidInputError,
+    LengthMismatchError,
     NoFirstStageJumpError,
     NoTreatmentVariationError,
     NonFiniteValueError,
@@ -101,6 +102,13 @@ class Test2sls:
         est = ate_2sls(y, d, d)
         beta, *_ = np.linalg.lstsq(np.column_stack([np.ones(200), d]), y, rcond=None)
         assert est.point == pytest.approx(beta[1], abs=1e-10)
+
+    def test_column_of_more_than_two_dimensions_is_a_shape_error(self):
+        # a shape error, as for any other column, not the length error
+        y, d, z = _endogenous_draw(70, 50)
+        with pytest.raises(DimensionMismatchError, match="'d' must be a vector or 2-d matrix") as raised:
+            ate_2sls(y, d.reshape(50, 1, 1), z)
+        assert not isinstance(raised.value, LengthMismatchError)
 
     def test_just_identified_equals_iv_ratio(self):
         # [DERIVED] oracle: the covariance ratio Cov(z, y) / Cov(z, d)
