@@ -145,7 +145,9 @@ def _estimate_once(ds, method: str, trim: tuple[float, float]):
         return ate_or(ds)
     fit = estimate_propensity_binary(ds)
     fit, kept = trim_overlap(fit, *trim)
-    sub = ds.take(kept)
+    # `kept` is sorted and unique, so keeping every unit is the identity, and
+    # the read-only dataset can be shared instead of copied
+    sub = ds if kept.size == ds.n else ds.take(kept)
     if method == "ipw":
         return ate_ipw(sub, fit)
     if method == "psr":

@@ -153,8 +153,11 @@ class ObservationalDataset:
         Raises:
             InvalidInputError: `indices` is not a 1-d integer vector with
                 every entry in [0, n).
+            EmptyDatasetError: `indices` selects fewer than 2 rows.
         """
         idx = _indices(indices, self.n)
+        if idx.size < 2:
+            raise EmptyDatasetError(f"need at least 2 rows, got {idx.size}")
         return ObservationalDataset(
             y=_gather(self.y, idx),
             d=_gather(self.d, idx),

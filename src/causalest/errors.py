@@ -72,7 +72,7 @@ class ConvergenceError(CausalestError):
 # ---------------------------------------------------------------------------
 
 class AllUnitsTrimmedError(CausalestError):
-    """Overlap trimming removed every unit."""
+    """Overlap trimming left fewer than 2 units."""
 
 
 # ---------------------------------------------------------------------------

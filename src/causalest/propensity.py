@@ -120,13 +120,19 @@ def trim_overlap(fit: PropensityFit, lo: float = 0.01, hi: float = 0.99):
 
     Returns (trimmed_fit, kept_indices); the caller subsets its dataset with
     `kept_indices`. The dropped count is recorded in the fit diagnostics.
+
+    Raises:
+        AllUnitsTrimmedError: fewer than 2 units keep their score, the
+            fewest a dataset holds.
     """
     if not (0.0 <= lo < hi <= 1.0):
         raise InvalidInputError(f"require 0 <= lo < hi <= 1, got ({lo}, {hi})")
     keep = (fit.scores >= lo) & (fit.scores <= hi)
     kept_indices = np.flatnonzero(keep)
-    if kept_indices.size == 0:
-        raise AllUnitsTrimmedError(f"no unit has score inside [{lo}, {hi}]")
+    if kept_indices.size < 2:
+        raise AllUnitsTrimmedError(
+            f"{kept_indices.size} of {fit.n} units have a score inside [{lo}, {hi}], need at least 2"
+        )
     diagnostics = dict(fit.diagnostics)
     diagnostics["n_dropped"] = int(fit.n - kept_indices.size)
     trimmed = replace(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import CausalEstimate, _as_matrix, _as_vector, _check_int, _estimate, _is_01, _OnFirstRead
+from .core import CausalEstimate, _as_matrix, _as_vector, _estimate, _is_01, _OnFirstRead
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -29,6 +29,10 @@ _SEP_PROB = 1e-10
 _SEP_COEF = 30.0
 #: max |response - probability| below which the classes are perfectly fitted
 _SEP_RESID = 1e-6
+#: IRLS steps after which a fit that has not converged raises ConvergenceError
+_MAX_IRLS_ITER = 100
+#: max |score| at which IRLS has converged
+_IRLS_TOL = 1e-8
 
 
 @dataclass
@@ -122,11 +126,11 @@ def _coef_estimate(method: str, design, y, at: int, diagnostics=None) -> CausalE
     return _estimate(method, fit.coef[at], len(y), fit.coef_cov[at, at], diagnostics)
 
 
-def fit_logistic(design, d, max_iter: int = 100, tol: float = 1e-8) -> LinearFit:
+def fit_logistic(design, d) -> LinearFit:
     """Logistic regression by iteratively reweighted least squares.
 
     Starts from coef = 0 and iterates Newton/IRLS steps until the score
-    vector satisfies max|score| < tol. The inverse information (X'WX)^-1
+    vector satisfies max|score| < 1e-8. The inverse information (X'WX)^-1
     at the converged coefficients is computed on the first read of
     `coef_cov`, from a weighted design the fit owns; it raises
     RankDeficientError then if the weights leave the design rank deficient.
@@ -135,20 +139,23 @@ def fit_logistic(design, d, max_iter: int = 100, tol: float = 1e-8) -> LinearFit
         NoTreatmentVariationError: d has a single class.
         SeparationError: probabilities pinned at 0/1 with |coef| > 30, or
             every response fitted to within 1e-6 (wide-margin separation).
-        ConvergenceError: max_iter exhausted.
+        ConvergenceError: no convergence in 100 steps.
     """
-    _check_int(1, max_iter=max_iter)
     X, dv = _check_design(design, d)
     if not _is_01(dv):
         raise InvalidInputError("logistic response must be 0/1")
     if dv.min() == dv.max():
         raise NoTreatmentVariationError("response takes a single value")
 
-    k = X.shape[1]
+    n, k = X.shape
     coef = np.zeros(k)
-    for it in range(1, max_iter + 1):
-        p = expit(X @ coef)
-        resid = dv - p
+    # row-length work arrays that every step overwrites; the converged fit
+    # keeps p, resid and Xw, and each fit allocates its own
+    p, resid, sw = np.empty(n), np.empty(n), np.empty(n)
+    Xw = np.empty((n, k))
+    for it in range(1, _MAX_IRLS_ITER + 1):
+        expit(X @ coef, out=p)
+        np.subtract(dv, p, out=resid)
         if np.abs(coef).max() > _SEP_COEF and ((p < _SEP_PROB) | (p > 1.0 - _SEP_PROB)).any():
             raise SeparationError(
                 "fitted probabilities pinned at 0/1 with diverging coefficients"
@@ -156,29 +163,33 @@ def fit_logistic(design, d, max_iter: int = 100, tol: float = 1e-8) -> LinearFit
         # Wide-margin separation saturates expit before the coefficients
         # look large: every response then fits essentially exactly and the
         # score underflows, which would masquerade as convergence.
-        if np.abs(resid).max() < _SEP_RESID:
+        if np.abs(resid, out=sw).max() < _SEP_RESID:
             raise SeparationError(
                 "every response fitted to machine precision; classes are separated"
             )
         score = X.T @ resid
-        if np.abs(score).max() < tol:
-            w = p * (1.0 - p)
+        # sw = p (1 - p), formed as (1 - p) p: IEEE products commute
+        np.subtract(1.0, p, out=sw)
+        sw *= p
+        if np.abs(score).max() < _IRLS_TOL:
+            np.multiply(X, np.sqrt(sw, out=sw)[:, None], out=Xw)
             return LinearFit(
                 coef=coef,
                 link=LOGIT,
                 residuals=resid,
-                coef_cov=functools.partial(_weighted_xtx_inv, X * np.sqrt(w)[:, None]),
+                coef_cov=functools.partial(_weighted_xtx_inv, Xw),
                 design_width=k,
                 iterations=it - 1,
                 fitted=p,
             )
-        sw = np.sqrt(np.maximum(p * (1.0 - p), 1e-12))
+        np.maximum(sw, 1e-12, out=sw)
+        np.sqrt(sw, out=sw)
         # Newton step as a weighted least-squares solve on the working
         # response, formed in the residuals' buffer
         resid /= sw
-        step, _ = _svd_solve(X * sw[:, None], resid)
+        step, _ = _svd_solve(np.multiply(X, sw[:, None], out=Xw), resid)
         coef = coef + step
-    raise ConvergenceError(f"IRLS did not converge in {max_iter} iterations")
+    raise ConvergenceError(f"IRLS did not converge in {_MAX_IRLS_ITER} iterations")
 
 
 def predict(fit: LinearFit, design_new) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import causalest
+from causalest import cli
 from causalest.cli import _read_columns, main
 
 from .conftest import philox, saturating_binary
@@ -171,6 +172,57 @@ class TestEstimate:
         _, default_out, _ = _run(capsys, *args)
         _, explicit_out, _ = _run(capsys, *args, "--trim", "0.01,0.99")
         assert explicit_out == default_out
+
+    @pytest.mark.parametrize(
+        "method, estimator",
+        [("ipw", "ate_ipw"), ("psr", "ate_psr"), ("strat", "ate_stratification"),
+         ("match", "ate_matching"), ("dr", "ate_dr")],
+    )
+    def test_estimator_reads_the_dataset_itself_unless_units_are_trimmed(
+        self, monkeypatch, method, estimator
+    ):
+        # keeping every unit hands over the read-only dataset, not a copy;
+        # a trim that drops units hands over ds.take(kept)
+        g = philox(128)
+        x = g.normal(size=(300, 2))
+        d = (g.uniform(size=300) < 1.0 / (1.0 + np.exp(-x @ [1.0, -0.5]))).astype(float)
+        ds = causalest.validate(x.sum(axis=1) + 2.0 * d + g.normal(size=300), d, x)
+        seen = []
+        real = getattr(cli, estimator)
+        monkeypatch.setattr(cli, estimator, lambda sub, fit: seen.append(sub) or real(sub, fit))
+        score_fit = causalest.estimate_propensity_binary(ds)
+
+        assert causalest.trim_overlap(score_fit, 0.01, 0.99)[1].size == ds.n
+        assert cli._estimate_once(ds, method, (0.01, 0.99)) == real(ds, score_fit)
+        assert seen[-1] is ds
+
+        _, kept = causalest.trim_overlap(score_fit, 0.2, 0.8)
+        assert 0 < kept.size < ds.n
+        cli._estimate_once(ds, method, (0.2, 0.8))
+        want = ds.take(kept)
+        assert seen[-1] is not ds
+        for name in ("y", "d", "x"):
+            assert np.array_equal(getattr(seen[-1], name), getattr(want, name)), name
+
+    def test_trim_that_keeps_one_unit_exits_3(self, tmp_path, capsys):
+        # [DERIVED] bounds halfway to the neighbouring received scores keep
+        # exactly one unit, too few for a dataset: an estimation error
+        g = philox(129)
+        x = g.normal(size=40)
+        d = (g.uniform(size=40) < 1.0 / (1.0 + np.exp(-x))).astype(float)
+        y = x + d + g.normal(size=40)
+        path = _write_csv(tmp_path / "one.csv", {"y": y, "d": d, "x": x})
+        scores = np.sort(causalest.estimate_propensity_binary(causalest.validate(y, d, x)).scores)
+        lo, hi = (scores[19] + scores[20]) / 2.0, (scores[20] + scores[21]) / 2.0
+        assert scores[19] < lo < scores[20] < hi < scores[21]
+        code, out, err = _run(
+            capsys, "estimate", "--method", "ipw", "--data", path,
+            "--outcome", "y", "--treatment", "d", "--covariates", "x",
+            "--trim", f"{float(lo)!r},{float(hi)!r}",
+        )
+        assert code == 3
+        assert out == ""
+        assert "1 of 40 units" in err
 
     def test_bootstrap_adds_deterministic_interval(self, linear_csv, capsys):
         # [DERIVED] bootstrap output carries a CI bracketing the point and

@@ -153,6 +153,16 @@ class TestValidate:
         assert sub.x[:, 0].tolist() == [7.0, 5.0, 7.0]
         assert sub.treatment_kind == ds.treatment_kind
 
+    @pytest.mark.parametrize(
+        "indices", [np.array([1]), np.array([], dtype=np.intp)], ids=["one", "none"]
+    )
+    def test_take_of_fewer_than_two_rows_rejected(self, indices):
+        # the same floor as validate's and take_units'
+        ds = validate([1.0, 2.0, 3.0], [0.0, 1.0, 0.0])
+        with pytest.raises(EmptyDatasetError, match=f"got {indices.size}"):
+            ds.take(indices)
+        assert ds.take(np.array([1, 1])).y.tolist() == [2.0, 2.0]
+
     def test_take_arrays_are_read_only_and_own_their_data(self):
         g = philox(31)
         ds = validate(g.normal(size=50), (g.uniform(size=50) < 0.5).astype(float),

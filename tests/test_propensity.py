@@ -150,12 +150,12 @@ class TestIrlsDiagnostics:
 
 class TestTrimOverlap:
     def test_hand_example(self):
-        # [TRIVIAL] received scores (0.001, 0.5, 0.999) with bounds
-        # [0.01, 0.99] keep only the middle unit
-        fit = PropensityFit.from_scores([0.001, 0.5, 0.999], [1.0, 1.0, 1.0])
+        # [TRIVIAL] received scores (0.001, 0.5, 0.7, 0.999) with bounds
+        # [0.01, 0.99] keep only the middle two units
+        fit = PropensityFit.from_scores([0.001, 0.5, 0.7, 0.999], [1.0, 1.0, 1.0, 1.0])
         trimmed, kept = trim_overlap(fit, 0.01, 0.99)
-        assert kept.tolist() == [1]
-        assert trimmed.scores.tolist() == [0.5]
+        assert kept.tolist() == [1, 2]
+        assert trimmed.scores.tolist() == [0.5, 0.7]
         assert trimmed.diagnostics["n_dropped"] == 2
 
     def test_trimmed_scores_respect_bounds(self):
@@ -174,6 +174,14 @@ class TestTrimOverlap:
         fit = PropensityFit.from_scores([0.001, 0.999], [1.0, 0.0])
         with pytest.raises(AllUnitsTrimmedError):
             trim_overlap(fit, 0.4, 0.6)
+
+    def test_one_kept_unit_is_too_few(self):
+        # a dataset holds at least 2 rows, so one kept unit cannot be taken
+        fit = PropensityFit.from_scores([0.001, 0.5, 0.999], [1.0, 1.0, 1.0])
+        with pytest.raises(AllUnitsTrimmedError, match="1 of 3 units"):
+            trim_overlap(fit, 0.01, 0.99)
+        trimmed, kept = trim_overlap(fit, 0.001, 0.99)
+        assert kept.tolist() == [0, 1]
 
     def test_invalid_bounds(self):
         fit = PropensityFit.from_scores([0.5, 0.5], [1.0, 0.0])

@@ -177,10 +177,11 @@ class TestFitLogistic:
         with pytest.raises(ValueError, match="0/1"):
             fit_logistic(np.ones((3, 1)), [0.0, 0.5, 1.0])
 
-    def test_max_iter_exhaustion(self):
+    def test_max_iter_exhaustion(self, monkeypatch):
         X, d = _logistic_draw(12, 200)
-        with pytest.raises(ConvergenceError):
-            fit_logistic(X, d, max_iter=1)
+        monkeypatch.setattr(regress, "_MAX_IRLS_ITER", 1)
+        with pytest.raises(ConvergenceError, match="in 1 iterations"):
+            fit_logistic(X, d)
 
 
 class TestIrlsWork:
@@ -231,6 +232,104 @@ class TestIrlsWork:
         fit = fit_logistic(X, d)
         assert np.array_equal(fit.fitted, predict(fit, X))
         assert np.array_equal(fit.residuals, d - fit.fitted)
+
+
+def _allocating_irls(X, d, max_iter=100, tol=1e-8):
+    """Oracle: the IRLS loop that allocates its row-length arrays afresh on
+    every step; returns (coef, residuals, fitted, coef_cov, iterations)."""
+    coef = np.zeros(X.shape[1])
+    for it in range(1, max_iter + 1):
+        p = expit(X @ coef)
+        resid = d - p
+        if np.abs(coef).max() > regress._SEP_COEF and (
+            (p < regress._SEP_PROB) | (p > 1.0 - regress._SEP_PROB)
+        ).any():
+            raise SeparationError("pinned at 0/1")
+        if np.abs(resid).max() < regress._SEP_RESID:
+            raise SeparationError("classes are separated")
+        score = X.T @ resid
+        if np.abs(score).max() < tol:
+            w = p * (1.0 - p)
+            coef_cov = regress._weighted_xtx_inv(X * np.sqrt(w)[:, None])
+            return coef, resid, p, coef_cov, it - 1
+        sw = np.sqrt(np.maximum(p * (1.0 - p), 1e-12))
+        resid /= sw
+        step, _ = regress._svd_solve(X * sw[:, None], resid)
+        coef = coef + step
+    raise ConvergenceError(f"did not converge in {max_iter} iterations")
+
+
+def _score_draw(seed: int, n: int, k: int):
+    """A design of an intercept and k - 1 normal covariates, and a 0/1
+    response drawn from a logistic model in them."""
+    g = philox(seed)
+    X = np.column_stack([np.ones(n), g.normal(size=(n, k - 1))])
+    eta = X @ np.linspace(-0.4, 0.8, k)
+    return X, (g.uniform(size=n) < expit(eta)).astype(float)
+
+
+def _failure(fit_call) -> Exception:
+    with pytest.raises((SeparationError, ConvergenceError)) as info:
+        fit_call()
+    return info.value
+
+
+class TestIrlsInPlace:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("n", [60, 1_000, 50_000])
+    def test_bits_match_the_allocating_loop(self, n, k):
+        # [DERIVED] oracle: the loop that allocates every array afresh
+        for seed in (n + k, n + k + 1):
+            X, d = _score_draw(seed, n, k)
+            coef, resid, p, coef_cov, iterations = _allocating_irls(X, d)
+            fit = fit_logistic(X, d)
+            assert np.array_equal(fit.coef, coef)
+            assert np.array_equal(fit.residuals, resid)
+            assert np.array_equal(fit.fitted, p)
+            assert np.array_equal(fit.coef_cov, coef_cov)
+            assert fit.iterations == iterations > 0
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.linspace(-2.0, 2.0, 40),
+            np.concatenate([np.linspace(-2.0, -1.0, 20), np.linspace(1.0, 2.0, 20)]),
+        ],
+        ids=["pinned", "wide-margin"],
+    )
+    def test_separation_raises_as_the_allocating_loop_does(self, x):
+        X, d = np.column_stack([np.ones(x.size), x]), (x > 0).astype(float)
+        oracle = _failure(lambda: _allocating_irls(X, d))
+        got = _failure(lambda: fit_logistic(X, d))
+        assert type(got) is type(oracle) is SeparationError
+        assert str(oracle) in str(got)  # the same of the two checks
+
+    def test_exhaustion_raises_as_the_allocating_loop_does(self, monkeypatch):
+        X, d = _score_draw(18, 1_000, 4)
+        monkeypatch.setattr(regress, "_MAX_IRLS_ITER", 1)
+        oracle = _failure(lambda: _allocating_irls(X, d, max_iter=1))
+        got = _failure(lambda: fit_logistic(X, d))
+        assert type(got) is type(oracle) is ConvergenceError
+        assert str(oracle) in str(got)
+
+    def test_fits_share_no_memory(self):
+        X, d = _score_draw(19, 1_000, 4)
+        first = fit_logistic(X, d)
+        weighted = vars(first)["coef_cov"].args[0]  # before the first read
+        arrays = {"fitted": first.fitted, "residuals": first.residuals,
+                  "weighted": weighted, "design": X}
+        names = list(arrays)
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                assert not np.shares_memory(arrays[a], arrays[b]), (a, b)
+        saved = {name: v.copy() for name, v in arrays.items()}
+        X2, d2 = _score_draw(20, 1_000, 4)
+        second = fit_logistic(X2, d2)
+        for name in ("fitted", "residuals", "weighted"):
+            assert np.array_equal(arrays[name], saved[name]), name
+            assert not np.shares_memory(arrays[name], second.fitted), name
+            assert not np.shares_memory(arrays[name], second.residuals), name
+        assert np.array_equal(first.coef_cov, _allocating_irls(X, d)[3])
 
 
 class TestPredict:

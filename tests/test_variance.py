@@ -20,7 +20,6 @@ from causalest import (
     delta_variance,
     estimate_propensity_binary,
     fit_fe,
-    fit_logistic,
     fit_ols,
     generate,
     normal_interval,
@@ -481,15 +480,8 @@ class TestIntegerArguments:
                 lambda: balance_diagnostic(*_scored(), n_strata=2.5),
                 "n_strata must be >= 2 and an integer, got 2.5",
             ),
-            (
-                lambda: fit_logistic(
-                    np.column_stack([np.ones(4), [0.0, 1.0, 2.0, 3.0]]), [0.0, 1.0, 0.0, 1.0],
-                    max_iter=2.5,
-                ),
-                "max_iter must be >= 1 and an integer, got 2.5",
-            ),
         ],
-        ids=["runs", "n", "n_boot", "n_strata", "n_matches", "balance_n_strata", "max_iter"],
+        ids=["runs", "n", "n_boot", "n_strata", "n_matches", "balance_n_strata"],
     )
     def test_float_count_is_an_input_error(self, call, message):
         # a float count used to reach NumPy or range and escape as a bare TypeError
