@@ -80,7 +80,6 @@ from .simulate import (
 from .variance import (
     BootstrapResult,
     bootstrap_variance,
-    delta_variance,
 )
 
 __version__ = "0.1.0"
@@ -129,7 +128,6 @@ __all__ = [
     "sc_fit",
     "rdd_sharp",
     "rdd_fuzzy",
-    "delta_variance",
     "normal_interval",
     "BootstrapResult",
     "bootstrap_variance",

@@ -83,16 +83,8 @@ class ZeroPropensityError(CausalestError):
     """A fitted score is exactly 0 or 1, or a divisor score is below 1e-12."""
 
 
-class EmptyDoseGroupError(CausalestError):
-    """No units received the requested dose."""
-
-
 class NoUsableStratumError(CausalestError):
     """Every propensity stratum is missing one treatment arm."""
-
-
-class InsufficientMatchesError(CausalestError):
-    """An arm is smaller than the requested number of matches."""
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +125,6 @@ class NoFirstStageJumpError(CausalestError):
 
 class TooManyFailedReplicatesError(CausalestError):
     """An estimator failed on over 5% of Monte Carlo runs or 10% of bootstrap replicates."""
-
-
-class MissingCoefCovarianceError(CausalestError):
-    """A fit lacks the coefficient covariance the formula requires."""
 
 
 # ---------------------------------------------------------------------------

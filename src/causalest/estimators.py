@@ -13,21 +13,18 @@ from .core import (
     BINARY,
     CausalEstimate,
     ObservationalDataset,
-    _check_int,
     _check_rows,
     _estimate,
 )
 from .errors import (
     DimensionMismatchError,
-    EmptyDoseGroupError,
-    InsufficientMatchesError,
+    EmptyTreatmentArmError,
     InvalidInputError,
     NoUsableStratumError,
     ZeroPropensityError,
 )
-from .propensity import PropensityFit, quantile_strata
+from .propensity import _N_STRATA, PropensityFit, quantile_strata
 from .regress import IDENTITY, LinearFit, _coef_estimate, fit_ols, predict
-from .variance import delta_variance
 
 _WEIGHT_FLOOR = 1e-12
 # the outcome model is OLS of y on (1, d, all of x); its estimates report so
@@ -82,20 +79,25 @@ def ate_or(ds: ObservationalDataset, outcome_fit: LinearFit | None = None) -> Ca
     lo = float(predict(fit, design).mean())
     design[:, 1] = 1.0
     hi = float(predict(fit, design).mean())
-    # the two designs differ only in d's column, so the contrast's gradient
-    # in the coefficients is the unit vector at d
-    var = delta_variance(fit, np.eye(fit.design_width)[1])
+    # the two designs differ only in d's column, so the contrast's delta
+    # variance is that of d's coefficient
+    var = float(fit.coef_cov[1, 1])
     return _estimate("or", hi - lo, ds.n, var, dict(_OR_DIAGNOSTICS))
 
 
 def _dose_weights(ds, fit, dose):
-    """Indicator of receiving `dose` (0 or 1) and the per-unit P(D=dose|x)
-    scores, guarding the weight floor only where the indicator is on."""
+    """Indicator of receiving `dose` (0 or 1) and the received-arm scores,
+    guarding the weight floor only where the indicator is on.
+
+    Where it is on, the received-arm score is P(D=dose|x). Where it is off,
+    a term is 0·y/score with a positive score, the same signed zero that
+    dividing by P(D=dose|x) gives, so neither arm forms 1 - p.
+    """
     _check_rows("score fit", fit.n, ds.n)
     at_dose = ds.d == dose
     if not at_dose.any():
-        raise EmptyDoseGroupError(f"no unit received dose {dose}")
-    p = fit.score_at(dose)
+        raise EmptyTreatmentArmError(f"no unit received dose {dose}")
+    p = fit.scores
     if (p[at_dose] < _WEIGHT_FLOOR).any():
         raise ZeroPropensityError(
             f"a unit at dose {dose} has an assignment score below {_WEIGHT_FLOOR}"
@@ -128,10 +130,8 @@ def ate_psr(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate:
     return _coef_estimate("psr", design, ds.y, 1, diagnostics)
 
 
-def ate_stratification(
-    ds: ObservationalDataset, fit: PropensityFit, n_strata: int = 5
-) -> CausalEstimate:
-    """Size-weighted within-stratum mean differences over score strata.
+def ate_stratification(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate:
+    """Size-weighted within-stratum mean differences over score quintiles.
 
     Strata lacking one arm are dropped and the weights renormalized over the
     remaining strata; the excluded unit count is reported as a diagnostic.
@@ -139,11 +139,11 @@ def ate_stratification(
     if ds.treatment_kind != BINARY:
         raise InvalidInputError("stratification requires a binary treatment")
     _check_rows("score fit", fit.n, ds.n)
-    labels = quantile_strata(fit.scores_treated, n_strata)
+    labels = quantile_strata(fit.scores_treated)
     treated = ds.d == 1.0
     diffs, sizes, var_terms = [], [], []
     n_unusable = 0
-    for j in range(n_strata):
+    for j in range(_N_STRATA):
         in_j = labels == j
         y1 = ds.y[in_j & treated]
         y0 = ds.y[in_j & ~treated]
@@ -165,53 +165,48 @@ def ate_stratification(
     if all(v is not None for v in var_terms):
         var = float(np.sum(w**2 * np.asarray(var_terms, dtype=float)))
     diagnostics = {
-        "n_strata": n_strata,
+        "n_strata": _N_STRATA,
         "n_unusable_strata": n_unusable,
         "n_excluded_units": int(ds.n - sum(sizes)),
     }
     return _estimate("stratification", point, sum(sizes), var, diagnostics)
 
 
-def _nearest(targets: np.ndarray, pool: np.ndarray, k: int) -> np.ndarray:
-    """Positions in `pool` of each target's `k` nearest scores, nearest first.
+def _nearest(targets: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Position in `pool` of each target's nearest score.
 
     Candidates are ordered by (|target - score|, position), so distance ties
-    go to the lowest position. In one dimension the k nearest scores lying
-    below a target are the k just below its insertion point in sorted order,
-    and likewise above, so only a (n_targets, 2k) block is ever compared:
-    O(n log n + n k log k) time and O(n k) memory. The result equals a
-    stable argsort of the full distance row, the float rounding of the
-    distances included.
+    go to the lowest position. In one dimension the nearest score below a
+    target lies just below its insertion point in sorted order, and likewise
+    above, so each target is compared with two candidates: O(n log n) time
+    and O(n) memory. The result equals the first entry of a stable argsort
+    of the full distance row, the float rounding of the distances included.
     """
     m = pool.size
     up = np.argsort(pool, kind="stable")  # (score, position) ascending
     # (score ascending, position descending): read backwards from a target's
     # insertion point, an equal-score group below it yields its lowest
-    # positions first
+    # position first
     down = m - 1 - np.argsort(pool[::-1], kind="stable")
     s = pool[up]
     ins = np.searchsorted(s, targets)  # scores at [0, ins) lie below the target
-    steps = np.arange(k)
-    below = ins[:, None] - 1 - steps
-    above = ins[:, None] + steps
-    cand = np.concatenate(
-        [down[np.maximum(below, 0)], up[np.minimum(above, m - 1)]], axis=1
-    )
-    valid = np.concatenate([below >= 0, above < m], axis=1)
-    dist = np.where(valid, np.abs(targets[:, None] - pool[cand]), np.inf)
-    order = np.lexsort((np.where(valid, cand, m), dist), axis=1)[:, :k]
-    nearest = np.take_along_axis(cand, order, axis=1)
+    below = down[np.maximum(ins - 1, 0)]
+    above = up[np.minimum(ins, m - 1)]
+    gap_below = np.where(ins > 0, np.abs(targets - pool[below]), np.inf)
+    gap_above = np.where(ins < m, np.abs(targets - pool[above]), np.inf)
+    take_below = (gap_below < gap_above) | ((gap_below == gap_above) & (below < above))
+    nearest = np.where(take_below, below, above)
 
     # Rounding in t - s can give distinct scores on one side of a target the
     # same distance (only when the distance exceeds the nearer of t and s).
-    # When such a run reaches a side's k-th candidate, its lowest positions
-    # may lie outside the window, so those rare targets are redone in full.
+    # When such a run reaches a side's candidate, its lowest positions may
+    # lie beyond it, so those rare targets are redone in full.
     tie_lo = np.searchsorted(s, s, side="left")  # bounds of each tie group
     tie_hi = np.searchsorted(s, s, side="right")
 
-    def distance_shared_past(kth, first, stop):
-        inside = (kth >= first) & (kth < stop)
-        at = np.where(inside, kth, 0)
+    def distance_shared_past(rank, first, stop):
+        inside = (rank >= first) & (rank < stop)
+        at = np.where(inside, rank, 0)
         gap = np.abs(targets - s[at])
         shared = np.zeros(targets.size, dtype=bool)
         for nb in (tie_lo[at] - 1, tie_hi[at]):  # the distinct scores around it
@@ -219,47 +214,46 @@ def _nearest(targets: np.ndarray, pool: np.ndarray, k: int) -> np.ndarray:
             shared |= ok & (np.abs(targets - s[np.where(ok, nb, 0)]) == gap)
         return shared
 
-    redo = distance_shared_past(ins - k, 0, ins)  # the side below the target
-    redo |= distance_shared_past(ins + k - 1, ins, m)  # the side at or above it
+    redo = distance_shared_past(ins - 1, 0, ins)  # the side below the target
+    redo |= distance_shared_past(ins, ins, m)  # the side at or above it
     for i in np.flatnonzero(redo):
-        nearest[i] = np.argsort(np.abs(targets[i] - pool), kind="stable")[:k]
+        nearest[i] = np.argmin(np.abs(targets[i] - pool))
     return nearest
 
 
-def ate_matching(
-    ds: ObservationalDataset, fit: PropensityFit, n_matches: int = 1
-) -> CausalEstimate:
-    """Nearest-neighbour matching (with replacement) on the treated-probability.
+def ate_matching(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate:
+    """One-to-one nearest-neighbour matching (with replacement) on the
+    treated-probability.
 
-    Each unit's counterfactual outcome is the mean outcome of its `n_matches`
-    closest opposite-arm units by absolute score distance; distance ties go
-    to the lowest-index candidate. The search sorts each arm once, so it
-    costs O(n log n) time and O(n * n_matches) memory. No analytic variance
-    is reported — use the bootstrap.
+    Each unit's counterfactual outcome is the outcome of its closest
+    opposite-arm unit by absolute score distance; distance ties go to the
+    lowest-index candidate. The search sorts each arm once, so it costs
+    O(n log n) time and O(n) memory. An empty arm raises
+    EmptyTreatmentArmError. No analytic variance is reported — use the
+    bootstrap.
     """
     if ds.treatment_kind != BINARY:
         raise InvalidInputError("matching requires a binary treatment")
-    _check_int(1, n_matches=n_matches)
     _check_rows("score fit", fit.n, ds.n)
     p1 = fit.scores_treated
     treated = ds.d == 1.0
     idx_t = np.flatnonzero(treated)
     idx_c = np.flatnonzero(~treated)
-    if min(idx_t.size, idx_c.size) < n_matches:
-        raise InsufficientMatchesError(
-            f"need {n_matches} matches but arms have sizes "
+    if min(idx_t.size, idx_c.size) == 0:
+        raise EmptyTreatmentArmError(
+            f"matching needs a unit in each arm, but the arms have sizes "
             f"({idx_t.size}, {idx_c.size})"
         )
 
     def imputed_from(targets, pool):
         # pool positions ascend with the unit index, so the lowest position
         # is the lowest-index candidate
-        return ds.y[pool][_nearest(p1[targets], p1[pool], n_matches)].mean(axis=1)
+        return ds.y[pool][_nearest(p1[targets], p1[pool])]
 
     effect_t = ds.y[idx_t] - imputed_from(idx_t, idx_c)
     effect_c = imputed_from(idx_c, idx_t) - ds.y[idx_c]
     point = float((effect_t.sum() + effect_c.sum()) / ds.n)
-    return _estimate("matching", point, ds.n, diagnostics={"n_matches": n_matches})
+    return _estimate("matching", point, ds.n, diagnostics={"n_matches": 1})
 
 
 def ate_dr(

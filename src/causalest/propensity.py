@@ -14,7 +14,6 @@ from .core import (
     BINARY,
     ObservationalDataset,
     _as_vector,
-    _check_int,
     _check_rows,
 )
 from .errors import (
@@ -31,47 +30,28 @@ class PropensityFit:
     """A fitted binary assignment model with per-unit scores.
 
     Attributes:
+        scores_treated: P(D=1 | x) per unit.
         scores: probability of the *received* treatment per unit.
-        level_scores: level -> P(D=level | x) vectors, for levels 0 and 1;
-            required.
         diagnostics: extras such as the dropped-unit count after trimming.
 
-    Construction raises InvalidInputError when `level_scores` is missing or
-    does not hold exactly the levels 0 and 1, LengthMismatchError when one
-    of its vectors differs in length from `scores`, and NonFiniteValueError
-    for a non-finite entry of `scores` or of any `level_scores` vector.
+    Construction raises LengthMismatchError when `scores_treated` differs in
+    length from `scores`, and NonFiniteValueError for a non-finite entry of
+    either.
     """
 
+    scores_treated: np.ndarray
     scores: np.ndarray
-    level_scores: dict[float, np.ndarray] | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.scores = s = _as_vector("scores", self.scores)
-        if self.level_scores is None or set(self.level_scores) != {0.0, 1.0}:
-            raise InvalidInputError("level_scores must give P(D=level | x) for levels 0 and 1")
-        self.level_scores = {
-            level: _as_vector(f"level_scores[{level}]", v, s.shape[0])
-            for level, v in self.level_scores.items()
-        }
+        self.scores_treated = _as_vector("scores_treated", self.scores_treated, s.shape[0])
         if np.any(s <= 0.0) or np.any(s >= 1.0):
             raise InvalidInputError("scores must lie strictly in (0, 1)")
 
     @property
     def n(self) -> int:
         return self.scores.shape[0]
-
-    def score_at(self, d: float) -> np.ndarray:
-        """P(D = d | x) for every unit."""
-        key = float(d)
-        if key not in self.level_scores:
-            raise InvalidInputError(f"no score model for level {d}")
-        return self.level_scores[key]
-
-    @property
-    def scores_treated(self) -> np.ndarray:
-        """P(D=1 | x) per unit."""
-        return self.score_at(1.0)
 
     @classmethod
     def from_scores(cls, p1, d) -> "PropensityFit":
@@ -83,10 +63,15 @@ class PropensityFit:
         """
         p = _as_vector("p1", p1)
         dv = _as_vector("d", d, p.shape[0])
-        return cls(
-            scores=np.where(dv == 1.0, p, 1.0 - p),
-            level_scores={1.0: p, 0.0: 1.0 - p},
-        )
+        return cls(scores_treated=p, scores=_received(p, dv))
+
+
+def _received(p1: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """P(D = d_i | x) per unit: 1 - p1, overwritten by p1 where d is 1."""
+    # one row-length buffer, where np.where would also allocate 1 - p1
+    s = np.subtract(1.0, p1)
+    np.copyto(s, p1, where=d == 1.0)
+    return s
 
 
 def _unsaturated(scores: np.ndarray) -> np.ndarray:
@@ -107,10 +92,9 @@ def estimate_propensity_binary(ds: ObservationalDataset) -> PropensityFit:
     if ds.d.min() == ds.d.max():
         raise NoTreatmentVariationError("both treatment arms must be non-empty")
     model = fit_logistic(np.column_stack([np.ones(ds.n), ds.x]), ds.d)
-    p1 = model.fitted
     return PropensityFit(
-        scores=_unsaturated(np.where(ds.d == 1.0, p1, 1.0 - p1)),
-        level_scores={1.0: p1, 0.0: 1.0 - p1},
+        scores_treated=model.fitted,
+        scores=_unsaturated(_received(model.fitted, ds.d)),
         diagnostics={"iterations": model.iterations},
     )
 
@@ -137,21 +121,24 @@ def trim_overlap(fit: PropensityFit, lo: float = 0.01, hi: float = 0.99):
     diagnostics["n_dropped"] = int(fit.n - kept_indices.size)
     trimmed = replace(
         fit,
+        scores_treated=fit.scores_treated[keep],
         scores=fit.scores[keep],
-        level_scores={k: v[keep] for k, v in fit.level_scores.items()},
         diagnostics=diagnostics,
     )
     return trimmed, kept_indices
 
 
-def quantile_strata(scores: np.ndarray, n_strata: int) -> np.ndarray:
-    """Assign 0..J-1 stratum labels by sample-quantile edges of the scores.
+# stratification and the balance table both block on score quintiles
+_N_STRATA = 5
 
-    Edges are the j/J sample quantiles (linear interpolation); a score equal
+
+def quantile_strata(scores: np.ndarray) -> np.ndarray:
+    """Assign 0..4 stratum labels by the sample quintiles of the scores.
+
+    Edges are the j/5 sample quantiles (linear interpolation); a score equal
     to an edge joins the upper stratum, so tied scores always share a label.
     """
-    _check_int(1, n_strata=n_strata)
-    edges = np.quantile(scores, np.arange(1, n_strata) / n_strata)
+    edges = np.quantile(scores, np.arange(1, _N_STRATA) / _N_STRATA)
     return np.searchsorted(edges, scores, side="right")
 
 
@@ -198,9 +185,7 @@ def _smd(x: np.ndarray, treated: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return out
 
 
-def balance_diagnostic(
-    ds: ObservationalDataset, fit: PropensityFit, n_strata: int = 5
-) -> BalanceTable:
+def balance_diagnostic(ds: ObservationalDataset, fit: PropensityFit) -> BalanceTable:
     """Covariate balance before and after stratifying on the estimated score.
 
     Strata that lack one treatment arm are reported as undefined (NaN rows)
@@ -208,19 +193,18 @@ def balance_diagnostic(
     """
     if ds.treatment_kind != BINARY:
         raise InvalidInputError("balance diagnostic requires a binary treatment")
-    _check_int(2, n_strata=n_strata)
     _check_rows("score fit", fit.n, ds.n)
     treated = ds.d == 1.0
     if treated.all() or not treated.any():
         raise NoTreatmentVariationError("both arms required for balance checks")
     scale = _pooled_sd(ds.x, treated)
     overall = _smd(ds.x, treated, scale)
-    labels = quantile_strata(fit.scores_treated, n_strata)
+    labels = quantile_strata(fit.scores_treated)
     p = ds.x.shape[1]
-    per_stratum = np.full((n_strata, p), np.nan)
-    sizes = np.zeros(n_strata, dtype=int)
-    defined = np.zeros(n_strata, dtype=bool)
-    for j in range(n_strata):
+    per_stratum = np.full((_N_STRATA, p), np.nan)
+    sizes = np.zeros(_N_STRATA, dtype=int)
+    defined = np.zeros(_N_STRATA, dtype=bool)
+    for j in range(_N_STRATA):
         in_j = labels == j
         sizes[j] = int(in_j.sum())
         tj = treated[in_j]
@@ -238,5 +222,5 @@ def balance_diagnostic(
         per_stratum=per_stratum,
         stratum_avg=stratum_avg,
         stratum_sizes=sizes,
-        n_undefined_strata=int(n_strata - defined.sum()),
+        n_undefined_strata=int(_N_STRATA - defined.sum()),
     )

@@ -308,20 +308,17 @@ class ScFit:
         weights: donor weights on the simplex.
         v: diagonal predictor weights found by the outer search.
         gap: per-post-period treated-minus-synthetic outcome differences.
-        pre_rmse: root-mean-squared pre-period fit error.
-        estimate: the post-period mean gap as a CausalEstimate.
-        outer_converged: whether Nelder-Mead reported success for the chosen
-            start (True when one donor leaves nothing to search).
-        outer_iterations: Nelder-Mead iterations of the chosen start.
+        estimate: the post-period mean gap as a CausalEstimate. Its
+            diagnostics hold the root-mean-squared pre-period fit error
+            `pre_rmse`, whether Nelder-Mead reported success for the chosen
+            start `outer_converged` (True when one donor leaves nothing to
+            search), and that start's iterations `outer_iterations`.
     """
 
     weights: np.ndarray
     v: np.ndarray
     gap: np.ndarray
-    pre_rmse: float
     estimate: CausalEstimate = field(repr=False)
-    outer_converged: bool
-    outer_iterations: int
 
 
 def sc_fit(problem: ScProblem) -> ScFit:
@@ -332,7 +329,7 @@ def sc_fit(problem: ScProblem) -> ScFit:
     (multi-start from the uniform V and each one-hot corner) minimizing the
     pre-period outcome mismatch of the induced weights. The convergence flag
     and iteration count of the start with the lowest mismatch are kept in
-    the fit and in its estimate's diagnostics.
+    the estimate's diagnostics.
     """
     from scipy.optimize import minimize  # loaded here: no other path needs the optimizer
 
@@ -371,9 +368,8 @@ def sc_fit(problem: ScProblem) -> ScFit:
 
     pre_resid = problem.z1 - problem.z0 @ weights
     gap = problem.y1 - problem.y0 @ weights
-    pre_rmse = float(np.sqrt(np.mean(pre_resid**2)))
     diagnostics = {
-        "pre_rmse": pre_rmse,
+        "pre_rmse": float(np.sqrt(np.mean(pre_resid**2))),
         "outer_converged": converged,
         "outer_iterations": iterations,
     }
@@ -384,10 +380,7 @@ def sc_fit(problem: ScProblem) -> ScFit:
         weights=weights,
         v=v_best,
         gap=gap,
-        pre_rmse=pre_rmse,
         estimate=estimate,
-        outer_converged=converged,
-        outer_iterations=iterations,
     )
 
 

@@ -1,4 +1,4 @@
-"""Uncertainty quantification: delta-method contrasts and the unit bootstrap.
+"""Uncertainty quantification: the unit bootstrap.
 
 The bootstrap resamples observations (or whole units, for panels) with
 replacement, re-runs an arbitrary estimator on each replicate, and reports
@@ -16,25 +16,8 @@ import numpy as np
 from .core import CausalEstimate, PanelDataset, _check_int
 from .errors import (
     CausalestError,
-    InvalidInputError,
-    MissingCoefCovarianceError,
     TooManyFailedReplicatesError,
 )
-from .regress import LinearFit
-
-
-def delta_variance(fit: LinearFit, gradient) -> float:
-    """Variance of a smooth scalar g(coef) via the delta method: g' V g."""
-    if fit.coef_cov is None:
-        raise MissingCoefCovarianceError(
-            "fit carries no coefficient covariance; cannot form a delta variance"
-        )
-    g = np.asarray(gradient, dtype=float)
-    if g.shape != (fit.coef.shape[0],):
-        raise InvalidInputError(
-            f"gradient has shape {g.shape}, expected ({fit.coef.shape[0]},)"
-        )
-    return float(g @ fit.coef_cov @ g)
 
 
 @dataclass

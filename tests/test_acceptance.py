@@ -15,10 +15,10 @@ import pytest
 from causalest import (
     DgpSpec,
     ate_2sls,
+    ate_or,
     balance_diagnostic,
     bootstrap_variance,
     compare_to_reference,
-    delta_variance,
     estimate_propensity_binary,
     fit_ols,
     generate,
@@ -281,7 +281,7 @@ def balance_tables():
     for i in range(100):
         ds = generate(spec, run_index=i, seed=SEED)
         fit = estimate_propensity_binary(ds)
-        tables.append(balance_diagnostic(ds, fit, n_strata=5))
+        tables.append(balance_diagnostic(ds, fit))
     return tables
 
 
@@ -439,15 +439,14 @@ class TestVarianceProperties:
         )
 
     def test_delta_variance_matches_finite_differences(self):
-        # an interacted fit, y on (1, d, x, d x), whose contrast gradient
-        # (0, 1, 0, mean x) is not a unit vector
+        # ate_or's variance is the delta variance of its contrast of the
+        # predictions at d = 1 and d = 0 on the fit y ~ (1, d, x)
         ds = confounded_binary(161, 400)
-        x = ds.x[:, 0]
-        fit = fit_ols(np.column_stack([np.ones(ds.n), ds.d, x, ds.d * x]), ds.y)
-        variance = delta_variance(fit, [0.0, 1.0, 0.0, x.mean()])
+        fit = fit_ols(np.column_stack([np.ones(ds.n), ds.d, ds.x]), ds.y)
+        variance = ate_or(ds).variance
         ones, zeros = np.ones(ds.n), np.zeros(ds.n)
-        treated = np.column_stack([ones, ones, x, x])
-        control = np.column_stack([ones, zeros, x, zeros])
+        treated = np.column_stack([ones, ones, ds.x])
+        control = np.column_stack([ones, zeros, ds.x])
 
         def contrast(coef):
             return (treated @ coef).mean() - (control @ coef).mean()

@@ -396,6 +396,27 @@ class TestEstimate:
         assert out == ""
         assert "exactly 0 or 1" in err
 
+    @pytest.mark.parametrize(
+        "method, message",
+        [("ipw", "no unit received dose 0.0"), ("match", "arms have sizes (30, 0)")],
+        ids=["ipw", "match"],
+    )
+    def test_trimmed_away_arm_exits_3(self, tmp_path, capsys, method, message):
+        # [DERIVED] without covariates the score is the treated share, 0.75:
+        # trimming to [0.5, 0.99] keeps the 30 treated units and none of the
+        # 10 controls, whose received score is 0.25; the empty arm is an
+        # estimation error (exit 3)
+        y = np.arange(40.0)
+        d = np.repeat([1.0, 0.0], [30, 10])
+        path = _write_csv(tmp_path / "arm.csv", {"y": y, "d": d})
+        code, out, err = _run(
+            capsys, "estimate", "--method", method, "--data", path,
+            "--outcome", "y", "--treatment", "d", "--trim", "0.5,0.99",
+        )
+        assert code == 3
+        assert out == ""
+        assert message in err
+
     def test_estimation_failure_exits_3(self, tmp_path, capsys):
         # [DERIVED] treatment perfectly separated by the covariate makes
         # the score model diverge: an estimation error, not an input one.

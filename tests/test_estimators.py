@@ -24,12 +24,12 @@ from causalest import (
     fit_logistic,
     fit_outcome_model,
     predict,
+    quantile_strata,
     validate,
 )
 from causalest.errors import (
     DimensionMismatchError,
-    EmptyDoseGroupError,
-    InsufficientMatchesError,
+    EmptyTreatmentArmError,
     InvalidInputError,
     LengthMismatchError,
     NoUsableStratumError,
@@ -55,19 +55,25 @@ def cs1_mc_points():
         ds = confounded_binary(3000 + i, 1000)
         fit = estimate_propensity_binary(ds)
         psr_points.append(ate_psr(ds, fit).point)
-        strat_points.append(ate_stratification(ds, fit, n_strata=5).point)
+        strat_points.append(ate_stratification(ds, fit).point)
     return {"psr": np.array(psr_points), "strat": np.array(strat_points)}
 
 
 def test_each_estimator_takes_only_the_dataset_and_its_fits():
     # the outcome model uses all of the dataset's x, the score regression
-    # (1, d, p), and every contrast is d = 1 against d = 0
+    # (1, d, p), every contrast is d = 1 against d = 0, matching is
+    # one-to-one, and stratification and the balance table block on score
+    # quintiles
     signatures = {
         fit_outcome_model: ["ds"],
         ate_or: ["ds", "outcome_fit"],
         ate_ipw: ["ds", "fit"],
         ate_psr: ["ds", "fit"],
+        ate_stratification: ["ds", "fit"],
+        ate_matching: ["ds", "fit"],
         ate_dr: ["ds", "fit", "outcome_fit"],
+        balance_diagnostic: ["ds", "fit"],
+        quantile_strata: ["scores"],
     }
     for estimator, parameters in signatures.items():
         assert list(inspect.signature(estimator).parameters) == parameters, estimator.__name__
@@ -143,7 +149,7 @@ class TestIpw:
     def test_empty_dose_group(self):
         ds = validate([1.0, 2.0], [0.0, 0.0])  # no unit has d = 1
         fit = PropensityFit.from_scores([0.5, 0.5], ds.d)
-        with pytest.raises(EmptyDoseGroupError, match="no unit received dose 1.0"):
+        with pytest.raises(EmptyTreatmentArmError, match="no unit received dose 1.0"):
             ate_ipw(ds, fit)
 
     def test_zero_propensity_floor(self):
@@ -200,48 +206,56 @@ class TestPsr:
 
 class TestStratification:
     def test_hand_weighted_average(self):
-        # [DERIVED] hand evaluation: 0.4*(5-3) + 0.6*(9-8) = 1.4
-        y = np.array([5.0, 5.0, 3.0, 3.0, 9.0, 9.0, 9.0, 8.0, 8.0, 8.0])
-        d = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-        p1 = np.array([0.2] * 4 + [0.8] * 6)
+        # [DERIVED] five score groups of 2, 4, 4, 4 and 6 units are the five
+        # quintile strata; hand evaluation of the size-weighted differences:
+        # 0.1*2 + 0.2*1 + 0.2*3 + 0.2*(-1) + 0.3*4 = 2
+        y = np.array([5.0, 3.0, 4, 4, 3, 3, 6, 3, 6, 3, 2, 2, 3, 3, 9, 9, 9, 5, 5, 5])
+        d = np.array([1.0, 0.0, 1, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 0])
+        p1 = np.repeat([0.1, 0.3, 0.5, 0.7, 0.9], [2, 4, 4, 4, 6])
         ds = validate(y, d)
         fit = PropensityFit.from_scores(p1, d)
-        est = ate_stratification(ds, fit, n_strata=2)
-        assert est.point == pytest.approx(1.4, abs=1e-12)
-        assert est.n_used == 10
+        est = ate_stratification(ds, fit)
+        assert est.point == pytest.approx(2.0, abs=1e-12)
+        assert est.n_used == 20
+        assert est.diagnostics == {"n_strata": 5, "n_unusable_strata": 0, "n_excluded_units": 0}
 
     def test_one_stratum_equals_difference_in_means(self):
-        # [TRIVIAL] J=1 collapses to the plain contrast
+        # [TRIVIAL] a constant score puts every unit in one stratum, which
+        # collapses to the plain contrast
         ds = randomized_binary(42, 80)
-        fit = estimate_propensity_binary(ds)
-        est = ate_stratification(ds, fit, n_strata=1)
+        fit = PropensityFit.from_scores([0.5] * ds.n, ds.d)
+        est = ate_stratification(ds, fit)
         assert est.point == pytest.approx(difference_in_means(ds).point, abs=1e-12)
+        assert est.n_used == ds.n
+        assert est.diagnostics["n_unusable_strata"] == 4
 
     def test_missing_arm_renormalizes(self):
-        y = np.array([5.0, 5.0, 3.0, 3.0, 4.0, 4.0, 3.0, 3.0, 7.0, 7.0, 7.0, 7.0])
-        d = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
-        p1 = np.array([0.1] * 4 + [0.5] * 4 + [0.9] * 4)
+        # five score groups of four; the top one holds only treated units
+        y = np.array([5.0, 5, 3, 3, 4, 4, 3, 3, 6, 6, 3, 3, 1, 1, 3, 3, 7, 7, 7, 7])
+        d = np.array([1.0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 1, 1])
+        p1 = np.repeat([0.1, 0.3, 0.5, 0.7, 0.9], 4)
         ds = validate(y, d)
-        est = ate_stratification(ds, PropensityFit.from_scores(p1, d), n_strata=3)
-        # usable strata have diffs 2 and 1 with equal renormalized weights
-        assert est.point == pytest.approx(1.5, abs=1e-12)
-        assert est.n_used == 8
+        est = ate_stratification(ds, PropensityFit.from_scores(p1, d))
+        # usable strata have diffs 2, 1, 3 and -2 with equal renormalized weights
+        assert est.point == pytest.approx(1.0, abs=1e-12)
+        assert est.n_used == 16
         assert est.diagnostics["n_unusable_strata"] == 1
         assert est.diagnostics["n_excluded_units"] == 4
 
     def test_no_usable_stratum(self):
-        d = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-        p1 = np.array([0.2] * 3 + [0.8] * 3)
-        ds = validate(np.ones(6), d)
+        # five tied pairs, one stratum each, and each pair is one arm
+        d = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+        p1 = np.repeat([0.1, 0.3, 0.5, 0.7, 0.9], 2)
+        ds = validate(np.ones(10), d)
         with pytest.raises(NoUsableStratumError):
-            ate_stratification(ds, PropensityFit.from_scores(p1, d), n_strata=2)
+            ate_stratification(ds, PropensityFit.from_scores(p1, d))
 
     def test_variance_requires_two_per_arm(self):
         y = np.array([5.0, 3.0, 4.0])
         d = np.array([1.0, 0.0, 0.0])  # singleton treated arm
         ds = validate(y, d)
         fit = PropensityFit.from_scores([0.5] * 3, d)
-        est = ate_stratification(ds, fit, n_strata=1)
+        est = ate_stratification(ds, fit)
         assert est.variance is None and est.ci is None
 
     def test_monte_carlo_quintile_blocking(self, cs1_mc_points):
@@ -250,7 +264,7 @@ class TestStratification:
         assert abs(av - (-5.0)) < 0.25
 
 
-def dense_matching_point(ds, p1, n_matches):
+def dense_matching_point(ds, p1):
     """Oracle: the full n_t x n_c distance matrix with a stable row argsort.
     Candidates sit in ascending index order, so distance ties go to the
     lowest index."""
@@ -260,8 +274,7 @@ def dense_matching_point(ds, p1, n_matches):
 
     def imputed_from(targets, pool):
         dist = np.abs(p1[targets][:, None] - p1[pool][None, :])
-        order = np.argsort(dist, axis=1, kind="stable")[:, :n_matches]
-        return ds.y[pool][order].mean(axis=1)
+        return ds.y[pool][np.argsort(dist, axis=1, kind="stable")[:, 0]]
 
     effect_t = ds.y[idx_t] - imputed_from(idx_t, idx_c)
     effect_c = imputed_from(idx_c, idx_t) - ds.y[idx_c]
@@ -270,22 +283,23 @@ def dense_matching_point(ds, p1, n_matches):
 
 class TestMatching:
     def test_hand_example(self):
-        # [DERIVED] hand evaluation of the matched-set formula: every
+        # [DERIVED] hand evaluation of the matched-pair formula: every
         # imputation contributes an effect of 3
         y = np.array([5.0, 4.0, 2.0, 1.0])
         d = np.array([1.0, 1.0, 0.0, 0.0])
         p1 = np.array([0.6, 0.3, 0.55, 0.25])
         ds = validate(y, d)
-        est = ate_matching(ds, PropensityFit.from_scores(p1, d), n_matches=1)
+        est = ate_matching(ds, PropensityFit.from_scores(p1, d))
         assert est.point == pytest.approx(3.0, abs=1e-12)
         assert est.variance is None
+        assert est.diagnostics == {"n_matches": 1}
 
     def test_distance_tie_goes_to_lowest_index(self):
         y = np.array([10.0, 0.0, 2.0])
         d = np.array([1.0, 0.0, 0.0])
         p1 = np.array([0.5, 0.4, 0.6])  # both controls 0.1 away
         ds = validate(y, d)
-        est = ate_matching(ds, PropensityFit.from_scores(p1, d), n_matches=1)
+        est = ate_matching(ds, PropensityFit.from_scores(p1, d))
         assert est.point == pytest.approx((10.0 + 10.0 + 8.0) / 3.0, abs=1e-12)
 
     def test_identical_pairs_give_zero(self):
@@ -295,50 +309,47 @@ class TestMatching:
         assert ate_matching(ds, fit).point == 0.0
 
     def test_insufficient_matches(self):
-        ds = validate([1.0, 2.0, 3.0], [1.0, 0.0, 0.0])
+        # an empty arm leaves the other arm's units nothing to match
+        ds = validate([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
         fit = PropensityFit.from_scores([0.5, 0.4, 0.6], ds.d)
-        with pytest.raises(InsufficientMatchesError):
-            ate_matching(ds, fit, n_matches=2)
-
-    def test_n_matches_validated(self):
-        ds = validate([1.0, 2.0], [1.0, 0.0])
-        fit = PropensityFit.from_scores([0.5, 0.5], ds.d)
-        with pytest.raises(ValueError, match="n_matches"):
-            ate_matching(ds, fit, n_matches=0)
+        with pytest.raises(EmptyTreatmentArmError, match=r"arms have sizes \(0, 3\)"):
+            ate_matching(ds, fit)
 
     def test_equals_dense_oracle_exactly(self):
-        # [ORACLE] the windowed search returns the dense search's matches in
-        # the dense order, so the point is bit-identical; every other draw
-        # rounds the scores to one decimal, which puts large tie groups on
-        # both sides of most targets
+        # [ORACLE] the two-candidate search returns the dense search's match,
+        # so the point is bit-identical; every other draw rounds the scores
+        # to one decimal, which puts large tie groups on both sides of most
+        # targets
         g = philox(47)
         for draw in range(200):
             n = int(g.integers(5, 401))
-            k = int(g.integers(1, min(4, n // 2) + 1))
             d = np.zeros(n)
-            d[g.permutation(n)[: int(g.integers(k, n - k + 1))]] = 1.0
+            d[g.permutation(n)[: int(g.integers(1, n))]] = 1.0
             p1 = g.uniform(0.02, 0.98, n)
             if draw % 2:
                 p1 = np.clip(np.round(p1, 1), 0.1, 0.9)
             ds = validate(g.normal(size=n), d)
-            est = ate_matching(ds, PropensityFit.from_scores(p1, d), n_matches=k)
-            assert est.point == dense_matching_point(ds, p1, k), (draw, n, k)
+            est = ate_matching(ds, PropensityFit.from_scores(p1, d))
+            assert est.point == dense_matching_point(ds, p1), (draw, n)
 
     def test_ties_on_both_sides_go_to_lowest_index(self):
         # [DERIVED] the treated units at 0.5 are equally far (0.1, exactly
         # in floating point) from every control at 0.4 and 0.6, so each
-        # matches the three lowest-index controls, whichever side they lie on
-        p1 = np.array([0.5, 0.6, 0.4, 0.6, 0.5, 0.4, 0.6, 0.4, 0.5, 0.6, 0.4])
-        d = (p1 == 0.5).astype(float)
+        # matches the lowest-index control, whichever side it lies on: above
+        # the treated units, then, with 0.4 and 0.6 swapped, below them
+        above = np.array([0.5, 0.6, 0.4, 0.6, 0.5, 0.4, 0.6, 0.4, 0.5, 0.6, 0.4])
+        below = np.where(above == 0.6, 0.4, np.where(above == 0.4, 0.6, 0.5))
         assert 0.5 - 0.4 == 0.6 - 0.5
-        y = np.where(d == 1.0, 0.0, 2.0 ** np.arange(11))  # distinct subset sums
-        ds = validate(y, d)
-        est = ate_matching(ds, PropensityFit.from_scores(p1, d), n_matches=3)
-        control_y = y[d == 0.0]
-        effect_t = -control_y[:3].mean()  # controls 1, 2 and 3
-        expected = (3 * effect_t - control_y.sum()) / ds.n
-        assert est.point == pytest.approx(expected, abs=1e-12)
-        assert est.point == dense_matching_point(ds, p1, 3)
+        for p1 in (above, below):
+            d = (p1 == 0.5).astype(float)
+            y = np.where(d == 1.0, 0.0, 2.0 ** np.arange(11))  # distinct subset sums
+            ds = validate(y, d)
+            est = ate_matching(ds, PropensityFit.from_scores(p1, d))
+            control_y = y[d == 0.0]
+            effect_t = -control_y[0]  # control 1
+            expected = (3 * effect_t - control_y.sum()) / ds.n
+            assert est.point == pytest.approx(expected, abs=1e-12)
+            assert est.point == dense_matching_point(ds, p1)
 
     def test_rounding_ties_between_distinct_scores(self):
         # [ORACLE] 0.9 - 0.1 and 0.9 - nextafter(0.1) round to the same
@@ -348,19 +359,18 @@ class TestMatching:
         assert 0.9 - p1[0] == 0.9 - p1[1]
         ds = validate([0.0, 1.0, 10.0], d)
         est = ate_matching(ds, PropensityFit.from_scores(p1, d))
-        assert est.point == dense_matching_point(ds, p1, 1) == 29.0 / 3.0
+        assert est.point == dense_matching_point(ds, p1) == 29.0 / 3.0
 
     def test_scales_to_1e5_rows(self):
         # [SCALING] the dense search would need about 20 GB here; check the
         # peak allocation and 200 targets against a brute-force search over
         # the whole opposite arm
-        k = 2
         ds = confounded_binary(48, 100_000)
         p1 = expit(2.0 + 0.5 * ds.x[:, 0])
         fit = PropensityFit.from_scores(p1, ds.d)
         tracemalloc.start()
         try:
-            ate_matching(ds, fit, n_matches=k)
+            ate_matching(ds, fit)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -368,21 +378,23 @@ class TestMatching:
         treated = ds.d == 1.0
         g = philox(49)
         for targets, pool in ((p1[treated], p1[~treated]), (p1[~treated], p1[treated])):
-            found = _nearest(targets, pool, k)
+            found = _nearest(targets, pool)
             for i in g.choice(targets.size, 100, replace=False):
-                brute = np.argsort(np.abs(targets[i] - pool), kind="stable")[:k]
-                np.testing.assert_array_equal(found[i], brute)
+                brute = np.argsort(np.abs(targets[i] - pool), kind="stable")[0]
+                assert found[i] == brute
 
 
 def three_design_dr(ds, fit):
     """Oracle: the augmented estimator with a fresh design per arm, beside
-    the fitted one, each built column by column."""
+    the fitted one, each built column by column, and P(D=0|x) formed as
+    1 - P(D=1|x)."""
     or_fit = fit_outcome_model(ds)
     arms = []
     for dose in (1.0, 0.0):
         m = predict(or_fit, np.column_stack([np.ones(ds.n), np.full(ds.n, dose), ds.x]))
         ind = (ds.d == dose).astype(float)
-        arms.append(m + ind * (ds.y - m) / fit.score_at(dose))
+        p = fit.scores_treated if dose == 1.0 else 1.0 - fit.scores_treated
+        arms.append(m + ind * (ds.y - m) / p)
     contrib = arms[0] - arms[1]
     return float(contrib.mean()), float(contrib.var(ddof=1) / ds.n)
 
@@ -447,6 +459,35 @@ class TestDoublyRobust:
         for a in pts.values():
             for b in pts.values():
                 assert abs(a - b) < 0.1
+
+
+def one_minus_p_ipw(ds, p1):
+    """Oracle: the Horvitz-Thompson contrast with P(D=0|x) formed as
+    1 - P(D=1|x); (point, variance)."""
+    ind1, ind0 = (ds.d == 1.0).astype(float), (ds.d == 0.0).astype(float)
+    contrib = ind1 * ds.y / p1 - ind0 * ds.y / (1.0 - p1)
+    return float(contrib.mean()), float(contrib.var(ddof=1) / ds.n)
+
+
+class TestReceivedArmScores:
+    def test_ipw_and_dr_equal_the_one_minus_p_formula(self):
+        # [ORACLE] bit for bit: both arms divide by the received-arm score,
+        # which is p where d = 1 and 1 - p where d = 0, and a unit off an
+        # arm adds 0*y/score, the same signed zero for any positive score;
+        # scores rounded to 0.1 put many units on each score, and outcomes
+        # of both signs give zeros of both signs
+        g = philox(52)
+        for draw in range(50):
+            n = int(g.integers(20, 400))
+            x = g.normal(size=(n, 2))
+            p1 = np.clip(np.round(expit(x @ [0.8, -0.5]), 1), 0.1, 0.9)
+            d = (g.uniform(size=n) < p1).astype(float)
+            y = 0.5 * d + x @ [0.5, 0.5] + g.normal(size=n)
+            ds = validate(y, d, x)
+            fit = PropensityFit.from_scores(p1, d)
+            ipw, dr = ate_ipw(ds, fit), ate_dr(ds, fit)
+            assert (ipw.point, ipw.variance) == one_minus_p_ipw(ds, p1), draw
+            assert (dr.point, dr.variance) == three_design_dr(ds, fit), draw
 
 
 def _bits(est):
@@ -541,10 +582,7 @@ class TestPermutationInvariance:
             (ate_or(ds).point, ate_or(ds_p).point),
             (ate_ipw(ds, fit).point, ate_ipw(ds_p, fit_p).point),
             (ate_psr(ds, fit).point, ate_psr(ds_p, fit_p).point),
-            (
-                ate_stratification(ds, fit, 5).point,
-                ate_stratification(ds_p, fit_p, 5).point,
-            ),
+            (ate_stratification(ds, fit).point, ate_stratification(ds_p, fit_p).point),
             (ate_matching(ds, fit).point, ate_matching(ds_p, fit_p).point),
             (ate_dr(ds, fit).point, ate_dr(ds_p, fit_p).point),
         ]
@@ -559,7 +597,7 @@ _CROSS_SECTIONAL = {
     "ate_or": lambda ds, fit: ate_or(ds),
     "ate_ipw": ate_ipw,
     "ate_psr": ate_psr,
-    "ate_stratification": lambda ds, fit: ate_stratification(ds, fit, 5),
+    "ate_stratification": ate_stratification,
     "ate_matching": ate_matching,
     "ate_dr": ate_dr,
 }

@@ -34,7 +34,7 @@ from .conftest import confounded_binary, randomized_binary, saturating_binary
 def test_score_fit_holds_only_what_the_estimators_read():
     # the scores; the logistic fit behind them is not kept
     assert [f.name for f in dataclasses.fields(PropensityFit)] == [
-        "scores", "level_scores", "diagnostics"
+        "scores_treated", "scores", "diagnostics"
     ]
 
 
@@ -42,11 +42,8 @@ class TestBinaryPropensity:
     def test_scores_are_received_dose_probabilities(self):
         ds = confounded_binary(21, 400)
         fit = estimate_propensity_binary(ds)
-        p1 = fit.score_at(1.0)
-        np.testing.assert_allclose(fit.score_at(0.0), 1.0 - p1, atol=1e-12)
-        np.testing.assert_allclose(
-            fit.scores, np.where(ds.d == 1.0, p1, 1.0 - p1), atol=1e-12
-        )
+        p1 = fit.scores_treated
+        assert np.array_equal(fit.scores, np.where(ds.d == 1.0, p1, 1.0 - p1))
         assert np.all((fit.scores > 0) & (fit.scores < 1))
 
     def test_parameter_recovery(self):
@@ -76,8 +73,8 @@ class TestBinaryPropensity:
         # [DERIVED] P(D=1|x) is unchanged by x -> a + b x
         ds = confounded_binary(23, 500)
         shifted = validate(ds.y, ds.d, 7.0 - 3.0 * ds.x)
-        p_orig = estimate_propensity_binary(ds).score_at(1.0)
-        p_shift = estimate_propensity_binary(shifted).score_at(1.0)
+        p_orig = estimate_propensity_binary(ds).scores_treated
+        p_shift = estimate_propensity_binary(shifted).scores_treated
         np.testing.assert_allclose(p_orig, p_shift, atol=1e-8)
 
     def test_from_scores_wraps_external_probabilities(self):
@@ -85,7 +82,7 @@ class TestBinaryPropensity:
         d = np.array([1.0, 0.0, 1.0])
         fit = PropensityFit.from_scores(p1, d)
         np.testing.assert_allclose(fit.scores, [0.2, 0.3, 0.4])
-        np.testing.assert_allclose(fit.score_at(0.0) + fit.score_at(1.0), 1.0)
+        assert fit.scores_treated.tolist() == [0.2, 0.7, 0.4]
 
     def test_from_scores_rejects_boundary(self):
         with pytest.raises(ValueError, match="strictly"):
@@ -105,33 +102,27 @@ class TestBinaryPropensity:
         # is false
         nan = np.nan
         with pytest.raises(NonFiniteValueError, match="scores"):
-            PropensityFit(
-                scores=[0.5, nan],
-                level_scores={1.0: [0.5, nan], 0.0: [0.5, nan]},
-            )
+            PropensityFit(scores_treated=[0.5, nan], scores=[0.5, nan])
 
-    def test_constructor_rejects_nan_level_scores(self):
-        with pytest.raises(NonFiniteValueError, match="level_scores"):
-            PropensityFit(
-                scores=[0.5, 0.5],
-                level_scores={1.0: [0.5, np.nan], 0.0: [0.5, 0.5]},
-            )
+    def test_constructor_rejects_nan_scores_treated(self):
+        with pytest.raises(NonFiniteValueError, match="scores_treated"):
+            PropensityFit(scores_treated=[0.5, np.nan], scores=[0.5, 0.5])
 
     def test_constructor_keeps_the_float_vectors_it_coerces(self):
         # [DERIVED] oracle: the same fit built from arrays
         ds = validate([1.0, 3.0, 2.0, 5.0], [1.0, 0.0, 0.0, 1.0])
         arrays = PropensityFit.from_scores([0.2, 0.5, 0.4, 0.7], ds.d)
         lists = PropensityFit(
+            scores_treated=arrays.scores_treated.tolist(),
             scores=arrays.scores.tolist(),
-            level_scores={k: v.tolist() for k, v in arrays.level_scores.items()},
         )
         assert lists.scores.dtype == np.float64
-        assert all(v.dtype == np.float64 for v in lists.level_scores.values())
+        assert lists.scores_treated.dtype == np.float64
         assert lists.n == 4
         trimmed, kept = trim_overlap(lists, 0.25, 0.75)
         assert kept.tolist() == [1, 2, 3]
         assert trimmed.scores.tolist() == arrays.scores[1:].tolist()
-        assert trimmed.score_at(0.0).tolist() == arrays.score_at(0.0)[1:].tolist()
+        assert trimmed.scores_treated.tolist() == arrays.scores_treated[1:].tolist()
         assert ate_ipw(ds, lists).point == ate_ipw(ds, arrays).point
 
 
@@ -165,10 +156,12 @@ class TestTrimOverlap:
         assert np.all((trimmed.scores >= 0.2) & (trimmed.scores <= 0.8))
         assert kept.shape[0] == trimmed.n
 
-    def test_level_scores_subset_together(self):
+    def test_both_score_vectors_subset_together(self):
         fit = PropensityFit.from_scores([0.3, 0.005, 0.6], [1.0, 1.0, 0.0])
         trimmed, kept = trim_overlap(fit)
-        np.testing.assert_allclose(trimmed.score_at(1.0), [0.3, 0.6][: kept.size])
+        assert kept.tolist() == [0, 2]
+        assert trimmed.scores_treated.tolist() == [0.3, 0.6]
+        assert trimmed.scores.tolist() == [0.3, 1.0 - 0.6]
 
     def test_all_trimmed(self):
         fit = PropensityFit.from_scores([0.001, 0.999], [1.0, 0.0])
@@ -188,37 +181,34 @@ class TestTrimOverlap:
         with pytest.raises(ValueError):
             trim_overlap(fit, 0.9, 0.1)
 
-    def test_fit_without_level_scores_is_a_package_error(self):
-        # trim_overlap subsets every level's vector, so a fit needs both
-        with pytest.raises(InvalidInputError, match="level_scores"):
-            trim_overlap(PropensityFit(scores=[0.2, 0.5, 0.9]), 0.1, 0.8)
-        with pytest.raises(InvalidInputError, match="level_scores"):
-            PropensityFit(scores=[0.2, 0.5], level_scores={1.0: [0.2, 0.5]})
+    def test_fit_without_scores_treated_is_a_package_error(self):
+        # trim_overlap subsets both score vectors, so a fit needs both
+        with pytest.raises(InvalidInputError, match="scores_treated"):
+            PropensityFit(scores_treated=None, scores=[0.2, 0.5, 0.9])
 
-    def test_level_scores_must_match_the_scores_in_length(self):
-        with pytest.raises(LengthMismatchError, match="level_scores"):
-            PropensityFit(
-                scores=[0.2, 0.5], level_scores={1.0: [0.2, 0.5, 0.9], 0.0: [0.8, 0.5, 0.1]}
-            )
+    def test_scores_treated_must_match_the_scores_in_length(self):
+        with pytest.raises(LengthMismatchError, match="scores_treated"):
+            PropensityFit(scores_treated=[0.2, 0.5, 0.9], scores=[0.2, 0.5])
 
 
 class TestQuantileStrata:
     def test_even_split(self):
         # [DERIVED] 10 increasing scores into 5 strata -> consecutive pairs
         scores = np.linspace(0.05, 0.95, 10)
-        labels = quantile_strata(scores, 5)
+        labels = quantile_strata(scores)
         assert labels.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
 
     def test_ties_share_a_stratum(self):
-        labels = quantile_strata(np.full(12, 0.4), 4)
-        assert np.unique(labels).size == 1
+        # [DERIVED] three tied groups of four; the 0.2, 0.4, 0.6 and 0.8
+        # quantiles are 0.2, 0.5, 0.5 and 0.8, and a score on an edge joins
+        # the upper stratum
+        scores = np.repeat([0.2, 0.5, 0.8], 4)
+        labels = quantile_strata(scores)
+        assert labels.tolist() == [1] * 4 + [3] * 4 + [4] * 4
 
     def test_single_stratum(self):
-        assert quantile_strata(np.array([0.1, 0.9]), 1).tolist() == [0, 0]
-
-    def test_bad_count(self):
-        with pytest.raises(ValueError):
-            quantile_strata(np.array([0.5]), 0)
+        # [TRIVIAL] a constant score puts every unit in the top stratum
+        assert quantile_strata(np.full(12, 0.4)).tolist() == [4] * 12
 
 
 class TestBalanceDiagnostic:
@@ -227,7 +217,7 @@ class TestBalanceDiagnostic:
         # score strata the averaged SMD must collapse
         ds = confounded_binary(28, 10_000)
         fit = estimate_propensity_binary(ds)
-        table = balance_diagnostic(ds, fit, n_strata=5)
+        table = balance_diagnostic(ds, fit)
         assert table.overall[0] > 0.5
         assert table.stratum_avg[0] < 0.2
         assert table.stratum_sizes.sum() == ds.n
@@ -237,24 +227,33 @@ class TestBalanceDiagnostic:
         # are both sampling noise
         ds = randomized_binary(29, 10_000)
         fit = estimate_propensity_binary(ds)
-        table = balance_diagnostic(ds, fit, n_strata=5)
+        table = balance_diagnostic(ds, fit)
         assert table.overall[0] < 0.1
         assert table.stratum_avg[0] < 0.1
 
     def test_undefined_stratum_is_nan_not_fatal(self):
-        # stratum of all-treated units: reported NaN, excluded from the average
-        p1 = np.array([0.1, 0.1, 0.1, 0.9, 0.9, 0.9])
-        d = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0])
-        x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        ds = validate(np.zeros(6), d, x)
+        # [DERIVED] ten scores in five tied pairs fill the five strata in
+        # turn; stratum 4 holds only treated units and stratum 2 only
+        # controls: both are reported NaN and left out of the average
+        p1 = np.repeat([0.1, 0.3, 0.5, 0.7, 0.9], 2)
+        d = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0])
+        x = np.arange(1.0, 11.0)
+        ds = validate(np.zeros(10), d, x)
         fit = PropensityFit.from_scores(p1, d)
-        table = balance_diagnostic(ds, fit, n_strata=2)
-        assert table.n_undefined_strata == 1
-        assert np.isnan(table.per_stratum[1]).all()
-        assert np.isfinite(table.stratum_avg).all()
+        table = balance_diagnostic(ds, fit)
+        assert table.stratum_sizes.tolist() == [2] * 5
+        assert table.n_undefined_strata == 2
+        assert np.isnan(table.per_stratum[[2, 4]]).all()
+        assert np.isfinite(table.per_stratum[[0, 1, 3]]).all()
+        # every defined stratum's arms differ by 1 in x: an SMD of 1 / sd
+        scale = np.sqrt((x[d == 1].var() + x[d == 0].var()) / 2.0)
+        np.testing.assert_allclose(table.stratum_avg, [1.0 / scale], rtol=1e-12)
 
     def test_zero_variance_column_smd_is_zero(self):
         ds = validate([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0, 0.0], np.ones((4, 1)))
         fit = PropensityFit.from_scores([0.5, 0.5, 0.5, 0.5], ds.d)
-        table = balance_diagnostic(ds, fit, n_strata=2)
+        table = balance_diagnostic(ds, fit)
         assert table.overall[0] == 0.0
+        # a constant score leaves one stratum, the top one, defined
+        assert table.n_undefined_strata == 4
+        assert table.per_stratum[4, 0] == 0.0

@@ -3,6 +3,7 @@ control, and regression discontinuity."""
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import scipy.optimize
 
 from causalest import (
+    ScFit,
     ScProblem,
     ate_2sls,
     ate_did,
@@ -584,7 +586,7 @@ class TestScFit:
         np.testing.assert_array_equal(fit.weights, [1.0, 0.0])
         np.testing.assert_allclose(fit.gap, [2.0, 3.0], atol=1e-12)
         assert fit.estimate.point == pytest.approx(2.5, abs=1e-12)
-        assert fit.pre_rmse == pytest.approx(0.0, abs=1e-12)
+        assert fit.estimate.diagnostics["pre_rmse"] == pytest.approx(0.0, abs=1e-12)
 
     def test_recovers_convex_combination(self):
         # [DERIVED] noiseless convex-combination construction
@@ -605,17 +607,23 @@ class TestScFit:
         np.testing.assert_allclose(fit_s.weights, fit.weights, rtol=0, atol=1e-8)
         np.testing.assert_allclose(fit_s.gap, fit.gap, rtol=0, atol=1e-8)
 
+    def test_fit_keeps_its_diagnostics_in_the_estimate_only(self):
+        # the pre-period error and the outer search's state are read from
+        # the estimate's diagnostics, not from copies on the fit
+        assert [f.name for f in dataclasses.fields(ScFit)] == ["weights", "v", "gap", "estimate"]
+        fit = sc_fit(self._convex_problem(96, np.array([0.2, 0.5, 0.3])))
+        assert set(fit.estimate.diagnostics) == {"pre_rmse", "outer_converged", "outer_iterations"}
+
     def test_outer_search_convergence_reported(self):
         fit = sc_fit(self._convex_problem(96, np.array([0.2, 0.5, 0.3])))
-        assert fit.outer_converged is True
-        assert fit.outer_iterations > 0
-        assert fit.estimate.diagnostics["outer_converged"] is True
-        assert fit.estimate.diagnostics["outer_iterations"] == fit.outer_iterations
+        diagnostics = fit.estimate.diagnostics
+        assert diagnostics["outer_converged"] is True
+        assert diagnostics["outer_iterations"] > 0
         # one donor leaves nothing to search
         single = sc_fit(
             ScProblem(x1=[1.0], x0=[[9.0]], z1=[2.0], z0=[[1.0]], y1=[4.0], y0=[[1.0]])
-        )
-        assert (single.outer_converged, single.outer_iterations) == (True, 0)
+        ).estimate.diagnostics
+        assert (single["outer_converged"], single["outer_iterations"]) == (True, 0)
 
     def test_donor_permutation_equivariance(self):
         w_true = np.array([0.2, 0.5, 0.3])

@@ -12,12 +12,8 @@ from scipy.special import ndtri
 from causalest import (
     DgpSpec,
     ate_ipw,
-    ate_matching,
     ate_or,
-    ate_stratification,
-    balance_diagnostic,
     bootstrap_variance,
-    delta_variance,
     estimate_propensity_binary,
     fit_fe,
     fit_ols,
@@ -31,7 +27,6 @@ from causalest import (
 from causalest.errors import (
     CausalestError,
     InvalidInputError,
-    MissingCoefCovarianceError,
     TooManyFailedReplicatesError,
     ZeroPropensityError,
 )
@@ -58,7 +53,7 @@ def delta_variance_or(ds, m1: LinearFit, m0: LinearFit) -> float:
         if fit.link != IDENTITY:
             raise ValueError("arm models must use the identity link")
         if fit.coef_cov is None:
-            raise MissingCoefCovarianceError("arm model lacks a coefficient covariance")
+            raise ValueError("arm model lacks a coefficient covariance")
     design = np.column_stack([np.ones(ds.n), ds.x])
     if design.shape[1] != m1.design_width or design.shape[1] != m0.design_width:
         raise ValueError("arm models were not fitted on a (1, x) design of this dataset")
@@ -70,31 +65,15 @@ def delta_variance_or(ds, m1: LinearFit, m0: LinearFit) -> float:
     )
 
 
-def _fit_with_cov(coef_cov):
-    coef = np.zeros(np.asarray(coef_cov).shape[0]) if coef_cov is not None else np.zeros(2)
-    return LinearFit(
-        coef=coef,
-        link=IDENTITY,
-        residuals=np.zeros(3),
-        coef_cov=None if coef_cov is None else np.asarray(coef_cov, dtype=float),
-        design_width=coef.shape[0],
-    )
-
-
 class TestDeltaVariance:
     def test_hand_quadratic_form(self):
-        # [DERIVED] hand evaluation: [1,2] V [1,2]' with V=[[2,.5],[.5,1]] is 8
-        fit = _fit_with_cov([[2.0, 0.5], [0.5, 1.0]])
-        assert delta_variance(fit, [1.0, 2.0]) == pytest.approx(8.0, abs=1e-12)
-
-    def test_missing_covariance(self):
-        with pytest.raises(MissingCoefCovarianceError):
-            delta_variance(_fit_with_cov(None), [1.0, 2.0])
-
-    def test_gradient_shape_checked(self):
-        fit = _fit_with_cov([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="gradient"):
-            delta_variance(fit, [1.0, 2.0, 3.0])
+        # [DERIVED] hand evaluation: y = (0, 2, 1, 3) on (1, d) with
+        # d = (0, 0, 1, 1) has residuals (-1, 1, -1, 1), so sigma^2 = 4 / 2;
+        # (X'X)^-1 at d is 1/2 + 1/2, and the contrast's gradient is the unit
+        # vector at d, so the delta variance is 2 * 1 = 2
+        est = ate_or(validate([0.0, 2.0, 1.0, 3.0], [0.0, 0.0, 1.0, 1.0]))
+        assert est.point == pytest.approx(1.0, abs=1e-12)
+        assert est.variance == pytest.approx(2.0, abs=1e-12)
 
 
 class TestNormalInterval:
@@ -120,14 +99,12 @@ class TestDeltaFiniteDifferenceAgreement:
     def test_identity_link(self):
         # [DERIVED] oracle: the numerical gradient of coef -> mean predicted
         # contrast of d = 1 against d = 0, by central differences, gives the
-        # delta variance. The fit is interacted, y on (1, d, x, d x), so the
-        # analytic gradient (0, 1, 0, mean x) is not a unit vector.
+        # delta variance that ate_or reports
         ds = confounded_binary(100, 400)
-        x = ds.x[:, 0]
-        fit = fit_ols(np.column_stack([np.ones(ds.n), ds.d, x, ds.d * x]), ds.y)
+        fit = fit_ols(np.column_stack([np.ones(ds.n), ds.d, ds.x]), ds.y)
         ones, zeros = np.ones(ds.n), np.zeros(ds.n)
-        treated = np.column_stack([ones, ones, x, x])
-        control = np.column_stack([ones, zeros, x, zeros])
+        treated = np.column_stack([ones, ones, ds.x])
+        control = np.column_stack([ones, zeros, ds.x])
 
         def f(coef):
             return float((treated @ coef).mean() - (control @ coef).mean())
@@ -140,8 +117,7 @@ class TestDeltaFiniteDifferenceAgreement:
             dn[k] -= h
             grad[k] = (f(up) - f(dn)) / (2.0 * h)
         fd = float(grad @ fit.coef_cov @ grad)
-        analytic = delta_variance(fit, [0.0, 1.0, 0.0, x.mean()])
-        assert analytic == pytest.approx(fd, rel=1e-5)
+        assert ate_or(ds).variance == pytest.approx(fd, rel=1e-5)
 
 
 class TestDeltaVarianceOr:
@@ -217,7 +193,7 @@ class TestDeltaVarianceOr:
             coef_cov=None,
             design_width=m1.design_width,
         )
-        with pytest.raises(MissingCoefCovarianceError):
+        with pytest.raises(ValueError, match="covariance"):
             delta_variance_or(ds, no_cov, m0)
 
 
@@ -450,12 +426,6 @@ class TestBootstrap:
         np.testing.assert_array_equal(result.points, again.points)
 
 
-def _scored():
-    """A binary dataset and its fitted score."""
-    ds = confounded_binary(45, 200)
-    return ds, estimate_propensity_binary(ds)
-
-
 class TestIntegerArguments:
     @pytest.mark.parametrize(
         "call, message",
@@ -468,20 +438,8 @@ class TestIntegerArguments:
                 ),
                 "n_boot must be >= 2 and an integer, got 5.5",
             ),
-            (
-                lambda: ate_stratification(*_scored(), n_strata=2.5),
-                "n_strata must be >= 1 and an integer, got 2.5",
-            ),
-            (
-                lambda: ate_matching(*_scored(), n_matches=1.5),
-                "n_matches must be >= 1 and an integer, got 1.5",
-            ),
-            (
-                lambda: balance_diagnostic(*_scored(), n_strata=2.5),
-                "n_strata must be >= 2 and an integer, got 2.5",
-            ),
         ],
-        ids=["runs", "n", "n_boot", "n_strata", "n_matches", "balance_n_strata"],
+        ids=["runs", "n", "n_boot"],
     )
     def test_float_count_is_an_input_error(self, call, message):
         # a float count used to reach NumPy or range and escape as a bare TypeError
