@@ -68,13 +68,11 @@ from .simulate import (
     CASE_METHODS,
     TRUE_TAU,
     CellCheck,
-    DgpSpec,
     MonteCarloReport,
     compare_to_reference,
     generate,
     load_reference,
     load_tolerances,
-    read_reference_csv,
     run_monte_carlo,
 )
 from .variance import (
@@ -131,7 +129,6 @@ __all__ = [
     "normal_interval",
     "BootstrapResult",
     "bootstrap_variance",
-    "DgpSpec",
     "generate",
     "run_monte_carlo",
     "MonteCarloReport",
@@ -139,7 +136,6 @@ __all__ = [
     "CellCheck",
     "load_reference",
     "load_tolerances",
-    "read_reference_csv",
     "CASE_IDS",
     "CASE_METHODS",
     "TRUE_TAU",

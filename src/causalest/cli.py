@@ -6,7 +6,7 @@ Two subcommands:
   print a JSON report.
 * ``causalest simulate`` — run the benchmark Monte Carlo case studies and
   write report.csv / runs.csv / meta.json, optionally checking the report
-  against a reference table.
+  against the packaged reference table.
 
 Exit codes: 0 success, 1 reference check failed, 2 input error (an
 ``InvalidInputError``), 3 estimation error (any other ``CausalestError``);
@@ -42,7 +42,6 @@ from .simulate import (
     compare_to_reference,
     load_reference,
     load_tolerances,
-    read_reference_csv,
     run_monte_carlo,
 )
 from .variance import bootstrap_variance
@@ -235,25 +234,11 @@ def _write_case_outputs(report, out_dir: Path) -> None:
         handle.write("\n")
 
 
-def _check_case(report, check: str | None, tol_path: str | None) -> bool:
-    """Run the golden comparison; returns True when every cell passes."""
-    if check == "builtin":
-        reference = load_reference(report.case_id)
-    else:
-        try:
-            reference = read_reference_csv(Path(check).read_text())
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InvalidInputError(f"cannot read {check}: {exc}") from exc
-    if tol_path is not None:
-        try:
-            tolerances = json.loads(Path(tol_path).read_text())
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InvalidInputError(f"cannot read {tol_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"{tol_path} is not valid JSON: {exc}") from exc
-    else:
-        tolerances = load_tolerances(report.case_id) or {}
-    checks = compare_to_reference(report, reference, tolerances)
+def _check_case(report) -> bool:
+    """Compare the report with the packaged reference table under the
+    packaged tolerances; returns True when every cell passes."""
+    case = report.case_id
+    checks = compare_to_reference(report, load_reference(case), load_tolerances(case) or {})
     ok = True
     for c in checks:
         status = "ok" if c.passed else "FAIL"
@@ -278,8 +263,8 @@ def _cmd_simulate(args) -> int:
                 f"{case} {m}: av_est={report.av_est[j]:.4f} "
                 f"emp_var={report.emp_var[j]:.4f} mse={report.mse[j]:.4f}"
             )
-        if args.check is not None:
-            all_ok = _check_case(report, args.check, args.tol_file) and all_ok
+        if args.check:
+            all_ok = _check_case(report) and all_ok
     if not all_ok:
         print("reference check failed", file=sys.stderr)
         return 1
@@ -328,15 +313,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument(
         "--check",
-        nargs="?",
-        const="builtin",
-        default=None,
-        metavar="PATH",
-        help="compare the report against a reference table "
-        "(built-in when no path is given)",
-    )
-    sim.add_argument(
-        "--tol-file", default=None, help="JSON tolerance map for --check"
+        action="store_true",
+        help="compare the report with the packaged reference table "
+        "under the packaged tolerances",
     )
     sim.set_defaults(run=_cmd_simulate)
     return parser

@@ -85,6 +85,17 @@ def ate_or(ds: ObservationalDataset, outcome_fit: LinearFit | None = None) -> Ca
     return _estimate("or", hi - lo, ds.n, var, dict(_OR_DIAGNOSTICS))
 
 
+def _check_arms(ds):
+    """EmptyTreatmentArmError unless some unit received each dose, 1 and 0.
+
+    Called before any fit, on which a one-arm design would fail as rank
+    deficient; the comparisons allocate boolean vectors only.
+    """
+    for dose in (1.0, 0.0):
+        if not (ds.d == dose).any():
+            raise EmptyTreatmentArmError(f"no unit received dose {dose}")
+
+
 def _dose_weights(ds, fit, dose):
     """Indicator of receiving `dose` (0 or 1) and the received-arm scores,
     guarding the weight floor only where the indicator is on.
@@ -95,8 +106,6 @@ def _dose_weights(ds, fit, dose):
     """
     _check_rows("score fit", fit.n, ds.n)
     at_dose = ds.d == dose
-    if not at_dose.any():
-        raise EmptyTreatmentArmError(f"no unit received dose {dose}")
     p = fit.scores
     if (p[at_dose] < _WEIGHT_FLOOR).any():
         raise ZeroPropensityError(
@@ -106,7 +115,9 @@ def _dose_weights(ds, fit, dose):
 
 
 def ate_ipw(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate:
-    """Difference of Horvitz-Thompson weighted means at d = 1 and d = 0."""
+    """Difference of Horvitz-Thompson weighted means at d = 1 and d = 0.
+    An empty arm raises EmptyTreatmentArmError."""
+    _check_arms(ds)
     ind1, p1 = _dose_weights(ds, fit, 1.0)
     ind0, p0 = _dose_weights(ds, fit, 0.0)
     contrib = ind1 * ds.y / p1 - ind0 * ds.y / p0
@@ -119,9 +130,11 @@ def ate_ipw(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate:
 def ate_psr(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate:
     """Regression of y on (1, d, p), with p the treated-probability; the
     effect is d's coefficient. A constant score carries no information and
-    is left out, which gives the difference in means."""
+    is left out, which gives the difference in means. An empty arm raises
+    EmptyTreatmentArmError."""
     if ds.treatment_kind != BINARY:
         raise InvalidInputError("propensity-score regression requires a binary treatment")
+    _check_arms(ds)
     _check_rows("score fit", fit.n, ds.n)
     p1 = fit.scores_treated
     degenerate = bool(np.ptp(p1) == 0.0)
@@ -265,8 +278,10 @@ def ate_dr(
     correctly specified. `outcome_fit`, when given, is
     `fit_outcome_model(ds)` fitted earlier, and is used in place of a new
     fit; one that is not an OLS fit raises InvalidInputError, and one whose
-    design width does not match the dataset DimensionMismatchError.
+    design width does not match the dataset DimensionMismatchError. An
+    empty arm raises EmptyTreatmentArmError before either model is fitted.
     """
+    _check_arms(ds)
     or_fit = _outcome_model(ds, outcome_fit)
     # one counterfactual design for both arms, apart from the fitted one
     design = _control_design(ds)

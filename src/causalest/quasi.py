@@ -89,8 +89,7 @@ def _second_stage(yv, dm, xm, first) -> CausalEstimate:
     k2 = second.shape[1]
     sigma2 = float(resid @ resid) / max(n - k2, 1)
     coef_cov = sigma2 * xtx_inv
-    diagnostics = {"n_instruments": 1, "n_endogenous": 1, "first_stage_f": f_stat}
-    return _estimate("2sls", coef[1], n, coef_cov[1, 1], diagnostics)
+    return _estimate("2sls", coef[1], n, coef_cov[1, 1], {"first_stage_f": f_stat})
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +412,6 @@ def rdd_sharp(y, t, cutoff: float = 0.0) -> CausalEstimate:
     yv, tc, above, _ = _rdd_frame(y, t, cutoff)
     diagnostics = {
         "cutoff": float(cutoff),
-        "bandwidth": None,
         "n_right": int(above.sum()),
         "n_left": int(yv.shape[0] - above.sum()),
     }
@@ -442,12 +440,5 @@ def rdd_fuzzy(y, t, d, cutoff: float = 0.0) -> CausalEstimate:
             f"{_FIRST_STAGE_JUMP_TOL} tolerance"
         )
     est = _second_stage(yv, dm, xm, first)
-    diagnostics = dict(est.diagnostics)
-    diagnostics.update(
-        {
-            "cutoff": float(cutoff),
-            "bandwidth": None,
-            "first_stage_jump": jump,
-        }
-    )
+    diagnostics = {**est.diagnostics, "cutoff": float(cutoff), "first_stage_jump": jump}
     return _estimate("rdd_fuzzy", est.point, n, est.variance, diagnostics)

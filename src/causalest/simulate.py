@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -31,17 +30,6 @@ from .quasi import ate_2sls, ate_did, rdd_fuzzy, rdd_sharp, validate_did
 from .variance import _MAX_FAILED_RUNS, _keyed_stream, _replicate
 
 CASE_IDS = ("cs1", "cs2", "cs3", "cs4", "cs5", "cs6")
-
-# variant -> index of its dataset in the case draw's output; None selects
-# the case's primary variant
-_VARIANT_ARMS = {
-    "cs1": {None: 0},
-    "cs2": {None: 0},
-    "cs3": {None: 0},
-    "cs4": {None: 0},
-    "cs5": {None: 0, "violated": 1},
-    "cs6": {None: 0, "sharp": 0, "fuzzy": 1},
-}
 
 _DEFAULT_PARAMS = {
     "cs1": {
@@ -105,7 +93,7 @@ _DEFAULT_PARAMS = {
     },
     "cs5": {
         # two periods; d1 = ever-treated; y0 = a0 + sel d1 + beta x0 + e;
-        # y1 = a1 + sel d1 + tau d1 + beta x0 + e; the violated variant adds
+        # y1 = a1 + sel d1 + tau d1 + beta x0 + e; the violated design adds
         # violation_coef * x1 to untreated units in period 1
         "tau": -4.0,
         "intercept_pre": 1.0,
@@ -120,7 +108,7 @@ _DEFAULT_PARAMS = {
     },
     "cs6": {
         # forcing t ~ U(t_lo, t_hi); y = intercept + slope t + tau D + noise;
-        # fuzzy variant flips treatment for flip_share of units within
+        # the fuzzy design flips treatment for flip_share of units within
         # |t - cutoff| < flip_band
         "tau": 5.0,
         "intercept": 1.0,
@@ -158,52 +146,19 @@ _VARIABLE_STREAMS = {
 }
 
 
-@dataclass(frozen=True)
-class DgpSpec:
-    """One case study's data-generating configuration.
+def _check_case_id(case_id: str) -> None:
+    if case_id not in CASE_IDS:
+        raise UnknownCaseError(f"unknown case {case_id!r}")
 
-    Attributes:
-        case_id: "cs1" .. "cs6".
-        n: sample size per run (for panel cases, total rows at the default
-            period count; the unit count is n // n_periods).
-        params: overrides of the case's default parameters.
-        variant: case-specific flag ("violated" for cs5; "sharp"/"fuzzy"
-            for cs6; None selects the case's primary variant).
-    """
 
-    case_id: str
-    n: int = 1000
-    params: dict = field(default_factory=dict)
-    variant: str | None = None
-
-    def __post_init__(self):
-        if self.case_id not in CASE_IDS:
-            raise UnknownCaseError(f"unknown case {self.case_id!r}")
-        _check_int(10, n=self.n)
-        defaults = _DEFAULT_PARAMS[self.case_id]
-        unknown = set(self.params) - set(defaults)
-        if unknown:
-            raise InvalidInputError(f"unknown parameters for {self.case_id}: {sorted(unknown)}")
-        if self.variant not in _VARIANT_ARMS[self.case_id]:
-            raise InvalidInputError(
-                f"unknown variant {self.variant!r} for {self.case_id} "
-                f"(allowed: {tuple(_VARIANT_ARMS[self.case_id])})"
-            )
-        if "n_periods" in defaults:
-            t_per = int(self.merged_params()["n_periods"])
-            if t_per < 2:
-                raise InvalidInputError("n_periods must be >= 2")
-            if self.n // t_per < 2:
-                raise InvalidInputError("n too small for the period count")
-
-    @property
-    def case_index(self) -> int:
-        return int(self.case_id[2])
-
-    def merged_params(self) -> dict:
-        merged = dict(_DEFAULT_PARAMS[self.case_id])
-        merged.update(self.params)
-        return merged
+def _check_size(case_id: str, n: int) -> None:
+    """Reject an unknown case, or a sample size `n` too small for it,
+    before any draw; a panel case has n // n_periods units."""
+    _check_case_id(case_id)
+    _check_int(10, n=n)
+    p = _DEFAULT_PARAMS[case_id]
+    if "n_periods" in p and n // int(p["n_periods"]) < 2:
+        raise InvalidInputError("n too small for the period count")
 
 
 def _truncated_normal(rng, mu, sigma, lo, hi, size):
@@ -215,7 +170,7 @@ def _truncated_normal(rng, mu, sigma, lo, hi, size):
 
 
 # ---------------------------------------------------------------------------
-# Case draws: each maps the merged parameters p, the size n and stream(name),
+# Case draws: each maps the case's parameters p, the size n and stream(name),
 # the generator of one named variable of the run, to the run's datasets and
 # the arrays its methods take beside them (cs1's injected scores, cs4's two
 # instruments). A draw marks its own fresh arrays read-only, so the
@@ -305,30 +260,31 @@ def _draw_cs6(p: dict, n: int, stream):
     )
 
 
-def _run_stream(spec: DgpSpec, run_index: int, seed: int):
+def _run_stream(case_id: str, run_index: int, seed: int):
     """stream(v), the Philox generator of run `run_index`'s variable v:
-    keyed (seed, case, run_index, v), with v from `_VARIABLE_STREAMS`."""
-    variables = _VARIABLE_STREAMS[spec.case_id]
-    key = (seed, spec.case_index, run_index)
+    keyed (seed, case, run_index, v), with v from `_VARIABLE_STREAMS` and
+    the case's index 1-6 from its id."""
+    variables = _VARIABLE_STREAMS[case_id]
+    key = (seed, int(case_id[2]), run_index)
     return lambda name: _keyed_stream(*key, variables[name])
 
 
-def _case_inputs(spec: DgpSpec, p: dict, run_index: int, seed: int) -> tuple:
-    """Run `run_index`'s inputs from the case's `_CASES` draw, given the
-    spec's merged parameters `p`."""
-    return _CASES[spec.case_id][0](p, spec.n, _run_stream(spec, run_index, seed))
+def _case_inputs(case_id: str, n: int, run_index: int, seed: int) -> tuple:
+    """Run `run_index`'s inputs from the case's `_CASES` draw, with the
+    parameters `_DEFAULT_PARAMS` holds when it is called."""
+    return _CASES[case_id][0](_DEFAULT_PARAMS[case_id], n, _run_stream(case_id, run_index, seed))
 
 
-def generate(spec: DgpSpec, run_index: int, seed: int = 42):
+def generate(case_id: str, run_index: int, n: int = 1000, seed: int = 42):
     """Draw the dataset for one Monte Carlo run of a case study.
 
-    Returns an ObservationalDataset (cs1, cs4, cs6), a PanelDataset
-    (cs2, cs3), or a DidDataset (cs5); cs5/cs6 variants select the violated
-    or sharp/fuzzy arm of the design.
+    Returns the draw's primary dataset: an ObservationalDataset (cs1, cs4,
+    and cs6's sharp design), a PanelDataset (cs2, cs3), or a DidDataset
+    (cs5's design without the parallel-trends violation).
     """
+    _check_size(case_id, n)
     _check_int(0, run_index=run_index, seed=seed)
-    inputs = _case_inputs(spec, spec.merged_params(), run_index, seed)
-    return inputs[_VARIANT_ARMS[spec.case_id][spec.variant]]
+    return _case_inputs(case_id, n, run_index, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -479,16 +435,11 @@ _NOTATION_READINGS = {
 
 
 def run_monte_carlo(
-    case_id: str,
-    methods=None,
-    runs: int = 1000,
-    n: int = 1000,
-    seed: int = 42,
-    params: dict | None = None,
+    case_id: str, runs: int = 1000, n: int = 1000, seed: int = 42
 ) -> MonteCarloReport:
     """Run one case study's Monte Carlo experiment.
 
-    Each run draws once and runs only the requested methods. A method that
+    Each run draws once and runs every method of the case. A method that
     raises a CausalestError gets NaN for that run alone (a failed draw fails
     every method), and a non-finite point counts as a failure too; if any
     method fails on more than 5% of runs the experiment aborts with
@@ -496,21 +447,17 @@ def run_monte_carlo(
     """
     _check_int(2, runs=runs)
     _check_int(0, seed=seed)
-    spec = DgpSpec(case_id=case_id, n=n, params=params or {})
-    merged = spec.merged_params()
-    available = CASE_METHODS[case_id]
-    if methods is None:
-        methods = available
-    else:
-        methods = tuple(methods)
-        unknown = set(methods) - set(available)
-        if unknown:
-            raise InvalidInputError(f"unknown methods for {case_id}: {sorted(unknown)}")
-    chosen = [(m, _CASES[case_id][1][m]) for m in methods]
+    _check_size(case_id, n)
+    params = dict(_DEFAULT_PARAMS[case_id])
+    methods = CASE_METHODS[case_id]
     points, n_failed = _replicate(
-        lambda r: _case_inputs(spec, merged, r, seed), chosen, runs, _MAX_FAILED_RUNS, case_id
+        lambda r: _case_inputs(case_id, n, r, seed),
+        list(_CASES[case_id][1].items()),
+        runs,
+        _MAX_FAILED_RUNS,
+        case_id,
     )
-    tau = float(merged["tau"])
+    tau = float(params["tau"])
     av = np.empty(len(methods))
     var = np.empty(len(methods))
     for j in range(len(methods)):
@@ -531,7 +478,7 @@ def run_monte_carlo(
         points=points,
         n_failed=n_failed,
         metadata={
-            "params": merged,
+            "params": params,
             "notation_readings": _NOTATION_READINGS[case_id],
         },
     )
@@ -557,26 +504,8 @@ class CellCheck:
     passed: bool
 
 
-def _tolerance_band(tol, expected: float) -> float:
-    """Absolute band width from a tolerance entry.
-
-    A bare number is an absolute tolerance; a mapping may give "abs" and/or
-    "rel" (relative to |expected|), the wider of which applies.
-    """
-    if isinstance(tol, dict):
-        unknown = set(tol) - {"abs", "rel"}
-        if unknown:
-            raise InvalidInputError(f"unknown tolerance keys {sorted(unknown)}")
-        if not tol:
-            raise InvalidInputError("empty tolerance entry")
-        return max(
-            _number(tol.get("abs", 0.0)), _number(tol.get("rel", 0.0)) * abs(expected)
-        )
-    return _number(tol)
-
-
 def _number(value) -> float:
-    """A tolerance or reference cell as a float; anything else is bad input."""
+    """A tolerance as a float; anything else is bad input."""
     try:
         return float(value)
     except (TypeError, ValueError) as exc:
@@ -610,7 +539,7 @@ def compare_to_reference(
             if quantity not in _REPORT_FIELDS:
                 raise InvalidInputError(f"unknown report quantity {quantity!r}")
             expected = reference[m][quantity]
-            band = _tolerance_band(tol, expected)
+            band = _number(tol)
             checks.append(
                 CellCheck(
                     method=m,
@@ -635,33 +564,20 @@ def compare_to_reference(
     return checks
 
 
-def read_reference_csv(text: str) -> dict:
-    """Parse a reference table (columns method, av_est, emp_var, mse)."""
-    rows = {}
-    reader = csv.DictReader(io.StringIO(text))
-    required = {"method", *_REPORT_FIELDS}
-    if reader.fieldnames is None or not required <= set(reader.fieldnames):
-        raise InvalidInputError("reference table must have columns method, av_est, emp_var, mse")
-    for row in reader:
-        rows[row["method"]] = {f: _number(row[f]) for f in _REPORT_FIELDS}
-    if not rows:
-        raise InvalidInputError("reference table is empty")
-    return rows
-
-
 def load_reference(case_id: str) -> dict:
-    """The packaged reference table for a case."""
-    if case_id not in CASE_IDS:
-        raise UnknownCaseError(f"unknown case {case_id!r}")
+    """The packaged reference table for a case: method -> {av_est, emp_var, mse}."""
+    _check_case_id(case_id)
     text = (resources.files("causalest") / "reference" / f"{case_id}.csv").read_text()
-    return read_reference_csv(text)
+    return {
+        row["method"]: {f: float(row[f]) for f in _REPORT_FIELDS}
+        for row in csv.DictReader(text.splitlines())
+    }
 
 
 def load_tolerances(case_id: str) -> dict | None:
     """The packaged tolerance map for a case, or None when no cell-exact
     tolerances are defined (cases whose acceptance is property-based)."""
-    if case_id not in CASE_IDS:
-        raise UnknownCaseError(f"unknown case {case_id!r}")
+    _check_case_id(case_id)
     ref = resources.files("causalest") / "reference" / f"{case_id}_tol.json"
     if not ref.is_file():
         return None

@@ -12,11 +12,23 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from causalest import validate
+from causalest import simulate, validate
 
 
 def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
+
+
+def run_methods(case, methods, runs, n, seed):
+    """(points, n_failed) of `methods` alone over a case's runs: the loop
+    and the draws `run_monte_carlo` runs, with a subset of its methods."""
+    return simulate._replicate(
+        lambda r: simulate._case_inputs(case, n, r, seed),
+        [(m, simulate._CASES[case][1][m]) for m in methods],
+        runs,
+        simulate._MAX_FAILED_RUNS,
+        case,
+    )
 
 
 #: full-length float64 copies of each input column an estimator may hold at

@@ -398,8 +398,13 @@ class TestEstimate:
 
     @pytest.mark.parametrize(
         "method, message",
-        [("ipw", "no unit received dose 0.0"), ("match", "arms have sizes (30, 0)")],
-        ids=["ipw", "match"],
+        [
+            ("ipw", "no unit received dose 0.0"),
+            ("match", "arms have sizes (30, 0)"),
+            ("dr", "no unit received dose 0.0"),
+            ("psr", "no unit received dose 0.0"),
+        ],
+        ids=["ipw", "match", "dr", "psr"],
     )
     def test_trimmed_away_arm_exits_3(self, tmp_path, capsys, method, message):
         # [DERIVED] without covariates the score is the treated share, 0.75:
@@ -645,104 +650,52 @@ class TestSimulate:
         assert "FAIL" not in stdout
         assert err == ""
 
-    def test_strict_tolerance_file_fails_check(self, tmp_path, capsys):
-        # [DERIVED] an impossibly tight band must flip the exit code to 1.
-        tol = tmp_path / "tol.json"
-        tol.write_text(json.dumps({"DID1": {"av_est": 1e-9}}))
+    def test_strict_tolerance_file_fails_check(self, tmp_path, capsys, monkeypatch):
+        # [DERIVED] an impossibly tight band in place of the packaged
+        # tolerances must flip the exit code to 1.
+        monkeypatch.setattr(cli, "load_tolerances", lambda case: {"DID1": {"av_est": 1e-9}})
         code, stdout, err = _run(
             capsys, "simulate", "--case", "cs5", "--runs", "20",
-            "--n", "200", "--out", str(tmp_path / "s"),
-            "--check", "--tol-file", str(tol),
+            "--n", "200", "--out", str(tmp_path / "s"), "--check",
         )
         assert code == 1
         assert "[FAIL]" in stdout
         assert "reference check failed" in err
 
-    def test_custom_reference_roundtrip(self, tmp_path, capsys):
-        # [DERIVED] a report checked against its own written report.csv
-        # matches every cell exactly.
-        out = tmp_path / "first"
-        args = (
-            "simulate", "--case", "cs6", "--runs", "12", "--n", "300",
-            "--seed", "130",
-        )
-        code, _, _ = _run(capsys, *args, "--out", str(out))
-        assert code == 0
-        tol = tmp_path / "tight.json"
-        tol.write_text(
-            json.dumps({m: {"av_est": 0.0, "emp_var": 0.0, "mse": 1e-12}
-                        for m in ("RDD1", "RDD2", "RDD3")})
-        )
-        code, stdout, _ = _run(
-            capsys, *args, "--out", str(tmp_path / "second"),
-            "--check", str(out / "report.csv"), "--tol-file", str(tol),
-        )
-        assert code == 0
-        assert "FAIL" not in stdout
+    def test_check_takes_no_path(self, tmp_path, capsys):
+        # [TRIVIAL] --check compares with the packaged table only; a path
+        # after it is an unknown argument, which argparse exits 2 on
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "simulate", "--case", "cs5", "--runs", "5", "--n", "200",
+                "--out", str(tmp_path / "p"), "--check", str(tmp_path / "ref.csv"),
+            ])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
 
-    def test_missing_reference_row_exits_2(self, tmp_path, capsys):
+    def test_missing_reference_row_exits_2(self, tmp_path, capsys, monkeypatch):
         # [TRIVIAL] a reference table lacking one of the report's methods
         # is an input error.
-        ref = tmp_path / "ref.csv"
-        ref.write_text("method,av_est,emp_var,mse\nDID1,-4.0,0.01,0.01\n")
+        monkeypatch.setattr(
+            cli, "load_reference", lambda case: {"DID1": {"av_est": -4.0, "emp_var": 0.01, "mse": 0.01}}
+        )
         code, _, err = _run(
             capsys, "simulate", "--case", "cs5", "--runs", "5",
-            "--n", "200", "--out", str(tmp_path / "m"),
-            "--check", str(ref),
+            "--n", "200", "--out", str(tmp_path / "m"), "--check",
         )
         assert code == 2
         assert "no row for DID2" in err
 
-    def test_non_numeric_reference_cell_exits_2(self, tmp_path, capsys):
+    def test_non_numeric_tolerance_exits_2(self, tmp_path, capsys, monkeypatch):
         # [TRIVIAL]
-        ref = tmp_path / "ref.csv"
-        ref.write_text(
-            "method,av_est,emp_var,mse\nDID1,abc,0.01,0.01\nDID2,-4.0,0.01,0.01\n"
-        )
+        monkeypatch.setattr(cli, "load_tolerances", lambda case: {"DID1": {"av_est": "wide"}})
         code, _, err = _run(
             capsys, "simulate", "--case", "cs5", "--runs", "5",
-            "--n", "200", "--out", str(tmp_path / "m"),
-            "--check", str(ref),
-        )
-        assert code == 2
-        assert "'abc' is not a number" in err
-
-    def test_non_numeric_tolerance_exits_2(self, tmp_path, capsys):
-        # [TRIVIAL]
-        tol = tmp_path / "tol.json"
-        tol.write_text(json.dumps({"DID1": {"av_est": "wide"}}))
-        code, _, err = _run(
-            capsys, "simulate", "--case", "cs5", "--runs", "5",
-            "--n", "200", "--out", str(tmp_path / "t"),
-            "--check", "--tol-file", str(tol),
+            "--n", "200", "--out", str(tmp_path / "t"), "--check",
         )
         assert code == 2
         assert "'wide' is not a number" in err
-
-    @pytest.mark.parametrize("content", ["[1, 2]", '{"DID1": 0.5}'])
-    def test_misshapen_tol_file_exits_2(self, tmp_path, capsys, content):
-        # [TRIVIAL] valid JSON that is not a method -> quantity map
-        tol = tmp_path / "tol.json"
-        tol.write_text(content)
-        code, _, err = _run(
-            capsys, "simulate", "--case", "cs5", "--runs", "5",
-            "--n", "200", "--out", str(tmp_path / "t"),
-            "--check", "--tol-file", str(tol),
-        )
-        assert code == 2
-        assert "tolerances must map" in err
-
-    def test_invalid_tol_file_exits_2(self, tmp_path, capsys):
-        # [TRIVIAL]
-        tol = tmp_path / "tol.json"
-        tol.write_text("{not json")
-        code, _, err = _run(
-            capsys, "simulate", "--case", "cs5", "--runs", "5",
-            "--n", "200", "--out", str(tmp_path / "j"),
-            "--check", "--tol-file", str(tol),
-        )
-        assert code == 2
-        assert "not valid JSON" in err
 
     def test_too_few_runs_exits_2(self, tmp_path, capsys):
         # [TRIVIAL] a bad option value is an input error (exit 2), not an

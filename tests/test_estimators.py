@@ -198,6 +198,15 @@ class TestPsr:
         with pytest.raises(ValueError, match="binary"):
             ate_psr(ds, fit)
 
+    @pytest.mark.parametrize("arm", [0.0, 1.0])
+    def test_empty_arm_raises_before_the_fit(self, arm):
+        # [TRIVIAL] with one arm, (1, d, p) is rank deficient; the error
+        # names the empty arm instead
+        ds = validate(np.arange(30.0), np.full(30, 1.0 - arm), np.arange(30.0) % 7)
+        fit = PropensityFit.from_scores(np.linspace(0.2, 0.8, 30), ds.d)
+        with pytest.raises(EmptyTreatmentArmError, match=f"no unit received dose {arm}"):
+            ate_psr(ds, fit)
+
     def test_monte_carlo_recovery(self, cs1_mc_points):
         # [DERIVED] Monte Carlo against the known effect -5
         av = cs1_mc_points["psr"].mean()
@@ -443,6 +452,15 @@ class TestDoublyRobust:
         ds = validate([1.0, 2.0, 3.0], [1.0, 0.0, 1.0], [0.1, 0.2, 0.3])
         fit = PropensityFit.from_scores([1e-15, 0.5, 0.6], ds.d)
         with pytest.raises(ZeroPropensityError):
+            ate_dr(ds, fit)
+
+    @pytest.mark.parametrize("arm", [0.0, 1.0])
+    def test_empty_arm_raises_before_the_fit(self, arm):
+        # [TRIVIAL] with one arm, the outcome design (1, d, x) is rank
+        # deficient; the error names the empty arm instead
+        ds = validate(np.arange(30.0), np.full(30, 1.0 - arm), np.arange(30.0) % 7)
+        fit = PropensityFit.from_scores(np.linspace(0.2, 0.8, 30), ds.d)
+        with pytest.raises(EmptyTreatmentArmError, match=f"no unit received dose {arm}"):
             ate_dr(ds, fit)
 
     def test_or_ipw_dr_agree_under_randomization(self):

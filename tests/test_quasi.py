@@ -157,11 +157,7 @@ class Test2sls:
         est = ate_2sls(y, d, z)
         assert est.point == pytest.approx(beta[1], abs=1e-10)
         assert est.variance == pytest.approx(variance, rel=1e-10)
-        assert est.diagnostics == {
-            "n_instruments": 1,
-            "n_endogenous": 1,
-            "first_stage_f": pytest.approx(f_stat, rel=1e-10),
-        }
+        assert est.diagnostics == {"first_stage_f": pytest.approx(f_stat, rel=1e-10)}
 
     def test_first_stage_f_explodes_on_exact_fit(self):
         g = philox(76)
@@ -695,8 +691,7 @@ class TestRddSharp:
         y = 1.0 + 2.0 * t + 5.0 * (t >= 0.0)
         est = rdd_sharp(y, t)
         assert est.point == pytest.approx(5.0, abs=1e-10)
-        assert est.diagnostics["n_right"] == 21
-        assert est.diagnostics["n_left"] == 20
+        assert est.diagnostics == {"cutoff": 0.0, "n_right": 21, "n_left": 20}
 
     def test_nonzero_cutoff(self):
         t = np.linspace(0.0, 4.0, 81)
@@ -729,6 +724,7 @@ class TestRddFuzzy:
         y = 1.0 + 2.0 * t + 5.0 * d
         est = rdd_fuzzy(y, t, d)
         assert est.point == pytest.approx(5.0, abs=1e-8)
+        assert set(est.diagnostics) == {"first_stage_f", "cutoff", "first_stage_jump"}
         assert 0.05 < est.diagnostics["first_stage_jump"] < 1.0
 
     def test_no_first_stage_jump(self):

@@ -10,7 +10,6 @@ import pytest
 from scipy.special import ndtri
 
 from causalest import (
-    DgpSpec,
     ate_ipw,
     ate_or,
     bootstrap_variance,
@@ -431,7 +430,7 @@ class TestIntegerArguments:
         "call, message",
         [
             (lambda: run_monte_carlo("cs1", runs=3.5, n=100), "runs must be >= 2 and an integer, got 3.5"),
-            (lambda: generate(DgpSpec("cs1", n=100.5), 0), "n must be >= 10 and an integer, got 100.5"),
+            (lambda: generate("cs1", 0, n=100.5), "n must be >= 10 and an integer, got 100.5"),
             (
                 lambda: bootstrap_variance(
                     validate([1.0, 2.0, 4.0], [1.0, 0.0, 1.0]), _mean_estimator, n_boot=5.5
