@@ -137,25 +137,31 @@ def _parse_trim(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _estimate_once(ds, method: str, trim: tuple[float, float]):
+def _estimate_once(ds, method: str, trim: tuple[float, float], start=None):
+    """(estimate, score coefficients) of one method on one dataset.
+
+    The score methods fit the score from `start` (zeros when None) and
+    return its coefficients, which a bootstrap replicate starts from; the
+    other methods return None for them.
+    """
     if method == "dim":
-        return difference_in_means(ds)
+        return difference_in_means(ds), None
     if method == "or":
-        return ate_or(ds)
-    fit = estimate_propensity_binary(ds)
+        return ate_or(ds), None
+    fit = estimate_propensity_binary(ds, start)
     fit, kept = trim_overlap(fit, *trim)
     # `kept` is sorted and unique, so keeping every unit is the identity, and
     # the read-only dataset can be shared instead of copied
     sub = ds if kept.size == ds.n else ds.take(kept)
     if method == "ipw":
-        return ate_ipw(sub, fit)
+        return ate_ipw(sub, fit), fit.coef
     if method == "psr":
-        return ate_psr(sub, fit)
+        return ate_psr(sub, fit), fit.coef
     if method == "strat":
-        return ate_stratification(sub, fit)
+        return ate_stratification(sub, fit), fit.coef
     if method == "match":
-        return ate_matching(sub, fit)
-    return ate_dr(sub, fit)
+        return ate_matching(sub, fit), fit.coef
+    return ate_dr(sub, fit), fit.coef
 
 
 def _cmd_estimate(args) -> int:
@@ -175,11 +181,14 @@ def _cmd_estimate(args) -> int:
             column.setflags(write=False)
     ds = validate(columns[args.outcome], columns[args.treatment], x)
     del columns, x  # the dataset holds what the estimators read
-    est = _estimate_once(ds, args.method, trim)
+    est, coef = _estimate_once(ds, args.method, trim)
     if args.bootstrap:
+        # each replicate's score fit starts at the full-sample coefficients,
+        # a root-n step from its own optimum, and stops by the same rule as
+        # a fit from zeros
         boot = bootstrap_variance(
             ds,
-            lambda sample: _estimate_once(sample, args.method, trim),
+            lambda sample: _estimate_once(sample, args.method, trim, coef)[0],
             n_boot=args.bootstrap,
             seed=args.seed,
         )

@@ -33,6 +33,9 @@ class PropensityFit:
         scores_treated: P(D=1 | x) per unit.
         scores: probability of the *received* treatment per unit.
         diagnostics: extras such as the dropped-unit count after trimming.
+        coef: the logistic coefficients on (1, x) behind the scores, which
+            a bootstrap replicate's fit can start from; None for scores
+            supplied by `from_scores`.
 
     Construction raises LengthMismatchError when `scores_treated` differs in
     length from `scores`, and NonFiniteValueError for a non-finite entry of
@@ -42,6 +45,7 @@ class PropensityFit:
     scores_treated: np.ndarray
     scores: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+    coef: np.ndarray | None = None
 
     def __post_init__(self):
         self.scores = s = _as_vector("scores", self.scores)
@@ -81,21 +85,23 @@ def _unsaturated(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
-def estimate_propensity_binary(ds: ObservationalDataset) -> PropensityFit:
+def estimate_propensity_binary(ds: ObservationalDataset, start=None) -> PropensityFit:
     """Logistic fit of d on (1, x); scores are fitted received-dose probabilities.
 
-    A score that rounds to exactly 0 or 1 raises ZeroPropensityError. The
+    The fit starts from `start` (zeros when None; see `fit_logistic`). A
+    score that rounds to exactly 0 or 1 raises ZeroPropensityError. The
     diagnostics record the IRLS `iterations`.
     """
     if ds.treatment_kind != BINARY:
         raise InvalidInputError("binary propensity model requires a binary treatment")
     if ds.d.min() == ds.d.max():
         raise NoTreatmentVariationError("both treatment arms must be non-empty")
-    model = fit_logistic(np.column_stack([np.ones(ds.n), ds.x]), ds.d)
+    model = fit_logistic(np.column_stack([np.ones(ds.n), ds.x]), ds.d, start)
     return PropensityFit(
         scores_treated=model.fitted,
         scores=_unsaturated(_received(model.fitted, ds.d)),
         diagnostics={"iterations": model.iterations},
+        coef=model.coef,
     )
 
 
@@ -103,7 +109,8 @@ def trim_overlap(fit: PropensityFit, lo: float = 0.01, hi: float = 0.99):
     """Drop units whose received-dose score falls outside [lo, hi].
 
     Returns (trimmed_fit, kept_indices); the caller subsets its dataset with
-    `kept_indices`. The dropped count is recorded in the fit diagnostics.
+    `kept_indices`. The dropped count is recorded in the fit diagnostics,
+    and the trimmed fit keeps the full sample's `coef`.
 
     Raises:
         AllUnitsTrimmedError: fewer than 2 units keep their score, the

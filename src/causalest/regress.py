@@ -126,20 +126,25 @@ def _coef_estimate(method: str, design, y, at: int, diagnostics=None) -> CausalE
     return _estimate(method, fit.coef[at], len(y), fit.coef_cov[at, at], diagnostics)
 
 
-def fit_logistic(design, d) -> LinearFit:
+def fit_logistic(design, d, start=None) -> LinearFit:
     """Logistic regression by iteratively reweighted least squares.
 
-    Starts from coef = 0 and iterates Newton/IRLS steps until the score
-    vector satisfies max|score| < 1e-8. The inverse information (X'WX)^-1
-    at the converged coefficients is computed on the first read of
-    `coef_cov`, from a weighted design the fit owns; it raises
-    RankDeficientError then if the weights leave the design rank deficient.
+    Starts from `start` (coef = 0 when None) and iterates Newton/IRLS steps
+    until the score vector satisfies max|score| < 1e-8. A start near the
+    optimum, such as the full-sample fit for a bootstrap replicate, saves
+    steps; the stopping rule and the separation checks do not depend on it.
+    The inverse information (X'WX)^-1 at the converged coefficients is
+    computed on the first read of `coef_cov`, from a weighted design the fit
+    owns; it raises RankDeficientError then if the weights leave the design
+    rank deficient.
 
     Raises:
         NoTreatmentVariationError: d has a single class.
         SeparationError: probabilities pinned at 0/1 with |coef| > 30, or
             every response fitted to within 1e-6 (wide-margin separation).
         ConvergenceError: no convergence in 100 steps.
+        DimensionMismatchError: `start` is not a vector of length k.
+        NonFiniteValueError: `start` has a non-finite entry.
     """
     X, dv = _check_design(design, d)
     if not _is_01(dv):
@@ -148,11 +153,14 @@ def fit_logistic(design, d) -> LinearFit:
         raise NoTreatmentVariationError("response takes a single value")
 
     n, k = X.shape
-    coef = np.zeros(k)
+    coef = np.zeros(k) if start is None else _as_vector("start", start, k).copy()
     # row-length work arrays that every step overwrites; the converged fit
-    # keeps p, resid and Xw, and each fit allocates its own
+    # keeps p, resid and Xw, and each fit allocates its own. Xw is
+    # column-major, the layout LAPACK factors in, so the SVD copies it in
+    # contiguous runs; its bits do not depend on the layout. X keeps the
+    # caller's layout, as X @ coef rounds differently in another one
     p, resid, sw = np.empty(n), np.empty(n), np.empty(n)
-    Xw = np.empty((n, k))
+    Xw = np.empty((k, n)).T
     for it in range(1, _MAX_IRLS_ITER + 1):
         expit(X @ coef, out=p)
         np.subtract(dv, p, out=resid)
@@ -172,7 +180,7 @@ def fit_logistic(design, d) -> LinearFit:
         np.subtract(1.0, p, out=sw)
         sw *= p
         if np.abs(score).max() < _IRLS_TOL:
-            np.multiply(X, np.sqrt(sw, out=sw)[:, None], out=Xw)
+            np.multiply(X.T, np.sqrt(sw, out=sw), out=Xw.T)
             return LinearFit(
                 coef=coef,
                 link=LOGIT,
@@ -187,7 +195,8 @@ def fit_logistic(design, d) -> LinearFit:
         # Newton step as a weighted least-squares solve on the working
         # response, formed in the residuals' buffer
         resid /= sw
-        step, _ = _svd_solve(np.multiply(X, sw[:, None], out=Xw), resid)
+        np.multiply(X.T, sw, out=Xw.T)
+        step, _ = _svd_solve(Xw, resid)
         coef = coef + step
     raise ConvergenceError(f"IRLS did not converge in {_MAX_IRLS_ITER} iterations")
 

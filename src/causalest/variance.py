@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CausalEstimate, PanelDataset, _check_int
+from .core import CausalEstimate, ObservationalDataset, PanelDataset, _check_int
 from .errors import (
     CausalestError,
+    InvalidInputError,
     TooManyFailedReplicatesError,
 )
 
@@ -97,10 +98,15 @@ def bootstrap_variance(
     intact). `estimator` maps a dataset to a CausalEstimate or a float.
     Replicates that raise a CausalestError (invalid input or a failed
     estimate) or give a non-finite point are skipped; when more than 10% of
-    them fail the bootstrap aborts.
+    them fail the bootstrap aborts. Any other `data` is an InvalidInputError.
     """
     _check_int(2, n_boot=n_boot)
     _check_int(0, seed=seed)
+    if not isinstance(data, (ObservationalDataset, PanelDataset)):
+        raise InvalidInputError(
+            "bootstrap_variance resamples an ObservationalDataset or a PanelDataset, "
+            f"got {type(data).__name__}"
+        )
     is_panel = isinstance(data, PanelDataset)
     n_draw = data.n_units if is_panel else data.n
 

@@ -21,6 +21,8 @@ import causalest
 from causalest import cli
 from causalest.cli import _read_columns, main
 
+from causalest.errors import TooManyFailedReplicatesError
+
 from .conftest import philox, saturating_binary
 
 
@@ -193,7 +195,9 @@ class TestEstimate:
         score_fit = causalest.estimate_propensity_binary(ds)
 
         assert causalest.trim_overlap(score_fit, 0.01, 0.99)[1].size == ds.n
-        assert cli._estimate_once(ds, method, (0.01, 0.99)) == real(ds, score_fit)
+        est, coef = cli._estimate_once(ds, method, (0.01, 0.99))
+        assert est == real(ds, score_fit)
+        assert np.array_equal(coef, score_fit.coef)
         assert seen[-1] is ds
 
         _, kept = causalest.trim_overlap(score_fit, 0.2, 0.8)
@@ -436,6 +440,92 @@ class TestEstimate:
         )
         assert code == 3
         assert err.startswith("error:")
+
+
+def _score_csv(tmp_path):
+    """The 2,000-row confounded file of three covariates that CI's estimate
+    step draws, with the path and the dataset it parses to."""
+    g = philox(2)
+    x = g.normal(size=(2_000, 3))
+    index = x @ np.array([0.6, -0.4, 0.3])
+    d = (g.uniform(size=2_000) < 1.0 / (1.0 + np.exp(0.2 - index))).astype(float)
+    y = 1.0 + 2.0 * d + 1.5 * index + g.normal(size=2_000)
+    path = _write_csv(tmp_path / "score.csv", {"y": y, "d": d, "x1": x[:, 0], "x2": x[:, 1], "x3": x[:, 2]})
+    return path, causalest.validate(y, d, x)
+
+
+_SCORE_ESTIMATORS = {
+    "ipw": causalest.ate_ipw,
+    "psr": causalest.ate_psr,
+    "strat": causalest.ate_stratification,
+    "match": causalest.ate_matching,
+    "dr": causalest.ate_dr,
+}
+
+
+def _cold_steps(method, trim):
+    """Oracle: the fit-trim-estimate steps of `estimate --method`, with a
+    score fit that starts from zeros."""
+    def steps(sample):
+        fit, kept = causalest.trim_overlap(causalest.estimate_propensity_binary(sample), *trim)
+        return _SCORE_ESTIMATORS[method](sample.take(kept), fit)
+
+    return steps
+
+
+class TestWarmStartedBootstrap:
+    @pytest.mark.parametrize("trim", [(0.01, 0.99), (0.2, 0.8)], ids=["default", "0.2,0.8"])
+    @pytest.mark.parametrize("method", list(_SCORE_ESTIMATORS))
+    def test_variance_matches_the_cold_started_bootstrap(
+        self, tmp_path, capsys, monkeypatch, method, trim
+    ):
+        # [DERIVED] oracle: bootstrap_variance of the same steps with every
+        # replicate's score fit started from zeros; the two stop by the same
+        # max|score| rule, so only the last bits of the variance may differ
+        path, ds = _score_csv(tmp_path)
+        starts = []
+        real = cli.estimate_propensity_binary
+        monkeypatch.setattr(
+            cli, "estimate_propensity_binary",
+            lambda sample, start=None: starts.append(start) or real(sample, start),
+        )
+        code, out, err = _run(
+            capsys, "estimate", "--method", method, "--data", path,
+            "--outcome", "y", "--treatment", "d", "--covariates", "x1,x2,x3",
+            "--trim", f"{trim[0]},{trim[1]}", "--bootstrap", "20", "--seed", "1",
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        # one full-sample fit from zeros, and 20 replicates started at its
+        # coefficients
+        full = real(ds)
+        assert starts[0] is None and len(starts) == 21
+        assert all(np.array_equal(start, full.coef) for start in starts[1:])
+        cold = causalest.bootstrap_variance(ds, _cold_steps(method, trim), n_boot=20, seed=1)
+        assert cold.n_failed == 0
+        np.testing.assert_allclose(report["variance"], cold.variance, rtol=1e-9)
+        assert report["point"] == _cold_steps(method, trim)(ds).point
+
+    @pytest.mark.parametrize("seed, failed", [(4, 6), (5, 14), (6, 6)])
+    def test_saturating_replicates_still_fail(self, tmp_path, capsys, seed, failed):
+        # [DERIVED] oracle: the cold-started bootstrap of the same steps. A
+        # warm start passes through the same separation and saturation
+        # checks, so the same replicates fail and the bootstrap still aborts
+        y, d, x = saturating_binary(seed)
+        with pytest.raises(TooManyFailedReplicatesError) as info:
+            causalest.bootstrap_variance(
+                causalest.validate(y, d, x), _cold_steps("ipw", (0.01, 0.99)), n_boot=50, seed=3
+            )
+        assert f"failed on {failed}/50 " in str(info.value)
+        path = _write_csv(tmp_path / "wide.csv", {"y": y, "d": d, "x": x})
+        code, out, err = _run(
+            capsys, "estimate", "--method", "ipw", "--data", path,
+            "--outcome", "y", "--treatment", "d", "--covariates", "x",
+            "--bootstrap", "50", "--seed", "3",
+        )
+        assert code == 3
+        assert out == ""
+        assert str(info.value) in err
 
 
 class TestCsvReader:

@@ -21,6 +21,7 @@ from causalest import (
 )
 from causalest.errors import (
     AllUnitsTrimmedError,
+    DimensionMismatchError,
     InvalidInputError,
     LengthMismatchError,
     NoTreatmentVariationError,
@@ -32,9 +33,10 @@ from .conftest import confounded_binary, randomized_binary, saturating_binary
 
 
 def test_score_fit_holds_only_what_the_estimators_read():
-    # the scores; the logistic fit behind them is not kept
+    # the scores and the coefficients a bootstrap replicate's fit starts
+    # from; the rest of the logistic fit behind them is not kept
     assert [f.name for f in dataclasses.fields(PropensityFit)] == [
-        "scores_treated", "scores", "diagnostics"
+        "scores_treated", "scores", "diagnostics", "coef"
     ]
 
 
@@ -137,6 +139,47 @@ class TestIrlsDiagnostics:
         assert np.array_equal(fit.scores, np.where(ds.d == 1.0, p1, 1.0 - p1))
         assert fit.diagnostics == {"iterations": fit_logistic(design, ds.d).iterations}
         assert fit.diagnostics["iterations"] > 0
+
+
+class TestScoreCoefficients:
+    def test_fit_keeps_the_logistic_coefficients(self):
+        # [DERIVED] oracle: the logistic fit of d on (1, x)
+        ds = confounded_binary(27, 600)
+        fit = estimate_propensity_binary(ds)
+        model = fit_logistic(np.column_stack([np.ones(ds.n), ds.x]), ds.d)
+        assert np.array_equal(fit.coef, model.coef)
+
+    def test_external_scores_have_no_coefficients(self):
+        assert PropensityFit.from_scores([0.2, 0.7], [1.0, 0.0]).coef is None
+
+    def test_trimming_carries_the_full_sample_coefficients(self):
+        ds = confounded_binary(28, 600)
+        fit = estimate_propensity_binary(ds)
+        trimmed, kept = trim_overlap(fit, 0.2, 0.8)
+        assert kept.size < ds.n
+        assert trimmed.coef is fit.coef
+
+    def test_start_reaches_the_logistic_fit(self):
+        # [DERIVED] a fit started at the full-sample coefficients takes fewer
+        # steps on a resample and lands on the cold fit, within what the
+        # max|score| < 1e-8 stopping rule allows at this n
+        ds = confounded_binary(29, 5_000)
+        full = estimate_propensity_binary(ds)
+        sample = ds.take(np.random.Generator(np.random.Philox(30)).integers(0, ds.n, size=ds.n))
+        cold = estimate_propensity_binary(sample)
+        warm = estimate_propensity_binary(sample, start=full.coef)
+        np.testing.assert_allclose(warm.coef, cold.coef, rtol=1e-10)
+        np.testing.assert_allclose(warm.scores, cold.scores, rtol=1e-10)
+        assert warm.diagnostics["iterations"] < cold.diagnostics["iterations"]
+
+    @pytest.mark.parametrize(
+        "start, error",
+        [([0.0], DimensionMismatchError), ([0.0, np.nan], NonFiniteValueError)],
+        ids=["length", "nan"],
+    )
+    def test_start_is_checked_like_outside_input(self, start, error):
+        with pytest.raises(error, match="start"):
+            estimate_propensity_binary(confounded_binary(31, 200), start=start)
 
 
 class TestTrimOverlap:

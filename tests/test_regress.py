@@ -17,6 +17,7 @@ from causalest import regress
 from causalest.errors import (
     ConvergenceError,
     DimensionMismatchError,
+    NonFiniteValueError,
     NoTreatmentVariationError,
     RankDeficientError,
     SeparationError,
@@ -234,10 +235,10 @@ class TestIrlsWork:
         assert np.array_equal(fit.residuals, d - fit.fitted)
 
 
-def _allocating_irls(X, d, max_iter=100, tol=1e-8):
+def _allocating_irls(X, d, max_iter=100, tol=1e-8, start=None):
     """Oracle: the IRLS loop that allocates its row-length arrays afresh on
     every step; returns (coef, residuals, fitted, coef_cov, iterations)."""
-    coef = np.zeros(X.shape[1])
+    coef = np.zeros(X.shape[1]) if start is None else np.array(start, dtype=float)
     for it in range(1, max_iter + 1):
         p = expit(X @ coef)
         resid = d - p
@@ -330,6 +331,77 @@ class TestIrlsInPlace:
             assert not np.shares_memory(arrays[name], second.fitted), name
             assert not np.shares_memory(arrays[name], second.residuals), name
         assert np.array_equal(first.coef_cov, _allocating_irls(X, d)[3])
+
+
+class TestWarmStart:
+    def test_bootstrap_resamples_reach_the_cold_fit_in_fewer_steps(self):
+        # [DERIVED] a resample's optimum lies a root-n step from the full
+        # sample's, so a fit started there stops by the same max|score| rule
+        # at the cold fit's coefficients, in fewer Newton steps
+        X, d = _score_draw(21, 50_000, 4)
+        full = fit_logistic(X, d)
+        g = philox(22)
+        for _ in range(4):
+            idx = g.integers(0, d.size, size=d.size)
+            Xb, db = X[idx], d[idx]
+            cold = fit_logistic(Xb, db)
+            warm = fit_logistic(Xb, db, start=full.coef)
+            np.testing.assert_allclose(warm.coef, cold.coef, rtol=0.0, atol=1e-12)
+            assert np.abs(logistic_score(Xb, db, warm.coef)).max() < regress._IRLS_TOL
+            assert 0 < warm.iterations < cold.iterations
+
+    @pytest.mark.parametrize("n, k", [(60, 2), (1_000, 3), (50_000, 4)])
+    def test_bits_match_the_allocating_loop_from_the_same_start(self, n, k):
+        # [DERIVED] oracle: the allocating loop, started at the same point
+        X, d = _score_draw(n + k + 2, n, k)
+        start = np.linspace(0.3, -0.2, k)
+        coef, resid, p, coef_cov, iterations = _allocating_irls(X, d, start=start)
+        fit = fit_logistic(X, d, start=start)
+        assert np.array_equal(fit.coef, coef)
+        assert np.array_equal(fit.residuals, resid)
+        assert np.array_equal(fit.fitted, p)
+        assert np.array_equal(fit.coef_cov, coef_cov)
+        assert fit.iterations == iterations
+
+    def test_zero_start_is_the_default(self):
+        X, d = _score_draw(23, 1_000, 3)
+        default, zeros = fit_logistic(X, d), fit_logistic(X, d, start=np.zeros(3))
+        assert np.array_equal(default.coef, zeros.coef)
+        assert np.array_equal(default.fitted, zeros.fitted)
+        assert default.iterations == zeros.iterations
+
+    def test_start_at_the_optimum_is_copied(self):
+        X, d = _score_draw(24, 1_000, 3)
+        start = fit_logistic(X, d).coef
+        saved = start.copy()
+        fit = fit_logistic(X, d, start=start)
+        assert fit.iterations == 0
+        assert np.array_equal(fit.coef, saved)
+        assert not np.shares_memory(fit.coef, start)
+        fit.coef[0] += 1.0
+        assert np.array_equal(start, saved)
+
+    @pytest.mark.parametrize(
+        "start, error",
+        [
+            (np.zeros(2), DimensionMismatchError),
+            (np.zeros(4), DimensionMismatchError),
+            (np.zeros((3, 1)), DimensionMismatchError),
+            (np.array([0.0, np.nan, 0.0]), NonFiniteValueError),
+            (np.array([0.0, 0.0, np.inf]), NonFiniteValueError),
+        ],
+        ids=["short", "long", "2-d", "nan", "inf"],
+    )
+    def test_start_is_checked_like_outside_input(self, start, error):
+        X, d = _score_draw(25, 200, 3)
+        with pytest.raises(error, match="start"):
+            fit_logistic(X, d, start=start)
+
+    def test_separation_is_detected_from_a_warm_start(self):
+        x = np.linspace(-2.0, 2.0, 40)
+        X, d = np.column_stack([np.ones(x.size), x]), (x > 0).astype(float)
+        with pytest.raises(SeparationError):
+            fit_logistic(X, d, start=[0.0, 5.0])
 
 
 class TestPredict:

@@ -10,6 +10,7 @@ import pytest
 from scipy.special import ndtri
 
 from causalest import (
+    ate_did,
     ate_ipw,
     ate_or,
     bootstrap_variance,
@@ -233,6 +234,20 @@ class TestBootstrap:
         with pytest.raises(InvalidInputError, match="seed must be >= 0 and an integer"):
             bootstrap_variance(ds, estimator, n_boot=20, seed=seed)
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "data, kind",
+        [(generate("cs5", 0, n=20), "DidDataset"), ([1.0, 2.0, 3.0], "list")],
+        ids=["did", "list"],
+    )
+    def test_unsupported_data_is_an_input_error(self, data, kind):
+        # [TRIVIAL] only a dataset the bootstrap can resample is accepted;
+        # anything else is bad input, not an AttributeError from inside
+        with pytest.raises(InvalidInputError) as info:
+            bootstrap_variance(data, ate_did, n_boot=5)
+        message = str(info.value)
+        for name in ("ObservationalDataset", "PanelDataset", kind):
+            assert name in message
 
     def test_seed_determinism(self):
         ds = confounded_binary(106, 120)
