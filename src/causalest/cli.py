@@ -198,7 +198,6 @@ def _cmd_estimate(args) -> int:
 
     report = {
         "method": est.method,
-        "estimand": est.estimand,
         "point": est.point,
         "variance": est.variance,
         "ci": list(est.ci) if est.ci is not None else None,

@@ -99,7 +99,7 @@ def _as_vector(name: str, v, n: int | None = None, *, finite: bool = True) -> np
     if arr.ndim != 1:
         raise DimensionMismatchError(f"'{name}' must be a 1-d vector, got shape {arr.shape}")
     if finite and not np.isfinite(arr).all():
-        raise NonFiniteValueError(f"column '{name}' contains non-finite values")
+        raise NonFiniteValueError(f"vector '{name}' contains non-finite values")
     return _check_length(name, arr, n)
 
 
@@ -374,10 +374,9 @@ def _codes_if_sorted(unit: np.ndarray, time: np.ndarray) -> np.ndarray | None:
 
 @dataclass
 class CausalEstimate:
-    """A point estimate of an average treatment effect.
+    """A point estimate of the treatment effect its `method` identifies.
 
     Attributes:
-        estimand: "ATE".
         method: identifier of the producing estimator.
         point: the estimate.
         variance: estimated sampling variance, when available.
@@ -388,7 +387,6 @@ class CausalEstimate:
     variance (say, a bootstrap one) with `dataclasses.replace`.
     """
 
-    estimand: str
     method: str
     point: float
     n_used: int
@@ -431,6 +429,17 @@ def _check_rows(what: str, rows: int, n: int) -> None:
         raise LengthMismatchError(f"{what} has {rows} rows, the dataset {n}")
 
 
+def _check_arms(ds) -> None:
+    """EmptyTreatmentArmError unless some unit is in each arm, d = 1 and d = 0.
+
+    Called before any fit, on which a one-arm design would fail as rank
+    deficient; the comparisons allocate boolean vectors only.
+    """
+    for arm, value in (("treated", 1.0), ("control", 0.0)):
+        if not (ds.d == value).any():
+            raise EmptyTreatmentArmError(f"no unit is in the {arm} arm")
+
+
 def _estimate(
     method: str,
     point,
@@ -443,7 +452,6 @@ def _estimate(
     It casts the numbers to float and `n_used` to int.
     """
     return CausalEstimate(
-        estimand="ATE",
         method=method,
         point=float(point),
         variance=None if variance is None else float(variance),
@@ -460,13 +468,10 @@ def difference_in_means(ds: ObservationalDataset) -> CausalEstimate:
     """
     if ds.treatment_kind != BINARY:
         raise InvalidInputError("difference_in_means requires a binary treatment")
+    _check_arms(ds)
     treated = ds.d == 1.0
     n1 = int(treated.sum())
     n0 = ds.n - n1
-    if n1 == 0 or n0 == 0:
-        raise EmptyTreatmentArmError(
-            f"both arms required (treated={n1}, control={n0})"
-        )
     y1 = ds.y[treated]
     y0 = ds.y[~treated]
     point = float(y1.mean() - y0.mean())

@@ -124,7 +124,7 @@ class NoFirstStageJumpError(CausalestError):
 # ---------------------------------------------------------------------------
 
 class TooManyFailedReplicatesError(CausalestError):
-    """An estimator failed on over 5% of Monte Carlo runs or 10% of bootstrap replicates."""
+    """An estimator failed on over 5% of Monte Carlo runs or of bootstrap replicates."""
 
 
 # ---------------------------------------------------------------------------

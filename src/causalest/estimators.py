@@ -13,12 +13,12 @@ from .core import (
     BINARY,
     CausalEstimate,
     ObservationalDataset,
+    _check_arms,
     _check_rows,
     _estimate,
 )
 from .errors import (
     DimensionMismatchError,
-    EmptyTreatmentArmError,
     InvalidInputError,
     NoUsableStratumError,
     ZeroPropensityError,
@@ -27,8 +27,6 @@ from .propensity import _N_STRATA, PropensityFit, quantile_strata
 from .regress import IDENTITY, LinearFit, _coef_estimate, fit_ols, predict
 
 _WEIGHT_FLOOR = 1e-12
-# the outcome model is OLS of y on (1, d, all of x); its estimates report so
-_OR_DIAGNOSTICS = {"link": IDENTITY, "interactions": False}
 
 
 def fit_outcome_model(ds: ObservationalDataset) -> LinearFit:
@@ -82,48 +80,38 @@ def ate_or(ds: ObservationalDataset, outcome_fit: LinearFit | None = None) -> Ca
     # the two designs differ only in d's column, so the contrast's delta
     # variance is that of d's coefficient
     var = float(fit.coef_cov[1, 1])
-    return _estimate("or", hi - lo, ds.n, var, dict(_OR_DIAGNOSTICS))
+    return _estimate("or", hi - lo, ds.n, var)
 
 
-def _check_arms(ds):
-    """EmptyTreatmentArmError unless some unit received each dose, 1 and 0.
+def _arm_weights(ds, fit, arm):
+    """Indicator of being in `arm` (d = 1 or d = 0) and the received-arm
+    scores, guarding the weight floor only where the indicator is on.
 
-    Called before any fit, on which a one-arm design would fail as rank
-    deficient; the comparisons allocate boolean vectors only.
-    """
-    for dose in (1.0, 0.0):
-        if not (ds.d == dose).any():
-            raise EmptyTreatmentArmError(f"no unit received dose {dose}")
-
-
-def _dose_weights(ds, fit, dose):
-    """Indicator of receiving `dose` (0 or 1) and the received-arm scores,
-    guarding the weight floor only where the indicator is on.
-
-    Where it is on, the received-arm score is P(D=dose|x). Where it is off,
+    Where it is on, the received-arm score is P(D=arm|x). Where it is off,
     a term is 0·y/score with a positive score, the same signed zero that
-    dividing by P(D=dose|x) gives, so neither arm forms 1 - p.
+    dividing by P(D=arm|x) gives, so neither arm forms 1 - p.
     """
     _check_rows("score fit", fit.n, ds.n)
-    at_dose = ds.d == dose
+    in_arm = ds.d == arm
     p = fit.scores
-    if (p[at_dose] < _WEIGHT_FLOOR).any():
+    if (p[in_arm] < _WEIGHT_FLOOR).any():
+        name = "treated" if arm == 1.0 else "control"
         raise ZeroPropensityError(
-            f"a unit at dose {dose} has an assignment score below {_WEIGHT_FLOOR}"
+            f"a {name} unit has an assignment score below {_WEIGHT_FLOOR}"
         )
-    return at_dose.astype(float), p
+    return in_arm.astype(float), p
 
 
 def ate_ipw(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate:
     """Difference of Horvitz-Thompson weighted means at d = 1 and d = 0.
     An empty arm raises EmptyTreatmentArmError."""
     _check_arms(ds)
-    ind1, p1 = _dose_weights(ds, fit, 1.0)
-    ind0, p0 = _dose_weights(ds, fit, 0.0)
+    ind1, p1 = _arm_weights(ds, fit, 1.0)
+    ind0, p0 = _arm_weights(ds, fit, 0.0)
     contrib = ind1 * ds.y / p1 - ind0 * ds.y / p0
     point = float(contrib.mean())
     var = float(contrib.var(ddof=1) / ds.n)
-    diagnostics = {"n_at_dose": int(ind1.sum()), "n_at_ref": int(ind0.sum())}
+    diagnostics = {"n_treated": int(ind1.sum()), "n_control": int(ind0.sum())}
     return _estimate("ipw", point, ds.n, var, diagnostics)
 
 
@@ -139,8 +127,7 @@ def ate_psr(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate:
     p1 = fit.scores_treated
     degenerate = bool(np.ptp(p1) == 0.0)
     design = np.column_stack([np.ones(ds.n), ds.d, *([] if degenerate else [p1])])
-    diagnostics = {"poly_degree": 1, "interactions": False, "degenerate_score": degenerate}
-    return _coef_estimate("psr", design, ds.y, 1, diagnostics)
+    return _coef_estimate("psr", design, ds.y, 1, {"degenerate_score": degenerate})
 
 
 def ate_stratification(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate:
@@ -178,7 +165,6 @@ def ate_stratification(ds: ObservationalDataset, fit: PropensityFit) -> CausalEs
     if all(v is not None for v in var_terms):
         var = float(np.sum(w**2 * np.asarray(var_terms, dtype=float)))
     diagnostics = {
-        "n_strata": _N_STRATA,
         "n_unusable_strata": n_unusable,
         "n_excluded_units": int(ds.n - sum(sizes)),
     }
@@ -247,16 +233,12 @@ def ate_matching(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate
     """
     if ds.treatment_kind != BINARY:
         raise InvalidInputError("matching requires a binary treatment")
+    _check_arms(ds)
     _check_rows("score fit", fit.n, ds.n)
     p1 = fit.scores_treated
     treated = ds.d == 1.0
     idx_t = np.flatnonzero(treated)
     idx_c = np.flatnonzero(~treated)
-    if min(idx_t.size, idx_c.size) == 0:
-        raise EmptyTreatmentArmError(
-            f"matching needs a unit in each arm, but the arms have sizes "
-            f"({idx_t.size}, {idx_c.size})"
-        )
 
     def imputed_from(targets, pool):
         # pool positions ascend with the unit index, so the lowest position
@@ -266,7 +248,7 @@ def ate_matching(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate
     effect_t = ds.y[idx_t] - imputed_from(idx_t, idx_c)
     effect_c = imputed_from(idx_c, idx_t) - ds.y[idx_c]
     point = float((effect_t.sum() + effect_c.sum()) / ds.n)
-    return _estimate("matching", point, ds.n, diagnostics={"n_matches": 1})
+    return _estimate("matching", point, ds.n)
 
 
 def ate_dr(
@@ -286,16 +268,16 @@ def ate_dr(
     # one counterfactual design for both arms, apart from the fitted one
     design = _control_design(ds)
 
-    def arm(dose):
-        ind, p = _dose_weights(ds, fit, dose)
-        design[:, 1] = dose
+    def counterfactual(arm):
+        ind, p = _arm_weights(ds, fit, arm)
+        design[:, 1] = arm
         m = predict(or_fit, design)
         return m + ind * (ds.y - m) / p, ind
 
-    hi, ind1 = arm(1.0)
-    lo, ind0 = arm(0.0)
+    hi, ind1 = counterfactual(1.0)
+    lo, ind0 = counterfactual(0.0)
     contrib = hi - lo
     point = float(contrib.mean())
     var = float(contrib.var(ddof=1) / ds.n)
-    diagnostics = {**_OR_DIAGNOSTICS, "n_at_dose": int(ind1.sum()), "n_at_ref": int(ind0.sum())}
+    diagnostics = {"n_treated": int(ind1.sum()), "n_control": int(ind0.sum())}
     return _estimate("dr", point, ds.n, var, diagnostics)

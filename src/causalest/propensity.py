@@ -62,7 +62,7 @@ class PropensityFit:
         """Wrap externally supplied treated-probabilities as a binary fit.
 
         `p1` is P(D=1 | x) per unit and `d` the observed 0/1 treatment, so
-        the received-dose scores can be formed. Non-finite entries raise
+        the received-arm scores can be formed. Non-finite entries raise
         `NonFiniteValueError`; the range check is the constructor's.
         """
         p = _as_vector("p1", p1)
@@ -79,14 +79,14 @@ def _received(p1: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _unsaturated(scores: np.ndarray) -> np.ndarray:
-    """Fitted received-dose scores; one that rounds to exactly 0 or 1 fails the fit."""
+    """Fitted received-arm scores; one that rounds to exactly 0 or 1 fails the fit."""
     if scores.min() <= 0.0 or scores.max() >= 1.0:
         raise ZeroPropensityError("a fitted score rounds to exactly 0 or 1")
     return scores
 
 
 def estimate_propensity_binary(ds: ObservationalDataset, start=None) -> PropensityFit:
-    """Logistic fit of d on (1, x); scores are fitted received-dose probabilities.
+    """Logistic fit of d on (1, x); scores are fitted received-arm probabilities.
 
     The fit starts from `start` (zeros when None; see `fit_logistic`). A
     score that rounds to exactly 0 or 1 raises ZeroPropensityError. The
@@ -106,7 +106,7 @@ def estimate_propensity_binary(ds: ObservationalDataset, start=None) -> Propensi
 
 
 def trim_overlap(fit: PropensityFit, lo: float = 0.01, hi: float = 0.99):
-    """Drop units whose received-dose score falls outside [lo, hi].
+    """Drop units whose received-arm score falls outside [lo, hi].
 
     Returns (trimmed_fit, kept_indices); the caller subsets its dataset with
     `kept_indices`. The dropped count is recorded in the fit diagnostics,

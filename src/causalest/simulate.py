@@ -27,7 +27,7 @@ from .estimators import ate_dr, ate_ipw, ate_or, fit_outcome_model
 from .panel import fit_cre, fit_fd, fit_fe, fit_pols, fit_re
 from .propensity import PropensityFit, estimate_propensity_binary
 from .quasi import ate_2sls, ate_did, rdd_fuzzy, rdd_sharp, validate_did
-from .variance import _MAX_FAILED_RUNS, _keyed_stream, _replicate
+from .variance import _keyed_stream, _replicate
 
 CASE_IDS = ("cs1", "cs2", "cs3", "cs4", "cs5", "cs6")
 
@@ -454,8 +454,7 @@ def run_monte_carlo(
         lambda r: _case_inputs(case_id, n, r, seed),
         list(_CASES[case_id][1].items()),
         runs,
-        _MAX_FAILED_RUNS,
-        case_id,
+        f"{case_id} runs",
     )
     tau = float(params["tau"])
     av = np.empty(len(methods))

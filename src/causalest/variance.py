@@ -46,13 +46,12 @@ def _keyed_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-# an estimator fails a replicate loop when it fails on more than this share
-# of the Monte Carlo runs or of the bootstrap replicates
-_MAX_FAILED_RUNS = 0.05
-_MAX_FAILED_REPLICATES = 0.10
+# an estimator fails a replicate loop, the Monte Carlo runs or the bootstrap
+# replicates, when it fails on more than this share of them
+_MAX_FAILED_SHARE = 0.05
 
 
-def _replicate(sample, estimators: list, count: int, max_failed_share: float, label: str):
+def _replicate(sample, estimators: list, count: int, label: str):
     """Run every estimator on `count` seeded replicates; (points, n_failed).
 
     `sample(r)` builds replicate r's inputs as a tuple, and `estimators`
@@ -61,8 +60,8 @@ def _replicate(sample, estimators: list, count: int, max_failed_share: float, la
     replicate r. A CausalestError from `sample` fails every estimator on
     that replicate and one from an estimator fails its cell only, leaving
     NaN; a non-finite point counts as failed too. An estimator that fails on
-    more than `max_failed_share` of the replicates aborts the loop with an
-    error that starts with `label`.
+    more than `_MAX_FAILED_SHARE` of the replicates aborts the loop with an
+    error that counts them as `label`, say "cs1 runs".
     """
     points = np.full((count, len(estimators)), np.nan)
     for r in range(count):
@@ -78,9 +77,9 @@ def _replicate(sample, estimators: list, count: int, max_failed_share: float, la
             points[r, j] = est.point if isinstance(est, CausalEstimate) else float(est)
     n_failed = np.count_nonzero(~np.isfinite(points), axis=0)
     for (name, _), failed in zip(estimators, n_failed):
-        if failed > max_failed_share * count:
+        if failed > _MAX_FAILED_SHARE * count:
             raise TooManyFailedReplicatesError(
-                f"{label}: {name} failed on {failed}/{count} runs (tolerance {max_failed_share:.0%})"
+                f"{name} failed on {failed}/{count} {label} (tolerance {_MAX_FAILED_SHARE:.0%})"
             )
     return points, n_failed
 
@@ -97,7 +96,7 @@ def bootstrap_variance(
     PanelDataset (whole units resampled, keeping each unit's time series
     intact). `estimator` maps a dataset to a CausalEstimate or a float.
     Replicates that raise a CausalestError (invalid input or a failed
-    estimate) or give a non-finite point are skipped; when more than 10% of
+    estimate) or give a non-finite point are skipped; when more than 5% of
     them fail the bootstrap aborts. Any other `data` is an InvalidInputError.
     """
     _check_int(2, n_boot=n_boot)
@@ -115,7 +114,7 @@ def bootstrap_variance(
         return (data.take_units(idx) if is_panel else data.take(idx),)
 
     points, n_failed = _replicate(
-        resample, [("estimator", estimator)], n_boot, _MAX_FAILED_REPLICATES, "bootstrap"
+        resample, [("estimator", estimator)], n_boot, "bootstrap replicates"
     )
     points = points[:, 0]
     ok = points[np.isfinite(points)]

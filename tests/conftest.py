@@ -26,8 +26,7 @@ def run_methods(case, methods, runs, n, seed):
         lambda r: simulate._case_inputs(case, n, r, seed),
         [(m, simulate._CASES[case][1][m]) for m in methods],
         runs,
-        simulate._MAX_FAILED_RUNS,
-        case,
+        f"{case} runs",
     )
 
 

@@ -532,24 +532,18 @@ class TestCallerArraysStayTheirs:
 class TestCausalEstimate:
     def test_ci_is_derived_not_set(self):
         with pytest.raises(TypeError, match="ci"):
-            CausalEstimate(
-                estimand="ATE", method="m", point=5.0, n_used=10, ci=(1.0, 2.0)
-            )
-        est = CausalEstimate(
-            estimand="ATE", method="m", point=5.0, n_used=10, variance=1.0
-        )
+            CausalEstimate(method="m", point=5.0, n_used=10, ci=(1.0, 2.0))
+        est = CausalEstimate(method="m", point=5.0, n_used=10, variance=1.0)
         with pytest.raises(AttributeError):
             est.ci = (1.0, 2.0)
         assert est.ci == normal_interval(5.0, 1.0)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            CausalEstimate(
-                estimand="ATE", method="m", point=0.0, n_used=10, variance=-1.0
-            )
+            CausalEstimate(method="m", point=0.0, n_used=10, variance=-1.0)
 
     def test_replaced_variance_derives_ci(self):
-        est = CausalEstimate(estimand="ATE", method="m", point=0.5, n_used=3)
+        est = CausalEstimate(method="m", point=0.5, n_used=3)
         out = replace(est, variance=0.04)
         assert out.variance == 0.04
         assert out.ci == normal_interval(0.5, 0.04)
@@ -562,7 +556,7 @@ class TestDifferenceInMeans:
         ds = validate([3.0, 5.0, 2.0, 4.0], [1.0, 1.0, 0.0, 0.0])
         est = difference_in_means(ds)
         assert est.point == pytest.approx(1.0)
-        assert est.estimand == "ATE"
+        assert est.method == "difference_in_means"
         assert est.diagnostics == {"n_treated": 2, "n_control": 2}
 
     def test_variance_oracle(self):
@@ -575,7 +569,7 @@ class TestDifferenceInMeans:
         assert est.variance == pytest.approx(expected, rel=1e-12)
 
     def test_empty_arm(self):
-        with pytest.raises(EmptyTreatmentArmError):
+        with pytest.raises(EmptyTreatmentArmError, match="^no unit is in the control arm$"):
             difference_in_means(validate([1.0, 2.0], [1.0, 1.0]))
 
     def test_requires_binary(self):

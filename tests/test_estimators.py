@@ -137,7 +137,7 @@ class TestIpw:
         fit = PropensityFit.from_scores([0.5] * 4, ds.d)
         est = ate_ipw(ds, fit)
         assert est.point == pytest.approx(1.0, abs=1e-12)
-        assert est.diagnostics == {"n_at_dose": 2, "n_at_ref": 2}
+        assert est.diagnostics == {"n_treated": 2, "n_control": 2}
 
     def test_constant_share_reduces_to_arm_mean(self):
         # [TRIVIAL] Horvitz-Thompson with the empirical shares as weights:
@@ -146,16 +146,16 @@ class TestIpw:
         fit = PropensityFit.from_scores([0.75] * 4, ds.d)
         assert ate_ipw(ds, fit).point == pytest.approx(6.0 - 5.0, abs=1e-12)
 
-    def test_empty_dose_group(self):
+    def test_empty_arm(self):
         ds = validate([1.0, 2.0], [0.0, 0.0])  # no unit has d = 1
         fit = PropensityFit.from_scores([0.5, 0.5], ds.d)
-        with pytest.raises(EmptyTreatmentArmError, match="no unit received dose 1.0"):
+        with pytest.raises(EmptyTreatmentArmError, match="^no unit is in the treated arm$"):
             ate_ipw(ds, fit)
 
     def test_zero_propensity_floor(self):
         ds = validate([1.0, 2.0], [1.0, 0.0])
         fit = PropensityFit.from_scores([1e-15, 0.5], ds.d)
-        with pytest.raises(ZeroPropensityError):
+        with pytest.raises(ZeroPropensityError, match="a treated unit has an assignment score"):
             ate_ipw(ds, fit)
 
     def test_floor_ignores_off_indicator_units(self):
@@ -179,9 +179,7 @@ class TestPsr:
         cov = rss[0] / (ds.n - 3) * np.linalg.inv(design.T @ design)
         assert est.point == pytest.approx(beta[1], abs=1e-10)
         assert est.variance == pytest.approx(cov[1, 1], rel=1e-9)
-        assert est.diagnostics == {
-            "poly_degree": 1, "interactions": False, "degenerate_score": False,
-        }
+        assert est.diagnostics == {"degenerate_score": False}
 
     def test_degenerate_constant_score(self):
         # [TRIVIAL] constant score carries no information: difference in means
@@ -204,7 +202,8 @@ class TestPsr:
         # names the empty arm instead
         ds = validate(np.arange(30.0), np.full(30, 1.0 - arm), np.arange(30.0) % 7)
         fit = PropensityFit.from_scores(np.linspace(0.2, 0.8, 30), ds.d)
-        with pytest.raises(EmptyTreatmentArmError, match=f"no unit received dose {arm}"):
+        name = "treated" if arm == 1.0 else "control"
+        with pytest.raises(EmptyTreatmentArmError, match=f"^no unit is in the {name} arm$"):
             ate_psr(ds, fit)
 
     def test_monte_carlo_recovery(self, cs1_mc_points):
@@ -226,7 +225,7 @@ class TestStratification:
         est = ate_stratification(ds, fit)
         assert est.point == pytest.approx(2.0, abs=1e-12)
         assert est.n_used == 20
-        assert est.diagnostics == {"n_strata": 5, "n_unusable_strata": 0, "n_excluded_units": 0}
+        assert est.diagnostics == {"n_unusable_strata": 0, "n_excluded_units": 0}
 
     def test_one_stratum_equals_difference_in_means(self):
         # [TRIVIAL] a constant score puts every unit in one stratum, which
@@ -301,7 +300,7 @@ class TestMatching:
         est = ate_matching(ds, PropensityFit.from_scores(p1, d))
         assert est.point == pytest.approx(3.0, abs=1e-12)
         assert est.variance is None
-        assert est.diagnostics == {"n_matches": 1}
+        assert est.diagnostics == {}
 
     def test_distance_tie_goes_to_lowest_index(self):
         y = np.array([10.0, 0.0, 2.0])
@@ -321,7 +320,7 @@ class TestMatching:
         # an empty arm leaves the other arm's units nothing to match
         ds = validate([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
         fit = PropensityFit.from_scores([0.5, 0.4, 0.6], ds.d)
-        with pytest.raises(EmptyTreatmentArmError, match=r"arms have sizes \(0, 3\)"):
+        with pytest.raises(EmptyTreatmentArmError, match="^no unit is in the treated arm$"):
             ate_matching(ds, fit)
 
     def test_equals_dense_oracle_exactly(self):
@@ -399,10 +398,10 @@ def three_design_dr(ds, fit):
     1 - P(D=1|x)."""
     or_fit = fit_outcome_model(ds)
     arms = []
-    for dose in (1.0, 0.0):
-        m = predict(or_fit, np.column_stack([np.ones(ds.n), np.full(ds.n, dose), ds.x]))
-        ind = (ds.d == dose).astype(float)
-        p = fit.scores_treated if dose == 1.0 else 1.0 - fit.scores_treated
+    for arm in (1.0, 0.0):
+        m = predict(or_fit, np.column_stack([np.ones(ds.n), np.full(ds.n, arm), ds.x]))
+        ind = (ds.d == arm).astype(float)
+        p = fit.scores_treated if arm == 1.0 else 1.0 - fit.scores_treated
         arms.append(m + ind * (ds.y - m) / p)
     contrib = arms[0] - arms[1]
     return float(contrib.mean()), float(contrib.var(ddof=1) / ds.n)
@@ -460,7 +459,8 @@ class TestDoublyRobust:
         # deficient; the error names the empty arm instead
         ds = validate(np.arange(30.0), np.full(30, 1.0 - arm), np.arange(30.0) % 7)
         fit = PropensityFit.from_scores(np.linspace(0.2, 0.8, 30), ds.d)
-        with pytest.raises(EmptyTreatmentArmError, match=f"no unit received dose {arm}"):
+        name = "treated" if arm == 1.0 else "control"
+        with pytest.raises(EmptyTreatmentArmError, match=f"^no unit is in the {name} arm$"):
             ate_dr(ds, fit)
 
     def test_or_ipw_dr_agree_under_randomization(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -24,6 +26,8 @@ from causalest.errors import (
 )
 
 from .conftest import confounded_binary, philox
+
+_NON_FINITE_START = "vector 'start' contains non-finite values"
 
 
 def logistic_loglik(design, d, coef) -> float:
@@ -382,19 +386,20 @@ class TestWarmStart:
         assert np.array_equal(start, saved)
 
     @pytest.mark.parametrize(
-        "start, error",
+        "start, error, message",
         [
-            (np.zeros(2), DimensionMismatchError),
-            (np.zeros(4), DimensionMismatchError),
-            (np.zeros((3, 1)), DimensionMismatchError),
-            (np.array([0.0, np.nan, 0.0]), NonFiniteValueError),
-            (np.array([0.0, 0.0, np.inf]), NonFiniteValueError),
+            (np.zeros(2), DimensionMismatchError, "start must have length 3, got 2"),
+            (np.zeros(4), DimensionMismatchError, "start must have length 3, got 4"),
+            (np.zeros((3, 1)), DimensionMismatchError, "'start' must be a 1-d vector, got shape"),
+            (np.array([0.0, np.nan, 0.0]), NonFiniteValueError, _NON_FINITE_START),
+            (np.array([0.0, 0.0, np.inf]), NonFiniteValueError, _NON_FINITE_START),
         ],
         ids=["short", "long", "2-d", "nan", "inf"],
     )
-    def test_start_is_checked_like_outside_input(self, start, error):
+    def test_start_is_checked_like_outside_input(self, start, error, message):
+        # the coefficient vector is not called a column
         X, d = _score_draw(25, 200, 3)
-        with pytest.raises(error, match="start"):
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
             fit_logistic(X, d, start=start)
 
     def test_separation_is_detected_from_a_warm_start(self):

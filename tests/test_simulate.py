@@ -391,7 +391,7 @@ class TestRunMonteCarlo:
 
     @staticmethod
     def _infinite():
-        return CausalEstimate(estimand="ATE", method="rdd_sharp", point=np.inf, n_used=200)
+        return CausalEstimate(method="rdd_sharp", point=np.inf, n_used=200)
 
     def test_exactly_five_percent_failed_is_tolerated(self, monkeypatch):
         # the budget is "more than 5% aborts": 1 failed run in 20 is tolerated
@@ -402,7 +402,8 @@ class TestRunMonteCarlo:
 
     def test_more_than_five_percent_failed_aborts(self, monkeypatch):
         # [TRIVIAL] the harness and the bootstrap raise the same class
-        with pytest.raises(TooManyFailedReplicatesError, match="cs6: RDD1 failed on 2/20 runs"):
+        message = r"^RDD1 failed on 2/20 cs6 runs \(tolerance 5%\)$"
+        with pytest.raises(TooManyFailedReplicatesError, match=message):
             self._rdd1_failing_on(monkeypatch, {4, 11}, self._raise)
 
     def test_non_finite_point_counts_as_failed(self, monkeypatch):
@@ -411,7 +412,7 @@ class TestRunMonteCarlo:
         report = self._rdd1_failing_on(monkeypatch, {7}, self._infinite)
         assert report.n_failed.tolist() == [1, 0, 0]
         assert report.av_est[0] == np.delete(report.points[:, 0], 7).mean()
-        with pytest.raises(TooManyFailedReplicatesError, match="failed on 2/20 runs"):
+        with pytest.raises(TooManyFailedReplicatesError, match="RDD1 failed on 2/20 cs6 runs"):
             self._rdd1_failing_on(monkeypatch, {7, 8}, self._infinite)
 
     def test_failed_draw_fails_every_method_in_its_run(self, monkeypatch):
