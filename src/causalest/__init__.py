@@ -9,8 +9,6 @@ plus a seeded Monte Carlo harness with golden-file reference checks.
 
 from . import errors
 from .core import (
-    BINARY,
-    CONTINUOUS,
     CausalEstimate,
     ObservationalDataset,
     PanelDataset,
@@ -84,8 +82,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "BINARY",
-    "CONTINUOUS",
     "ObservationalDataset",
     "PanelDataset",
     "CausalEstimate",

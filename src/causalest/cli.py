@@ -55,18 +55,6 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
 def _read_columns(path: str, names: list[str]) -> dict[str, np.ndarray]:
     """The named columns of a CSV file, one contiguous float vector each.
 
@@ -203,7 +191,7 @@ def _cmd_estimate(args) -> int:
         "ci": list(est.ci) if est.ci is not None else None,
         "n_used": est.n_used,
         "seed": args.seed,
-        "diagnostics": _jsonable(est.diagnostics),
+        "diagnostics": est.diagnostics,
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
@@ -235,7 +223,7 @@ def _write_case_outputs(report, out_dir: Path) -> None:
         "seed": report.seed,
         "true_tau": report.true_tau,
         "n_failed": report.n_failed.tolist(),
-        "metadata": _jsonable(report.metadata),
+        "metadata": report.metadata,
     }
     with open(out_dir / "meta.json", "w") as handle:
         json.dump(meta, handle, indent=2, sort_keys=True)

@@ -24,10 +24,6 @@ from .errors import (
     NonFiniteValueError,
 )
 
-BINARY = "binary"
-CONTINUOUS = "continuous"
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -131,15 +127,14 @@ class ObservationalDataset:
 
     Attributes:
         y: outcome vector, length n.
-        d: treatment vector, length n.
+        d: treatment vector, length n; the estimators that contrast the
+            arms d = 1 and d = 0 need it 0/1 (see `_check_arms`).
         x: covariate matrix, shape (n, p); p may be 0.
-        treatment_kind: "binary" or "continuous".
     """
 
     y: np.ndarray
     d: np.ndarray
     x: np.ndarray
-    treatment_kind: str = BINARY
 
     @property
     def n(self) -> int:
@@ -162,15 +157,14 @@ class ObservationalDataset:
             y=_gather(self.y, idx),
             d=_gather(self.d, idx),
             x=_gather(self.x, idx),
-            treatment_kind=self.treatment_kind,
         )
 
 
 def validate(y, d, x=None) -> ObservationalDataset:
     """Validate raw columns into an :class:`ObservationalDataset`.
 
-    Treatment kind is detected from `d`: binary when all values lie in
-    {0, 1}, continuous otherwise.
+    Any finite `d` is valid input; an estimator that contrasts the arms
+    d = 1 and d = 0 checks that it is a 0/1 indicator.
 
     Raises:
         LengthMismatchError: columns of differing length.
@@ -187,7 +181,6 @@ def validate(y, d, x=None) -> ObservationalDataset:
         y=_readonly(_owned(yv, y)),
         d=_readonly(_owned(dv, d)),
         x=_readonly(_owned(xm, x)),
-        treatment_kind=BINARY if _is_01(dv) else CONTINUOUS,
     )
 
 
@@ -429,15 +422,25 @@ def _check_rows(what: str, rows: int, n: int) -> None:
         raise LengthMismatchError(f"{what} has {rows} rows, the dataset {n}")
 
 
-def _check_arms(ds) -> None:
-    """EmptyTreatmentArmError unless some unit is in each arm, d = 1 and d = 0.
+def _check_arms(ds) -> np.ndarray:
+    """The treated indicator d == 1 of a treatment that is a 0/1 indicator
+    with some unit in each arm, d = 1 and d = 0.
 
-    Called before any fit, on which a one-arm design would fail as rank
-    deficient; the comparisons allocate boolean vectors only.
+    The one check of every estimator that contrasts the two arms. It runs
+    before any fit, on which a one-arm design would fail as rank deficient;
+    the comparisons allocate boolean vectors only.
+
+    Raises:
+        InvalidInputError: d takes a value other than 0 and 1.
+        EmptyTreatmentArmError: no unit is in one of the arms.
     """
-    for arm, value in (("treated", 1.0), ("control", 0.0)):
-        if not (ds.d == value).any():
+    treated, control = ds.d == 1.0, ds.d == 0.0
+    if not (treated | control).all():
+        raise InvalidInputError("the treatment must be a binary (0/1) indicator")
+    for arm, in_arm in (("treated", treated), ("control", control)):
+        if not in_arm.any():
             raise EmptyTreatmentArmError(f"no unit is in the {arm} arm")
+    return treated
 
 
 def _estimate(
@@ -463,13 +466,11 @@ def _estimate(
 def difference_in_means(ds: ObservationalDataset) -> CausalEstimate:
     """Mean outcome of treated units minus mean outcome of controls.
 
-    Requires a binary treatment with both arms non-empty. The reported
-    variance is the usual unpooled two-sample formula s1^2/n1 + s0^2/n0.
+    Requires a 0/1 treatment with both arms non-empty (`_check_arms`). The
+    reported variance is the usual unpooled two-sample formula
+    s1^2/n1 + s0^2/n0.
     """
-    if ds.treatment_kind != BINARY:
-        raise InvalidInputError("difference_in_means requires a binary treatment")
-    _check_arms(ds)
-    treated = ds.d == 1.0
+    treated = _check_arms(ds)
     n1 = int(treated.sum())
     n0 = ds.n - n1
     y1 = ds.y[treated]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    BINARY,
     CausalEstimate,
     ObservationalDataset,
     _check_arms,
@@ -78,8 +77,8 @@ def ate_or(ds: ObservationalDataset, outcome_fit: LinearFit | None = None) -> Ca
     design[:, 1] = 1.0
     hi = float(predict(fit, design).mean())
     # the two designs differ only in d's column, so the contrast's delta
-    # variance is that of d's coefficient
-    var = float(fit.coef_cov[1, 1])
+    # variance is that of d's coefficient; an exactly identified fit has none
+    var = None if fit.coef_cov is None else fit.coef_cov[1, 1]
     return _estimate("or", hi - lo, ds.n, var)
 
 
@@ -89,9 +88,9 @@ def _arm_weights(ds, fit, arm):
 
     Where it is on, the received-arm score is P(D=arm|x). Where it is off,
     a term is 0·y/score with a positive score, the same signed zero that
-    dividing by P(D=arm|x) gives, so neither arm forms 1 - p.
+    dividing by P(D=arm|x) gives, so neither arm forms 1 - p. The caller
+    has checked the fit's rows.
     """
-    _check_rows("score fit", fit.n, ds.n)
     in_arm = ds.d == arm
     p = fit.scores
     if (p[in_arm] < _WEIGHT_FLOOR).any():
@@ -104,8 +103,10 @@ def _arm_weights(ds, fit, arm):
 
 def ate_ipw(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate:
     """Difference of Horvitz-Thompson weighted means at d = 1 and d = 0.
-    An empty arm raises EmptyTreatmentArmError."""
+    A d that is not 0/1 raises InvalidInputError, and an empty arm
+    EmptyTreatmentArmError."""
     _check_arms(ds)
+    _check_rows("score fit", fit.n, ds.n)
     ind1, p1 = _arm_weights(ds, fit, 1.0)
     ind0, p0 = _arm_weights(ds, fit, 0.0)
     contrib = ind1 * ds.y / p1 - ind0 * ds.y / p0
@@ -118,10 +119,8 @@ def ate_ipw(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate:
 def ate_psr(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate:
     """Regression of y on (1, d, p), with p the treated-probability; the
     effect is d's coefficient. A constant score carries no information and
-    is left out, which gives the difference in means. An empty arm raises
-    EmptyTreatmentArmError."""
-    if ds.treatment_kind != BINARY:
-        raise InvalidInputError("propensity-score regression requires a binary treatment")
+    is left out, which gives the difference in means. A d that is not 0/1
+    raises InvalidInputError, and an empty arm EmptyTreatmentArmError."""
     _check_arms(ds)
     _check_rows("score fit", fit.n, ds.n)
     p1 = fit.scores_treated
@@ -135,12 +134,13 @@ def ate_stratification(ds: ObservationalDataset, fit: PropensityFit) -> CausalEs
 
     Strata lacking one arm are dropped and the weights renormalized over the
     remaining strata; the excluded unit count is reported as a diagnostic.
+    A d that is not 0/1 raises InvalidInputError, an empty arm
+    EmptyTreatmentArmError, and arms that share no stratum
+    NoUsableStratumError.
     """
-    if ds.treatment_kind != BINARY:
-        raise InvalidInputError("stratification requires a binary treatment")
+    treated = _check_arms(ds)
     _check_rows("score fit", fit.n, ds.n)
     labels = quantile_strata(fit.scores_treated)
-    treated = ds.d == 1.0
     diffs, sizes, var_terms = [], [], []
     n_unusable = 0
     for j in range(_N_STRATA):
@@ -227,16 +227,13 @@ def ate_matching(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate
     Each unit's counterfactual outcome is the outcome of its closest
     opposite-arm unit by absolute score distance; distance ties go to the
     lowest-index candidate. The search sorts each arm once, so it costs
-    O(n log n) time and O(n) memory. An empty arm raises
-    EmptyTreatmentArmError. No analytic variance is reported — use the
-    bootstrap.
+    O(n log n) time and O(n) memory. A d that is not 0/1 raises
+    InvalidInputError, and an empty arm EmptyTreatmentArmError. No analytic
+    variance is reported — use the bootstrap.
     """
-    if ds.treatment_kind != BINARY:
-        raise InvalidInputError("matching requires a binary treatment")
-    _check_arms(ds)
+    treated = _check_arms(ds)
     _check_rows("score fit", fit.n, ds.n)
     p1 = fit.scores_treated
-    treated = ds.d == 1.0
     idx_t = np.flatnonzero(treated)
     idx_c = np.flatnonzero(~treated)
 
@@ -260,10 +257,12 @@ def ate_dr(
     correctly specified. `outcome_fit`, when given, is
     `fit_outcome_model(ds)` fitted earlier, and is used in place of a new
     fit; one that is not an OLS fit raises InvalidInputError, and one whose
-    design width does not match the dataset DimensionMismatchError. An
-    empty arm raises EmptyTreatmentArmError before either model is fitted.
+    design width does not match the dataset DimensionMismatchError. A d
+    that is not 0/1 raises InvalidInputError, and an empty arm
+    EmptyTreatmentArmError, before either model is fitted.
     """
     _check_arms(ds)
+    _check_rows("score fit", fit.n, ds.n)
     or_fit = _outcome_model(ds, outcome_fit)
     # one counterfactual design for both arms, apart from the fitted one
     design = _control_design(ds)

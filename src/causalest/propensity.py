@@ -11,15 +11,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (
-    BINARY,
     ObservationalDataset,
     _as_vector,
+    _check_arms,
     _check_rows,
 )
 from .errors import (
     AllUnitsTrimmedError,
     InvalidInputError,
-    NoTreatmentVariationError,
     ZeroPropensityError,
 )
 from .regress import fit_logistic
@@ -88,14 +87,12 @@ def _unsaturated(scores: np.ndarray) -> np.ndarray:
 def estimate_propensity_binary(ds: ObservationalDataset, start=None) -> PropensityFit:
     """Logistic fit of d on (1, x); scores are fitted received-arm probabilities.
 
-    The fit starts from `start` (zeros when None; see `fit_logistic`). A
-    score that rounds to exactly 0 or 1 raises ZeroPropensityError. The
-    diagnostics record the IRLS `iterations`.
+    The fit starts from `start` (zeros when None; see `fit_logistic`). A d
+    that is not 0/1 raises InvalidInputError, an empty arm
+    EmptyTreatmentArmError, and a score that rounds to exactly 0 or 1
+    ZeroPropensityError. The diagnostics record the IRLS `iterations`.
     """
-    if ds.treatment_kind != BINARY:
-        raise InvalidInputError("binary propensity model requires a binary treatment")
-    if ds.d.min() == ds.d.max():
-        raise NoTreatmentVariationError("both treatment arms must be non-empty")
+    _check_arms(ds)
     model = fit_logistic(np.column_stack([np.ones(ds.n), ds.x]), ds.d, start)
     return PropensityFit(
         scores_treated=model.fitted,
@@ -197,13 +194,11 @@ def balance_diagnostic(ds: ObservationalDataset, fit: PropensityFit) -> BalanceT
 
     Strata that lack one treatment arm are reported as undefined (NaN rows)
     and excluded from the stratum-averaged SMD; this is diagnostic, not fatal.
+    A d that is not 0/1 raises InvalidInputError, and an empty arm
+    EmptyTreatmentArmError.
     """
-    if ds.treatment_kind != BINARY:
-        raise InvalidInputError("balance diagnostic requires a binary treatment")
+    treated = _check_arms(ds)
     _check_rows("score fit", fit.n, ds.n)
-    treated = ds.d == 1.0
-    if treated.all() or not treated.any():
-        raise NoTreatmentVariationError("both arms required for balance checks")
     scale = _pooled_sd(ds.x, treated)
     overall = _smd(ds.x, treated, scale)
     labels = quantile_strata(fit.scores_treated)

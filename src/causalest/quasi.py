@@ -43,8 +43,9 @@ def ate_2sls(y, d, z) -> CausalEstimate:
     excluded instrument z and an intercept.
 
     The point estimate is the coefficient on d; the variance uses
-    second-stage residuals recomputed with the original (not fitted) d. A d
-    or z of more than one column raises DimensionMismatchError.
+    second-stage residuals recomputed with the original (not fitted) d, and
+    is None on two rows, which leave no residual. A d or z of more than one
+    column raises DimensionMismatchError.
     """
     yv = _as_vector("y", y)
     n = yv.shape[0]
@@ -86,10 +87,10 @@ def _second_stage(yv, dm, xm, first) -> CausalEstimate:
     second = np.column_stack([np.ones(n), d_hat, xm])
     coef, xtx_inv = _svd_solve(second, yv, inverse=True)
     resid = yv - np.column_stack([np.ones(n), dm, xm]) @ coef
-    k2 = second.shape[1]
-    sigma2 = float(resid @ resid) / max(n - k2, 1)
-    coef_cov = sigma2 * xtx_inv
-    return _estimate("2sls", coef[1], n, coef_cov[1, 1], {"first_stage_f": f_stat})
+    dof = n - second.shape[1]
+    # an exactly identified fit (n = k) leaves no residual to scale by
+    var = float(resid @ resid) / dof * xtx_inv[1, 1] if dof else None
+    return _estimate("2sls", coef[1], n, var, {"first_stage_f": f_stat})
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,9 @@ class LinearFit:
         coef: estimated coefficients, length k.
         link: "identity" (OLS) or "logit" (IRLS logistic).
         residuals: response-scale residuals (y - fitted), length n.
-        coef_cov: asymptotic covariance of coef, shape (k, k). May be given
-            as a zero-argument callable, which runs on the first read.
+        coef_cov: asymptotic covariance of coef, shape (k, k); None for an
+            exactly identified OLS fit (n = k). May be given as a
+            zero-argument callable, which runs on the first read.
         design_width: k, for prediction-time shape checking.
         iterations: IRLS iterations used (0 for OLS).
         fitted: for logit, the fitted probabilities on the fit's own
@@ -99,7 +100,9 @@ def fit_ols(design, y) -> LinearFit:
     """Ordinary least squares via orthogonal decomposition.
 
     Minimizes the residual sum of squares; the coefficient covariance is
-    sigma^2 (X'X)^-1 with sigma^2 = RSS / (n - k).
+    sigma^2 (X'X)^-1 with sigma^2 = RSS / (n - k). An exactly identified
+    fit (n = k) leaves no residual to estimate sigma^2, so its covariance is
+    None.
 
     Raises:
         RankDeficientError: collinear or under-determined design.
@@ -107,23 +110,24 @@ def fit_ols(design, y) -> LinearFit:
     """
     X, r = _check_design(design, y)
     n, k = X.shape
-    coef, xtx_inv = _svd_solve(X, r, inverse=True)
+    coef, xtx_inv = _svd_solve(X, r, inverse=n > k)
     resid = r - X @ coef
-    sigma2 = float(resid @ resid) / (n - k) if n > k else 0.0
     return LinearFit(
         coef=coef,
         link=IDENTITY,
         residuals=resid,
-        coef_cov=sigma2 * xtx_inv,
+        coef_cov=float(resid @ resid) / (n - k) * xtx_inv if n > k else None,
         design_width=k,
     )
 
 
 def _coef_estimate(method: str, design, y, at: int, diagnostics=None) -> CausalEstimate:
     """OLS of y on `design`; coefficient `at` is the estimate, and its
-    diagonal entry of the coefficient covariance the variance."""
+    diagonal entry of the coefficient covariance the variance (None for an
+    exactly identified fit)."""
     fit = fit_ols(design, y)
-    return _estimate(method, fit.coef[at], len(y), fit.coef_cov[at, at], diagnostics)
+    var = None if fit.coef_cov is None else fit.coef_cov[at, at]
+    return _estimate(method, fit.coef[at], len(y), var, diagnostics)
 
 
 def fit_logistic(design, d, start=None) -> LinearFit:

@@ -402,7 +402,7 @@ class TestEstimate:
         assert out == ""
         assert "exactly 0 or 1" in err
 
-    @pytest.mark.parametrize("method", ["ipw", "match", "dr", "psr", "dim"])
+    @pytest.mark.parametrize("method", ["ipw", "match", "dr", "psr", "strat", "dim"])
     def test_trimmed_away_arm_exits_3(self, tmp_path, capsys, method):
         # [DERIVED] without covariates the score is the treated share, 0.75:
         # trimming to [0.5, 0.99] keeps the 30 treated units and none of the
@@ -419,6 +419,21 @@ class TestEstimate:
         assert code == 3
         assert out == ""
         assert err == "error: no unit is in the control arm\n"
+
+    @pytest.mark.parametrize("method", ["dim", "ipw", "psr", "strat", "match", "dr"])
+    def test_non_binary_treatment_exits_2(self, tmp_path, capsys, method):
+        # [TRIVIAL] every fourth unit has d = 0.5, in neither arm: every
+        # method that contrasts the arms rejects the input in one message
+        d = np.repeat([1.0, 0.0], [30, 10])
+        d[::4] = 0.5
+        path = _write_csv(tmp_path / "half.csv", {"y": np.arange(40.0), "d": d})
+        code, out, err = _run(
+            capsys, "estimate", "--method", method, "--data", path,
+            "--outcome", "y", "--treatment", "d",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: the treatment must be a binary (0/1) indicator\n"
 
     def test_estimation_failure_exits_3(self, tmp_path, capsys):
         # [DERIVED] treatment perfectly separated by the covariate makes

@@ -16,8 +16,6 @@ import pytest
 
 import causalest
 from causalest import (
-    BINARY,
-    CONTINUOUS,
     CausalEstimate,
     ObservationalDataset,
     difference_in_means,
@@ -75,23 +73,25 @@ def _validated_draw(pds, draw):
 
 
 def test_dataset_and_interval_take_only_what_a_caller_sets():
-    # a dataset holds (y, d, x) and its treatment kind; instruments are passed
-    # to `ate_2sls` directly, and every interval is the 95% one
-    assert [f.name for f in dataclasses.fields(ObservationalDataset)] == ["y", "d", "x", "treatment_kind"]
+    # a dataset holds (y, d, x), and an estimator that contrasts two arms
+    # checks d itself; instruments are passed to `ate_2sls` directly, and
+    # every interval is the 95% one
+    assert [f.name for f in dataclasses.fields(ObservationalDataset)] == ["y", "d", "x"]
     assert list(inspect.signature(validate).parameters) == ["y", "d", "x"]
     assert list(inspect.signature(normal_interval).parameters) == ["point", "variance"]
 
 
 class TestValidate:
-    def test_binary_detection(self):
+    def test_two_rows_without_covariates(self):
         ds = validate([1.0, 2.0], [0.0, 1.0])
-        assert ds.treatment_kind == BINARY
         assert ds.n == 2
         assert ds.x.shape == (2, 0)
 
-    def test_continuous_detection(self):
+    def test_any_finite_treatment_is_valid_input(self):
+        # validation leaves d as given; the 0/1 check is the arm estimators'
         ds = validate([1.0, 2.0, 3.0], [0.5, 1.5, 2.0])
-        assert ds.treatment_kind == CONTINUOUS
+        assert ds.d.tolist() == [0.5, 1.5, 2.0]
+        assert causalest.ate_or(ds).method == "or"
 
     def test_vector_covariate_becomes_matrix(self):
         ds = validate([1.0, 2.0], [0.0, 1.0], [3.0, 4.0])
@@ -151,7 +151,6 @@ class TestValidate:
         assert sub.y.tolist() == [3.0, 1.0, 3.0]
         assert sub.d.tolist() == [0.0, 0.0, 0.0]
         assert sub.x[:, 0].tolist() == [7.0, 5.0, 7.0]
-        assert sub.treatment_kind == ds.treatment_kind
 
     @pytest.mark.parametrize(
         "indices", [np.array([1]), np.array([], dtype=np.intp)], ids=["one", "none"]
@@ -573,7 +572,7 @@ class TestDifferenceInMeans:
             difference_in_means(validate([1.0, 2.0], [1.0, 1.0]))
 
     def test_requires_binary(self):
-        with pytest.raises(ValueError, match="binary"):
+        with pytest.raises(InvalidInputError, match=r"binary \(0/1\)"):
             difference_in_means(validate([1.0, 2.0], [0.5, 1.5]))
 
 

@@ -44,17 +44,23 @@ ERROR_CLASSES = {
 }
 
 
+def _raises(path):
+    """(line, raised name) of every `raise` with an exception in `path`."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield node.lineno, ast.unparse(exc)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_raise_is_a_package_error(path):
     # a bare `raise ValueError` (or any other non-package raise) would abort
     # a Monte Carlo experiment or a bootstrap instead of counting one run
     bad = []
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            cls = getattr(errors, ast.unparse(exc), None)
-            if not (isinstance(cls, type) and issubclass(cls, CausalestError)):
-                bad.append(f"{path.name}:{node.lineno}: raise {ast.unparse(exc)}")
+    for line, name in _raises(path):
+        cls = getattr(errors, name, None)
+        if not (isinstance(cls, type) and issubclass(cls, CausalestError)):
+            bad.append(f"{path.name}:{line}: raise {name}")
     assert bad == []
 
 
@@ -66,6 +72,14 @@ def test_exception_classes_are_defined_in_errors_only(path):
         if isinstance(node, ast.ClassDef):
             bases = [ast.unparse(b) for b in node.bases]
             assert not any(b.endswith(("Error", "Exception")) for b in bases), node.name
+
+
+def test_every_error_class_is_raised_in_the_package():
+    # a class no `raise` names is taxonomy without a failure behind it, as a
+    # public name no caller reads is code without a use
+    raised = {name for path in SOURCES for _, name in _raises(path)}
+    named = {cls.__name__ for cls in ERROR_CLASSES} - {CausalestError.__name__}
+    assert sorted(named - raised) == []
 
 
 def test_every_error_class_derives_from_the_base():

@@ -79,6 +79,49 @@ def test_each_estimator_takes_only_the_dataset_and_its_fits():
         assert list(inspect.signature(estimator).parameters) == parameters, estimator.__name__
 
 
+# every estimator that contrasts the arms d = 1 and d = 0, as (ds, fit) -> result
+_ARM_ENTRY_POINTS = {
+    "difference_in_means": lambda ds, fit: difference_in_means(ds),
+    "estimate_propensity_binary": lambda ds, fit: estimate_propensity_binary(ds),
+    "ate_ipw": ate_ipw,
+    "ate_psr": ate_psr,
+    "ate_stratification": ate_stratification,
+    "ate_matching": ate_matching,
+    "ate_dr": ate_dr,
+    "balance_diagnostic": balance_diagnostic,
+}
+
+
+def _arm_check_data(d):
+    """A 200-row dataset with one covariate and treatment `d`, and a score
+    fit of it that is valid for any d."""
+    g = philox(58)
+    x = g.normal(size=200)
+    y = 1.0 + 2.0 * (d == 1.0) + x + g.normal(size=200)
+    return validate(y, d, x), PropensityFit.from_scores(expit(0.3 * x), d)
+
+
+@pytest.mark.parametrize("entry", _ARM_ENTRY_POINTS)
+class TestArmCheck:
+    """One rule for the arms: d is a 0/1 indicator with a unit in each arm."""
+
+    def test_treatment_other_than_0_1_is_an_input_error(self, entry):
+        # [TRIVIAL] 20 of 200 units at d = 0.5, which is neither arm: the
+        # weighting and doubly robust estimators would read them as controls
+        d = (philox(59).uniform(size=200) < 0.5).astype(float)
+        d[::10] = 0.5
+        ds, fit = _arm_check_data(d)
+        with pytest.raises(InvalidInputError, match=r"^the treatment must be a binary \(0/1\) indicator$"):
+            _ARM_ENTRY_POINTS[entry](ds, fit)
+
+    @pytest.mark.parametrize("arm", ["treated", "control"])
+    def test_empty_arm_names_the_arm(self, entry, arm):
+        # [TRIVIAL] every unit in the other arm
+        ds, fit = _arm_check_data(np.full(200, 0.0 if arm == "treated" else 1.0))
+        with pytest.raises(EmptyTreatmentArmError, match=f"^no unit is in the {arm} arm$"):
+            _ARM_ENTRY_POINTS[entry](ds, fit)
+
+
 class TestOutcomeRegression:
     def test_exact_linear_dgp(self):
         # [TRIVIAL] y = 3 + 2d with no noise on a continuous d: predictions

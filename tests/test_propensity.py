@@ -22,9 +22,9 @@ from causalest import (
 from causalest.errors import (
     AllUnitsTrimmedError,
     DimensionMismatchError,
+    EmptyTreatmentArmError,
     InvalidInputError,
     LengthMismatchError,
-    NoTreatmentVariationError,
     NonFiniteValueError,
     ZeroPropensityError,
 )
@@ -58,8 +58,10 @@ class TestBinaryPropensity:
         np.testing.assert_allclose(model.coef, [2.0, 0.5], atol=0.1)
 
     def test_single_arm_rejected(self):
+        # the empty arm is named, as every estimator that contrasts the arms
+        # names it, before the logistic fit would see a single class
         ds = validate([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
-        with pytest.raises(NoTreatmentVariationError):
+        with pytest.raises(EmptyTreatmentArmError, match="^no unit is in the control arm$"):
             estimate_propensity_binary(ds)
 
     @pytest.mark.parametrize("seed", [1, 7, 8])

@@ -10,10 +10,16 @@ from scipy.special import expit
 
 from causalest import (
     LOGIT,
+    ate_2sls,
+    ate_did,
+    ate_or,
     estimate_propensity_binary,
     fit_logistic,
     fit_ols,
     predict,
+    rdd_sharp,
+    validate,
+    validate_did,
 )
 from causalest import regress
 from causalest.errors import (
@@ -103,12 +109,33 @@ class TestFitOls:
         with pytest.raises(DimensionMismatchError):
             fit_ols(np.ones((3, 1)), [1.0, 2.0])
 
-    def test_saturated_fit_zero_sigma(self):
-        # n == k: residuals are zero and so is the covariance scale
+    def test_saturated_fit_has_no_covariance(self):
+        # n == k: the residuals are zero by construction, so they estimate
+        # no error variance; a covariance of 0 would claim certainty
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
         fit = fit_ols(X, [2.0, 5.0])
         np.testing.assert_allclose(fit.coef, [2.0, 3.0], atol=1e-12)
-        np.testing.assert_allclose(fit.coef_cov, 0.0, atol=1e-12)
+        assert fit.coef_cov is None
+
+    @pytest.mark.parametrize(
+        "estimate, point",
+        [
+            # [TRIVIAL] (5 - 3) - (2 - 1) on the four 2x2 cells
+            (lambda: ate_did(validate_did([1.0, 2, 3, 5], [0.0, 0, 1, 1], [0.0, 1, 0, 1])), 1.0),
+            # [TRIVIAL] y = 1 + d + 3x on three rows of (1, d, x)
+            (lambda: ate_or(validate([1.0, 2, 4], [0.0, 1, 0], [0.0, 0, 1])), 1.0),
+            # [TRIVIAL] lines 2 + t left and 4 + t right of the cutoff
+            (lambda: rdd_sharp([0.0, 1, 5, 6], [-2.0, -1, 1, 2]), 2.0),
+            # [TRIVIAL] two rows with d = z: the slope of y on d
+            (lambda: ate_2sls([1.0, 3], [0.0, 1], [0.0, 1]), 2.0),
+        ],
+        ids=["did", "or", "rdd_sharp", "2sls"],
+    )
+    def test_exactly_identified_estimate_reports_no_variance(self, estimate, point):
+        est = estimate()
+        assert est.point == pytest.approx(point, abs=1e-12)
+        assert est.variance is None
+        assert est.ci is None
 
 
 def _logistic_draw(seed: int, n: int, a0: float = 2.0, a1: float = 0.5):
