@@ -126,11 +126,11 @@ def _parse_trim(text: str) -> tuple[float, float]:
 
 
 def _estimate_once(ds, method: str, trim: tuple[float, float], start=None):
-    """(estimate, score coefficients) of one method on one dataset.
+    """(estimate, score fit start) of one method on one dataset.
 
     The score methods fit the score from `start` (zeros when None) and
-    return its coefficients, which a bootstrap replicate starts from; the
-    other methods return None for them.
+    return the fit's `start`, which a bootstrap replicate starts from; the
+    other methods return None for it.
     """
     if method == "dim":
         return difference_in_means(ds), None
@@ -142,14 +142,14 @@ def _estimate_once(ds, method: str, trim: tuple[float, float], start=None):
     # the read-only dataset can be shared instead of copied
     sub = ds if kept.size == ds.n else ds.take(kept)
     if method == "ipw":
-        return ate_ipw(sub, fit), fit.coef
+        return ate_ipw(sub, fit), fit.start
     if method == "psr":
-        return ate_psr(sub, fit), fit.coef
+        return ate_psr(sub, fit), fit.start
     if method == "strat":
-        return ate_stratification(sub, fit), fit.coef
+        return ate_stratification(sub, fit), fit.start
     if method == "match":
-        return ate_matching(sub, fit), fit.coef
-    return ate_dr(sub, fit), fit.coef
+        return ate_matching(sub, fit), fit.start
+    return ate_dr(sub, fit), fit.start
 
 
 def _cmd_estimate(args) -> int:
@@ -169,14 +169,15 @@ def _cmd_estimate(args) -> int:
             column.setflags(write=False)
     ds = validate(columns[args.outcome], columns[args.treatment], x)
     del columns, x  # the dataset holds what the estimators read
-    est, coef = _estimate_once(ds, args.method, trim)
+    est, start = _estimate_once(ds, args.method, trim)
     if args.bootstrap:
         # each replicate's score fit starts at the full-sample coefficients,
-        # a root-n step from its own optimum, and stops by the same rule as
-        # a fit from zeros
+        # a root-n step from its own optimum, takes chord steps with the
+        # full-sample inverse information, and stops by the same rule as a
+        # fit from zeros
         boot = bootstrap_variance(
             ds,
-            lambda sample: _estimate_once(sample, args.method, trim, coef)[0],
+            lambda sample: _estimate_once(sample, args.method, trim, start)[0],
             n_boot=args.bootstrap,
             seed=args.seed,
         )

@@ -422,9 +422,9 @@ def _check_rows(what: str, rows: int, n: int) -> None:
         raise LengthMismatchError(f"{what} has {rows} rows, the dataset {n}")
 
 
-def _check_arms(ds) -> np.ndarray:
-    """The treated indicator d == 1 of a treatment that is a 0/1 indicator
-    with some unit in each arm, d = 1 and d = 0.
+def _check_arms(ds) -> tuple[np.ndarray, np.ndarray]:
+    """The arm indicators (d == 1, d == 0) of a treatment that is a 0/1
+    indicator with some unit in each arm, d = 1 and d = 0.
 
     The one check of every estimator that contrasts the two arms. It runs
     before any fit, on which a one-arm design would fail as rank deficient;
@@ -440,7 +440,7 @@ def _check_arms(ds) -> np.ndarray:
     for arm, in_arm in (("treated", treated), ("control", control)):
         if not in_arm.any():
             raise EmptyTreatmentArmError(f"no unit is in the {arm} arm")
-    return treated
+    return treated, control
 
 
 def _estimate(
@@ -470,7 +470,7 @@ def difference_in_means(ds: ObservationalDataset) -> CausalEstimate:
     reported variance is the usual unpooled two-sample formula
     s1^2/n1 + s0^2/n0.
     """
-    treated = _check_arms(ds)
+    treated, _ = _check_arms(ds)
     n1 = int(treated.sum())
     n0 = ds.n - n1
     y1 = ds.y[treated]

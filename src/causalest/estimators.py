@@ -82,19 +82,18 @@ def ate_or(ds: ObservationalDataset, outcome_fit: LinearFit | None = None) -> Ca
     return _estimate("or", hi - lo, ds.n, var)
 
 
-def _arm_weights(ds, fit, arm):
-    """Indicator of being in `arm` (d = 1 or d = 0) and the received-arm
-    scores, guarding the weight floor only where the indicator is on.
+def _arm_weights(fit, in_arm, name):
+    """The indicator `in_arm` of the arm called `name` (d = 1 or d = 0) as
+    floats, and the received-arm scores, guarding the weight floor only
+    where the indicator is on.
 
     Where it is on, the received-arm score is P(D=arm|x). Where it is off,
     a term is 0·y/score with a positive score, the same signed zero that
     dividing by P(D=arm|x) gives, so neither arm forms 1 - p. The caller
-    has checked the fit's rows.
+    has checked the arms and the fit's rows.
     """
-    in_arm = ds.d == arm
     p = fit.scores
     if (p[in_arm] < _WEIGHT_FLOOR).any():
-        name = "treated" if arm == 1.0 else "control"
         raise ZeroPropensityError(
             f"a {name} unit has an assignment score below {_WEIGHT_FLOOR}"
         )
@@ -105,10 +104,10 @@ def ate_ipw(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate:
     """Difference of Horvitz-Thompson weighted means at d = 1 and d = 0.
     A d that is not 0/1 raises InvalidInputError, and an empty arm
     EmptyTreatmentArmError."""
-    _check_arms(ds)
+    treated, control = _check_arms(ds)
     _check_rows("score fit", fit.n, ds.n)
-    ind1, p1 = _arm_weights(ds, fit, 1.0)
-    ind0, p0 = _arm_weights(ds, fit, 0.0)
+    ind1, p1 = _arm_weights(fit, treated, "treated")
+    ind0, p0 = _arm_weights(fit, control, "control")
     contrib = ind1 * ds.y / p1 - ind0 * ds.y / p0
     point = float(contrib.mean())
     var = float(contrib.var(ddof=1) / ds.n)
@@ -138,7 +137,7 @@ def ate_stratification(ds: ObservationalDataset, fit: PropensityFit) -> CausalEs
     EmptyTreatmentArmError, and arms that share no stratum
     NoUsableStratumError.
     """
-    treated = _check_arms(ds)
+    treated, control = _check_arms(ds)
     _check_rows("score fit", fit.n, ds.n)
     labels = quantile_strata(fit.scores_treated)
     diffs, sizes, var_terms = [], [], []
@@ -146,7 +145,7 @@ def ate_stratification(ds: ObservationalDataset, fit: PropensityFit) -> CausalEs
     for j in range(_N_STRATA):
         in_j = labels == j
         y1 = ds.y[in_j & treated]
-        y0 = ds.y[in_j & ~treated]
+        y0 = ds.y[in_j & control]
         if y1.size == 0 or y0.size == 0:
             n_unusable += 1
             continue
@@ -231,11 +230,11 @@ def ate_matching(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate
     InvalidInputError, and an empty arm EmptyTreatmentArmError. No analytic
     variance is reported — use the bootstrap.
     """
-    treated = _check_arms(ds)
+    treated, control = _check_arms(ds)
     _check_rows("score fit", fit.n, ds.n)
     p1 = fit.scores_treated
     idx_t = np.flatnonzero(treated)
-    idx_c = np.flatnonzero(~treated)
+    idx_c = np.flatnonzero(control)
 
     def imputed_from(targets, pool):
         # pool positions ascend with the unit index, so the lowest position
@@ -261,20 +260,20 @@ def ate_dr(
     that is not 0/1 raises InvalidInputError, and an empty arm
     EmptyTreatmentArmError, before either model is fitted.
     """
-    _check_arms(ds)
+    treated, control = _check_arms(ds)
     _check_rows("score fit", fit.n, ds.n)
     or_fit = _outcome_model(ds, outcome_fit)
     # one counterfactual design for both arms, apart from the fitted one
     design = _control_design(ds)
 
-    def counterfactual(arm):
-        ind, p = _arm_weights(ds, fit, arm)
+    def counterfactual(arm, in_arm, name):
+        ind, p = _arm_weights(fit, in_arm, name)
         design[:, 1] = arm
         m = predict(or_fit, design)
         return m + ind * (ds.y - m) / p, ind
 
-    hi, ind1 = counterfactual(1.0)
-    lo, ind0 = counterfactual(0.0)
+    hi, ind1 = counterfactual(1.0, treated, "treated")
+    lo, ind0 = counterfactual(0.0, control, "control")
     contrib = hi - lo
     point = float(contrib.mean())
     var = float(contrib.var(ddof=1) / ds.n)

@@ -32,9 +32,10 @@ class PropensityFit:
         scores_treated: P(D=1 | x) per unit.
         scores: probability of the *received* treatment per unit.
         diagnostics: extras such as the dropped-unit count after trimming.
-        coef: the logistic coefficients on (1, x) behind the scores, which
-            a bootstrap replicate's fit can start from; None for scores
-            supplied by `from_scores`.
+        start: what a bootstrap replicate's score fit starts from: the
+            logistic coefficients on (1, x) behind the scores and the
+            inverse information of the fit's last Newton step (see
+            `LinearFit.start`); None for scores supplied by `from_scores`.
 
     Construction raises LengthMismatchError when `scores_treated` differs in
     length from `scores`, and NonFiniteValueError for a non-finite entry of
@@ -44,7 +45,7 @@ class PropensityFit:
     scores_treated: np.ndarray
     scores: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-    coef: np.ndarray | None = None
+    start: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         self.scores = s = _as_vector("scores", self.scores)
@@ -87,7 +88,8 @@ def _unsaturated(scores: np.ndarray) -> np.ndarray:
 def estimate_propensity_binary(ds: ObservationalDataset, start=None) -> PropensityFit:
     """Logistic fit of d on (1, x); scores are fitted received-arm probabilities.
 
-    The fit starts from `start` (zeros when None; see `fit_logistic`). A d
+    The fit starts from `start`, such as the full-sample fit's `start` for
+    a bootstrap replicate (zeros when None; see `fit_logistic`). A d
     that is not 0/1 raises InvalidInputError, an empty arm
     EmptyTreatmentArmError, and a score that rounds to exactly 0 or 1
     ZeroPropensityError. The diagnostics record the IRLS `iterations`.
@@ -98,7 +100,7 @@ def estimate_propensity_binary(ds: ObservationalDataset, start=None) -> Propensi
         scores_treated=model.fitted,
         scores=_unsaturated(_received(model.fitted, ds.d)),
         diagnostics={"iterations": model.iterations},
-        coef=model.coef,
+        start=model.start,
     )
 
 
@@ -107,7 +109,7 @@ def trim_overlap(fit: PropensityFit, lo: float = 0.01, hi: float = 0.99):
 
     Returns (trimmed_fit, kept_indices); the caller subsets its dataset with
     `kept_indices`. The dropped count is recorded in the fit diagnostics,
-    and the trimmed fit keeps the full sample's `coef`.
+    and the trimmed fit keeps the full sample's `start`.
 
     Raises:
         AllUnitsTrimmedError: fewer than 2 units keep their score, the
@@ -197,7 +199,7 @@ def balance_diagnostic(ds: ObservationalDataset, fit: PropensityFit) -> BalanceT
     A d that is not 0/1 raises InvalidInputError, and an empty arm
     EmptyTreatmentArmError.
     """
-    treated = _check_arms(ds)
+    treated, _ = _check_arms(ds)
     _check_rows("score fit", fit.n, ds.n)
     scale = _pooled_sd(ds.x, treated)
     overall = _smd(ds.x, treated, scale)

@@ -29,7 +29,7 @@ from .errors import (
     NoTreatmentVariationError,
     OneSidedDataError,
 )
-from .regress import _coef_estimate, _svd_solve
+from .regress import _coef_estimate, _svd_solve, _xtx_inv
 
 _FIRST_STAGE_JUMP_TOL = 0.05
 
@@ -85,11 +85,11 @@ def _second_stage(yv, dm, xm, first) -> CausalEstimate:
         f_stat = (rss_r - rss_f) / (rss_f / dof_full)
 
     second = np.column_stack([np.ones(n), d_hat, xm])
-    coef, xtx_inv = _svd_solve(second, yv, inverse=True)
+    coef, factors = _svd_solve(second, yv)
     resid = yv - np.column_stack([np.ones(n), dm, xm]) @ coef
     dof = n - second.shape[1]
     # an exactly identified fit (n = k) leaves no residual to scale by
-    var = float(resid @ resid) / dof * xtx_inv[1, 1] if dof else None
+    var = float(resid @ resid) / dof * _xtx_inv(*factors)[1, 1] if dof else None
     return _estimate("2sls", coef[1], n, var, {"first_stage_f": f_stat})
 
 

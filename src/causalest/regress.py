@@ -47,9 +47,14 @@ class LinearFit:
             exactly identified OLS fit (n = k). May be given as a
             zero-argument callable, which runs on the first read.
         design_width: k, for prediction-time shape checking.
-        iterations: IRLS iterations used (0 for OLS).
+        iterations: IRLS steps taken, chord and Newton (0 for OLS).
         fitted: for logit, the fitted probabilities on the fit's own
             design, length n; None for OLS.
+        start: for logit, the `start` a fit of a resample of the design
+            can take: coef and a k x k inverse information, that of the
+            fit's last Newton step (the start's own when the fit took
+            none, and (X'WX)^-1 at coef when a fit from zeros took no
+            step); None for OLS.
     """
 
     coef: np.ndarray
@@ -59,6 +64,7 @@ class LinearFit:
     design_width: int
     iterations: int = 0
     fitted: np.ndarray | None = None
+    start: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _check_design(design, y) -> tuple[np.ndarray, np.ndarray]:
@@ -66,13 +72,13 @@ def _check_design(design, y) -> tuple[np.ndarray, np.ndarray]:
     return X, _as_vector("response", y, X.shape[0], finite=False)
 
 
-def _svd_solve(Xw: np.ndarray, yw: np.ndarray | None, *, inverse: bool = False):
-    """Least-squares solve via SVD; returns (coef, xtx_inv).
+def _svd_solve(Xw: np.ndarray, yw: np.ndarray | None):
+    """Least-squares solve via SVD; returns (coef, (s, Vt)).
 
-    coef is None when `yw` is None, and (X'X)^-1 is formed only with
-    `inverse`, else None. Raises RankDeficientError when the
-    singular-value ratio falls below RANK_RTOL (or the system is
-    under-determined).
+    coef is None when `yw` is None. The singular values s and right
+    singular vectors Vt give (X'X)^-1 through `_xtx_inv` when a caller
+    needs it. Raises RankDeficientError when the singular-value ratio falls
+    below RANK_RTOL (or the system is under-determined).
     """
     n, k = Xw.shape
     if n < k:
@@ -82,18 +88,21 @@ def _svd_solve(Xw: np.ndarray, yw: np.ndarray | None, *, inverse: bool = False):
         raise RankDeficientError(
             f"design is rank deficient (singular-value ratio {0.0 if s[0] == 0 else s[-1] / s[0]:.2e})"
         )
-    coef = xtx_inv = None
+    coef = None
     if yw is not None:
         uty = U.T @ yw
         coef = Vt.T @ (uty / (s[:, None] if uty.ndim == 2 else s))
-    if inverse:
-        xtx_inv = (Vt.T / s**2) @ Vt
-    return coef, xtx_inv
+    return coef, (s, Vt)
+
+
+def _xtx_inv(s: np.ndarray, Vt: np.ndarray) -> np.ndarray:
+    """(X'X)^-1 from the singular values and right singular vectors of X."""
+    return (Vt.T / s**2) @ Vt
 
 
 def _weighted_xtx_inv(Xw: np.ndarray) -> np.ndarray:
     """(Xw' Xw)^-1 from the same SVD a Newton step uses."""
-    return _svd_solve(Xw, None, inverse=True)[1]
+    return _xtx_inv(*_svd_solve(Xw, None)[1])
 
 
 def fit_ols(design, y) -> LinearFit:
@@ -110,13 +119,13 @@ def fit_ols(design, y) -> LinearFit:
     """
     X, r = _check_design(design, y)
     n, k = X.shape
-    coef, xtx_inv = _svd_solve(X, r, inverse=n > k)
+    coef, factors = _svd_solve(X, r)
     resid = r - X @ coef
     return LinearFit(
         coef=coef,
         link=IDENTITY,
         residuals=resid,
-        coef_cov=float(resid @ resid) / (n - k) * xtx_inv if n > k else None,
+        coef_cov=float(resid @ resid) / (n - k) * _xtx_inv(*factors) if n > k else None,
         design_width=k,
     )
 
@@ -130,24 +139,49 @@ def _coef_estimate(method: str, design, y, at: int, diagnostics=None) -> CausalE
     return _estimate(method, fit.coef[at], len(y), var, diagnostics)
 
 
+def _check_start(start, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of a warm start's coefficients (length k) and inverse
+    information (k x k), both finite."""
+    try:
+        coef, inverse = start
+    except (TypeError, ValueError):
+        raise DimensionMismatchError(
+            "start must be a pair (coefficients, inverse information)"
+        ) from None
+    coef = _as_vector("start", coef, k).copy()
+    inverse = _as_matrix("start inverse information", inverse).copy()
+    if inverse.shape != (k, k):
+        raise DimensionMismatchError(
+            f"start inverse information must have shape ({k}, {k}), got {inverse.shape}"
+        )
+    return coef, inverse
+
+
 def fit_logistic(design, d, start=None) -> LinearFit:
     """Logistic regression by iteratively reweighted least squares.
 
-    Starts from `start` (coef = 0 when None) and iterates Newton/IRLS steps
-    until the score vector satisfies max|score| < 1e-8. A start near the
-    optimum, such as the full-sample fit for a bootstrap replicate, saves
-    steps; the stopping rule and the separation checks do not depend on it.
-    The inverse information (X'WX)^-1 at the converged coefficients is
-    computed on the first read of `coef_cov`, from a weighted design the fit
-    owns; it raises RankDeficientError then if the weights leave the design
-    rank deficient.
+    Without `start`, iterates Newton/IRLS steps from coef = 0 until the
+    score vector satisfies max|score| < 1e-8. `start` is a pair (coef,
+    inverse information), such as the full-sample fit's `start` for a
+    bootstrap replicate. From it the fit takes chord steps, coef +=
+    H^-1 score with the start's H^-1, which need no factorization, while
+    each step at least halves max|score|. A step that does not is
+    discarded before any check reads it, and Newton steps go on from the
+    last chord iterate that did, or from zeros when the first step did not.
+    The stopping rule, the separation checks and the step limit (which
+    counts a discarded step) do not depend on the start. The inverse
+    information (X'WX)^-1 at the converged coefficients is computed on the
+    first read of `coef_cov`, from a weighted design the fit owns; it
+    raises RankDeficientError then if the weights leave the design rank
+    deficient.
 
     Raises:
         NoTreatmentVariationError: d has a single class.
         SeparationError: probabilities pinned at 0/1 with |coef| > 30, or
             every response fitted to within 1e-6 (wide-margin separation).
         ConvergenceError: no convergence in 100 steps.
-        DimensionMismatchError: `start` is not a vector of length k.
+        DimensionMismatchError: `start` is not a pair of a length-k vector
+            and a k x k matrix.
         NonFiniteValueError: `start` has a non-finite entry.
     """
     X, dv = _check_design(design, d)
@@ -157,7 +191,7 @@ def fit_logistic(design, d, start=None) -> LinearFit:
         raise NoTreatmentVariationError("response takes a single value")
 
     n, k = X.shape
-    coef = np.zeros(k) if start is None else _as_vector("start", start, k).copy()
+    coef, chord = (np.zeros(k), None) if start is None else _check_start(start, k)
     # row-length work arrays that every step overwrites; the converged fit
     # keeps p, resid and Xw, and each fit allocates its own. Xw is
     # column-major, the layout LAPACK factors in, so the SVD copies it in
@@ -165,9 +199,26 @@ def fit_logistic(design, d, start=None) -> LinearFit:
     # caller's layout, as X @ coef rounds differently in another one
     p, resid, sw = np.empty(n), np.empty(n), np.empty(n)
     Xw = np.empty((k, n)).T
+    # `kept` is where Newton steps go on when a chord step does not halve
+    # max|score|: the last chord iterate that did, or zeros; `last` is
+    # max|score| where the last chord step was taken
+    kept, last, factors = np.zeros(k), np.inf, None
     for it in range(1, _MAX_IRLS_ITER + 1):
         expit(X @ coef, out=p)
         np.subtract(dv, p, out=resid)
+        score = X.T @ resid
+        size = np.abs(score).max()
+        if chord is not None:
+            if not size <= last / 2:  # a NaN score lands here too
+                # the iterate is discarded before any check reads it
+                coef, chord = kept, None
+                expit(X @ coef, out=p)
+                np.subtract(dv, p, out=resid)
+                score = X.T @ resid
+                size = np.abs(score).max()
+            elif it > 1:
+                kept = coef
+            last = size
         if np.abs(coef).max() > _SEP_COEF and ((p < _SEP_PROB) | (p > 1.0 - _SEP_PROB)).any():
             raise SeparationError(
                 "fitted probabilities pinned at 0/1 with diverging coefficients"
@@ -179,12 +230,18 @@ def fit_logistic(design, d, start=None) -> LinearFit:
             raise SeparationError(
                 "every response fitted to machine precision; classes are separated"
             )
-        score = X.T @ resid
+        if chord is not None and size >= _IRLS_TOL:
+            coef = coef + chord @ score
+            continue
         # sw = p (1 - p), formed as (1 - p) p: IEEE products commute
         np.subtract(1.0, p, out=sw)
         sw *= p
-        if np.abs(score).max() < _IRLS_TOL:
+        if size < _IRLS_TOL:
             np.multiply(X.T, np.sqrt(sw, out=sw), out=Xw.T)
+            if factors is not None:
+                chord = _xtx_inv(*factors)
+            elif chord is None:  # a fit from zeros that took no step
+                chord = _weighted_xtx_inv(Xw)
             return LinearFit(
                 coef=coef,
                 link=LOGIT,
@@ -193,6 +250,7 @@ def fit_logistic(design, d, start=None) -> LinearFit:
                 design_width=k,
                 iterations=it - 1,
                 fitted=p,
+                start=(coef, chord),
             )
         np.maximum(sw, 1e-12, out=sw)
         np.sqrt(sw, out=sw)
@@ -200,7 +258,7 @@ def fit_logistic(design, d, start=None) -> LinearFit:
         # response, formed in the residuals' buffer
         resid /= sw
         np.multiply(X.T, sw, out=Xw.T)
-        step, _ = _svd_solve(Xw, resid)
+        step, factors = _svd_solve(Xw, resid)
         coef = coef + step
     raise ConvergenceError(f"IRLS did not converge in {_MAX_IRLS_ITER} iterations")
 

@@ -19,6 +19,21 @@ def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def newton_start_inverse(X, d, tol=1e-8) -> np.ndarray:
+    """Oracle: textbook Newton-Raphson for the logistic likelihood from
+    zeros, by normal equations, to max|score| < tol; returns the inverse
+    information (X'WX)^-1 at the iterate its last step was taken from."""
+    coef, inverse = np.zeros(X.shape[1]), None
+    for _ in range(100):
+        p = expit(X @ coef)
+        score = X.T @ (d - p)
+        if np.abs(score).max() < tol:
+            return inverse
+        inverse = np.linalg.inv(X.T @ (X * (p * (1.0 - p))[:, None]))
+        coef = coef + inverse @ score
+    raise AssertionError("the Newton oracle did not converge")
+
+
 def run_methods(case, methods, runs, n, seed):
     """(points, n_failed) of `methods` alone over a case's runs: the loop
     and the draws `run_monte_carlo` runs, with a subset of its methods."""

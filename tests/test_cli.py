@@ -23,7 +23,7 @@ from causalest.cli import _read_columns, main
 
 from causalest.errors import TooManyFailedReplicatesError
 
-from .conftest import philox, saturating_binary
+from .conftest import newton_start_inverse, philox, saturating_binary
 
 
 def _run(capsys, *argv):
@@ -197,9 +197,9 @@ class TestEstimate:
         score_fit = causalest.estimate_propensity_binary(ds)
 
         assert causalest.trim_overlap(score_fit, 0.01, 0.99)[1].size == ds.n
-        est, coef = cli._estimate_once(ds, method, (0.01, 0.99))
+        est, start = cli._estimate_once(ds, method, (0.01, 0.99))
         assert est == real(ds, score_fit)
-        assert np.array_equal(coef, score_fit.coef)
+        assert all(np.array_equal(a, b) for a, b in zip(start, score_fit.start, strict=True))
         assert seen[-1] is ds
 
         _, kept = causalest.trim_overlap(score_fit, 0.2, 0.8)
@@ -506,10 +506,14 @@ class TestWarmStartedBootstrap:
         assert code == 0, err
         report = json.loads(out)
         # one full-sample fit from zeros, and 20 replicates started at its
-        # coefficients
+        # coefficients and the inverse information of its last Newton step
         full = real(ds)
         assert starts[0] is None and len(starts) == 21
-        assert all(np.array_equal(start, full.coef) for start in starts[1:])
+        assert all(start is starts[1] for start in starts[2:])
+        coef, inverse = starts[1]
+        assert np.array_equal(coef, full.start[0])
+        design = np.column_stack([np.ones(ds.n), ds.x])
+        np.testing.assert_allclose(inverse, newton_start_inverse(design, ds.d), rtol=1e-8)
         cold = causalest.bootstrap_variance(ds, _cold_steps(method, trim), n_boot=20, seed=1)
         assert cold.n_failed == 0
         np.testing.assert_allclose(report["variance"], cold.variance, rtol=1e-9)

@@ -29,15 +29,17 @@ from causalest.errors import (
     ZeroPropensityError,
 )
 
-from .conftest import confounded_binary, randomized_binary, saturating_binary
+from .conftest import confounded_binary, newton_start_inverse, randomized_binary, saturating_binary
 
 
 def test_score_fit_holds_only_what_the_estimators_read():
-    # the scores and the coefficients a bootstrap replicate's fit starts
-    # from; the rest of the logistic fit behind them is not kept
+    # the scores and the start a bootstrap replicate's fit takes, of k
+    # and k x k numbers; the rest of the logistic fit behind them is not kept
     assert [f.name for f in dataclasses.fields(PropensityFit)] == [
-        "scores_treated", "scores", "diagnostics", "coef"
+        "scores_treated", "scores", "diagnostics", "start"
     ]
+    ds = confounded_binary(26, 600)
+    assert [part.shape for part in estimate_propensity_binary(ds).start] == [(2,), (2, 2)]
 
 
 class TestBinaryPropensity:
@@ -145,38 +147,43 @@ class TestIrlsDiagnostics:
 
 class TestScoreCoefficients:
     def test_fit_keeps_the_logistic_coefficients(self):
-        # [DERIVED] oracle: the logistic fit of d on (1, x)
+        # [DERIVED] oracle: the logistic fit of d on (1, x), and the inverse
+        # information (X'WX)^-1 where textbook Newton takes its last step
         ds = confounded_binary(27, 600)
         fit = estimate_propensity_binary(ds)
-        model = fit_logistic(np.column_stack([np.ones(ds.n), ds.x]), ds.d)
-        assert np.array_equal(fit.coef, model.coef)
+        design = np.column_stack([np.ones(ds.n), ds.x])
+        assert np.array_equal(fit.start[0], fit_logistic(design, ds.d).coef)
+        np.testing.assert_allclose(fit.start[1], newton_start_inverse(design, ds.d), rtol=1e-8)
 
     def test_external_scores_have_no_coefficients(self):
-        assert PropensityFit.from_scores([0.2, 0.7], [1.0, 0.0]).coef is None
+        assert PropensityFit.from_scores([0.2, 0.7], [1.0, 0.0]).start is None
 
     def test_trimming_carries_the_full_sample_coefficients(self):
         ds = confounded_binary(28, 600)
         fit = estimate_propensity_binary(ds)
         trimmed, kept = trim_overlap(fit, 0.2, 0.8)
         assert kept.size < ds.n
-        assert trimmed.coef is fit.coef
+        assert trimmed.start is fit.start
 
     def test_start_reaches_the_logistic_fit(self):
-        # [DERIVED] a fit started at the full-sample coefficients takes fewer
+        # [DERIVED] a fit started from the full sample's start takes chord
         # steps on a resample and lands on the cold fit, within what the
         # max|score| < 1e-8 stopping rule allows at this n
         ds = confounded_binary(29, 5_000)
         full = estimate_propensity_binary(ds)
         sample = ds.take(np.random.Generator(np.random.Philox(30)).integers(0, ds.n, size=ds.n))
         cold = estimate_propensity_binary(sample)
-        warm = estimate_propensity_binary(sample, start=full.coef)
-        np.testing.assert_allclose(warm.coef, cold.coef, rtol=1e-10)
+        warm = estimate_propensity_binary(sample, start=full.start)
+        np.testing.assert_allclose(warm.start[0], cold.start[0], rtol=1e-10)
         np.testing.assert_allclose(warm.scores, cold.scores, rtol=1e-10)
-        assert warm.diagnostics["iterations"] < cold.diagnostics["iterations"]
+        assert warm.diagnostics["iterations"] > 0
 
     @pytest.mark.parametrize(
         "start, error",
-        [([0.0], DimensionMismatchError), ([0.0, np.nan], NonFiniteValueError)],
+        [
+            (([0.0], np.eye(2)), DimensionMismatchError),
+            (([0.0, np.nan], np.eye(2)), NonFiniteValueError),
+        ],
         ids=["length", "nan"],
     )
     def test_start_is_checked_like_outside_input(self, start, error):

@@ -217,21 +217,9 @@ class TestFitLogistic:
 
 
 class TestIrlsWork:
-    @staticmethod
-    def _count_svd_solves(monkeypatch):
-        calls = []
-        solve = regress._svd_solve
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(regress, "_svd_solve", counted)
-        return calls
-
     def test_score_fit_runs_one_svd_per_newton_step(self, monkeypatch):
         # the covariance a score fit never reads is never computed
-        calls = self._count_svd_solves(monkeypatch)
+        calls = _count_svd_solves(monkeypatch)
         ds = confounded_binary(14, 2000)
         iterations = estimate_propensity_binary(ds).diagnostics["iterations"]
         assert iterations > 0
@@ -364,64 +352,171 @@ class TestIrlsInPlace:
         assert np.array_equal(first.coef_cov, _allocating_irls(X, d)[3])
 
 
+def _allocating_chord_irls(X, d, coef, inverse=None, max_iter=100, tol=1e-8):
+    """Oracle: chord steps coef += inverse @ score from `coef` while each
+    halves max|score|, then allocating Newton steps from the last chord
+    iterate that did (zeros if the first did not); with `inverse` None,
+    Newton steps from `coef`. Returns (coef, residuals, fitted, start
+    inverse, iterations): the start inverse is (X'WX)^-1 from the SVD of the
+    last Newton step, else `inverse`, else (X'WX)^-1 at the optimum."""
+    coef = np.array(coef, dtype=float)
+    kept, last, newton_inverse = np.zeros(X.shape[1]), np.inf, None
+    for it in range(1, max_iter + 1):
+        p = expit(X @ coef)
+        resid = d - p
+        score = X.T @ resid
+        if inverse is not None:
+            if not np.abs(score).max() <= last / 2:
+                coef, inverse = kept, None
+                p = expit(X @ coef)
+                resid = d - p
+                score = X.T @ resid
+            elif it > 1:
+                kept = coef
+            last = np.abs(score).max()
+        if np.abs(coef).max() > regress._SEP_COEF and (
+            (p < regress._SEP_PROB) | (p > 1.0 - regress._SEP_PROB)
+        ).any():
+            raise SeparationError("pinned at 0/1")
+        if np.abs(resid).max() < regress._SEP_RESID:
+            raise SeparationError("classes are separated")
+        if np.abs(score).max() < tol:
+            if newton_inverse is None and inverse is None:
+                newton_inverse = regress._weighted_xtx_inv(X * np.sqrt(p * (1.0 - p))[:, None])
+            return coef, resid, p, inverse if newton_inverse is None else newton_inverse, it - 1
+        if inverse is not None:
+            coef = coef + inverse @ score
+            continue
+        sw = np.sqrt(np.maximum(p * (1.0 - p), 1e-12))
+        step, _ = regress._svd_solve(X * sw[:, None], resid / sw)
+        _, s, Vt = np.linalg.svd(X * sw[:, None], full_matrices=False)
+        newton_inverse = (Vt.T / s**2) @ Vt
+        coef = coef + step
+    raise ConvergenceError(f"did not converge in {max_iter} iterations")
+
+
+def _count_svd_solves(monkeypatch):
+    calls = []
+    solve = regress._svd_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(regress, "_svd_solve", counted)
+    return calls
+
+
+def _assert_matches_oracle(fit, oracle):
+    coef, resid, p, inverse, iterations = oracle
+    assert np.array_equal(fit.coef, coef)
+    assert np.array_equal(fit.residuals, resid)
+    assert np.array_equal(fit.fitted, p)
+    assert np.array_equal(fit.start[0], coef)
+    assert np.array_equal(fit.start[1], inverse)
+    assert fit.iterations == iterations
+
+
 class TestWarmStart:
-    def test_bootstrap_resamples_reach_the_cold_fit_in_fewer_steps(self):
+    def test_bootstrap_resamples_reach_the_cold_fit_without_a_factorization(self, monkeypatch):
         # [DERIVED] a resample's optimum lies a root-n step from the full
-        # sample's, so a fit started there stops by the same max|score| rule
-        # at the cold fit's coefficients, in fewer Newton steps
+        # sample's, where the full-sample information is within O(n^-1/2)
+        # of the resample's, so chord steps contract by far more than half
+        # each and stop by the same max|score| rule near the cold optimum
         X, d = _score_draw(21, 50_000, 4)
         full = fit_logistic(X, d)
+        calls = _count_svd_solves(monkeypatch)
         g = philox(22)
         for _ in range(4):
             idx = g.integers(0, d.size, size=d.size)
             Xb, db = X[idx], d[idx]
+            del calls[:]
+            warm = fit_logistic(Xb, db, start=full.start)
+            assert not calls
+            assert warm.iterations > 0
+            assert warm.start[1] is not full.start[1]
+            assert np.array_equal(warm.start[1], full.start[1])
             cold = fit_logistic(Xb, db)
-            warm = fit_logistic(Xb, db, start=full.coef)
+            assert len(calls) == cold.iterations
             np.testing.assert_allclose(warm.coef, cold.coef, rtol=0.0, atol=1e-12)
             assert np.abs(logistic_score(Xb, db, warm.coef)).max() < regress._IRLS_TOL
-            assert 0 < warm.iterations < cold.iterations
 
     @pytest.mark.parametrize("n, k", [(60, 2), (1_000, 3), (50_000, 4)])
     def test_bits_match_the_allocating_loop_from_the_same_start(self, n, k):
-        # [DERIVED] oracle: the allocating loop, started at the same point
+        # [DERIVED] oracle: the allocating chord-then-Newton loop, started at
+        # the same point; the far start falls back to Newton steps
         X, d = _score_draw(n + k + 2, n, k)
-        start = np.linspace(0.3, -0.2, k)
-        coef, resid, p, coef_cov, iterations = _allocating_irls(X, d, start=start)
-        fit = fit_logistic(X, d, start=start)
-        assert np.array_equal(fit.coef, coef)
-        assert np.array_equal(fit.residuals, resid)
-        assert np.array_equal(fit.fitted, p)
-        assert np.array_equal(fit.coef_cov, coef_cov)
-        assert fit.iterations == iterations
+        inverse = fit_logistic(X, d).start[1]
+        optimum = fit_logistic(X, d).coef
+        for coef in (np.linspace(0.3, -0.2, k), optimum + 0.01, 5.0 * optimum):
+            oracle = _allocating_chord_irls(X, d, coef, inverse)
+            _assert_matches_oracle(fit_logistic(X, d, start=(coef, inverse)), oracle)
 
     def test_zero_start_is_the_default(self):
+        # [DERIVED] oracle: the allocating Newton loop from zeros, whose last
+        # step's SVD gives the start a fit of a resample takes
         X, d = _score_draw(23, 1_000, 3)
-        default, zeros = fit_logistic(X, d), fit_logistic(X, d, start=np.zeros(3))
-        assert np.array_equal(default.coef, zeros.coef)
-        assert np.array_equal(default.fitted, zeros.fitted)
-        assert default.iterations == zeros.iterations
+        fit = fit_logistic(X, d)
+        _assert_matches_oracle(fit, _allocating_chord_irls(X, d, np.zeros(3)))
+        assert fit.iterations > 0
+
+    def test_a_fit_that_takes_no_step_starts_the_next_at_its_covariance(self):
+        # [TRIVIAL] with half the responses 1 and a centred covariate that
+        # is balanced between them, the score vanishes at zero
+        X = np.column_stack([np.ones(4), [-1.0, 1.0, -1.0, 1.0]])
+        d = np.array([0.0, 0.0, 1.0, 1.0])
+        fit = fit_logistic(X, d)
+        assert fit.iterations == 0
+        assert np.array_equal(fit.start[0], np.zeros(2))
+        assert np.array_equal(fit.start[1], fit.coef_cov)
+        np.testing.assert_allclose(fit.coef_cov, np.eye(2), rtol=1e-12)
 
     def test_start_at_the_optimum_is_copied(self):
         X, d = _score_draw(24, 1_000, 3)
-        start = fit_logistic(X, d).coef
-        saved = start.copy()
+        start = fit_logistic(X, d).start
+        saved = [part.copy() for part in start]
         fit = fit_logistic(X, d, start=start)
         assert fit.iterations == 0
-        assert np.array_equal(fit.coef, saved)
-        assert not np.shares_memory(fit.coef, start)
+        assert np.array_equal(fit.coef, saved[0])
+        assert np.array_equal(fit.start[1], saved[1])
+        for mine, theirs in zip(fit.start, start):
+            assert not np.shares_memory(mine, theirs)
         fit.coef[0] += 1.0
-        assert np.array_equal(start, saved)
+        fit.start[1][0, 0] += 1.0
+        assert all(np.array_equal(part, was) for part, was in zip(start, saved))
 
     @pytest.mark.parametrize(
         "start, error, message",
         [
-            (np.zeros(2), DimensionMismatchError, "start must have length 3, got 2"),
-            (np.zeros(4), DimensionMismatchError, "start must have length 3, got 4"),
-            (np.zeros((3, 1)), DimensionMismatchError, "'start' must be a 1-d vector, got shape"),
-            (np.array([0.0, np.nan, 0.0]), NonFiniteValueError, _NON_FINITE_START),
-            (np.array([0.0, 0.0, np.inf]), NonFiniteValueError, _NON_FINITE_START),
+            ((np.zeros(2), np.eye(3)), DimensionMismatchError, "start must have length 3, got 2"),
+            ((np.zeros(4), np.eye(3)), DimensionMismatchError, "start must have length 3, got 4"),
+            (
+                (np.zeros((3, 1)), np.eye(3)),
+                DimensionMismatchError,
+                "'start' must be a 1-d vector, got shape",
+            ),
+            ((np.array([0.0, np.nan, 0.0]), np.eye(3)), NonFiniteValueError, _NON_FINITE_START),
+            ((np.array([0.0, 0.0, np.inf]), np.eye(3)), NonFiniteValueError, _NON_FINITE_START),
+            (np.zeros(3), DimensionMismatchError, "start must be a pair"),
+            ((np.zeros(3),), DimensionMismatchError, "start must be a pair"),
+            (
+                (np.zeros(3), np.eye(2)),
+                DimensionMismatchError,
+                "start inverse information must have shape (3, 3), got (2, 2)",
+            ),
+            (
+                (np.zeros(3), np.ones(3)),
+                DimensionMismatchError,
+                "start inverse information must have shape (3, 3), got (3, 1)",
+            ),
+            (
+                (np.zeros(3), np.diag([1.0, np.nan, 1.0])),
+                NonFiniteValueError,
+                "matrix 'start inverse information' contains non-finite values",
+            ),
         ],
-        ids=["short", "long", "2-d", "nan", "inf"],
+        ids=["short", "long", "2-d", "nan", "inf", "vector", "single",
+             "inverse-shape", "inverse-vector", "inverse-nan"],
     )
     def test_start_is_checked_like_outside_input(self, start, error, message):
         # the coefficient vector is not called a column
@@ -433,7 +528,63 @@ class TestWarmStart:
         x = np.linspace(-2.0, 2.0, 40)
         X, d = np.column_stack([np.ones(x.size), x]), (x > 0).astype(float)
         with pytest.raises(SeparationError):
-            fit_logistic(X, d, start=[0.0, 5.0])
+            fit_logistic(X, d, start=([0.0, 5.0], np.eye(2)))
+
+    def test_a_start_that_does_not_contract_ends_as_the_cold_fit(self, monkeypatch):
+        # [DERIVED] oracle: the cold fit. Five times the optimum is too far
+        # for the first chord step to halve max|score|, so Newton steps run
+        # from zeros. On resamples of 30 rows the full-sample information is
+        # far from each resample's, so the chord breaks off (or ends in the
+        # cold fit's error); the Newton steps that follow, and a contracting
+        # chord, stop by the same rule, so the two optima differ by at most
+        # what max|score| < 1e-8 allows: (X'WX)^-1 times the two scores
+        X, d = _score_draw(26, 2_000, 4)
+        cold = fit_logistic(X, d)
+        far = fit_logistic(X, d, start=(5.0 * cold.coef, cold.start[1]))
+        assert np.array_equal(far.coef, cold.coef)
+        assert far.iterations == cold.iterations + 1  # the discarded step
+
+        X, d = _score_draw(27, 30, 4)
+        full = fit_logistic(X, d)
+        calls = _count_svd_solves(monkeypatch)
+        g = philox(28)
+        fell_back = failed = 0
+        for _ in range(40):
+            idx = g.integers(0, d.size, size=d.size)
+            Xb, db = X[idx], d[idx]
+            try:
+                cold = fit_logistic(Xb, db)
+            except (SeparationError, ConvergenceError) as error:
+                with pytest.raises(type(error)):
+                    fit_logistic(Xb, db, start=full.start)
+                failed += 1
+                continue
+            del calls[:]
+            warm = fit_logistic(Xb, db, start=full.start)
+            fell_back += bool(calls)
+            scores = sum(np.abs(logistic_score(Xb, db, c)).max() for c in (warm.coef, cold.coef))
+            allowed = 2.0 * np.abs(cold.coef_cov).sum(axis=1).max() * scores
+            assert np.abs(warm.coef - cold.coef).max() <= allowed
+        assert fell_back > 0 and failed > 0
+
+    def test_a_discarded_iterate_is_never_checked_for_separation(self):
+        # [DERIVED] an inverse information 10^4 times too large sends the
+        # first chord step to coefficients beyond 30 with pinned fitted
+        # probabilities, which the separation check rejects. The step does
+        # not halve max|score|, so the fit discards it and ends as the cold
+        # fit, bit for bit
+        X, d = _score_draw(29, 2_000, 4)
+        cold = fit_logistic(X, d)
+        coef, inverse = cold.coef + 0.01, 1e4 * cold.start[1]
+        trial = coef + inverse @ logistic_score(X, d, coef)
+        p = expit(X @ trial)
+        assert np.abs(trial).max() > regress._SEP_COEF
+        assert ((p < regress._SEP_PROB) | (p > 1.0 - regress._SEP_PROB)).any()
+        with pytest.raises(SeparationError):
+            _allocating_irls(X, d, start=trial)
+        warm = fit_logistic(X, d, start=(coef, inverse))
+        assert np.array_equal(warm.coef, cold.coef)
+        assert np.array_equal(warm.fitted, cold.fitted)
 
 
 class TestPredict:
