@@ -238,10 +238,11 @@ def fit_logistic(design, d, start=None) -> LinearFit:
         sw *= p
         if size < _IRLS_TOL:
             np.multiply(X.T, np.sqrt(sw, out=sw), out=Xw.T)
-            if factors is not None:
-                chord = _xtx_inv(*factors)
-            elif chord is None:  # a fit from zeros that took no step
-                chord = _weighted_xtx_inv(Xw)
+            inverse = (
+                _xtx_inv(*factors) if factors is not None
+                else chord if chord is not None
+                else _weighted_xtx_inv(Xw)  # a fit from zeros that took no step
+            )
             return LinearFit(
                 coef=coef,
                 link=LOGIT,
@@ -250,7 +251,7 @@ def fit_logistic(design, d, start=None) -> LinearFit:
                 design_width=k,
                 iterations=it - 1,
                 fitted=p,
-                start=(coef, chord),
+                start=(coef, inverse),
             )
         np.maximum(sw, 1e-12, out=sw)
         np.sqrt(sw, out=sw)

@@ -418,7 +418,7 @@ def _assert_matches_oracle(fit, oracle):
 
 
 class TestWarmStart:
-    def test_bootstrap_resamples_reach_the_cold_fit_without_a_factorization(self, monkeypatch):
+    def test_bootstrap_resamples_reach_the_cold_fit_with_no_svd(self, monkeypatch):
         # [DERIVED] a resample's optimum lies a root-n step from the full
         # sample's, where the full-sample information is within O(n^-1/2)
         # of the resample's, so chord steps contract by far more than half
