@@ -47,7 +47,8 @@ class LinearFit:
             exactly identified OLS fit (n = k). May be given as a
             zero-argument callable, which runs on the first read.
         design_width: k, for prediction-time shape checking.
-        iterations: IRLS steps taken, chord and Newton (0 for OLS).
+        iterations: IRLS steps taken, chord and Newton, and a round that
+            discards a chord step (0 for OLS).
         fitted: for logit, the fitted probabilities on the fit's own
             design, length n; None for OLS.
         start: for logit, the `start` a fit of a resample of the design
@@ -166,10 +167,10 @@ def fit_logistic(design, d, start=None) -> LinearFit:
     bootstrap replicate. From it the fit takes chord steps, coef +=
     H^-1 score with the start's H^-1, which need no factorization, while
     each step at least halves max|score|. A step that does not is
-    discarded before any check reads it, and Newton steps go on from the
-    last chord iterate that did, or from zeros when the first step did not.
-    The stopping rule, the separation checks and the step limit (which
-    counts a discarded step) do not depend on the start. The inverse
+    discarded before any check reads it, and Newton steps start over from
+    zeros, so the fit ends as the cold fit. The stopping rule, the
+    separation checks and the step limit (which counts the discarded step
+    and the round that discards it) do not depend on the start. The inverse
     information (X'WX)^-1 at the converged coefficients is computed on the
     first read of `coef_cov`, from a weighted design the fit owns; it
     raises RankDeficientError then if the weights leave the design rank
@@ -199,10 +200,8 @@ def fit_logistic(design, d, start=None) -> LinearFit:
     # caller's layout, as X @ coef rounds differently in another one
     p, resid, sw = np.empty(n), np.empty(n), np.empty(n)
     Xw = np.empty((k, n)).T
-    # `kept` is where Newton steps go on when a chord step does not halve
-    # max|score|: the last chord iterate that did, or zeros; `last` is
-    # max|score| where the last chord step was taken
-    kept, last, factors = np.zeros(k), np.inf, None
+    # `last` is max|score| where the last chord step was taken
+    last, factors = np.inf, None
     for it in range(1, _MAX_IRLS_ITER + 1):
         expit(X @ coef, out=p)
         np.subtract(dv, p, out=resid)
@@ -210,14 +209,10 @@ def fit_logistic(design, d, start=None) -> LinearFit:
         size = np.abs(score).max()
         if chord is not None:
             if not size <= last / 2:  # a NaN score lands here too
-                # the iterate is discarded before any check reads it
-                coef, chord = kept, None
-                expit(X @ coef, out=p)
-                np.subtract(dv, p, out=resid)
-                score = X.T @ resid
-                size = np.abs(score).max()
-            elif it > 1:
-                kept = coef
+                # the iterate is discarded before any check reads it, and
+                # the fit starts over from zeros as a fit without a start
+                coef, chord = np.zeros(k), None
+                continue
             last = size
         if np.abs(coef).max() > _SEP_COEF and ((p < _SEP_PROB) | (p > 1.0 - _SEP_PROB)).any():
             raise SeparationError(

@@ -12,11 +12,25 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from causalest import simulate, validate
+from causalest import regress, simulate, validate
 
 
 def philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
+
+
+def count_svd_solves(monkeypatch) -> list:
+    """Count the regress._svd_solve calls made from here on: returns the
+    list that each call appends to."""
+    calls = []
+    solve = regress._svd_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(regress, "_svd_solve", counted)
+    return calls
 
 
 def newton_start_inverse(X, d, tol=1e-8) -> np.ndarray:

@@ -29,7 +29,13 @@ from causalest.errors import (
     ZeroPropensityError,
 )
 
-from .conftest import confounded_binary, newton_start_inverse, randomized_binary, saturating_binary
+from .conftest import (
+    confounded_binary,
+    count_svd_solves,
+    newton_start_inverse,
+    randomized_binary,
+    saturating_binary,
+)
 
 
 def test_score_fit_holds_only_what_the_estimators_read():
@@ -165,15 +171,18 @@ class TestScoreCoefficients:
         assert kept.size < ds.n
         assert trimmed.start is fit.start
 
-    def test_start_reaches_the_logistic_fit(self):
+    def test_start_reaches_the_logistic_fit(self, monkeypatch):
         # [DERIVED] a fit started from the full sample's start takes chord
-        # steps on a resample and lands on the cold fit, within what the
-        # max|score| < 1e-8 stopping rule allows at this n
+        # steps on a resample, with no SVD, and lands on the cold fit,
+        # within what the max|score| < 1e-8 stopping rule allows at this n
         ds = confounded_binary(29, 5_000)
         full = estimate_propensity_binary(ds)
         sample = ds.take(np.random.Generator(np.random.Philox(30)).integers(0, ds.n, size=ds.n))
-        cold = estimate_propensity_binary(sample)
+        calls = count_svd_solves(monkeypatch)
         warm = estimate_propensity_binary(sample, start=full.start)
+        assert not calls
+        cold = estimate_propensity_binary(sample)
+        assert len(calls) == cold.diagnostics["iterations"] > 0
         np.testing.assert_allclose(warm.start[0], cold.start[0], rtol=1e-10)
         np.testing.assert_allclose(warm.scores, cold.scores, rtol=1e-10)
         assert warm.diagnostics["iterations"] > 0
