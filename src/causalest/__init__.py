@@ -69,8 +69,6 @@ from .simulate import (
     MonteCarloReport,
     compare_to_reference,
     generate,
-    load_reference,
-    load_tolerances,
     run_monte_carlo,
 )
 from .variance import (
@@ -130,8 +128,6 @@ __all__ = [
     "MonteCarloReport",
     "compare_to_reference",
     "CellCheck",
-    "load_reference",
-    "load_tolerances",
     "CASE_IDS",
     "CASE_METHODS",
     "TRUE_TAU",

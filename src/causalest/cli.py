@@ -37,13 +37,7 @@ from .estimators import (
     ate_stratification,
 )
 from .propensity import estimate_propensity_binary, trim_overlap
-from .simulate import (
-    CASE_IDS,
-    compare_to_reference,
-    load_reference,
-    load_tolerances,
-    run_monte_carlo,
-)
+from .simulate import CASE_IDS, compare_to_reference, run_monte_carlo
 from .variance import bootstrap_variance
 
 _PS_METHODS = ("ipw", "psr", "strat", "match", "dr")
@@ -234,10 +228,8 @@ def _write_case_outputs(report, out_dir: Path) -> None:
 def _check_case(report) -> bool:
     """Compare the report with the packaged reference table under the
     packaged tolerances; returns True when every cell passes."""
-    case = report.case_id
-    checks = compare_to_reference(report, load_reference(case), load_tolerances(case) or {})
     ok = True
-    for c in checks:
+    for c in compare_to_reference(report):
         status = "ok" if c.passed else "FAIL"
         print(
             f"[{status}] {report.case_id} {c.method} {c.quantity}: "

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .core import CausalEstimate, _as_matrix, _as_vector, _estimate, _is_01, _OnFirstRead
+from .core import CausalEstimate, _as_matrix, _as_vector, _estimate, _is_01
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -43,9 +42,9 @@ class LinearFit:
         coef: estimated coefficients, length k.
         link: "identity" (OLS) or "logit" (IRLS logistic).
         residuals: response-scale residuals (y - fitted), length n.
-        coef_cov: asymptotic covariance of coef, shape (k, k); None for an
-            exactly identified OLS fit (n = k). May be given as a
-            zero-argument callable, which runs on the first read.
+        coef_cov: for OLS, the covariance of coef, shape (k, k); None for
+            an exactly identified fit (n = k) and for logit, whose inverse
+            information is in `start`.
         design_width: k, for prediction-time shape checking.
         iterations: IRLS steps taken, chord and Newton, and a round that
             discards a chord step (0 for OLS).
@@ -61,7 +60,7 @@ class LinearFit:
     coef: np.ndarray
     link: str
     residuals: np.ndarray
-    coef_cov: np.ndarray | None = _OnFirstRead()
+    coef_cov: np.ndarray | None
     design_width: int
     iterations: int = 0
     fitted: np.ndarray | None = None
@@ -170,11 +169,7 @@ def fit_logistic(design, d, start=None) -> LinearFit:
     discarded before any check reads it, and Newton steps start over from
     zeros, so the fit ends as the cold fit. The stopping rule, the
     separation checks and the step limit (which counts the discarded step
-    and the round that discards it) do not depend on the start. The inverse
-    information (X'WX)^-1 at the converged coefficients is computed on the
-    first read of `coef_cov`, from a weighted design the fit owns; it
-    raises RankDeficientError then if the weights leave the design rank
-    deficient.
+    and the round that discards it) do not depend on the start.
 
     Raises:
         NoTreatmentVariationError: d has a single class.
@@ -194,7 +189,7 @@ def fit_logistic(design, d, start=None) -> LinearFit:
     n, k = X.shape
     coef, chord = (np.zeros(k), None) if start is None else _check_start(start, k)
     # row-length work arrays that every step overwrites; the converged fit
-    # keeps p, resid and Xw, and each fit allocates its own. Xw is
+    # keeps p and resid, and each fit allocates its own. Xw is
     # column-major, the layout LAPACK factors in, so the SVD copies it in
     # contiguous runs; its bits do not depend on the layout. X keeps the
     # caller's layout, as X @ coef rounds differently in another one
@@ -232,17 +227,18 @@ def fit_logistic(design, d, start=None) -> LinearFit:
         np.subtract(1.0, p, out=sw)
         sw *= p
         if size < _IRLS_TOL:
-            np.multiply(X.T, np.sqrt(sw, out=sw), out=Xw.T)
-            inverse = (
-                _xtx_inv(*factors) if factors is not None
-                else chord if chord is not None
-                else _weighted_xtx_inv(Xw)  # a fit from zeros that took no step
-            )
+            if factors is not None:
+                inverse = _xtx_inv(*factors)
+            elif chord is not None:
+                inverse = chord
+            else:  # a fit from zeros that took no step
+                np.multiply(X.T, np.sqrt(sw, out=sw), out=Xw.T)
+                inverse = _weighted_xtx_inv(Xw)
             return LinearFit(
                 coef=coef,
                 link=LOGIT,
                 residuals=resid,
-                coef_cov=functools.partial(_weighted_xtx_inv, Xw),
+                coef_cov=None,
                 design_width=k,
                 iterations=it - 1,
                 fitted=p,

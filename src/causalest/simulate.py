@@ -503,28 +503,30 @@ class CellCheck:
     passed: bool
 
 
-def _number(value) -> float:
-    """A tolerance as a float; anything else is bad input."""
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{value!r} is not a number") from exc
+def _packaged_tables(case_id: str) -> tuple[dict, dict]:
+    """The case's packaged reference table, method -> {av_est, emp_var,
+    mse}, and its tolerances, method -> {quantity: absolute tolerance}; a
+    case whose acceptance is property-based ships no tolerances."""
+    folder = resources.files("causalest") / "reference"
+    text = (folder / f"{case_id}.csv").read_text()
+    reference = {
+        row["method"]: {f: float(row[f]) for f in _REPORT_FIELDS}
+        for row in csv.DictReader(text.splitlines())
+    }
+    tol = folder / f"{case_id}_tol.json"
+    return reference, json.loads(tol.read_text()) if tol.is_file() else {}
 
 
-def compare_to_reference(
-    report: MonteCarloReport, reference: dict, tolerances: dict
-) -> list[CellCheck]:
-    """Check report cells against a reference table within given tolerances.
+def compare_to_reference(report: MonteCarloReport) -> list[CellCheck]:
+    """Check report cells against the case's packaged reference table
+    within its packaged tolerances.
 
-    `reference` maps method -> {av_est, emp_var, mse}; `tolerances` maps
-    method -> {quantity: absolute tolerance}. Every report method must
-    appear in the reference. Each report row also gets an internal
-    consistency check that MSE equals variance plus squared bias.
+    Every report method must have a row in the reference table. Each report
+    row also gets an internal consistency check that MSE equals variance
+    plus squared bias.
     """
-    if not isinstance(tolerances, dict) or not all(
-        isinstance(t, dict) for t in tolerances.values()
-    ):
-        raise InvalidInputError("tolerances must map each method to {quantity: tolerance}")
+    _check_case_id(report.case_id)
+    reference, tolerances = _packaged_tables(report.case_id)
     checks: list[CellCheck] = []
     for j, m in enumerate(report.methods):
         if m not in reference:
@@ -535,18 +537,15 @@ def compare_to_reference(
             "mse": float(report.mse[j]),
         }
         for quantity, tol in tolerances.get(m, {}).items():
-            if quantity not in _REPORT_FIELDS:
-                raise InvalidInputError(f"unknown report quantity {quantity!r}")
             expected = reference[m][quantity]
-            band = _number(tol)
             checks.append(
                 CellCheck(
                     method=m,
                     quantity=quantity,
                     produced=produced[quantity],
                     expected=expected,
-                    tol=band,
-                    passed=abs(produced[quantity] - expected) <= band,
+                    tol=tol,
+                    passed=abs(produced[quantity] - expected) <= tol,
                 )
             )
         recomputed = produced["emp_var"] + (produced["av_est"] - report.true_tau) ** 2
@@ -561,23 +560,3 @@ def compare_to_reference(
             )
         )
     return checks
-
-
-def load_reference(case_id: str) -> dict:
-    """The packaged reference table for a case: method -> {av_est, emp_var, mse}."""
-    _check_case_id(case_id)
-    text = (resources.files("causalest") / "reference" / f"{case_id}.csv").read_text()
-    return {
-        row["method"]: {f: float(row[f]) for f in _REPORT_FIELDS}
-        for row in csv.DictReader(text.splitlines())
-    }
-
-
-def load_tolerances(case_id: str) -> dict | None:
-    """The packaged tolerance map for a case, or None when no cell-exact
-    tolerances are defined (cases whose acceptance is property-based)."""
-    _check_case_id(case_id)
-    ref = resources.files("causalest") / "reference" / f"{case_id}_tol.json"
-    if not ref.is_file():
-        return None
-    return json.loads(ref.read_text())

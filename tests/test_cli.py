@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import causalest
-from causalest import cli
+from causalest import cli, simulate
 from causalest.cli import _read_columns, main
 
 from causalest.errors import TooManyFailedReplicatesError
@@ -756,7 +756,10 @@ class TestSimulate:
     def test_strict_tolerance_file_fails_check(self, tmp_path, capsys, monkeypatch):
         # [DERIVED] an impossibly tight band in place of the packaged
         # tolerances must flip the exit code to 1.
-        monkeypatch.setattr(cli, "load_tolerances", lambda case: {"DID1": {"av_est": 1e-9}})
+        reference, _ = simulate._packaged_tables("cs5")
+        monkeypatch.setattr(
+            simulate, "_packaged_tables", lambda case: (reference, {"DID1": {"av_est": 1e-9}})
+        )
         code, stdout, err = _run(
             capsys, "simulate", "--case", "cs5", "--runs", "20",
             "--n", "200", "--out", str(tmp_path / "s"), "--check",
@@ -781,7 +784,9 @@ class TestSimulate:
         # [TRIVIAL] a reference table lacking one of the report's methods
         # is an input error.
         monkeypatch.setattr(
-            cli, "load_reference", lambda case: {"DID1": {"av_est": -4.0, "emp_var": 0.01, "mse": 0.01}}
+            simulate,
+            "_packaged_tables",
+            lambda case: ({"DID1": {"av_est": -4.0, "emp_var": 0.01, "mse": 0.01}}, {}),
         )
         code, _, err = _run(
             capsys, "simulate", "--case", "cs5", "--runs", "5",
@@ -789,16 +794,6 @@ class TestSimulate:
         )
         assert code == 2
         assert "no row for DID2" in err
-
-    def test_non_numeric_tolerance_exits_2(self, tmp_path, capsys, monkeypatch):
-        # [TRIVIAL]
-        monkeypatch.setattr(cli, "load_tolerances", lambda case: {"DID1": {"av_est": "wide"}})
-        code, _, err = _run(
-            capsys, "simulate", "--case", "cs5", "--runs", "5",
-            "--n", "200", "--out", str(tmp_path / "t"), "--check",
-        )
-        assert code == 2
-        assert "'wide' is not a number" in err
 
     def test_too_few_runs_exits_2(self, tmp_path, capsys):
         # [TRIVIAL] a bad option value is an input error (exit 2), not an

@@ -31,7 +31,6 @@ from causalest import (
 from causalest.errors import (
     DimensionMismatchError,
     EmptyDatasetError,
-    EmptyTreatmentArmError,
     InvalidInputError,
     LengthMismatchError,
     NonFiniteValueError,
@@ -566,14 +565,6 @@ class TestDifferenceInMeans:
         est = difference_in_means(validate(y, d))
         expected = y[:20].var(ddof=1) / 20 + y[20:].var(ddof=1) / 20
         assert est.variance == pytest.approx(expected, rel=1e-12)
-
-    def test_empty_arm(self):
-        with pytest.raises(EmptyTreatmentArmError, match="^no unit is in the control arm$"):
-            difference_in_means(validate([1.0, 2.0], [1.0, 1.0]))
-
-    def test_requires_binary(self):
-        with pytest.raises(InvalidInputError, match=r"binary \(0/1\)"):
-            difference_in_means(validate([1.0, 2.0], [0.5, 1.5]))
 
 
 def _binary_with_score():

@@ -31,7 +31,7 @@ from causalest.errors import (
     SeparationError,
 )
 
-from .conftest import confounded_binary, count_svd_solves, philox
+from .conftest import confounded_binary, count_svd_solves, newton_start_inverse, philox
 
 _NON_FINITE_START = "vector 'start' contains non-finite values"
 
@@ -218,34 +218,24 @@ class TestFitLogistic:
 
 class TestIrlsWork:
     def test_score_fit_runs_one_svd_per_newton_step(self, monkeypatch):
-        # the covariance a score fit never reads is never computed
+        # the start's inverse information comes from the last Newton step's
+        # SVD, so the converged fit factors nothing more
         calls = count_svd_solves(monkeypatch)
         ds = confounded_binary(14, 2000)
         iterations = estimate_propensity_binary(ds).diagnostics["iterations"]
         assert iterations > 0
         assert len(calls) == iterations
-        # the same logistic fit, made directly, forms it on its first read only
         model = fit_logistic(np.column_stack([np.ones(ds.n), ds.x]), ds.d)
         assert model.iterations == iterations
         assert len(calls) == 2 * iterations
-        model.coef_cov
-        model.coef_cov
-        assert len(calls) == 2 * iterations + 1
 
-    def test_coef_cov_matches_eager_oracle_after_design_overwritten(self):
-        # [DERIVED] oracle: (X'WX)^-1 from the SVD of the weighted design at
-        # the converged coefficients, formed the way a Newton step forms it
+    def test_logistic_fit_carries_no_coef_cov(self):
+        # [DERIVED] oracle: textbook Newton by normal equations; a logistic
+        # fit's inverse information is the one its start carries
         X, d = _logistic_draw(15, 500)
-        saved = X.copy()
         fit = fit_logistic(X, d)
-        X[:] = philox(16).normal(size=X.shape)  # the caller reuses its buffer
-        p = expit(saved @ fit.coef)
-        _, s, Vt = np.linalg.svd(saved * np.sqrt(p * (1.0 - p))[:, None], full_matrices=False)
-        oracle = (Vt.T / s**2) @ Vt
-        assert np.array_equal(fit.coef_cov, oracle)
-        np.testing.assert_allclose(
-            fit.coef_cov, np.linalg.inv(saved.T @ (saved * (p * (1.0 - p))[:, None])), rtol=1e-8
-        )
+        assert fit.coef_cov is None
+        np.testing.assert_allclose(fit.start[1], newton_start_inverse(X, d), rtol=1e-8)
 
     def test_fitted_equals_prediction_on_the_design(self):
         X, d = _logistic_draw(17, 400)
@@ -256,7 +246,7 @@ class TestIrlsWork:
 
 def _allocating_irls(X, d, max_iter=100, tol=1e-8, start=None):
     """Oracle: the IRLS loop that allocates its row-length arrays afresh on
-    every step; returns (coef, residuals, fitted, coef_cov, iterations)."""
+    every step; returns (coef, residuals, fitted, iterations)."""
     coef = np.zeros(X.shape[1]) if start is None else np.array(start, dtype=float)
     for it in range(1, max_iter + 1):
         p = expit(X @ coef)
@@ -269,9 +259,7 @@ def _allocating_irls(X, d, max_iter=100, tol=1e-8, start=None):
             raise SeparationError("classes are separated")
         score = X.T @ resid
         if np.abs(score).max() < tol:
-            w = p * (1.0 - p)
-            coef_cov = regress._weighted_xtx_inv(X * np.sqrt(w)[:, None])
-            return coef, resid, p, coef_cov, it - 1
+            return coef, resid, p, it - 1
         sw = np.sqrt(np.maximum(p * (1.0 - p), 1e-12))
         resid /= sw
         step, _ = regress._svd_solve(X * sw[:, None], resid)
@@ -301,12 +289,11 @@ class TestIrlsInPlace:
         # [DERIVED] oracle: the loop that allocates every array afresh
         for seed in (n + k, n + k + 1):
             X, d = _score_draw(seed, n, k)
-            coef, resid, p, coef_cov, iterations = _allocating_irls(X, d)
+            coef, resid, p, iterations = _allocating_irls(X, d)
             fit = fit_logistic(X, d)
             assert np.array_equal(fit.coef, coef)
             assert np.array_equal(fit.residuals, resid)
             assert np.array_equal(fit.fitted, p)
-            assert np.array_equal(fit.coef_cov, coef_cov)
             assert fit.iterations == iterations > 0
 
     @pytest.mark.parametrize(
@@ -335,9 +322,8 @@ class TestIrlsInPlace:
     def test_fits_share_no_memory(self):
         X, d = _score_draw(19, 1_000, 4)
         first = fit_logistic(X, d)
-        weighted = vars(first)["coef_cov"].args[0]  # before the first read
         arrays = {"fitted": first.fitted, "residuals": first.residuals,
-                  "weighted": weighted, "design": X}
+                  "inverse": first.start[1], "design": X}
         names = list(arrays)
         for i, a in enumerate(names):
             for b in names[i + 1:]:
@@ -345,20 +331,19 @@ class TestIrlsInPlace:
         saved = {name: v.copy() for name, v in arrays.items()}
         X2, d2 = _score_draw(20, 1_000, 4)
         second = fit_logistic(X2, d2)
-        for name in ("fitted", "residuals", "weighted"):
+        for name in ("fitted", "residuals", "inverse"):
             assert np.array_equal(arrays[name], saved[name]), name
             assert not np.shares_memory(arrays[name], second.fitted), name
             assert not np.shares_memory(arrays[name], second.residuals), name
-        assert np.array_equal(first.coef_cov, _allocating_irls(X, d)[3])
 
 
 def _allocating_chord_irls(X, d, coef, inverse=None, max_iter=100, tol=1e-8):
     """Oracle: chord steps coef += inverse @ score from `coef` while each
     halves max|score|, and once one does not, allocating Newton steps from
     zeros; with `inverse` None, Newton steps from `coef`. Returns (coef,
-    residuals, fitted, start inverse, coef_cov, iterations): coef_cov is
-    (X'WX)^-1 at the optimum, and the start inverse is (X'WX)^-1 from the
-    SVD of the last Newton step, else `inverse`, else coef_cov."""
+    residuals, fitted, start inverse, iterations): the start inverse is
+    (X'WX)^-1 from the SVD of the last Newton step, else `inverse`, else
+    (X'WX)^-1 at the optimum."""
     coef = np.array(coef, dtype=float)
     last, newton_inverse = np.inf, None
     for it in range(1, max_iter + 1):
@@ -377,10 +362,10 @@ def _allocating_chord_irls(X, d, coef, inverse=None, max_iter=100, tol=1e-8):
         if np.abs(resid).max() < regress._SEP_RESID:
             raise SeparationError("classes are separated")
         if np.abs(score).max() < tol:
-            coef_cov = regress._weighted_xtx_inv(X * np.sqrt(p * (1.0 - p))[:, None])
-            for start_inverse in (newton_inverse, inverse, coef_cov):
+            at_optimum = regress._weighted_xtx_inv(X * np.sqrt(p * (1.0 - p))[:, None])
+            for start_inverse in (newton_inverse, inverse, at_optimum):
                 if start_inverse is not None:
-                    return coef, resid, p, start_inverse, coef_cov, it - 1
+                    return coef, resid, p, start_inverse, it - 1
         if inverse is not None:
             coef = coef + inverse @ score
             continue
@@ -393,13 +378,12 @@ def _allocating_chord_irls(X, d, coef, inverse=None, max_iter=100, tol=1e-8):
 
 
 def _assert_matches_oracle(fit, oracle):
-    coef, resid, p, inverse, coef_cov, iterations = oracle
+    coef, resid, p, inverse, iterations = oracle
     assert np.array_equal(fit.coef, coef)
     assert np.array_equal(fit.residuals, resid)
     assert np.array_equal(fit.fitted, p)
     assert np.array_equal(fit.start[0], coef)
     assert np.array_equal(fit.start[1], inverse)
-    assert np.array_equal(fit.coef_cov, coef_cov)
     assert fit.iterations == iterations
 
 
@@ -454,8 +438,7 @@ class TestWarmStart:
         fit = fit_logistic(X, d)
         assert fit.iterations == 0
         assert np.array_equal(fit.start[0], np.zeros(2))
-        assert np.array_equal(fit.start[1], fit.coef_cov)
-        np.testing.assert_allclose(fit.coef_cov, np.eye(2), rtol=1e-12)
+        np.testing.assert_allclose(fit.start[1], np.eye(2), rtol=1e-12)
 
     def test_start_at_the_optimum_is_copied(self):
         X, d = _score_draw(24, 1_000, 3)
@@ -554,7 +537,9 @@ class TestWarmStart:
                 assert np.array_equal(warm.coef, cold.coef)
                 continue
             scores = sum(np.abs(logistic_score(Xb, db, c)).max() for c in (warm.coef, cold.coef))
-            allowed = 2.0 * np.abs(cold.coef_cov).sum(axis=1).max() * scores
+            w = cold.fitted * (1.0 - cold.fitted)
+            inverse = np.linalg.inv(Xb.T @ (Xb * w[:, None]))
+            allowed = 2.0 * np.abs(inverse).sum(axis=1).max() * scores
             assert np.abs(warm.coef - cold.coef).max() <= allowed
         assert fell_back > 0 and failed > 0 and fell_back + failed < 40
 

@@ -3,10 +3,14 @@ runner, and golden-table comparison.
 
 Oracles here are independent recomputations: least-squares recovery of the
 generating coefficients, hand-built reports for the comparison logic, and
-the packaged reference tables parsed back through the public readers.
+the packaged reference tables parsed back through the golden check's
+loader.
 """
 
+import dataclasses
 import inspect
+import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -32,8 +36,6 @@ from causalest import (
     fit_pols,
     fit_re,
     generate,
-    load_reference,
-    load_tolerances,
     rdd_fuzzy,
     rdd_sharp,
     run_monte_carlo,
@@ -58,6 +60,7 @@ def test_harness_takes_only_what_the_cli_sets(capsys):
     # index and seed, and the golden check by the packaged tables alone
     assert list(inspect.signature(run_monte_carlo).parameters) == ["case_id", "runs", "n", "seed"]
     assert list(inspect.signature(generate).parameters) == ["case_id", "run_index", "n", "seed"]
+    assert list(inspect.signature(compare_to_reference).parameters) == ["report"]
     with pytest.raises(SystemExit) as done:
         main(["simulate", "--help"])
     assert done.value.code == 0
@@ -541,15 +544,19 @@ def _report(methods, av, var, mse, tau=-5.0):
     )
 
 
+def _tables(monkeypatch, reference, tolerances):
+    """Let the golden check read `reference` and `tolerances` in place of
+    the packaged tables."""
+    monkeypatch.setattr(simulate, "_packaged_tables", lambda case: (reference, tolerances))
+
+
 class TestCompareToReference:
-    def test_cell_within_tolerance_passes(self):
+    def test_cell_within_tolerance_passes(self, monkeypatch):
         # [DERIVED] oracle: |-4.99 - (-5.0)| = 0.01 <= 0.1.
         report = _report(["A"], [-4.99], [0.5], [0.5 + 0.01**2])
-        checks = compare_to_reference(
-            report,
-            {"A": {"av_est": -5.0, "emp_var": 0.5, "mse": 0.5}},
-            {"A": {"av_est": 0.1}},
-        )
+        _tables(monkeypatch, {"A": {"av_est": -5.0, "emp_var": 0.5, "mse": 0.5}},
+                {"A": {"av_est": 0.1}})
+        checks = compare_to_reference(report)
         cell = next(c for c in checks if c.quantity == "av_est")
         assert isinstance(cell, CellCheck)
         assert cell.method == "A"
@@ -558,84 +565,92 @@ class TestCompareToReference:
         assert cell.tol == 0.1
         assert cell.passed
 
-    def test_cell_outside_tolerance_fails(self):
+    def test_cell_outside_tolerance_fails(self, monkeypatch):
         # [DERIVED] oracle: |-3.1 - (-5.0)| = 1.9 > 0.1.
         report = _report(["A"], [-3.1], [0.5], [0.5 + 1.9**2])
-        checks = compare_to_reference(
-            report,
-            {"A": {"av_est": -5.0, "emp_var": 0.5, "mse": 4.11}},
-            {"A": {"av_est": 0.1}},
-        )
-        cell = next(c for c in checks if c.quantity == "av_est")
+        _tables(monkeypatch, {"A": {"av_est": -5.0, "emp_var": 0.5, "mse": 4.11}},
+                {"A": {"av_est": 0.1}})
+        cell = next(c for c in compare_to_reference(report) if c.quantity == "av_est")
         assert not cell.passed
 
-    def test_consistency_check_appended_per_method(self):
+    def test_consistency_check_appended_per_method(self, monkeypatch):
         # [DERIVED] oracle: mse must equal emp_var + (av - tau)^2 within
         # 1e-9; a report cooked with a 1e-6 discrepancy must fail it.
+        _tables(monkeypatch, {"A": {"av_est": -5.0}}, {})
         good = _report(["A"], [-4.0], [0.25], [0.25 + 1.0])
-        checks = compare_to_reference(good, {"A": {"av_est": -5.0}}, {})
+        checks = compare_to_reference(good)
         assert [c.quantity for c in checks] == ["mse_consistency"]
         assert checks[0].passed
 
         cooked = _report(["A"], [-4.0], [0.25], [0.25 + 1.0 + 1e-6])
-        bad = compare_to_reference(cooked, {"A": {"av_est": -5.0}}, {})
+        bad = compare_to_reference(cooked)
         assert not bad[0].passed
 
-    def test_missing_reference_row_raises(self):
+    def test_missing_reference_row_raises(self, monkeypatch):
         # [TRIVIAL]
+        _tables(monkeypatch, {"A": {"av_est": -5.0}}, {})
         report = _report(["A", "B"], [-5, -5], [0.1, 0.1], [0.1, 0.1])
         with pytest.raises(MissingReferenceCellError, match="no row for B"):
-            compare_to_reference(report, {"A": {"av_est": -5.0}}, {})
+            compare_to_reference(report)
 
-    def test_invalid_tolerance_entries_rejected(self):
-        # [TRIVIAL]
-        report = _report(["A"], [-5.0], [0.1], [0.1])
-        reference = {"A": {"av_est": -5.0}}
-        for misshapen in ([1, 2], {"A": 0.5}):
-            with pytest.raises(ValueError, match="tolerances must map"):
-                compare_to_reference(report, reference, misshapen)
-        # a tolerance is one absolute band
-        for entry in ("wide", {"abs": 0.1}):
-            with pytest.raises(ValueError, match="is not a number"):
-                compare_to_reference(report, reference, {"A": {"av_est": entry}})
-        with pytest.raises(ValueError, match="unknown report quantity"):
-            compare_to_reference(report, reference, {"A": {"av_mean": 0.1}})
+
+def _packaged_tolerances():
+    """(case, tolerance map) for every `*_tol.json` the package ships."""
+    folder = resources.files("causalest") / "reference"
+    return [
+        (entry.name.removesuffix("_tol.json"), json.loads(entry.read_text()))
+        for entry in folder.iterdir()
+        if entry.name.endswith("_tol.json")
+    ]
 
 
 class TestReferenceTables:
     def test_packaged_references_cover_every_case_method(self):
         # [TRIVIAL] every case ships a reference row per registered method.
         for case_id in CASE_IDS:
-            table = load_reference(case_id)
+            table = simulate._packaged_tables(case_id)[0]
             assert set(table) == set(CASE_METHODS[case_id])
             for row in table.values():
                 assert set(row) == {"av_est", "emp_var", "mse"}
                 assert all(type(v) is float for v in row.values())
 
     def test_unknown_case_rejected_by_loaders(self):
-        # [TRIVIAL]
-        with pytest.raises(UnknownCaseError, match="unknown case"):
-            load_reference("cs9")
-        with pytest.raises(UnknownCaseError, match="unknown case"):
-            load_tolerances("cs9")
+        # [TRIVIAL] a hand-built report of an unknown case is rejected
+        # before the loader looks for its tables
+        report = dataclasses.replace(_report(["A"], [-5.0], [0.1], [0.1]), case_id="cs9")
+        with pytest.raises(UnknownCaseError, match="unknown case 'cs9'"):
+            compare_to_reference(report)
 
     def test_tolerances_packaged_only_for_cell_checked_cases(self):
         # [TRIVIAL] the panel cases are property-checked, so they ship no
         # cell tolerances.
-        for case_id in ("cs1", "cs4", "cs5", "cs6"):
-            tol = load_tolerances(case_id)
-            assert tol is not None
+        shipped = dict(_packaged_tolerances())
+        assert sorted(shipped) == ["cs1", "cs4", "cs5", "cs6"]
+        for case_id, tol in shipped.items():
+            assert tol
             assert set(tol) <= set(CASE_METHODS[case_id])
-            for entry in tol.values():
-                assert set(entry) <= {"av_est", "emp_var", "mse"}
-        assert load_tolerances("cs2") is None
-        assert load_tolerances("cs3") is None
+            assert simulate._packaged_tables(case_id)[1] == tol
+        assert simulate._packaged_tables("cs2")[1] == {}
+        assert simulate._packaged_tables("cs3")[1] == {}
+
+    def test_every_tolerance_is_a_positive_float_on_a_reference_cell(self):
+        # [TRIVIAL] the golden check takes each packaged band as it is, so
+        # the packaged files must hold only positive float bands on report
+        # quantities that the case's reference table gives as floats
+        for case_id, tol in _packaged_tolerances():
+            reference = simulate._packaged_tables(case_id)[0]
+            for method, entry in tol.items():
+                assert type(entry) is dict and entry, (case_id, method)
+                for quantity, band in entry.items():
+                    where = (case_id, method, quantity)
+                    assert quantity in ("av_est", "emp_var", "mse"), where
+                    assert type(band) is float and band > 0.0, where
+                    assert type(reference[method][quantity]) is float, where
 
     def test_small_experiment_passes_packaged_golden_check(self):
         # [DERIVED] integration: a modest two-period experiment must land
         # inside the packaged tolerance band around the reference table.
         report = run_monte_carlo("cs5", runs=200, n=1000, seed=42)
-        checks = compare_to_reference(
-            report, load_reference("cs5"), load_tolerances("cs5")
-        )
+        checks = compare_to_reference(report)
+        assert [c.quantity for c in checks] == ["av_est", "mse_consistency", "mse_consistency"]
         assert all(c.passed for c in checks)
