@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import MISSING, dataclass, field
 
 import numpy as np
@@ -38,8 +39,8 @@ def _owned(a: np.ndarray, source) -> np.ndarray:
 
 
 class _OnFirstRead:
-    """Dataclass field descriptor: a zero-argument callable stored in the
-    field is called on the first read, and its result replaces it."""
+    """Dataclass field descriptor: a callable stored in the field is called
+    with the instance on the first read, and its result replaces it."""
 
     def __set_name__(self, owner, name):
         self._name = name
@@ -49,7 +50,7 @@ class _OnFirstRead:
             return MISSING
         value = obj.__dict__[self._name]
         if callable(value):
-            value = obj.__dict__[self._name] = value()
+            value = obj.__dict__[self._name] = value(obj)
         return value
 
     def __set__(self, obj, value):
@@ -184,6 +185,17 @@ def validate(y, d, x=None) -> ObservationalDataset:
     )
 
 
+def _gather_drawn(name: str, pds: "PanelDataset") -> np.ndarray:
+    """Row field `name` of a panel built by `take_units`: its source's,
+    gathered at the drawn rows."""
+    return _gather(getattr(pds._drawn_from[0], name), pds._rows)
+
+
+def _drawn_codes(pds: "PanelDataset") -> np.ndarray:
+    """The unit codes of a panel built by `take_units`: drawn unit j on its rows."""
+    return _readonly(np.repeat(np.arange(pds.n_units, dtype=np.intp), pds.unit_counts))
+
+
 @dataclass(frozen=True, eq=False)
 class PanelDataset:
     """A validated panel: rows sorted by (unit, time), units contiguous.
@@ -196,23 +208,25 @@ class PanelDataset:
         unit_codes: 0..N-1 integer codes aligned with rows.
         unit_counts: periods per unit, length N.
 
-    `time`, `y` and `x` may be given as zero-argument callables, which run on
-    the first read: a panel built by `take_units` gathers them only then.
+    Every field but `unit_counts` may be given as a callable, which is
+    called with the panel on its first read: a panel built by `take_units`
+    gathers its row fields only then.
     """
 
-    unit: np.ndarray
+    unit: np.ndarray = _OnFirstRead()
     time: np.ndarray = _OnFirstRead()
     y: np.ndarray = _OnFirstRead()
-    d: np.ndarray
+    d: np.ndarray = _OnFirstRead()
     x: np.ndarray = _OnFirstRead()
-    unit_codes: np.ndarray
+    unit_codes: np.ndarray = _OnFirstRead()
     unit_counts: np.ndarray
-    # (source panel, its drawn rows) for a panel built by `take_units`
+    # (validated source panel, the source units drawn) for a panel built by
+    # `take_units`; drawn unit j is source unit `units[j]`
     _drawn_from: tuple | None = field(default=None, init=False, repr=False)
 
-    @property
+    @functools.cached_property
     def n(self) -> int:
-        return self.unit_codes.shape[0]
+        return int(self.unit_counts.sum())
 
     @property
     def n_units(self) -> int:
@@ -227,6 +241,15 @@ class PanelDataset:
         return per_unit[self.unit_codes]
 
     @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        """A drawn panel's rows in its source panel, in draw order."""
+        source, units = self._drawn_from
+        counts = self.unit_counts
+        source_start = (np.cumsum(source.unit_counts) - source.unit_counts)[units]
+        target_start = np.cumsum(counts) - counts
+        return np.arange(self.n) + np.repeat(source_start - target_start, counts)
+
+    @functools.cached_property
     def _within(self) -> tuple[np.ndarray, np.ndarray]:
         """The within transform, computed on first read: a read-only,
         C-contiguous (n, 1 + p) block of the unit-demeaned [d, x], and the
@@ -238,13 +261,34 @@ class PanelDataset:
         in the same order.
         """
         if self._drawn_from is not None:
-            source, rows = self._drawn_from
-            block, y = source._within
-            return _gather(block, rows), _gather(y, rows)
+            block, y = self._drawn_from[0]._within
+            return _gather(block, self._rows), _gather(y, self._rows)
         block = np.empty((self.n, 1 + self.x.shape[1]))
         for j, v in enumerate((self.d, *self.x.T)):
             np.subtract(v, self.broadcast_units(self.unit_means(v)), out=block[:, j])
         return _readonly(block), _readonly(self.y - self.broadcast_units(self.unit_means(self.y)))
+
+    @functools.cached_property
+    def _unit_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-unit sums of the within transform, computed on first read:
+        each unit's cross products Z_i'Z_i of Z = [within d, within x,
+        within y], shape (N, 2 + p, 2 + p), and per unit the largest
+        |within d| and the largest |d|.
+
+        A panel that draws unit i c_i times from this one has the within
+        cross products sum_i c_i Z_i'Z_i (its units keep their within rows,
+        see `_within`), and its maxima are those of the drawn units.
+        """
+        block, y = self._within
+        columns = [*block.T, y]
+        starts = np.cumsum(self.unit_counts) - self.unit_counts
+        gram = np.empty((self.n_units, len(columns), len(columns)))
+        for j, u in enumerate(columns):
+            for l, v in enumerate(columns[: j + 1]):
+                gram[:, j, l] = gram[:, l, j] = np.add.reduceat(u * v, starts)
+        d_dev = np.maximum.reduceat(np.abs(block[:, 0]), starts)
+        d_max = np.maximum.reduceat(np.abs(self.d), starts)
+        return _readonly(gram), _readonly(d_dev), _readonly(d_max)
 
     def take_units(self, unit_index) -> "PanelDataset":
         """Rebuild a panel from whole units (used by the panel bootstrap).
@@ -253,10 +297,12 @@ class PanelDataset:
         unit, numbered 0..M-1 in draw order, so resampled panels remain
         valid. The result equals `validate_panel` applied to the drawn rows
         and is built without re-running it: every drawn unit's rows are
-        already contiguous and sorted by time. Its `time`, `y` and `x` are
-        gathered on their first read, and its within transform from this
-        panel's (see `_within`), so a fixed-effects replicate gathers none
-        of the three.
+        already contiguous and sorted by time. It holds the validated
+        source panel and the drawn units (a draw from a drawn panel draws
+        from that panel's source), and gathers each row field, the unit
+        codes included, on its first read. A fixed-effects replicate reads
+        none of them: it sums the source's per-unit cross products
+        (`_unit_sums`).
 
         Raises:
             InvalidInputError: `unit_index` is not a 1-d integer vector with
@@ -268,20 +314,20 @@ class PanelDataset:
         n = int(counts.sum())
         if n < 2:
             raise EmptyDatasetError(f"need at least 2 rows, got {n}")
-        source_start = (np.cumsum(self.unit_counts) - self.unit_counts)[drawn]
-        target_start = np.cumsum(counts) - counts
-        rows = np.arange(n) + np.repeat(source_start - target_start, counts)
-        codes = _readonly(np.repeat(np.arange(drawn.shape[0], dtype=np.intp), counts))
+        if self._drawn_from is None:
+            source, units = self, np.array(drawn, dtype=np.intp)
+        else:
+            source, units = self._drawn_from[0], self._drawn_from[1][drawn]
         taken = PanelDataset(
-            unit=codes,
-            time=functools.partial(_gather, self.time, rows),
-            y=functools.partial(_gather, self.y, rows),
-            d=_gather(self.d, rows),
-            x=functools.partial(_gather, self.x, rows),
-            unit_codes=codes,
+            unit=operator.attrgetter("unit_codes"),
+            time=functools.partial(_gather_drawn, "time"),
+            y=functools.partial(_gather_drawn, "y"),
+            d=functools.partial(_gather_drawn, "d"),
+            x=functools.partial(_gather_drawn, "x"),
+            unit_codes=_drawn_codes,
             unit_counts=_readonly(counts),
         )
-        object.__setattr__(taken, "_drawn_from", (self, rows))
+        object.__setattr__(taken, "_drawn_from", (source, _readonly(units)))
         return taken
 
 

@@ -11,9 +11,20 @@ import numpy as np
 
 from .core import CausalEstimate, PanelDataset, _estimate
 from .errors import NoWithinVariationError, TooFewPeriodsError
-from .regress import _coef_estimate, fit_ols
+from .regress import RANK_RTOL, _coef_estimate, fit_ols
 
 _ZERO_RTOL = 1e-12
+#: smallest eigenvalue ratio of the unit-diagonal-scaled within cross
+#: products A that a drawn panel's fixed-effects fit solves from its sums.
+#: The sums' relative error in the point grows like cond(A) * 3e-16 (2.7e-12
+#: at cond(A) near 1e4, measured against an iteratively refined solve), so
+#: cond(A) <= 1e3 keeps it under the 1e-12 the tests allow the two paths
+_SUMS_RTOL = 1e-3
+#: smallest share of the within sum of squares of y that the residual sum of
+#: squares from the sums may be: y'y - b'coef cancels digits as the fit
+#: nears exact. At cond(A) <= 1e3 the variance's relative error stayed under
+#: 5e-12 for shares above 1e-3, but reached 1e-10 between 1e-4 and 1e-3
+_SUMS_RSS_SHARE = 1e-3
 
 
 def _require_two_periods(pds: PanelDataset, method: str):
@@ -21,8 +32,9 @@ def _require_two_periods(pds: PanelDataset, method: str):
         raise TooFewPeriodsError(f"{method} requires >= 2 periods for every unit")
 
 
-def _no_variation(v: np.ndarray, scale: float) -> bool:
-    return float(np.max(np.abs(v), initial=0.0)) <= _ZERO_RTOL * max(1.0, scale)
+def _no_variation(dev: float, scale: float) -> bool:
+    """Whether a largest |deviation| `dev` is zero at the scale of the largest |d|."""
+    return dev <= _ZERO_RTOL * max(1.0, scale)
 
 
 def _demeaned(pds: PanelDataset, columns, means, theta: np.ndarray) -> np.ndarray:
@@ -37,20 +49,66 @@ def _demeaned(pds: PanelDataset, columns, means, theta: np.ndarray) -> np.ndarra
     return design
 
 
-def _within_fit(pds: PanelDataset):
-    """OLS of the unit-demeaned y on the panel's within design, the demeaned
-    d and x; returns (fit, dof), where dof also subtracts the N absorbed
-    unit means."""
-    design, y = pds._within
-    k = design.shape[1]
+def _within_dof(pds: PanelDataset, k: int, d_dev: float, d_max: float) -> int:
+    """The within fit's residual degrees of freedom, which also subtract the N
+    absorbed unit means, after its checks; `d_dev` is the largest |within d|
+    and `d_max` the largest |d|."""
     dof = pds.n - pds.n_units - k
     if dof < 1:
         raise TooFewPeriodsError(
             f"no residual degrees of freedom (n={pds.n}, units={pds.n_units}, k={k})"
         )
-    if _no_variation(design[:, 0], float(np.max(np.abs(pds.d)))):
+    if _no_variation(d_dev, d_max):
         raise NoWithinVariationError("treatment is constant within every unit")
+    return dof
+
+
+def _within_fit(pds: PanelDataset):
+    """OLS of the unit-demeaned y on the panel's within design, the demeaned
+    d and x; returns (fit, dof)."""
+    design, y = pds._within
+    dof = _within_dof(
+        pds, design.shape[1], float(np.max(np.abs(design[:, 0]))), float(np.max(np.abs(pds.d)))
+    )
     return fit_ols(design, y), dof
+
+
+def _fe_from_sums(pds: PanelDataset) -> CausalEstimate | None:
+    """Fixed effects of a panel built by `take_units`, from its source's
+    per-unit sums: with c_i the draws of source unit i, A = sum c_i A_i and
+    b = sum c_i b_i give A coef = b, and the residual sum of squares is
+    sum c_i y_i'y_i - b'coef. No row is gathered.
+
+    Returns None, for the caller to fit the gathered rows, when A is too
+    ill-conditioned for the normal equations (`_SUMS_RTOL`), when it is not
+    far enough from the SVD fit's rank rule for the answer to be the same,
+    or when the fit is too near exact (`_SUMS_RSS_SHARE`).
+    """
+    source, units = pds._drawn_from
+    gram, d_dev, d_max = source._unit_sums
+    k = gram.shape[1] - 1
+    dof = _within_dof(pds, k, float(d_dev[units].max()), float(d_max[units].max()))
+    draws = np.bincount(units, minlength=source.n_units).astype(float)
+    sums = (draws @ gram.reshape(source.n_units, -1)).reshape(k + 1, k + 1)
+    a, b, yy = sums[:k, :k], sums[:k, k], sums[k, k]
+    diag = np.diag(a)
+    if not (diag > 0.0).all():
+        return None
+    scale = 1.0 / np.sqrt(diag)
+    eig = np.linalg.eigvalsh(a * np.outer(scale, scale))
+    # A's own eigenvalue ratio is at least eig[0] / eig[-1] * min(diag) /
+    # max(diag); above RANK_RTOL, the design's singular-value ratio is above
+    # sqrt(RANK_RTOL), far from the RANK_RTOL at which fit_ols raises
+    if eig[0] < _SUMS_RTOL * eig[-1] or eig[0] * diag.min() < RANK_RTOL * eig[-1] * diag.max():
+        return None
+    rhs = np.zeros((k, 2))
+    rhs[:, 0] = b
+    rhs[0, 1] = 1.0
+    solved = np.linalg.solve(a, rhs)  # coef, and the first column of A^-1
+    rss = yy - b @ solved[:, 0]
+    if not rss > _SUMS_RSS_SHARE * yy:
+        return None
+    return _estimate("fe", solved[0, 0], pds.n, rss / dof * solved[0, 1], {"dof": int(dof)})
 
 
 def _coef_on_d(method, intercept, d, x, y, diagnostics=None) -> CausalEstimate:
@@ -77,6 +135,10 @@ def fit_fe(pds: PanelDataset) -> CausalEstimate:
     of freedom.
     """
     _require_two_periods(pds, "fixed effects")
+    if pds._drawn_from is not None:
+        est = _fe_from_sums(pds)
+        if est is not None:
+            return est
     fit, dof = _within_fit(pds)
     # fit_ols scales the covariance by RSS/(n-k); correct for the N absorbed means
     var = fit.coef_cov[0, 0] * (pds.n - fit.design_width) / dof
@@ -103,7 +165,7 @@ def fit_cre(pds: PanelDataset) -> CausalEstimate:
     _require_two_periods(pds, "correlated random effects")
     dbar = pds.broadcast_units(pds.unit_means(pds.d))
     # the unit means would otherwise duplicate d and fail as a rank deficiency
-    if _no_variation(pds.d - dbar, float(np.max(np.abs(pds.d)))):
+    if _no_variation(float(np.max(np.abs(pds.d - dbar))), float(np.max(np.abs(pds.d)))):
         raise NoWithinVariationError("treatment is constant within every unit")
     return _coef_on_d("cre", 1.0, pds.d, np.column_stack([pds.x, dbar]), pds.y)
 

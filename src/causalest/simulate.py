@@ -498,8 +498,8 @@ class CellCheck:
     method: str
     quantity: str
     produced: float
-    expected: float | None
-    tol: float | None
+    expected: float
+    tol: float
     passed: bool
 
 

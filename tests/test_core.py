@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import functools
 import inspect
 import pickle
 import re
@@ -33,10 +32,13 @@ from causalest.errors import (
     EmptyDatasetError,
     InvalidInputError,
     LengthMismatchError,
+    NoWithinVariationError,
     NonFiniteValueError,
+    RankDeficientError,
+    TooFewPeriodsError,
 )
 
-from .conftest import philox, randomized_binary
+from .conftest import count_svd_solves, philox, randomized_binary
 
 
 def _laid_out(a, layout):
@@ -52,6 +54,14 @@ def _laid_out(a, layout):
         view.flags.writeable = False
         return view
     return np.ascontiguousarray(a)
+
+
+# the fields of a panel built by `take_units` that it gathers on first read
+ROW_FIELDS = ("unit", "time", "y", "d", "x", "unit_codes")
+# how far a drawn panel's fixed-effects fit, from per-unit sums, may lie
+# from the fit of the same rows gathered and validated
+FE_POINT_RTOL = 1e-12
+FE_VARIANCE_RTOL = 1e-10
 
 
 def _validated_draw(pds, draw):
@@ -298,7 +308,7 @@ class TestValidatePanel:
             for name in ("n", "n_units"):
                 got, want = getattr(boot, name), getattr(expected, name)
                 assert type(got) is int and got == want, name
-            assert all(callable(vars(boot)[name]) for name in ("time", "y", "x"))
+            assert all(callable(vars(boot)[name]) for name in ROW_FIELDS)
             for name in ("unit", "time", "y", "d", "x", "unit_codes", "unit_counts"):
                 got, want = getattr(boot, name), getattr(expected, name)
                 assert got.dtype == want.dtype, name
@@ -351,12 +361,20 @@ class TestValidatePanel:
         pds, draw = self._effects_panel()
         boot = pds.take_units(draw)
         got, want = estimator(boot), estimator(_validated_draw(pds, draw))
-        assert (got.point, got.variance, got.n_used) == (want.point, want.variance, want.n_used)
+        assert got.n_used == want.n_used
         assert got.diagnostics == want.diagnostics
-        # fixed effects reads the within block gathered from the source's,
-        # so a bootstrap replicate never gathers the row columns
-        lazy = [name for name in ("time", "y", "x") if isinstance(vars(boot)[name], functools.partial)]
-        assert lazy == (["time", "y", "x"] if estimator is fit_fe else ["time"])
+        if estimator is fit_fe:
+            # fixed effects sums the source's per-unit cross products, so a
+            # bootstrap replicate gathers no row field and its numbers agree
+            # with the gathered fit's to the sums' rounding
+            assert got.point == pytest.approx(want.point, rel=FE_POINT_RTOL, abs=0.0)
+            assert got.variance == pytest.approx(want.variance, rel=FE_VARIANCE_RTOL, abs=0.0)
+        else:
+            assert (got.point, got.variance) == (want.point, want.variance)
+        # each estimator gathers only the row fields it reads
+        unread = {fit_fe: list(ROW_FIELDS), fit_pols: ["unit", "time", "unit_codes"]}
+        lazy = [name for name in ROW_FIELDS if callable(vars(boot)[name])]
+        assert lazy == unread.get(estimator, ["unit", "time"])
 
     def test_lazy_row_column_is_gathered_once(self):
         pds, draw = self._effects_panel()
@@ -371,11 +389,11 @@ class TestValidatePanel:
         boot = pds.take_units(draw)
         fit_fe(boot)
         if read_first:
-            for name in ("time", "y", "x"):
+            for name in ROW_FIELDS:
                 getattr(boot, name)
         copy = pickle.loads(pickle.dumps(boot))
         # the copy holds the gathers themselves until its own first read
-        assert all(callable(vars(copy)[name]) != read_first for name in ("time", "y", "x"))
+        assert all(callable(vars(copy)[name]) != read_first for name in ROW_FIELDS)
         for name in ("unit", "time", "y", "d", "x", "unit_codes", "unit_counts"):
             got, want = getattr(copy, name), getattr(boot, name)
             assert got.dtype == want.dtype, name
@@ -383,12 +401,135 @@ class TestValidatePanel:
         assert (copy.n, copy.n_units) == (boot.n, boot.n_units)
         for got, want in zip(copy._within, boot._within):
             np.testing.assert_array_equal(got, want)
-        assert fit_fe(copy).point == fit_fe(boot).point
+        got, want = fit_fe(copy), fit_fe(boot)
+        assert (got.point, got.variance) == (want.point, want.variance)
 
     def test_take_units_rejects_a_one_row_panel(self):
         pds = validate_panel([0, 0, 1], [0, 1, 0], y=[1.0, 3.0, 5.0], d=[0, 0, 0])
         with pytest.raises(EmptyDatasetError):
             pds.take_units([1])
+
+
+class TestDrawnFixedEffects:
+    """`fit_fe` of a panel built by `take_units` sums its source's per-unit
+    cross products. It agrees with the fit of the validated drawn rows to
+    the sums' rounding, raises what that fit raises, and takes the gathered
+    rows, bit for bit, where the sums would lose digits."""
+
+    @staticmethod
+    def _panel(seed, n_cov, balanced, collinearity=1.0, noise=1.0):
+        """40 units with unit effects correlated with d and x; unbalanced
+        panels have 2-6 periods with gaps. `collinearity` < 1 moves x
+        towards d, and `noise` scales the idiosyncratic error of y."""
+        g = philox(seed)
+        counts = np.full(40, 5) if balanced else np.tile([2, 3, 4, 2, 5, 3, 4, 2, 6, 3], 4)
+        unit = np.repeat(np.arange(40), counts)
+        time = np.concatenate([np.sort(g.choice(8, c, replace=False)) for c in counts])
+        a = np.repeat(g.normal(0.0, 2.0, 40), counts)
+        d = 0.5 * a + g.normal(size=unit.size)
+        x = d[:, None] + collinearity * g.normal(size=(unit.size, n_cov)) + 0.4 * a[:, None]
+        y = 1.0 + 0.5 * d + x @ np.array([1.0, -0.5, 0.25])[:n_cov] + a
+        y = y + noise * g.normal(size=unit.size)
+        return validate_panel(unit, time, y, d, x if n_cov else None)
+
+    @staticmethod
+    def _assert_unread(boot):
+        assert all(callable(vars(boot)[name]) for name in ROW_FIELDS)
+        assert "_rows" not in vars(boot) and "_within" not in vars(boot)
+
+    @pytest.mark.parametrize("balanced", [True, False], ids=["balanced", "unbalanced"])
+    @pytest.mark.parametrize("n_cov", [0, 1, 3])
+    def test_agrees_with_the_validated_rows(self, n_cov, balanced, monkeypatch):
+        pds = self._panel(150 + n_cov, n_cov, balanced)
+        fit_fe(pds)  # the full-sample fit computes the source's transform
+        draws = philox(151)
+        calls = count_svd_solves(monkeypatch)
+        for _ in range(5):
+            draw = draws.integers(0, pds.n_units, size=pds.n_units)
+            boot = pds.take_units(draw)
+            got = fit_fe(boot)
+            assert not calls  # the replicate took the sums, not an SVD
+            self._assert_unread(boot)
+            want = fit_fe(_validated_draw(pds, draw))
+            calls.clear()
+            assert got.point == pytest.approx(want.point, rel=FE_POINT_RTOL, abs=0.0)
+            assert got.variance == pytest.approx(want.variance, rel=FE_VARIANCE_RTOL, abs=0.0)
+            assert (got.n_used, got.diagnostics) == (want.n_used, want.diagnostics)
+
+    @staticmethod
+    def _failing_draw(label):
+        """(panel, draw, error class) whose validated rows fail the within fit."""
+        g = philox(152)
+        unit, time = np.repeat(np.arange(6), 3), np.tile(np.arange(3), 6)
+        y, d = g.normal(size=18), g.normal(size=18)
+        if label == "collinear":  # x is twice d
+            return validate_panel(unit, time, y, d, 2.0 * d), [0, 1, 2, 3], RankDeficientError
+        if label == "badly scaled":
+            # the design's singular-value ratio is below RANK_RTOL, though its
+            # unit-diagonal-scaled cross products are well conditioned
+            x = 1e-13 * g.normal(size=18)
+            return validate_panel(unit, time, y, d, x), [0, 1, 2, 3], RankDeficientError
+        if label == "constant d":  # units 0-2 keep d constant over their periods
+            d[:9] = np.repeat([1.5, -2.0, 0.0], 3)
+            return validate_panel(unit, time, y, d), [2, 0, 1, 0], NoWithinVariationError
+        if label == "no dof":  # one 2-period unit and no covariate: 2 - 1 - 1 = 0
+            return validate_panel([0, 0, 1, 1, 1], [0, 1, 0, 1, 2], y[:5], d[:5]), [0], TooFewPeriodsError
+        # "one period": unit 1 has a single row
+        return validate_panel([0, 0, 1], [0, 1, 0], y[:3], d[:3]), [0, 1], TooFewPeriodsError
+
+    @pytest.mark.parametrize("label", ["collinear", "badly scaled", "constant d", "no dof", "one period"])
+    def test_raises_what_the_validated_rows_raise(self, label):
+        pds, draw, error = self._failing_draw(label)
+        with pytest.raises(error) as want:
+            fit_fe(_validated_draw(pds, draw))
+        boot = pds.take_units(draw)
+        with pytest.raises(error, match=f"^{re.escape(str(want.value))}$"):
+            fit_fe(boot)
+        if label == "no dof":
+            assert "degrees of freedom" in str(want.value)
+        if error is not RankDeficientError:
+            self._assert_unread(boot)  # the checks read counts and per-unit maxima
+
+    @pytest.mark.parametrize("kind", ["ill-conditioned", "near-exact"])
+    def test_falls_back_to_the_gathered_rows_bit_for_bit(self, kind, monkeypatch):
+        # x within 1e-3 of d puts the scaled cross products' condition number
+        # near 1e6; an error 1e-5 of y's leaves a residual share near 1e-10
+        if kind == "ill-conditioned":
+            pds = self._panel(153, 2, False, collinearity=1e-3)
+        else:
+            pds = self._panel(153, 2, False, noise=1e-5)
+        draw = philox(154).integers(0, pds.n_units, size=pds.n_units)
+        calls = count_svd_solves(monkeypatch)
+        got = fit_fe(pds.take_units(draw))
+        assert len(calls) == 1
+        want = fit_fe(_validated_draw(pds, draw))
+        assert (got.point, got.variance, got.n_used) == (want.point, want.variance, want.n_used)
+
+    def test_a_draw_from_a_drawn_panel_draws_from_its_source(self):
+        pds = self._panel(155, 1, False)
+        first = philox(156).integers(0, pds.n_units, size=pds.n_units)
+        second = philox(157).integers(0, pds.n_units, size=pds.n_units)
+        boot = pds.take_units(first).take_units(second)
+        source, units = boot._drawn_from
+        assert source is pds
+        np.testing.assert_array_equal(units, first[second])
+        expected = _validated_draw(_validated_draw(pds, first), second)
+        for name in ("unit", "time", "y", "d", "x", "unit_codes", "unit_counts"):
+            np.testing.assert_array_equal(getattr(boot, name), getattr(expected, name), err_msg=name)
+        boot = pds.take_units(first).take_units(second)
+        got, want = fit_fe(boot), fit_fe(expected)
+        self._assert_unread(boot)
+        assert got.point == pytest.approx(want.point, rel=FE_POINT_RTOL, abs=0.0)
+        assert got.variance == pytest.approx(want.variance, rel=FE_VARIANCE_RTOL, abs=0.0)
+
+    def test_a_draw_keeps_its_units_when_the_caller_reuses_the_index(self):
+        pds = self._panel(158, 1, True)
+        draw = philox(159).integers(0, pds.n_units, size=pds.n_units)
+        boot = pds.take_units(draw)
+        want = _validated_draw(pds, draw.copy())
+        draw[:] = 0
+        np.testing.assert_array_equal(boot.y, want.y)
+        assert fit_fe(boot).point == pytest.approx(fit_fe(want).point, rel=FE_POINT_RTOL, abs=0.0)
 
 
 class TestValidatePanelSortedRows:
