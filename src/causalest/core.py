@@ -301,8 +301,8 @@ class PanelDataset:
         source panel and the drawn units (a draw from a drawn panel draws
         from that panel's source), and gathers each row field, the unit
         codes included, on its first read. A fixed-effects replicate reads
-        none of them: it sums the source's per-unit cross products
-        (`_unit_sums`).
+        none of them unless its sums are too ill-conditioned: it sums the
+        source's per-unit cross products (`_unit_sums`).
 
         Raises:
             InvalidInputError: `unit_index` is not a 1-d integer vector with

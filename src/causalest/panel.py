@@ -132,7 +132,9 @@ def fit_fe(pds: PanelDataset) -> CausalEstimate:
     """Within (fixed-effects) estimator: OLS on unit-demeaned columns.
 
     The error variance subtracts the N estimated unit means from the degrees
-    of freedom.
+    of freedom. A panel built by `take_units` is fitted from its source's
+    per-unit sums (`_fe_from_sums`), which agree with the fit of its rows to
+    rounding, and from its gathered rows where the sums would lose digits.
     """
     _require_two_periods(pds, "fixed effects")
     if pds._drawn_from is not None:
