@@ -42,7 +42,6 @@ from .propensity import (
     trim_overlap,
 )
 from .quasi import (
-    DidDataset,
     ScFit,
     ScProblem,
     ate_2sls,
@@ -51,7 +50,6 @@ from .quasi import (
     rdd_sharp,
     sc_fit,
     sc_weights,
-    validate_did,
 )
 from .regress import (
     IDENTITY,
@@ -111,8 +109,6 @@ __all__ = [
     "fit_fd",
     "fit_cre",
     "ate_2sls",
-    "DidDataset",
-    "validate_did",
     "ate_did",
     "ScProblem",
     "ScFit",

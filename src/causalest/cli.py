@@ -17,6 +17,7 @@ from ``--seed`` (default 42); wall-clock time is never consulted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import difference_in_means, validate
+from .core import _check_int, difference_in_means, validate
 from .errors import CausalestError, InvalidInputError
 from .estimators import (
     ate_dr,
@@ -37,7 +38,7 @@ from .estimators import (
     ate_stratification,
 )
 from .propensity import estimate_propensity_binary, trim_overlap
-from .simulate import CASE_IDS, compare_to_reference, run_monte_carlo
+from .simulate import CASE_IDS, _check_size, compare_to_reference, run_monte_carlo
 from .variance import bootstrap_variance
 
 _PS_METHODS = ("ipw", "psr", "strat", "match", "dr")
@@ -52,12 +53,13 @@ def _fail(code: int, message: str) -> int:
 def _read_columns(path: str, names: list[str]) -> dict[str, np.ndarray]:
     """The named columns of a CSV file, one contiguous float vector each.
 
-    The header row is read with `csv`; only the named columns are parsed,
-    by `np.loadtxt`. Double quotes around a cell are optional and no line
-    is a comment. An empty or non-numeric cell is an input error.
+    The file is read as UTF-8, after a byte-order mark if it starts with
+    one. The header row is read with `csv`; only the named columns are
+    parsed, by `np.loadtxt`. Double quotes around a cell are optional and
+    no line is a comment. An empty or non-numeric cell is an input error.
     """
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             header = next(csv.reader(handle), [])
             missing = [name for name in names if name not in header]
             if not missing:
@@ -91,7 +93,7 @@ def _unparsable(path: str, names: list[str], exc: ValueError) -> str:
     Only this error path reads the whole file as rows of text.
     """
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             position = {name: i for i, name in enumerate(next(reader))}
             rows = [row for row in reader if row]
@@ -196,6 +198,15 @@ def _format_cell(value: float) -> str:
     return repr(float(value))
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Report an OSError raised while writing under `path` as an input error."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_case_outputs(report, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "report.csv", "w", newline="") as handle:
@@ -242,11 +253,20 @@ def _check_case(report) -> bool:
 def _cmd_simulate(args) -> int:
     cases = list(CASE_IDS) if args.case == "all" else [args.case]
     out_root = Path(args.out)
+    # bad options, then a path that cannot be a directory, fail before any
+    # run, in the order `run_monte_carlo` checks the options
+    _check_int(2, runs=args.runs)
+    _check_int(0, seed=args.seed)
+    for case in cases:
+        _check_size(case, args.n)
+    with _writing(out_root):
+        out_root.mkdir(parents=True, exist_ok=True)
     all_ok = True
     for case in cases:
         report = run_monte_carlo(case, runs=args.runs, n=args.n, seed=args.seed)
         target = out_root / case if len(cases) > 1 else out_root
-        _write_case_outputs(report, target)
+        with _writing(target):
+            _write_case_outputs(report, target)
         for j, m in enumerate(report.methods):
             print(
                 f"{case} {m}: av_est={report.av_est[j]:.4f} "

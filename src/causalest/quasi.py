@@ -12,10 +12,11 @@ import numpy as np
 
 from .core import (
     CausalEstimate,
+    PanelDataset,
     _as_matrix,
     _as_vector,
+    _check_arms,
     _estimate,
-    _is_01,
     _owned,
     _readonly,
 )
@@ -26,7 +27,6 @@ from .errors import (
     EmptyCellError,
     InvalidInputError,
     NoFirstStageJumpError,
-    NoTreatmentVariationError,
     OneSidedDataError,
 )
 from .regress import _coef_estimate, _svd_solve, _xtx_inv
@@ -97,91 +97,45 @@ def _second_stage(yv, dm, xm, first) -> CausalEstimate:
 # Difference in differences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class DidDataset:
-    """Grouped two-period (or multi-period) outcome data.
+def ate_did(pds: PanelDataset) -> CausalEstimate:
+    """Difference in differences on a panel: the coefficient on the treated
+    indicator `pds.d` in OLS of y on (1, group, one dummy per period after
+    the first, d), with the covariate columns of `pds.x` appended when it
+    has any. A unit's group is 1 when its d is 1 in any period, and the
+    periods are the distinct values of `pds.time`.
 
-    Attributes:
-        y: outcomes, length n.
-        group: 0/1 ever-treated indicator per row.
-        period: integer period per row (0/1 basic; 0..T multi-period).
-        x: optional covariate matrix (n, p).
-        treated: optional explicit row-level treatment indicator, needed
-            beyond two periods; defaults to group x period in the basic
-            two-period design.
+    d must be a 0/1 indicator with both arms non-empty (`_check_arms`).
+    With two periods an empty group-by-period cell raises EmptyCellError,
+    and when d is the group in the second period and 0 in the first, the
+    estimate without covariates is the double difference of the 2x2 cell
+    means. The design's rows run period by period, each period's in panel
+    order. The diagnostics give `n_periods`.
     """
-
-    y: np.ndarray
-    group: np.ndarray
-    period: np.ndarray
-    x: np.ndarray
-    treated: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
-
-
-def validate_did(y, group, period, x=None, treated=None) -> DidDataset:
-    """Validate raw columns into a DidDataset."""
-    yv = _as_vector("y", y)
-    n = yv.shape[0]
-    gv = _as_vector("group", group, n)
-    pv = _as_vector("period", period, n)
-    if not _is_01(gv):
-        raise InvalidInputError("group must be a 0/1 indicator")
-    if not _is_01(pv) and ((pv != np.round(pv)).any() or pv.min() < 0):
-        raise InvalidInputError("period must contain non-negative integers")
-    xm = _as_matrix("x", x, n)
-    tv = None
-    if treated is not None:
-        tv = _as_vector("treated", treated, n)
-        if not _is_01(tv):
-            raise InvalidInputError("treated must be a 0/1 indicator")
-        tv = _readonly(_owned(tv, treated))
-    return DidDataset(
-        y=_readonly(_owned(yv, y)),
-        group=_readonly(_owned(gv, group)),
-        period=_readonly(_owned(pv, period)),
-        x=_readonly(_owned(xm, x)),
-        treated=tv,
-    )
-
-
-def ate_did(dd: DidDataset) -> CausalEstimate:
-    """Difference in differences: the coefficient on the treated indicator in
-    OLS of y on (1, group, one dummy per period after the first, treated),
-    with the covariate columns of `dd.x` appended when it has any.
-
-    Without `dd.treated` the periods must be 0 and 1 and treated is
-    group x period, so without covariates the estimate is the double
-    difference of the 2x2 cell means; an empty cell raises EmptyCellError.
-    An explicit `dd.treated` is used as given, for any number of periods,
-    and one that never varies raises NoTreatmentVariationError. The
-    diagnostics give `n_periods`.
-    """
-    if dd.treated is None:
-        if not _is_01(dd.period):
-            raise InvalidInputError(
-                "without an explicit treated indicator the design requires periods in {0, 1}"
-            )
-        # cell 2 g + p holds the rows with group g and period p
-        counts = np.bincount(2 * (dd.group == 1.0) + (dd.period == 1.0), minlength=4)
-        for g in (0, 1):
-            for p in (0, 1):
-                if counts[2 * g + p] == 0:
-                    raise EmptyCellError(f"no observations with group={g:g}, period={p:g}")
-        periods, treated = (0.0, 1.0), dd.group * dd.period
-    else:
-        periods, treated = np.unique(dd.period), dd.treated
-        if treated.min() == treated.max():
-            raise NoTreatmentVariationError("the treatment indicator never varies")
-    dummies = [(dd.period == t).astype(float) for t in periods[1:]]
-    cols = [np.ones(dd.n), dd.group, *dummies, treated]
-    if dd.x.shape[1]:
-        cols.append(dd.x)
-    diagnostics = {"n_periods": len(periods)}
-    return _coef_estimate("did", np.column_stack(cols), dd.y, len(periods) + 1, diagnostics)
+    _check_arms(pds)
+    # one stable sort of the times orders the rows period by period
+    order = np.argsort(pds.time, kind="stable")
+    time = pds.time[order]
+    bounds = [0, *(np.flatnonzero(time[1:] != time[:-1]) + 1), pds.n]
+    n_periods = len(bounds) - 1
+    group = pds.broadcast_units(pds.unit_means(pds.d) > 0.0)[order]
+    design = np.zeros((pds.n, n_periods + 2 + pds.x.shape[1]))
+    design[:, 0] = 1.0
+    design[:, 1] = group
+    for j in range(1, n_periods):
+        design[bounds[j] : bounds[j + 1], 1 + j] = 1.0
+    design[:, n_periods + 1] = pds.d[order]
+    if pds.x.shape[1]:
+        design[:, n_periods + 2 :] = np.take(pds.x, order, axis=0)
+    if n_periods == 2:
+        for p, rows in enumerate((group[: bounds[1]], group[bounds[1] :])):
+            in_group = np.count_nonzero(rows)
+            for g, count in enumerate((rows.size - in_group, in_group)):
+                if count == 0:
+                    raise EmptyCellError(
+                        f"no observations with group={g}, period={time[bounds[p]]}"
+                    )
+    diagnostics = {"n_periods": n_periods}
+    return _coef_estimate("did", design, pds.y[order], n_periods + 1, diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .errors import InvalidInputError, MissingReferenceCellError, UnknownCaseErr
 from .estimators import ate_dr, ate_ipw, ate_or, fit_outcome_model
 from .panel import fit_cre, fit_fd, fit_fe, fit_pols, fit_re
 from .propensity import PropensityFit, estimate_propensity_binary
-from .quasi import ate_2sls, ate_did, rdd_fuzzy, rdd_sharp, validate_did
+from .quasi import ate_2sls, ate_did, rdd_fuzzy, rdd_sharp
 from .variance import _keyed_stream, _replicate
 
 CASE_IDS = ("cs1", "cs2", "cs3", "cs4", "cs5", "cs6")
@@ -232,16 +232,17 @@ def _draw_cs5(p: dict, n: int, stream):
     y1 = p["intercept_post"] + p["selection_level"] * d1 + p["tau"] * d1 + p["beta_x"] * x0 + e1
     x1 = stream("x1").normal(p["x1_mean"], p["x1_sd"], n)
     y1_violated = y1 + p["violation_coef"] * x1 * (1.0 - d1)
-    base = validate_did(
-        y=_readonly(np.concatenate([y0, y1])),
-        group=_readonly(np.concatenate([d1, d1])),
-        period=_readonly(np.concatenate([np.zeros(n), np.ones(n)])),
-    )
-    # the violated design shares the base design's read-only group and period
-    violated = validate_did(
-        y=_readonly(np.concatenate([y0, y1_violated])), group=base.group, period=base.period
-    )
-    return base, violated
+    # unit i is treated in period 1 when d1[i] is 1; its two rows come in
+    # (unit, time) order, so `validate_panel` takes them as sorted, and both
+    # designs share the read-only unit, time and d
+    unit = _readonly(np.repeat(np.arange(n), 2))
+    time = _readonly(np.tile(np.arange(2), n))
+    d = _readonly(np.column_stack([np.zeros(n), d1]).ravel())
+
+    def panel(y_post):
+        return validate_panel(unit, time, _readonly(np.column_stack([y0, y_post]).ravel()), d)
+
+    return panel(y1), panel(y1_violated)
 
 
 def _draw_cs6(p: dict, n: int, stream):
@@ -279,8 +280,8 @@ def generate(case_id: str, run_index: int, n: int = 1000, seed: int = 42):
     """Draw the dataset for one Monte Carlo run of a case study.
 
     Returns the draw's primary dataset: an ObservationalDataset (cs1, cs4,
-    and cs6's sharp design), a PanelDataset (cs2, cs3), or a DidDataset
-    (cs5's design without the parallel-trends violation).
+    and cs6's sharp design) or a PanelDataset (cs2, cs3, and cs5's
+    two-period design without the parallel-trends violation).
     """
     _check_size(case_id, n)
     _check_int(0, run_index=run_index, seed=seed)

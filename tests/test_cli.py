@@ -622,6 +622,23 @@ class TestCsvReader:
         assert code == 2
         assert "no data rows" in err
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, capsys, linear_csv):
+        # [TRIVIAL] a spreadsheet's "CSV UTF-8" starts with a byte-order
+        # mark; the same file with and without one gives the same report
+        text = Path(linear_csv).read_text()
+        marked = tmp_path / "marked.csv"
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbfy,")
+        reports = []
+        for path in (linear_csv, str(marked)):
+            code, out, err = _run(
+                capsys, "estimate", "--method", "or", "--data", path,
+                "--outcome", "y", "--treatment", "d", "--covariates", "x",
+            )
+            assert (code, err) == (0, "")
+            reports.append(out)
+        assert reports[0] == reports[1]
+
     def test_columns_are_contiguous_and_independent(self, tmp_path):
         path = tmp_path / "cols.csv"
         path.write_text("y,d,x\n1.0,0,5.0\n2.0,1,6.0\n")
@@ -816,6 +833,32 @@ class TestSimulate:
         assert stdout == ""
         assert "seed must be >= 0 and an integer, got -1" in err
         assert not out.exists()
+
+    def test_out_naming_a_file_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # [TRIVIAL] an output path that cannot be a directory is bad input
+        # (exit 2; exit 1 means a failed reference check), found before
+        # the first run does any work
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        monkeypatch.setattr(cli, "run_monte_carlo", pytest.fail)
+        code, stdout, err = _run(
+            capsys, "simulate", "--case", "cs5", "--runs", "5",
+            "--n", "200", "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert out.read_text() == "kept\n"
+
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys):
+        # [TRIVIAL] an output file that cannot be opened is bad input too
+        out = tmp_path / "out"
+        (out / "runs.csv").mkdir(parents=True)
+        code, _, err = _run(
+            capsys, "simulate", "--case", "cs5", "--runs", "5",
+            "--n", "200", "--out", str(out),
+        )
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out}: ")
 
     def test_all_cases_write_per_case_directories(self, tmp_path, capsys):
         # [TRIVIAL] `--case all` fans out into one subdirectory per case.

@@ -17,6 +17,7 @@ import causalest
 from causalest import (
     CausalEstimate,
     ObservationalDataset,
+    ate_did,
     difference_in_means,
     fit_cre,
     fit_fd,
@@ -132,9 +133,8 @@ class TestValidate:
         [
             lambda y, d: validate(y, d),
             lambda y, d: validate_panel([0, 0, 1, 1], [0, 1, 0, 1], y, d),
-            lambda y, d: causalest.validate_did(y, d, [0.0, 0.0, 1.0, 1.0]),
         ],
-        ids=["validate", "validate_panel", "validate_did"],
+        ids=["validate", "validate_panel"],
     )
     def test_two_dimensional_column_rejected(self, build, column):
         # a 2 x 2 outcome or treatment is not read as four rows
@@ -345,20 +345,25 @@ class TestValidatePanel:
         assert boot.x.flags.c_contiguous
 
     @staticmethod
-    def _effects_panel():
-        """30 units of 5 periods, with unit effects and two covariates."""
+    def _effects_panel(did=False):
+        """30 units of 5 periods, with unit effects and two covariates; for
+        DID the treatment is 0/1, taken up in period 2 by the units whose
+        effect is positive."""
         g = philox(132)
         a = np.repeat(g.normal(size=30), 5)
+        time = np.tile(np.arange(5), 30)
         x = g.normal(size=(150, 2)) + a[:, None]
         d = 0.5 * a + g.normal(size=150)
+        if did:
+            d = ((a > 0.0) & (time >= 2)).astype(float)
         y = 1.0 - 1.5 * d + x @ np.array([0.8, -0.3]) + a + g.normal(size=150)
-        pds = validate_panel(np.repeat(np.arange(30), 5), np.tile(np.arange(5), 30), y, d, x)
+        pds = validate_panel(np.repeat(np.arange(30), 5), time, y, d, x)
         return pds, g.integers(0, 30, size=30)
 
-    @pytest.mark.parametrize("estimator", [fit_pols, fit_re, fit_fd, fit_fe, fit_cre],
+    @pytest.mark.parametrize("estimator", [fit_pols, fit_re, fit_fd, fit_fe, fit_cre, ate_did],
                              ids=lambda f: f.__name__)
     def test_each_estimator_reads_a_drawn_panel_as_its_validated_rows(self, estimator):
-        pds, draw = self._effects_panel()
+        pds, draw = self._effects_panel(did=estimator is ate_did)
         boot = pds.take_units(draw)
         got, want = estimator(boot), estimator(_validated_draw(pds, draw))
         assert got.n_used == want.n_used
@@ -372,7 +377,11 @@ class TestValidatePanel:
         else:
             assert (got.point, got.variance) == (want.point, want.variance)
         # each estimator gathers only the row fields it reads
-        unread = {fit_fe: list(ROW_FIELDS), fit_pols: ["unit", "time", "unit_codes"]}
+        unread = {
+            fit_fe: list(ROW_FIELDS),
+            fit_pols: ["unit", "time", "unit_codes"],
+            ate_did: ["unit"],
+        }
         lazy = [name for name in ROW_FIELDS if callable(vars(boot)[name])]
         assert lazy == unread.get(estimator, ["unit", "time"])
 
@@ -642,15 +651,6 @@ class TestCallerArraysStayTheirs:
         pds = validate_panel(unit, time, y, d, x)
         self._assert_detached((unit, time, y, d, x), pds, ("unit", "time", "y", "d", "x"))
 
-    def test_validate_did(self):
-        g = philox(144)
-        group, period = np.repeat([0.0, 1.0], 10), np.tile([0.0, 1.0], 10)
-        y, x, treated = g.normal(size=20), g.normal(size=(20, 1)), group * period
-        dd = causalest.validate_did(y, group, period, x, treated=treated)
-        self._assert_detached(
-            (y, group, period, x, treated), dd, ("y", "group", "period", "x", "treated")
-        )
-
     def test_sc_problem(self):
         g = philox(145)
         arrays = {
@@ -735,11 +735,11 @@ def _iv():
 
 def _did():
     g = philox(34)
-    group = np.repeat([0.0, 1.0], 50)
-    period = np.tile([0.0, 1.0], 50)
+    unit, period = np.repeat(np.arange(50), 2), np.tile([0, 1], 50)
+    group = (unit >= 25).astype(float)
     x = g.normal(size=100)
     y = group + period + 2.0 * group * period + x + g.normal(size=100)
-    return causalest.validate_did(y, group, period, x)
+    return validate_panel(unit, period, y, group * period, x)
 
 
 def _rdd():

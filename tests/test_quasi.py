@@ -19,18 +19,18 @@ from causalest import (
     rdd_sharp,
     sc_fit,
     sc_weights,
-    validate_did,
+    validate_panel,
 )
-from causalest import quasi, regress
+from causalest import quasi, regress, simulate
 from causalest.errors import (
     ConvergenceError,
     DegenerateProblemError,
     DimensionMismatchError,
     EmptyCellError,
+    EmptyTreatmentArmError,
     InvalidInputError,
     LengthMismatchError,
     NoFirstStageJumpError,
-    NoTreatmentVariationError,
     NonFiniteValueError,
     OneSidedDataError,
     RankDeficientError,
@@ -51,10 +51,11 @@ def _endogenous_draw(seed, n, tau=-1.0):
 
 
 def test_each_estimator_takes_only_what_a_caller_sets():
-    # one treatment and one instrument with an intercept; the discontinuity
-    # estimators fit the whole support of t
+    # one treatment and one instrument with an intercept; DID reads its
+    # panel alone; the discontinuity estimators fit the whole support of t
     signatures = {
         ate_2sls: ["y", "d", "z"],
+        ate_did: ["pds"],
         rdd_sharp: ["y", "t", "cutoff"],
         rdd_fuzzy: ["y", "t", "d", "cutoff"],
     }
@@ -175,233 +176,263 @@ class Test2sls:
         assert est.diagnostics["first_stage_f"] < 10.0
 
 
+def _two_periods(g, n_units):
+    """(unit, time, group) rows of `n_units` units observed in periods 0 and
+    1, in (unit, time) order; each unit is in group 1 with probability 1/2."""
+    group = np.repeat((g.uniform(size=n_units) < 0.5).astype(float), 2)
+    return np.repeat(np.arange(n_units), 2), np.tile([0, 1], n_units), group
+
+
+def _period_major(time, *columns):
+    """`columns` with their rows put period by period, each period's rows
+    in their given order: the row order of `ate_did`'s design."""
+    order = np.concatenate([np.flatnonzero(time == t) for t in sorted(set(time.tolist()))])
+    return [np.asarray(c)[order] for c in columns]
+
+
 class TestDid:
     @staticmethod
-    def _cells_dataset(means, reps=3):
-        """Rows realizing exact cell means (y11, y10, y01, y00)."""
+    def _cells_panel(means, reps=3):
+        """A panel realizing exact cell means (y11, y10, y01, y00): `reps`
+        units per group, each observed in periods 0 and 1."""
         y11, y10, y01, y00 = means
-        y, group, period = [], [], []
-        for g, p, m in ((1, 1, y11), (1, 0, y10), (0, 1, y01), (0, 0, y00)):
-            y += [m] * reps
-            group += [g] * reps
-            period += [p] * reps
-        return validate_did(np.array(y, dtype=float), group, period)
+        y, unit, time, d = [], [], [], []
+        for i, (g, pre, post) in enumerate([(1, y10, y11)] * reps + [(0, y00, y01)] * reps):
+            y += [pre, post]
+            unit += [i, i]
+            time += [0, 1]
+            d += [0.0, float(g)]
+        return validate_panel(unit, time, y, d)
 
     def test_hand_double_difference(self):
         # [DERIVED] (10-6) - (5-3) = 2
-        dd = self._cells_dataset((10.0, 6.0, 5.0, 3.0))
-        assert ate_did(dd).point == pytest.approx(2.0, abs=1e-12)
+        pds = self._cells_panel((10.0, 6.0, 5.0, 3.0))
+        assert ate_did(pds).point == pytest.approx(2.0, abs=1e-12)
 
     def test_equals_double_difference_of_cell_means(self):
         # [DERIVED] the saturated regression reproduces the cell-mean formula
         g = philox(78)
-        n = 400
-        group = (g.uniform(size=n) < 0.5).astype(float)
-        period = (g.uniform(size=n) < 0.5).astype(float)
-        y = 1 + 2 * group + 3 * period + 4 * group * period + g.normal(size=n)
-        dd = validate_did(y, group, period)
+        unit, period, group = _two_periods(g, 200)
+        y = 1 + 2 * group + 3 * period + 4 * group * period + g.normal(size=400)
+        pds = validate_panel(unit, period, y, group * period)
 
         def cell(gv, pv):
             return y[(group == gv) & (period == pv)].mean()
 
         oracle = (cell(1, 1) - cell(1, 0)) - (cell(0, 1) - cell(0, 0))
-        assert ate_did(dd).point == pytest.approx(oracle, abs=1e-10)
+        assert ate_did(pds).point == pytest.approx(oracle, abs=1e-10)
 
     def test_shift_invariance(self):
         # [TRIVIAL] group- and period-constant shifts are absorbed
         g = philox(79)
-        n = 200
-        group = (g.uniform(size=n) < 0.5).astype(float)
-        period = (g.uniform(size=n) < 0.5).astype(float)
-        y = g.normal(size=n)
-        base = ate_did(validate_did(y, group, period)).point
+        unit, period, group = _two_periods(g, 100)
+        y = g.normal(size=200)
+        base = ate_did(validate_panel(unit, period, y, group * period)).point
         shifted = y + 11.0 + 7.0 * group - 3.0 * period
-        assert ate_did(validate_did(shifted, group, period)).point == pytest.approx(
+        assert ate_did(validate_panel(unit, period, shifted, group * period)).point == pytest.approx(
             base, abs=1e-9
         )
 
     def test_basic_design_is_the_two_by_two_interaction(self):
         # [DERIVED] oracle: OLS on the explicit (1, group, period, group x
-        # period) design gives the same bits, point and variance
+        # period) design, its rows period by period, gives the same bits,
+        # point and variance
         g = philox(84)
-        n = 300
-        group = (g.uniform(size=n) < 0.5).astype(float)
-        period = (g.uniform(size=n) < 0.5).astype(float)
-        y = 1 + group - period + 3 * group * period + g.normal(size=n)
-        est = ate_did(validate_did(y, group, period))
-        design = np.column_stack([np.ones(n), group, period, group * period])
-        oracle = regress._coef_estimate("did", design, y, 3)
+        unit, period, group = _two_periods(g, 150)
+        y = 1 + group - period + 3 * group * period + g.normal(size=300)
+        est = ate_did(validate_panel(unit, period, y, group * period))
+        design = np.column_stack([np.ones(300), group, period, group * period])
+        oracle = regress._coef_estimate("did", *_period_major(period, design, y), 3)
         assert (est.point, est.variance) == (oracle.point, oracle.variance)
         assert est.method == "did"
         assert est.diagnostics == {"n_periods": 2}
 
     def test_explicit_treated_used_as_given_on_two_periods(self):
-        # [DERIVED] oracle: lstsq on (1, group, period, treated) with a
-        # treated indicator that is not group x period
+        # [DERIVED] oracle: lstsq on (1, group, period, d) with a treatment
+        # that is not group x period: some units of group 1 are treated in
+        # both periods
         g = philox(85)
-        n = 300
-        group = (g.uniform(size=n) < 0.5).astype(float)
-        period = (g.uniform(size=n) < 0.5).astype(float)
-        treated = group * period * (g.uniform(size=n) < 0.6)
-        y = 1 + group + period + 2 * treated + g.normal(size=n)
-        est = ate_did(validate_did(y, group, period, treated=treated))
-        design = np.column_stack([np.ones(n), group, period, treated])
+        unit, period, group = _two_periods(g, 150)
+        early = np.repeat(g.uniform(size=150) < 0.4, 2)
+        d = group * np.maximum(period, early)
+        y = 1 + group + period + 2 * d + g.normal(size=300)
+        est = ate_did(validate_panel(unit, period, y, d))
+        design = np.column_stack([np.ones(300), group, period, d])
         beta, *_ = np.linalg.lstsq(design, y, rcond=None)
         assert est.point == pytest.approx(beta[3], abs=1e-10)
-        assert est.point != pytest.approx(ate_did(validate_did(y, group, period)).point, abs=1e-3)
+        basic = ate_did(validate_panel(unit, period, y, group * period)).point
+        assert est.point != pytest.approx(basic, abs=1e-3)
 
     def test_empty_cell(self):
-        y = np.array([1.0, 2.0, 3.0])
+        # unit 0 is treated in period 0 and has no row in period 1
         with pytest.raises(EmptyCellError, match="group=1, period=1"):
-            ate_did(validate_did(y, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
+            ate_did(validate_panel([0, 1, 2], [0, 1, 0], [1.0, 2.0, 3.0], [1.0, 0.0, 0.0]))
 
     @pytest.mark.parametrize("empty", [(0, 0), (0, 1), (1, 0), (1, 1)])
     def test_the_empty_cell_is_named(self, empty):
+        # one unit per cell, observed once: a unit of group 1 is treated then
         cells = [(g, p) for g in (0, 1) for p in (0, 1) if (g, p) != empty]
-        group, period = (np.array(c, dtype=float) for c in zip(*cells))
-        dd = validate_did(np.arange(3.0), group, period)
+        group, period = (np.array(c) for c in zip(*cells))
+        pds = validate_panel(np.arange(3), period, np.arange(3.0), group.astype(float))
         with pytest.raises(EmptyCellError, match=f"group={empty[0]}, period={empty[1]}$"):
-            ate_did(dd)
-
-    def test_non_binary_period_rejected_in_basic_design(self):
-        dd = validate_did(
-            np.arange(8.0),
-            [0, 0, 1, 1, 0, 0, 1, 1],
-            [0, 1, 0, 1, 2, 2, 2, 2],
-        )
-        with pytest.raises(ValueError, match="periods in"):
-            ate_did(dd)
+            ate_did(pds)
 
     def test_validation_errors(self):
-        with pytest.raises(ValueError, match="0/1"):
-            validate_did([1.0, 2.0], [0.0, 2.0], [0.0, 1.0])
-        with pytest.raises(ValueError, match="non-negative integers"):
-            validate_did([1.0, 2.0], [0.0, 1.0], [0.0, -1.0])
-        with pytest.raises(ValueError, match="non-negative integers"):
-            validate_did([1.0, 2.0], [0.0, 1.0], [0.0, 0.5])
+        # the panel's own checks, then the one rule of a two-arm estimator
+        with pytest.raises(InvalidInputError, match="binary"):
+            ate_did(validate_panel([0, 0, 1, 1], [0, 1, 0, 1], np.arange(4.0), [0.0, 2.0, 0.0, 0.0]))
+        with pytest.raises(EmptyTreatmentArmError, match="treated arm"):
+            ate_did(validate_panel([0, 0, 1, 1], [0, 1, 0, 1], np.arange(4.0), np.zeros(4)))
+        with pytest.raises(NonFiniteValueError, match="integer"):
+            validate_panel([0, 0], [0.0, 0.5], [1.0, 2.0], [0.0, 1.0])
         with pytest.raises(DimensionMismatchError):
-            validate_did([1.0, 2.0], [0.0], [0.0, 1.0])
-        with pytest.raises(ValueError, match="treated"):
-            validate_did([1.0, 2.0], [0.0, 1.0], [0.0, 1.0], treated=[0.0, 3.0])
+            validate_panel([0, 0], [0, 1], [1.0, 2.0], [0.0])
+
+    def test_cs5_draws_equal_the_period_major_interaction_fit(self):
+        # [DERIVED] oracle: for every run of the paper's scale at seed 42,
+        # OLS on (1, group, period, group x period) built from the panel's
+        # columns, its rows period by period, gives the bits of the point
+        # and the variance, for the design with and without the violation
+        got, want = [], []
+        for r in range(1000):
+            for pds in simulate._case_inputs("cs5", 1000, r, 42):
+                group = np.repeat(pds.d.reshape(-1, 2).max(axis=1), 2)
+                design = np.column_stack([np.ones(pds.n), group, pds.time, group * pds.time])
+                oracle = regress._coef_estimate("did", *_period_major(pds.time, design, pds.y), 3)
+                est = ate_did(pds)
+                got.append((est.point, est.variance))
+                want.append((oracle.point, oracle.variance))
+        assert np.array_equal(np.array(got), np.array(want))
 
 
 class TestDidCovariates:
-    """`ate_did` on a dataset that carries covariates."""
+    """`ate_did` on a panel that carries covariates."""
 
     @staticmethod
-    def _draw(seed, n=300, beta_x=3.0):
+    def _draw(seed, n_units=150, beta_x=3.0):
         g = philox(seed)
-        group = (g.uniform(size=n) < 0.5).astype(float)
-        period = (g.uniform(size=n) < 0.5).astype(float)
-        x = g.normal(size=n)
+        unit, period, group = _two_periods(g, n_units)
+        x = g.normal(size=2 * n_units)
         y = (
             1.0
             + group
             + period
             + 2.0 * group * period
             + beta_x * x
-            + 0.5 * g.normal(size=n)
+            + 0.5 * g.normal(size=2 * n_units)
         )
-        return y, group, period, x
+        return unit, period, y, group * period, x
 
     def test_orthogonal_covariate_leaves_estimate(self):
         # [TRIVIAL] a regressor orthogonal to the design changes nothing
-        y, group, period, x = self._draw(80)
-        base = np.column_stack(
-            [np.ones(y.size), group, period, group * period]
-        )
+        unit, period, y, d, x = self._draw(80)
+        base = np.column_stack([np.ones(y.size), np.repeat(d[1::2], 2), period, d])
         x_orth = x - base @ np.linalg.lstsq(base, x, rcond=None)[0]
-        with_x = ate_did(validate_did(y, group, period, x=x_orth))
-        without = ate_did(validate_did(y, group, period))
+        with_x = ate_did(validate_panel(unit, period, y, d, x_orth))
+        without = ate_did(validate_panel(unit, period, y, d))
         assert with_x.point == pytest.approx(without.point, abs=1e-8)
 
     def test_collinear_covariate_rejected(self):
-        y, group, period, _ = self._draw(81)
+        unit, period, y, d, _ = self._draw(81)
         with pytest.raises(RankDeficientError):
-            ate_did(validate_did(y, group, period, x=group))
+            ate_did(validate_panel(unit, period, y, d, np.repeat(d[1::2], 2)))
 
     def test_covariate_cuts_monte_carlo_variance(self):
         # [DERIVED] precision gain: the x-term absorbs outcome noise
         with_x, without = [], []
         for i in range(200):
-            y, group, period, x = self._draw(2000 + i, n=200)
-            dd_x = validate_did(y, group, period, x=x)
-            dd = validate_did(y, group, period)
-            with_x.append(ate_did(dd_x).point)
-            without.append(ate_did(dd).point)
+            unit, period, y, d, x = self._draw(2000 + i, n_units=100)
+            with_x.append(ate_did(validate_panel(unit, period, y, d, x)).point)
+            without.append(ate_did(validate_panel(unit, period, y, d)).point)
         assert np.var(with_x, ddof=1) < np.var(without, ddof=1)
 
 
 class TestDidMultiperiod:
-    """`ate_did` given an explicit treated indicator, on any number of periods."""
+    """`ate_did` on any number of periods."""
 
     def test_two_periods_collapse_to_basic(self):
+        # [DERIVED] the periods are the panel's two times, whatever they are:
+        # times 3 and 7 give the bits of times 0 and 1
         g = philox(82)
-        n = 200
-        group = (g.uniform(size=n) < 0.5).astype(float)
-        period = (g.uniform(size=n) < 0.5).astype(float)
-        y = 1 + group + period - 4 * group * period + g.normal(size=n)
-        explicit = ate_did(validate_did(y, group, period, treated=group * period))
-        basic = ate_did(validate_did(y, group, period))
-        assert (explicit.point, explicit.variance) == (basic.point, basic.variance)
+        unit, period, group = _two_periods(g, 100)
+        y = 1 + group + period - 4 * group * period + g.normal(size=200)
+        basic = ate_did(validate_panel(unit, period, y, group * period))
+        moved = ate_did(validate_panel(unit, 3 + 4 * period, y, group * period))
+        assert (moved.point, moved.variance) == (basic.point, basic.variance)
+        assert moved.diagnostics == {"n_periods": 2}
+        with pytest.raises(EmptyCellError, match="group=1, period=7$"):
+            ate_did(validate_panel([0, 1, 2], [3, 3, 7], np.arange(3.0), [1.0, 0.0, 0.0]))
 
     def test_noiseless_constant_effect_recovered(self):
         # [DERIVED] constructed noiseless three-period panel
-        group = np.tile([1.0, 0.0], 30)
-        period = np.repeat([0.0, 1.0, 2.0], 20)
-        treated = group * (period >= 1.0)
+        unit, period = np.repeat(np.arange(20), 3), np.tile([0, 1, 2], 20)
+        group = (unit % 2 == 0).astype(float)
+        treated = group * (period >= 1)
         y = 10.0 + 3.0 * group + 2.0 * (period == 1) + 5.0 * (period == 2) + 4.0 * treated
-        dd = validate_did(y, group, period, treated=treated)
-        est = ate_did(dd)
+        est = ate_did(validate_panel(unit, period, y, treated))
         assert est.point == pytest.approx(4.0, abs=1e-10)
         assert est.diagnostics["n_periods"] == 3
 
     def test_common_shock_absorbed_by_time_dummy(self):
         g = philox(83)
-        n = 240
-        group = (g.uniform(size=n) < 0.5).astype(float)
-        period = g.integers(0, 3, size=n).astype(float)
-        treated = group * (period == 2.0)
-        y = g.normal(size=n) + 2.0 * treated
-        dd = validate_did(y, group, period, treated=treated)
-        base = ate_did(dd).point
-        shocked = y + 9.0 * (period == 1.0)
-        dd2 = validate_did(shocked, group, period, treated=treated)
-        assert ate_did(dd2).point == pytest.approx(base, abs=1e-9)
+        unit, period = np.repeat(np.arange(80), 3), np.tile([0, 1, 2], 80)
+        group = np.repeat((g.uniform(size=80) < 0.5).astype(float), 3)
+        treated = group * (period == 2)
+        y = g.normal(size=240) + 2.0 * treated
+        base = ate_did(validate_panel(unit, period, y, treated)).point
+        shocked = y + 9.0 * (period == 1)
+        assert ate_did(validate_panel(unit, period, shocked, treated)).point == pytest.approx(
+            base, abs=1e-9
+        )
 
     def test_covariates_join_the_design(self):
         # [DERIVED] oracle: lstsq on (1, group, period dummies, treated, x)
         g = philox(86)
-        n = 240
-        group = (g.uniform(size=n) < 0.5).astype(float)
-        period = g.integers(0, 3, size=n).astype(float)
-        treated = group * (period >= 1.0)
-        x = g.normal(size=(n, 2))
-        y = 1 + group + period + 2 * treated + x @ [1.5, -0.5] + g.normal(size=n)
-        est = ate_did(validate_did(y, group, period, x=x, treated=treated))
+        unit, period = np.repeat(np.arange(80), 3), np.tile([0, 1, 2], 80)
+        group = np.repeat((g.uniform(size=80) < 0.5).astype(float), 3)
+        treated = group * (period >= 1)
+        x = g.normal(size=(240, 2))
+        y = 1 + group + period + 2 * treated + x @ [1.5, -0.5] + g.normal(size=240)
+        est = ate_did(validate_panel(unit, period, y, treated, x))
         design = np.column_stack(
-            [np.ones(n), group, period == 1.0, period == 2.0, treated, x]
+            [np.ones(240), group, period == 1, period == 2, treated, x]
         ).astype(float)
         beta, *_ = np.linalg.lstsq(design, y, rcond=None)
         assert est.point == pytest.approx(beta[4], abs=1e-10)
         assert est.diagnostics == {"n_periods": 3}
 
-    def test_requires_explicit_treated_beyond_two_periods(self):
-        dd = validate_did(
-            np.arange(6.0), [1, 1, 1, 0, 0, 0], [0, 1, 2, 0, 1, 2]
-        )
-        with pytest.raises(ValueError, match="explicit treated indicator"):
-            ate_did(dd)
+    def test_unbalanced_panel_matches_lstsq(self):
+        # [DERIVED] oracle: lstsq on (1, group, period dummies, d, x) from the
+        # raw rows, with each unit's group read off its own rows, and the
+        # variance sigma^2 (X'X)^-1 with sigma^2 = RSS / (n - k): units miss
+        # periods, adopt at different times and come in shuffled order
+        g = philox(87)
+        unit, period = np.repeat(np.arange(120), 4), np.tile([0, 1, 2, 3], 120)
+        keep = g.uniform(size=480) < 0.8
+        adopt = np.where(g.uniform(size=120) < 0.5, g.integers(1, 4, size=120), 9)[unit]
+        d = (period >= adopt).astype(float)
+        x = g.normal(size=480)
+        y = 0.5 + 0.3 * period + 2.0 * d - 0.7 * x + g.normal(size=480)
+        shuffle = g.permutation(int(keep.sum()))
+        unit, period, d, x, y = (v[keep][shuffle] for v in (unit, period, d, x, y))
+        est = ate_did(validate_panel(unit, period, y, d, x))
+        ever = {u for u, t in zip(unit.tolist(), d.tolist()) if t == 1.0}
+        group = np.array([float(u in ever) for u in unit.tolist()])
+        design = np.column_stack(
+            [np.ones(y.size), group, period == 1, period == 2, period == 3, d, x]
+        ).astype(float)
+        beta, rss, *_ = np.linalg.lstsq(design, y, rcond=None)
+        variance = rss[0] / (y.size - 7) * np.linalg.inv(design.T @ design)[5, 5]
+        assert est.point == pytest.approx(beta[5], rel=1e-10)
+        assert est.variance == pytest.approx(variance, rel=1e-8)
+        assert est.n_used == y.size
+        assert est.diagnostics == {"n_periods": 4}
 
     def test_constant_treatment_rejected(self):
-        dd = validate_did(
-            np.arange(4.0),
-            [1, 1, 0, 0],
-            [0, 1, 0, 1],
-            treated=[0.0, 0.0, 0.0, 0.0],
-        )
-        with pytest.raises(NoTreatmentVariationError):
-            ate_did(dd)
+        # d is the treated indicator, so a panel with one arm has no contrast
+        for d in (np.zeros(4), np.ones(4)):
+            with pytest.raises(EmptyTreatmentArmError):
+                ate_did(validate_panel([0, 0, 1, 1], [0, 1, 0, 1], np.arange(4.0), d))
 
 
 class TestScWeights:
@@ -799,8 +830,9 @@ def _quasi_draw(name, seed=91, n=400):
     """A seeded draw for the named row: its outcome column, and the call that
     estimates from an outcome column and a row order applied to every column.
 
-    "ate_did_covariates" is `ate_did` on two periods with a covariate, and
-    "ate_did_multiperiod" `ate_did` on three periods with a treated indicator.
+    "ate_did" is `ate_did` on a two-period panel, "ate_did_covariates" the
+    same with a covariate, and "ate_did_multiperiod" `ate_did` on three
+    periods.
     """
     g = philox(seed)
     if name == "ate_2sls":
@@ -809,20 +841,21 @@ def _quasi_draw(name, seed=91, n=400):
         y = 1.0 - d + 0.9 * u + 0.7 * x + 0.3 * g.normal(size=n)
         return y, lambda y, rows: ate_2sls(y[rows], d[rows], z[rows])
     if name.startswith("ate_did"):
-        group = (g.uniform(size=n) < 0.5).astype(float)
+        # n rows of units observed in every period, but the last unit of
+        # three periods may miss its last ones
         n_periods = 3 if name == "ate_did_multiperiod" else 2
-        period = g.integers(0, n_periods, size=n).astype(float)
-        treated = group * (period > 0.0)
+        n_units = -(-n // n_periods)
+        unit = np.repeat(np.arange(n_units), n_periods)[:n]
+        period = np.tile(np.arange(n_periods), n_units)[:n]
+        group = (g.uniform(size=n_units) < 0.5)[unit].astype(float)
+        treated = group * (period > 0)
         x = g.normal(size=n)
         y = 1.0 + group + period + 2.0 * treated + 1.5 * x + g.normal(size=n)
-        columns = {
-            "ate_did": {},
-            "ate_did_covariates": {"x": x},
-            "ate_did_multiperiod": {"treated": treated},
-        }[name]
+        columns = {"x": x} if name == "ate_did_covariates" else {}
         return y, lambda y, rows: ate_did(
-            validate_did(
-                y[rows], group[rows], period[rows], **{k: v[rows] for k, v in columns.items()}
+            validate_panel(
+                unit[rows], period[rows], y[rows], treated[rows],
+                **{k: v[rows] for k, v in columns.items()},
             )
         )
     t = g.uniform(-1.0, 1.0, n)
@@ -920,9 +953,9 @@ class TestInvarianceSweep:
 # the columns each estimator's `_quasi_draw` call is handed
 _DRAW_COLUMNS = {
     "ate_2sls": 3,  # y, d, z
-    "ate_did": 3,  # y, group, period
-    "ate_did_covariates": 4,  # y, group, period, x
-    "ate_did_multiperiod": 4,  # y, group, period, treated
+    "ate_did": 4,  # y, unit, period, treated
+    "ate_did_covariates": 5,  # y, unit, period, treated, x
+    "ate_did_multiperiod": 4,  # y, unit, period, treated
     "rdd_sharp": 2,  # y, t
     "rdd_fuzzy": 3,  # y, t, d
 }

@@ -19,7 +19,7 @@ from causalest import (
     predict,
     rdd_sharp,
     validate,
-    validate_did,
+    validate_panel,
 )
 from causalest import regress
 from causalest.errors import (
@@ -120,8 +120,13 @@ class TestFitOls:
     @pytest.mark.parametrize(
         "estimate, point",
         [
-            # [TRIVIAL] (5 - 3) - (2 - 1) on the four 2x2 cells
-            (lambda: ate_did(validate_did([1.0, 2, 3, 5], [0.0, 0, 1, 1], [0.0, 1, 0, 1])), 1.0),
+            # [TRIVIAL] (5 - 3) - (2 - 1) on the four 2x2 cells of two units
+            (
+                lambda: ate_did(
+                    validate_panel([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2, 3, 5], [0.0, 0, 0, 1])
+                ),
+                1.0,
+            ),
             # [TRIVIAL] y = 1 + d + 3x on three rows of (1, d, x)
             (lambda: ate_or(validate([1.0, 2, 4], [0.0, 1, 0], [0.0, 0, 1])), 1.0),
             # [TRIVIAL] lines 2 + t left and 4 + t right of the cutoff

@@ -159,10 +159,16 @@ class TestGenerate:
     def test_two_period_variants_differ_only_on_untreated_post(self):
         # [DERIVED] oracle: the violated arm perturbs outcomes only for
         # untreated units in the post period.
+        # unit i holds rows 2i (period 0) and 2i + 1 (period 1), d is its
+        # treatment in period 1, and both designs share unit, time and d
         base, violated = simulate._case_inputs("cs5", 400, 1, 117)
-        assert np.array_equal(base.group, violated.group)
-        assert np.array_equal(base.period, violated.period)
-        touched = (base.period == 1) & (base.group == 0)
+        for name in ("unit", "time", "d"):
+            assert getattr(base, name) is getattr(violated, name), name
+        assert np.array_equal(base.unit, np.repeat(np.arange(400), 2))
+        assert np.array_equal(base.time, np.tile([0, 1], 400))
+        group = np.repeat(base.d[1::2], 2)
+        assert np.all(base.d[::2] == 0.0)
+        touched = (base.time == 1) & (group == 0)
         diff = violated.y - base.y
         assert np.all(diff[~touched] == 0.0)
         assert np.all(diff[touched] != 0.0)

@@ -283,11 +283,7 @@ class TestBootstrap:
             bootstrap_variance(ds, estimator, n_boot=20, seed=seed)
         assert calls == []
 
-    @pytest.mark.parametrize(
-        "data, kind",
-        [(generate("cs5", 0, n=20), "DidDataset"), ([1.0, 2.0, 3.0], "list")],
-        ids=["did", "list"],
-    )
+    @pytest.mark.parametrize("data, kind", [([1.0, 2.0, 3.0], "list")], ids=["list"])
     def test_unsupported_data_is_an_input_error(self, data, kind):
         # [TRIVIAL] only a dataset the bootstrap can resample is accepted;
         # anything else is bad input, not an AttributeError from inside
@@ -471,6 +467,16 @@ class TestBootstrap:
         assert result.variance > 0.0
         again = bootstrap_variance(pds, fit_fe, n_boot=100, seed=13)
         np.testing.assert_array_equal(result.points, again.points)
+
+    def test_did_bootstrap_resamples_units(self):
+        # [DERIVED] a cs5 unit's two rows share its covariate and its group,
+        # so their errors are positively correlated; the iid OLS variance
+        # ignores that, and the double difference removes the shared part.
+        # A resample of whole units keeps each unit's rows together.
+        pds = generate("cs5", 0)
+        result = bootstrap_variance(pds, ate_did, n_boot=100)
+        assert (result.n_ok, result.n_failed) == (100, 0)
+        assert 0.0 < result.variance < ate_did(pds).variance
 
 
 class TestIntegerArguments:
