@@ -136,6 +136,9 @@ class ObservationalDataset:
     y: np.ndarray
     d: np.ndarray
     x: np.ndarray
+    # True for a bootstrap resample and for what `take` draws from one: its
+    # outcome fits solve their normal equations (`fit_outcome_model`)
+    _resampled: bool = field(default=False, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -144,7 +147,8 @@ class ObservationalDataset:
     def take(self, indices) -> "ObservationalDataset":
         """Return a new dataset restricted to (or resampled at) `indices`.
 
-        The gathers copy, so the new arrays own their data.
+        The gathers copy, so the new arrays own their data. Rows taken from
+        a bootstrap resample are a bootstrap resample too.
 
         Raises:
             InvalidInputError: `indices` is not a 1-d integer vector with
@@ -154,11 +158,14 @@ class ObservationalDataset:
         idx = _indices(indices, self.n)
         if idx.size < 2:
             raise EmptyDatasetError(f"need at least 2 rows, got {idx.size}")
-        return ObservationalDataset(
+        taken = ObservationalDataset(
             y=_gather(self.y, idx),
             d=_gather(self.d, idx),
             x=_gather(self.x, idx),
         )
+        if self._resampled:
+            object.__setattr__(taken, "_resampled", True)
+        return taken
 
 
 def validate(y, d, x=None) -> ObservationalDataset:

@@ -23,7 +23,14 @@ from .errors import (
     ZeroPropensityError,
 )
 from .propensity import _N_STRATA, PropensityFit, quantile_strata
-from .regress import IDENTITY, LinearFit, _coef_estimate, fit_ols, predict
+from .regress import (
+    IDENTITY,
+    LinearFit,
+    _coef_estimate,
+    _fit_ols_by_normal_equations,
+    fit_ols,
+    predict,
+)
 
 _WEIGHT_FLOOR = 1e-12
 
@@ -32,9 +39,15 @@ def fit_outcome_model(ds: ObservationalDataset) -> LinearFit:
     """Pooled OLS of y on (1, d, x).
 
     To leave the covariates out, fit it on a dataset without them,
-    `validate(ds.y, ds.d)`.
+    `validate(ds.y, ds.d)`. A bootstrap resample (and rows taken from one)
+    is fitted by normal equations, which agree with the SVD fit of the same
+    rows to rounding and take that fit where they would lose digits; every
+    other dataset takes the SVD fit.
     """
-    return fit_ols(np.column_stack([np.ones(ds.n), ds.d, ds.x]), ds.y)
+    design = np.column_stack([np.ones(ds.n), ds.d, ds.x])
+    if ds._resampled:
+        return _fit_ols_by_normal_equations(design, ds.y)
+    return fit_ols(design, ds.y)
 
 
 def _outcome_model(ds, outcome_fit):

@@ -11,15 +11,9 @@ import numpy as np
 
 from .core import CausalEstimate, PanelDataset, _estimate
 from .errors import NoWithinVariationError, TooFewPeriodsError
-from .regress import RANK_RTOL, _coef_estimate, fit_ols
+from .regress import _coef_estimate, _normal_equations_hold, fit_ols
 
 _ZERO_RTOL = 1e-12
-#: smallest eigenvalue ratio of the unit-diagonal-scaled within cross
-#: products A that a drawn panel's fixed-effects fit solves from its sums.
-#: The sums' relative error in the point grows like cond(A) * 3e-16 (2.7e-12
-#: at cond(A) near 1e4, measured against an iteratively refined solve), so
-#: cond(A) <= 1e3 keeps it under the 1e-12 the tests allow the two paths
-_SUMS_RTOL = 1e-3
 #: smallest share of the within sum of squares of y that the residual sum of
 #: squares from the sums may be: y'y - b'coef cancels digits as the fit
 #: nears exact. At cond(A) <= 1e3 the variance's relative error stayed under
@@ -80,9 +74,9 @@ def _fe_from_sums(pds: PanelDataset) -> CausalEstimate | None:
     sum c_i y_i'y_i - b'coef. No row is gathered.
 
     Returns None, for the caller to fit the gathered rows, when A is too
-    ill-conditioned for the normal equations (`_SUMS_RTOL`), when it is not
-    far enough from the SVD fit's rank rule for the answer to be the same,
-    or when the fit is too near exact (`_SUMS_RSS_SHARE`).
+    ill-conditioned for the normal equations or too near the SVD fit's rank
+    rule (`regress._normal_equations_hold`), or when the fit is too near
+    exact (`_SUMS_RSS_SHARE`).
     """
     source, units = pds._drawn_from
     gram, d_dev, d_max = source._unit_sums
@@ -91,15 +85,7 @@ def _fe_from_sums(pds: PanelDataset) -> CausalEstimate | None:
     draws = np.bincount(units, minlength=source.n_units).astype(float)
     sums = (draws @ gram.reshape(source.n_units, -1)).reshape(k + 1, k + 1)
     a, b, yy = sums[:k, :k], sums[:k, k], sums[k, k]
-    diag = np.diag(a)
-    if not (diag > 0.0).all():
-        return None
-    scale = 1.0 / np.sqrt(diag)
-    eig = np.linalg.eigvalsh(a * np.outer(scale, scale))
-    # A's own eigenvalue ratio is at least eig[0] / eig[-1] * min(diag) /
-    # max(diag); above RANK_RTOL, the design's singular-value ratio is above
-    # sqrt(RANK_RTOL), far from the RANK_RTOL at which fit_ols raises
-    if eig[0] < _SUMS_RTOL * eig[-1] or eig[0] * diag.min() < RANK_RTOL * eig[-1] * diag.max():
+    if not _normal_equations_hold(a):
         return None
     rhs = np.zeros((k, 2))
     rhs[:, 0] = b

@@ -28,6 +28,7 @@ from .errors import (
     InvalidInputError,
     NoFirstStageJumpError,
     OneSidedDataError,
+    TooFewPeriodsError,
 )
 from .regress import _coef_estimate, _svd_solve, _xtx_inv
 
@@ -105,7 +106,10 @@ def ate_did(pds: PanelDataset) -> CausalEstimate:
     periods are the distinct values of `pds.time`.
 
     d must be a 0/1 indicator with both arms non-empty (`_check_arms`).
-    With two periods an empty group-by-period cell raises EmptyCellError,
+    A panel with a single period raises TooFewPeriodsError, before the
+    design is built: there each unit's group is its d, so the two columns
+    would coincide. With two periods an empty group-by-period cell raises
+    EmptyCellError,
     and when d is the group in the second period and 0 in the first, the
     estimate without covariates is the double difference of the 2x2 cell
     means. The design's rows run period by period, each period's in panel
@@ -117,6 +121,8 @@ def ate_did(pds: PanelDataset) -> CausalEstimate:
     time = pds.time[order]
     bounds = [0, *(np.flatnonzero(time[1:] != time[:-1]) + 1), pds.n]
     n_periods = len(bounds) - 1
+    if n_periods < 2:
+        raise TooFewPeriodsError("difference in differences requires >= 2 periods")
     group = pds.broadcast_units(pds.unit_means(pds.d) > 0.0)[order]
     design = np.zeros((pds.n, n_periods + 2 + pds.x.shape[1]))
     design[:, 0] = 1.0

@@ -22,6 +22,12 @@ LOGIT = "logit"
 
 #: smallest (singular value / largest singular value) accepted as full rank
 RANK_RTOL = 1e-10
+#: smallest eigenvalue ratio of the unit-diagonal-scaled cross products A
+#: that a bootstrap replicate's fit solves by normal equations. Their
+#: relative error in the coefficients grows like cond(A) * 3e-16 (2.7e-12
+#: at cond(A) near 1e4, measured against an iteratively refined solve), so
+#: cond(A) <= 1e3 keeps it under the 1e-12 the tests allow the two paths
+_SUMS_RTOL = 1e-3
 #: fitted probability considered pinned to the boundary
 _SEP_PROB = 1e-10
 #: coefficient magnitude that, together with pinned probabilities, flags separation
@@ -126,6 +132,62 @@ def fit_ols(design, y) -> LinearFit:
         link=IDENTITY,
         residuals=resid,
         coef_cov=float(resid @ resid) / (n - k) * _xtx_inv(*factors) if n > k else None,
+        design_width=k,
+    )
+
+
+def _normal_equations_hold(a: np.ndarray) -> bool:
+    """Whether cross products A = X'X are well enough conditioned for the
+    normal equations to give the SVD fit's answer to rounding, and far enough
+    from the SVD fit's rank rule for that fit not to raise.
+
+    A with a non-finite entry or a non-positive diagonal entry does not.
+    """
+    diag = np.diag(a)
+    if not (np.isfinite(a).all() and (diag > 0.0).all()):
+        return False
+    scale = 1.0 / np.sqrt(diag)
+    eig = np.linalg.eigvalsh(a * np.outer(scale, scale))
+    # A's own eigenvalue ratio is at least eig[0] / eig[-1] * min(diag) /
+    # max(diag); above RANK_RTOL, the design's singular-value ratio is above
+    # sqrt(RANK_RTOL), far from the RANK_RTOL at which fit_ols raises
+    return bool(
+        eig[0] >= _SUMS_RTOL * eig[-1]
+        and eig[0] * diag.min() >= RANK_RTOL * eig[-1] * diag.max()
+    )
+
+
+def _fit_ols_by_normal_equations(design, y) -> LinearFit:
+    """`fit_ols` solved from the cross products A = X'X and b = X'y, for a
+    bootstrap replicate: the coefficients and A^-1 by one LU solve, the
+    residuals as y - X coef, so they and the covariance RSS/(n-k) A^-1 carry
+    no y'y - b'coef cancellation. Agrees with `fit_ols` to rounding.
+
+    It is `fit_ols`, bit for bit, when n <= k or when A fails
+    `_normal_equations_hold`; so a collinear design still raises the SVD
+    rank rule's RankDeficientError.
+    """
+    X, r = _check_design(design, y)
+    n, k = X.shape
+    if n <= k:
+        return fit_ols(X, r)
+    # entries beyond about 1e154 overflow A, which then fails the check,
+    # while the SVD of X itself does not overflow
+    with np.errstate(over="ignore"):
+        a = X.T @ X
+    if not _normal_equations_hold(a):
+        return fit_ols(X, r)
+    rhs = np.empty((k, 1 + k))
+    rhs[:, 0] = X.T @ r
+    rhs[:, 1:] = np.eye(k)
+    solved = np.linalg.solve(a, rhs)  # coef, then A^-1
+    coef = solved[:, 0]
+    resid = r - X @ coef
+    return LinearFit(
+        coef=coef,
+        link=IDENTITY,
+        residuals=resid,
+        coef_cov=float(resid @ resid) / (n - k) * solved[:, 1:],
         design_width=k,
     )
 

@@ -95,9 +95,11 @@ def bootstrap_variance(
     `data` is an ObservationalDataset (rows resampled i.i.d.) or a
     PanelDataset (whole units resampled, keeping each unit's time series
     intact). `estimator` maps a dataset to a CausalEstimate or a float.
-    Replicates that raise a CausalestError (invalid input or a failed
-    estimate) or give a non-finite point are skipped; when more than 5% of
-    them fail the bootstrap aborts. Any other `data` is an InvalidInputError.
+    A row resample, and rows `take` draws from it, fits the outcome model
+    by normal equations (see `fit_outcome_model`). Replicates that raise a
+    CausalestError (invalid input or a failed estimate) or give a
+    non-finite point are skipped; when more than 5% of them fail the
+    bootstrap aborts. Any other `data` is an InvalidInputError.
     """
     _check_int(2, n_boot=n_boot)
     _check_int(0, seed=seed)
@@ -111,7 +113,13 @@ def bootstrap_variance(
 
     def resample(b: int) -> tuple:
         idx = _keyed_stream(seed, b).integers(0, n_draw, size=n_draw)
-        return (data.take_units(idx) if is_panel else data.take(idx),)
+        if is_panel:
+            return (data.take_units(idx),)
+        # marked as a resample, whose outcome fits solve their normal
+        # equations; `take` of it keeps the mark
+        sample = data.take(idx)
+        object.__setattr__(sample, "_resampled", True)
+        return (sample,)
 
     points, n_failed = _replicate(
         resample, [("estimator", estimator)], n_boot, "bootstrap replicates"

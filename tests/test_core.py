@@ -85,8 +85,11 @@ def _validated_draw(pds, draw):
 def test_dataset_and_interval_take_only_what_a_caller_sets():
     # a dataset holds (y, d, x), and an estimator that contrasts two arms
     # checks d itself; instruments are passed to `ate_2sls` directly, and
-    # every interval is the 95% one
-    assert [f.name for f in dataclasses.fields(ObservationalDataset)] == ["y", "d", "x"]
+    # every interval is the 95% one. The one other field, whether the
+    # dataset is a bootstrap resample, is not an argument of the constructor
+    fields = dataclasses.fields(ObservationalDataset)
+    assert [f.name for f in fields if f.init] == ["y", "d", "x"]
+    assert [f.name for f in fields if not f.init] == ["_resampled"]
     assert list(inspect.signature(validate).parameters) == ["y", "d", "x"]
     assert list(inspect.signature(normal_interval).parameters) == ["point", "variance"]
 

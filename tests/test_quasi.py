@@ -34,6 +34,7 @@ from causalest.errors import (
     NonFiniteValueError,
     OneSidedDataError,
     RankDeficientError,
+    TooFewPeriodsError,
 )
 
 from .conftest import COPIES_PER_COLUMN, philox, traced_peak
@@ -287,6 +288,19 @@ class TestDid:
             validate_panel([0, 0], [0.0, 0.5], [1.0, 2.0], [0.0, 1.0])
         with pytest.raises(DimensionMismatchError):
             validate_panel([0, 0], [0, 1], [1.0, 2.0], [0.0])
+
+    @pytest.mark.parametrize("n_cov", [0, 1])
+    def test_one_period_is_too_few_periods(self, n_cov, monkeypatch):
+        # with one period each unit's group is its d, so the design's group
+        # and d columns coincide; the estimator names the cause, as fit_fe
+        # and fit_fd do, before it builds or fits the design
+        x = np.arange(4.0) ** 2 if n_cov else None
+        pds = validate_panel([0, 1, 2, 3], [0, 0, 0, 0], [1.0, 2, 3, 4], [0.0, 1, 0, 1], x)
+        fits = []
+        monkeypatch.setattr(quasi, "_coef_estimate", lambda *a, **k: fits.append(a))
+        with pytest.raises(TooFewPeriodsError, match="^difference in differences requires >= 2 periods$"):
+            ate_did(pds)
+        assert not fits
 
     def test_cs5_draws_equal_the_period_major_interaction_fit(self):
         # [DERIVED] oracle: for every run of the paper's scale at seed 42,

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
+import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,12 +14,15 @@ from scipy.special import ndtri
 
 from causalest import (
     ate_did,
+    ate_dr,
     ate_ipw,
     ate_or,
     bootstrap_variance,
+    difference_in_means,
     estimate_propensity_binary,
     fit_fe,
     fit_ols,
+    fit_outcome_model,
     generate,
     normal_interval,
     run_monte_carlo,
@@ -28,9 +34,11 @@ from causalest import (
 from causalest.errors import (
     CausalestError,
     InvalidInputError,
+    RankDeficientError,
     TooManyFailedReplicatesError,
     ZeroPropensityError,
 )
+from causalest import regress
 from causalest.core import PanelDataset
 from causalest.regress import IDENTITY, LinearFit
 
@@ -408,7 +416,10 @@ class TestBootstrap:
     @pytest.mark.parametrize("panel", [False, True], ids=["rows", "units"])
     def test_points_equal_the_estimator_on_each_keyed_resample(self, panel):
         # [DERIVED] oracle: replicate b is the estimator on the resample drawn
-        # from Philox(SeedSequence(seed, spawn_key=(b,))), bit for bit
+        # from Philox(SeedSequence(seed, spawn_key=(b,))), bit for bit. The
+        # rows case runs an estimator that fits no outcome model: a row
+        # resample solves that model's normal equations, which a plain
+        # `take` does not (TestResampledOutcomeFits checks those fits)
         if panel:
             g = philox(113)
             data = validate_panel(
@@ -418,7 +429,7 @@ class TestBootstrap:
             estimator, n_draw, take = fit_fe, data.n_units, data.take_units
         else:
             data = confounded_binary(113, 150)
-            estimator, n_draw, take = ate_or, data.n, data.take
+            estimator, n_draw, take = difference_in_means, data.n, data.take
         result = bootstrap_variance(data, estimator, n_boot=12, seed=21)
         expected = np.array([
             estimator(take(
@@ -477,6 +488,158 @@ class TestBootstrap:
         result = bootstrap_variance(pds, ate_did, n_boot=100)
         assert (result.n_ok, result.n_failed) == (100, 0)
         assert 0.0 < result.variance < ate_did(pds).variance
+
+
+class TestResampledOutcomeFits:
+    """A row resample of the bootstrap (and rows `take` draws from it) fits
+    the outcome model by normal equations. It agrees with the SVD fit of the
+    same rows to rounding, raises what that fit raises, and takes that fit,
+    bit for bit, where the normal equations would lose digits. Every other
+    dataset takes the SVD fit."""
+
+    @staticmethod
+    def _draw(seed, n_cov, second=None, n=400):
+        """A confounded draw with `n_cov` covariates; `second(x0, g)`, when
+        given, replaces the second covariate."""
+        g = philox(seed)
+        x = g.normal(size=(n, n_cov))
+        if second is not None:
+            x[:, 1] = second(x[:, 0], g)
+        d = (g.uniform(size=n) < 1.0 / (1.0 + np.exp(-0.8 * x[:, :1].sum(axis=1)))).astype(float)
+        y = 1.0 + 2.0 * d + x @ np.linspace(1.0, -0.5, n_cov) + g.normal(size=n)
+        return validate(y, d, x if n_cov else None)
+
+    @staticmethod
+    def _replicates(data, n_boot=4, seed=5):
+        """The resamples `bootstrap_variance` hands its estimator."""
+        samples = []
+        bootstrap_variance(
+            data, lambda sample: samples.append(sample) or 0.0, n_boot=n_boot, seed=seed
+        )
+        return samples
+
+    @staticmethod
+    def _rows(sample):
+        """The same rows as a validated dataset, which takes the SVD fit."""
+        return validate(sample.y, sample.d, sample.x)
+
+    @staticmethod
+    def _count_svds(monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k)
+        )
+        return calls
+
+    @pytest.mark.parametrize("n_cov", [0, 3])
+    def test_agrees_with_the_svd_fit_of_the_same_rows(self, n_cov, monkeypatch):
+        data = self._draw(160 + n_cov, n_cov)
+        for sample in self._replicates(data):
+            assert sample._resampled and not self._rows(sample)._resampled
+            score = estimate_propensity_binary(sample)
+            calls = self._count_svds(monkeypatch)
+            got = (fit_outcome_model(sample), ate_or(sample), ate_dr(sample, score))
+            assert not calls  # the replicate solved its normal equations
+            monkeypatch.undo()
+            rows = self._rows(sample)
+            design = np.column_stack([np.ones(rows.n), rows.d, rows.x])
+            want = (fit_ols(design, rows.y), ate_or(rows), ate_dr(rows, score))
+            np.testing.assert_allclose(got[0].coef, want[0].coef, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got[0].coef_cov, want[0].coef_cov, rtol=1e-10, atol=0.0)
+            for fit in got[0], want[0]:
+                np.testing.assert_array_equal(fit.residuals, rows.y - design @ fit.coef)
+            for g, w in zip(got[1:], want[1:]):
+                assert g.point == pytest.approx(w.point, rel=1e-12, abs=0.0)
+                assert g.variance == pytest.approx(w.variance, rel=1e-10, abs=0.0)
+                assert (g.method, g.n_used, g.diagnostics) == (w.method, w.n_used, w.diagnostics)
+
+    def test_ill_conditioned_replicate_takes_the_svd_fit_bit_for_bit(self, monkeypatch):
+        # a covariate within 1e-3 of another puts the scaled cross products'
+        # condition number near 1e6
+        data = self._draw(163, 3, second=lambda x0, g: x0 + 1e-3 * g.normal(size=x0.size))
+        for sample in self._replicates(data):
+            calls = self._count_svds(monkeypatch)
+            got = fit_outcome_model(sample)
+            assert len(calls) == 1
+            monkeypatch.undo()
+            want = fit_outcome_model(self._rows(sample))
+            for name in ("coef", "residuals", "coef_cov"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+            a, b = ate_or(sample), ate_or(self._rows(sample))
+            assert (a.point, a.variance) == (b.point, b.variance)
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            lambda x0, g: 2.0 * x0,
+            lambda x0, g: 1e-13 * g.normal(size=x0.size),
+            lambda x0, g: 1e160 * g.normal(size=x0.size),
+        ],
+        ids=["collinear", "badly scaled", "overflowing"],
+    )
+    def test_rank_deficient_replicate_raises_what_the_svd_fit_raises(self, second):
+        # "badly scaled": the design's singular-value ratio is below
+        # RANK_RTOL, though its unit-diagonal-scaled cross products are well
+        # conditioned; "overflowing": X'X overflows, which must not warn
+        data = self._draw(164, 2, second=second)
+        for sample in self._replicates(data, n_boot=2):
+            with pytest.raises(RankDeficientError) as want:
+                fit_outcome_model(self._rows(sample))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(RankDeficientError, match=f"^{re.escape(str(want.value))}$"):
+                    fit_outcome_model(sample)
+                with pytest.raises(RankDeficientError, match=f"^{re.escape(str(want.value))}$"):
+                    ate_or(sample)
+
+    def test_exactly_identified_fit_is_the_svd_fit(self):
+        # n = k leaves no residual to estimate the covariance from
+        g = philox(165)
+        design, y = g.normal(size=(3, 3)), g.normal(size=3)
+        got, want = regress._fit_ols_by_normal_equations(design, y), fit_ols(design, y)
+        assert got.coef_cov is None and want.coef_cov is None
+        np.testing.assert_array_equal(got.coef, want.coef)
+        np.testing.assert_array_equal(got.residuals, want.residuals)
+
+    def test_a_take_keeps_a_resample_on_the_normal_equations(self, monkeypatch):
+        # the CLI trims inside a replicate with `take`; a plain `take` of a
+        # validated dataset is no resample
+        data = self._draw(166, 3)
+        assert not data._resampled and not data.take(np.arange(0, data.n, 2))._resampled
+        sample = self._replicates(data, n_boot=2)[0]
+        kept = sample.take(np.arange(0, sample.n, 2))
+        assert kept._resampled
+        calls = self._count_svds(monkeypatch)
+        fit_outcome_model(kept)
+        assert not calls
+        assert not dataclasses.replace(kept)._resampled  # not a constructor argument
+        copy = pickle.loads(pickle.dumps(kept))
+        assert copy._resampled
+        assert ate_or(copy).point == ate_or(kept).point
+
+    @pytest.mark.parametrize("trim", [None, (0.2, 0.8)], ids=["untrimmed", "trimmed"])
+    def test_full_sample_estimates_stay_on_the_svd_fit(self, trim, monkeypatch):
+        # oracle: the estimators with the SVD fit of the outcome model passed
+        # in; the full-sample point is what it was before replicates took
+        # the normal equations, bit for bit
+        data = self._draw(167, 3, n=2_000)
+        score = estimate_propensity_binary(data)
+        sub = data
+        if trim is not None:
+            score, kept = trim_overlap(score, *trim)
+            assert 0 < kept.size < data.n
+            sub = data.take(kept)
+        oracle = fit_ols(np.column_stack([np.ones(sub.n), sub.d, sub.x]), sub.y)
+        calls = self._count_svds(monkeypatch)
+        got = ate_or(sub), ate_dr(sub, score)
+        assert len(calls) == 2  # one SVD outcome fit per estimator
+        want = ate_or(sub, oracle), ate_dr(sub, score, oracle)
+        for g, w in zip(got, want):
+            assert np.array_equal(
+                np.array([g.point, g.variance]).view(np.int64),
+                np.array([w.point, w.variance]).view(np.int64),
+            )
 
 
 class TestIntegerArguments:
