@@ -42,7 +42,13 @@ from causalest import regress
 from causalest.core import PanelDataset
 from causalest.regress import IDENTITY, LinearFit
 
-from .conftest import confounded_binary, philox, run_methods, saturating_binary
+from .conftest import (
+    confounded_binary,
+    count_svd_solves,
+    philox,
+    run_methods,
+    saturating_binary,
+)
 
 
 def delta_variance_or(ds, m1: LinearFit, m0: LinearFit) -> float:
@@ -523,25 +529,16 @@ class TestResampledOutcomeFits:
         """The same rows as a validated dataset, which takes the SVD fit."""
         return validate(sample.y, sample.d, sample.x)
 
-    @staticmethod
-    def _count_svds(monkeypatch):
-        calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(
-            np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k)
-        )
-        return calls
-
     @pytest.mark.parametrize("n_cov", [0, 3])
     def test_agrees_with_the_svd_fit_of_the_same_rows(self, n_cov, monkeypatch):
         data = self._draw(160 + n_cov, n_cov)
+        calls = count_svd_solves(monkeypatch)
         for sample in self._replicates(data):
             assert sample._resampled and not self._rows(sample)._resampled
             score = estimate_propensity_binary(sample)
-            calls = self._count_svds(monkeypatch)
+            calls.clear()
             got = (fit_outcome_model(sample), ate_or(sample), ate_dr(sample, score))
             assert not calls  # the replicate solved its normal equations
-            monkeypatch.undo()
             rows = self._rows(sample)
             design = np.column_stack([np.ones(rows.n), rows.d, rows.x])
             want = (fit_ols(design, rows.y), ate_or(rows), ate_dr(rows, score))
@@ -558,11 +555,11 @@ class TestResampledOutcomeFits:
         # a covariate within 1e-3 of another puts the scaled cross products'
         # condition number near 1e6
         data = self._draw(163, 3, second=lambda x0, g: x0 + 1e-3 * g.normal(size=x0.size))
+        calls = count_svd_solves(monkeypatch)
         for sample in self._replicates(data):
-            calls = self._count_svds(monkeypatch)
+            calls.clear()
             got = fit_outcome_model(sample)
             assert len(calls) == 1
-            monkeypatch.undo()
             want = fit_outcome_model(self._rows(sample))
             for name in ("coef", "residuals", "coef_cov"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
@@ -610,7 +607,7 @@ class TestResampledOutcomeFits:
         sample = self._replicates(data, n_boot=2)[0]
         kept = sample.take(np.arange(0, sample.n, 2))
         assert kept._resampled
-        calls = self._count_svds(monkeypatch)
+        calls = count_svd_solves(monkeypatch)
         fit_outcome_model(kept)
         assert not calls
         assert not dataclasses.replace(kept)._resampled  # not a constructor argument
@@ -631,7 +628,7 @@ class TestResampledOutcomeFits:
             assert 0 < kept.size < data.n
             sub = data.take(kept)
         oracle = fit_ols(np.column_stack([np.ones(sub.n), sub.d, sub.x]), sub.y)
-        calls = self._count_svds(monkeypatch)
+        calls = count_svd_solves(monkeypatch)
         got = ate_or(sub), ate_dr(sub, score)
         assert len(calls) == 2  # one SVD outcome fit per estimator
         want = ate_or(sub, oracle), ate_dr(sub, score, oracle)
