@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
-from dataclasses import MISSING, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -36,25 +35,6 @@ def _owned(a: np.ndarray, source) -> np.ndarray:
     if isinstance(source, np.ndarray) and source.flags.writeable and np.may_share_memory(a, source):
         return a.copy(order="K")
     return a
-
-
-class _OnFirstRead:
-    """Dataclass field descriptor: a callable stored in the field is called
-    with the instance on the first read, and its result replaces it."""
-
-    def __set_name__(self, owner, name):
-        self._name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:  # class access: the dataclass field has no default
-            return MISSING
-        value = obj.__dict__[self._name]
-        if callable(value):
-            value = obj.__dict__[self._name] = value(obj)
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self._name] = value
 
 
 def _gather(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -192,17 +172,6 @@ def validate(y, d, x=None) -> ObservationalDataset:
     )
 
 
-def _gather_drawn(name: str, pds: "PanelDataset") -> np.ndarray:
-    """Row field `name` of a panel built by `take_units`: its source's,
-    gathered at the drawn rows."""
-    return _gather(getattr(pds._drawn_from[0], name), pds._rows)
-
-
-def _drawn_codes(pds: "PanelDataset") -> np.ndarray:
-    """The unit codes of a panel built by `take_units`: drawn unit j on its rows."""
-    return _readonly(np.repeat(np.arange(pds.n_units, dtype=np.intp), pds.unit_counts))
-
-
 @dataclass(frozen=True, eq=False)
 class PanelDataset:
     """A validated panel: rows sorted by (unit, time), units contiguous.
@@ -214,22 +183,17 @@ class PanelDataset:
         x: covariate matrix (n, p).
         unit_codes: 0..N-1 integer codes aligned with rows.
         unit_counts: periods per unit, length N.
-
-    Every field but `unit_counts` may be given as a callable, which is
-    called with the panel on its first read: a panel built by `take_units`
-    gathers its row fields only then.
     """
 
-    unit: np.ndarray = _OnFirstRead()
-    time: np.ndarray = _OnFirstRead()
-    y: np.ndarray = _OnFirstRead()
-    d: np.ndarray = _OnFirstRead()
-    x: np.ndarray = _OnFirstRead()
-    unit_codes: np.ndarray = _OnFirstRead()
+    unit: np.ndarray
+    time: np.ndarray
+    y: np.ndarray
+    d: np.ndarray
+    x: np.ndarray
+    unit_codes: np.ndarray
     unit_counts: np.ndarray
-    # (validated source panel, the source units drawn) for a panel built by
-    # `take_units`; drawn unit j is source unit `units[j]`
-    _drawn_from: tuple | None = field(default=None, init=False, repr=False)
+    # (validated source panel, the source units drawn) of a `_DrawnPanel`
+    _drawn_from = None
 
     @functools.cached_property
     def n(self) -> int:
@@ -248,28 +212,10 @@ class PanelDataset:
         return per_unit[self.unit_codes]
 
     @functools.cached_property
-    def _rows(self) -> np.ndarray:
-        """A drawn panel's rows in its source panel, in draw order."""
-        source, units = self._drawn_from
-        counts = self.unit_counts
-        source_start = (np.cumsum(source.unit_counts) - source.unit_counts)[units]
-        target_start = np.cumsum(counts) - counts
-        return np.arange(self.n) + np.repeat(source_start - target_start, counts)
-
-    @functools.cached_property
     def _within(self) -> tuple[np.ndarray, np.ndarray]:
         """The within transform, computed on first read: a read-only,
         C-contiguous (n, 1 + p) block of the unit-demeaned [d, x], and the
-        unit-demeaned y.
-
-        A panel built by `take_units` gathers its source's transform at the
-        drawn rows. That is bit-identical to demeaning it afresh: a drawn
-        unit keeps its rows in order, so `unit_means` adds the same values
-        in the same order.
-        """
-        if self._drawn_from is not None:
-            block, y = self._drawn_from[0]._within
-            return _gather(block, self._rows), _gather(y, self._rows)
+        unit-demeaned y."""
         block = np.empty((self.n, 1 + self.x.shape[1]))
         for j, v in enumerate((self.d, *self.x.T)):
             np.subtract(v, self.broadcast_units(self.unit_means(v)), out=block[:, j])
@@ -284,7 +230,7 @@ class PanelDataset:
 
         A panel that draws unit i c_i times from this one has the within
         cross products sum_i c_i Z_i'Z_i (its units keep their within rows,
-        see `_within`), and its maxima are those of the drawn units.
+        see `_DrawnPanel`), and its maxima are those of the drawn units.
         """
         block, y = self._within
         columns = [*block.T, y]
@@ -302,14 +248,8 @@ class PanelDataset:
 
         Repeated indices are allowed; each occurrence becomes a distinct new
         unit, numbered 0..M-1 in draw order, so resampled panels remain
-        valid. The result equals `validate_panel` applied to the drawn rows
-        and is built without re-running it: every drawn unit's rows are
-        already contiguous and sorted by time. It holds the validated
-        source panel and the drawn units (a draw from a drawn panel draws
-        from that panel's source), and gathers each row field, the unit
-        codes included, on its first read. A fixed-effects replicate reads
-        none of them unless its sums are too ill-conditioned: it sums the
-        source's per-unit cross products (`_unit_sums`).
+        valid. The result, a `_DrawnPanel`, equals `validate_panel` applied
+        to the drawn rows and is built without re-running it.
 
         Raises:
             InvalidInputError: `unit_index` is not a 1-d integer vector with
@@ -325,17 +265,60 @@ class PanelDataset:
             source, units = self, np.array(drawn, dtype=np.intp)
         else:
             source, units = self._drawn_from[0], self._drawn_from[1][drawn]
-        taken = PanelDataset(
-            unit=operator.attrgetter("unit_codes"),
-            time=functools.partial(_gather_drawn, "time"),
-            y=functools.partial(_gather_drawn, "y"),
-            d=functools.partial(_gather_drawn, "d"),
-            x=functools.partial(_gather_drawn, "x"),
-            unit_codes=_drawn_codes,
-            unit_counts=_readonly(counts),
-        )
-        object.__setattr__(taken, "_drawn_from", (source, _readonly(units)))
-        return taken
+        return _DrawnPanel(_readonly(counts), source, _readonly(units))
+
+
+class _DrawnPanel(PanelDataset):
+    """A panel drawn by whole units from a validated source panel.
+
+    It holds `_drawn_from` = (source, units): drawn unit j is source unit
+    `units[j]`, and a draw from a drawn panel draws from its source. Every drawn unit's rows are already contiguous
+    and sorted by time, so each row field, the unit codes included, is
+    gathered from the source on its first read, with the bits of the
+    validated drawn rows. A fixed-effects replicate reads none of them
+    unless its sums are too ill-conditioned: it sums the source's per-unit
+    cross products (`_unit_sums`).
+    """
+
+    def __init__(self, unit_counts: np.ndarray, source: PanelDataset, units: np.ndarray):
+        object.__setattr__(self, "unit_counts", unit_counts)
+        object.__setattr__(self, "_drawn_from", (source, units))
+
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        """The drawn rows in the source panel, in draw order."""
+        source, units = self._drawn_from
+        counts = self.unit_counts
+        source_start = (np.cumsum(source.unit_counts) - source.unit_counts)[units]
+        target_start = np.cumsum(counts) - counts
+        return np.arange(self.n) + np.repeat(source_start - target_start, counts)
+
+    def _gathered(self, name: str) -> np.ndarray:
+        """The source's row field `name` at the drawn rows."""
+        return _gather(getattr(self._drawn_from[0], name), self._rows)
+
+    @functools.cached_property
+    def unit_codes(self) -> np.ndarray:
+        """Drawn unit j on its rows."""
+        return _readonly(np.repeat(np.arange(self.n_units, dtype=np.intp), self.unit_counts))
+
+    # the drawn units' ids are their codes
+    unit = functools.cached_property(lambda self: self.unit_codes)
+    time = functools.cached_property(lambda self: self._gathered("time"))
+    y = functools.cached_property(lambda self: self._gathered("y"))
+    d = functools.cached_property(lambda self: self._gathered("d"))
+    x = functools.cached_property(lambda self: self._gathered("x"))
+
+    @functools.cached_property
+    def _within(self) -> tuple[np.ndarray, np.ndarray]:
+        """The source's within transform, gathered at the drawn rows.
+
+        That is bit-identical to demeaning it afresh: a drawn unit keeps its
+        rows in order, so `unit_means` adds the same values in the same
+        order.
+        """
+        block, y = self._drawn_from[0]._within
+        return _gather(block, self._rows), _gather(y, self._rows)
 
 
 def validate_panel(unit, time, y, d, x=None) -> PanelDataset:
@@ -356,7 +339,9 @@ def validate_panel(unit, time, y, d, x=None) -> PanelDataset:
         raise NonFiniteValueError("unit ids must be finite")
     if unit_arr.dtype == object and any(u is None or u != u for u in unit_arr.tolist()):
         raise NonFiniteValueError("unit ids must not contain None or NaN")
-    if time_arr.dtype.kind not in "iu":
+    # a uint64 entry beyond int64 takes the float path, whose range check
+    # rejects it; a Python-int bound keeps this comparison in uint64
+    if time_arr.dtype.kind not in "iu" or (time_arr.dtype == np.uint64 and (time_arr > 2**63 - 1).any()):
         try:
             as_int = np.asarray(time_arr, dtype=float)
         except (TypeError, ValueError):  # times NumPy cannot read as numbers

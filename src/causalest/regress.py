@@ -319,11 +319,7 @@ def fit_logistic(design, d, start=None) -> LinearFit:
 
 def predict(fit: LinearFit, design_new) -> np.ndarray:
     """Evaluate a fit on new design rows (expit-transformed for logit)."""
-    X = np.asarray(design_new, dtype=float)
-    # a 1-d input is a single design row, or else a column of one-regressor rows
-    if X.ndim == 1 and X.size == fit.design_width > 1:
-        X = X.reshape(1, -1)
-    X = _as_matrix("design_new", X, finite=False)
+    X = _as_matrix("design_new", design_new, finite=False)
     if X.shape[1] != fit.design_width:
         raise DimensionMismatchError(
             f"design_new has width {X.shape[1]}, fit expects {fit.design_width}"

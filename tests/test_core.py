@@ -244,6 +244,16 @@ class TestValidatePanel:
         with pytest.raises(NonFiniteValueError):
             validate_panel([1, 1], [0.0, 0.5], [1.0, 2.0], [0.0, 1.0])
 
+    def test_uint64_time_beyond_int64_rejected_as_floats_are(self):
+        y, d = [1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 0.0]
+        for top in (2**63, 2**64 - 1):
+            for dtype in (np.uint64, float):
+                with pytest.raises(NonFiniteValueError, match="within the int64 range"):
+                    validate_panel([0, 0, 1, 1], np.array([0, top, 0, top], dtype=dtype), y, d)
+        # the largest int64 is in range, and the times keep their dtype
+        pds = validate_panel([0, 0, 1, 1], np.array([0, 2**63 - 1] * 2, dtype=np.uint64), y, d)
+        assert pds.time.dtype == np.uint64 and pds.time.tolist() == [0, 2**63 - 1] * 2
+
     @pytest.mark.parametrize(
         "unit, time, error",
         [
@@ -311,7 +321,7 @@ class TestValidatePanel:
             for name in ("n", "n_units"):
                 got, want = getattr(boot, name), getattr(expected, name)
                 assert type(got) is int and got == want, name
-            assert all(callable(vars(boot)[name]) for name in ROW_FIELDS)
+            assert all(name not in vars(boot) for name in ROW_FIELDS)
             for name in ("unit", "time", "y", "d", "x", "unit_codes", "unit_counts"):
                 got, want = getattr(boot, name), getattr(expected, name)
                 assert got.dtype == want.dtype, name
@@ -385,7 +395,7 @@ class TestValidatePanel:
             fit_pols: ["unit", "time", "unit_codes"],
             ate_did: ["unit"],
         }
-        lazy = [name for name in ROW_FIELDS if callable(vars(boot)[name])]
+        lazy = [name for name in ROW_FIELDS if name not in vars(boot)]
         assert lazy == unread.get(estimator, ["unit", "time"])
 
     def test_lazy_row_column_is_gathered_once(self):
@@ -404,8 +414,8 @@ class TestValidatePanel:
             for name in ROW_FIELDS:
                 getattr(boot, name)
         copy = pickle.loads(pickle.dumps(boot))
-        # the copy holds the gathers themselves until its own first read
-        assert all(callable(vars(copy)[name]) != read_first for name in ROW_FIELDS)
+        # the copy gathers a field on its own first read, unless it was read before the pickle
+        assert all((name not in vars(copy)) != read_first for name in ROW_FIELDS)
         for name in ("unit", "time", "y", "d", "x", "unit_codes", "unit_counts"):
             got, want = getattr(copy, name), getattr(boot, name)
             assert got.dtype == want.dtype, name
@@ -446,7 +456,7 @@ class TestDrawnFixedEffects:
 
     @staticmethod
     def _assert_unread(boot):
-        assert all(callable(vars(boot)[name]) for name in ROW_FIELDS)
+        assert all(name not in vars(boot) for name in ROW_FIELDS)
         assert "_rows" not in vars(boot) and "_within" not in vars(boot)
 
     @pytest.mark.parametrize("balanced", [True, False], ids=["balanced", "unbalanced"])

@@ -574,12 +574,16 @@ class TestPredict:
         X, d = _logistic_draw(13, 500)
         fit = fit_logistic(X, d)
         fit.coef = np.array([2.0, 0.5])
-        assert predict(fit, [1.0, 0.0])[0] == pytest.approx(expit(2.0))
+        assert predict(fit, [[1.0, 0.0]])[0] == pytest.approx(expit(2.0))
 
     def test_single_row_vs_column_disambiguation(self):
         fit = fit_ols(np.ones((3, 1)), [2.0, 4.0, 6.0])
         # width-1 fit: a 1-d input is a column of rows
         np.testing.assert_allclose(predict(fit, [1.0, 1.0]), [4.0, 4.0])
+        # for any width: a width-2 fit reads it as one column and rejects it
+        wide = fit_ols(np.column_stack([np.ones(3), [0.0, 1.0, 2.0]]), [2.0, 4.0, 6.0])
+        with pytest.raises(DimensionMismatchError):
+            predict(wide, [1.0, 1.0])
 
     def test_width_mismatch(self):
         fit = fit_ols(np.ones((3, 1)), [2.0, 4.0, 6.0])
