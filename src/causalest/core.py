@@ -65,6 +65,14 @@ def _is_01(v: np.ndarray) -> bool:
     return bool(((v == 0.0) | (v == 1.0)).all())
 
 
+def _as_float(name: str, v) -> np.ndarray:
+    """`v` as a float array; strings, a mapping or ragged rows are an input error."""
+    try:
+        return np.asarray(v, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise InvalidInputError(f"'{name}' must be numeric and rectangular: {err}") from None
+
+
 def _as_vector(name: str, v, n: int | None = None, *, finite: bool = True) -> np.ndarray:
     """Coerce a 1-D input to a float vector, of length `n` when `n` is given.
 
@@ -72,7 +80,7 @@ def _as_vector(name: str, v, n: int | None = None, *, finite: bool = True) -> np
     finiteness check on array arguments. `finite=False` skips the finiteness
     scan on the regression fit path, whose callers pass validated columns.
     """
-    arr = np.asarray(v, dtype=float)
+    arr = _as_float(name, v)
     if arr.ndim != 1:
         raise DimensionMismatchError(f"'{name}' must be a 1-d vector, got shape {arr.shape}")
     if finite and not np.isfinite(arr).all():
@@ -91,7 +99,7 @@ def _as_matrix(name: str, m, n: int | None = None, *, finite: bool = True) -> np
     zero-width matrix."""
     if m is None:
         return np.empty((n, 0), dtype=float)
-    arr = np.asarray(m, dtype=float)
+    arr = _as_float(name, m)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
@@ -229,8 +237,8 @@ class PanelDataset:
         |within d| and the largest |d|.
 
         A panel that draws unit i c_i times from this one has the within
-        cross products sum_i c_i Z_i'Z_i (its units keep their within rows,
-        see `_DrawnPanel`), and its maxima are those of the drawn units.
+        cross products sum_i c_i Z_i'Z_i (a drawn unit's within rows are its
+        source unit's), and its maxima are those of the drawn units.
         """
         block, y = self._within
         columns = [*block.T, y]
@@ -308,17 +316,6 @@ class _DrawnPanel(PanelDataset):
     y = functools.cached_property(lambda self: self._gathered("y"))
     d = functools.cached_property(lambda self: self._gathered("d"))
     x = functools.cached_property(lambda self: self._gathered("x"))
-
-    @functools.cached_property
-    def _within(self) -> tuple[np.ndarray, np.ndarray]:
-        """The source's within transform, gathered at the drawn rows.
-
-        That is bit-identical to demeaning it afresh: a drawn unit keeps its
-        rows in order, so `unit_means` adds the same values in the same
-        order.
-        """
-        block, y = self._drawn_from[0]._within
-        return _gather(block, self._rows), _gather(y, self._rows)
 
 
 def validate_panel(unit, time, y, d, x=None) -> PanelDataset:

@@ -60,9 +60,9 @@ def _outcome_model(ds, outcome_fit):
             f"outcome fit has link {outcome_fit.link!r}; the outcome model is OLS ({IDENTITY!r})"
         )
     width = 2 + ds.x.shape[1]
-    if outcome_fit.design_width != width:
+    if outcome_fit.coef.shape[0] != width:
         raise DimensionMismatchError(
-            f"outcome fit has design width {outcome_fit.design_width}, the dataset needs {width}"
+            f"outcome fit has design width {outcome_fit.coef.shape[0]}, the dataset needs {width}"
         )
     _check_rows("outcome fit", outcome_fit.residuals.shape[0], ds.n)
     return outcome_fit

@@ -129,7 +129,7 @@ def fit_fe(pds: PanelDataset) -> CausalEstimate:
             return est
     fit, dof = _within_fit(pds)
     # fit_ols scales the covariance by RSS/(n-k); correct for the N absorbed means
-    var = fit.coef_cov[0, 0] * (pds.n - fit.design_width) / dof
+    var = fit.coef_cov[0, 0] * (pds.n - fit.coef.shape[0]) / dof
     return _estimate("fe", fit.coef[0], pds.n, var, {"dof": int(dof)})
 
 

@@ -6,6 +6,7 @@ verifies the balancing property of the estimated score.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -112,10 +113,11 @@ def trim_overlap(fit: PropensityFit, lo: float = 0.01, hi: float = 0.99):
     and the trimmed fit keeps the full sample's `start`.
 
     Raises:
+        InvalidInputError: lo and hi are not numbers with 0 <= lo < hi <= 1.
         AllUnitsTrimmedError: fewer than 2 units keep their score, the
             fewest a dataset holds.
     """
-    if not (0.0 <= lo < hi <= 1.0):
+    if not (all(isinstance(b, numbers.Real) for b in (lo, hi)) and 0.0 <= lo < hi <= 1.0):
         raise InvalidInputError(f"require 0 <= lo < hi <= 1, got ({lo}, {hi})")
     keep = (fit.scores >= lo) & (fit.scores <= hi)
     kept_indices = np.flatnonzero(keep)

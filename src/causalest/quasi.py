@@ -55,31 +55,32 @@ def ate_2sls(y, d, z) -> CausalEstimate:
         if m.shape[1] != 1:
             raise DimensionMismatchError(f"{name} must be one column, got {m.shape[1]}")
     xm = np.empty((n, 0))
-    return _second_stage(yv, dm, xm, _first_stage(dm, zm, xm))
+    dv, zv = dm.ravel(), zm.ravel()
+    return _second_stage(yv, dv, xm, _first_stage(dv, zv, xm))
 
 
-def _first_stage(dm, zm, xm):
+def _first_stage(dv, zv, xm):
     """(exog, instruments, coef): the exogenous columns (1, x), the
     instruments (1, x, z) and the coefficients of d on the instruments."""
-    n = dm.shape[0]
+    n = dv.shape[0]
     exog = np.column_stack([np.ones(n), xm])
-    instruments = np.column_stack([exog, zm])
-    return exog, instruments, _svd_solve(instruments, dm)[0]
+    instruments = np.column_stack([exog, zv])
+    return exog, instruments, _svd_solve(instruments, dv)[0]
 
 
-def _second_stage(yv, dm, xm, first) -> CausalEstimate:
-    """The 2SLS estimate from `_first_stage`, for one column each of d and z."""
+def _second_stage(yv, dv, xm, first) -> CausalEstimate:
+    """The 2SLS estimate from `_first_stage`, for the vectors d and y."""
     exog, instruments, first_coef = first
-    n = dm.shape[0]
+    n = dv.shape[0]
     d_hat = instruments @ first_coef
 
     # first-stage strength diagnostic: the F statistic of the instrument
     dof_full = n - instruments.shape[1]
-    restricted_coef, _ = _svd_solve(exog, dm)
-    restricted_resid = dm - exog @ restricted_coef
-    full_resid = dm - d_hat
-    rss_f = float(full_resid[:, 0] @ full_resid[:, 0])
-    rss_r = float(restricted_resid[:, 0] @ restricted_resid[:, 0])
+    restricted_coef, _ = _svd_solve(exog, dv)
+    restricted_resid = dv - exog @ restricted_coef
+    full_resid = dv - d_hat
+    rss_f = float(full_resid @ full_resid)
+    rss_r = float(restricted_resid @ restricted_resid)
     if rss_f <= 0.0 or dof_full < 1:
         f_stat = float("inf")
     else:
@@ -87,7 +88,7 @@ def _second_stage(yv, dm, xm, first) -> CausalEstimate:
 
     second = np.column_stack([np.ones(n), d_hat, xm])
     coef, factors = _svd_solve(second, yv)
-    resid = yv - np.column_stack([np.ones(n), dm, xm]) @ coef
+    resid = yv - np.column_stack([np.ones(n), dv, xm]) @ coef
     dof = n - second.shape[1]
     # an exactly identified fit (n = k) leaves no residual to scale by
     var = float(resid @ resid) / dof * _xtx_inv(*factors)[1, 1] if dof else None
@@ -391,15 +392,15 @@ def rdd_fuzzy(y, t, d, cutoff: float = 0.0) -> CausalEstimate:
     """
     yv, tc, above, dv = _rdd_frame(y, t, cutoff, d)
     n = yv.shape[0]
-    dm, zm, xm = dv.reshape(-1, 1), above.reshape(-1, 1), np.column_stack([tc, above * tc])
+    xm = np.column_stack([tc, above * tc])
     # the jump is the first stage's coefficient on `above`, its last instrument
-    first = _first_stage(dm, zm, xm)
-    jump = float(first[2][-1, 0])
+    first = _first_stage(dv, above, xm)
+    jump = float(first[2][-1])
     if abs(jump) <= _FIRST_STAGE_JUMP_TOL:
         raise NoFirstStageJumpError(
             f"assignment probability jump {jump:.4f} is within the "
             f"{_FIRST_STAGE_JUMP_TOL} tolerance"
         )
-    est = _second_stage(yv, dm, xm, first)
+    est = _second_stage(yv, dv, xm, first)
     diagnostics = {**est.diagnostics, "cutoff": float(cutoff), "first_stage_jump": jump}
     return _estimate("rdd_fuzzy", est.point, n, est.variance, diagnostics)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,7 @@ from .errors import (
     ConvergenceError,
     DimensionMismatchError,
     InvalidInputError,
+    NonFiniteValueError,
     NoTreatmentVariationError,
     RankDeficientError,
     SeparationError,
@@ -51,7 +53,6 @@ class LinearFit:
         coef_cov: for OLS, the covariance of coef, shape (k, k); None for
             an exactly identified fit (n = k) and for logit, whose inverse
             information is in `start`.
-        design_width: k, for prediction-time shape checking.
         iterations: IRLS steps taken, chord and Newton, and a round that
             discards a chord step (0 for OLS).
         fitted: for logit, the fitted probabilities on the fit's own
@@ -67,7 +68,6 @@ class LinearFit:
     link: str
     residuals: np.ndarray
     coef_cov: np.ndarray | None
-    design_width: int
     iterations: int = 0
     fitted: np.ndarray | None = None
     start: tuple[np.ndarray, np.ndarray] | None = None
@@ -78,37 +78,34 @@ def _check_design(design, y) -> tuple[np.ndarray, np.ndarray]:
     return X, _as_vector("response", y, X.shape[0], finite=False)
 
 
-def _svd_solve(Xw: np.ndarray, yw: np.ndarray | None):
-    """Least-squares solve via SVD; returns (coef, (s, Vt)).
+def _svd_solve(Xw: np.ndarray, yw: np.ndarray):
+    """Least-squares solve of one response vector via SVD; returns
+    (coef, (s, Vt)), whose s and Vt give (X'X)^-1 through `_xtx_inv`.
 
-    coef is None when `yw` is None. The singular values s and right
-    singular vectors Vt give (X'X)^-1 through `_xtx_inv` when a caller
-    needs it. Raises RankDeficientError when the singular-value ratio falls
-    below RANK_RTOL (or the system is under-determined).
+    Raises RankDeficientError when the singular-value ratio falls below
+    RANK_RTOL (or the system is under-determined). A failed SVD raises
+    NonFiniteValueError when the design has a non-finite entry (looked for
+    only then), else ConvergenceError.
     """
     n, k = Xw.shape
     if n < k:
         raise RankDeficientError(f"n={n} rows cannot identify k={k} coefficients")
-    U, s, Vt = np.linalg.svd(Xw, full_matrices=False)
+    try:
+        U, s, Vt = np.linalg.svd(Xw, full_matrices=False)
+    except np.linalg.LinAlgError:
+        if not np.isfinite(Xw).all():
+            raise NonFiniteValueError("design contains non-finite values") from None
+        raise ConvergenceError("SVD of the design did not converge") from None
     if s[0] == 0.0 or s[-1] / s[0] < RANK_RTOL:
         raise RankDeficientError(
             f"design is rank deficient (singular-value ratio {0.0 if s[0] == 0 else s[-1] / s[0]:.2e})"
         )
-    coef = None
-    if yw is not None:
-        uty = U.T @ yw
-        coef = Vt.T @ (uty / (s[:, None] if uty.ndim == 2 else s))
-    return coef, (s, Vt)
+    return Vt.T @ ((U.T @ yw) / s), (s, Vt)
 
 
 def _xtx_inv(s: np.ndarray, Vt: np.ndarray) -> np.ndarray:
     """(X'X)^-1 from the singular values and right singular vectors of X."""
     return (Vt.T / s**2) @ Vt
-
-
-def _weighted_xtx_inv(Xw: np.ndarray) -> np.ndarray:
-    """(Xw' Xw)^-1 from the same SVD a Newton step uses."""
-    return _xtx_inv(*_svd_solve(Xw, None)[1])
 
 
 def fit_ols(design, y) -> LinearFit:
@@ -122,17 +119,21 @@ def fit_ols(design, y) -> LinearFit:
     Raises:
         RankDeficientError: collinear or under-determined design.
         DimensionMismatchError: inconsistent shapes.
+        NonFiniteValueError: a non-finite entry in the design or response.
     """
     X, r = _check_design(design, y)
     n, k = X.shape
     coef, factors = _svd_solve(X, r)
     resid = r - X @ coef
+    # unscanned inputs: a non-finite entry fails the SVD or shows in the RSS
+    rss = float(resid @ resid)
+    if not math.isfinite(rss):
+        raise NonFiniteValueError("the residual sum of squares is not finite")
     return LinearFit(
         coef=coef,
         link=IDENTITY,
         residuals=resid,
-        coef_cov=float(resid @ resid) / (n - k) * _xtx_inv(*factors) if n > k else None,
-        design_width=k,
+        coef_cov=rss / (n - k) * _xtx_inv(*factors) if n > k else None,
     )
 
 
@@ -188,7 +189,6 @@ def _fit_ols_by_normal_equations(design, y) -> LinearFit:
         link=IDENTITY,
         residuals=resid,
         coef_cov=float(resid @ resid) / (n - k) * solved[:, 1:],
-        design_width=k,
     )
 
 
@@ -240,7 +240,7 @@ def fit_logistic(design, d, start=None) -> LinearFit:
         ConvergenceError: no convergence in 100 steps.
         DimensionMismatchError: `start` is not a pair of a length-k vector
             and a k x k matrix.
-        NonFiniteValueError: `start` has a non-finite entry.
+        NonFiniteValueError: `start` or the design has a non-finite entry.
     """
     X, dv = _check_design(design, d)
     if not _is_01(dv):
@@ -295,13 +295,12 @@ def fit_logistic(design, d, start=None) -> LinearFit:
                 inverse = chord
             else:  # a fit from zeros that took no step
                 np.multiply(X.T, np.sqrt(sw, out=sw), out=Xw.T)
-                inverse = _weighted_xtx_inv(Xw)
+                inverse = _xtx_inv(*_svd_solve(Xw, resid)[1])
             return LinearFit(
                 coef=coef,
                 link=LOGIT,
                 residuals=resid,
                 coef_cov=None,
-                design_width=k,
                 iterations=it - 1,
                 fitted=p,
                 start=(coef, inverse),
@@ -320,9 +319,9 @@ def fit_logistic(design, d, start=None) -> LinearFit:
 def predict(fit: LinearFit, design_new) -> np.ndarray:
     """Evaluate a fit on new design rows (expit-transformed for logit)."""
     X = _as_matrix("design_new", design_new, finite=False)
-    if X.shape[1] != fit.design_width:
+    if X.shape[1] != fit.coef.shape[0]:
         raise DimensionMismatchError(
-            f"design_new has width {X.shape[1]}, fit expects {fit.design_width}"
+            f"design_new has width {X.shape[1]}, fit expects {fit.coef.shape[0]}"
         )
     eta = X @ fit.coef
     return expit(eta) if fit.link == LOGIT else eta

@@ -10,12 +10,14 @@ import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import causalest
 from causalest import errors
 from causalest.errors import (
     CausalestError,
+    ConvergenceError,
     DimensionMismatchError,
     EmptyDatasetError,
     InvalidInputError,
@@ -97,3 +99,79 @@ def test_input_branch_is_exactly_the_input_errors():
     assert {c for c in ERROR_CLASSES if issubclass(c, InvalidInputError)} == INPUT_ERRORS
     assert not any(issubclass(c, ValueError) for c in ERROR_CLASSES - INPUT_ERRORS)
     assert issubclass(LengthMismatchError, DimensionMismatchError)
+
+
+_UNIT, _TIME, _Y = [1, 1, 2, 2], [0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0]
+_SCORES = causalest.PropensityFit.from_scores([0.3, 0.6, 0.5, 0.4], [0, 1, 0, 1])
+_SC = {name: [1.0] for name in ("x1", "z1", "y1")} | {name: [[1.0, 2.0]] for name in ("x0", "z0", "y0")}
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: causalest.validate(["a", "b", "c"], [0, 1, 0]), "'y'"),
+        (lambda: causalest.validate({"a": 1}, [0, 1]), "'y'"),
+        (lambda: causalest.validate([1, 2, 3], [0, 1, 0], [[1, 2], [3], [4, 5]]), "'x'"),
+        (lambda: causalest.validate_panel(_UNIT, _TIME, ["a"] * 4, [0, 1, 0, 1]), "'y'"),
+        (lambda: causalest.validate_panel(_UNIT, _TIME, _Y, {"d": 1}), "'d'"),
+        (lambda: causalest.validate_panel(_UNIT, _TIME, _Y, [0, 1, 0, 1], [[1], [2, 3], [4], [5]]), "'x'"),
+        (lambda: causalest.ScProblem(**{**_SC, "x0": [["a", "b"]]}), "'x0'"),
+        (lambda: causalest.sc_weights(["a"], [[1.0, 2.0]], [1.0]), "'x1'"),
+        (lambda: causalest.fit_ols([[1.0], ["a"]], [1.0, 2.0]), "'design'"),
+        (lambda: causalest.fit_logistic([[1.0], [1.0]], ["a", "b"]), "'response'"),
+        (lambda: causalest.ate_2sls([1.0, 2.0, 3.0], [0, 1, 0], ["a", "b", "c"]), "'z'"),
+        (lambda: causalest.rdd_sharp([1.0, 2.0], {"t": 1}), "'t'"),
+        (lambda: causalest.rdd_fuzzy([1.0, 2.0], [-1.0, 1.0], ["a", "b"]), "'d'"),
+        (lambda: causalest.PropensityFit.from_scores(["a", "b"], [0, 1]), "'p1'"),
+        (lambda: causalest.trim_overlap(_SCORES, "a", 0.9), "lo < hi"),
+        (lambda: causalest.trim_overlap(_SCORES, 0.1, None), "lo < hi"),
+    ],
+    ids=[
+        "validate-strings", "validate-mapping", "validate-ragged-x", "panel-y", "panel-d",
+        "panel-ragged-x", "sc-problem", "sc-weights", "fit-ols", "fit-logistic", "2sls",
+        "rdd-sharp", "rdd-fuzzy", "from-scores", "trim-lo", "trim-hi",
+    ],
+)
+def test_non_numeric_input_is_an_input_error(call, name):
+    # NumPy's own TypeError or ValueError would escape the package's base
+    # class and abort a caller that catches CausalestError
+    with pytest.raises(InvalidInputError, match=name):
+        call()
+
+
+_DESIGN = np.column_stack([np.ones(6), np.arange(6.0)])
+
+
+def _with(a, at, value):
+    a = np.array(a, dtype=float)
+    a[at] = value
+    return a
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: causalest.fit_ols(_with(_DESIGN, (2, 1), np.nan), np.arange(6.0)),
+        lambda: causalest.fit_ols(_with(_DESIGN, (2, 1), np.inf), np.arange(6.0)),
+        lambda: causalest.fit_ols(_DESIGN, _with(np.arange(6.0), 2, np.nan)),
+        # an exactly identified fit has no residual sum of squares
+        lambda: causalest.fit_ols(_DESIGN[:2], [np.nan, 1.0]),
+        lambda: causalest.fit_logistic(_with(_DESIGN, (2, 1), np.nan), [0, 1, 0, 1, 1, 0]),
+    ],
+    ids=[
+        "ols-nan-design", "ols-inf-design", "ols-nan-response", "ols-exact-nan-response",
+        "logit-nan-design",
+    ],
+)
+def test_non_finite_input_to_a_fit_is_an_input_error(call):
+    with pytest.raises(NonFiniteValueError):
+        call()
+
+
+def test_an_svd_that_fails_on_a_finite_design_is_a_convergence_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        causalest.fit_ols(_DESIGN, np.arange(6.0))

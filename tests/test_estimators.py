@@ -575,7 +575,7 @@ class TestSharedOutcomeFit:
         y = (g.uniform(size=400) < expit(-0.3 + 0.8 * d + x[:, 0])).astype(float)
         ds = validate(y, d, x)
         logit = fit_logistic(np.column_stack([np.ones(400), d, x]), y)
-        assert logit.design_width == 3
+        assert logit.coef.shape[0] == 3
         with pytest.raises(InvalidInputError, match="outcome fit has link 'logit'"):
             ate_or(ds, logit)
         with pytest.raises(InvalidInputError, match="outcome fit has link 'logit'"):

@@ -367,7 +367,8 @@ def _allocating_chord_irls(X, d, coef, inverse=None, max_iter=100, tol=1e-8):
         if np.abs(resid).max() < regress._SEP_RESID:
             raise SeparationError("classes are separated")
         if np.abs(score).max() < tol:
-            at_optimum = regress._weighted_xtx_inv(X * np.sqrt(p * (1.0 - p))[:, None])
+            Xw = X * np.sqrt(p * (1.0 - p))[:, None]
+            at_optimum = regress._xtx_inv(*regress._svd_solve(Xw, resid)[1])
             for start_inverse in (newton_inverse, inverse, at_optimum):
                 if start_inverse is not None:
                     return coef, resid, p, start_inverse, it - 1
@@ -444,6 +445,14 @@ class TestWarmStart:
         assert fit.iterations == 0
         assert np.array_equal(fit.start[0], np.zeros(2))
         np.testing.assert_allclose(fit.start[1], np.eye(2), rtol=1e-12)
+
+    def test_a_fit_that_takes_no_step_on_a_collinear_design_is_rank_deficient(self):
+        # the score vanishes at zero as above, and the inverse information
+        # the fit would return goes through the SVD fit's rank rule
+        c = [-1.0, 1.0, -1.0, 1.0]
+        X = np.column_stack([np.ones(4), c, c])
+        with pytest.raises(RankDeficientError):
+            fit_logistic(X, [0.0, 0.0, 1.0, 1.0])
 
     def test_start_at_the_optimum_is_copied(self):
         X, d = _score_draw(24, 1_000, 3)

@@ -70,7 +70,7 @@ def delta_variance_or(ds, m1: LinearFit, m0: LinearFit) -> float:
         if fit.coef_cov is None:
             raise ValueError("arm model lacks a coefficient covariance")
     design = np.column_stack([np.ones(ds.n), ds.x])
-    if design.shape[1] != m1.design_width or design.shape[1] != m0.design_width:
+    if design.shape[1] != m1.coef.shape[0] or design.shape[1] != m0.coef.shape[0]:
         raise ValueError("arm models were not fitted on a (1, x) design of this dataset")
     contrast = design @ m1.coef - design @ m0.coef
     centered = contrast - contrast.mean()
@@ -192,7 +192,6 @@ class TestDeltaVarianceOr:
             link="logit",
             residuals=m1.residuals,
             coef_cov=m1.coef_cov,
-            design_width=m1.design_width,
         )
         with pytest.raises(ValueError, match="identity"):
             delta_variance_or(ds, bad, m0)
@@ -206,7 +205,6 @@ class TestDeltaVarianceOr:
             link=IDENTITY,
             residuals=m1.residuals,
             coef_cov=None,
-            design_width=m1.design_width,
         )
         with pytest.raises(ValueError, match="covariance"):
             delta_variance_or(ds, no_cov, m0)
