@@ -124,9 +124,8 @@ class ObservationalDataset:
     y: np.ndarray
     d: np.ndarray
     x: np.ndarray
-    # True for a bootstrap resample and for what `take` draws from one: its
-    # outcome fits solve their normal equations (`fit_outcome_model`)
-    _resampled: bool = field(default=False, init=False, repr=False)
+    # (validated source dataset, the source rows drawn) of a `_DrawnRows`
+    _drawn_from = None
 
     @property
     def n(self) -> int:
@@ -136,7 +135,9 @@ class ObservationalDataset:
         """Return a new dataset restricted to (or resampled at) `indices`.
 
         The gathers copy, so the new arrays own their data. Rows taken from
-        a bootstrap resample are a bootstrap resample too.
+        a drawn dataset (a bootstrap row resample, `_DrawnRows`) are drawn
+        from its source: the result is a `_DrawnRows` whose draws are the
+        taken draws, and it gathers no row until one is read.
 
         Raises:
             InvalidInputError: `indices` is not a 1-d integer vector with
@@ -146,14 +147,78 @@ class ObservationalDataset:
         idx = _indices(indices, self.n)
         if idx.size < 2:
             raise EmptyDatasetError(f"need at least 2 rows, got {idx.size}")
-        taken = ObservationalDataset(
+        if self._drawn_from is not None:
+            return _DrawnRows(self, idx)
+        return ObservationalDataset(
             y=_gather(self.y, idx),
             d=_gather(self.d, idx),
             x=_gather(self.x, idx),
         )
-        if self._resampled:
-            object.__setattr__(taken, "_resampled", True)
-        return taken
+
+
+class _DrawnRows(ObservationalDataset):
+    """Rows drawn with replacement from a validated dataset: a bootstrap
+    row resample.
+
+    It holds `_drawn_from` = (source, draws): drawn row i is source row
+    `draws[i]`, and a draw from a drawn dataset draws from its source. Its
+    `y`, `d` and `x` are gathered from the source in draw order on first
+    read, with the bits `take` gives; the row-by-row estimators read them.
+    The score fit from a start, the outcome fit and the outcome regression
+    and doubly robust sums read `_distinct` instead: the distinct drawn
+    rows, counted as often as each was drawn.
+    """
+
+    def __init__(self, ds: ObservationalDataset, draws: np.ndarray):
+        if ds._drawn_from is not None:
+            ds, draws = ds._drawn_from[0], ds._drawn_from[1][draws]
+        object.__setattr__(self, "_drawn_from", (ds, _readonly(draws)))
+
+    @property
+    def n(self) -> int:
+        return self._drawn_from[1].shape[0]
+
+    @functools.cached_property
+    def _distinct(self) -> tuple[ObservationalDataset, np.ndarray]:
+        """(rows, counts): the distinct drawn rows, in source order, as a
+        dataset, and how often each was drawn, as floats."""
+        source, draws = self._drawn_from
+        counts = np.bincount(draws, minlength=source.n)
+        rows = np.flatnonzero(counts)
+        return (
+            ObservationalDataset(*(_gather(v, rows) for v in (source.y, source.d, source.x))),
+            _readonly(counts[rows].astype(float)),
+        )
+
+    @functools.cached_property
+    def _positions(self) -> np.ndarray:
+        """Each drawn row's position among the distinct rows."""
+        source, draws = self._drawn_from
+        distinct = np.bincount(draws, minlength=source.n) > 0
+        return _readonly((np.cumsum(distinct) - 1)[draws])
+
+    def _spread(self, v: np.ndarray) -> np.ndarray:
+        """A vector over the distinct rows, spread to the drawn rows."""
+        return np.take(v, self._positions)
+
+    def _gathered(self, name: str) -> np.ndarray:
+        """The source's row field `name` at the drawn rows."""
+        source, draws = self._drawn_from
+        return _gather(getattr(source, name), draws)
+
+    y = functools.cached_property(lambda self: self._gathered("y"))
+    d = functools.cached_property(lambda self: self._gathered("d"))
+    x = functools.cached_property(lambda self: self._gathered("x"))
+
+
+def _same_draws(drawn: _DrawnRows, ds) -> bool:
+    """Whether `ds` draws the rows of `drawn` in the same order from the
+    same source."""
+    return ds is drawn or (
+        isinstance(ds, _DrawnRows)
+        and ds._drawn_from[0] is drawn._drawn_from[0]
+        and np.array_equal(ds._drawn_from[1], drawn._drawn_from[1])
+    )
 
 
 def validate(y, d, x=None) -> ObservationalDataset:

@@ -14,6 +14,7 @@ from .core import (
     ObservationalDataset,
     _check_arms,
     _check_rows,
+    _DrawnRows,
     _estimate,
 )
 from .errors import (
@@ -22,7 +23,7 @@ from .errors import (
     NoUsableStratumError,
     ZeroPropensityError,
 )
-from .propensity import _N_STRATA, PropensityFit, quantile_strata
+from .propensity import _N_STRATA, PropensityFit, _distinct_scores, quantile_strata
 from .regress import (
     IDENTITY,
     LinearFit,
@@ -39,22 +40,61 @@ def fit_outcome_model(ds: ObservationalDataset) -> LinearFit:
     """Pooled OLS of y on (1, d, x).
 
     To leave the covariates out, fit it on a dataset without them,
-    `validate(ds.y, ds.d)`. A bootstrap resample (and rows taken from one)
-    is fitted by normal equations, which agree with the SVD fit of the same
-    rows to rounding and take that fit where they would lose digits; every
+    `validate(ds.y, ds.d)`. A drawn dataset (a bootstrap row resample, and
+    rows `take` draws from one) is fitted over its distinct rows, each
+    counted as often as it was drawn, from normal equations; this agrees
+    with the SVD fit of the drawn rows to rounding and takes that fit where
+    it would lose digits. Its residuals are spread to the drawn rows. Every
     other dataset takes the SVD fit.
     """
-    design = np.column_stack([np.ones(ds.n), ds.d, ds.x])
-    if ds._resampled:
-        return _fit_ols_by_normal_equations(design, ds.y)
-    return fit_ols(design, ds.y)
+    counted = _counted_outcome_fit(ds)
+    if counted is None:
+        return fit_ols(_outcome_design(ds), ds.y)
+    fit = counted[2]
+    fit.residuals = ds._spread(fit.residuals)
+    return fit
+
+
+def _outcome_design(ds):
+    """The outcome design (1, d, x) of a dataset's rows."""
+    return np.column_stack([np.ones(ds.n), ds.d, ds.x])
+
+
+def _counted_outcome_fit(ds):
+    """(rows, counts, fit) of a drawn dataset: its distinct rows, their
+    draw counts and the outcome fit of the drawn rows solved over them
+    (`_fit_ols_by_normal_equations`), whose residuals are the distinct
+    rows'. None for any other dataset, and where those normal equations do
+    not hold."""
+    if not isinstance(ds, _DrawnRows):
+        return None
+    rows, counts = ds._distinct
+    fit = _fit_ols_by_normal_equations(_outcome_design(rows), rows.y, counts, ds.n)
+    return None if fit is None else (rows, counts, fit)
+
+
+def _total(v: np.ndarray, counts) -> float:
+    """The sum of v over rows, row i counted counts[i] times (once each when
+    counts is None)."""
+    return float(v.sum() if counts is None else counts @ v)
+
+
+def _mean_and_variance(v: np.ndarray, counts, n: int) -> tuple[float, float]:
+    """The mean of v over n rows, row i counted counts[i] times (once each
+    when counts is None), and the variance of that mean, s^2 / n."""
+    mean = _total(v, counts) / n
+    # squared in place, as ndarray.var does, so no third row-length array
+    dev = v - mean
+    np.multiply(dev, dev, out=dev)
+    return mean, _total(dev, counts) / (n - 1) / n
 
 
 def _outcome_model(ds, outcome_fit):
-    """`fit_outcome_model(ds)`: the caller's fit when one is passed, after
-    checking its link, width and row count."""
+    """The outcome fit of `ds`'s rows, after `_counted_outcome_fit` has
+    declined: the caller's fit when one is passed, after checking its link,
+    width and row count, else the SVD fit."""
     if outcome_fit is None:
-        return fit_outcome_model(ds)
+        return fit_ols(_outcome_design(ds), ds.y)
     if outcome_fit.link != IDENTITY:
         raise InvalidInputError(
             f"outcome fit has link {outcome_fit.link!r}; the outcome model is OLS ({IDENTITY!r})"
@@ -82,35 +122,37 @@ def ate_or(ds: ObservationalDataset, outcome_fit: LinearFit | None = None) -> Ca
     `outcome_fit`, when given, is `fit_outcome_model(ds)` fitted earlier,
     and is used in place of a new fit; one that is not an OLS fit raises
     InvalidInputError, and one whose design width does not match the
-    dataset DimensionMismatchError.
+    dataset DimensionMismatchError. Without it, a drawn dataset takes its
+    means over its distinct rows, weighted by their draw counts, where its
+    outcome fit does (`fit_outcome_model`).
     """
-    fit = _outcome_model(ds, outcome_fit)
-    design = _control_design(ds)
-    lo = float(predict(fit, design).mean())
+    counted = None if outcome_fit is not None else _counted_outcome_fit(ds)
+    rows, counts, fit = counted or (ds, None, _outcome_model(ds, outcome_fit))
+    design = _control_design(rows)
+    lo = _total(predict(fit, design), counts) / ds.n
     design[:, 1] = 1.0
-    hi = float(predict(fit, design).mean())
+    hi = _total(predict(fit, design), counts) / ds.n
     # the two designs differ only in d's column, so the contrast's delta
     # variance is that of d's coefficient; an exactly identified fit has none
     var = None if fit.coef_cov is None else fit.coef_cov[1, 1]
     return _estimate("or", hi - lo, ds.n, var)
 
 
-def _arm_weights(fit, in_arm, name):
+def _arm_weights(p, in_arm, name):
     """The indicator `in_arm` of the arm called `name` (d = 1 or d = 0) as
-    floats, and the received-arm scores, guarding the weight floor only
-    where the indicator is on.
+    floats, checking the received-arm scores `p` against the weight floor
+    only where the indicator is on.
 
     Where it is on, the received-arm score is P(D=arm|x). Where it is off,
     a term is 0·y/score with a positive score, the same signed zero that
     dividing by P(D=arm|x) gives, so neither arm forms 1 - p. The caller
     has checked the arms and the fit's rows.
     """
-    p = fit.scores
     if (p[in_arm] < _WEIGHT_FLOOR).any():
         raise ZeroPropensityError(
             f"a {name} unit has an assignment score below {_WEIGHT_FLOOR}"
         )
-    return in_arm.astype(float), p
+    return in_arm.astype(float)
 
 
 def ate_ipw(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate:
@@ -119,11 +161,11 @@ def ate_ipw(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate:
     EmptyTreatmentArmError."""
     treated, control = _check_arms(ds)
     _check_rows("score fit", fit.n, ds.n)
-    ind1, p1 = _arm_weights(fit, treated, "treated")
-    ind0, p0 = _arm_weights(fit, control, "control")
-    contrib = ind1 * ds.y / p1 - ind0 * ds.y / p0
-    point = float(contrib.mean())
-    var = float(contrib.var(ddof=1) / ds.n)
+    p = fit.scores
+    ind1 = _arm_weights(p, treated, "treated")
+    ind0 = _arm_weights(p, control, "control")
+    contrib = ind1 * ds.y / p - ind0 * ds.y / p
+    point, var = _mean_and_variance(contrib, None, ds.n)
     diagnostics = {"n_treated": int(ind1.sum()), "n_control": int(ind0.sum())}
     return _estimate("ipw", point, ds.n, var, diagnostics)
 
@@ -273,22 +315,28 @@ def ate_dr(
     that is not 0/1 raises InvalidInputError, and an empty arm
     EmptyTreatmentArmError, before either model is fitted.
     """
-    treated, control = _check_arms(ds)
-    _check_rows("score fit", fit.n, ds.n)
-    or_fit = _outcome_model(ds, outcome_fit)
+    counted = None if outcome_fit is not None else _counted_outcome_fit(ds)
+    scores = None if counted is None else _distinct_scores(fit, ds)
+    if scores is None:
+        treated, control = _check_arms(ds)
+        _check_rows("score fit", fit.n, ds.n)
+        # a counted fit's coefficients serve the drawn rows as well
+        or_fit = counted[2] if counted else _outcome_model(ds, outcome_fit)
+        rows, counts, scores = ds, None, fit.scores
+    else:
+        rows, counts, or_fit = counted
+        treated, control = _check_arms(rows)
     # one counterfactual design for both arms, apart from the fitted one
-    design = _control_design(ds)
+    design = _control_design(rows)
 
     def counterfactual(arm, in_arm, name):
-        ind, p = _arm_weights(fit, in_arm, name)
+        ind = _arm_weights(scores, in_arm, name)
         design[:, 1] = arm
         m = predict(or_fit, design)
-        return m + ind * (ds.y - m) / p, ind
+        return m + ind * (rows.y - m) / scores, ind
 
     hi, ind1 = counterfactual(1.0, treated, "treated")
     lo, ind0 = counterfactual(0.0, control, "control")
-    contrib = hi - lo
-    point = float(contrib.mean())
-    var = float(contrib.var(ddof=1) / ds.n)
-    diagnostics = {"n_treated": int(ind1.sum()), "n_control": int(ind0.sum())}
+    point, var = _mean_and_variance(hi - lo, counts, ds.n)
+    diagnostics = {"n_treated": int(_total(ind1, counts)), "n_control": int(_total(ind0, counts))}
     return _estimate("dr", point, ds.n, var, diagnostics)

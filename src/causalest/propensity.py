@@ -6,6 +6,7 @@ verifies the balancing property of the estimated score.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field, replace
 
@@ -16,13 +17,15 @@ from .core import (
     _as_vector,
     _check_arms,
     _check_rows,
+    _DrawnRows,
+    _same_draws,
 )
 from .errors import (
     AllUnitsTrimmedError,
     InvalidInputError,
     ZeroPropensityError,
 )
-from .regress import fit_logistic
+from .regress import _chord_steps, fit_logistic
 
 
 @dataclass
@@ -71,6 +74,33 @@ class PropensityFit:
         return cls(scores_treated=p, scores=_received(p, dv))
 
 
+class _DrawnScores(PropensityFit):
+    """A score fit of a drawn dataset's distinct rows (`core._DrawnRows`).
+
+    It holds `_drawn` = (dataset, treated, received): the dataset and the
+    treated and received-arm scores of its distinct rows, which the outcome
+    regression and doubly robust sums read. `scores_treated` and `scores`,
+    which every other reader sees, spread them to the drawn rows on first
+    read.
+    """
+
+    def __init__(self, ds: _DrawnRows, treated, received, diagnostics: dict, start):
+        self._drawn = (ds, treated, received)
+        self.diagnostics, self.start = diagnostics, start
+
+    n = property(lambda self: self._drawn[0].n)
+    scores_treated = functools.cached_property(lambda self: self._drawn[0]._spread(self._drawn[1]))
+    scores = functools.cached_property(lambda self: self._drawn[0]._spread(self._drawn[2]))
+
+
+def _distinct_scores(fit: PropensityFit, ds) -> np.ndarray | None:
+    """The received-arm scores of the distinct rows of `ds`, when `fit` was
+    fitted over them (a `_DrawnScores` of the same draws); else None."""
+    if isinstance(fit, _DrawnScores) and _same_draws(fit._drawn[0], ds):
+        return fit._drawn[2]
+    return None
+
+
 def _received(p1: np.ndarray, d: np.ndarray) -> np.ndarray:
     """P(D = d_i | x) per unit: 1 - p1, overwritten by p1 where d is 1."""
     # one row-length buffer, where np.where would also allocate 1 - p1
@@ -94,7 +124,23 @@ def estimate_propensity_binary(ds: ObservationalDataset, start=None) -> Propensi
     that is not 0/1 raises InvalidInputError, an empty arm
     EmptyTreatmentArmError, and a score that rounds to exactly 0 or 1
     ZeroPropensityError. The diagnostics record the IRLS `iterations`.
+
+    On a drawn dataset (a bootstrap row resample) a fit from `start` takes
+    its chord steps over the distinct drawn rows, each counted as often as
+    it was drawn: the score is X'(c (d - p)). Its separation and score
+    checks read those rows, which hold the drawn rows' values. Where a
+    chord step is discarded, and for every fit from zeros, the drawn rows
+    themselves are fitted, as for any dataset.
     """
+    if start is not None and isinstance(ds, _DrawnRows):
+        rows, counts = ds._distinct
+        _check_arms(rows)
+        design = np.column_stack([np.ones(rows.n), rows.x])
+        model = _chord_steps(design, rows.d, counts, start)[0]
+        if model is not None:
+            received = _unsaturated(_received(model.fitted, rows.d))
+            diagnostics = {"iterations": model.iterations}
+            return _DrawnScores(ds, model.fitted, received, diagnostics, model.start)
     _check_arms(ds)
     model = fit_logistic(np.column_stack([np.ones(ds.n), ds.x]), ds.d, start)
     return PropensityFit(
@@ -110,7 +156,9 @@ def trim_overlap(fit: PropensityFit, lo: float = 0.01, hi: float = 0.99):
 
     Returns (trimmed_fit, kept_indices); the caller subsets its dataset with
     `kept_indices`. The dropped count is recorded in the fit diagnostics,
-    and the trimmed fit keeps the full sample's `start`.
+    and the trimmed fit keeps the full sample's `start`. A score fit of a
+    drawn dataset's distinct rows is trimmed on those rows, and its kept
+    indices are positions into the drawn rows.
 
     Raises:
         InvalidInputError: lo and hi are not numbers with 0 <= lo < hi <= 1.
@@ -119,14 +167,26 @@ def trim_overlap(fit: PropensityFit, lo: float = 0.01, hi: float = 0.99):
     """
     if not (all(isinstance(b, numbers.Real) for b in (lo, hi)) and 0.0 <= lo < hi <= 1.0):
         raise InvalidInputError(f"require 0 <= lo < hi <= 1, got ({lo}, {hi})")
-    keep = (fit.scores >= lo) & (fit.scores <= hi)
-    kept_indices = np.flatnonzero(keep)
+    drawn = isinstance(fit, _DrawnScores)
+    scores = fit._drawn[2] if drawn else fit.scores
+    keep = (scores >= lo) & (scores <= hi)
+    if not drawn:
+        kept_indices = np.flatnonzero(keep)
+    elif keep.all():
+        kept_indices = np.arange(fit.n)
+    else:
+        kept_indices = np.flatnonzero(fit._drawn[0]._spread(keep))
     if kept_indices.size < 2:
         raise AllUnitsTrimmedError(
             f"{kept_indices.size} of {fit.n} units have a score inside [{lo}, {hi}], need at least 2"
         )
     diagnostics = dict(fit.diagnostics)
     diagnostics["n_dropped"] = int(fit.n - kept_indices.size)
+    if drawn:
+        ds, treated, received = fit._drawn
+        if kept_indices.size < ds.n:
+            ds, treated, received = ds.take(kept_indices), treated[keep], received[keep]
+        return _DrawnScores(ds, treated, received, diagnostics, fit.start), kept_indices
     trimmed = replace(
         fit,
         scores_treated=fit.scores_treated[keep],

@@ -83,9 +83,10 @@ def _svd_solve(Xw: np.ndarray, yw: np.ndarray):
     (coef, (s, Vt)), whose s and Vt give (X'X)^-1 through `_xtx_inv`.
 
     Raises RankDeficientError when the singular-value ratio falls below
-    RANK_RTOL (or the system is under-determined). A failed SVD raises
-    NonFiniteValueError when the design has a non-finite entry (looked for
-    only then), else ConvergenceError.
+    RANK_RTOL (or the system is under-determined). A design with a
+    non-finite entry raises NonFiniteValueError: a failed SVD looks for one,
+    and an SVD that returns a non-finite largest singular value has one. Any
+    other failed SVD raises ConvergenceError.
     """
     n, k = Xw.shape
     if n < k:
@@ -96,6 +97,10 @@ def _svd_solve(Xw: np.ndarray, yw: np.ndarray):
         if not np.isfinite(Xw).all():
             raise NonFiniteValueError("design contains non-finite values") from None
         raise ConvergenceError("SVD of the design did not converge") from None
+    # an infinite entry gives NaN singular values instead of failing, and
+    # a NaN ratio would pass the rank test
+    if not math.isfinite(s[0]):
+        raise NonFiniteValueError("design contains non-finite values")
     if s[0] == 0.0 or s[-1] / s[0] < RANK_RTOL:
         raise RankDeficientError(
             f"design is rank deficient (singular-value ratio {0.0 if s[0] == 0 else s[-1] / s[0]:.2e})"
@@ -158,37 +163,39 @@ def _normal_equations_hold(a: np.ndarray) -> bool:
     )
 
 
-def _fit_ols_by_normal_equations(design, y) -> LinearFit:
-    """`fit_ols` solved from the cross products A = X'X and b = X'y, for a
-    bootstrap replicate: the coefficients and A^-1 by one LU solve, the
-    residuals as y - X coef, so they and the covariance RSS/(n-k) A^-1 carry
-    no y'y - b'coef cancellation. Agrees with `fit_ols` to rounding.
+def _fit_ols_by_normal_equations(X: np.ndarray, y: np.ndarray, counts: np.ndarray, n: int):
+    """`fit_ols` of the n rows that repeat row i of X and y counts[i] times,
+    solved from the cross products A = X'(c X) and b = X'(c y): the
+    coefficients and A^-1 by one LU solve, the residuals of X's rows as
+    y - X coef, so they and the covariance sum(c r^2)/(n-k) A^-1 carry no
+    y'y - b'coef cancellation. Agrees with `fit_ols` of the repeated rows to
+    rounding; its residuals are those of X's rows.
 
-    It is `fit_ols`, bit for bit, when n <= k or when A fails
-    `_normal_equations_hold`; so a collinear design still raises the SVD
-    rank rule's RankDeficientError.
+    None when n <= k or when A fails `_normal_equations_hold`: the caller
+    then fits the repeated rows with `fit_ols`, so a collinear design still
+    raises the SVD rank rule's RankDeficientError.
     """
-    X, r = _check_design(design, y)
-    n, k = X.shape
+    k = X.shape[1]
     if n <= k:
-        return fit_ols(X, r)
+        return None
     # entries beyond about 1e154 overflow A, which then fails the check,
-    # while the SVD of X itself does not overflow
+    # while the SVD of the rows themselves does not overflow
     with np.errstate(over="ignore"):
-        a = X.T @ X
+        cx = X * counts[:, None]
+        a = cx.T @ X
     if not _normal_equations_hold(a):
-        return fit_ols(X, r)
+        return None
     rhs = np.empty((k, 1 + k))
-    rhs[:, 0] = X.T @ r
+    rhs[:, 0] = cx.T @ y
     rhs[:, 1:] = np.eye(k)
     solved = np.linalg.solve(a, rhs)  # coef, then A^-1
     coef = solved[:, 0]
-    resid = r - X @ coef
+    resid = y - X @ coef
     return LinearFit(
         coef=coef,
         link=IDENTITY,
         residuals=resid,
-        coef_cov=float(resid @ resid) / (n - k) * solved[:, 1:],
+        coef_cov=float(counts @ (resid * resid)) / (n - k) * solved[:, 1:],
     )
 
 
@@ -217,6 +224,61 @@ def _check_start(start, k: int) -> tuple[np.ndarray, np.ndarray]:
             f"start inverse information must have shape ({k}, {k}), got {inverse.shape}"
         )
     return coef, inverse
+
+
+def _check_separation(coef, p, resid, work) -> None:
+    """Raise SeparationError when the fit at `coef`, with probabilities `p`
+    and residuals `resid`, separates the classes; `work` is a buffer of
+    resid's length."""
+    if np.abs(coef).max() > _SEP_COEF and ((p < _SEP_PROB) | (p > 1.0 - _SEP_PROB)).any():
+        raise SeparationError(
+            "fitted probabilities pinned at 0/1 with diverging coefficients"
+        )
+    # Wide-margin separation saturates expit before the coefficients
+    # look large: every response then fits essentially exactly and the
+    # score underflows, which would masquerade as convergence.
+    if np.abs(resid, out=work).max() < _SEP_RESID:
+        raise SeparationError(
+            "every response fitted to machine precision; classes are separated"
+        )
+
+
+def _chord_steps(X: np.ndarray, dv: np.ndarray, counts, start) -> tuple[LinearFit | None, int]:
+    """`fit_logistic`'s chord steps from `start`, with row i of X and dv
+    counted counts[i] times (once each when counts is None): (fit, rounds).
+
+    Each step, coef += H^-1 score with the start's H^-1, must at least
+    halve max|score|. The fit is the converged LinearFit, whose residuals
+    and fitted values are X's rows'; it is None when a step fails to halve
+    (discarded before any check reads it) or the step limit is reached.
+    `rounds` counts the rounds taken, the discarding one included.
+    """
+    n, k = X.shape
+    coef, chord = _check_start(start, k)
+    p, resid, work = np.empty(n), np.empty(n), np.empty(n)
+    last = np.inf  # max|score| where the last step was taken
+    for it in range(1, _MAX_IRLS_ITER + 1):
+        expit(X @ coef, out=p)
+        np.subtract(dv, p, out=resid)
+        score = X.T @ (resid if counts is None else np.multiply(counts, resid, out=work))
+        size = np.abs(score).max()
+        if not size <= last / 2:  # a NaN score lands here too
+            return None, it
+        last = size
+        _check_separation(coef, p, resid, work)
+        if size < _IRLS_TOL:
+            fit = LinearFit(
+                coef=coef,
+                link=LOGIT,
+                residuals=resid,
+                coef_cov=None,
+                iterations=it - 1,
+                fitted=p,
+                start=(coef, chord),
+            )
+            return fit, it
+        coef = coef + chord @ score
+    return None, _MAX_IRLS_ITER
 
 
 def fit_logistic(design, d, start=None) -> LinearFit:
@@ -248,8 +310,13 @@ def fit_logistic(design, d, start=None) -> LinearFit:
     if dv.min() == dv.max():
         raise NoTreatmentVariationError("response takes a single value")
 
+    rounds = 0
+    if start is not None:
+        fit, rounds = _chord_steps(X, dv, None, start)
+        if fit is not None:
+            return fit
     n, k = X.shape
-    coef, chord = (np.zeros(k), None) if start is None else _check_start(start, k)
+    coef = np.zeros(k)
     # row-length work arrays that every step overwrites; the converged fit
     # keeps p and resid, and each fit allocates its own. Xw is
     # column-major, the layout LAPACK factors in, so the SVD copies it in
@@ -257,42 +324,19 @@ def fit_logistic(design, d, start=None) -> LinearFit:
     # caller's layout, as X @ coef rounds differently in another one
     p, resid, sw = np.empty(n), np.empty(n), np.empty(n)
     Xw = np.empty((k, n)).T
-    # `last` is max|score| where the last chord step was taken
-    last, factors = np.inf, None
-    for it in range(1, _MAX_IRLS_ITER + 1):
+    factors = None
+    for it in range(rounds + 1, _MAX_IRLS_ITER + 1):
         expit(X @ coef, out=p)
         np.subtract(dv, p, out=resid)
         score = X.T @ resid
         size = np.abs(score).max()
-        if chord is not None:
-            if not size <= last / 2:  # a NaN score lands here too
-                # the iterate is discarded before any check reads it, and
-                # the fit starts over from zeros as a fit without a start
-                coef, chord = np.zeros(k), None
-                continue
-            last = size
-        if np.abs(coef).max() > _SEP_COEF and ((p < _SEP_PROB) | (p > 1.0 - _SEP_PROB)).any():
-            raise SeparationError(
-                "fitted probabilities pinned at 0/1 with diverging coefficients"
-            )
-        # Wide-margin separation saturates expit before the coefficients
-        # look large: every response then fits essentially exactly and the
-        # score underflows, which would masquerade as convergence.
-        if np.abs(resid, out=sw).max() < _SEP_RESID:
-            raise SeparationError(
-                "every response fitted to machine precision; classes are separated"
-            )
-        if chord is not None and size >= _IRLS_TOL:
-            coef = coef + chord @ score
-            continue
+        _check_separation(coef, p, resid, sw)
         # sw = p (1 - p), formed as (1 - p) p: IEEE products commute
         np.subtract(1.0, p, out=sw)
         sw *= p
         if size < _IRLS_TOL:
             if factors is not None:
                 inverse = _xtx_inv(*factors)
-            elif chord is not None:
-                inverse = chord
             else:  # a fit from zeros that took no step
                 np.multiply(X.T, np.sqrt(sw, out=sw), out=Xw.T)
                 inverse = _xtx_inv(*_svd_solve(Xw, resid)[1])

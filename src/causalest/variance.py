@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CausalEstimate, ObservationalDataset, PanelDataset, _check_int
+from .core import CausalEstimate, ObservationalDataset, PanelDataset, _check_int, _DrawnRows
 from .errors import (
     CausalestError,
     InvalidInputError,
@@ -95,11 +95,15 @@ def bootstrap_variance(
     `data` is an ObservationalDataset (rows resampled i.i.d.) or a
     PanelDataset (whole units resampled, keeping each unit's time series
     intact). `estimator` maps a dataset to a CausalEstimate or a float.
-    A row resample, and rows `take` draws from it, fits the outcome model
-    by normal equations (see `fit_outcome_model`). Replicates that raise a
-    CausalestError (invalid input or a failed estimate) or give a
-    non-finite point are skipped; when more than 5% of them fail the
-    bootstrap aborts. Any other `data` is an InvalidInputError.
+    A row resample is a drawn dataset, `core._DrawnRows`: the source and
+    the draws. It gathers its rows only for an estimator that reads them;
+    the score fit from a start, the outcome fit and the outcome regression
+    and doubly robust sums run over its distinct rows, counted as often as
+    each was drawn (see `estimate_propensity_binary` and
+    `fit_outcome_model`). Replicates that raise a CausalestError (invalid
+    input or a failed estimate) or give a non-finite point are skipped;
+    when more than 5% of them fail the bootstrap aborts. Any other `data`
+    is an InvalidInputError.
     """
     _check_int(2, n_boot=n_boot)
     _check_int(0, seed=seed)
@@ -113,13 +117,7 @@ def bootstrap_variance(
 
     def resample(b: int) -> tuple:
         idx = _keyed_stream(seed, b).integers(0, n_draw, size=n_draw)
-        if is_panel:
-            return (data.take_units(idx),)
-        # marked as a resample, whose outcome fits solve their normal
-        # equations; `take` of it keeps the mark
-        sample = data.take(idx)
-        object.__setattr__(sample, "_resampled", True)
-        return (sample,)
+        return (data.take_units(idx) if is_panel else _DrawnRows(data, idx),)
 
     points, n_failed = _replicate(
         resample, [("estimator", estimator)], n_boot, "bootstrap replicates"

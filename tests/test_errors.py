@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import causalest
-from causalest import errors
+from causalest import errors, regress
 from causalest.errors import (
     CausalestError,
     ConvergenceError,
@@ -166,6 +166,14 @@ def _with(a, at, value):
 def test_non_finite_input_to_a_fit_is_an_input_error(call):
     with pytest.raises(NonFiniteValueError):
         call()
+
+
+def test_the_solve_itself_rejects_an_infinite_design_entry():
+    # the SVD of this design returns NaN singular values without failing,
+    # and a NaN ratio would pass the rank test; the solve is reached with
+    # unscanned columns, so it checks its largest singular value
+    with pytest.raises(NonFiniteValueError):
+        regress._svd_solve(_with(_DESIGN, (2, 1), np.inf), np.arange(6.0))
 
 
 def test_an_svd_that_fails_on_a_finite_design_is_a_convergence_error(monkeypatch):

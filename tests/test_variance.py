@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import pickle
 import re
@@ -35,11 +34,12 @@ from causalest.errors import (
     CausalestError,
     InvalidInputError,
     RankDeficientError,
+    SeparationError,
     TooManyFailedReplicatesError,
     ZeroPropensityError,
 )
-from causalest import regress
-from causalest.core import PanelDataset
+from causalest import core, regress
+from causalest.core import ObservationalDataset, PanelDataset
 from causalest.regress import IDENTITY, LinearFit
 
 from .conftest import (
@@ -495,11 +495,12 @@ class TestBootstrap:
 
 
 class TestResampledOutcomeFits:
-    """A row resample of the bootstrap (and rows `take` draws from it) fits
-    the outcome model by normal equations. It agrees with the SVD fit of the
-    same rows to rounding, raises what that fit raises, and takes that fit,
-    bit for bit, where the normal equations would lose digits. Every other
-    dataset takes the SVD fit."""
+    """A row resample of the bootstrap is a drawn dataset: its source and
+    its draws. Its warm-started score fit, its outcome fit and the OR and DR
+    sums run over the distinct drawn rows with their draw counts. They
+    agree with the fits of the gathered rows to rounding, raise what those
+    fits raise, and take those fits, bit for bit, where the counted form
+    would lose digits. Every other dataset takes the SVD fit."""
 
     @staticmethod
     def _draw(seed, n_cov, second=None, n=400):
@@ -527,27 +528,152 @@ class TestResampledOutcomeFits:
         """The same rows as a validated dataset, which takes the SVD fit."""
         return validate(sample.y, sample.d, sample.x)
 
+    @staticmethod
+    def _start(data):
+        """The full-sample score fit's start, as the CLI's replicates take it."""
+        return estimate_propensity_binary(data).start
+
+    @pytest.mark.parametrize("n_cov", [0, 3])
+    def test_counted_score_fit_matches_the_chord_fit_of_the_gathered_rows(self, n_cov, monkeypatch):
+        data = self._draw(168 + n_cov, n_cov)
+        start = self._start(data)
+        calls = count_svd_solves(monkeypatch)
+        for sample in self._replicates(data):
+            calls.clear()
+            got = estimate_propensity_binary(sample, start)
+            assert not calls  # chord steps only
+            rows = self._rows(sample)
+            want = regress.fit_logistic(np.column_stack([np.ones(rows.n), rows.x]), rows.d, start)
+            np.testing.assert_allclose(got.start[0], want.coef, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got.scores_treated, want.fitted, rtol=1e-12, atol=0.0)
+            want_fit = estimate_propensity_binary(rows, start)
+            np.testing.assert_allclose(got.scores, want_fit.scores, rtol=1e-12, atol=0.0)
+            assert got.diagnostics == want_fit.diagnostics
+            assert got.start[1] is start[1] or np.array_equal(got.start[1], start[1])
+
     @pytest.mark.parametrize("n_cov", [0, 3])
     def test_agrees_with_the_svd_fit_of_the_same_rows(self, n_cov, monkeypatch):
         data = self._draw(160 + n_cov, n_cov)
+        start = self._start(data)
         calls = count_svd_solves(monkeypatch)
         for sample in self._replicates(data):
-            assert sample._resampled and not self._rows(sample)._resampled
-            score = estimate_propensity_binary(sample)
             calls.clear()
+            score = estimate_propensity_binary(sample, start)
             got = (fit_outcome_model(sample), ate_or(sample), ate_dr(sample, score))
-            assert not calls  # the replicate solved its normal equations
+            assert not calls  # no SVD: chord steps and normal equations
             rows = self._rows(sample)
             design = np.column_stack([np.ones(rows.n), rows.d, rows.x])
-            want = (fit_ols(design, rows.y), ate_or(rows), ate_dr(rows, score))
+            want = (fit_ols(design, rows.y), ate_or(rows), ate_dr(rows, estimate_propensity_binary(rows, start)))
+            assert got[0].residuals.shape == (sample.n,)
             np.testing.assert_allclose(got[0].coef, want[0].coef, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(got[0].coef_cov, want[0].coef_cov, rtol=1e-10, atol=0.0)
-            for fit in got[0], want[0]:
-                np.testing.assert_array_equal(fit.residuals, rows.y - design @ fit.coef)
+            # the drawn rows' residuals, spread from the distinct rows'
+            np.testing.assert_array_equal(got[0].residuals, rows.y - design @ got[0].coef)
             for g, w in zip(got[1:], want[1:]):
                 assert g.point == pytest.approx(w.point, rel=1e-12, abs=0.0)
                 assert g.variance == pytest.approx(w.variance, rel=1e-10, abs=0.0)
                 assert (g.method, g.n_used, g.diagnostics) == (w.method, w.n_used, w.diagnostics)
+
+    def test_a_discarded_chord_step_gives_the_cold_fit_bit_for_bit(self):
+        # an inverse information five times too large overshoots, so the
+        # first chord step fails to halve max|score| and is discarded
+        data = self._draw(169, 3)
+        coef, inverse = self._start(data)
+        start = (coef, 5.0 * inverse)
+        for sample in self._replicates(data):
+            got = estimate_propensity_binary(sample, start)
+            rows = self._rows(sample)
+            want = estimate_propensity_binary(rows, start)
+            cold = estimate_propensity_binary(rows)
+            for fit in want, cold:
+                for name in ("scores", "scores_treated"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(fit, name), err_msg=name)
+                np.testing.assert_array_equal(got.start[0], fit.start[0])
+                np.testing.assert_array_equal(got.start[1], fit.start[1])
+            # the step limit counts the discarded step and its round
+            assert got.diagnostics == want.diagnostics
+            assert got.diagnostics["iterations"] == cold.diagnostics["iterations"] + 2
+
+    def test_separation_is_raised_on_the_same_replicates(self):
+        # the arms split at x = 0 but for two units beside the boundary: a
+        # replicate that draws neither is separated
+        g = philox(170)
+        x = np.sort(g.uniform(-1.0, 1.0, size=30))
+        d = (x > 0.0).astype(float)
+        d[[14, 15]] = 1.0 - d[[14, 15]]
+        data = validate(g.normal(size=30), d, x)
+        start = self._start(data)
+        outcomes = []
+        for sample in self._replicates(data, n_boot=40, seed=6):
+            raised = []
+            for ds in sample, self._rows(sample):
+                try:
+                    estimate_propensity_binary(ds, start)
+                    raised.append(None)
+                except CausalestError as err:
+                    raised.append(type(err))
+            assert raised[0] == raised[1]
+            outcomes.append(raised[0])
+        assert SeparationError in outcomes and None in outcomes
+
+    def test_exactly_identified_fit_is_the_svd_fit(self):
+        # n = k leaves no residual to estimate the covariance from, so the
+        # counted form declines and the gathered rows take the SVD fit
+        data = self._draw(165, 1)
+        sample = core._DrawnRows(data, np.array([4, 0, 2]))
+        ones = np.ones(3)
+        assert regress._fit_ols_by_normal_equations(np.eye(3), ones, ones, 3) is None
+        rows = self._rows(sample)
+        got = fit_outcome_model(sample)
+        want = fit_ols(np.column_stack([np.ones(3), rows.d, rows.x]), rows.y)
+        assert got.coef_cov is None and want.coef_cov is None
+        np.testing.assert_array_equal(got.coef, want.coef)
+        np.testing.assert_array_equal(got.residuals, want.residuals)
+
+    def test_a_trimmed_replicate_is_drawn_from_the_source(self):
+        # the CLI trims inside a replicate with `take`; a plain `take` of a
+        # validated dataset is no drawn dataset
+        data = self._draw(166, 3)
+        assert type(data.take(np.arange(0, data.n, 2))) is ObservationalDataset
+        start = self._start(data)
+        for sample in self._replicates(data, n_boot=3):
+            score, kept = trim_overlap(estimate_propensity_binary(sample, start), 0.2, 0.8)
+            assert 2 <= kept.size < sample.n
+            sub = sample.take(kept)
+            assert sub._drawn_from[0] is data
+            np.testing.assert_array_equal(sub._drawn_from[1], sample._drawn_from[1][kept])
+            rows = self._rows(sample)
+            want_score, want_kept = trim_overlap(estimate_propensity_binary(rows, start), 0.2, 0.8)
+            np.testing.assert_array_equal(kept, want_kept)
+            assert score.diagnostics == want_score.diagnostics
+            want_sub = rows.take(kept)
+            for name in ("y", "d", "x"):
+                np.testing.assert_array_equal(getattr(sub, name), getattr(want_sub, name))
+            got, want = ate_dr(sub, score), ate_dr(want_sub, want_score)
+            assert got.point == pytest.approx(want.point, rel=1e-12, abs=0.0)
+            assert got.variance == pytest.approx(want.variance, rel=1e-10, abs=0.0)
+            assert (got.n_used, got.diagnostics) == (want.n_used, want.diagnostics)
+
+    def test_a_doubly_robust_replicate_reads_no_row_field(self):
+        data = self._draw(171, 3)
+        start = self._start(data)
+        for sample in self._replicates(data, n_boot=3):
+            score, kept = trim_overlap(estimate_propensity_binary(sample, start), 0.01, 0.99)
+            assert kept.size == sample.n
+            ate_dr(sample, score)
+            ate_or(sample)
+            assert not {"y", "d", "x"} & set(vars(sample))
+
+    def test_a_drawn_dataset_pickles(self):
+        data = self._draw(172, 3)
+        sample = self._replicates(data, n_boot=2)[0]
+        for ds in sample, sample.take(np.arange(0, sample.n, 2)):
+            copy = pickle.loads(pickle.dumps(ds))
+            assert type(copy) is core._DrawnRows and copy.n == ds.n
+            np.testing.assert_array_equal(copy._drawn_from[1], ds._drawn_from[1])
+            for name in ("y", "d", "x"):
+                np.testing.assert_array_equal(getattr(copy, name), getattr(ds, name))
+            assert ate_or(copy).point == ate_or(ds).point
 
     def test_ill_conditioned_replicate_takes_the_svd_fit_bit_for_bit(self, monkeypatch):
         # a covariate within 1e-3 of another puts the scaled cross products'
@@ -587,31 +713,6 @@ class TestResampledOutcomeFits:
                     fit_outcome_model(sample)
                 with pytest.raises(RankDeficientError, match=f"^{re.escape(str(want.value))}$"):
                     ate_or(sample)
-
-    def test_exactly_identified_fit_is_the_svd_fit(self):
-        # n = k leaves no residual to estimate the covariance from
-        g = philox(165)
-        design, y = g.normal(size=(3, 3)), g.normal(size=3)
-        got, want = regress._fit_ols_by_normal_equations(design, y), fit_ols(design, y)
-        assert got.coef_cov is None and want.coef_cov is None
-        np.testing.assert_array_equal(got.coef, want.coef)
-        np.testing.assert_array_equal(got.residuals, want.residuals)
-
-    def test_a_take_keeps_a_resample_on_the_normal_equations(self, monkeypatch):
-        # the CLI trims inside a replicate with `take`; a plain `take` of a
-        # validated dataset is no resample
-        data = self._draw(166, 3)
-        assert not data._resampled and not data.take(np.arange(0, data.n, 2))._resampled
-        sample = self._replicates(data, n_boot=2)[0]
-        kept = sample.take(np.arange(0, sample.n, 2))
-        assert kept._resampled
-        calls = count_svd_solves(monkeypatch)
-        fit_outcome_model(kept)
-        assert not calls
-        assert not dataclasses.replace(kept)._resampled  # not a constructor argument
-        copy = pickle.loads(pickle.dumps(kept))
-        assert copy._resampled
-        assert ate_or(copy).point == ate_or(kept).point
 
     @pytest.mark.parametrize("trim", [None, (0.2, 0.8)], ids=["untrimmed", "trimmed"])
     def test_full_sample_estimates_stay_on_the_svd_fit(self, trim, monkeypatch):
