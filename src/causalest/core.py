@@ -167,7 +167,16 @@ class _DrawnRows(ObservationalDataset):
     The score fit from a start, the outcome fit and the outcome regression
     and doubly robust sums read `_distinct` instead: the distinct drawn
     rows, counted as often as each was drawn.
+
+    `dataclasses.replace` of a drawn dataset returns a plain
+    `ObservationalDataset` of the drawn rows, with the fields it changes.
     """
+
+    def __new__(cls, *args, **fields):
+        # `dataclasses.replace` passes the row fields by name
+        if fields:
+            return ObservationalDataset(**fields)
+        return super().__new__(cls)
 
     def __init__(self, ds: ObservationalDataset, draws: np.ndarray):
         if ds._drawn_from is not None:
@@ -179,23 +188,26 @@ class _DrawnRows(ObservationalDataset):
         return self._drawn_from[1].shape[0]
 
     @functools.cached_property
+    def _counts(self) -> np.ndarray:
+        """How often each source row was drawn."""
+        source, draws = self._drawn_from
+        return _readonly(np.bincount(draws, minlength=source.n))
+
+    @functools.cached_property
     def _distinct(self) -> tuple[ObservationalDataset, np.ndarray]:
         """(rows, counts): the distinct drawn rows, in source order, as a
         dataset, and how often each was drawn, as floats."""
-        source, draws = self._drawn_from
-        counts = np.bincount(draws, minlength=source.n)
-        rows = np.flatnonzero(counts)
+        source = self._drawn_from[0]
+        rows = np.flatnonzero(self._counts)
         return (
             ObservationalDataset(*(_gather(v, rows) for v in (source.y, source.d, source.x))),
-            _readonly(counts[rows].astype(float)),
+            _readonly(self._counts[rows].astype(float)),
         )
 
     @functools.cached_property
     def _positions(self) -> np.ndarray:
         """Each drawn row's position among the distinct rows."""
-        source, draws = self._drawn_from
-        distinct = np.bincount(draws, minlength=source.n) > 0
-        return _readonly((np.cumsum(distinct) - 1)[draws])
+        return _readonly((np.cumsum(self._counts > 0) - 1)[self._drawn_from[1]])
 
     def _spread(self, v: np.ndarray) -> np.ndarray:
         """A vector over the distinct rows, spread to the drawn rows."""

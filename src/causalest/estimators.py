@@ -90,9 +90,9 @@ def _mean_and_variance(v: np.ndarray, counts, n: int) -> tuple[float, float]:
 
 
 def _outcome_model(ds, outcome_fit):
-    """The outcome fit of `ds`'s rows, after `_counted_outcome_fit` has
-    declined: the caller's fit when one is passed, after checking its link,
-    width and row count, else the SVD fit."""
+    """The outcome fit of `ds`'s rows where no counted fit is taken: the
+    caller's fit when one is passed, after checking its link, width and row
+    count, else the SVD fit."""
     if outcome_fit is None:
         return fit_ols(_outcome_design(ds), ds.y)
     if outcome_fit.link != IDENTITY:
@@ -315,13 +315,12 @@ def ate_dr(
     that is not 0/1 raises InvalidInputError, and an empty arm
     EmptyTreatmentArmError, before either model is fitted.
     """
-    counted = None if outcome_fit is not None else _counted_outcome_fit(ds)
-    scores = None if counted is None else _distinct_scores(fit, ds)
-    if scores is None:
+    scores = None if outcome_fit is not None else _distinct_scores(fit, ds)
+    counted = None if scores is None else _counted_outcome_fit(ds)
+    if counted is None:
         treated, control = _check_arms(ds)
         _check_rows("score fit", fit.n, ds.n)
-        # a counted fit's coefficients serve the drawn rows as well
-        or_fit = counted[2] if counted else _outcome_model(ds, outcome_fit)
+        or_fit = _outcome_model(ds, outcome_fit)
         rows, counts, scores = ds, None, fit.scores
     else:
         rows, counts, or_fit = counted

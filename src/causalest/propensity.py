@@ -81,8 +81,15 @@ class _DrawnScores(PropensityFit):
     treated and received-arm scores of its distinct rows, which the outcome
     regression and doubly robust sums read. `scores_treated` and `scores`,
     which every other reader sees, spread them to the drawn rows on first
-    read.
+    read. `dataclasses.replace` of it returns a plain `PropensityFit` of
+    the drawn rows, with the fields it changes.
     """
+
+    def __new__(cls, *args, **fields):
+        # `dataclasses.replace` passes the fit's fields by name
+        if fields:
+            return PropensityFit(**fields)
+        return super().__new__(cls)
 
     def __init__(self, ds: _DrawnRows, treated, received, diagnostics: dict, start):
         self._drawn = (ds, treated, received)

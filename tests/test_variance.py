@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import pickle
 import re
@@ -12,6 +13,7 @@ import pytest
 from scipy.special import ndtri
 
 from causalest import (
+    PropensityFit,
     ate_did,
     ate_dr,
     ate_ipw,
@@ -551,16 +553,23 @@ class TestResampledOutcomeFits:
             assert got.diagnostics == want_fit.diagnostics
             assert got.start[1] is start[1] or np.array_equal(got.start[1], start[1])
 
-    @pytest.mark.parametrize("n_cov", [0, 3])
-    def test_agrees_with_the_svd_fit_of_the_same_rows(self, n_cov, monkeypatch):
+    @pytest.mark.parametrize(
+        "n_cov, warm",
+        [(0, True), (3, True), (0, False), (3, False)],
+        ids=["0", "3", "0-cold", "3-cold"],
+    )
+    def test_agrees_with_the_svd_fit_of_the_same_rows(self, n_cov, warm, monkeypatch):
+        # a cold score fit (no start, or a discarded chord step) is a fit of
+        # the gathered rows, so DR fits its outcome model on them too
         data = self._draw(160 + n_cov, n_cov)
-        start = self._start(data)
+        start = self._start(data) if warm else None
         calls = count_svd_solves(monkeypatch)
         for sample in self._replicates(data):
-            calls.clear()
             score = estimate_propensity_binary(sample, start)
+            calls.clear()
             got = (fit_outcome_model(sample), ate_or(sample), ate_dr(sample, score))
-            assert not calls  # no SVD: chord steps and normal equations
+            # the normal equations, but for a cold DR's outcome fit
+            assert len(calls) == (0 if warm else 1)
             rows = self._rows(sample)
             design = np.column_stack([np.ones(rows.n), rows.d, rows.x])
             want = (fit_ols(design, rows.y), ate_or(rows), ate_dr(rows, estimate_propensity_binary(rows, start)))
@@ -674,6 +683,26 @@ class TestResampledOutcomeFits:
             for name in ("y", "d", "x"):
                 np.testing.assert_array_equal(getattr(copy, name), getattr(ds, name))
             assert ate_or(copy).point == ate_or(ds).point
+
+    def test_replace_gives_the_plain_form_of_the_drawn_rows(self):
+        # as `replace` of a resample and of its score fit did before either
+        # was a private subclass
+        data = self._draw(173, 3)
+        sample = self._replicates(data, n_boot=2)[0]
+        score = estimate_propensity_binary(sample, self._start(data))
+        assert type(score) is not PropensityFit
+        cases = [
+            (sample, ObservationalDataset, ("y", "d", "x"), "y", np.zeros(sample.n)),
+            (score, PropensityFit, ("scores_treated", "scores"), "scores", np.full(sample.n, 0.5)),
+        ]
+        for drawn, plain, names, changed, value in cases:
+            for changes in {}, {changed: value}:
+                got = dataclasses.replace(drawn, **changes)
+                assert type(got) is plain
+                for name in names:
+                    want = changes.get(name, getattr(drawn, name))
+                    np.testing.assert_array_equal(getattr(got, name), want, err_msg=name)
+        assert dataclasses.replace(score).diagnostics == score.diagnostics
 
     def test_ill_conditioned_replicate_takes_the_svd_fit_bit_for_bit(self, monkeypatch):
         # a covariate within 1e-3 of another puts the scaled cross products'
