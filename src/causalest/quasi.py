@@ -33,6 +33,12 @@ from .errors import (
 from .regress import _coef_estimate, _svd_solve, _xtx_inv
 
 _FIRST_STAGE_JUMP_TOL = 0.05
+#: smallest LP margin, on gradient terms scaled to at most one and a V that
+#: sums to one, at which `_sc_certificate` takes the LP's V
+_SC_MARGIN = 1e-6
+#: largest change of a weight at which `sc_weights` at the certificate's V
+#: is taken to return the best pre-period fit
+_SC_WEIGHT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +218,18 @@ def sc_weights(x1, x0, v_diag) -> np.ndarray:
     V weights no row where the donors differ from x1, short-circuits to
     weight one on the lowest such index.
     """
-    from scipy.optimize import nnls  # loaded here: no other path needs the optimizer
-
     x1v = _as_vector("x1", x1)
     x0m = _as_matrix("x0", x0, x1v.shape[0])
     v = _as_vector("v_diag", v_diag, x1v.shape[0])
     if (v < 0.0).any() or not (v > 0.0).any():
         raise InvalidInputError("v_diag entries must be >= 0 with at least one positive")
+    return _sc_weights(x1v, x0m, v)
+
+
+def _sc_weights(x1v, x0m, v) -> np.ndarray:
+    """`sc_weights` of validated inputs: the solve that `sc_fit` repeats."""
+    from scipy.optimize import nnls  # loaded here: no other path needs the optimizer
+
     k, j = x0m.shape
     sqrt_v = np.sqrt(v)
     a = x0m * sqrt_v[:, None]
@@ -226,13 +237,18 @@ def sc_weights(x1, x0, v_diag) -> np.ndarray:
     vertex_resid = a - b[:, None]
     spread = float(np.linalg.norm(vertex_resid))
     w = np.zeros(j)
-    exact = np.flatnonzero(np.all(x0m == x1v[:, None], axis=0))
+    exact = np.flatnonzero((x0m == x1v[:, None]).all(axis=0))
     if j == 1 or exact.size or spread == 0.0:
         w[exact[0] if exact.size else 0] = 1.0
         return w
 
+    system = np.empty((k + 1, j))
+    np.divide(vertex_resid, spread, out=system[:k])
+    system[k] = 1.0
+    target = np.zeros(k + 1)
+    target[k] = 1.0
     try:
-        u = nnls(np.vstack([vertex_resid / spread, np.ones(j)]), np.append(np.zeros(k), 1.0))[0]
+        u = nnls(system, target)[0]
     except RuntimeError:
         raise ConvergenceError(
             f"non-negative least squares for {j} donor weights did not finish in {3 * j} steps"
@@ -261,19 +277,74 @@ def _sc_face_optimum(vertex_resid, a, free) -> np.ndarray:
     return target
 
 
+def _sc_certificate(x1, x0, z1, z0):
+    """(w*, V) when w*, the best pre-period fit over the simplex, is the
+    inner optimum of a strictly positive V; otherwise None.
+
+    With r = x0 w* - x1, the inner problem's gradient at w* is 2 g(v), where
+    g_j(v) = sum_k v_k r_k x0_kj. w* is inner-optimal for V exactly when
+    g_j(v) = mu on its support and g_j(v) >= mu off it (KKT; the problem is
+    convex). One LP (HiGHS) maximizes a margin m with g_j(v) >= mu + m off
+    the support and v_k >= m, over sum(v) = 1; the g terms are taken against
+    x0 - x1, which moves every g_j by the same sum_k v_k r_k x1_k, and
+    scaled to at most one. The certificate holds when m > _SC_MARGIN and
+    `sc_weights` at that V returns w* within _SC_WEIGHT_TOL: no V fits the
+    pre-period better, so (w*, V) is a global optimum of the bilevel
+    problem.
+    """
+    from scipy.optimize import linprog  # loaded here: no other path needs the optimizer
+
+    k, j = x0.shape
+    w = _sc_weights(z1, z0, np.ones(z1.shape[0]))
+    vertex_resid = x0 - x1[:, None]
+    g = (vertex_resid * (vertex_resid @ w)[:, None]).T / (np.abs(vertex_resid).max() ** 2 or 1.0)
+    support = w > 0.0
+    n_off = j - int(support.sum())
+    # variables (v, mu, m); maximize m
+    a_eq = np.zeros((j - n_off + 1, k + 2))
+    a_eq[:-1, :k] = g[support]
+    a_eq[:-1, k] = -1.0
+    a_eq[-1, :k] = 1.0
+    a_ub = np.zeros((n_off + k, k + 2))
+    a_ub[:n_off, :k] = -g[~support]
+    a_ub[:n_off, k] = 1.0
+    a_ub[n_off:, :k] = -np.eye(k)
+    a_ub[:, k + 1] = 1.0
+    res = linprog(
+        np.append(np.zeros(k + 1), -1.0),
+        A_ub=a_ub,
+        b_ub=np.zeros(n_off + k),
+        A_eq=a_eq,
+        b_eq=np.append(np.zeros(j - n_off), 1.0),
+        bounds=[(0.0, None)] * k + [(None, None)] * 2,
+        method="highs",
+    )
+    if res.status != 0 or not res.x[-1] > _SC_MARGIN:
+        return None
+    v = res.x[:k] / res.x[:k].sum()
+    if np.abs(_sc_weights(x1, x0, v) - w).max() > _SC_WEIGHT_TOL:
+        return None
+    return w, v
+
+
 @dataclass
 class ScFit:
     """Fitted synthetic control.
 
     Attributes:
         weights: donor weights on the simplex.
-        v: diagonal predictor weights found by the outer search.
+        v: diagonal predictor weights, summing to one, under which the
+            weights are the inner optimum: the certificate's V, or the best
+            V the outer search found.
         gap: per-post-period treated-minus-synthetic outcome differences.
         estimate: the post-period mean gap as a CausalEstimate. Its
             diagnostics hold the root-mean-squared pre-period fit error
-            `pre_rmse`, whether Nelder-Mead reported success for the chosen
-            start `outer_converged` (True when one donor leaves nothing to
-            search), and that start's iterations `outer_iterations`.
+            `pre_rmse`; `outer_search`, "certified" when the weights are
+            the certified global optimum (or one donor leaves nothing to
+            search) and "search" otherwise; and whether Nelder-Mead
+            reported success for the chosen start `outer_converged` and
+            that start's iterations `outer_iterations` (True and 0 for a
+            certified fit).
     """
 
     weights: np.ndarray
@@ -283,54 +354,57 @@ class ScFit:
 
 
 def sc_fit(problem: ScProblem) -> ScFit:
-    """Fit a synthetic control with a nested optimization.
+    """Fit a synthetic control: the donor weights w(V) that are optimal for
+    the predictor weights V (`sc_weights`), at the V whose weights best fit
+    the pre-period outcomes.
 
-    Inner: the exact simplex-constrained donor weights for a given diagonal
-    V (`sc_weights`). Outer: Nelder-Mead over softmax-parameterized V
-    (multi-start from the uniform V and each one-hot corner) minimizing the
-    pre-period outcome mismatch of the induced weights. The convergence flag
-    and iteration count of the start with the lowest mismatch are kept in
-    the estimate's diagnostics.
+    First a certificate (`_sc_certificate`): when the best pre-period fit
+    over the simplex is w(V) for a strictly positive V found by one linear
+    program, those weights and that V are the global optimum. Otherwise a
+    nested search: Nelder-Mead over softmax-parameterized V (multi-start
+    from the uniform V and each one-hot corner) minimizing the pre-period
+    mismatch of w(V), with the pre-period outcomes centred and scaled by the
+    mean and spread of [z1, z0], so that its stopping rule does not read the
+    outcome's units. The convergence flag and iteration count of the start
+    with the lowest mismatch are kept in the estimate's diagnostics.
     """
     from scipy.optimize import minimize  # loaded here: no other path needs the optimizer
 
-    k = problem.x1.shape[0]
-    j = problem.n_donors
+    x1, x0 = problem.x1, problem.x0
+    k, j = x0.shape
     if j >= 2:
-        stacked = np.vstack([problem.x0, problem.z0])
+        stacked = np.vstack([x0, problem.z0])
         if all(np.array_equal(stacked[:, jj], stacked[:, 0]) for jj in range(1, j)):
             raise DegenerateProblemError("all donors are identical")
+    z = np.column_stack([problem.z1, problem.z0])
+    z = (z - z.mean()) / (z.std() or 1.0)
+    z1, z0 = z[:, 0], z[:, 1:]
 
     def pre_mismatch(theta: np.ndarray) -> float:
         e = np.exp(theta - theta.max())
-        w = sc_weights(problem.x1, problem.x0, e / e.sum())
-        r = problem.z1 - problem.z0 @ w
+        r = z1 - z0 @ _sc_weights(x1, x0, e / e.sum())
         return float(r @ r)
 
-    if j == 1:
-        weights = np.ones(1)
-        v_best = np.full(k, 1.0 / k)
+    certified = (np.ones(1), np.full(k, 1.0 / k)) if j == 1 else _sc_certificate(x1, x0, z1, z0)
+    if certified is not None:
+        weights, v_best = certified
         converged, iterations = True, 0
     else:
-        starts = [np.zeros(k)]
-        for corner in range(k):
-            theta = np.zeros(k)
-            theta[corner] = 10.0
-            starts.append(theta)
-        best = None
-        for theta0 in starts:
-            res = minimize(pre_mismatch, theta0, method="Nelder-Mead")
-            if best is None or res.fun < best.fun:
-                best = res
+        starts = [np.zeros(k), *(10.0 * np.eye(k))]
+        best = min(
+            (minimize(pre_mismatch, theta0, method="Nelder-Mead") for theta0 in starts),
+            key=lambda res: res.fun,
+        )
         e = np.exp(best.x - best.x.max())
         v_best = e / e.sum()
-        weights = sc_weights(problem.x1, problem.x0, v_best)
+        weights = _sc_weights(x1, x0, v_best)
         converged, iterations = bool(best.success), int(best.nit)
 
     pre_resid = problem.z1 - problem.z0 @ weights
     gap = problem.y1 - problem.y0 @ weights
     diagnostics = {
         "pre_rmse": float(np.sqrt(np.mean(pre_resid**2))),
+        "outer_search": "search" if certified is None else "certified",
         "outer_converged": converged,
         "outer_iterations": iterations,
     }

@@ -128,7 +128,10 @@ def fit_ols(design, y) -> LinearFit:
     """
     X, r = _check_design(design, y)
     n, k = X.shape
-    coef, factors = _svd_solve(X, r)
+    # an inf in the unscanned response makes the solve's products NaN, which
+    # NumPy warns of before the RSS check below raises
+    with np.errstate(invalid="ignore"):
+        coef, factors = _svd_solve(X, r)
     resid = r - X @ coef
     # unscanned inputs: a non-finite entry fails the SVD or shows in the RSS
     rss = float(resid @ resid)
@@ -281,6 +284,9 @@ def _chord_steps(X: np.ndarray, dv: np.ndarray, counts, start) -> tuple[LinearFi
     return None, _MAX_IRLS_ITER
 
 
+# an inf in the unscanned design makes NaN products (inf * 0 in X coef),
+# which NumPy warns of before a Newton step's SVD raises NonFiniteValueError
+@np.errstate(invalid="ignore")
 def fit_logistic(design, d, start=None) -> LinearFit:
     """Logistic regression by iteratively reweighted least squares.
 

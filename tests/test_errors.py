@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,32 @@ def _with(a, at, value):
 def test_non_finite_input_to_a_fit_is_an_input_error(call):
     with pytest.raises(NonFiniteValueError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: causalest.fit_logistic(_with(_DESIGN, (2, 1), np.inf), [0, 1, 0, 1, 1, 0]),
+        lambda: causalest.fit_logistic(_with(_DESIGN, (2, 1), -np.inf), [0, 1, 0, 1, 1, 0]),
+        lambda: causalest.fit_logistic(
+            _with(_DESIGN, (2, 1), np.inf), [0, 1, 0, 1, 1, 0], start=([0.1, 0.0], np.eye(2))
+        ),
+        lambda: causalest.fit_ols(_DESIGN, _with(np.arange(6.0), 2, np.inf)),
+        lambda: causalest.fit_ols(_DESIGN[:2], [np.inf, 1.0]),
+    ],
+    ids=[
+        "logit-inf-design", "logit-minus-inf-design", "logit-inf-design-warm",
+        "ols-inf-response", "ols-exact-inf-response",
+    ],
+)
+def test_an_infinite_input_to_a_fit_is_an_input_error_when_warnings_are_errors(call):
+    # the inputs are not scanned, and inf * 0 in the fit's first products
+    # is NaN: NumPy's RuntimeWarning for it must not reach a caller that
+    # turns warnings into errors before the package's own error does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValueError):
+            call()
 
 
 def test_the_solve_itself_rejects_an_infinite_design_entry():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -604,6 +605,68 @@ class TestScWeights:
             sc_weights([1.0, 0.0], [[np.nan, 2.0, 3.0], [1.0, 0.0, 2.0]], [1.0, 1.0])
 
 
+def _study_problem(seed):
+    """One of the 40 problems of the synthetic-control study (seeds
+    100-139): K = 4 characteristics, 3 pre- and 2 post-periods, J = 4
+    donors, N(0, 1) entries, x1 and z1 drawn independently of the donors."""
+    g = philox(seed)
+    return ScProblem(
+        x1=g.normal(size=4), x0=g.normal(size=(4, 4)), z1=g.normal(size=3),
+        z0=g.normal(size=(3, 4)), y1=g.normal(size=2), y0=g.normal(size=(2, 4)),
+    )
+
+
+def _pre_mismatch(problem, w):
+    r = problem.z1 - problem.z0 @ w
+    return float(r @ r)
+
+
+def _best_pre_fit(problem):
+    """[ORACLE] The least pre-period mismatch over the simplex, by
+    enumeration: on every donor subset, the least squares of z1 on its
+    columns with weights summing to one (the bordered normal equations),
+    kept where the weights are non-negative."""
+    best = np.inf
+    j = problem.n_donors
+    for size in range(1, j + 1):
+        for face in itertools.combinations(range(j), size):
+            cols = problem.z0[:, face]
+            kkt = np.zeros((size + 1, size + 1))
+            kkt[:size, :size] = cols.T @ cols
+            kkt[:size, size] = kkt[size, :size] = 1.0
+            rhs = np.append(cols.T @ problem.z1, 1.0)
+            w_face = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:size]
+            if (w_face >= -1e-12).all() and abs(w_face.sum() - 1.0) <= 1e-12:
+                w = np.zeros(j)
+                w[list(face)] = w_face
+                best = min(best, _pre_mismatch(problem, w))
+    return best
+
+
+def _affine_outcomes(problem, a, b):
+    """The problem with every outcome, z and y, mapped to a * value + b."""
+    return ScProblem(
+        x1=problem.x1,
+        x0=problem.x0,
+        **{name: a * getattr(problem, name) + b for name in ("z1", "z0", "y1", "y0")},
+    )
+
+
+def _certified_weight_tol(problem, weights, a, b):
+    """[DERIVED] How far rounding can move certified weights when the
+    outcomes are mapped to a z + b: they are the least squares on their
+    support of the standardized outcomes (z - mean) / spread, whose entries
+    round by eps (max|z| + |b / a|) / spread relative to O(1); a least
+    squares solution moves by at most that times kappa^2, kappa the
+    condition number of the support's differences from its first donor."""
+    eps = np.finfo(float).eps
+    z = np.column_stack([problem.z1, problem.z0])
+    support = np.flatnonzero(weights > 0.0)
+    diffs = problem.z0[:, support[1:]] - problem.z0[:, support[:1]]
+    kappa = np.linalg.cond(diffs) if support.size > 1 else 1.0
+    return 8 * eps * kappa**2 * (np.abs(z).max() + abs(b / a)) / z.std()
+
+
 class TestScFit:
     @staticmethod
     def _convex_problem(seed, w_true):
@@ -652,19 +715,48 @@ class TestScFit:
         # the pre-period error and the outer search's state are read from
         # the estimate's diagnostics, not from copies on the fit
         assert [f.name for f in dataclasses.fields(ScFit)] == ["weights", "v", "gap", "estimate"]
-        fit = sc_fit(self._convex_problem(96, np.array([0.2, 0.5, 0.3])))
-        assert set(fit.estimate.diagnostics) == {"pre_rmse", "outer_converged", "outer_iterations"}
+        for problem in (self._convex_problem(96, np.array([0.2, 0.5, 0.3])), _study_problem(102)):
+            assert set(sc_fit(problem).estimate.diagnostics) == {
+                "pre_rmse", "outer_search", "outer_converged", "outer_iterations"
+            }
 
     def test_outer_search_convergence_reported(self):
-        fit = sc_fit(self._convex_problem(96, np.array([0.2, 0.5, 0.3])))
-        diagnostics = fit.estimate.diagnostics
-        assert diagnostics["outer_converged"] is True
-        assert diagnostics["outer_iterations"] > 0
+        def state(problem):
+            diagnostics = sc_fit(problem).estimate.diagnostics
+            return tuple(diagnostics[key] for key in ("outer_search", "outer_converged", "outer_iterations"))
+
+        # a certified fit takes no outer step
+        assert state(self._convex_problem(96, np.array([0.2, 0.5, 0.3]))) == ("certified", True, 0)
+        # study problem 102 has no certificate: its best pre-period fit is
+        # inner-optimal for no V, so the search runs
+        kind, converged, iterations = state(_study_problem(102))
+        assert (kind, converged) == ("search", True) and iterations > 0
         # one donor leaves nothing to search
-        single = sc_fit(
-            ScProblem(x1=[1.0], x0=[[9.0]], z1=[2.0], z0=[[1.0]], y1=[4.0], y0=[[1.0]])
-        ).estimate.diagnostics
-        assert (single["outer_converged"], single["outer_iterations"]) == (True, 0)
+        single = ScProblem(x1=[1.0], x0=[[9.0]], z1=[2.0], z0=[[1.0]], y1=[4.0], y0=[[1.0]])
+        assert state(single) == ("certified", True, 0)
+
+    def test_certified_v_is_strictly_positive_and_gives_the_weights(self):
+        # [DERIVED] the LP's margin keeps every v_k > 0; at a V with a zero
+        # entry the inner optimum of this convex problem is not unique
+        w_true = np.array([0.2, 0.5, 0.3])
+        problem = self._convex_problem(96, w_true)
+        fit = sc_fit(problem)
+        assert fit.estimate.diagnostics["outer_search"] == "certified"
+        assert (fit.v > 0.0).all() and fit.v.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(fit.weights, w_true, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            sc_weights(problem.x1, problem.x0, fit.v), fit.weights, rtol=0, atol=quasi._SC_WEIGHT_TOL
+        )
+
+    def test_the_outer_search_solves_validated_inputs(self, monkeypatch):
+        # the search and the certificate call the inner kernel, not the
+        # public sc_weights, which validates its inputs again on each call
+        def public(*args):
+            raise AssertionError("sc_fit called the public sc_weights")
+
+        monkeypatch.setattr(quasi, "sc_weights", public)
+        for problem in (self._convex_problem(96, np.array([0.2, 0.5, 0.3])), _study_problem(102)):
+            sc_fit(problem)
 
     def test_donor_permutation_equivariance(self):
         w_true = np.array([0.2, 0.5, 0.3])
@@ -726,6 +818,85 @@ class TestScFit:
         with pytest.raises(ValueError, match="finite"):
             ScProblem(
                 x1=[1.0], x0=[[np.inf]], z1=[1.0], z0=[[1.0]], y1=[1.0], y0=[[1.0]]
+            )
+
+
+class TestSyntheticControlStudy:
+    """The 40 study problems of `_study_problem`, seeds 100-139."""
+
+    @pytest.fixture(scope="class")
+    def fits(self):
+        problems = [_study_problem(seed) for seed in range(100, 140)]
+        return [(problem, sc_fit(problem)) for problem in problems]
+
+    @staticmethod
+    def _of_kind(fits, kind):
+        return [(p, f) for p, f in fits if f.estimate.diagnostics["outer_search"] == kind]
+
+    def test_both_paths_are_taken(self, fits):
+        # 9 certified and 31 searched with SciPy 1.17's HiGHS
+        assert self._of_kind(fits, "certified") and self._of_kind(fits, "search")
+
+    def test_a_certified_fit_is_the_best_pre_period_fit(self, fits):
+        for problem, fit in self._of_kind(fits, "certified"):
+            best = _best_pre_fit(problem)
+            assert _pre_mismatch(problem, fit.weights) == pytest.approx(best, rel=1e-12)
+            assert fit.estimate.diagnostics["pre_rmse"] == pytest.approx(
+                np.sqrt(best / problem.z1.shape[0]), rel=1e-12
+            )
+        # the oracle bounds every fit from below
+        for problem, fit in fits:
+            assert _pre_mismatch(problem, fit.weights) >= _best_pre_fit(problem) * (1 - 1e-12)
+
+    def test_no_search_fit_is_worse_than_its_best_start(self, fits):
+        # the starts are the uniform V and the softmax of 10 at each corner
+        for problem, fit in self._of_kind(fits, "search"):
+            k = problem.x1.shape[0]
+            starts = [np.full(k, 1.0 / k)]
+            for corner in range(k):
+                e = np.exp(10.0 * (np.eye(k)[corner] - 1.0))
+                starts.append(e / e.sum())
+            best_start = min(
+                _pre_mismatch(problem, sc_weights(problem.x1, problem.x0, v)) for v in starts
+            )
+            assert _pre_mismatch(problem, fit.weights) <= best_start * (1 + 1e-12)
+
+    def test_the_search_reads_standardized_outcomes(self, monkeypatch):
+        # [DERIVED] Nelder-Mead stops on an absolute change of its objective,
+        # so the search minimizes the mismatch of (z - mean) / spread, which
+        # a z + b leaves unchanged up to rounding
+        seen = []
+        search = scipy.optimize.minimize
+
+        def recording(fun, x0, **kwargs):
+            seen.append(fun(x0))
+            return search(fun, x0, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        problem = _study_problem(102)
+        sc_fit(problem)
+        reference = list(seen)
+        for a, b in [(1e3, -5.0), (1e-3, 2.0)]:
+            seen.clear()
+            assert sc_fit(_affine_outcomes(problem, a, b)).estimate.diagnostics["outer_search"] == "search"
+            np.testing.assert_allclose(seen, reference, rtol=1e-9)
+
+    @pytest.mark.parametrize("a, b", [(1e3, -5.0), (1e-3, 2.0), (1.0, 7.0), (-2.0, 1.5)])
+    def test_a_certified_fit_is_invariant_to_the_outcome_units(self, fits, a, b):
+        eps = np.finfo(float).eps
+        for problem, fit in self._of_kind(fits, "certified"):
+            moved = sc_fit(_affine_outcomes(problem, a, b))
+            assert moved.estimate.diagnostics["outer_search"] == "certified"
+            tol = _certified_weight_tol(problem, fit.weights, a, b)
+            np.testing.assert_allclose(moved.weights, fit.weights, rtol=0, atol=tol)
+            assert _pre_mismatch(problem, moved.weights) == pytest.approx(
+                _pre_mismatch(problem, fit.weights), rel=1e-12
+            )
+            # rounding of a y + b and of the weighted sum, plus the weights' move
+            size = abs(a) * np.abs(np.column_stack([problem.y1, problem.y0])).max() + abs(b)
+            j = problem.n_donors
+            assert moved.estimate.point == pytest.approx(
+                a * fit.estimate.point, rel=0, abs=4 * (j + 4) * eps * size + j * size * tol
             )
 
 
@@ -938,30 +1109,32 @@ class TestInvarianceSweep:
         assert est.point == pytest.approx(a * reference.point, rel=1e-9)
         assert est.variance == pytest.approx(a * a * reference.variance, rel=1e-8)
 
-    @pytest.mark.parametrize("where", ["inside", "outside"])
+    @pytest.mark.parametrize("where", ["inside", "outside", "study-101", "study-114"])
     @pytest.mark.parametrize("a, b", [(3.0, 7.0), (-2.0, 1.5), (1e3, -5.0), (1e-3, 2.0)])
     def test_affine_outcome_scales_synthetic_control(self, where, a, b):
-        # [DERIVED] x1 and x0 are unchanged, so the inner weights are too, and
-        # the pre-period mismatch only scales by a^2; the weights sum to one,
-        # so the shift cancels and the post-period gap scales by a
-        problem = _sc_problems()[where]
-        moved = ScProblem(
-            x1=problem.x1,
-            x0=problem.x0,
-            **{name: a * getattr(problem, name) + b for name in ("z1", "z0", "y1", "y0")},
-        )
-        reference, fit = sc_fit(problem), sc_fit(moved)
+        # [DERIVED] x1 and x0 are unchanged, and the pre-period mismatch only
+        # scales by a^2, so the same V is optimal; the weights sum to one,
+        # so the shift cancels and the post-period gap scales by a. Study
+        # problems 101 and 114 are certified with three donors in the
+        # support, so there the weights depend on V.
+        problem = {**_sc_problems(), "study-101": _study_problem(101), "study-114": _study_problem(114)}[where]
+        reference, fit = sc_fit(problem), sc_fit(_affine_outcomes(problem, a, b))
         j = problem.n_donors
         eps = np.finfo(float).eps
-        # the weights come from a least-squares solve on at most j O(1),
-        # well-conditioned donor columns: a few ulps per donor
-        np.testing.assert_allclose(fit.weights, reference.weights, rtol=0, atol=16 * j * eps)
         # rounding of a y + b, of the j-term weighted sum of the donors and
         # of the mean, each relative to the magnitude |a| max|y| + |b|
         size = abs(a) * max(np.abs(problem.y1).max(), np.abs(problem.y0).max()) + abs(b)
-        assert fit.estimate.point == pytest.approx(
-            a * reference.estimate.point, rel=0, abs=4 * (j + 4) * eps * size
-        )
+        point_tol = 4 * (j + 4) * eps * size
+        if where.startswith("study"):
+            assert fit.estimate.diagnostics["outer_search"] == "certified"
+            tol = _certified_weight_tol(problem, reference.weights, a, b)
+            point_tol += j * size * tol  # the weights' own move
+        else:
+            # the weights come from a least-squares solve on at most j O(1),
+            # well-conditioned donor columns: a few ulps per donor
+            tol = 16 * j * eps
+        np.testing.assert_allclose(fit.weights, reference.weights, rtol=0, atol=tol)
+        assert fit.estimate.point == pytest.approx(a * reference.estimate.point, rel=0, abs=point_tol)
 
 
 # the columns each estimator's `_quasi_draw` call is handed
