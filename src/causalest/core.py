@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -306,6 +306,32 @@ class PanelDataset:
             np.subtract(v, self.broadcast_units(self.unit_means(v)), out=block[:, j])
         return _readonly(block), _readonly(self.y - self.broadcast_units(self.unit_means(self.y)))
 
+    # Fits that two estimators read, made on first read. The modules that
+    # make them import this one, so they are imported where they are used
+    @functools.cached_property
+    def _within_ols(self):
+        """OLS of the within y on the within design (`_within`): fixed
+        effects and random effects' within step read it."""
+        from .regress import fit_ols
+
+        return fit_ols(*self._within)
+
+    @functools.cached_property
+    def _pooled_ols(self):
+        """The OLS fit of y on (1, d, x): pooled OLS and random effects'
+        fallback read it (`panel._pooled_ols`)."""
+        from .panel import _pooled_ols
+
+        return _pooled_ols(self)
+
+    @functools.cached_property
+    def _did_design(self):
+        """The difference-in-differences design of the rows, factored
+        (`quasi._did_design`); it does not read y."""
+        from .quasi import _did_design
+
+        return _did_design(self)
+
     @functools.cached_property
     def _unit_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-unit sums of the within transform, computed on first read:
@@ -393,6 +419,47 @@ class _DrawnPanel(PanelDataset):
     y = functools.cached_property(lambda self: self._gathered("y"))
     d = functools.cached_property(lambda self: self._gathered("d"))
     x = functools.cached_property(lambda self: self._gathered("x"))
+
+
+class _SameRows(PanelDataset):
+    """A panel with the rows of a source panel (its units, times, treatment
+    and covariates) and another outcome y.
+
+    It holds the source as `_rows_of` and reads from it the fits of the rows
+    that do not read y: the difference-in-differences design.
+    """
+
+    def __init__(self, source: PanelDataset, y):
+        yv = _as_vector("y", y, source.n)
+        for name in ("unit", "time", "d", "x", "unit_codes", "unit_counts"):
+            object.__setattr__(self, name, getattr(source, name))
+        object.__setattr__(self, "y", _readonly(_owned(yv, y)))
+        object.__setattr__(self, "_rows_of", source)
+
+    @functools.cached_property
+    def _did_design(self):
+        return self._rows_of._did_design
+
+
+@functools.lru_cache(maxsize=8)
+def _balanced_layout(n_units: int, n_periods: int) -> PanelDataset:
+    """The validated balanced panel of units 0..n_units-1, each over periods
+    0..n_periods-1, with y and d zero. Its rows come sorted, so
+    `validate_panel` keeps their order; a panel `_on_layout` builds on it
+    shares them. Cached, so a process validates each shape once."""
+    unit = np.repeat(np.arange(n_units), n_periods)
+    time = np.tile(np.arange(n_periods), n_units)
+    zeros = np.zeros(unit.shape[0])
+    return validate_panel(*map(_readonly, (unit, time, zeros, zeros)))
+
+
+def _on_layout(layout: PanelDataset, y, d) -> PanelDataset:
+    """The panel of outcome y and treatment d, given in the row order of the
+    validated panel `layout`, on its rows: y and d get `validate_panel`'s
+    vector checks, and the panel shares the layout's unit, time, x, unit
+    codes and counts."""
+    yv, dv = _as_vector("y", y, layout.n), _as_vector("d", d, layout.n)
+    return replace(layout, y=_readonly(_owned(yv, y)), d=_readonly(_owned(dv, d)))
 
 
 def validate_panel(unit, time, y, d, x=None) -> PanelDataset:

@@ -180,7 +180,7 @@ def ate_psr(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate:
     p1 = fit.scores_treated
     degenerate = bool(np.ptp(p1) == 0.0)
     design = np.column_stack([np.ones(ds.n), ds.d, *([] if degenerate else [p1])])
-    return _coef_estimate("psr", design, ds.y, 1, {"degenerate_score": degenerate})
+    return _coef_estimate("psr", fit_ols(design, ds.y), 1, {"degenerate_score": degenerate})
 
 
 def ate_stratification(ds: ObservationalDataset, fit: PropensityFit) -> CausalEstimate:

@@ -59,12 +59,13 @@ def _within_dof(pds: PanelDataset, k: int, d_dev: float, d_max: float) -> int:
 
 def _within_fit(pds: PanelDataset):
     """OLS of the unit-demeaned y on the panel's within design, the demeaned
-    d and x; returns (fit, dof)."""
-    design, y = pds._within
+    d and x, read from `PanelDataset._within_ols` after the checks of
+    `_within_dof`; returns (fit, dof)."""
+    design, _ = pds._within
     dof = _within_dof(
         pds, design.shape[1], float(np.max(np.abs(design[:, 0]))), float(np.max(np.abs(pds.d)))
     )
-    return fit_ols(design, y), dof
+    return pds._within_ols, dof
 
 
 def _fe_from_sums(pds: PanelDataset) -> CausalEstimate | None:
@@ -97,21 +98,30 @@ def _fe_from_sums(pds: PanelDataset) -> CausalEstimate | None:
     return _estimate("fe", solved[0, 0], pds.n, rss / dof * solved[0, 1], {"dof": int(dof)})
 
 
-def _coef_on_d(method, intercept, d, x, y, diagnostics=None) -> CausalEstimate:
-    """OLS of y on intercept, d, x; d's coefficient is the estimate.
-
-    `intercept` is the constant column (a scalar broadcasts).
-    """
+def _on_d(intercept, d, x) -> np.ndarray:
+    """The design (intercept, d, x); `intercept` is the constant column (a
+    scalar broadcasts)."""
     design = np.empty((d.shape[0], 2 + x.shape[1]))
     design[:, 0] = intercept
     design[:, 1] = d
     design[:, 2:] = x
-    return _coef_estimate(method, design, y, 1, diagnostics)
+    return design
+
+
+def _coef_on_d(method, intercept, d, x, y, diagnostics=None) -> CausalEstimate:
+    """OLS of y on intercept, d, x; d's coefficient is the estimate."""
+    return _coef_estimate(method, fit_ols(_on_d(intercept, d, x), y), 1, diagnostics)
+
+
+def _pooled_ols(pds: PanelDataset):
+    """OLS of y on (1, d, x), ignoring the panel structure; a panel fits it
+    once, as `PanelDataset._pooled_ols`."""
+    return fit_ols(_on_d(1.0, pds.d, pds.x), pds.y)
 
 
 def fit_pols(pds: PanelDataset) -> CausalEstimate:
     """Pooled OLS of y on (1, d, x), ignoring the panel structure."""
-    return _coef_on_d("pols", 1.0, pds.d, pds.x, pds.y)
+    return _coef_estimate("pols", pds._pooled_ols, 1)
 
 
 def fit_fe(pds: PanelDataset) -> CausalEstimate:
@@ -175,7 +185,7 @@ def fit_re(pds: PanelDataset) -> CausalEstimate:
     y_means = pds.unit_means(pds.y)
 
     def pols_fallback(**diagnostics):
-        return _coef_on_d("re", 1.0, pds.d, pds.x, pds.y, diagnostics)
+        return _coef_estimate("re", pds._pooled_ols, 1, diagnostics)
 
     # within step for the idiosyncratic variance
     w_fit, dof_w = _within_fit(pds)

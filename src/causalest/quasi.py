@@ -27,10 +27,11 @@ from .errors import (
     EmptyCellError,
     InvalidInputError,
     NoFirstStageJumpError,
+    NonFiniteValueError,
     OneSidedDataError,
     TooFewPeriodsError,
 )
-from .regress import _coef_estimate, _svd_solve, _xtx_inv
+from .regress import _coef_estimate, _ols, _svd_factor, _svd_solve, _xtx_inv, fit_ols
 
 _FIRST_STAGE_JUMP_TOL = 0.05
 #: smallest LP margin, on gradient terms scaled to at most one and a V that
@@ -93,11 +94,17 @@ def _second_stage(yv, dv, xm, first) -> CausalEstimate:
         f_stat = (rss_r - rss_f) / (rss_f / dof_full)
 
     second = np.column_stack([np.ones(n), d_hat, xm])
-    coef, factors = _svd_solve(second, yv)
-    resid = yv - np.column_stack([np.ones(n), dv, xm]) @ coef
+    # a y near the float limit overflows the products, which the check of
+    # the residual sum of squares then rejects
+    with np.errstate(over="ignore"):
+        coef, factors = _svd_solve(second, yv)
+        resid = yv - np.column_stack([np.ones(n), dv, xm]) @ coef
+        rss = float(resid @ resid)
+    if not math.isfinite(rss):
+        raise NonFiniteValueError("the residual sum of squares is not finite")
     dof = n - second.shape[1]
     # an exactly identified fit (n = k) leaves no residual to scale by
-    var = float(resid @ resid) / dof * _xtx_inv(*factors)[1, 1] if dof else None
+    var = rss / dof * _xtx_inv(*factors)[1, 1] if dof else None
     return _estimate("2sls", coef[1], n, var, {"first_stage_f": f_stat})
 
 
@@ -122,6 +129,16 @@ def ate_did(pds: PanelDataset) -> CausalEstimate:
     means. The design's rows run period by period, each period's in panel
     order. The diagnostics give `n_periods`.
     """
+    order, factored, n_periods = pds._did_design
+    diagnostics = {"n_periods": n_periods}
+    return _coef_estimate("did", _ols(factored, pds.y[order]), n_periods + 1, diagnostics)
+
+
+def _did_design(pds: PanelDataset):
+    """(order, factored design, n_periods) of `ate_did`, after its checks:
+    the panel rows in design order and the design's SVD factors. A panel
+    builds it once, as `PanelDataset._did_design`, and a panel with the same
+    rows and another y reads that one."""
     _check_arms(pds)
     # one stable sort of the times orders the rows period by period
     order = np.argsort(pds.time, kind="stable")
@@ -147,8 +164,7 @@ def ate_did(pds: PanelDataset) -> CausalEstimate:
                     raise EmptyCellError(
                         f"no observations with group={g}, period={time[bounds[p]]}"
                     )
-    diagnostics = {"n_periods": n_periods}
-    return _coef_estimate("did", design, pds.y[order], n_periods + 1, diagnostics)
+    return order, _svd_factor(design), n_periods
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +468,7 @@ def rdd_sharp(y, t, cutoff: float = 0.0) -> CausalEstimate:
         "n_left": int(yv.shape[0] - above.sum()),
     }
     design = np.column_stack([np.ones(yv.shape[0]), above, tc, above * tc])
-    return _coef_estimate("rdd_sharp", design, yv, 1, diagnostics)
+    return _coef_estimate("rdd_sharp", fit_ols(design, yv), 1, diagnostics)
 
 
 def rdd_fuzzy(y, t, d, cutoff: float = 0.0) -> CausalEstimate:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -78,9 +79,19 @@ def _check_design(design, y) -> tuple[np.ndarray, np.ndarray]:
     return X, _as_vector("response", y, X.shape[0], finite=False)
 
 
-def _svd_solve(Xw: np.ndarray, yw: np.ndarray):
-    """Least-squares solve of one response vector via SVD; returns
-    (coef, (s, Vt)), whose s and Vt give (X'X)^-1 through `_xtx_inv`.
+class _Svd(NamedTuple):
+    """A design X with its thin SVD U diag(s) Vt, which passed the rank rule:
+    what least-squares fits of several responses on one design share."""
+
+    X: np.ndarray
+    U: np.ndarray
+    s: np.ndarray
+    Vt: np.ndarray
+
+
+def _svd_factor(Xw: np.ndarray) -> _Svd:
+    """The thin SVD of a design, the one factorization of every
+    least-squares solve.
 
     Raises RankDeficientError when the singular-value ratio falls below
     RANK_RTOL (or the system is under-determined). A design with a
@@ -105,7 +116,20 @@ def _svd_solve(Xw: np.ndarray, yw: np.ndarray):
         raise RankDeficientError(
             f"design is rank deficient (singular-value ratio {0.0 if s[0] == 0 else s[-1] / s[0]:.2e})"
         )
-    return Vt.T @ ((U.T @ yw) / s), (s, Vt)
+    return _Svd(Xw, U, s, Vt)
+
+
+def _svd_coef(f: _Svd, yw: np.ndarray) -> np.ndarray:
+    """The least-squares coefficients of one response vector on a factored design."""
+    return f.Vt.T @ ((f.U.T @ yw) / f.s)
+
+
+def _svd_solve(Xw: np.ndarray, yw: np.ndarray):
+    """Least-squares solve of one response vector via SVD (`_svd_factor`);
+    returns (coef, (s, Vt)), whose s and Vt give (X'X)^-1 through
+    `_xtx_inv`."""
+    f = _svd_factor(Xw)
+    return _svd_coef(f, yw), (f.s, f.Vt)
 
 
 def _xtx_inv(s: np.ndarray, Vt: np.ndarray) -> np.ndarray:
@@ -124,24 +148,31 @@ def fit_ols(design, y) -> LinearFit:
     Raises:
         RankDeficientError: collinear or under-determined design.
         DimensionMismatchError: inconsistent shapes.
-        NonFiniteValueError: a non-finite entry in the design or response.
+        NonFiniteValueError: a non-finite entry in the design or response,
+            or a residual sum of squares beyond the float range.
     """
     X, r = _check_design(design, y)
-    n, k = X.shape
-    # an inf in the unscanned response makes the solve's products NaN, which
-    # NumPy warns of before the RSS check below raises
-    with np.errstate(invalid="ignore"):
-        coef, factors = _svd_solve(X, r)
-    resid = r - X @ coef
-    # unscanned inputs: a non-finite entry fails the SVD or shows in the RSS
-    rss = float(resid @ resid)
+    return _ols(_svd_factor(X), r)
+
+
+def _ols(f: _Svd, r: np.ndarray) -> LinearFit:
+    """`fit_ols` of the response vector r on a factored design: the one
+    arithmetic of every SVD least-squares fit, shared or not."""
+    n, k = f.X.shape
+    # unscanned inputs: a non-finite entry fails the SVD or shows in the
+    # RSS, and so does a response near the float limit, whose products
+    # overflow. NumPy would warn of the NaN or inf before the check raises
+    with np.errstate(invalid="ignore", over="ignore"):
+        coef = _svd_coef(f, r)
+        resid = r - f.X @ coef
+        rss = float(resid @ resid)
     if not math.isfinite(rss):
         raise NonFiniteValueError("the residual sum of squares is not finite")
     return LinearFit(
         coef=coef,
         link=IDENTITY,
         residuals=resid,
-        coef_cov=rss / (n - k) * _xtx_inv(*factors) if n > k else None,
+        coef_cov=rss / (n - k) * _xtx_inv(f.s, f.Vt) if n > k else None,
     )
 
 
@@ -202,13 +233,12 @@ def _fit_ols_by_normal_equations(X: np.ndarray, y: np.ndarray, counts: np.ndarra
     )
 
 
-def _coef_estimate(method: str, design, y, at: int, diagnostics=None) -> CausalEstimate:
-    """OLS of y on `design`; coefficient `at` is the estimate, and its
-    diagonal entry of the coefficient covariance the variance (None for an
+def _coef_estimate(method: str, fit: LinearFit, at: int, diagnostics=None) -> CausalEstimate:
+    """The estimate an OLS fit gives: coefficient `at`, and its diagonal
+    entry of the coefficient covariance as the variance (None for an
     exactly identified fit)."""
-    fit = fit_ols(design, y)
     var = None if fit.coef_cov is None else fit.coef_cov[at, at]
-    return _estimate(method, fit.coef[at], len(y), var, diagnostics)
+    return _estimate(method, fit.coef[at], fit.residuals.shape[0], var, diagnostics)
 
 
 def _check_start(start, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from importlib import resources
 import numpy as np
 from scipy.special import expit, ndtr, ndtri
 
-from .core import _check_int, _readonly, validate, validate_panel
+from .core import _balanced_layout, _check_int, _on_layout, _readonly, _SameRows, validate
 from .errors import InvalidInputError, MissingReferenceCellError, UnknownCaseError
 from .estimators import ate_dr, ate_ipw, ate_or, fit_outcome_model
 from .panel import fit_cre, fit_fd, fit_fe, fit_pols, fit_re
@@ -174,7 +174,9 @@ def _truncated_normal(rng, mu, sigma, lo, hi, size):
 # the generator of one named variable of the run, to the run's datasets and
 # the arrays its methods take beside them (cs1's injected scores, cs4's two
 # instruments). A draw marks its own fresh arrays read-only, so the
-# validators keep them without a copy.
+# validators keep them without a copy. A panel draw lays its y and d out on
+# the balanced layout of its shape, which is validated once per process
+# (`core._balanced_layout`), and shares its unit, time and unit codes.
 # ---------------------------------------------------------------------------
 
 def _draw_cs1(p: dict, n: int, stream):
@@ -204,9 +206,7 @@ def _draw_panel(p: dict, n: int, stream):
     d = p["delta"] * w + stream("treatment_noise").normal(0.0, p["sigma_d"], n)
     noise = stream("outcome_noise").normal(0.0, p["sigma_e"], n)
     y = p["alpha"] + p["tau"] * d + p["gamma"] * w + noise
-    unit = np.repeat(np.arange(n_units), t_per)
-    time = np.tile(np.arange(t_per), n_units)
-    return validate_panel(*map(_readonly, (unit, time, y, d)))
+    return _on_layout(_balanced_layout(n_units, t_per), _readonly(y), _readonly(d))
 
 
 def _draw_cs4(p: dict, n: int, stream):
@@ -232,17 +232,16 @@ def _draw_cs5(p: dict, n: int, stream):
     y1 = p["intercept_post"] + p["selection_level"] * d1 + p["tau"] * d1 + p["beta_x"] * x0 + e1
     x1 = stream("x1").normal(p["x1_mean"], p["x1_sd"], n)
     y1_violated = y1 + p["violation_coef"] * x1 * (1.0 - d1)
-    # unit i is treated in period 1 when d1[i] is 1; its two rows come in
-    # (unit, time) order, so `validate_panel` takes them as sorted, and both
-    # designs share the read-only unit, time and d
-    unit = _readonly(np.repeat(np.arange(n), 2))
-    time = _readonly(np.tile(np.arange(2), n))
-    d = _readonly(np.column_stack([np.zeros(n), d1]).ravel())
-
-    def panel(y_post):
-        return validate_panel(unit, time, _readonly(np.column_stack([y0, y_post]).ravel()), d)
-
-    return panel(y1), panel(y1_violated)
+    # unit i's rows are its periods 0 and 1, in the order of the layout of n
+    # units over 2 periods, and it is treated in period 1 when d1[i] is 1.
+    # The violated design has the base design's rows with another y, so
+    # `ate_did` factors one design for both
+    base = _on_layout(
+        _balanced_layout(n, 2),
+        _readonly(np.column_stack([y0, y1]).ravel()),
+        _readonly(np.column_stack([np.zeros(n), d1]).ravel()),
+    )
+    return base, _SameRows(base, _readonly(np.column_stack([y0, y1_violated]).ravel()))
 
 
 def _draw_cs6(p: dict, n: int, stream):

@@ -20,16 +20,17 @@ def philox(seed: int) -> np.random.Generator:
 
 
 def count_svd_solves(monkeypatch) -> list:
-    """Count the regress._svd_solve calls made from here on: returns the
-    list that each call appends to."""
+    """Count the SVD factorizations of least-squares solves made from here
+    on (regress._svd_factor, which every solve calls): returns the list
+    that each call appends to."""
     calls = []
-    solve = regress._svd_solve
+    factor = regress._svd_factor
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return solve(*args, **kwargs)
+        return factor(*args, **kwargs)
 
-    monkeypatch.setattr(regress, "_svd_solve", counted)
+    monkeypatch.setattr(regress, "_svd_factor", counted)
     return calls
 
 

@@ -195,6 +195,47 @@ def test_an_infinite_input_to_a_fit_is_an_input_error_when_warnings_are_errors(c
             call()
 
 
+def _huge_response_calls():
+    """Each least-squares entry point on 40 rows whose outcome has one
+    finite entry of 1e300: its residual sum of squares overflows."""
+    g = np.random.Generator(np.random.Philox(181))
+    n = 40
+    y, x, z = g.normal(size=n), g.normal(size=n), g.normal(size=n)
+    y[3] = 1e300
+    unit, time = np.repeat(np.arange(n // 2), 2), np.tile(np.arange(2), n // 2)
+    pds = causalest.validate_panel(unit, time, y, g.normal(size=n), x)
+    treated = np.repeat(np.arange(n // 2) % 2, 2) * time
+    t = np.linspace(-1.0, 1.0, n)
+    above = (t >= 0.0).astype(float)
+    fuzzy = np.where(np.abs(t) < 0.2, 1.0 - above, above)
+    return {
+        "fit_ols": lambda: causalest.fit_ols(np.column_stack([np.ones(n), x]), y),
+        "fit_pols": lambda: causalest.fit_pols(pds),
+        "fit_fe": lambda: causalest.fit_fe(pds),
+        "fit_re": lambda: causalest.fit_re(pds),
+        "fit_fd": lambda: causalest.fit_fd(pds),
+        "fit_cre": lambda: causalest.fit_cre(pds),
+        "ate_did": lambda: causalest.ate_did(causalest.validate_panel(unit, time, y, treated)),
+        "rdd_sharp": lambda: causalest.rdd_sharp(y, t),
+        "ate_or": lambda: causalest.ate_or(causalest.validate(y, (np.arange(n) % 2).astype(float), x)),
+        "ate_2sls": lambda: causalest.ate_2sls(y, x + z, z),
+        "rdd_fuzzy": lambda: causalest.rdd_fuzzy(y, t, fuzzy),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_huge_response_calls()))
+def test_an_overflowing_residual_sum_of_squares_is_an_input_error(entry):
+    # the response is finite and not scanned for its size: the overflow
+    # shows in the fit's products, and NumPy's RuntimeWarning for it must
+    # not reach a caller that turns warnings into errors, nor an infinite
+    # variance a caller that does not
+    call = _huge_response_calls()[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValueError, match="residual sum of squares"):
+            call()
+
+
 def test_the_solve_itself_rejects_an_infinite_design_entry():
     # the SVD of this design returns NaN singular values without failing,
     # and a NaN ratio would pass the rank test; the solve is reached with

@@ -105,12 +105,12 @@ def _arm_check_data(d):
 @pytest.fixture
 def no_fit(monkeypatch):
     """Make any least-squares or logistic fit fail the test: every SVD
-    solve goes through `regress._svd_solve`."""
+    solve goes through `regress._svd_factor`."""
 
-    def solve(*args, **kwargs):
+    def factor(*args, **kwargs):
         raise AssertionError("a fit ran before the arm check")
 
-    monkeypatch.setattr(regress, "_svd_solve", solve)
+    monkeypatch.setattr(regress, "_svd_factor", factor)
 
 
 @pytest.mark.parametrize("entry", _ARM_ENTRY_POINTS)

@@ -244,7 +244,7 @@ class TestDid:
         y = 1 + group - period + 3 * group * period + g.normal(size=300)
         est = ate_did(validate_panel(unit, period, y, group * period))
         design = np.column_stack([np.ones(300), group, period, group * period])
-        oracle = regress._coef_estimate("did", *_period_major(period, design, y), 3)
+        oracle = regress._coef_estimate("did", regress.fit_ols(*_period_major(period, design, y)), 3)
         assert (est.point, est.variance) == (oracle.point, oracle.variance)
         assert est.method == "did"
         assert est.diagnostics == {"n_periods": 2}
@@ -313,7 +313,7 @@ class TestDid:
             for pds in simulate._case_inputs("cs5", 1000, r, 42):
                 group = np.repeat(pds.d.reshape(-1, 2).max(axis=1), 2)
                 design = np.column_stack([np.ones(pds.n), group, pds.time, group * pds.time])
-                oracle = regress._coef_estimate("did", *_period_major(pds.time, design, pds.y), 3)
+                oracle = regress._coef_estimate("did", regress.fit_ols(*_period_major(pds.time, design, pds.y)), 3)
                 est = ate_did(pds)
                 got.append((est.point, est.variance))
                 want.append((oracle.point, oracle.variance))

@@ -22,6 +22,7 @@ from causalest import (
     CausalEstimate,
     CellCheck,
     MonteCarloReport,
+    PanelDataset,
     PropensityFit,
     ate_2sls,
     ate_did,
@@ -40,6 +41,7 @@ from causalest import (
     rdd_sharp,
     run_monte_carlo,
     validate,
+    validate_panel,
 )
 from causalest import core, quasi, simulate
 from causalest.cli import main
@@ -204,20 +206,97 @@ class TestDrawsAreKeptWithoutCopies:
     def test_validators_copy_no_array_of_a_draw(self, case_id, monkeypatch):
         # each draw marks its fresh arrays read-only, so `_owned` keeps them
         owned = core._owned
-        calls, copies = [], []
+        calls, copies, sources = [], [], []
 
         def counted(a, source):
             kept = owned(a, source)
             calls.append(1)
+            sources.append(source)
             if kept is not a:
                 copies.append(a.shape)
             return kept
 
         monkeypatch.setattr(core, "_owned", counted)
         monkeypatch.setattr(quasi, "_owned", counted)
-        simulate._case_inputs(case_id, 200, 0, 42)
+        inputs = simulate._case_inputs(case_id, 200, 0, 42)
         assert calls
         assert copies == []
+        # a panel run's y and d are the very arrays its draw made
+        for pds in (v for v in inputs if isinstance(v, PanelDataset)):
+            assert any(pds.y is v for v in sources)
+            assert any(pds.d is v for v in sources)
+
+    @pytest.mark.parametrize("case_id", ["cs2", "cs3", "cs5"])
+    def test_runs_share_the_layout_of_their_rows(self, case_id):
+        # [DERIVED] the (unit, time) layout is validated once, and every run
+        # of the case shares its read-only unit, time and unit codes
+        first, second = (simulate._case_inputs(case_id, 200, r, 42) for r in (0, 1))
+        for name in ("unit", "time", "unit_codes"):
+            shared = getattr(first[0], name)
+            assert shared is getattr(second[0], name)
+            assert not shared.flags.writeable
+        if case_id == "cs5":  # the violated design has the base design's rows
+            base, violated = first
+            for name in ("unit", "time", "d", "x", "unit_codes", "unit_counts"):
+                assert getattr(violated, name) is getattr(base, name)
+            assert not np.array_equal(violated.y, base.y)
+
+    @pytest.mark.parametrize("case_id", ["cs2", "cs3", "cs5"])
+    def test_a_drawn_panel_equals_the_validated_columns(self, case_id):
+        # [DERIVED] oracle: `validate_panel` of the drawn columns, for the
+        # public draw and for cs5's violated design
+        panels = simulate._case_inputs(case_id, 200, 3, 42)
+        assert type(generate(case_id, 3, n=200, seed=42)) is PanelDataset
+        for pds in panels:
+            want = validate_panel(pds.unit, pds.time, pds.y, pds.d)
+            for name in ("unit", "time", "y", "d", "x", "unit_codes", "unit_counts"):
+                got = getattr(pds, name)
+                assert got.dtype == getattr(want, name).dtype, name
+                assert np.array_equal(got, getattr(want, name)), name
+            assert not pds.y.flags.writeable and not pds.d.flags.writeable
+
+
+class TestSharedFactorizations:
+    """Each run factors a design its methods share once: FE and RE's
+    within step one within design, POLS and RE's fallback one pooled
+    design, DID1 and DID2 one difference-in-differences design."""
+
+    @staticmethod
+    def _svd_calls(monkeypatch, case_id, runs, n, seed) -> tuple[int, int]:
+        """(np.linalg.svd calls, RE fallbacks) of one experiment."""
+        svd, fit = np.linalg.svd, simulate.fit_re
+        calls, fallbacks = [], []
+
+        def counted_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        def counted_re(pds):
+            est = fit(pds)
+            fallbacks.append("re_fallback" in est.diagnostics)
+            return est
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(simulate, "fit_re", counted_re)
+        run_monte_carlo(case_id, runs, n, seed)
+        return len(calls), sum(fallbacks)
+
+    def test_fe_and_re_share_one_within_factorization(self, monkeypatch):
+        # [DERIVED] cs2 fits seven designs per run: POLS, RE's within,
+        # between and quasi-demeaned steps, FD, FE and CRE; FE's is RE's
+        # within design, so six are factored
+        assert self._svd_calls(monkeypatch, "cs2", 10, 1000, 42) == (60, 0)
+
+    def test_re_fallback_reuses_the_pooled_factorization(self, monkeypatch):
+        # [DERIVED] seed 42's cs3 at the paper's scale: RE falls back to
+        # pooled OLS in 490 runs, which factor five designs (RE's within and
+        # between steps, POLS, FD and CRE), and the other 510 runs six
+        assert self._svd_calls(monkeypatch, "cs3", 1000, 1000, 42) == (5510, 490)
+
+    def test_did_designs_share_one_factorization(self, monkeypatch):
+        # [DERIVED] DID1 and DID2 differ in y only, so a cs5 run factors one
+        # design
+        assert self._svd_calls(monkeypatch, "cs5", 10, 300, 7) == (10, 0)
 
 
 def _misspecified_scores(n, run_index, seed):
